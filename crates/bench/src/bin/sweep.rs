@@ -3,16 +3,22 @@
 //!
 //! ```text
 //! sweep lambda [--n N] [--cycles C] [--jobs J] [--shards S] [--lanes R]  # offered load vs throughput/latency/I_r
-//! sweep capacity [--n N] [--table K] [--jobs J] [--shards S]             # central-queue capacity vs latency
+//! sweep capacity [--n N] [--table K] [--cycles C] [--jobs J] [--shards S] [--lanes R]  # central-queue capacity vs latency
 //! ```
 //!
-//! `--lanes R` replicates every lambda point across `R` independent RNG
-//! lanes of one batched engine (`fadr_sim::LaneSim`) and emits
-//! mean ± 95% CI columns instead of single noisy samples (the CSV
-//! header changes, so downstream parsing is never silently wrong).
-//! Lanes batch clean recorder-free runs only: `--lanes > 1` rejects
-//! `--shards > 1`, recording flags, `--faults`, checkpoint/resume, and
-//! the capacity mode.
+//! `--n` is the hypercube dimension (1..=30, default 8), `--table` a
+//! paper table number (1..=12, default 6), and `--cycles` the dynamic
+//! horizon (default 300 for lambda points, the tables' 500 for capacity
+//! rows). Malformed or out-of-range values are rejected, never
+//! defaulted.
+//!
+//! `--lanes R` replicates every point `R` times as lanes of one batched
+//! engine (`fadr_sim::LaneSim`). Lambda points then emit mean ± 95% CI
+//! columns instead of single noisy samples (the CSV header changes, so
+//! downstream parsing is never silently wrong); capacity rows average
+//! the replications like `tables --reps R`. The lane engine has no fault
+//! model, no snapshots and no shard threads, so `--lanes > 1` rejects
+//! `--faults`, checkpoint/resume and `--shards > 1`.
 //!
 //! `--partition P` picks the shard partition strategy
 //! (`auto|contiguous|hamming|bisection|bfs`, default `auto`); a `#`
@@ -26,8 +32,9 @@
 //! `--shards S` additionally runs each simulation on `S` shard threads
 //! (bit-identical for any `S`; composes with `--jobs`).
 //!
-//! Observability: `--trace PATH`, `--metrics-out PATH`, and
-//! `--watchdog K` attach recording sinks to every sweep point; metrics
+//! Observability: `--trace PATH`, `--metrics-out PATH`, `--journal PATH`
+//! and `--watchdog K` attach recording sinks to every sweep point (one
+//! per lane, merged in lane order); metrics
 //! rows carry a `label` identifying the point (the CSV itself is
 //! unchanged by recording). `--faults PLAN.json` injects a
 //! `fadr-faults/1` plan into every sweep point (degraded-mode routing).
@@ -37,13 +44,13 @@
 use std::process::ExitCode;
 
 use fadr_bench::exec;
-use fadr_bench::obs::{self, MetricsRow, ObsArgs, RecordConfig};
+use fadr_bench::obs::{self, parse_positive, parse_run_flag, parse_table, MetricsRow, ObsArgs};
 use fadr_bench::runner::{
-    dynamic_random_lanes, dynamic_random_recorded, run_rows_recorded, spec, Algo, LanePoint,
-    RunOptions, SnapshotPolicy,
+    run_point_recorded, run_rows_recorded, spec, Algo, LanePoint, RunOptions,
 };
-use fadr_core::{EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang};
-use fadr_sim::{FaultPlan, PartitionStrategy, SimConfig};
+use fadr_core::HypercubeFullyAdaptive;
+use fadr_metrics::SinkSet;
+use fadr_sim::{PartitionStrategy, SimConfig};
 
 const ALGOS: [(&str, Algo); 3] = [
     ("fully-adaptive", Algo::FullyAdaptive),
@@ -67,302 +74,167 @@ fn print_partition_stats(n: usize, shards: usize, partition: PartitionStrategy) 
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn lambda_sweep(
+/// Print the CSV header and the points' lines in sweep order, and lift
+/// each point's sinks into a labelled metrics row.
+fn emit(
+    header: &str,
+    table: usize,
     n: usize,
-    cycles: u64,
-    jobs: usize,
-    shards: usize,
-    partition: PartitionStrategy,
-    rc: RecordConfig,
-    faults: Option<&'static FaultPlan>,
-    snap: Option<SnapshotPolicy>,
+    points: Vec<(String, String, SinkSet)>,
 ) -> Vec<MetricsRow> {
+    println!("{header}");
+    points
+        .into_iter()
+        .map(|(line, label, sinks)| {
+            println!("{line}");
+            MetricsRow {
+                table,
+                n,
+                label: Some(label),
+                sinks,
+            }
+        })
+        .collect()
+}
+
+/// Offered load vs throughput, latency and I_r. A replicated point
+/// (`--lanes R`) reports mean ± 95% CI per column.
+fn lambda_sweep(n: usize, jobs: usize, opts: RunOptions, obs: &ObsArgs) -> Vec<MetricsRow> {
     const LAMBDAS: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-    let size = 1usize << n;
-    print_partition_stats(n, shards, partition);
+    let cycles = opts.dynamic_cycles;
+    let replicated = opts.reps > 1;
+    print_partition_stats(n, opts.shards, opts.partition);
     let points = exec::run_indexed(LAMBDAS.len() * ALGOS.len(), jobs, |i| {
         let lambda = LAMBDAS[i / ALGOS.len()];
         let (name, algo) = ALGOS[i % ALGOS.len()];
-        let cfg = SimConfig::default();
+        let point = RunOptions {
+            algo,
+            seed: SimConfig::default().seed,
+            ..opts
+        };
         // File-safe label keying this point's snapshot inside
         // `--checkpoint-dir` (the display label below has spaces).
         let snap_label = format!("lambda{lambda}_{name}");
-        let (res, sinks) = match algo {
-            Algo::FullyAdaptive => dynamic_random_recorded(
-                HypercubeFullyAdaptive::new(n),
-                algo,
-                cfg,
-                lambda,
-                cycles,
-                rc,
-                shards,
-                partition,
-                faults,
-                snap,
-                &snap_label,
-            ),
-            Algo::StaticHang => dynamic_random_recorded(
-                HypercubeStaticHang::new(n),
-                algo,
-                cfg,
-                lambda,
-                cycles,
-                rc,
-                shards,
-                partition,
-                faults,
-                snap,
-                &snap_label,
-            ),
-            Algo::EcubeSbp => dynamic_random_recorded(
-                EcubeSbp::new(n),
-                algo,
-                cfg,
-                lambda,
-                cycles,
-                rc,
-                shards,
-                partition,
-                faults,
-                snap,
-                &snap_label,
-            ),
+        let (rows, sinks) = run_point_recorded(lambda, n, point, obs.record_config(), &snap_label);
+        let p = LanePoint::of(&rows, cycles);
+        let line = if replicated {
+            format!(
+                "{lambda},{name},{:.4},{:.4},{:.2},{:.2},{},{:.3},{:.3}",
+                p.throughput.mean,
+                p.throughput.half_width,
+                p.l_avg.mean,
+                p.l_avg.half_width,
+                p.l_max,
+                p.injection_rate.mean,
+                p.injection_rate.half_width
+            )
+        } else {
+            format!(
+                "{lambda},{name},{:.4},{:.2},{},{:.3}",
+                p.throughput.mean, p.l_avg.mean, p.l_max, p.injection_rate.mean
+            )
         };
-        let thr = res.delivered as f64 / (size as f64 * cycles as f64);
-        let line = format!(
-            "{lambda},{name},{thr:.4},{:.2},{},{:.3}",
-            res.stats.mean(),
-            res.stats.max(),
-            res.injection_rate()
-        );
         (line, format!("lambda={lambda} algo={name}"), sinks)
     });
-    println!("lambda,algo,throughput,l_avg,l_max,injection_rate");
-    let mut metrics = Vec::new();
-    for (line, label, sinks) in points {
-        println!("{line}");
-        metrics.push(MetricsRow {
-            table: 0,
-            n,
-            label: Some(label),
-            sinks,
-        });
-    }
-    metrics
-}
-
-/// The lane-batched λ sweep: every `(lambda, algo)` point runs `lanes`
-/// independent replications inside one [`fadr_sim::LaneSim`] (one
-/// shared memoized routing table, per-lane RNG streams split from the
-/// base seed) and reports mean ± 95% CI per column. Points still fan
-/// out over `--jobs`, and the CSV is printed in sweep order, so output
-/// is bit-identical for any `--jobs` value.
-fn lambda_sweep_lanes(n: usize, cycles: u64, jobs: usize, lanes: usize) {
-    const LAMBDAS: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
-    let fmt_point = |lambda: f64, name: &str, p: &LanePoint| {
-        format!(
-            "{lambda},{name},{:.4},{:.4},{:.2},{:.2},{},{:.3},{:.3}",
-            p.throughput.mean,
-            p.throughput.half_width,
-            p.l_avg.mean,
-            p.l_avg.half_width,
-            p.l_max,
-            p.injection_rate.mean,
-            p.injection_rate.half_width
-        )
-    };
-    let points = exec::run_indexed(LAMBDAS.len() * ALGOS.len(), jobs, |i| {
-        let lambda = LAMBDAS[i / ALGOS.len()];
-        let (name, algo) = ALGOS[i % ALGOS.len()];
-        let cfg = SimConfig::default();
-        let point = match algo {
-            Algo::FullyAdaptive => {
-                dynamic_random_lanes(HypercubeFullyAdaptive::new(n), cfg, lambda, cycles, lanes)
-            }
-            Algo::StaticHang => {
-                dynamic_random_lanes(HypercubeStaticHang::new(n), cfg, lambda, cycles, lanes)
-            }
-            Algo::EcubeSbp => dynamic_random_lanes(EcubeSbp::new(n), cfg, lambda, cycles, lanes),
-        };
-        fmt_point(lambda, name, &point)
-    });
-    println!(
+    let header = if replicated {
         "lambda,algo,throughput_mean,throughput_ci95,l_avg_mean,l_avg_ci95,l_max,\
          injection_rate_mean,injection_rate_ci95"
-    );
-    for line in points {
-        println!("{line}");
-    }
+    } else {
+        "lambda,algo,throughput,l_avg,l_max,injection_rate"
+    };
+    emit(header, 0, n, points)
 }
 
-#[allow(clippy::too_many_arguments)]
+/// Central-queue capacity vs latency on one paper table row.
 fn capacity_sweep(
     n: usize,
     table: usize,
     jobs: usize,
-    shards: usize,
-    partition: PartitionStrategy,
-    rc: RecordConfig,
-    faults: Option<&'static FaultPlan>,
-    snap: Option<SnapshotPolicy>,
+    opts: RunOptions,
+    obs: &ObsArgs,
 ) -> Vec<MetricsRow> {
     const CAPS: [usize; 8] = [1, 2, 3, 5, 8, 10, 12, 16];
-    print_partition_stats(n, shards, partition);
+    print_partition_stats(n, opts.shards, opts.partition);
     let points = exec::run_indexed(CAPS.len() * ALGOS.len(), jobs, |i| {
         let cap = CAPS[i / ALGOS.len()];
         let (name, algo) = ALGOS[i % ALGOS.len()];
-        let opts = RunOptions {
+        let point = RunOptions {
             queue_capacity: cap,
             algo,
-            shards,
-            partition,
-            faults,
-            snapshot: snap,
-            ..RunOptions::default()
+            ..opts
         };
-        // One dimension, one rep: the recorded row is the sweep point.
-        let recorded = run_rows_recorded(spec(table), &[n], opts, 1, rc);
-        let row = recorded[0].row;
-        let line = format!("{cap},{name},{:.2},{}", row.l_avg, row.l_max);
-        (
-            line,
-            format!("cap={cap} algo={name}"),
-            recorded[0].sinks.clone(),
-        )
+        // One dimension: the recorded row is the sweep point.
+        let mut recorded = run_rows_recorded(spec(table), &[n], point, 1, obs.record_config());
+        let r = recorded.remove(0);
+        let line = format!("{cap},{name},{:.2},{}", r.row.l_avg, r.row.l_max);
+        (line, format!("cap={cap} algo={name}"), r.sinks)
     });
-    println!("capacity,algo,l_avg,l_max");
-    let mut metrics = Vec::new();
-    for (line, label, sinks) in points {
-        println!("{line}");
-        metrics.push(MetricsRow {
-            table,
-            n,
-            label: Some(label),
-            sinks,
-        });
-    }
-    metrics
+    emit("capacity,algo,l_avg,l_max", table, n, points)
 }
 
-fn main() -> ExitCode {
+const USAGE: &str = "usage: sweep <lambda|capacity> [--n N] [--cycles C] [--table K] [--jobs J] \
+     [--shards S] [--lanes R] [--partition P]";
+
+fn run() -> Result<(), String> {
     let mut args = std::env::args().skip(1);
     let mode = args.next().unwrap_or_default();
+    if mode != "lambda" && mode != "capacity" {
+        return Err(format!("{USAGE} {}", ObsArgs::USAGE));
+    }
     let mut n = 8usize;
-    let mut cycles = 300u64;
+    let mut cycles: Option<u64> = None;
     let mut table = 6usize;
     let mut jobs = exec::default_jobs();
-    let mut shards = 1usize;
-    let mut lanes = 1usize;
-    let mut partition = PartitionStrategy::Auto;
+    let mut opts = RunOptions::default();
     let mut obs_args = ObsArgs::default();
-    let rest: Vec<String> = args.collect();
-    let mut it = rest.iter();
-    while let Some(a) = it.next() {
+    while let Some(a) = args.next() {
+        let mut next = |flag: &str| args.next().ok_or_else(|| format!("{flag} needs a value"));
         match a.as_str() {
-            "--n" => n = it.next().and_then(|v| v.parse().ok()).unwrap_or(n),
-            "--cycles" => cycles = it.next().and_then(|v| v.parse().ok()).unwrap_or(cycles),
-            "--table" => table = it.next().and_then(|v| v.parse().ok()).unwrap_or(table),
-            "--jobs" => match it.next().map(|v| exec::parse_jobs(v)) {
-                Some(Ok(j)) => jobs = j,
-                _ => {
-                    eprintln!("--jobs needs a positive integer");
-                    return ExitCode::FAILURE;
+            "--n" => {
+                n = parse_positive("--n", &next("--n")?)?;
+                if n > 30 {
+                    return Err(format!("--n must be 1..=30 (hypercube dimension), got {n}"));
                 }
-            },
-            "--shards" => match it.next().map(|v| exec::parse_shards(v)) {
-                Some(Ok(s)) => shards = s,
-                _ => {
-                    eprintln!("--shards needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--lanes" => match it.next().and_then(|v| v.parse().ok()) {
-                Some(r) if r >= 1 => lanes = r,
-                _ => {
-                    eprintln!("--lanes needs a positive integer");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--partition" => match it.next().map(|v| v.parse::<PartitionStrategy>()) {
-                Some(Ok(p)) => partition = p,
-                _ => {
-                    eprintln!("--partition needs auto|contiguous|hamming|bisection|bfs");
-                    return ExitCode::FAILURE;
-                }
-            },
+            }
+            "--cycles" => cycles = Some(parse_positive("--cycles", &next("--cycles")?)? as u64),
+            "--table" => table = parse_table(&next("--table")?)?,
             other => {
-                let mut next = |flag: &str| {
-                    it.next()
-                        .cloned()
-                        .ok_or_else(|| format!("{flag} needs a value"))
-                };
-                match obs_args.parse_flag(other, &mut next) {
-                    Ok(true) => {}
-                    Ok(false) => {
-                        eprintln!("unknown argument {other}");
-                        return ExitCode::FAILURE;
-                    }
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return ExitCode::FAILURE;
-                    }
+                if !parse_run_flag(other, &mut opts, &mut jobs, &mut next)?
+                    && !obs_args.parse_flag(other, &mut next)?
+                {
+                    return Err(format!(
+                        "unknown argument {other}\n{USAGE} {}",
+                        ObsArgs::USAGE
+                    ));
                 }
             }
         }
     }
-    if let Err(e) = obs_args.validate_shards(shards) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if let Err(e) = obs_args.validate_lanes(lanes) {
-        eprintln!("{e}");
-        return ExitCode::FAILURE;
-    }
-    if lanes > 1 && shards > 1 {
-        eprintln!("--lanes > 1 runs the sequential lane engine; drop --shards");
-        return ExitCode::FAILURE;
-    }
-    if lanes > 1 && mode == "capacity" {
-        eprintln!("the capacity sweep does not support --lanes (use the lambda sweep)");
-        return ExitCode::FAILURE;
-    }
-    let rc = obs_args.record_config();
-    let faults = match obs_args.load_fault_plan() {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let snap = match obs_args.snapshot_policy() {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let metrics = match mode.as_str() {
-        "lambda" if lanes > 1 => {
-            lambda_sweep_lanes(n, cycles, jobs, lanes);
-            return ExitCode::SUCCESS;
-        }
-        "lambda" => lambda_sweep(n, cycles, jobs, shards, partition, rc, faults, snap),
-        "capacity" => capacity_sweep(n, table, jobs, shards, partition, rc, faults, snap),
-        _ => {
-            eprintln!(
-                "usage: sweep <lambda|capacity> [--n N] [--cycles C] [--table K] [--jobs J] [--shards S] [--lanes R] [--partition P] {}",
-                ObsArgs::USAGE
-            );
-            return ExitCode::FAILURE;
-        }
+    let lambda = mode == "lambda";
+    opts.dynamic_cycles = cycles.unwrap_or(if lambda { 300 } else { opts.dynamic_cycles });
+    opts.reps = u32::try_from(opts.lanes).map_err(|_| "--lanes is too large")?;
+    obs_args.validate(&opts)?;
+    opts.faults = obs_args.load_fault_plan()?;
+    opts.snapshot = obs_args.snapshot_policy()?;
+    let metrics = if lambda {
+        lambda_sweep(n, jobs, opts, &obs_args)
+    } else {
+        capacity_sweep(n, table, jobs, opts, &obs_args)
     };
     if obs_args.enabled() {
         obs::report(&metrics);
-        if let Err(e) = obs::export(&obs_args, "mixed", &metrics) {
-            eprintln!("failed to write observability output: {e}");
-            return ExitCode::FAILURE;
+        obs::export(&obs_args, "mixed", &metrics)
+            .map_err(|e| format!("failed to write observability output: {e}"))?;
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

@@ -18,11 +18,13 @@
 //!   default 1 = sequential). Composes with `--jobs`: each of the `J`
 //!   concurrent runs uses `S` shard threads. Output is bit-identical
 //!   for any value of `S`.
-//! * `--lanes R` — run the `R` replications of each row batched in the
-//!   lane engine (`fadr_sim::LaneSim`) instead of as `R` standalone
-//!   simulations. Implies `--reps R`; output is bit-identical to
-//!   `--reps R` without `--lanes` (CI diffs the two). Incompatible with
-//!   `--shards`, `--faults`, checkpoints, and the recording sinks.
+//! * `--lanes R` — run each row's replications batched, `R` at a time,
+//!   as lanes of the lane engine (`fadr_sim::LaneSim`) instead of as
+//!   standalone simulations. Implies `--reps R` unless `--reps` is given;
+//!   output is bit-identical to `--reps R` without `--lanes` (CI diffs
+//!   the two), recording sinks included. The lane engine has no fault
+//!   model, no snapshots and no shard threads, so `--lanes > 1` rejects
+//!   `--faults`, checkpoint/resume and `--shards > 1`.
 //! * `--csv` — emit CSV instead of aligned text.
 //! * `--trace PATH` — write JSONL packet lifecycles (first 256 packets
 //!   per run).
@@ -39,10 +41,9 @@
 use std::process::ExitCode;
 
 use fadr_bench::exec;
-use fadr_bench::obs::{self, MetricsRow, ObsArgs};
+use fadr_bench::obs::{self, parse_run_flag, parse_table, MetricsRow, ObsArgs};
 use fadr_bench::runner::{
-    dims_for, render_table, run_rows_lanes, run_table_dims_recorded, run_table_jobs, spec, Algo,
-    RunOptions,
+    dims_for, run_table_dims_recorded, run_table_jobs, spec, Algo, RunOptions,
 };
 
 struct Args {
@@ -50,7 +51,6 @@ struct Args {
     full: bool,
     csv: bool,
     jobs: usize,
-    lanes: usize,
     opts: RunOptions,
     obs: ObsArgs,
 }
@@ -61,7 +61,6 @@ fn parse_args() -> Result<Args, String> {
         full: false,
         csv: false,
         jobs: exec::default_jobs(),
-        lanes: 1,
         opts: RunOptions::default(),
         obs: ObsArgs::default(),
     };
@@ -70,15 +69,7 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut next = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
         match a.as_str() {
-            "--table" => {
-                let t: usize = next("--table")?
-                    .parse()
-                    .map_err(|e| format!("--table: {e}"))?;
-                if !(1..=12).contains(&t) {
-                    return Err("--table must be 1..=12".into());
-                }
-                args.tables.push(t);
-            }
+            "--table" => args.tables.push(parse_table(&next("--table")?)?),
             "--full" => args.full = true,
             "--csv" => args.csv = true,
             "--cap" => {
@@ -101,29 +92,10 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--reps: {e}"))?;
                 reps_given = true;
             }
-            "--lanes" => {
-                args.lanes = next("--lanes")?
-                    .parse()
-                    .map_err(|e| format!("--lanes: {e}"))?;
-                if args.lanes == 0 {
-                    return Err("--lanes must be at least 1".into());
-                }
-            }
             "--algo" => {
                 let v = next("--algo")?;
                 args.opts.algo = Algo::parse(&v)
                     .ok_or("--algo must be fully-adaptive | static-hang | ecube-sbp")?;
-            }
-            "--jobs" => {
-                args.jobs = exec::parse_jobs(&next("--jobs")?)?;
-            }
-            "--shards" => {
-                args.opts.shards = exec::parse_shards(&next("--shards")?)?;
-            }
-            "--partition" => {
-                args.opts.partition = next("--partition")?
-                    .parse()
-                    .map_err(|e: String| format!("--partition: {e}"))?;
             }
             "--help" | "-h" => {
                 return Err(format!(
@@ -132,7 +104,9 @@ fn parse_args() -> Result<Args, String> {
                 ));
             }
             other => {
-                if !args.obs.parse_flag(other, &mut next)? {
+                if !parse_run_flag(other, &mut args.opts, &mut args.jobs, &mut next)?
+                    && !args.obs.parse_flag(other, &mut next)?
+                {
                     return Err(format!("unknown argument {other}"));
                 }
             }
@@ -141,22 +115,12 @@ fn parse_args() -> Result<Args, String> {
     if args.tables.is_empty() {
         args.tables = (1..=12).collect();
     }
-    if args.opts.queue_capacity == 0 && args.obs.watchdog.is_none() {
-        return Err("--cap 0 wedges the network; it requires --watchdog".into());
+    if !reps_given {
+        args.opts.reps = u32::try_from(args.opts.lanes).map_err(|_| "--lanes is too large")?;
     }
-    args.obs.validate_shards(args.opts.shards)?;
+    args.obs.validate(&args.opts)?;
     args.opts.faults = args.obs.load_fault_plan()?;
     args.opts.snapshot = args.obs.snapshot_policy()?;
-    if args.lanes > 1 {
-        if reps_given && args.opts.reps as usize != args.lanes {
-            return Err("--lanes R already runs R replications (as lanes); drop --reps".into());
-        }
-        if args.opts.shards > 1 {
-            return Err("--lanes > 1 runs the sequential lane engine; drop --shards".into());
-        }
-        args.obs.validate_lanes(args.lanes)?;
-        args.opts.reps = u32::try_from(args.lanes).map_err(|_| "--lanes is too large")?;
-    }
     Ok(args)
 }
 
@@ -179,11 +143,7 @@ fn main() -> ExitCode {
     let mut metrics: Vec<MetricsRow> = Vec::new();
     for &t in &args.tables {
         let start = std::time::Instant::now();
-        let table = if args.lanes > 1 {
-            let dims = dims_for(spec(t), args.full);
-            let rows = run_rows_lanes(spec(t), &dims, args.opts, args.jobs);
-            render_table(t, &rows)
-        } else if args.obs.enabled() {
+        let table = if args.obs.enabled() {
             let dims = dims_for(spec(t), args.full);
             let (table, recorded) =
                 run_table_dims_recorded(t, &dims, args.opts, args.jobs, args.obs.record_config());

@@ -80,24 +80,6 @@ where
         .collect()
 }
 
-/// Parse a `--jobs` value: a positive thread count.
-pub fn parse_jobs(s: &str) -> Result<usize, String> {
-    match s.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("--jobs must be a positive integer, got {s:?}")),
-    }
-}
-
-/// Parse a `--shards` value: a positive intra-simulation shard count
-/// (threads *inside* one simulation; composes with `--jobs`, which
-/// spreads independent simulations across workers).
-pub fn parse_shards(s: &str) -> Result<usize, String> {
-    match s.parse::<usize>() {
-        Ok(n) if n >= 1 => Ok(n),
-        _ => Err(format!("--shards must be a positive integer, got {s:?}")),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -131,14 +113,6 @@ mod tests {
             i
         });
         assert_eq!(out, (0..16).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn parse_jobs_accepts_positive_only() {
-        assert_eq!(parse_jobs("4"), Ok(4));
-        assert!(parse_jobs("0").is_err());
-        assert!(parse_jobs("-2").is_err());
-        assert!(parse_jobs("many").is_err());
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! Observability wiring shared by the harness binaries: the
+//! Flag wiring shared by the harness binaries: the engine-selection
+//! flags (`--jobs` / `--shards` / `--partition` / `--lanes`), the
 //! `--trace` / `--metrics-out` / `--watchdog` / `--journal` /
-//! `--waitgraph` flags, the `--checkpoint-at` / `--resume-from` flight
-//! recorder controls, sink construction, and structured JSON export of
-//! recorded runs.
+//! `--waitgraph` observability flags, the `--checkpoint-at` /
+//! `--resume-from` flight recorder controls, the one flag-conflict check
+//! ([`ObsArgs::validate`]), sink construction, and structured JSON
+//! export of recorded runs.
 //!
 //! The binaries keep their timing paths recorder-free ([`fadr_sim::NoRecorder`]
 //! monomorphizes to nothing); recording is opt-in per invocation and
@@ -13,10 +15,10 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
-use fadr_metrics::{JournalSink, SinkSet};
+use fadr_metrics::{JournalSink, NoRecorder, ShardRecorder, SinkSet, StallReport, WatchdogSink};
 use fadr_sim::FaultPlan;
 
-use crate::runner::{RecordedRow, SnapshotPolicy};
+use crate::runner::{RecordedRow, RunOptions, SnapshotPolicy};
 
 /// Packets traced per run when `--trace` is given (first-N by injection
 /// order; later packets are counted, not traced).
@@ -46,17 +48,6 @@ pub struct RecordConfig {
 }
 
 impl RecordConfig {
-    /// Whether any sink is enabled (if not, callers should use the
-    /// recorder-free path).
-    pub fn enabled(&self) -> bool {
-        self.counters
-            || self.trace.is_some()
-            || self.watchdog.is_some()
-            || self.journal.is_some()
-            || self.latency
-            || self.waitgraph
-    }
-
     /// Build the sink set for one run over a `num_nodes` ×
     /// `num_classes` network.
     pub fn build(&self, num_nodes: usize, num_classes: usize) -> SinkSet {
@@ -81,6 +72,97 @@ impl RecordConfig {
         }
         s
     }
+}
+
+/// The recorder a harness run attaches: [`NoRecorder`] on the plain
+/// (timing) path, whose hooks compile away, or a [`SinkSet`] built from
+/// a [`RecordConfig`].
+pub trait RunRecorder: ShardRecorder + Clone + Send {
+    /// Build the recorder for one run over a `num_nodes` ×
+    /// `num_classes` network.
+    fn build(rc: &RecordConfig, num_nodes: usize, num_classes: usize) -> Self;
+
+    /// Install an engine-level watchdog's window and stall report (the
+    /// sharded engine runs the watchdog outside its per-shard recorders).
+    fn install_watchdog(&mut self, window: u64, report: Option<StallReport>);
+
+    /// Merge a later replication's recorder (fixed replication order).
+    fn merge(&mut self, other: &Self);
+
+    /// Finish one replication (render still-in-flight traces).
+    fn flush(&mut self);
+}
+
+impl RunRecorder for NoRecorder {
+    fn build(_: &RecordConfig, _: usize, _: usize) -> Self {
+        NoRecorder
+    }
+
+    fn install_watchdog(&mut self, _: u64, _: Option<StallReport>) {}
+
+    fn merge(&mut self, _: &Self) {}
+
+    fn flush(&mut self) {}
+}
+
+impl RunRecorder for SinkSet {
+    fn build(rc: &RecordConfig, num_nodes: usize, num_classes: usize) -> Self {
+        rc.build(num_nodes, num_classes)
+    }
+
+    fn install_watchdog(&mut self, window: u64, report: Option<StallReport>) {
+        let mut wd = WatchdogSink::new(window);
+        wd.report = report;
+        self.watchdog = Some(wd);
+    }
+
+    fn merge(&mut self, other: &Self) {
+        SinkSet::merge(self, other);
+    }
+
+    fn flush(&mut self) {
+        SinkSet::flush(self);
+    }
+}
+
+/// Parse a strictly positive integer flag value.
+pub fn parse_positive(flag: &str, value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(v) if v >= 1 => Ok(v),
+        _ => Err(format!("{flag} must be a positive integer, got {value:?}")),
+    }
+}
+
+/// Parse a `--table` value: a paper table number in 1..=12.
+pub fn parse_table(value: &str) -> Result<usize, String> {
+    match value.parse::<usize>() {
+        Ok(t) if (1..=12).contains(&t) => Ok(t),
+        _ => Err(format!("--table must be 1..=12, got {value:?}")),
+    }
+}
+
+/// Try to consume one engine-selection flag shared by the `tables`,
+/// `sweep` and `perf` binaries: `--jobs J` into `jobs`, and `--shards
+/// S`, `--partition P` and `--lanes R` into `opts`. Same contract as
+/// [`ObsArgs::parse_flag`].
+pub fn parse_run_flag(
+    arg: &str,
+    opts: &mut RunOptions,
+    jobs: &mut usize,
+    next: &mut dyn FnMut(&str) -> Result<String, String>,
+) -> Result<bool, String> {
+    match arg {
+        "--jobs" => *jobs = parse_positive(arg, &next(arg)?)?,
+        "--shards" => opts.shards = parse_positive(arg, &next(arg)?)?,
+        "--lanes" => opts.lanes = parse_positive(arg, &next(arg)?)?,
+        "--partition" => {
+            opts.partition = next(arg)?
+                .parse()
+                .map_err(|e: String| format!("--partition: {e}"))?;
+        }
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 /// Parsed observability flags, shared by the `tables`/`sweep`/`perf`
@@ -126,55 +208,31 @@ impl ObsArgs {
         arg: &str,
         next: &mut dyn FnMut(&str) -> Result<String, String>,
     ) -> Result<bool, String> {
+        let mut path = || next(arg).map(|v| Some(PathBuf::from(v)));
         match arg {
-            "--metrics-out" => {
-                self.metrics_out = Some(PathBuf::from(next("--metrics-out")?));
-                Ok(true)
-            }
-            "--trace" => {
-                self.trace_out = Some(PathBuf::from(next("--trace")?));
-                Ok(true)
-            }
+            "--metrics-out" => self.metrics_out = path()?,
+            "--trace" => self.trace_out = path()?,
+            "--faults" => self.faults = path()?,
+            "--journal" => self.journal_out = path()?,
+            "--checkpoint-dir" => self.checkpoint_dir = path()?,
+            "--resume-from" => self.resume_from = path()?,
+            "--waitgraph" => self.waitgraph = true,
             "--watchdog" => {
-                let k: u64 = next("--watchdog")?
-                    .parse()
-                    .map_err(|e| format!("--watchdog: {e}"))?;
+                let k: u64 = next(arg)?.parse().map_err(|e| format!("--watchdog: {e}"))?;
                 if k == 0 {
                     return Err("--watchdog window must be at least 1 cycle".into());
                 }
                 self.watchdog = Some(k);
-                Ok(true)
-            }
-            "--faults" => {
-                self.faults = Some(PathBuf::from(next("--faults")?));
-                Ok(true)
-            }
-            "--journal" => {
-                self.journal_out = Some(PathBuf::from(next("--journal")?));
-                Ok(true)
-            }
-            "--waitgraph" => {
-                self.waitgraph = true;
-                Ok(true)
             }
             "--checkpoint-at" => {
-                self.checkpoint_at = Some(
-                    next("--checkpoint-at")?
-                        .parse()
-                        .map_err(|e| format!("--checkpoint-at: {e}"))?,
-                );
-                Ok(true)
+                let at = next(arg)?
+                    .parse()
+                    .map_err(|e| format!("--checkpoint-at: {e}"))?;
+                self.checkpoint_at = Some(at);
             }
-            "--checkpoint-dir" => {
-                self.checkpoint_dir = Some(PathBuf::from(next("--checkpoint-dir")?));
-                Ok(true)
-            }
-            "--resume-from" => {
-                self.resume_from = Some(PathBuf::from(next("--resume-from")?));
-                Ok(true)
-            }
-            _ => Ok(false),
+            _ => return Ok(false),
         }
+        Ok(true)
     }
 
     /// Load and parse the `--faults` plan, if given. The plan is leaked
@@ -226,13 +284,11 @@ impl ObsArgs {
     /// [`crate::runner::RunOptions`] across worker threads (one
     /// allocation per process invocation, like the fault plan).
     /// `--checkpoint-at` creates the directory eagerly so worker threads
-    /// never race on it.
+    /// never race on it. Call after [`ObsArgs::validate`], which rejects
+    /// `--checkpoint-at` together with `--resume-from`.
     pub fn snapshot_policy(&self) -> Result<Option<SnapshotPolicy>, String> {
         match (self.checkpoint_at, &self.resume_from) {
-            (Some(_), Some(_)) => {
-                Err("--checkpoint-at and --resume-from are mutually exclusive".into())
-            }
-            (Some(at), None) => {
+            (Some(at), _) => {
                 let dir = self
                     .checkpoint_dir
                     .clone()
@@ -259,42 +315,35 @@ impl ObsArgs {
         }
     }
 
-    /// Reject flag combinations that cannot run on a sharded engine:
-    /// the wait-for-graph probe is global (a shard-local probe would
-    /// miss cross-shard blocked chains).
-    pub fn validate_shards(&self, shards: usize) -> Result<(), String> {
-        if self.waitgraph && shards > 1 {
-            return Err("--waitgraph needs the sequential engine (--shards 1): \
-                 the wait-for-graph probe is global"
-                .into());
-        }
-        Ok(())
-    }
-
-    /// Reject flag combinations the lane-batched path (`--lanes > 1`)
-    /// cannot honor: recording sinks, fault plans, and checkpoint/resume
-    /// all assume one standalone simulator per run, and the lane engine
-    /// batches clean recorder-free replications only.
+    /// The one flag-conflict check, run on the whole configuration
+    /// before anything executes. Every other flag combination composes;
+    /// these are the only ones no engine can run, and each error names
+    /// its reason.
     ///
     /// # Errors
     ///
-    /// Names the first conflicting flag group.
-    pub fn validate_lanes(&self, lanes: usize) -> Result<(), String> {
-        if lanes <= 1 {
+    /// The first conflict found.
+    pub fn validate(&self, opts: &RunOptions) -> Result<(), String> {
+        let snapshots = self.checkpoint_at.is_some() || self.resume_from.is_some();
+        let conflict = if self.checkpoint_at.is_some() && self.resume_from.is_some() {
+            "--checkpoint-at and --resume-from are mutually exclusive: \
+             a run either writes its snapshot or restores one"
+        } else if opts.queue_capacity == 0 && self.watchdog.is_none() {
+            "--cap 0 wedges the network; it requires --watchdog to stop the run"
+        } else if self.waitgraph && opts.shards > 1 {
+            "--waitgraph needs --shards 1: the wait-for-graph probe is global, \
+             and a shard sees only its own queues"
+        } else if opts.lanes > 1 && opts.shards > 1 {
+            "--lanes conflicts with --shards: the lane engine runs its lanes on one thread"
+        } else if opts.lanes > 1 && self.faults.is_some() {
+            "--lanes conflicts with --faults: the lane engine has no fault model"
+        } else if opts.lanes > 1 && snapshots {
+            "--lanes conflicts with --checkpoint-at/--resume-from: \
+             the lane engine cannot checkpoint or restore"
+        } else {
             return Ok(());
-        }
-        if self.enabled() {
-            return Err("--lanes > 1 runs the recorder-free lane engine; drop \
-                 --trace/--metrics-out/--watchdog/--journal/--waitgraph"
-                .into());
-        }
-        if self.faults.is_some() {
-            return Err("--lanes > 1 does not support --faults".into());
-        }
-        if self.checkpoint_at.is_some() || self.resume_from.is_some() {
-            return Err("--lanes > 1 does not support checkpoint/resume".into());
-        }
-        Ok(())
+        };
+        Err(conflict.into())
     }
 }
 
@@ -537,8 +586,6 @@ mod tests {
         let s = rc.build(8, 2);
         assert!(s.counters.is_some() && s.trace.is_some() && s.watchdog.is_some());
         assert!(s.journal.is_some() && s.latency.is_some() && s.waitgraph.is_some());
-        assert!(rc.enabled());
-        assert!(!RecordConfig::default().enabled());
     }
 
     #[test]
@@ -547,14 +594,115 @@ mod tests {
         assert!(o.snapshot_policy().unwrap().is_none());
         o.checkpoint_at = Some(10);
         assert!(o.snapshot_policy().is_err(), "missing --checkpoint-dir");
-        o.resume_from = Some(PathBuf::from("x"));
-        assert!(o.snapshot_policy().is_err(), "mutually exclusive");
         o.checkpoint_at = None;
+        o.resume_from = Some(PathBuf::from("x"));
         let sp = o.snapshot_policy().unwrap().unwrap();
         assert!(sp.resume && sp.at.is_none());
-        assert!(o.validate_shards(1).is_ok());
-        o.waitgraph = true;
-        assert!(o.validate_shards(4).is_err(), "waitgraph is global");
+    }
+
+    /// Every surviving flag conflict, with the reason its message must
+    /// name; everything else composes.
+    #[test]
+    fn validate_lists_every_conflict_and_its_reason() {
+        let plain = RunOptions::default();
+        let lanes = RunOptions { lanes: 3, ..plain };
+        let with = |f: fn(&mut ObsArgs)| {
+            let mut o = ObsArgs::default();
+            f(&mut o);
+            o
+        };
+        let cases: [(ObsArgs, RunOptions, &str); 6] = [
+            (
+                with(|o| {
+                    o.checkpoint_at = Some(5);
+                    o.resume_from = Some(PathBuf::from("d"));
+                }),
+                plain,
+                "writes its snapshot or restores one",
+            ),
+            (
+                ObsArgs::default(),
+                RunOptions {
+                    queue_capacity: 0,
+                    ..plain
+                },
+                "requires --watchdog",
+            ),
+            (
+                with(|o| o.waitgraph = true),
+                RunOptions { shards: 2, ..plain },
+                "probe is global",
+            ),
+            (
+                ObsArgs::default(),
+                RunOptions { shards: 2, ..lanes },
+                "lanes on one thread",
+            ),
+            (
+                with(|o| o.faults = Some(PathBuf::from("p.json"))),
+                lanes,
+                "no fault model",
+            ),
+            (
+                with(|o| o.resume_from = Some(PathBuf::from("d"))),
+                lanes,
+                "cannot checkpoint or restore",
+            ),
+        ];
+        for (o, opts, reason) in &cases {
+            let err = o.validate(opts).expect_err(reason);
+            assert!(err.contains(reason), "{err:?} must name {reason:?}");
+        }
+        // Everything else composes: lanes with every recording sink,
+        // shards with faults and snapshots, a wedge under a watchdog.
+        let recording = with(|o| {
+            o.metrics_out = Some(PathBuf::from("m.json"));
+            o.trace_out = Some(PathBuf::from("t.jsonl"));
+            o.journal_out = Some(PathBuf::from("j.txt"));
+            o.watchdog = Some(100);
+            o.waitgraph = true;
+        });
+        assert_eq!(recording.validate(&lanes), Ok(()));
+        let faulted = with(|o| {
+            o.faults = Some(PathBuf::from("p.json"));
+            o.checkpoint_at = Some(5);
+        });
+        assert_eq!(faulted.validate(&RunOptions { shards: 4, ..plain }), Ok(()));
+        let wedge = with(|o| o.watchdog = Some(10));
+        let cap0 = RunOptions {
+            queue_capacity: 0,
+            ..lanes
+        };
+        assert_eq!(wedge.validate(&cap0), Ok(()));
+    }
+
+    #[test]
+    fn run_flags_parse_strictly() {
+        let mut opts = RunOptions::default();
+        let mut jobs = 1;
+        for (flag, value) in [("--jobs", "3"), ("--shards", "2"), ("--lanes", "4")] {
+            let mut next = |_: &str| Ok(value.to_string());
+            assert!(parse_run_flag(flag, &mut opts, &mut jobs, &mut next).unwrap());
+        }
+        assert_eq!((jobs, opts.shards, opts.lanes), (3, 2, 4));
+        let mut next = |_: &str| Ok("hamming".to_string());
+        assert!(parse_run_flag("--partition", &mut opts, &mut jobs, &mut next).unwrap());
+        for (flag, bad) in [
+            ("--jobs", "0"),
+            ("--shards", "-2"),
+            ("--lanes", "many"),
+            ("--partition", "diagonal"),
+        ] {
+            let mut next = |_: &str| Ok(bad.to_string());
+            assert!(
+                parse_run_flag(flag, &mut opts, &mut jobs, &mut next).is_err(),
+                "{flag} {bad}"
+            );
+        }
+        let mut next = |_: &str| -> Result<String, String> { Err("no value".into()) };
+        assert!(!parse_run_flag("--cap", &mut opts, &mut jobs, &mut next).unwrap());
+        assert_eq!(parse_table("12"), Ok(12));
+        assert!(parse_table("0").is_err() && parse_table("13").is_err());
     }
 
     #[test]

@@ -15,18 +15,11 @@
 //! capacity, RNG seed, in-flight packets) lives in the snapshot body
 //! itself.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
-use fadr_core::{EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang};
 use fadr_metrics::{JournalSink, SinkSet, StallReport, WaitGraphSink};
 use fadr_qdg::RoutingFunction;
-use fadr_sim::{
-    DynamicOutcome, FaultPlan, SimConfig, Simulator, SnapshotMsg, StaticOutcome, StopReason,
-};
-use fadr_workloads::{static_backlog, Pattern};
+use fadr_sim::{FaultPlan, SimConfig, Simulator, SnapshotMsg, StopReason};
 
-use crate::runner::{spec, Algo, PacketsPerNode, RunOptions};
+use crate::runner::{drive, spec, with_algo, Algo, AlgoVisitor, Leg, RunResult, Source, Workload};
 
 /// Render the snapshot metadata line for one work unit. `lambda` is
 /// `Some` only for non-table dynamic points (sweeps); paper tables
@@ -177,107 +170,90 @@ pub struct ReplayOutput {
 /// replay here unchanged).
 pub fn replay(text: &str, ro: &ReplayOptions) -> Result<ReplayOutput, String> {
     let meta = peek_meta(text)?;
-    match meta.algo {
-        Algo::FullyAdaptive => replay_with(HypercubeFullyAdaptive::new(meta.n), meta, text, ro),
-        Algo::StaticHang => replay_with(HypercubeStaticHang::new(meta.n), meta, text, ro),
-        Algo::EcubeSbp => replay_with(EcubeSbp::new(meta.n), meta, text, ro),
-    }
-}
-
-fn replay_with<R>(
-    rf: R,
-    meta: SnapshotMeta,
-    text: &str,
-    ro: &ReplayOptions,
-) -> Result<ReplayOutput, String>
-where
-    R: RoutingFunction,
-    R::Msg: SnapshotMsg,
-{
     if meta.table > 12 {
         return Err(format!(
             "snapshot names table {}; tables are 1–12",
             meta.table
         ));
     }
-    let size = 1usize << meta.n;
-    // The engine validates this config against the snapshot's `cfg`
-    // record on restore, so a tampered meta line cannot silently replay
-    // the wrong configuration.
-    let cfg = SimConfig {
-        queue_capacity: meta.cap,
-        seed: meta.seed,
-        ..SimConfig::default()
-    };
-    let mut sinks = SinkSet::new().with_journal(if ro.journal_capacity == 0 {
-        JournalSink::DEFAULT_CAPACITY
-    } else {
-        ro.journal_capacity
-    });
-    if let Some(k) = ro.watchdog {
-        sinks = sinks.with_watchdog(k);
-    }
-    if ro.waitgraph {
-        sinks = sinks.with_waitgraph();
-    }
-    let mut sim = Simulator::with_recorder(rf, cfg, sinks);
-    if let Some(plan) = ro.faults {
-        sim = sim.with_faults(plan.clone());
-    }
-    let (_, progress) = sim.restore(text)?;
-    let start_cycle = sim.cycle();
-    if let Some(to) = ro.to {
-        if to <= start_cycle {
-            return Err(format!(
-                "--to {to} is not after the checkpoint cycle {start_cycle}"
-            ));
-        }
-    }
+    with_algo(meta.algo, meta.n, Replay { meta, text, ro })
+}
 
-    let pattern = if meta.table >= 1 {
-        spec(meta.table)
-            .pattern
-            .compile(meta.n, meta.seed ^ 0x1e7e1)
-    } else {
-        Pattern::Random
-    };
-    let outcome = if meta.table >= 1 && spec(meta.table).packets.is_some() {
-        let k = match spec(meta.table).packets {
-            Some(PacketsPerNode::One) => 1,
-            Some(PacketsPerNode::LogN) => meta.n,
-            None => unreachable!(),
+/// A parsed snapshot waiting for its router (see [`replay`]).
+struct Replay<'a> {
+    meta: SnapshotMeta,
+    text: &'a str,
+    ro: &'a ReplayOptions,
+}
+
+impl AlgoVisitor for Replay<'_> {
+    type Out = Result<ReplayOutput, String>;
+
+    fn visit<R>(self, rf: R) -> Self::Out
+    where
+        R: RoutingFunction + Clone + Send + 'static,
+        R::Msg: Send + SnapshotMsg,
+    {
+        let Replay { meta, text, ro } = self;
+        // The engine validates this config against the snapshot's `cfg`
+        // record on restore, so a tampered meta line cannot silently
+        // replay the wrong configuration.
+        let cfg = SimConfig {
+            queue_capacity: meta.cap,
+            seed: meta.seed,
+            ..SimConfig::default()
         };
-        let mut rng = StdRng::seed_from_u64(meta.seed ^ 0xbac1);
-        let backlog = static_backlog(&pattern, size, k, &mut rng);
-        match sim.resume_static(&backlog, progress, ro.to) {
-            StaticOutcome::Paused(_) => format!("paused at cycle {}", sim.cycle()),
-            StaticOutcome::Finished(res) => describe_stop(res.stop, res.drained),
-        }
-    } else {
-        let lambda = if meta.table >= 1 {
-            1.0
+        let mut sinks = SinkSet::new().with_journal(if ro.journal_capacity == 0 {
+            JournalSink::DEFAULT_CAPACITY
         } else {
-            meta.lambda.unwrap_or(1.0)
-        };
-        let dest = move |s: usize, rng: &mut StdRng| pattern.draw(s, size, rng);
-        match sim.resume_dynamic(lambda, dest, meta.cycles, progress, ro.to) {
-            DynamicOutcome::Paused(_) => format!("paused at cycle {}", sim.cycle()),
-            DynamicOutcome::Finished(res) => describe_stop(res.stop, true),
+            ro.journal_capacity
+        });
+        if let Some(k) = ro.watchdog {
+            sinks = sinks.with_watchdog(k);
         }
-    };
-    let end_cycle = sim.cycle();
-    let mut sinks = sim.into_recorder();
-    sinks.flush();
-    let stall = sinks.stall().cloned();
-    Ok(ReplayOutput {
-        meta,
-        start_cycle,
-        end_cycle,
-        outcome,
-        journal: sinks.journal.take().ok_or("journal sink vanished")?,
-        waitgraph: sinks.waitgraph.take(),
-        stall,
-    })
+        if ro.waitgraph {
+            sinks = sinks.with_waitgraph();
+        }
+        let mut sim = Simulator::with_recorder(rf, cfg, sinks);
+        if let Some(plan) = ro.faults {
+            sim = sim.with_faults(plan.clone());
+        }
+        let (_, progress) = sim.restore(text)?;
+        let start_cycle = sim.cycle();
+        if let Some(to) = ro.to {
+            if to <= start_cycle {
+                return Err(format!(
+                    "--to {to} is not after the checkpoint cycle {start_cycle}"
+                ));
+            }
+        }
+        let source = if meta.table >= 1 {
+            Source::Table(spec(meta.table))
+        } else {
+            Source::Random {
+                lambda: meta.lambda.unwrap_or(1.0),
+            }
+        };
+        let workload = Workload::new(source, meta.n, meta.seed, meta.cycles);
+        let outcome = match drive(&mut sim, &workload, Some(progress), ro.to) {
+            Leg::Paused(_) => format!("paused at cycle {}", sim.cycle()),
+            Leg::Finished(RunResult::Static(res)) => describe_stop(res.stop, res.drained),
+            Leg::Finished(RunResult::Dynamic(res)) => describe_stop(res.stop, true),
+        };
+        let end_cycle = sim.cycle();
+        let mut sinks = sim.into_recorder();
+        sinks.flush();
+        let stall = sinks.stall().cloned();
+        Ok(ReplayOutput {
+            meta,
+            start_cycle,
+            end_cycle,
+            outcome,
+            journal: sinks.journal.take().ok_or("journal sink vanished")?,
+            waitgraph: sinks.waitgraph.take(),
+            stall,
+        })
+    }
 }
 
 fn describe_stop(stop: StopReason, drained: bool) -> String {
@@ -387,21 +363,6 @@ pub fn first_divergence(
         return Some((common, a.get(common).cloned(), b.get(common).cloned()));
     }
     None
-}
-
-/// Convenience used by tests and the binary: the meta line a table work
-/// unit would write, from its [`RunOptions`].
-pub fn table_meta(label: &str, table: usize, n: usize, opts: &RunOptions, seed: u64) -> String {
-    meta_line(
-        label,
-        opts.algo,
-        table,
-        n,
-        opts.queue_capacity,
-        opts.dynamic_cycles,
-        seed,
-        None,
-    )
 }
 
 #[cfg(test)]

@@ -1,21 +1,28 @@
 //! Table specifications and experiment execution.
+//!
+//! Every experiment — a paper-table row or a λ-sweep point — runs
+//! through one path. A [`Workload`] is built from the work unit's
+//! coordinates, [`with_algo`] constructs the router, one construction
+//! site picks the engine the [`RunOptions`] select (sequential, sharded,
+//! or lane-batched), and one generic `drive` runs the workload on any
+//! [`fadr_sim::Engine`] under the checkpoint/resume policy.
+
+use std::marker::PhantomData;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use fadr_core::{EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang};
-use fadr_metrics::{
-    table::fmt2, MeanCi, Recorder, RunningStats, ShardRecorder, SinkSet, StallReport, Table,
-    WatchdogSink,
-};
+use fadr_metrics::{table::fmt2, MeanCi, NoRecorder, RunningStats, SinkSet, Table};
 use fadr_qdg::RoutingFunction;
 use fadr_sim::{
-    DynamicOutcome, DynamicResult, LaneSim, PartitionStrategy, ShardedSimulator, SimConfig,
+    lane_seed, DynamicOutcome, DynamicResult, Engine, PartitionStrategy, RunProgress, SimConfig,
     Simulator, SnapshotMsg, StaticOutcome, StaticResult, StopReason,
 };
+use fadr_topology::NodeId;
 use fadr_workloads::{static_backlog, Pattern};
 
-use crate::obs::RecordConfig;
+use crate::obs::{RecordConfig, RunRecorder};
 use crate::paper;
 
 /// The four § 7 communication patterns, in table order.
@@ -178,6 +185,30 @@ impl Algo {
     }
 }
 
+/// Monomorphizing visitor over the router an [`Algo`] names.
+/// [`RoutingFunction`] is not object-safe (associated `Msg`), so runs
+/// dispatch through this trait instead of `dyn`.
+pub trait AlgoVisitor {
+    /// Result of visiting.
+    type Out;
+
+    /// Called with the constructed n-cube router.
+    fn visit<R>(self, rf: R) -> Self::Out
+    where
+        R: RoutingFunction + Clone + Send + 'static,
+        R::Msg: Send + SnapshotMsg;
+}
+
+/// Build the n-cube router `algo` names and hand it to `v` — the
+/// harness's one `Algo` dispatch.
+pub fn with_algo<V: AlgoVisitor>(algo: Algo, n: usize, v: V) -> V::Out {
+    match algo {
+        Algo::FullyAdaptive => v.visit(HypercubeFullyAdaptive::new(n)),
+        Algo::StaticHang => v.visit(HypercubeStaticHang::new(n)),
+        Algo::EcubeSbp => v.visit(EcubeSbp::new(n)),
+    }
+}
+
 /// Flight-recorder checkpoint/resume policy (`--checkpoint-at` /
 /// `--resume-from`): every work unit either writes a `fadr-snapshot/1`
 /// file when it reaches a cycle (then continues in-process, so measured
@@ -187,7 +218,8 @@ impl Algo {
 /// for table rows), so resume pairs with the checkpoint run per unit.
 /// Runs that finish before the checkpoint cycle write no snapshot and
 /// rerun from cycle 0 on resume — either way the final tables are
-/// bit-identical to an uninterrupted run.
+/// bit-identical to an uninterrupted run. Snapshots are engine-agnostic,
+/// so the checkpoint and resume legs may run at different shard counts.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotPolicy {
     /// Pause and write a checkpoint when a run reaches this cycle.
@@ -206,7 +238,9 @@ impl SnapshotPolicy {
     }
 }
 
-/// Harness options.
+/// Harness options: one run configuration from which every work unit
+/// picks its engine. `reps`, `lanes`, `shards` and the `--jobs` fan-out
+/// are independent: every combination yields bit-identical results.
 #[derive(Debug, Clone, Copy)]
 pub struct RunOptions {
     /// Central queue capacity (the paper states 5; see EXPERIMENTS.md for
@@ -225,6 +259,12 @@ pub struct RunOptions {
     /// `--jobs`, which parallelizes *across* runs). 1 = the sequential
     /// engine; any value yields bit-identical results.
     pub shards: usize,
+    /// Replications batched per engine (`--lanes`). Above 1, a row's
+    /// replications run `lanes` at a time as lanes of one
+    /// [`fadr_sim::LaneSim`] sharing a precomputed routing table; each
+    /// lane is bit-identical to its standalone run, so this is purely a
+    /// performance knob.
+    pub lanes: usize,
     /// How sharded runs split nodes across shards (`--partition`).
     /// Purely a performance knob — every strategy is bit-identical —
     /// that trades cross-shard mailbox traffic (see
@@ -251,6 +291,7 @@ impl Default for RunOptions {
             reps: 1,
             algo: Algo::FullyAdaptive,
             shards: 1,
+            lanes: 1,
             partition: PartitionStrategy::Auto,
             faults: None,
             snapshot: None,
@@ -258,7 +299,8 @@ impl Default for RunOptions {
     }
 }
 
-/// Measured row of a regenerated table.
+/// Measured row of a regenerated table (or one replication of a sweep
+/// point).
 #[derive(Debug, Clone, Copy)]
 pub struct RowResult {
     /// Hypercube dimension.
@@ -269,37 +311,54 @@ pub struct RowResult {
     pub l_max: u64,
     /// Effective injection rate (dynamic tables only).
     pub injection_rate: Option<f64>,
+    /// Packets delivered, summed over replications.
+    pub delivered: u64,
     /// Any replication of this row was aborted (watchdog stall): its
     /// statistics cover only the packets delivered before the abort, so
     /// rendered tables flag it instead of passing it off as a clean run.
     pub aborted: bool,
 }
 
-/// Run one row (one hypercube dimension) of one table on the § 3
-/// fully-adaptive algorithm, averaging over `opts.reps` replications.
+impl RowResult {
+    /// The row of one finished run on the n-cube.
+    fn of(n: usize, res: &RunResult) -> Self {
+        let (stats, injection_rate, delivered, stop) = match res {
+            RunResult::Static(r) => (&r.stats, None, r.delivered, r.stop),
+            RunResult::Dynamic(r) => (&r.stats, Some(r.injection_rate()), r.delivered, r.stop),
+        };
+        RowResult {
+            n,
+            l_avg: stats.mean(),
+            l_max: stats.max(),
+            injection_rate,
+            delivered,
+            aborted: matches!(stop, StopReason::Aborted | StopReason::Partitioned),
+        }
+    }
+}
+
+/// Run one row (one hypercube dimension) of one table, averaging over
+/// `opts.reps` replications.
 pub fn run_row(spec: TableSpec, n: usize, opts: RunOptions) -> RowResult {
-    let reps = opts.reps.max(1);
-    let results: Vec<RowResult> = (0..reps)
-        .map(|rep| run_row_once(spec, n, opts, u64::from(rep)))
-        .collect();
-    reduce_reps(n, &results)
+    run_rows(spec, &[n], opts, 1)[0]
 }
 
 /// Fold per-replication results into one row. Replications must be in
 /// rep order; the accumulation order here is the single reduction path
-/// for both sequential and parallel execution, which is what makes
-/// `--jobs N` output bit-identical to `--jobs 1` (floating-point sums
-/// are order-sensitive).
+/// for every engine and job count, which is what makes the output
+/// bit-identical across them (floating-point sums are order-sensitive).
 fn reduce_reps(n: usize, results: &[RowResult]) -> RowResult {
     let reps = results.len() as u32;
     let mut avg = 0.0;
     let mut max = 0u64;
     let mut ir_sum = 0.0;
     let mut ir_any = false;
+    let mut delivered = 0u64;
     let mut aborted = false;
     for r in results {
         avg += r.l_avg;
         max = max.max(r.l_max);
+        delivered += r.delivered;
         aborted |= r.aborted;
         if let Some(ir) = r.injection_rate {
             ir_sum += ir;
@@ -311,28 +370,26 @@ fn reduce_reps(n: usize, results: &[RowResult]) -> RowResult {
         l_avg: avg / f64::from(reps),
         l_max: max,
         injection_rate: ir_any.then(|| ir_sum / f64::from(reps)),
+        delivered,
         aborted,
     }
 }
 
-/// Run several rows of one table, fanning the `(dimension, replication)`
-/// grid out over `jobs` worker threads.
+/// Run several rows of one table, fanning the work units out over `jobs`
+/// worker threads. A work unit is one replication, or with
+/// `opts.lanes > 1` a batch of up to `lanes` replications run as lanes
+/// of one engine.
 ///
-/// Every work unit seeds its RNG streams purely from
+/// Every replication seeds its RNG streams purely from
 /// `(opts.seed, spec.number, rep, n)`, so results do not depend on which
-/// worker ran them or in what order; the per-row reduction then happens
-/// in fixed rep order on the calling thread. Output is bit-identical to
-/// the sequential `run_row` loop (see `tests/parallel_identity.rs`).
+/// worker or engine ran them; the per-row reduction then happens in
+/// fixed rep order on the calling thread. Output is bit-identical to
+/// the sequential `run_row` loop (see `tests/parallel_identity.rs`,
+/// `tests/sharded_identity.rs` and `tests/lane_identity.rs`).
 pub fn run_rows(spec: TableSpec, dims: &[usize], opts: RunOptions, jobs: usize) -> Vec<RowResult> {
-    let reps = opts.reps.max(1) as usize;
-    let units = dims.len() * reps;
-    let results = crate::exec::run_indexed(units, jobs, |i| {
-        run_row_once(spec, dims[i / reps], opts, (i % reps) as u64)
-    });
-    results
-        .chunks(reps)
-        .zip(dims)
-        .map(|(chunk, &n)| reduce_reps(n, chunk))
+    table_rows::<NoRecorder>(spec, dims, opts, jobs, RecordConfig::default())
+        .into_iter()
+        .map(|(row, _)| row)
         .collect()
 }
 
@@ -349,10 +406,10 @@ pub struct RecordedRow {
 
 /// [`run_rows`] with recording sinks attached to every replication.
 ///
-/// Parallelism-safe: each work unit records into its own [`SinkSet`];
-/// the per-row merge happens on the calling thread in fixed rep order,
-/// so both the measured rows *and* the merged sinks are bit-identical
-/// for any `jobs` value.
+/// Each replication records into its own [`SinkSet`] (one per lane on
+/// the lane engine); the per-row merge happens on the calling thread in
+/// fixed rep order, so both the measured rows *and* the merged sinks are
+/// bit-identical for any `jobs`, `shards` or `lanes` value.
 pub fn run_rows_recorded(
     spec: TableSpec,
     dims: &[usize],
@@ -360,753 +417,474 @@ pub fn run_rows_recorded(
     jobs: usize,
     rc: RecordConfig,
 ) -> Vec<RecordedRow> {
-    let reps = opts.reps.max(1) as usize;
-    let units = dims.len() * reps;
-    let results = crate::exec::run_indexed(units, jobs, |i| {
-        run_row_once_recorded(spec, dims[i / reps], opts, (i % reps) as u64, rc)
-    });
-    results
-        .chunks(reps)
-        .zip(dims)
-        .map(|(chunk, &n)| {
-            let rows: Vec<RowResult> = chunk.iter().map(|(r, _)| *r).collect();
-            let mut sinks = chunk[0].1.clone();
-            for (_, s) in &chunk[1..] {
-                sinks.merge(s);
-            }
-            RecordedRow {
-                row: reduce_reps(n, &rows),
-                sinks,
-            }
-        })
+    table_rows::<SinkSet>(spec, dims, opts, jobs, rc)
+        .into_iter()
+        .map(|(row, sinks)| RecordedRow { row, sinks })
         .collect()
 }
 
-fn run_row_once(spec: TableSpec, n: usize, opts: RunOptions, rep: u64) -> RowResult {
-    let cfg = row_cfg(spec, n, opts, rep);
-    let label = row_label(spec, n, opts, rep);
-    match opts.algo {
-        Algo::FullyAdaptive => row_with(HypercubeFullyAdaptive::new(n), spec, n, opts, cfg, &label),
-        Algo::StaticHang => row_with(HypercubeStaticHang::new(n), spec, n, opts, cfg, &label),
-        Algo::EcubeSbp => row_with(EcubeSbp::new(n), spec, n, opts, cfg, &label),
-    }
-}
-
-/// The snapshot label of one `(table, n, rep)` work unit (the queue
-/// capacity participates because sweeps vary it with everything else
-/// fixed, and two different configurations must not share a snapshot
-/// file).
-fn row_label(spec: TableSpec, n: usize, opts: RunOptions, rep: u64) -> String {
-    format!("t{}_n{n}_q{}_r{rep}", spec.number, opts.queue_capacity)
-}
-
-/// One unrecorded replication on whichever engine `opts.shards` selects
-/// (the sharded engine is bit-identical, so this is purely a perf knob).
-fn row_with<R>(
-    rf: R,
-    spec: TableSpec,
-    n: usize,
-    opts: RunOptions,
-    cfg: SimConfig,
-    label: &str,
-) -> RowResult
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-{
-    let require_drain = opts.faults.is_none();
-    if opts.shards > 1 {
-        let mut sim = ShardedSimulator::with_strategy(rf, cfg, opts.shards, opts.partition);
-        if let Some(plan) = opts.faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        drive_sharded(sim, spec, n, opts, cfg.seed, require_drain, label).0
-    } else {
-        let mut sim = Simulator::new(rf, cfg);
-        if let Some(plan) = opts.faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        drive(sim, spec, n, opts, cfg.seed, require_drain, label).0
-    }
-}
-
-/// The [`SimConfig`] of one `(table, n, rep)` work unit; seeding is a
-/// pure function of those coordinates (see [`run_rows`]).
-fn row_cfg(spec: TableSpec, n: usize, opts: RunOptions, rep: u64) -> SimConfig {
-    SimConfig {
-        queue_capacity: opts.queue_capacity,
-        seed: opts.seed ^ ((spec.number as u64) << 32) ^ (rep << 16) ^ n as u64,
-        ..SimConfig::default()
-    }
-}
-
-/// One replication with recording sinks attached; the recorder shares
-/// the plain path's seeding, so measured rows are bit-identical with
-/// and without recording (`tests/recording.rs` enforces this).
-fn run_row_once_recorded(
-    spec: TableSpec,
-    n: usize,
-    opts: RunOptions,
-    rep: u64,
-    rc: RecordConfig,
-) -> (RowResult, SinkSet) {
-    let cfg = row_cfg(spec, n, opts, rep);
-    let label = row_label(spec, n, opts, rep);
-    let (row, mut sinks) = match opts.algo {
-        Algo::FullyAdaptive => recorded_with(
-            HypercubeFullyAdaptive::new(n),
-            spec,
-            n,
-            opts,
-            cfg,
-            rc,
-            &label,
-        ),
-        Algo::StaticHang => {
-            recorded_with(HypercubeStaticHang::new(n), spec, n, opts, cfg, rc, &label)
-        }
-        Algo::EcubeSbp => recorded_with(EcubeSbp::new(n), spec, n, opts, cfg, rc, &label),
-    };
-    sinks.flush();
-    (row, sinks)
-}
-
-/// One recorded replication on whichever engine `opts.shards` selects.
-///
-/// Sharded runs build one watchdog-free [`SinkSet`] per shard (a
-/// per-shard [`WatchdogSink`] would see only its shard's deliveries and
-/// misfire) and move the `--watchdog` window to the sharded engine's
-/// global watchdog; after the run the engine's [`StallReport`], if any,
-/// is re-installed into the merged sink set so downstream reporting
-/// (`obs::report`, metrics JSON) is oblivious to which engine ran.
-#[allow(clippy::too_many_arguments)]
-fn recorded_with<R>(
-    rf: R,
-    spec: TableSpec,
-    n: usize,
-    opts: RunOptions,
-    cfg: SimConfig,
-    rc: RecordConfig,
-    label: &str,
-) -> (RowResult, SinkSet)
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-{
-    // A watchdogged or faulted run may abort instead of draining;
-    // report, don't panic.
-    let require_drain = rc.watchdog.is_none() && opts.faults.is_none();
-    if opts.shards > 1 {
-        // The wait-for-graph probe is global like the watchdog, but has
-        // no engine-level equivalent; binaries reject `--waitgraph`
-        // with `--shards > 1`, and this strip keeps the per-shard sets
-        // shardable if a caller slips one through.
-        let shard_rc = RecordConfig {
-            watchdog: None,
-            waitgraph: false,
-            ..rc
-        };
-        let classes = rf.num_classes();
-        let mut sim =
-            ShardedSimulator::with_recorders_strategy(rf, cfg, opts.shards, opts.partition, |_| {
-                shard_rc.build(1 << n, classes)
-            });
-        if let Some(plan) = opts.faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        if let Some(k) = rc.watchdog {
-            sim = sim.with_watchdog(k);
-        }
-        let (row, stall, mut sinks) =
-            drive_sharded(sim, spec, n, opts, cfg.seed, require_drain, label);
-        if let Some(k) = rc.watchdog {
-            let mut wd = WatchdogSink::new(k);
-            wd.report = stall;
-            sinks.watchdog = Some(wd);
-        }
-        (row, sinks)
-    } else {
-        let sinks = rc.build(1 << n, rf.num_classes());
-        let mut sim = Simulator::with_recorder(rf, cfg, sinks);
-        if let Some(plan) = opts.faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        drive(sim, spec, n, opts, cfg.seed, require_drain, label)
-    }
-}
-
-/// Write one snapshot file, failing loudly: a checkpoint the resume leg
-/// can't find would silently degrade to a from-scratch rerun.
-fn write_snapshot(sp: &SnapshotPolicy, label: &str, text: &str) {
-    let path = sp.path(label);
-    std::fs::write(&path, text)
-        .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
-}
-
-/// Unwrap an outcome that cannot be `Paused` (no pause was requested on
-/// the final leg of any checkpoint/resume sequence).
-fn ran_out(outcome: StaticOutcome) -> StaticResult {
-    match outcome {
-        StaticOutcome::Finished(res) => res,
-        StaticOutcome::Paused(_) => unreachable!("no pause requested"),
-    }
-}
-
-/// [`ran_out`] for dynamic runs.
-fn ran_out_dyn(outcome: DynamicOutcome) -> DynamicResult {
-    match outcome {
-        DynamicOutcome::Finished(res) => res,
-        DynamicOutcome::Paused(_) => unreachable!("no pause requested"),
-    }
-}
-
-/// `run_static` under a [`SnapshotPolicy`]: checkpoint mid-run and
-/// continue in-process, or restore and resume. A missing snapshot on
-/// resume means the run drained before the checkpoint cycle — rerun
-/// from cycle 0 (bit-identical either way).
-fn static_run<R: RoutingFunction, Rec: Recorder>(
-    sim: &mut Simulator<R, Rec>,
-    backlog: &[Vec<usize>],
-    snap: Option<SnapshotPolicy>,
-    meta: &str,
-    label: &str,
-) -> StaticResult
-where
-    R::Msg: SnapshotMsg,
-{
-    let Some(sp) = snap else {
-        return sim.run_static(backlog);
-    };
-    if sp.resume {
-        let path = sp.path(label);
-        return match std::fs::read_to_string(&path) {
-            Err(_) => sim.run_static(backlog),
-            Ok(text) => {
-                let (_, progress) = sim
-                    .restore(&text)
-                    .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
-                ran_out(sim.resume_static(backlog, progress, None))
-            }
-        };
-    }
-    match sim.run_static_until(backlog, sp.at) {
-        StaticOutcome::Finished(res) => res,
-        StaticOutcome::Paused(progress) => {
-            write_snapshot(&sp, label, &sim.checkpoint(meta, &progress));
-            ran_out(sim.resume_static(backlog, progress, None))
-        }
-    }
-}
-
-/// [`static_run`] on the sharded engine (same protocol; snapshots are
-/// partition-agnostic, so checkpoint and resume legs may run on
-/// different engines or shard counts).
-fn static_run_sharded<R, Rec>(
-    sim: &mut ShardedSimulator<R, Rec>,
-    backlog: &[Vec<usize>],
-    snap: Option<SnapshotPolicy>,
-    meta: &str,
-    label: &str,
-) -> StaticResult
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-    Rec: ShardRecorder + Send,
-{
-    let Some(sp) = snap else {
-        return sim.run_static(backlog);
-    };
-    if sp.resume {
-        let path = sp.path(label);
-        return match std::fs::read_to_string(&path) {
-            Err(_) => sim.run_static(backlog),
-            Ok(text) => {
-                let (_, progress) = sim
-                    .restore(&text)
-                    .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
-                ran_out(sim.resume_static(backlog, progress, None))
-            }
-        };
-    }
-    match sim.run_static_until(backlog, sp.at) {
-        StaticOutcome::Finished(res) => res,
-        StaticOutcome::Paused(progress) => {
-            write_snapshot(&sp, label, &sim.checkpoint(meta, &progress));
-            ran_out(sim.resume_static(backlog, progress, None))
-        }
-    }
-}
-
-/// `run_dynamic` under a [`SnapshotPolicy`] (see [`static_run`]).
-fn dynamic_run<R: RoutingFunction, Rec: Recorder, F>(
-    sim: &mut Simulator<R, Rec>,
-    lambda: f64,
-    mut dest: F,
-    cycles: u64,
-    snap: Option<SnapshotPolicy>,
-    meta: &str,
-    label: &str,
-) -> DynamicResult
-where
-    R::Msg: SnapshotMsg,
-    F: FnMut(usize, &mut StdRng) -> usize,
-{
-    let Some(sp) = snap else {
-        return sim.run_dynamic(lambda, dest, cycles);
-    };
-    if sp.resume {
-        let path = sp.path(label);
-        return match std::fs::read_to_string(&path) {
-            Err(_) => sim.run_dynamic(lambda, dest, cycles),
-            Ok(text) => {
-                let (_, progress) = sim
-                    .restore(&text)
-                    .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
-                ran_out_dyn(sim.resume_dynamic(lambda, dest, cycles, progress, None))
-            }
-        };
-    }
-    match sim.run_dynamic_until(lambda, &mut dest, cycles, sp.at) {
-        DynamicOutcome::Finished(res) => res,
-        DynamicOutcome::Paused(progress) => {
-            write_snapshot(&sp, label, &sim.checkpoint(meta, &progress));
-            ran_out_dyn(sim.resume_dynamic(lambda, dest, cycles, progress, None))
-        }
-    }
-}
-
-/// [`dynamic_run`] on the sharded engine.
-#[allow(clippy::too_many_arguments)]
-fn dynamic_run_sharded<R, Rec, F>(
-    sim: &mut ShardedSimulator<R, Rec>,
-    lambda: f64,
-    dest: F,
-    cycles: u64,
-    snap: Option<SnapshotPolicy>,
-    meta: &str,
-    label: &str,
-) -> DynamicResult
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-    Rec: ShardRecorder + Send,
-    F: Fn(usize, &mut StdRng) -> usize + Sync,
-{
-    let Some(sp) = snap else {
-        return sim.run_dynamic(lambda, dest, cycles);
-    };
-    if sp.resume {
-        let path = sp.path(label);
-        return match std::fs::read_to_string(&path) {
-            Err(_) => sim.run_dynamic(lambda, dest, cycles),
-            Ok(text) => {
-                let (_, progress) = sim
-                    .restore(&text)
-                    .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
-                ran_out_dyn(sim.resume_dynamic(lambda, dest, cycles, progress, None))
-            }
-        };
-    }
-    match sim.run_dynamic_until(lambda, &dest, cycles, sp.at) {
-        DynamicOutcome::Finished(res) => res,
-        DynamicOutcome::Paused(progress) => {
-            write_snapshot(&sp, label, &sim.checkpoint(meta, &progress));
-            ran_out_dyn(sim.resume_dynamic(lambda, dest, cycles, progress, None))
-        }
-    }
-}
-
-fn drive<R: RoutingFunction, Rec: Recorder>(
-    mut sim: Simulator<R, Rec>,
-    spec: TableSpec,
-    n: usize,
-    opts: RunOptions,
-    seed: u64,
-    require_drain: bool,
-    label: &str,
-) -> (RowResult, Rec)
-where
-    R::Msg: SnapshotMsg,
-{
-    let size = 1usize << n;
-    let pattern = spec.pattern.compile(n, seed ^ 0x1e7e1);
-    let meta = crate::replay::meta_line(
-        label,
-        opts.algo,
-        spec.number,
-        n,
-        opts.queue_capacity,
-        opts.dynamic_cycles,
-        seed,
-        None,
-    );
-    let row = match spec.packets {
-        Some(per_node) => {
-            let k = match per_node {
-                PacketsPerNode::One => 1,
-                PacketsPerNode::LogN => n,
-            };
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xbac1);
-            let backlog = static_backlog(&pattern, size, k, &mut rng);
-            let res = static_run(&mut sim, &backlog, opts.snapshot, &meta, label);
-            if require_drain {
-                assert!(res.drained, "table {} n={n} failed to drain", spec.number);
-            }
-            RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: None,
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-            }
-        }
-        None => {
-            let res = dynamic_run(
-                &mut sim,
-                1.0,
-                move |s, rng| pattern.draw(s, size, rng),
-                opts.dynamic_cycles,
-                opts.snapshot,
-                &meta,
-                label,
-            );
-            RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: Some(res.injection_rate()),
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-            }
-        }
-    };
-    (row, sim.into_recorder())
-}
-
-/// [`drive`] on the sharded engine: identical workload construction and
-/// row extraction, so rows are bit-identical to the sequential path for
-/// any shard count (`tests/sharded_identity.rs` enforces this over all
-/// twelve tables). Also returns the engine watchdog's stall report so
-/// the recorded path can surface it.
-#[allow(clippy::too_many_arguments)]
-fn drive_sharded<R, Rec>(
-    mut sim: ShardedSimulator<R, Rec>,
-    spec: TableSpec,
-    n: usize,
-    opts: RunOptions,
-    seed: u64,
-    require_drain: bool,
-    label: &str,
-) -> (RowResult, Option<StallReport>, Rec)
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-    Rec: ShardRecorder + Send,
-{
-    let size = 1usize << n;
-    let pattern = spec.pattern.compile(n, seed ^ 0x1e7e1);
-    let meta = crate::replay::meta_line(
-        label,
-        opts.algo,
-        spec.number,
-        n,
-        opts.queue_capacity,
-        opts.dynamic_cycles,
-        seed,
-        None,
-    );
-    let row = match spec.packets {
-        Some(per_node) => {
-            let k = match per_node {
-                PacketsPerNode::One => 1,
-                PacketsPerNode::LogN => n,
-            };
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xbac1);
-            let backlog = static_backlog(&pattern, size, k, &mut rng);
-            let res = static_run_sharded(&mut sim, &backlog, opts.snapshot, &meta, label);
-            if require_drain {
-                assert!(res.drained, "table {} n={n} failed to drain", spec.number);
-            }
-            RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: None,
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-            }
-        }
-        None => {
-            let res = dynamic_run_sharded(
-                &mut sim,
-                1.0,
-                move |s, rng| pattern.draw(s, size, rng),
-                opts.dynamic_cycles,
-                opts.snapshot,
-                &meta,
-                label,
-            );
-            RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: Some(res.injection_rate()),
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-            }
-        }
-    };
-    let stall = sim.stall_report().cloned();
-    (row, stall, sim.into_recorder())
-}
-
-/// One recorded dynamic run with uniform-random destinations on
-/// whichever engine `shards` selects — the sweep binary's work unit.
-/// Results and sinks are bit-identical for any `shards` value; the
-/// watchdog handling matches `recorded_with` (per-shard sink sets carry
-/// no watchdog, the engine-level one's stall report is re-installed
-/// into the merged set). `snap`/`label` apply the checkpoint/resume
-/// policy to this point, with a sweep-supplied file-safe label (the
-/// snapshot's meta records `table=0` plus the injection rate, which is
-/// how `replay` knows to rebuild a uniform-random workload).
-#[allow(clippy::too_many_arguments)]
-pub fn dynamic_random_recorded<R>(
-    rf: R,
-    algo: Algo,
-    cfg: SimConfig,
-    lambda: f64,
-    cycles: u64,
-    rc: RecordConfig,
-    shards: usize,
-    partition: PartitionStrategy,
-    faults: Option<&fadr_sim::FaultPlan>,
-    snap: Option<SnapshotPolicy>,
-    label: &str,
-) -> (DynamicResult, SinkSet)
-where
-    R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
-{
-    let size = rf.topology().num_nodes();
-    let classes = rf.num_classes();
-    let n = size.trailing_zeros() as usize;
-    let meta = crate::replay::meta_line(
-        label,
-        algo,
-        0,
-        n,
-        cfg.queue_capacity,
-        cycles,
-        cfg.seed,
-        Some(lambda),
-    );
-    if shards > 1 {
-        let shard_rc = RecordConfig {
-            watchdog: None,
-            waitgraph: false,
-            ..rc
-        };
-        let mut sim = ShardedSimulator::with_recorders_strategy(rf, cfg, shards, partition, |_| {
-            shard_rc.build(size, classes)
-        });
-        if let Some(plan) = faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        if let Some(k) = rc.watchdog {
-            sim = sim.with_watchdog(k);
-        }
-        let res = dynamic_run_sharded(
-            &mut sim,
-            lambda,
-            move |s, rng| Pattern::Random.draw(s, size, rng),
-            cycles,
-            snap,
-            &meta,
-            label,
-        );
-        let stall = sim.stall_report().cloned();
-        let mut sinks = sim.into_recorder();
-        if let Some(k) = rc.watchdog {
-            let mut wd = WatchdogSink::new(k);
-            wd.report = stall;
-            sinks.watchdog = Some(wd);
-        }
-        sinks.flush();
-        (res, sinks)
-    } else {
-        let mut sim = Simulator::with_recorder(rf, cfg, rc.build(size, classes));
-        if let Some(plan) = faults {
-            sim = sim.with_faults(plan.clone());
-        }
-        let res = dynamic_run(
-            &mut sim,
-            lambda,
-            move |s, rng| Pattern::Random.draw(s, size, rng),
-            cycles,
-            snap,
-            &meta,
-            label,
-        );
-        let mut sinks = sim.into_recorder();
-        sinks.flush();
-        (res, sinks)
-    }
-}
-
-/// [`run_row`] on the batched lane engine: the row's `opts.reps`
-/// replications run as lanes of one [`LaneSim`] sharing a single
-/// precomputed routing table, instead of `reps` standalone simulators.
-///
-/// Lane `rep` uses exactly the seeds [`run_row`]'s replication `rep`
-/// would (engine streams from [`row_cfg`], pattern compile from
-/// `seed ^ 0x1e7e1`, static backlog from `seed ^ 0xbac1`), and the lane
-/// engine guarantees each lane is bit-identical to a standalone
-/// sequential run with that seed — so the reduced row is bit-identical
-/// to [`run_row`]'s (`tests/lane_identity.rs` enforces this).
-///
-/// # Panics
-///
-/// Panics if `opts` requests shards, faults, or checkpoints: the lane
-/// engine batches clean replications only (binaries reject those flag
-/// combinations up front; this is the backstop).
-pub fn run_row_lanes(spec: TableSpec, n: usize, opts: RunOptions) -> RowResult {
-    assert!(
-        opts.shards <= 1 && opts.faults.is_none() && opts.snapshot.is_none(),
-        "lane-batched rows support neither shards, faults, nor checkpoints"
-    );
-    match opts.algo {
-        Algo::FullyAdaptive => row_lanes_with(HypercubeFullyAdaptive::new(n), spec, n, opts),
-        Algo::StaticHang => row_lanes_with(HypercubeStaticHang::new(n), spec, n, opts),
-        Algo::EcubeSbp => row_lanes_with(EcubeSbp::new(n), spec, n, opts),
-    }
-}
-
-/// [`run_rows`] on the lane engine: rows fan out over `jobs` worker
-/// threads, and each row's replications run as lanes of one shared
-/// engine (replication-level parallelism is subsumed by the lanes).
-pub fn run_rows_lanes(
+/// The rows of one table with their merged recorders (see [`run_rows`]).
+fn table_rows<Rec: RunRecorder>(
     spec: TableSpec,
     dims: &[usize],
     opts: RunOptions,
     jobs: usize,
-) -> Vec<RowResult> {
-    crate::exec::run_indexed(dims.len(), jobs, |i| run_row_lanes(spec, dims[i], opts))
+    rc: RecordConfig,
+) -> Vec<(RowResult, Rec)> {
+    let reps = opts.reps.max(1) as usize;
+    let batch = opts.lanes.clamp(1, reps);
+    let units_per_row = reps.div_ceil(batch);
+    let units = crate::exec::run_indexed(dims.len() * units_per_row, jobs, |i| {
+        let n = dims[i / units_per_row];
+        let first = (i % units_per_row) * batch;
+        let unit: Vec<Rep> = (first..reps.min(first + batch))
+            .map(|rep| Rep {
+                seed: opts.seed ^ ((spec.number as u64) << 32) ^ ((rep as u64) << 16) ^ n as u64,
+                label: format!("t{}_n{n}_q{}_r{rep}", spec.number, opts.queue_capacity),
+            })
+            .collect();
+        run_reps::<Rec>(Source::Table(spec), n, &unit, &opts, &rc)
+    });
+    // A watchdogged or faulted run may abort instead of draining;
+    // report, don't panic.
+    let require_drain = rc.watchdog.is_none() && opts.faults.is_none();
+    let runs: Vec<(RunResult, Rec)> = units.into_iter().flatten().collect();
+    runs.chunks(reps)
+        .zip(dims)
+        .map(|(chunk, &n)| {
+            let rows: Vec<RowResult> = chunk
+                .iter()
+                .map(|(res, _)| {
+                    if let RunResult::Static(r) = res {
+                        assert!(
+                            r.drained || !require_drain,
+                            "table {} n={n} failed to drain",
+                            spec.number
+                        );
+                    }
+                    RowResult::of(n, res)
+                })
+                .collect();
+            let mut rec = chunk[0].1.clone();
+            for (_, r) in &chunk[1..] {
+                rec.merge(r);
+            }
+            (reduce_reps(n, &rows), rec)
+        })
+        .collect()
 }
 
-fn row_lanes_with<R: RoutingFunction>(
-    rf: R,
-    spec: TableSpec,
+/// One uniform-random dynamic sweep point at injection rate `lambda` on
+/// the n-cube: `opts.reps` replications (lanes of one engine when
+/// `opts.lanes > 1`), returned unreduced in replication order together
+/// with their sinks merged in that order. A single replication runs on
+/// `opts.seed` itself; replication `r` of several runs on
+/// [`fadr_sim::lane_seed`]`(opts.seed, r)`. `label` names the point's
+/// snapshot file (suffixed `_r<rep>` when replicated); the snapshot's
+/// meta records `table=0` plus `lambda`, which is how `replay` rebuilds
+/// the workload.
+pub fn run_point_recorded(
+    lambda: f64,
     n: usize,
     opts: RunOptions,
-) -> RowResult {
-    let reps = opts.reps.max(1);
-    let seeds: Vec<u64> = (0..reps)
-        .map(|rep| row_cfg(spec, n, opts, u64::from(rep)).seed)
-        .collect();
-    let cfg = row_cfg(spec, n, opts, 0);
-    let size = 1usize << n;
-    let mut sim = LaneSim::with_lane_seeds(rf, cfg, seeds.clone());
-    let results: Vec<RowResult> = match spec.packets {
-        Some(per_node) => {
-            let k = match per_node {
-                PacketsPerNode::One => 1,
-                PacketsPerNode::LogN => n,
-            };
-            let backlogs: Vec<Vec<Vec<usize>>> = seeds
-                .iter()
-                .map(|&s| {
-                    let pattern = spec.pattern.compile(n, s ^ 0x1e7e1);
-                    let mut rng = StdRng::seed_from_u64(s ^ 0xbac1);
-                    static_backlog(&pattern, size, k, &mut rng)
-                })
-                .collect();
-            sim.run_static(&backlogs)
-                .iter()
-                .map(|res| {
-                    assert!(res.drained, "table {} n={n} failed to drain", spec.number);
-                    RowResult {
-                        n,
-                        l_avg: res.stats.mean(),
-                        l_max: res.stats.max(),
-                        injection_rate: None,
-                        aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
-                    }
-                })
-                .collect()
-        }
-        None => {
-            let patterns: Vec<Pattern> = seeds
-                .iter()
-                .map(|&s| spec.pattern.compile(n, s ^ 0x1e7e1))
-                .collect();
-            sim.run_dynamic_indexed(
-                1.0,
-                |lane, src, rng| patterns[lane].draw(src, size, rng),
-                opts.dynamic_cycles,
-            )
-            .iter()
-            .map(|res| RowResult {
-                n,
-                l_avg: res.stats.mean(),
-                l_max: res.stats.max(),
-                injection_rate: Some(res.injection_rate()),
-                aborted: matches!(res.stop, StopReason::Aborted | StopReason::Partitioned),
+    rc: RecordConfig,
+    label: &str,
+) -> (Vec<RowResult>, SinkSet) {
+    let reps = opts.reps.max(1) as usize;
+    let all: Vec<Rep> = if reps == 1 {
+        vec![Rep {
+            seed: opts.seed,
+            label: label.to_string(),
+        }]
+    } else {
+        (0..reps)
+            .map(|r| Rep {
+                seed: lane_seed(opts.seed, r),
+                label: format!("{label}_r{r}"),
             })
             .collect()
-        }
     };
-    reduce_reps(n, &results)
+    let mut rows = Vec::with_capacity(reps);
+    let mut sinks = SinkSet::new();
+    for unit in all.chunks(opts.lanes.clamp(1, reps)) {
+        for (res, rec) in run_reps::<SinkSet>(Source::Random { lambda }, n, unit, &opts, &rc) {
+            rows.push(RowResult::of(n, &res));
+            sinks.merge(&rec);
+        }
+    }
+    (rows, sinks)
 }
 
-/// One lane-batched sweep point: per-lane aggregates folded into
-/// mean ± 95% CI views (the statistically honest replacement for the
-/// single-sample sweep columns).
+/// Where a work unit's workload comes from.
+#[derive(Debug, Clone, Copy)]
+pub enum Source {
+    /// A paper table: its pattern and injection model.
+    Table(TableSpec),
+    /// A uniform-random dynamic sweep point at injection rate `lambda`
+    /// (table 0 in snapshot metadata).
+    Random {
+        /// Injection rate λ.
+        lambda: f64,
+    },
+}
+
+/// The injection workload of one replication, built once from its
+/// coordinates and driven identically on every engine.
+#[derive(Debug, Clone)]
+pub enum Workload {
+    /// Static injection: node `v` injects `backlog[v]` in order, and the
+    /// run ends when the network drains.
+    Static(Vec<Vec<NodeId>>),
+    /// Dynamic injection for `cycles` routing cycles: every node attempts
+    /// an injection each cycle with probability `lambda`, drawing its
+    /// destination from `pattern` over `nodes` nodes.
+    Dynamic {
+        /// Injection rate λ.
+        lambda: f64,
+        /// Destination pattern.
+        pattern: Pattern,
+        /// Network size (`2^n`).
+        nodes: usize,
+        /// Horizon in routing cycles.
+        cycles: u64,
+    },
+}
+
+impl Workload {
+    /// The workload of `source` on the n-cube for workload seed `seed`:
+    /// seeded patterns compile from `seed ^ 0x1e7e1`, static backlogs
+    /// draw from `seed ^ 0xbac1`, dynamic tables inject at λ = 1, and
+    /// `cycles` is the dynamic horizon.
+    pub fn new(source: Source, n: usize, seed: u64, cycles: u64) -> Self {
+        let nodes = 1usize << n;
+        let (lambda, pattern) = match source {
+            Source::Random { lambda } => (lambda, Pattern::Random),
+            Source::Table(spec) => {
+                let pattern = spec.pattern.compile(n, seed ^ 0x1e7e1);
+                let Some(per_node) = spec.packets else {
+                    return Workload::Dynamic {
+                        lambda: 1.0,
+                        pattern,
+                        nodes,
+                        cycles,
+                    };
+                };
+                let k = match per_node {
+                    PacketsPerNode::One => 1,
+                    PacketsPerNode::LogN => n,
+                };
+                let mut rng = StdRng::seed_from_u64(seed ^ 0xbac1);
+                return Workload::Static(static_backlog(&pattern, nodes, k, &mut rng));
+            }
+        };
+        Workload::Dynamic {
+            lambda,
+            pattern,
+            nodes,
+            cycles,
+        }
+    }
+
+    /// Draw a dynamic workload's destination for an injection at `src`.
+    fn draw(&self, src: NodeId, rng: &mut StdRng) -> NodeId {
+        match self {
+            Workload::Dynamic { pattern, nodes, .. } => pattern.draw(src, *nodes, rng),
+            Workload::Static(_) => unreachable!("static workloads draw no destinations"),
+        }
+    }
+}
+
+/// A finished run of either injection model.
+#[derive(Debug, Clone)]
+pub(crate) enum RunResult {
+    /// A static (drain) run.
+    Static(StaticResult),
+    /// A dynamic (fixed-horizon) run.
+    Dynamic(DynamicResult),
+}
+
+/// How one leg of a run ended.
+#[derive(Debug, Clone)]
+pub(crate) enum Leg {
+    /// The run finished.
+    Finished(RunResult),
+    /// The run paused at the requested cycle.
+    Paused(RunProgress),
+}
+
+/// The one drive path: run `w` on any [`Engine`], from a fresh network
+/// (`from = None`) or from restored `progress`, pausing at `pause_at`.
+///
+/// # Panics
+///
+/// Re-raises a sharded engine's worker panic.
+pub(crate) fn drive<E: Engine>(
+    engine: &mut E,
+    w: &Workload,
+    from: Option<RunProgress>,
+    pause_at: Option<u64>,
+) -> Leg {
+    let leg = match w {
+        Workload::Static(backlog) => match from {
+            None => engine.run_static_until(backlog, pause_at),
+            Some(p) => engine.resume_static(backlog, p, pause_at),
+        }
+        .map(|o| match o {
+            StaticOutcome::Finished(r) => Leg::Finished(RunResult::Static(r)),
+            StaticOutcome::Paused(p) => Leg::Paused(p),
+        }),
+        &Workload::Dynamic { lambda, cycles, .. } => {
+            let dest = |src: NodeId, rng: &mut StdRng| w.draw(src, rng);
+            match from {
+                None => engine.run_dynamic_until(lambda, dest, cycles, pause_at),
+                Some(p) => engine.resume_dynamic(lambda, dest, cycles, p, pause_at),
+            }
+            .map(|o| match o {
+                DynamicOutcome::Finished(r) => Leg::Finished(RunResult::Dynamic(r)),
+                DynamicOutcome::Paused(p) => Leg::Paused(p),
+            })
+        }
+    };
+    leg.unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// [`drive`] a whole run under a [`SnapshotPolicy`]: checkpoint at
+/// `sp.at` and continue in-process, or restore `<label>.snap` and
+/// resume. A missing snapshot on resume means the run finished before
+/// the checkpoint cycle — rerun from cycle 0 (bit-identical either way).
+fn snapshot_run<E: Engine>(
+    engine: &mut E,
+    w: &Workload,
+    snap: Option<SnapshotPolicy>,
+    meta: &str,
+    label: &str,
+) -> RunResult {
+    let finished = |leg: Leg| match leg {
+        Leg::Finished(res) => res,
+        Leg::Paused(_) => unreachable!("no pause requested"),
+    };
+    let Some(sp) = snap else {
+        return finished(drive(engine, w, None, None));
+    };
+    let path = sp.path(label);
+    if sp.resume {
+        let Ok(text) = std::fs::read_to_string(&path) else {
+            return finished(drive(engine, w, None, None));
+        };
+        let (_, progress) = engine
+            .restore(&text)
+            .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
+        return finished(drive(engine, w, Some(progress), None));
+    }
+    match drive(engine, w, None, sp.at) {
+        Leg::Finished(res) => res,
+        Leg::Paused(progress) => {
+            // Fail loudly: a checkpoint the resume leg can't find would
+            // silently degrade to a from-scratch rerun.
+            std::fs::write(&path, engine.checkpoint(meta, &progress))
+                .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
+            finished(drive(engine, w, Some(progress), None))
+        }
+    }
+}
+
+/// One replication of a work unit: its engine and workload seed, and
+/// its snapshot label.
+struct Rep {
+    seed: u64,
+    label: String,
+}
+
+/// Run the replications `reps` of `source` on the n-cube with the
+/// router `opts.algo` names, returning each replication's result and
+/// flushed recorder in order.
+fn run_reps<Rec: RunRecorder>(
+    source: Source,
+    n: usize,
+    reps: &[Rep],
+    opts: &RunOptions,
+    rc: &RecordConfig,
+) -> Vec<(RunResult, Rec)> {
+    let unit = Unit::<Rec> {
+        source,
+        n,
+        reps,
+        opts,
+        rc,
+        rec: PhantomData,
+    };
+    let mut runs = with_algo(opts.algo, n, unit);
+    for (_, rec) in &mut runs {
+        rec.flush();
+    }
+    runs
+}
+
+/// A batch of replications waiting for its router (see [`run_reps`]).
+struct Unit<'a, Rec> {
+    source: Source,
+    n: usize,
+    reps: &'a [Rep],
+    opts: &'a RunOptions,
+    rc: &'a RecordConfig,
+    rec: PhantomData<Rec>,
+}
+
+impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
+    type Out = Vec<(RunResult, Rec)>;
+
+    /// The one engine-construction site. `opts.lanes > 1` batches the
+    /// replications as lanes of one [`fadr_sim::LaneSim`]; it fires every recorder
+    /// hook per lane (watchdog stop and wait-for-graph probe included),
+    /// so each lane records into its own sink set. Otherwise every
+    /// replication gets a standalone engine: sequential, or sharded when
+    /// `opts.shards > 1`. The sharded engine evaluates the watchdog on
+    /// global progress, so its per-shard sink sets are built without the
+    /// watchdog and the wait-for-graph probe (per-shard copies would
+    /// misfire on a locally idle shard; `ObsArgs::validate` rejects
+    /// `--waitgraph` with `--shards > 1`), the engine runs the watchdog
+    /// itself, and its [`fadr_metrics::StallReport`] is re-installed into
+    /// the merged sink set — so downstream reporting is oblivious to
+    /// which engine ran.
+    fn visit<R>(self, rf: R) -> Self::Out
+    where
+        R: RoutingFunction + Clone + Send + 'static,
+        R::Msg: Send + SnapshotMsg,
+    {
+        let (opts, rc) = (self.opts, self.rc);
+        let (nodes, classes) = (rf.topology().num_nodes(), rf.num_classes());
+        let cfg = |seed| SimConfig {
+            queue_capacity: opts.queue_capacity,
+            seed,
+            ..SimConfig::default()
+        };
+        let workloads: Vec<Workload> = self
+            .reps
+            .iter()
+            .map(|r| Workload::new(self.source, self.n, r.seed, opts.dynamic_cycles))
+            .collect();
+        if opts.lanes > 1 {
+            let seeds = self.reps.iter().map(|r| r.seed).collect();
+            let mut sim = fadr_sim::LaneSim::with_lane_seeds(rf, cfg(self.reps[0].seed), seeds);
+            let mut recs: Vec<Rec> = (0..self.reps.len())
+                .map(|_| Rec::build(rc, nodes, classes))
+                .collect();
+            let results: Vec<RunResult> = match workloads[0] {
+                Workload::Static(_) => {
+                    let backlogs: Vec<Vec<Vec<NodeId>>> = workloads
+                        .into_iter()
+                        .map(|w| match w {
+                            Workload::Static(backlog) => backlog,
+                            Workload::Dynamic { .. } => unreachable!("one source, one model"),
+                        })
+                        .collect();
+                    let res = sim.run_static_recorded(&backlogs, &mut recs);
+                    res.into_iter().map(RunResult::Static).collect()
+                }
+                Workload::Dynamic { lambda, cycles, .. } => {
+                    let dest =
+                        |k: usize, src: NodeId, rng: &mut StdRng| workloads[k].draw(src, rng);
+                    let res = sim.run_dynamic_indexed(lambda, dest, cycles, &mut recs);
+                    res.into_iter().map(RunResult::Dynamic).collect()
+                }
+            };
+            return results.into_iter().zip(recs).collect();
+        }
+        let (table, lambda) = match self.source {
+            Source::Table(spec) => (spec.number, None),
+            Source::Random { lambda } => (0, Some(lambda)),
+        };
+        let mut runs = Vec::with_capacity(self.reps.len());
+        for (rep, w) in self.reps.iter().zip(&workloads) {
+            let meta = crate::replay::meta_line(
+                &rep.label,
+                opts.algo,
+                table,
+                self.n,
+                opts.queue_capacity,
+                opts.dynamic_cycles,
+                rep.seed,
+                lambda,
+            );
+            runs.push(if opts.shards > 1 {
+                let shard_rc = RecordConfig {
+                    watchdog: None,
+                    waitgraph: false,
+                    ..*rc
+                };
+                let mut sim = fadr_sim::ShardedSimulator::with_recorders_strategy(
+                    rf.clone(),
+                    cfg(rep.seed),
+                    opts.shards,
+                    opts.partition,
+                    |_| Rec::build(&shard_rc, nodes, classes),
+                );
+                if let Some(plan) = opts.faults {
+                    sim = sim.with_faults(plan.clone());
+                }
+                if let Some(k) = rc.watchdog {
+                    sim = sim.with_watchdog(k);
+                }
+                let res = snapshot_run(&mut sim, w, opts.snapshot, &meta, &rep.label);
+                let stall = sim.stall_report().cloned();
+                let mut rec = sim.into_recorder();
+                if let Some(k) = rc.watchdog {
+                    rec.install_watchdog(k, stall);
+                }
+                (res, rec)
+            } else {
+                let rec = Rec::build(rc, nodes, classes);
+                let mut sim = Simulator::with_recorder(rf.clone(), cfg(rep.seed), rec);
+                if let Some(plan) = opts.faults {
+                    sim = sim.with_faults(plan.clone());
+                }
+                let res = snapshot_run(&mut sim, w, opts.snapshot, &meta, &rep.label);
+                (res, sim.into_recorder())
+            });
+        }
+        runs
+    }
+}
+
+/// A replicated sweep point folded into mean ± 95% CI views (the
+/// statistically honest replacement for single-sample sweep columns).
 #[derive(Debug, Clone, Copy)]
 pub struct LanePoint {
-    /// Normalized throughput (delivered / (nodes × cycles)) across lanes.
+    /// Normalized throughput (delivered / (nodes × cycles)) across reps.
     pub throughput: MeanCi,
-    /// Mean latency across lanes.
+    /// Mean latency across replications.
     pub l_avg: MeanCi,
-    /// Maximum latency over all lanes.
+    /// Maximum latency over all replications.
     pub l_max: u64,
-    /// Effective injection rate across lanes.
+    /// Effective injection rate across replications.
     pub injection_rate: MeanCi,
-    /// Total packets delivered, summed over lanes.
+    /// Total packets delivered, summed over replications.
     pub delivered: u64,
 }
 
-/// One dynamic uniform-random sweep point replicated across `lanes` RNG
-/// lanes of one batched engine (lane seeds derive from `cfg.seed` via
-/// [`fadr_sim::lane_seeds`]), reduced to [`LanePoint`] statistics.
-pub fn dynamic_random_lanes<R: RoutingFunction>(
-    rf: R,
-    cfg: SimConfig,
-    lambda: f64,
-    cycles: u64,
-    lanes: usize,
-) -> LanePoint {
-    let size = rf.topology().num_nodes();
-    let mut sim = LaneSim::new(rf, cfg, lanes);
-    let results = sim.run_dynamic(
-        lambda,
-        move |s, rng| Pattern::Random.draw(s, size, rng),
-        cycles,
-    );
-    let mut thr = RunningStats::new();
-    let mut l_avg = RunningStats::new();
-    let mut ir = RunningStats::new();
-    let mut l_max = 0u64;
-    let mut delivered = 0u64;
-    for res in &results {
-        thr.push(res.delivered as f64 / (size as f64 * cycles as f64));
-        l_avg.push(res.stats.mean());
-        ir.push(res.injection_rate());
-        l_max = l_max.max(res.stats.max());
-        delivered += res.delivered;
-    }
-    LanePoint {
-        throughput: thr.ci95(),
-        l_avg: l_avg.ci95(),
-        l_max,
-        injection_rate: ir.ci95(),
-        delivered,
+impl LanePoint {
+    /// Fold the per-replication rows of a dynamic point that ran
+    /// `cycles` cycles on the n-cube.
+    pub fn of(rows: &[RowResult], cycles: u64) -> Self {
+        let mut thr = RunningStats::new();
+        let mut l_avg = RunningStats::new();
+        let mut ir = RunningStats::new();
+        let mut l_max = 0u64;
+        let mut delivered = 0u64;
+        for r in rows {
+            thr.push(r.delivered as f64 / ((1usize << r.n) as f64 * cycles as f64));
+            l_avg.push(r.l_avg);
+            ir.push(r.injection_rate.unwrap_or(0.0));
+            l_max = l_max.max(r.l_max);
+            delivered += r.delivered;
+        }
+        LanePoint {
+            throughput: thr.ci95(),
+            l_avg: l_avg.ci95(),
+            l_max,
+            injection_rate: ir.ci95(),
+            delivered,
+        }
     }
 }
 
@@ -1124,12 +902,6 @@ pub fn dims_for(spec: TableSpec, full: bool) -> Vec<usize> {
         (10..=12).collect()
     };
     base
-}
-
-/// Regenerate one table sequentially. Equivalent to
-/// [`run_table_jobs`] with `jobs = 1`.
-pub fn run_table(number: usize, full: bool, opts: RunOptions) -> Table {
-    run_table_jobs(number, full, opts, 1)
 }
 
 /// Regenerate one table with row × replication work units spread over

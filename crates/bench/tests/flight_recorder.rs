@@ -73,15 +73,18 @@ fn journal_is_bit_identical_across_jobs_shards_and_partitions() {
 
 /// A run split by `--checkpoint-at` + `--resume-from` must reproduce an
 /// uninterrupted run bit for bit — measured rows and journal — on the
-/// sequential engine and on sharded engines under different partition
-/// strategies (the ISSUE's tentpole acceptance property, exercised
-/// through the same [`RunOptions`] path the binaries use).
+/// sequential engine, on sharded engines under different partition
+/// strategies, and across engines: snapshots are engine-agnostic, so a
+/// checkpoint written at one shard count resumes at another. Exercised
+/// through the same [`RunOptions`] path the binaries use.
 #[test]
 fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
-    for (tag, shards, partition) in [
-        ("seq", 1usize, PartitionStrategy::Auto),
-        ("sh2", 2, PartitionStrategy::HammingPrefix),
-        ("sh3", 3, PartitionStrategy::BfsGrowth),
+    for (tag, shards, resume_shards, partition) in [
+        ("seq", 1usize, 1usize, PartitionStrategy::Auto),
+        ("sh2", 2, 2, PartitionStrategy::HammingPrefix),
+        ("sh3", 3, 3, PartitionStrategy::BfsGrowth),
+        ("sh2_to_seq", 2, 1, PartitionStrategy::HammingPrefix),
+        ("seq_to_sh2", 1, 2, PartitionStrategy::Auto),
     ] {
         for table in [6usize, 9] {
             let base = RunOptions {
@@ -107,6 +110,7 @@ fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
 
             let resume = RunOptions {
                 snapshot: Some(temp_policy(&dir_tag, None, true)),
+                shards: resume_shards,
                 ..base
             };
             let resumed = run_rows_recorded(spec(table), &[5], resume, 1, journal_config());

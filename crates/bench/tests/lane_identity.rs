@@ -1,14 +1,16 @@
 //! Regression: the lane-batched row runner is bit-identical to the
-//! sequential replication loop. `run_row_lanes` runs the `reps`
-//! replications of a row as lanes of one `LaneSim` — same per-rep seeds,
-//! same reduction — so every statistic must reproduce `run_row` exactly,
-//! compared via `f64::to_bits` (no epsilon). This is the contract that
-//! lets `tables --lanes R` stand in for `tables --reps R` wholesale.
+//! sequential replication loop. With `lanes > 1` the runner runs a
+//! row's replications as lanes of one `LaneSim` — same per-rep seeds,
+//! same reduction, one sink set per lane merged in rep order — so every
+//! statistic must reproduce the `lanes = 1` path exactly, compared via
+//! `f64::to_bits` (no epsilon), and recorded output must match byte for
+//! byte. This is the contract that lets `tables --lanes R` stand in for
+//! `tables --reps R` wholesale, recording flags included.
 
+use fadr_bench::obs::{journal_text, metrics_json, trace_jsonl, MetricsRow, RecordConfig};
 use fadr_bench::runner::{
-    dynamic_random_lanes, run_row, run_row_lanes, run_rows, run_rows_lanes, spec, RunOptions,
+    run_point_recorded, run_row, run_rows, run_rows_recorded, spec, LanePoint, RunOptions,
 };
-use fadr_core::HypercubeFullyAdaptive;
 use fadr_sim::SimConfig;
 
 /// Reduced scale so the whole matrix stays fast: small cubes, three
@@ -19,6 +21,14 @@ fn opts() -> RunOptions {
         reps: 3,
         dynamic_cycles: 60,
         ..RunOptions::default()
+    }
+}
+
+/// [`opts`] with its replications batched as lanes.
+fn lanes(o: RunOptions) -> RunOptions {
+    RunOptions {
+        lanes: o.reps as usize,
+        ..o
     }
 }
 
@@ -35,7 +45,7 @@ fn run_row_lanes_bitwise_identical_to_run_row() {
         let s = spec(t);
         for &n in &DIMS {
             let seq = run_row(s, n, opts());
-            let lane = run_row_lanes(s, n, opts());
+            let lane = run_row(s, n, lanes(opts()));
             assert_eq!(lane.n, seq.n, "table {t} n={n}");
             assert_eq!(lane.l_max, seq.l_max, "table {t} n={n}");
             assert_eq!(lane.aborted, seq.aborted, "table {t} n={n}");
@@ -62,9 +72,9 @@ fn run_rows_lanes_matches_run_rows_across_jobs() {
     let s = spec(9);
     let base = run_rows(s, &DIMS, opts(), 1);
     for jobs in [1usize, 4] {
-        let lanes = run_rows_lanes(s, &DIMS, opts(), jobs);
-        assert_eq!(lanes.len(), base.len());
-        for (a, b) in base.iter().zip(&lanes) {
+        let batched = run_rows(s, &DIMS, lanes(opts()), jobs);
+        assert_eq!(batched.len(), base.len());
+        for (a, b) in base.iter().zip(&batched) {
             assert_eq!(a.l_avg.to_bits(), b.l_avg.to_bits(), "jobs={jobs}");
             assert_eq!(a.l_max, b.l_max, "jobs={jobs}");
         }
@@ -83,24 +93,96 @@ fn custom_seed_and_reps_reproduce() {
     };
     for t in [6usize, 9] {
         let seq = run_row(spec(t), 5, custom);
-        let lane = run_row_lanes(spec(t), 5, custom);
+        let lane = run_row(spec(t), 5, lanes(custom));
         assert_eq!(lane.l_avg.to_bits(), seq.l_avg.to_bits(), "table {t}");
         assert_eq!(lane.l_max, seq.l_max, "table {t}");
     }
 }
 
-/// The λ-sweep aggregation: one `LanePoint` folds every lane, its
-/// intervals carry the lane count, and the delivered total is the sum
-/// over lanes (each lane delivers something at λ = 1 on a small cube).
+/// Batches smaller than the replication count (5 reps as lanes of 2,
+/// 2 and 1) still reproduce the unbatched row.
 #[test]
-fn dynamic_random_lanes_aggregates_all_lanes() {
-    let p = dynamic_random_lanes(
-        HypercubeFullyAdaptive::new(5),
-        SimConfig::default(),
-        1.0,
-        60,
-        4,
-    );
+fn partial_lane_batches_reproduce() {
+    let five = RunOptions {
+        reps: 5,
+        dynamic_cycles: 40,
+        ..RunOptions::default()
+    };
+    for t in [2usize, 12] {
+        let seq = run_row(spec(t), 5, five);
+        let lane = run_row(spec(t), 5, RunOptions { lanes: 2, ..five });
+        assert_eq!(lane.l_avg.to_bits(), seq.l_avg.to_bits(), "table {t}");
+        assert_eq!(lane.l_max, seq.l_max, "table {t}");
+        assert_eq!(lane.delivered, seq.delivered, "table {t}");
+    }
+}
+
+/// Recording composes with lanes: rows, the metrics document, the
+/// journal and the trace are byte-identical to `reps = 3` on a static
+/// table (6), a dynamic one (9), and the seeded leveled dynamic table
+/// (12, the per-lane destination closure with per-lane recorders).
+#[test]
+fn recorded_lanes_match_recorded_reps() {
+    let rc = RecordConfig {
+        counters: true,
+        trace: Some(64),
+        watchdog: Some(400),
+        journal: Some(1 << 16),
+        latency: true,
+        waitgraph: true,
+    };
+    for t in [6usize, 9, 12] {
+        let render = |o: RunOptions| {
+            let recorded = run_rows_recorded(spec(t), &DIMS, o, 2, rc);
+            let rows: Vec<MetricsRow> = recorded
+                .iter()
+                .map(|r| MetricsRow::from_recorded(t, r))
+                .collect();
+            let cells: Vec<(u64, u64, Option<u64>, u64, bool)> = recorded
+                .iter()
+                .map(|r| {
+                    let row = &r.row;
+                    let ir = row.injection_rate.map(f64::to_bits);
+                    (
+                        row.l_avg.to_bits(),
+                        row.l_max,
+                        ir,
+                        row.delivered,
+                        row.aborted,
+                    )
+                })
+                .collect();
+            (
+                cells,
+                metrics_json("FullyAdaptive", &rows),
+                journal_text(&rows),
+                trace_jsonl(&rows),
+            )
+        };
+        let reps = render(opts());
+        assert!(!reps.2.is_empty(), "table {t} journal must see events");
+        assert_eq!(render(lanes(opts())), reps, "table {t}");
+    }
+}
+
+/// A replicated sweep point: one `LanePoint` folds every replication,
+/// its intervals carry the replication count, the delivered total is
+/// the sum over lanes, and batching the replications as lanes changes
+/// nothing.
+#[test]
+fn replicated_point_aggregates_all_lanes() {
+    let point = |reps: u32, lanes: usize| {
+        let o = RunOptions {
+            reps,
+            lanes,
+            seed: SimConfig::default().seed,
+            dynamic_cycles: 60,
+            ..RunOptions::default()
+        };
+        let (rows, _) = run_point_recorded(1.0, 5, o, RecordConfig::default(), "p");
+        LanePoint::of(&rows, 60)
+    };
+    let p = point(4, 4);
     assert_eq!(p.throughput.n, 4, "one throughput sample per lane");
     assert_eq!(p.l_avg.n, 4);
     assert_eq!(p.injection_rate.n, 4);
@@ -110,15 +192,10 @@ fn dynamic_random_lanes_aggregates_all_lanes() {
         p.throughput.half_width.is_finite(),
         "a multi-lane point always has a finite interval"
     );
-    // More lanes can only tighten the interval on the same workload
-    // distribution in expectation; at minimum the math must not blow up
-    // at the smallest admissible count.
-    let p2 = dynamic_random_lanes(
-        HypercubeFullyAdaptive::new(5),
-        SimConfig::default(),
-        1.0,
-        60,
-        2,
+    let seq = point(4, 1);
+    assert_eq!(
+        (seq.delivered, seq.l_max, seq.l_avg.mean.to_bits()),
+        (p.delivered, p.l_max, p.l_avg.mean.to_bits())
     );
-    assert_eq!(p2.throughput.n, 2);
+    assert_eq!(point(2, 2).throughput.n, 2);
 }

@@ -25,7 +25,8 @@ use fadr_qdg::sym::Symmetry;
 use fadr_qdg::verify::verify_deadlock_free;
 use fadr_qdg::{explore, RoutingFunction};
 use fadr_sim::{
-    lane_seeds, FaultPlan, LaneSim, ShardedSimulator, SimConfig, Simulator, SinkSet, StopReason,
+    lane_seeds, DynamicOutcome, Engine, FaultPlan, LaneSim, ShardPanicked, ShardedSimulator,
+    SimConfig, Simulator, SinkSet, SnapshotMsg, StaticOutcome, StopReason,
 };
 use fadr_topology::NodeId;
 use fadr_verify::{certify, check_certificate, Certificate, ClassifierMode, Outcome};
@@ -110,7 +111,7 @@ impl SchemeVisitor for CaseRunner<'_> {
     fn visit<R>(self, rf: Mutated<R>) -> Self::Out
     where
         R: Symmetry + Clone + Send + 'static,
-        R::Msg: Send,
+        R::Msg: Send + SnapshotMsg,
     {
         let spec = self.spec;
         let cert = oracle_parity(&rf)?;
@@ -280,156 +281,125 @@ fn journal_fingerprint(rec: &SinkSet) -> (u64, u64) {
         .map_or((0, 0), |j| (j.hash(), j.count()))
 }
 
+/// The case's injection model, as failure messages name it.
+fn model(spec: &CaseSpec) -> &'static str {
+    match spec.workload {
+        WorkloadSpec::Static { .. } => "static",
+        WorkloadSpec::Dynamic { .. } => "dynamic",
+    }
+}
+
+/// One engine leg of the differential: the case's workload run to
+/// completion on `engine`, as a comparable `Debug` rendering of its
+/// result, plus its partitioned-destination set and journal fingerprint.
+type LegOutcome = (String, Vec<u32>, (u64, u64));
+
+fn run_leg<E: Engine<Rec = SinkSet>>(
+    mut engine: E,
+    spec: &CaseSpec,
+    backlog: &[Vec<NodeId>],
+    n: usize,
+) -> Result<LegOutcome, ShardPanicked> {
+    let result = match spec.workload {
+        WorkloadSpec::Static { .. } => match engine.run_static_until(backlog, None)? {
+            StaticOutcome::Finished(r) => format!("{r:?}"),
+            StaticOutcome::Paused(_) => unreachable!("no pause requested"),
+        },
+        WorkloadSpec::Dynamic { lambda_pct, cycles } => {
+            let lambda = f64::from(lambda_pct) / 100.0;
+            let dest = |s: NodeId, rng: &mut StdRng| Pattern::Random.draw(s, n, rng);
+            match engine.run_dynamic_until(lambda, dest, cycles, None)? {
+                DynamicOutcome::Finished(r) => format!("{r:?}"),
+                DynamicOutcome::Paused(_) => unreachable!("no pause requested"),
+            }
+        }
+    };
+    let part = engine.partitioned_destinations();
+    Ok((result, part, journal_fingerprint(&engine.into_recorder())))
+}
+
 fn differential<R>(spec: &CaseSpec, rf: &R, cert: Option<&Certificate>) -> Result<(), Failure>
 where
     R: Symmetry + Clone + Send + 'static,
-    R::Msg: Send,
+    R::Msg: Send + SnapshotMsg,
 {
     let n = rf.topology().num_nodes();
     let cfg = sim_config(spec);
     let mk = || SinkSet::new().with_journal(JOURNAL_CAP);
-
-    match spec.workload {
-        WorkloadSpec::Static { .. } => {
-            let backlog = backlog_for(spec, n);
-            let mut seq =
-                Simulator::with_recorder(rf.clone(), cfg, mk()).with_faults(spec.faults.clone());
-            let seq_res = seq.run_static(&backlog);
-            let seq_part = seq.partitioned_destinations();
-            let seq_journal = journal_fingerprint(&seq.into_recorder());
-            for &shards in &spec.shards {
-                let mut shr = ShardedSimulator::with_recorders_strategy(
-                    rf.clone(),
-                    cfg,
-                    shards,
-                    spec.strategy,
-                    |_| mk(),
-                )
-                .with_faults(spec.faults.clone());
-                let shr_res = match shr.try_run_static(&backlog) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        return fail(PropertyId::Differential, format!("{}: {e}", rf.name()));
-                    }
-                };
-                if shr_res != seq_res {
-                    return fail(
-                        PropertyId::Differential,
-                        format!(
-                            "{}: static result diverged at {shards} shards ({}): seq {seq_res:?} vs sharded {shr_res:?}",
-                            rf.name(),
-                            spec.strategy.name()
-                        ),
-                    );
-                }
-                let shr_part = shr.partitioned_destinations();
-                if shr_part != seq_part {
-                    return fail(
-                        PropertyId::Differential,
-                        format!(
-                            "{}: partition set diverged at {shards} shards: {seq_part:?} vs {shr_part:?}",
-                            rf.name()
-                        ),
-                    );
-                }
-                let shr_journal = journal_fingerprint(&shr.into_recorder());
-                if shr_journal != seq_journal {
-                    return fail(
-                        PropertyId::Differential,
-                        format!(
-                            "{}: journal fingerprint diverged at {shards} shards: {seq_journal:?} vs {shr_journal:?}",
-                            rf.name()
-                        ),
-                    );
-                }
-            }
-            // Wormhole leg: on a certified scheme with no faults, the
-            // flit-level engine must deliver the same message set in
-            // full (journals are not comparable across models — worms
-            // never enter central queues — so the check is delivery
-            // completeness, with the VC regime the certificate scopes).
-            if let Some(cert) = cert {
-                if spec.faults.events.is_empty() {
-                    let wcfg = WormConfig {
-                        seed: spec.seed,
-                        use_dynamic_vcs: cert.adaptive_wormhole_in_scope(),
-                        max_cycles: 1_000_000,
-                        ..WormConfig::default()
-                    };
-                    let mut worm = WormholeSim::new(rf.clone(), wcfg);
-                    let wres = worm.run_static(&backlog);
-                    if !wres.drained || wres.delivered != wres.total {
-                        return fail(
-                            PropertyId::Differential,
-                            format!(
-                                "{}: wormhole leg failed to deliver: {}/{} in {} cycles (dynamic VCs: {})",
-                                rf.name(),
-                                wres.delivered,
-                                wres.total,
-                                wres.cycles,
-                                cert.adaptive_wormhole_in_scope()
-                            ),
-                        );
-                    }
-                }
-            }
+    let backlog = backlog_for(spec, n);
+    let seq = Simulator::with_recorder(rf.clone(), cfg, mk()).with_faults(spec.faults.clone());
+    let (seq_res, seq_part, seq_journal) = run_leg(seq, spec, &backlog, n)
+        .unwrap_or_else(|_| unreachable!("the sequential engine has no workers"));
+    for &shards in &spec.shards {
+        let shr = ShardedSimulator::with_recorders_strategy(
+            rf.clone(),
+            cfg,
+            shards,
+            spec.strategy,
+            |_| mk(),
+        )
+        .with_faults(spec.faults.clone());
+        let (shr_res, shr_part, shr_journal) = match run_leg(shr, spec, &backlog, n) {
+            Ok(out) => out,
+            Err(e) => return fail(PropertyId::Differential, format!("{}: {e}", rf.name())),
+        };
+        if shr_res != seq_res {
+            return fail(
+                PropertyId::Differential,
+                format!(
+                    "{}: {} result diverged at {shards} shards ({}): seq {seq_res} vs sharded {shr_res}",
+                    rf.name(),
+                    model(spec),
+                    spec.strategy.name()
+                ),
+            );
         }
-        WorkloadSpec::Dynamic { lambda_pct, cycles } => {
-            let lambda = f64::from(lambda_pct) / 100.0;
-            let mut seq =
-                Simulator::with_recorder(rf.clone(), cfg, mk()).with_faults(spec.faults.clone());
-            let seq_res = seq.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, n, rng), cycles);
-            let seq_part = seq.partitioned_destinations();
-            let seq_journal = journal_fingerprint(&seq.into_recorder());
-            for &shards in &spec.shards {
-                let mut shr = ShardedSimulator::with_recorders_strategy(
-                    rf.clone(),
-                    cfg,
-                    shards,
-                    spec.strategy,
-                    |_| mk(),
-                )
-                .with_faults(spec.faults.clone());
-                let shr_res = match shr.try_run_dynamic(
-                    lambda,
-                    |s, rng| Pattern::Random.draw(s, n, rng),
-                    cycles,
-                ) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        return fail(PropertyId::Differential, format!("{}: {e}", rf.name()));
-                    }
-                };
-                if shr_res != seq_res {
-                    return fail(
-                        PropertyId::Differential,
-                        format!(
-                            "{}: dynamic result diverged at {shards} shards ({}): seq {seq_res:?} vs sharded {shr_res:?}",
-                            rf.name(),
-                            spec.strategy.name()
-                        ),
-                    );
-                }
-                let shr_part = shr.partitioned_destinations();
-                if shr_part != seq_part {
-                    return fail(
-                        PropertyId::Differential,
-                        format!(
-                            "{}: partition set diverged at {shards} shards: {seq_part:?} vs {shr_part:?}",
-                            rf.name()
-                        ),
-                    );
-                }
-                let shr_journal = journal_fingerprint(&shr.into_recorder());
-                if shr_journal != seq_journal {
-                    return fail(
-                        PropertyId::Differential,
-                        format!(
-                            "{}: journal fingerprint diverged at {shards} shards: {seq_journal:?} vs {shr_journal:?}",
-                            rf.name()
-                        ),
-                    );
-                }
+        if shr_part != seq_part {
+            return fail(
+                PropertyId::Differential,
+                format!(
+                    "{}: partition set diverged at {shards} shards: {seq_part:?} vs {shr_part:?}",
+                    rf.name()
+                ),
+            );
+        }
+        if shr_journal != seq_journal {
+            return fail(
+                PropertyId::Differential,
+                format!(
+                    "{}: journal fingerprint diverged at {shards} shards: {seq_journal:?} vs {shr_journal:?}",
+                    rf.name()
+                ),
+            );
+        }
+    }
+    // Wormhole leg: on a certified scheme with no faults, the flit-level
+    // engine must deliver the same static message set in full (journals
+    // are not comparable across models — worms never enter central
+    // queues — so the check is delivery completeness, with the VC regime
+    // the certificate scopes).
+    if let (Some(cert), WorkloadSpec::Static { .. }) = (cert, spec.workload) {
+        if spec.faults.events.is_empty() {
+            let wcfg = WormConfig {
+                seed: spec.seed,
+                use_dynamic_vcs: cert.adaptive_wormhole_in_scope(),
+                max_cycles: 1_000_000,
+                ..WormConfig::default()
+            };
+            let mut worm = WormholeSim::new(rf.clone(), wcfg);
+            let wres = worm.run_static(&backlog);
+            if !wres.drained || wres.delivered != wres.total {
+                return fail(
+                    PropertyId::Differential,
+                    format!(
+                        "{}: wormhole leg failed to deliver: {}/{} in {} cycles (dynamic VCs: {})",
+                        rf.name(),
+                        wres.delivered,
+                        wres.total,
+                        wres.cycles,
+                        cert.adaptive_wormhole_in_scope()
+                    ),
+                );
             }
         }
     }
@@ -443,7 +413,7 @@ where
 fn lane_differential<R>(spec: &CaseSpec, rf: &R) -> Result<(), Failure>
 where
     R: Symmetry + Clone + Send + 'static,
-    R::Msg: Send,
+    R::Msg: Send + SnapshotMsg,
 {
     if spec.lanes <= 1 || !spec.faults.events.is_empty() {
         return Ok(());
@@ -452,45 +422,33 @@ where
     let cfg = sim_config(spec);
     let seeds = lane_seeds(cfg.seed, spec.lanes);
     let mut lanes = LaneSim::with_lane_seeds(rf.clone(), cfg, seeds.clone());
-
-    match spec.workload {
+    let backlog = backlog_for(spec, n);
+    let lane_res: Vec<String> = match spec.workload {
         WorkloadSpec::Static { .. } => {
-            let backlog = backlog_for(spec, n);
             let backlogs = vec![backlog.clone(); spec.lanes];
-            let lane_res = lanes.run_static(&backlogs);
-            for (k, (&seed, lr)) in seeds.iter().zip(&lane_res).enumerate() {
-                let mut seq = Simulator::new(rf.clone(), SimConfig { seed, ..cfg });
-                let sr = seq.run_static(&backlog);
-                if *lr != sr {
-                    return fail(
-                        PropertyId::Differential,
-                        format!(
-                            "{}: lane {k}/{} static result diverged from its sequential twin: lane {lr:?} vs seq {sr:?}",
-                            rf.name(),
-                            spec.lanes
-                        ),
-                    );
-                }
-            }
+            let res = lanes.run_static(&backlogs);
+            res.iter().map(|r| format!("{r:?}")).collect()
         }
         WorkloadSpec::Dynamic { lambda_pct, cycles } => {
             let lambda = f64::from(lambda_pct) / 100.0;
-            let lane_res =
-                lanes.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, n, rng), cycles);
-            for (k, (&seed, lr)) in seeds.iter().zip(&lane_res).enumerate() {
-                let mut seq = Simulator::new(rf.clone(), SimConfig { seed, ..cfg });
-                let sr = seq.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, n, rng), cycles);
-                if *lr != sr {
-                    return fail(
-                        PropertyId::Differential,
-                        format!(
-                            "{}: lane {k}/{} dynamic result diverged from its sequential twin: lane {lr:?} vs seq {sr:?}",
-                            rf.name(),
-                            spec.lanes
-                        ),
-                    );
-                }
-            }
+            let res = lanes.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, n, rng), cycles);
+            res.iter().map(|r| format!("{r:?}")).collect()
+        }
+    };
+    for (k, (&seed, lr)) in seeds.iter().zip(&lane_res).enumerate() {
+        let twin = Simulator::with_recorder(rf.clone(), SimConfig { seed, ..cfg }, SinkSet::new());
+        let (sr, _, _) = run_leg(twin, spec, &backlog, n)
+            .unwrap_or_else(|_| unreachable!("the sequential engine has no workers"));
+        if *lr != sr {
+            return fail(
+                PropertyId::Differential,
+                format!(
+                    "{}: lane {k}/{} {} result diverged from its sequential twin: lane {lr} vs seq {sr}",
+                    rf.name(),
+                    spec.lanes,
+                    model(spec)
+                ),
+            );
         }
     }
     Ok(())

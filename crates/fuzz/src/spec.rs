@@ -776,7 +776,7 @@ pub trait SchemeVisitor {
     fn visit<R>(self, rf: Mutated<R>) -> Self::Out
     where
         R: Symmetry + Clone + Send + 'static,
-        R::Msg: Send;
+        R::Msg: Send + fadr_sim::SnapshotMsg;
 }
 
 /// Build the scheme `spec` names, wrap it in [`Mutated`] per `mutation`,

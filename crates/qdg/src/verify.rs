@@ -481,6 +481,21 @@ pub mod test_fixtures {
         pub dst: NodeId,
     }
 
+    impl crate::SnapshotMsg for DstMsg {
+        fn encode(&self, out: &mut Vec<u64>) {
+            out.push(self.dst as u64);
+        }
+
+        fn decode(words: &[u64]) -> Option<Self> {
+            match words {
+                [dst] => Some(Self {
+                    dst: usize::try_from(*dst).ok()?,
+                }),
+                _ => None,
+            }
+        }
+    }
+
     /// Oblivious ascending-dimension (e-cube) routing with a single central
     /// queue per node. Store-and-forward e-cube is NOT deadlock-free: its
     /// QDG is cyclic; the tests assert the checker catches this.

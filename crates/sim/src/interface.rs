@@ -1,0 +1,242 @@
+//! One run interface over the packet engines.
+//!
+//! The sequential [`Simulator`] and the shard-parallel
+//! [`ShardedSimulator`] produce bit-identical runs and exchange
+//! snapshots freely, so a harness has no reason to know which one it
+//! holds. [`Engine`] is that common surface: pausable static and
+//! dynamic runs, their resume legs, checkpoint/restore, and the
+//! post-run accessors. Each implementation delegates to the engine's
+//! inherent methods; the only adaptation is the error channel — the
+//! sharded engine reports a worker panic as [`ShardPanicked`], and the
+//! sequential engine, which has no workers, always returns `Ok`.
+//!
+//! Destination functions are `Fn + Sync` (not `FnMut`) because the
+//! sharded engine shares one closure across its shard threads.
+
+use rand::rngs::StdRng;
+
+use fadr_metrics::{Recorder, ShardRecorder, StallReport};
+use fadr_qdg::{RoutingFunction, SnapshotMsg};
+use fadr_topology::NodeId;
+
+use crate::{
+    DynamicOutcome, RunProgress, ShardPanicked, ShardedSimulator, Simulator, StaticOutcome,
+};
+
+/// A packet engine a harness can drive without knowing which one it is.
+/// The run methods return [`ShardPanicked`] if a shard worker panicked
+/// (the engine's state is then unspecified — drop it).
+pub trait Engine {
+    /// The attached event recorder (a sharded engine merges its
+    /// per-shard recorders into one on [`Engine::into_recorder`]).
+    type Rec;
+
+    /// Run a static-injection experiment from a fresh network, pausing
+    /// at cycle `pause_at` if given (see [`Simulator::run_static_until`]).
+    fn run_static_until(
+        &mut self,
+        backlog: &[Vec<NodeId>],
+        pause_at: Option<u64>,
+    ) -> Result<StaticOutcome, ShardPanicked>;
+
+    /// Continue a static run from restored state (see
+    /// [`Simulator::resume_static`]).
+    fn resume_static(
+        &mut self,
+        backlog: &[Vec<NodeId>],
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> Result<StaticOutcome, ShardPanicked>;
+
+    /// Run a dynamic-injection experiment from a fresh network (see
+    /// [`Simulator::run_dynamic_until`]).
+    fn run_dynamic_until<F>(
+        &mut self,
+        lambda: f64,
+        dest: F,
+        cycles: u64,
+        pause_at: Option<u64>,
+    ) -> Result<DynamicOutcome, ShardPanicked>
+    where
+        F: Fn(NodeId, &mut StdRng) -> NodeId + Sync;
+
+    /// Continue a dynamic run from restored state (see
+    /// [`Simulator::resume_dynamic`]).
+    fn resume_dynamic<F>(
+        &mut self,
+        lambda: f64,
+        dest: F,
+        cycles: u64,
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> Result<DynamicOutcome, ShardPanicked>
+    where
+        F: Fn(NodeId, &mut StdRng) -> NodeId + Sync;
+
+    /// Serialize the paused engine as a `fadr-snapshot/1` document
+    /// (byte-identical across engines; see [`Simulator::checkpoint`]).
+    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String;
+
+    /// Load a `fadr-snapshot/1` document written by either engine (see
+    /// [`Simulator::restore`]).
+    fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String>;
+
+    /// Destinations a fault made unreachable in the last run, sorted.
+    fn partitioned_destinations(&self) -> Vec<u32>;
+
+    /// The stall report of an *engine-level* watchdog
+    /// ([`ShardedSimulator::with_watchdog`]). The sequential engine has
+    /// none — its watchdog is a recorder sink — so it returns `None`.
+    fn stall_report(&self) -> Option<&StallReport>;
+
+    /// Consume the engine and return its (merged) recorder.
+    fn into_recorder(self) -> Self::Rec;
+}
+
+impl<R: RoutingFunction, Rec: Recorder> Engine for Simulator<R, Rec>
+where
+    R::Msg: SnapshotMsg,
+{
+    type Rec = Rec;
+
+    fn run_static_until(
+        &mut self,
+        backlog: &[Vec<NodeId>],
+        pause_at: Option<u64>,
+    ) -> Result<StaticOutcome, ShardPanicked> {
+        Ok(Simulator::run_static_until(self, backlog, pause_at))
+    }
+
+    fn resume_static(
+        &mut self,
+        backlog: &[Vec<NodeId>],
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> Result<StaticOutcome, ShardPanicked> {
+        Ok(Simulator::resume_static(self, backlog, progress, pause_at))
+    }
+
+    fn run_dynamic_until<F>(
+        &mut self,
+        lambda: f64,
+        dest: F,
+        cycles: u64,
+        pause_at: Option<u64>,
+    ) -> Result<DynamicOutcome, ShardPanicked>
+    where
+        F: Fn(NodeId, &mut StdRng) -> NodeId + Sync,
+    {
+        Ok(Simulator::run_dynamic_until(
+            self, lambda, dest, cycles, pause_at,
+        ))
+    }
+
+    fn resume_dynamic<F>(
+        &mut self,
+        lambda: f64,
+        dest: F,
+        cycles: u64,
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> Result<DynamicOutcome, ShardPanicked>
+    where
+        F: Fn(NodeId, &mut StdRng) -> NodeId + Sync,
+    {
+        Ok(Simulator::resume_dynamic(
+            self, lambda, dest, cycles, progress, pause_at,
+        ))
+    }
+
+    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
+        Simulator::checkpoint(self, meta, progress)
+    }
+
+    fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
+        Simulator::restore(self, text)
+    }
+
+    fn partitioned_destinations(&self) -> Vec<u32> {
+        Simulator::partitioned_destinations(self)
+    }
+
+    fn stall_report(&self) -> Option<&StallReport> {
+        None
+    }
+
+    fn into_recorder(self) -> Rec {
+        Simulator::into_recorder(self)
+    }
+}
+
+impl<R, Rec> Engine for ShardedSimulator<R, Rec>
+where
+    R: RoutingFunction + Clone + Send,
+    R::Msg: Send + SnapshotMsg,
+    Rec: ShardRecorder + Send,
+{
+    type Rec = Rec;
+
+    fn run_static_until(
+        &mut self,
+        backlog: &[Vec<NodeId>],
+        pause_at: Option<u64>,
+    ) -> Result<StaticOutcome, ShardPanicked> {
+        self.try_run_static_until(backlog, pause_at)
+    }
+
+    fn resume_static(
+        &mut self,
+        backlog: &[Vec<NodeId>],
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> Result<StaticOutcome, ShardPanicked> {
+        self.try_resume_static(backlog, progress, pause_at)
+    }
+
+    fn run_dynamic_until<F>(
+        &mut self,
+        lambda: f64,
+        dest: F,
+        cycles: u64,
+        pause_at: Option<u64>,
+    ) -> Result<DynamicOutcome, ShardPanicked>
+    where
+        F: Fn(NodeId, &mut StdRng) -> NodeId + Sync,
+    {
+        self.try_run_dynamic_until(lambda, dest, cycles, pause_at)
+    }
+
+    fn resume_dynamic<F>(
+        &mut self,
+        lambda: f64,
+        dest: F,
+        cycles: u64,
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> Result<DynamicOutcome, ShardPanicked>
+    where
+        F: Fn(NodeId, &mut StdRng) -> NodeId + Sync,
+    {
+        self.try_resume_dynamic(lambda, dest, cycles, progress, pause_at)
+    }
+
+    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
+        ShardedSimulator::checkpoint(self, meta, progress)
+    }
+
+    fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
+        ShardedSimulator::restore(self, text)
+    }
+
+    fn partitioned_destinations(&self) -> Vec<u32> {
+        ShardedSimulator::partitioned_destinations(self)
+    }
+
+    fn stall_report(&self) -> Option<&StallReport> {
+        ShardedSimulator::stall_report(self)
+    }
+
+    fn into_recorder(self) -> Rec {
+        ShardedSimulator::into_recorder(self)
+    }
+}

@@ -758,27 +758,29 @@ impl<R: RoutingFunction> LaneSim<R> {
         out
     }
 
-    /// [`LaneSim::run_dynamic`] with a lane-aware destination function:
-    /// `dest(k, src, rng)` draws lane `k`'s destination for an injection
-    /// at `src`. This is the hook for workloads compiled per replication
-    /// seed (e.g. the table runner's seeded leveled permutations), where
-    /// each lane must draw from its own compiled pattern to stay
-    /// bit-identical to the standalone sequential run.
+    /// [`LaneSim::run_dynamic_recorded`] with a lane-aware destination
+    /// function: `dest(k, src, rng)` draws lane `k`'s destination for an
+    /// injection at `src`. This is the hook for workloads compiled per
+    /// replication seed (e.g. the table runner's seeded leveled
+    /// permutations), where each lane must draw from its own compiled
+    /// pattern to stay bit-identical to the standalone sequential run.
     ///
     /// # Panics
     ///
-    /// Panics if λ is outside `[0, 1]`.
-    pub fn run_dynamic_indexed(
+    /// Panics if λ is outside `[0, 1]` or `recs.len() != num_lanes()`.
+    pub fn run_dynamic_indexed<Rec: Recorder>(
         &mut self,
         lambda: f64,
         mut dest: impl FnMut(usize, NodeId, &mut StdRng) -> NodeId,
         cycles: u64,
+        recs: &mut [Rec],
     ) -> Vec<DynamicResult> {
         assert!((0.0..=1.0).contains(&lambda));
+        assert_eq!(recs.len(), self.lanes.len(), "one recorder per lane");
         let mut out = Vec::with_capacity(self.lanes.len());
-        for k in 0..self.lanes.len() {
+        for (k, rec) in recs.iter_mut().enumerate() {
             let mut lane_dest = |src: NodeId, rng: &mut StdRng| dest(k, src, rng);
-            out.push(self.run_lane_dynamic(k, lambda, &mut lane_dest, cycles, &mut NoRecorder));
+            out.push(self.run_lane_dynamic(k, lambda, &mut lane_dest, cycles, rec));
         }
         out
     }

@@ -52,6 +52,7 @@
 
 mod engine;
 pub mod fault;
+mod interface;
 mod lanes;
 mod layout;
 pub mod node_design;
@@ -70,6 +71,7 @@ pub use fadr_metrics::{
 };
 pub use fadr_qdg::SnapshotMsg;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
+pub use interface::Engine;
 pub use lanes::{lane_seed, lane_seeds, LaneSim};
 pub use layout::Layout;
 pub use partition::{Partition, PartitionError, PartitionStrategy};

@@ -956,26 +956,8 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
         R::Msg: Send,
         Rec: Send,
     {
-        self.try_run_static(backlog)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ShardedSimulator::run_static`], but a worker panic is returned
-    /// as [`ShardPanicked`] instead of aborting the caller. The
-    /// simulator's shard state is unspecified after an error — drop it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardPanicked`] naming the first shard whose worker
-    /// panicked, with its stringified panic payload.
-    pub fn try_run_static(&mut self, backlog: &[Vec<NodeId>]) -> Result<StaticResult, ShardPanicked>
-    where
-        R: Send,
-        R::Msg: Send,
-        Rec: Send,
-    {
-        match self.try_run_static_until(backlog, None)? {
-            StaticOutcome::Finished(res) => Ok(res),
+        match self.run_static_until(backlog, None) {
+            StaticOutcome::Finished(res) => res,
             StaticOutcome::Paused(_) => unreachable!("no pause cycle was requested"),
         }
     }
@@ -998,13 +980,10 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
     }
 
     /// [`ShardedSimulator::run_static_until`], but a worker panic is
-    /// returned as [`ShardPanicked`] instead of aborting the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardPanicked`] naming the first shard whose worker
-    /// panicked, with its stringified panic payload.
-    pub fn try_run_static_until(
+    /// returned as [`ShardPanicked`] (the [`crate::Engine`] error
+    /// channel) naming the first shard whose worker panicked. The shard
+    /// state is unspecified after an error — drop the engine.
+    pub(crate) fn try_run_static_until(
         &mut self,
         backlog: &[Vec<NodeId>],
         pause_at: Option<u64>,
@@ -1048,6 +1027,23 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
         R::Msg: Send,
         Rec: Send,
     {
+        self.try_resume_static(backlog, progress, pause_at)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ShardedSimulator::resume_static`], with worker panics returned
+    /// as in [`ShardedSimulator::try_run_static_until`].
+    pub(crate) fn try_resume_static(
+        &mut self,
+        backlog: &[Vec<NodeId>],
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> Result<StaticOutcome, ShardPanicked>
+    where
+        R: Send,
+        R::Msg: Send,
+        Rec: Send,
+    {
         assert_eq!(backlog.len(), self.num_nodes());
         let RunProgress::Static { next_idx, lost } = progress else {
             panic!("resume_static needs static progress");
@@ -1060,22 +1056,20 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
             lost,
         };
         let next_idx = &next_idx;
-        let outs = self
-            .run_shards(
-                Horizon::Drain { total },
-                |sid, plan| StaticPlanner {
-                    backlog,
-                    nodes: plan.nodes[sid].clone(),
-                    next_idx: plan.nodes[sid]
-                        .iter()
-                        .map(|&v| next_idx[v as usize])
-                        .collect(),
-                },
-                pause_at,
-                Some(resume),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.finish_static(total, &outs)
+        let outs = self.run_shards(
+            Horizon::Drain { total },
+            |sid, plan| StaticPlanner {
+                backlog,
+                nodes: plan.nodes[sid].clone(),
+                next_idx: plan.nodes[sid]
+                    .iter()
+                    .map(|&v| next_idx[v as usize])
+                    .collect(),
+            },
+            pause_at,
+            Some(resume),
+        )?;
+        Ok(self.finish_static(total, &outs))
     }
 
     fn finish_static(&mut self, total: u64, outs: &[WorkerOut]) -> StaticOutcome {
@@ -1134,31 +1128,8 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
         R::Msg: Send,
         Rec: Send,
     {
-        self.try_run_dynamic(lambda, dest, cycles)
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`ShardedSimulator::run_dynamic`], but a worker panic is returned
-    /// as [`ShardPanicked`] instead of aborting the caller. The
-    /// simulator's shard state is unspecified after an error — drop it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardPanicked`] naming the first shard whose worker
-    /// panicked, with its stringified panic payload.
-    pub fn try_run_dynamic(
-        &mut self,
-        lambda: f64,
-        dest: impl Fn(NodeId, &mut StdRng) -> NodeId + Sync,
-        cycles: u64,
-    ) -> Result<DynamicResult, ShardPanicked>
-    where
-        R: Send,
-        R::Msg: Send,
-        Rec: Send,
-    {
-        match self.try_run_dynamic_until(lambda, dest, cycles, None)? {
-            DynamicOutcome::Finished(res) => Ok(res),
+        match self.run_dynamic_until(lambda, dest, cycles, None) {
+            DynamicOutcome::Finished(res) => res,
             DynamicOutcome::Paused(_) => unreachable!("no pause cycle was requested"),
         }
     }
@@ -1182,14 +1153,9 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`ShardedSimulator::run_dynamic_until`], but a worker panic is
-    /// returned as [`ShardPanicked`] instead of aborting the caller.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ShardPanicked`] naming the first shard whose worker
-    /// panicked, with its stringified panic payload.
-    pub fn try_run_dynamic_until(
+    /// [`ShardedSimulator::run_dynamic_until`], with worker panics
+    /// returned as in [`ShardedSimulator::try_run_static_until`].
+    pub(crate) fn try_run_dynamic_until(
         &mut self,
         lambda: f64,
         dest: impl Fn(NodeId, &mut StdRng) -> NodeId + Sync,
@@ -1244,6 +1210,25 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
         R::Msg: Send,
         Rec: Send,
     {
+        self.try_resume_dynamic(lambda, dest, cycles, progress, pause_at)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`ShardedSimulator::resume_dynamic`], with worker panics returned
+    /// as in [`ShardedSimulator::try_run_static_until`].
+    pub(crate) fn try_resume_dynamic(
+        &mut self,
+        lambda: f64,
+        dest: impl Fn(NodeId, &mut StdRng) -> NodeId + Sync,
+        cycles: u64,
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> Result<DynamicOutcome, ShardPanicked>
+    where
+        R: Send,
+        R::Msg: Send,
+        Rec: Send,
+    {
         assert!((0.0..=1.0).contains(&lambda));
         let RunProgress::Dynamic { attempts, injected } = progress else {
             panic!("resume_dynamic needs dynamic progress");
@@ -1258,33 +1243,31 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
             dropped: self.dropped(),
             lost: 0,
         };
-        let outs = self
-            .run_shards(
-                Horizon::Cycles(cycles),
-                |sid, plan| {
-                    let nodes = plan.nodes[sid].clone();
-                    let rngs = nodes
-                        .iter()
-                        .map(|&v| {
-                            let mut rng = node_rng(seed, v as usize);
-                            for _ in 0..rounds {
-                                let _ = draw(&mut rng, lambda, v as usize, &mut |w, r| dest(w, r));
-                            }
-                            rng
-                        })
-                        .collect();
-                    DynPlanner {
-                        lambda,
-                        dest,
-                        nodes,
-                        rngs,
-                    }
-                },
-                pause_at,
-                Some(resume),
-            )
-            .unwrap_or_else(|e| panic!("{e}"));
-        self.finish_dynamic(attempts, injected, &outs)
+        let outs = self.run_shards(
+            Horizon::Cycles(cycles),
+            |sid, plan| {
+                let nodes = plan.nodes[sid].clone();
+                let rngs = nodes
+                    .iter()
+                    .map(|&v| {
+                        let mut rng = node_rng(seed, v as usize);
+                        for _ in 0..rounds {
+                            let _ = draw(&mut rng, lambda, v as usize, &mut |w, r| dest(w, r));
+                        }
+                        rng
+                    })
+                    .collect();
+                DynPlanner {
+                    lambda,
+                    dest,
+                    nodes,
+                    rngs,
+                }
+            },
+            pause_at,
+            Some(resume),
+        )?;
+        Ok(self.finish_dynamic(attempts, injected, &outs))
     }
 
     fn finish_dynamic(

@@ -1,6 +1,6 @@
 //! Shard-panic containment: a routing function that panics inside a
 //! worker thread must surface as a structured [`ShardPanicked`] error
-//! from the `try_*` entry points — every sibling worker is drained (the
+//! from the [`Engine`] entry points — every sibling worker is drained (the
 //! poisoned phase barrier wakes them), the blamed shard is the one that
 //! unwound *first*, and the caller's thread survives to run the next
 //! case. This is what lets the fuzzer treat an engine panic as a
@@ -8,11 +8,35 @@
 
 use fadr_core::HypercubeFullyAdaptive;
 use fadr_qdg::{BufferClass, QueueId, RoutingFunction, Transition};
-use fadr_sim::{ShardPanicked, ShardedSimulator, SimConfig, Simulator};
+use fadr_sim::{
+    DynamicOutcome, DynamicResult, Engine, ShardPanicked, ShardedSimulator, SimConfig, Simulator,
+    StaticOutcome, StaticResult,
+};
 use fadr_topology::{NodeId, Port, Topology};
 use fadr_workloads::{static_backlog, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// A whole static run through the [`Engine`] error channel.
+fn try_static<E: Engine>(e: &mut E, work: &[Vec<NodeId>]) -> Result<StaticResult, ShardPanicked> {
+    match e.run_static_until(work, None)? {
+        StaticOutcome::Finished(res) => Ok(res),
+        StaticOutcome::Paused(_) => unreachable!("no pause requested"),
+    }
+}
+
+/// A whole dynamic run through the [`Engine`] error channel.
+fn try_dynamic<E: Engine>(
+    e: &mut E,
+    lambda: f64,
+    dest: impl Fn(NodeId, &mut StdRng) -> NodeId + Sync,
+    cycles: u64,
+) -> Result<DynamicResult, ShardPanicked> {
+    match e.run_dynamic_until(lambda, dest, cycles, None)? {
+        DynamicOutcome::Finished(res) => Ok(res),
+        DynamicOutcome::Paused(_) => unreachable!("no pause requested"),
+    }
+}
 
 /// A scheme that panics the first time routing is evaluated at `victim`.
 #[derive(Clone)]
@@ -88,9 +112,7 @@ fn worker_panic_is_contained_and_attributed() {
         for victim in [0usize, 9, 15] {
             let rf = PanicAt { inner: rf, victim };
             let mut shr = ShardedSimulator::new(rf, SimConfig::default(), shards);
-            let err = shr
-                .try_run_static(&work)
-                .expect_err("victimized run must fail");
+            let err = try_static(&mut shr, &work).expect_err("victimized run must fail");
             assert!(err.shard < shards, "shard index out of range: {err:?}");
             assert!(
                 err.payload.contains("synthetic routing fault"),
@@ -105,7 +127,7 @@ fn worker_panic_is_contained_and_attributed() {
     // The process is intact: a fresh healthy run on the same thread
     // still drains.
     let mut ok = ShardedSimulator::new(rf, SimConfig::default(), 3);
-    let res = ok.try_run_static(&work).expect("healthy run");
+    let res = try_static(&mut ok, &work).expect("healthy run");
     assert!(res.drained);
 }
 
@@ -118,13 +140,17 @@ fn dynamic_worker_panic_is_contained() {
     };
     let size = rf.topology().num_nodes();
     let mut shr = ShardedSimulator::new(rf, SimConfig::default(), 2);
-    let err = shr
-        .try_run_dynamic(0.9, |s, rng| Pattern::Random.draw(s, size, rng), 50)
-        .expect_err("victimized run must fail");
+    let err = try_dynamic(
+        &mut shr,
+        0.9,
+        |s, rng| Pattern::Random.draw(s, size, rng),
+        50,
+    )
+    .expect_err("victimized run must fail");
     assert!(err.payload.contains("synthetic routing fault"), "{err:?}");
 }
 
-/// The panicking (non-`try`) entry point keeps its panic semantics but
+/// The panicking inherent entry point keeps its panic semantics but
 /// now panics with the structured, shard-attributed message.
 #[test]
 fn plain_run_panics_with_structured_message() {
@@ -173,6 +199,6 @@ fn wrapper_without_victim_is_transparent() {
     let mut seq = Simulator::new(inner, SimConfig::default());
     let mut shr = ShardedSimulator::new(rf, SimConfig::default(), 2);
     let a = seq.run_static(&work);
-    let b = shr.try_run_static(&work).expect("transparent run");
+    let b = try_static(&mut shr, &work).expect("transparent run");
     assert_eq!(a, b);
 }
