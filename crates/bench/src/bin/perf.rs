@@ -62,9 +62,10 @@
 //!   replication-throughput speedup (delivered packets per wall-clock
 //!   second) with an overlap-aware verdict. The speedup is recorded in
 //!   EXPERIMENTS.md, not asserted: wall-clock thresholds in CI are
-//!   flakes waiting to happen. The lane engine has no fault model, no
-//!   snapshots and no shard threads, so this mode rejects `--faults`,
-//!   checkpoint/resume and `--shards > 1`.
+//!   flakes waiting to happen. The harness runs a lane batch with
+//!   faults, snapshots or shards one engine per replication, so this
+//!   mode rejects `--faults`, checkpoint/resume and `--shards > 1`
+//!   rather than time that path against itself.
 
 #![forbid(unsafe_code)]
 
@@ -269,6 +270,27 @@ fn run() -> Result<ExitCode, String> {
         opts.lanes.max(1)
     };
     obs_args.validate(&opts)?;
+    if compare_mode.as_deref() == Some("lanes") {
+        // The harness runs a lane batch with shards, faults or snapshots
+        // one engine per replication, so this comparison would time the
+        // per-replication path against itself.
+        let snapshots = obs_args.checkpoint_at.is_some() || obs_args.resume_from.is_some();
+        if opts.shards > 1 {
+            return Err(
+                "--compare lanes conflicts with --shards: it runs its lanes on one thread".into(),
+            );
+        } else if obs_args.faults.is_some() {
+            return Err(
+                "--compare lanes conflicts with --faults: lanes have no fault model".into(),
+            );
+        } else if snapshots {
+            return Err(
+                "--compare lanes conflicts with --checkpoint-at/--resume-from: \
+                 lanes cannot checkpoint or restore"
+                    .into(),
+            );
+        }
+    }
     // `--faults` rides every RunOptions-driven workload (the table rows,
     // the compared row and the instrumented re-runs); the `--large`
     // scenarios stay fault-free so their delivered-count floor keeps

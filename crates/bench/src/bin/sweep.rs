@@ -16,9 +16,9 @@
 //! engine (`fadr_sim::LaneSim`). Lambda points then emit mean ± 95% CI
 //! columns instead of single noisy samples (the CSV header changes, so
 //! downstream parsing is never silently wrong); capacity rows average
-//! the replications like `tables --reps R`. The lane engine has no fault
-//! model, no snapshots and no shard threads, so `--lanes > 1` rejects
-//! `--faults`, checkpoint/resume and `--shards > 1`.
+//! the replications like `tables --reps R`. With `--faults`,
+//! checkpoint/resume or `--shards > 1` the replications run one engine
+//! each instead (a lane batch has none of these), with the same output.
 //!
 //! `--partition P` picks the shard partition strategy
 //! (`auto|contiguous|hamming|bisection|bfs`, default `auto`); a `#`

@@ -22,9 +22,10 @@
 //!   as lanes of the lane engine (`fadr_sim::LaneSim`) instead of as
 //!   standalone simulations. Implies `--reps R` unless `--reps` is given;
 //!   output is bit-identical to `--reps R` without `--lanes` (CI diffs
-//!   the two), recording sinks included. The lane engine has no fault
-//!   model, no snapshots and no shard threads, so `--lanes > 1` rejects
-//!   `--faults`, checkpoint/resume and `--shards > 1`.
+//!   the two), recording sinks included. With `--faults`,
+//!   checkpoint/resume or `--shards > 1` the replications run one
+//!   engine each instead (a lane batch has none of these), with the
+//!   same output.
 //! * `--csv` — emit CSV instead of aligned text.
 //! * `--trace PATH` — write JSONL packet lifecycles (first 256 packets
 //!   per run).

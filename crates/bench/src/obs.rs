@@ -324,7 +324,6 @@ impl ObsArgs {
     ///
     /// The first conflict found.
     pub fn validate(&self, opts: &RunOptions) -> Result<(), String> {
-        let snapshots = self.checkpoint_at.is_some() || self.resume_from.is_some();
         let conflict = if self.checkpoint_at.is_some() && self.resume_from.is_some() {
             "--checkpoint-at and --resume-from are mutually exclusive: \
              a run either writes its snapshot or restores one"
@@ -333,13 +332,6 @@ impl ObsArgs {
         } else if self.waitgraph && opts.shards > 1 {
             "--waitgraph needs --shards 1: the wait-for-graph probe is global, \
              and a shard sees only its own queues"
-        } else if opts.lanes > 1 && opts.shards > 1 {
-            "--lanes conflicts with --shards: the lane engine runs its lanes on one thread"
-        } else if opts.lanes > 1 && self.faults.is_some() {
-            "--lanes conflicts with --faults: the lane engine has no fault model"
-        } else if opts.lanes > 1 && snapshots {
-            "--lanes conflicts with --checkpoint-at/--resume-from: \
-             the lane engine cannot checkpoint or restore"
         } else {
             return Ok(());
         };
@@ -611,7 +603,7 @@ mod tests {
             f(&mut o);
             o
         };
-        let cases: [(ObsArgs, RunOptions, &str); 6] = [
+        let cases: [(ObsArgs, RunOptions, &str); 3] = [
             (
                 with(|o| {
                     o.checkpoint_at = Some(5);
@@ -633,28 +625,14 @@ mod tests {
                 RunOptions { shards: 2, ..plain },
                 "probe is global",
             ),
-            (
-                ObsArgs::default(),
-                RunOptions { shards: 2, ..lanes },
-                "lanes on one thread",
-            ),
-            (
-                with(|o| o.faults = Some(PathBuf::from("p.json"))),
-                lanes,
-                "no fault model",
-            ),
-            (
-                with(|o| o.resume_from = Some(PathBuf::from("d"))),
-                lanes,
-                "cannot checkpoint or restore",
-            ),
         ];
         for (o, opts, reason) in &cases {
             let err = o.validate(opts).expect_err(reason);
             assert!(err.contains(reason), "{err:?} must name {reason:?}");
         }
-        // Everything else composes: lanes with every recording sink,
-        // shards with faults and snapshots, a wedge under a watchdog.
+        // Everything else composes: lanes with every recording sink and
+        // with shards, faults and snapshots; shards with faults and
+        // snapshots; a wedge under a watchdog.
         let recording = with(|o| {
             o.metrics_out = Some(PathBuf::from("m.json"));
             o.trace_out = Some(PathBuf::from("t.jsonl"));
@@ -668,6 +646,9 @@ mod tests {
             o.checkpoint_at = Some(5);
         });
         assert_eq!(faulted.validate(&RunOptions { shards: 4, ..plain }), Ok(()));
+        assert_eq!(faulted.validate(&RunOptions { shards: 2, ..lanes }), Ok(()));
+        let resumed = with(|o| o.resume_from = Some(PathBuf::from("d")));
+        assert_eq!(resumed.validate(&lanes), Ok(()));
         let wedge = with(|o| o.watchdog = Some(10));
         let cap0 = RunOptions {
             queue_capacity: 0,

@@ -736,11 +736,15 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
     /// The one engine-construction site. `opts.lanes > 1` batches the
     /// replications as lanes of one [`fadr_sim::LaneSim`]; it fires every recorder
     /// hook per lane (watchdog stop and wait-for-graph probe included),
-    /// so each lane records into its own sink set. Otherwise every
-    /// replication gets a standalone engine: sequential, or sharded when
-    /// `opts.shards > 1`. The sharded engine evaluates the watchdog on
-    /// global progress, so its per-shard sink sets are built without the
-    /// watchdog and the wait-for-graph probe (per-shard copies would
+    /// so each lane records into its own sink set. A lane batch has no
+    /// fault model, snapshots or shards, so a run with a fault plan, a
+    /// snapshot policy or `opts.shards > 1` takes the per-replication
+    /// path instead, which the `--lanes R` ≡ `--reps R` contract makes
+    /// byte-identical. There every replication gets a standalone engine:
+    /// sequential, or sharded when `opts.shards > 1`. The sharded engine
+    /// evaluates the watchdog on global progress, so its per-shard sink
+    /// sets are built without the watchdog and the wait-for-graph probe
+    /// (per-shard copies would
     /// misfire on a locally idle shard; `ObsArgs::validate` rejects
     /// `--waitgraph` with `--shards > 1`), the engine runs the watchdog
     /// itself, and its [`fadr_metrics::StallReport`] is re-installed into
@@ -763,7 +767,9 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
             .iter()
             .map(|r| Workload::new(self.source, self.n, r.seed, opts.dynamic_cycles))
             .collect();
-        if opts.lanes > 1 {
+        let lanes =
+            opts.lanes > 1 && opts.faults.is_none() && opts.snapshot.is_none() && opts.shards <= 1;
+        if lanes {
             let seeds = self.reps.iter().map(|r| r.seed).collect();
             let mut sim = fadr_sim::LaneSim::with_lane_seeds(rf, cfg(self.reps[0].seed), seeds);
             let mut recs: Vec<Rec> = (0..self.reps.len())

@@ -59,10 +59,6 @@ fn sweep_rejects_bad_values() {
             (&["lambda", "--partition", "diagonal"], "--partition"),
             (&["lambda", "--bogus"], "unknown argument --bogus"),
             (
-                &["lambda", "--lanes", "4", "--shards", "2"],
-                "lanes on one thread",
-            ),
-            (
                 &["lambda", "--waitgraph", "--shards", "2"],
                 "probe is global",
             ),
@@ -80,12 +76,6 @@ fn tables_rejects_bad_values_and_conflicts() {
             (&["--watchdog", "0"], "--watchdog window"),
             (&["--cap", "0"], "requires --watchdog"),
             (&["--shards", "0"], "--shards must be a positive integer"),
-            (&["--lanes", "3", "--shards", "2"], "lanes on one thread"),
-            (&["--lanes", "3", "--faults", "plan.json"], "no fault model"),
-            (
-                &["--lanes", "3", "--resume-from", "snaps"],
-                "cannot checkpoint or restore",
-            ),
             (&["--waitgraph", "--shards", "2"], "probe is global"),
             (
                 &[

@@ -199,3 +199,48 @@ fn replicated_point_aggregates_all_lanes() {
     );
     assert_eq!(point(2, 2).throughput.n, 2);
 }
+
+/// A lane batch has no fault model, snapshots or shards, so with a fault
+/// plan or `shards > 1` the runner runs one engine per replication; the
+/// rows must still reproduce the `lanes = 1` path exactly (a lane batch
+/// that silently ignored the plan would not).
+#[test]
+fn lanes_with_faults_or_shards_match_reps() {
+    let mut plan = fadr_sim::FaultPlan::new(5, 3);
+    plan.push(4, fadr_sim::FaultKind::LinkDown { from: 0, to: 1 });
+    plan.push(
+        2,
+        fadr_sim::FaultKind::FlakyLink {
+            from: 2,
+            to: 3,
+            until: 40,
+            threshold: 40,
+        },
+    );
+    let faulted = RunOptions {
+        faults: Some(Box::leak(Box::new(plan))),
+        ..opts()
+    };
+    let sharded = RunOptions {
+        shards: 2,
+        ..opts()
+    };
+    for (what, base) in [("faults", faulted), ("shards", sharded)] {
+        for t in [2, 9] {
+            let seq = run_rows(spec(t), &DIMS, base, 1);
+            let lane = run_rows(spec(t), &DIMS, lanes(base), 1);
+            assert_eq!(
+                format!("{seq:?}"),
+                format!("{lane:?}"),
+                "{what}, table {t}: lanes diverged from reps"
+            );
+        }
+    }
+    let clean = run_rows(spec(9), &DIMS, opts(), 1);
+    let faulted_rows = run_rows(spec(9), &DIMS, faulted, 1);
+    assert_ne!(
+        format!("{clean:?}"),
+        format!("{faulted_rows:?}"),
+        "the plan must change the run for the check above to mean anything"
+    );
+}

@@ -1,12 +1,16 @@
-//! The simulation engine: data-oriented packet store, queue state, and
-//! the three-step routing cycle (fill, link, read).
+//! The simulation engine: the one step core ([`Core`], the three-step
+//! routing cycle of fill, link and read), its two option sources, and
+//! the sequential [`Simulator`] built on it.
 //!
-//! Packet state lives in a struct-of-arrays [`PacketStore`] and cached
-//! routing options in a shared [`OptionArena`] (see [`crate::store`]);
-//! output/input-buffer occupancy is mirrored in dense bitsets so the
-//! link pass can test a whole channel with two word fetches instead of
-//! a per-buffer scan.
+//! Packet state lives in a [`PacketStore`] (a packed 32-byte hot row
+//! plus cold columns; see [`crate::store`]); output/input-buffer
+//! occupancy is mirrored in dense bitsets so the link pass can test a
+//! whole channel with two word fetches instead of a per-buffer scan.
+//! Where a queued packet's moves come from is the [`OptionSource`]
+//! seam: computed at enqueue ([`Computed`], every `Simulator` and
+//! shard) or looked up in the lane engine's shared state table.
 
+use std::marker::PhantomData;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
@@ -22,7 +26,7 @@ use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::layout::{Layout, NONE};
 use crate::partition::OwnedNodes;
 use crate::snapshot::{self, Loc, PacketRec, ParsedSnapshot};
-use crate::store::{BitSet, MoveOpt, OptionArena, PacketInit, PacketStore};
+use crate::store::{BitSet, Hot, MoveOpt, OptionArena, PacketInit, PacketStore};
 use crate::{FillOrder, SimConfig};
 
 /// Why a simulation run ended.
@@ -244,7 +248,7 @@ pub enum DynamicOutcome {
     Paused(RunProgress),
 }
 
-/// Internal parameter pack for [`Simulator::dynamic_loop`].
+/// Internal parameter pack for [`Core::dynamic_loop`].
 struct DynState {
     lambda: f64,
     cycles: u64,
@@ -254,139 +258,204 @@ struct DynState {
     resumed: bool,
 }
 
-/// The packet-routing simulator; see the crate docs for the model.
+/// What an arriving staged packet does at its receiving node.
+pub(crate) enum Arrival {
+    /// Its routing state has arrived: deliver it.
+    Deliver,
+    /// Enter central queue `class` if it has room.
+    Enqueue(u8),
+    /// Refused this cycle (the block is already recorded).
+    Refused,
+}
+
+/// Where a queued packet's moves come from: the one seam between the
+/// step core and its two option sources.
 ///
-/// `Rec` is the attached event [`Recorder`], monomorphized into the hot
-/// loop: the default [`NoRecorder`] has empty inline hooks, so an
-/// unobserved simulator compiles to exactly the code it had before the
-/// observability layer existed. Pass a [`fadr_metrics::SinkSet`] (or any
-/// custom recorder) via [`Simulator::with_recorder`] to collect
-/// routing-decision counters, packet traces, or watchdog evidence.
-pub struct Simulator<R: RoutingFunction, Rec: Recorder = NoRecorder> {
-    rf: R,
-    rec: Rec,
-    /// Next packet uid (injection order; never recycled).
-    next_uid: u64,
-    cfg: SimConfig,
-    /// Shared with sibling shard simulators in sharded runs (the layout
-    /// is immutable after construction).
-    layout: Arc<Layout>,
-    num_classes: usize,
+/// * [`Computed`] runs the routing function when a packet enqueues
+///   ([`push_move_options`] plus the degraded-mode post-pass). It is the
+///   only source that supports faults and snapshots; [`Simulator`] and
+///   every shard of a [`crate::ShardedSimulator`] use it.
+/// * The lane engine's shared, precomputed routing-state table
+///   (`crate::lanes`), which a packet walks by state id.
+///
+/// A source owns the option records a packet's hot row points into
+/// (`opt_start..opt_start + opt_len`) and decides how a packet's routing
+/// state starts, advances and arrives. Everything else — fill, link,
+/// read, enqueue, delivery, occupancy sampling, wait edges and fault
+/// surgery — is [`Core`]'s, written once.
+pub(crate) trait OptionSource<R: RoutingFunction>: Sized {
+    /// Per-packet routing message the core stores (`()` for a source
+    /// that tracks state ids instead).
+    type Msg: Clone;
+
+    /// Output buffer of option record `i` ([`NONE`] for a stutter).
+    fn opt_buf(&self, i: usize) -> u32;
+
+    /// Central-queue class on arrival of option record `i`.
+    fn opt_to_class(&self, i: usize) -> u8;
+
+    /// The option record of `h`'s segment that stages onto fill position
+    /// `pos`, output buffer `buf`.
+    fn pick(&self, h: &Hot, _pos: usize, buf: u32) -> usize {
+        let s = h.opt_start as usize;
+        (s..s + usize::from(h.opt_len))
+            .find(|&i| self.opt_buf(i) == buf)
+            .expect("wanting packet has the option")
+    }
+
+    /// Take back a freed packet's option segment.
+    fn release(&mut self, _h: &Hot) {}
+
+    /// Forget every per-run record (engine reset).
+    fn clear(&mut self) {}
+
+    /// The routing message of a fresh `src → dst` packet.
+    fn initial_msg(rf: &R, src: NodeId, dst: NodeId) -> Self::Msg;
+
+    /// Whether staged packet `h`'s hop delivers it, when the source
+    /// already knows at staging (lets an unrecorded run deliver during
+    /// the link pass).
+    fn delivers_on_arrival(_h: &Hot) -> bool {
+        false
+    }
+
+    /// Point packet `p`, whose message is its initial one at `node`, at
+    /// its entry residence; returns the entry class.
+    fn entry(core: &mut Core<R, Self>, rf: &R, node: usize, p: u32) -> u8;
+
+    /// Advance `p`'s routing state along option record `i`.
+    fn advance(core: &mut Core<R, Self>, p: u32, i: usize);
+
+    /// What staged packet `p` does on arrival at `node`.
+    fn arrival<Rec: Recorder>(
+        core: &mut Core<R, Self>,
+        rf: &R,
+        node: usize,
+        p: u32,
+        rec: &mut Rec,
+    ) -> Arrival;
+
+    /// Load the moves of `p`'s residence in its current queue at `node`
+    /// into its hot row (a no-op for a source that loads them when the
+    /// packet's state advances).
+    fn settle<Rec: Recorder>(
+        _core: &mut Core<R, Self>,
+        _rf: &R,
+        _p: u32,
+        _node: usize,
+        _rec: &mut Rec,
+    ) {
+    }
+}
+
+/// The one step core: § 7.1's fill/link/read cycle over one network's
+/// mutable run state — a [`Simulator`], one shard of a
+/// [`crate::ShardedSimulator`], or one lane of a [`crate::LaneSim`]. The
+/// routing function and the recorder are passed in per call, so lanes
+/// share one routing function and take a recorder per run.
+///
+/// The fast paths are exact: a want-mask fill when every node has at
+/// most 64 output buffers ([`Layout`]'s `fast_fill`), an
+/// occupied-slot mask read when every node has at most 63 inputs
+/// (`fast_read`), and the source's option pick. Each visits exactly the
+/// positions the plain scans (the fallbacks) would pick, in the same
+/// order.
+pub(crate) struct Core<R: RoutingFunction, S: OptionSource<R>> {
+    pub(crate) cfg: SimConfig,
+    /// Shared with sibling shards and lanes (immutable after
+    /// construction).
+    pub(crate) layout: Arc<Layout>,
+    pub(crate) num_classes: usize,
+    /// Where queued packets' moves come from.
+    pub(crate) src: S,
     /// Central-queue occupancy, indexed `node * num_classes + class`.
     /// Queue *membership* lives in `node_fifo`; only the per-class counts
     /// are needed for capacity checks and the occupancy probe.
-    queue_len: Vec<u32>,
-    /// Per-node queued packets in FIFO-across-queues order (nondecreasing
-    /// `enqueued_at`), maintained incrementally: arrivals append at the
-    /// back, stutters re-enqueue at the back, staged packets are removed
-    /// in place. This replaces a per-cycle rebuild + sort of the same
-    /// ordering, which dominated the fill-phase cost.
+    pub(crate) queue_len: Vec<u32>,
+    /// Per-node queued packets in FIFO-across-queues order, maintained
+    /// incrementally: arrivals append at the back, stutters re-enqueue
+    /// at the back, staged packets are removed in place.
     node_fifo: Vec<Vec<u32>>,
+    /// Per node: queued packets whose residence has a stutter option
+    /// (lets the fill pass skip stutter collection at nodes with none).
+    stutter_cnt: Vec<u32>,
     outbuf: Vec<u32>,
     inbuf: Vec<u32>,
-    /// Occupied input buffers per node (read-phase skip list).
+    /// Occupied input buffers per node (read-phase skip count).
     in_occupied: Vec<u32>,
+    /// Per node: bit `i` set while input slot `i` is occupied
+    /// (maintained only with `fast_read`).
+    arr_mask: Vec<u64>,
     /// Round-robin pointer per channel (link-phase fairness). `u16`
     /// because a channel may carry up to 257 buffer classes.
-    chan_rr: Vec<u16>,
-    /// Occupied output buffers per channel (link-phase skip count;
-    /// `u16` for the same 257-class reason as `chan_rr`).
+    pub(crate) chan_rr: Vec<u16>,
+    /// Occupied output buffers per channel.
     chan_pending: Vec<u16>,
-    /// Buffer id → channel id (derived from the layout once).
-    buf_chan: Vec<u32>,
     /// Injection buffer per node (`NONE` = empty).
     inj_buf: Vec<u32>,
-    /// Struct-of-arrays packet slab (slots recycled, uids never).
-    store: PacketStore<R::Msg>,
-    /// Cached per-packet option segments (exact-fit recycled).
-    opts: OptionArena<R::Msg>,
-    /// Scratch list options are computed into before being stored in
-    /// the arena (one allocation for the whole simulator lifetime).
-    opt_scratch: Vec<MoveOpt<R::Msg>>,
+    /// Packet slab (slots recycled, uids never).
+    pub(crate) store: PacketStore<S::Msg>,
     /// Bitset mirror of `outbuf[b] != NONE` (link-phase word probes).
     out_occ: BitSet,
     /// Bitset mirror of `inbuf[b] != NONE`.
     in_occ: BitSet,
-    /// Bitset mirror of `chan_pending[c] > 0` (link-phase iteration
-    /// visits only channels with staged traffic).
+    /// Bitset mirror of `chan_pending[c] > 0`.
     chan_live: BitSet,
-    cycle: u64,
-    stats: LatencyStats,
-    delivered: u64,
-    occupancy: OccupancyProbe,
-    minimality_violations: u64,
-    throughput: Option<TimeSeries>,
+    pub(crate) cycle: u64,
+    /// Next packet uid (injection order; never recycled).
+    pub(crate) next_uid: u64,
+    pub(crate) stats: LatencyStats,
+    pub(crate) delivered: u64,
+    pub(crate) occupancy: OccupancyProbe,
+    pub(crate) minimality_violations: u64,
+    pub(crate) throughput: Option<TimeSeries>,
     /// The attached fault schedule, if any (survives resets; the per-run
     /// state in `faults` is rebuilt from it).
-    fault_plan: Option<Arc<FaultPlan>>,
-    /// Per-run fault state (dead channels/nodes, freezes, flaky windows,
-    /// surviving-graph distances); `None` without a fault plan, so the
+    pub(crate) fault_plan: Option<Arc<FaultPlan>>,
+    /// Per-run fault state; `None` without a fault plan, so the
     /// unfaulted hot path pays one `Option` check per guard site.
     faults: Option<FaultState>,
     /// Destinations found unreachable this run (unsorted, deduplicated).
-    partitioned: Vec<u32>,
+    pub(crate) partitioned: Vec<u32>,
     /// Packets destroyed by node-down faults this run.
-    dropped: u64,
-    // Scratch (reused across nodes/cycles).
+    pub(crate) dropped: u64,
+    // Scratch reused across nodes and cycles: per-position wanting lists
+    // (fallback fill only), stutter candidates, and one node's
+    // `(packet, position)` fill decisions.
     wanting: Vec<Vec<u32>>,
     stutters: Vec<u32>,
+    staging: Vec<(u32, u32)>,
+    _rf: PhantomData<fn() -> R>,
 }
 
-impl<R: RoutingFunction> Simulator<R> {
-    /// Build a simulator for `rf` with the given configuration and no
-    /// recorder (the zero-overhead default).
-    pub fn new(rf: R, cfg: SimConfig) -> Self {
-        Self::with_recorder(rf, cfg, NoRecorder)
-    }
-}
-
-impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
-    /// Build a simulator with an attached event recorder. The recorder
-    /// observes every run of this simulator (it is *not* reset between
-    /// runs); use one recorder per run for per-run metrics.
-    ///
-    /// A `queue_capacity` of 0 is permitted: it wedges the network (no
-    /// packet can ever enter a central queue), which is useful for
-    /// exercising watchdog sinks against a guaranteed stall.
-    pub fn with_recorder(rf: R, cfg: SimConfig, rec: Rec) -> Self {
-        let layout = Arc::new(Layout::new(&rf));
-        Self::with_shared_layout(rf, cfg, rec, layout)
-    }
-
-    /// Build a simulator on an already-computed layout (shared between
-    /// the per-shard simulators of a [`crate::ShardedSimulator`], which
-    /// would otherwise recompute it once per shard).
-    pub(crate) fn with_shared_layout(rf: R, cfg: SimConfig, rec: Rec, layout: Arc<Layout>) -> Self {
+impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
+    pub(crate) fn new(cfg: SimConfig, layout: Arc<Layout>, num_classes: usize, src: S) -> Self {
         let n = layout.num_nodes;
-        let num_classes = rf.num_classes();
-        let max_out = layout.node_out_bufs.iter().map(Vec::len).max().unwrap_or(0);
-        let mut buf_chan = vec![0u32; layout.num_buffers()];
-        for chan in 0..layout.num_channels() {
-            let start = layout.chan_buf_start[chan] as usize;
-            let len = layout.chan_buf_len[chan] as usize;
-            buf_chan[start..start + len].fill(chan as u32);
-        }
+        let (nb, nch) = (layout.num_buffers(), layout.num_channels());
+        let max_out = (0..n)
+            .map(|v| layout.node_out_bufs(v).len())
+            .max()
+            .unwrap_or(0);
         Self {
             cfg,
-            rec,
-            next_uid: 0,
             num_classes,
+            src,
             queue_len: vec![0; n * num_classes],
             node_fifo: vec![Vec::new(); n],
-            outbuf: vec![NONE; layout.num_buffers()],
-            inbuf: vec![NONE; layout.num_buffers()],
+            stutter_cnt: vec![0; n],
+            outbuf: vec![NONE; nb],
+            inbuf: vec![NONE; nb],
             in_occupied: vec![0; n],
-            chan_rr: vec![0; layout.num_channels()],
-            chan_pending: vec![0; layout.num_channels()],
-            buf_chan,
+            arr_mask: vec![0; n],
+            chan_rr: vec![0; nch],
+            chan_pending: vec![0; nch],
             inj_buf: vec![NONE; n],
             store: PacketStore::new(),
-            opts: OptionArena::new(),
-            opt_scratch: Vec::new(),
-            out_occ: BitSet::new(layout.num_buffers()),
-            in_occ: BitSet::new(layout.num_buffers()),
-            chan_live: BitSet::new(layout.num_channels()),
+            out_occ: BitSet::new(nb),
+            in_occ: BitSet::new(nb),
+            chan_live: BitSet::new(nch),
             cycle: 0,
+            next_uid: 0,
             stats: LatencyStats::new(),
             delivered: 0,
             occupancy: OccupancyProbe::default(),
@@ -398,80 +467,10 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             dropped: 0,
             wanting: vec![Vec::new(); max_out],
             stutters: Vec::new(),
+            staging: Vec::new(),
             layout,
-            rf,
+            _rf: PhantomData,
         }
-    }
-
-    /// Attach a fault plan: its scheduled events fire at their cycles on
-    /// every subsequent run (see [`crate::fault`] for the model). The
-    /// plan's events are sorted by cycle here, so both engines process
-    /// them in the same order.
-    #[must_use]
-    pub fn with_faults(mut self, mut plan: FaultPlan) -> Self {
-        plan.normalize();
-        self.fault_plan = Some(Arc::new(plan));
-        self
-    }
-
-    /// Share an already-normalized plan (the sharded driver hands every
-    /// shard the same `Arc`).
-    pub(crate) fn set_fault_plan(&mut self, plan: Arc<FaultPlan>) {
-        self.fault_plan = Some(plan);
-    }
-
-    /// Destinations a fault made unreachable in the last run, sorted and
-    /// deduplicated. Non-empty exactly when the run stopped with
-    /// [`StopReason::Partitioned`].
-    pub fn partitioned_destinations(&self) -> Vec<u32> {
-        let mut out = self.partitioned.clone();
-        out.sort_unstable();
-        out
-    }
-
-    /// Occupancy statistics of the last run (empty unless
-    /// [`crate::SimConfig::track_occupancy`] was set).
-    pub fn occupancy(&self) -> &OccupancyProbe {
-        &self.occupancy
-    }
-
-    /// The attached event recorder.
-    pub fn recorder(&self) -> &Rec {
-        &self.rec
-    }
-
-    /// Mutable access to the attached event recorder.
-    pub fn recorder_mut(&mut self) -> &mut Rec {
-        &mut self.rec
-    }
-
-    /// Consume the simulator and return its recorder (e.g. to reduce a
-    /// sink after a run).
-    pub fn into_recorder(self) -> Rec {
-        self.rec
-    }
-
-    /// Packets delivered with a hop count different from the topology
-    /// distance (0 for a correct minimal algorithm; only counted when
-    /// [`crate::SimConfig::check_minimality`] is set).
-    pub fn minimality_violations(&self) -> u64 {
-        self.minimality_violations
-    }
-
-    /// Delivered-packets time series of the last run, if
-    /// [`crate::SimConfig::throughput_window`] was non-zero.
-    pub fn throughput(&self) -> Option<&TimeSeries> {
-        self.throughput.as_ref()
-    }
-
-    /// The routing function under simulation.
-    pub fn routing(&self) -> &R {
-        &self.rf
-    }
-
-    /// Number of nodes.
-    pub fn num_nodes(&self) -> usize {
-        self.layout.num_nodes
     }
 
     pub(crate) fn reset(&mut self) {
@@ -479,15 +478,16 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         for f in &mut self.node_fifo {
             f.clear();
         }
+        self.stutter_cnt.fill(0);
         self.outbuf.fill(NONE);
         self.inbuf.fill(NONE);
         self.in_occupied.fill(0);
+        self.arr_mask.fill(0);
         self.chan_rr.fill(0);
         self.chan_pending.fill(0);
         self.inj_buf.fill(NONE);
         self.store.clear();
-        self.opts.clear();
-        self.opt_scratch.clear();
+        self.src.clear();
         self.out_occ.clear_all();
         self.in_occ.clear_all();
         self.chan_live.clear_all();
@@ -511,55 +511,42 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         }
     }
 
-    /// Run a static-injection experiment: node `v` injects the packets of
-    /// `backlog[v]` (in order) as fast as its injection buffer frees up,
-    /// and the run ends when the network drains.
-    pub fn run_static(&mut self, backlog: &[Vec<NodeId>]) -> StaticResult {
-        match self.run_static_until(backlog, None) {
-            StaticOutcome::Finished(r) => r,
-            StaticOutcome::Paused(_) => unreachable!("no pause requested"),
-        }
-    }
+    // --- Run loops -------------------------------------------------------
 
-    /// [`Simulator::run_static`] with an optional pause point: with
-    /// `pause_at = Some(p)` the run stops at cycle `p` *after* the
-    /// injection pass but *before* the routing step — the engine's
-    /// checkpointable pause point (see [`crate::snapshot`]) — and
-    /// returns the loop progress needed to resume.
-    pub fn run_static_until(
+    pub(crate) fn run_static_until<Rec: Recorder>(
         &mut self,
+        rf: &R,
+        rec: &mut Rec,
         backlog: &[Vec<NodeId>],
         pause_at: Option<u64>,
     ) -> StaticOutcome {
-        assert_eq!(backlog.len(), self.num_nodes());
+        assert_eq!(backlog.len(), self.layout.num_nodes);
         self.reset();
-        self.static_loop(backlog, vec![0usize; backlog.len()], 0, pause_at, false)
+        let next_idx = vec![0usize; backlog.len()];
+        self.static_loop(rf, rec, backlog, next_idx, 0, pause_at, false)
     }
 
-    /// Continue a static run from a restored checkpoint (see
-    /// [`Simulator::restore`]). The engine must already hold the
-    /// restored state; `backlog` must be the original workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `progress` is not [`RunProgress::Static`] or its cursor
-    /// vector does not match `backlog`.
-    pub fn resume_static(
+    pub(crate) fn resume_static<Rec: Recorder>(
         &mut self,
+        rf: &R,
+        rec: &mut Rec,
         backlog: &[Vec<NodeId>],
         progress: RunProgress,
         pause_at: Option<u64>,
     ) -> StaticOutcome {
-        assert_eq!(backlog.len(), self.num_nodes());
+        assert_eq!(backlog.len(), self.layout.num_nodes);
         let RunProgress::Static { next_idx, lost } = progress else {
             panic!("resume_static needs static progress");
         };
         assert_eq!(next_idx.len(), backlog.len(), "progress/backlog mismatch");
-        self.static_loop(backlog, next_idx, lost, pause_at, true)
+        self.static_loop(rf, rec, backlog, next_idx, lost, pause_at, true)
     }
 
-    fn static_loop(
+    #[allow(clippy::too_many_arguments)]
+    fn static_loop<Rec: Recorder>(
         &mut self,
+        rf: &R,
+        rec: &mut Rec,
         backlog: &[Vec<NodeId>],
         mut next_idx: Vec<usize>,
         mut lost: u64,
@@ -586,14 +573,14 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
                     } else if self.inj_buf[v] == NONE {
                         let dst = backlog[v][next_idx[v]];
                         next_idx[v] += 1;
-                        self.inj_buf[v] = self.alloc_packet(v, dst);
+                        self.inject(rf, v, dst, rec);
                     }
                 }
                 if pause_at == Some(self.cycle) {
                     return StaticOutcome::Paused(RunProgress::Static { next_idx, lost });
                 }
             }
-            if self.step() == Control::Stop {
+            if self.step(rf, rec) == Control::Stop {
                 aborted = true;
                 break;
             }
@@ -620,36 +607,10 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         })
     }
 
-    /// Run a dynamic-injection experiment for `cycles` routing cycles:
-    /// each node attempts an injection each cycle with probability
-    /// `lambda`, drawing destinations from `dest`.
-    ///
-    /// Each node draws its Bernoulli trials and destinations from its
-    /// *own* deterministic RNG stream (seeded from
-    /// [`crate::SimConfig::seed`] and the node id), and the destination
-    /// is drawn on every attempt whether or not the injection buffer is
-    /// free. Together these make the offered workload a pure function of
-    /// `(seed, λ, cycles)`: it no longer depends on buffer occupancy
-    /// (i.e. on the routing algorithm, queue capacity, or fill order), so
-    /// latency numbers from different configurations answer the same
-    /// question — and a sharded run injects the exact same packets as a
-    /// sequential one regardless of how nodes are partitioned.
-    pub fn run_dynamic(
+    pub(crate) fn run_dynamic_until<Rec: Recorder>(
         &mut self,
-        lambda: f64,
-        dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
-        cycles: u64,
-    ) -> DynamicResult {
-        match self.run_dynamic_until(lambda, dest, cycles, None) {
-            DynamicOutcome::Finished(r) => r,
-            DynamicOutcome::Paused(_) => unreachable!("no pause requested"),
-        }
-    }
-
-    /// [`Simulator::run_dynamic`] with an optional pause point (see
-    /// [`Simulator::run_static_until`] for the pause-point semantics).
-    pub fn run_dynamic_until(
-        &mut self,
+        rf: &R,
+        rec: &mut Rec,
         lambda: f64,
         mut dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
         cycles: u64,
@@ -658,7 +619,9 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         assert!((0.0..=1.0).contains(&lambda));
         self.reset();
         let seed = self.cfg.seed;
-        let rngs: Vec<StdRng> = (0..self.num_nodes()).map(|v| node_rng(seed, v)).collect();
+        let rngs: Vec<StdRng> = (0..self.layout.num_nodes)
+            .map(|v| node_rng(seed, v))
+            .collect();
         let st = DynState {
             lambda,
             cycles,
@@ -667,23 +630,14 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             pause_at,
             resumed: false,
         };
-        self.dynamic_loop(st, &mut dest, rngs)
+        self.dynamic_loop(rf, rec, st, &mut dest, rngs)
     }
 
-    /// Continue a dynamic run from a restored checkpoint. `lambda`,
-    /// `dest`, and `cycles` must be the original workload parameters:
-    /// the per-node RNG streams are not stored in the snapshot but
-    /// *fast-forwarded* — each node's stream is replayed through the
-    /// draws the paused run already consumed (one Bernoulli trial plus,
-    /// on success, one destination draw per cycle, destinations drawn
-    /// unconditionally by the run loop), which is only possible because
-    /// the draw discipline is a pure function of `(seed, λ, cycle)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `progress` is not [`RunProgress::Dynamic`].
-    pub fn resume_dynamic(
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn resume_dynamic<Rec: Recorder>(
         &mut self,
+        rf: &R,
+        rec: &mut Rec,
         lambda: f64,
         mut dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
         cycles: u64,
@@ -698,7 +652,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         // The pause point is post-injection at cycle P, so each stream
         // has consumed exactly P + 1 per-cycle draw rounds.
         let rounds = self.cycle + 1;
-        let rngs: Vec<StdRng> = (0..self.num_nodes())
+        let rngs: Vec<StdRng> = (0..self.layout.num_nodes)
             .map(|v| {
                 let mut rng = node_rng(seed, v);
                 for _ in 0..rounds {
@@ -715,11 +669,13 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             pause_at,
             resumed: true,
         };
-        self.dynamic_loop(st, &mut dest, rngs)
+        self.dynamic_loop(rf, rec, st, &mut dest, rngs)
     }
 
-    fn dynamic_loop(
+    fn dynamic_loop<Rec: Recorder>(
         &mut self,
+        rf: &R,
+        rec: &mut Rec,
         mut st: DynState,
         dest: &mut impl FnMut(NodeId, &mut StdRng) -> NodeId,
         mut rngs: Vec<StdRng>,
@@ -742,7 +698,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
                     };
                     st.attempts += 1;
                     if self.inj_buf[v] == NONE && self.node_alive(v) {
-                        self.inj_buf[v] = self.alloc_packet(v, dst);
+                        self.inject(rf, v, dst, rec);
                         st.injected += 1;
                     }
                 }
@@ -753,7 +709,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
                     });
                 }
             }
-            if self.step() == Control::Stop {
+            if self.step(rf, rec) == Control::Stop {
                 stop = if self.partitioned.is_empty() {
                     StopReason::Aborted
                 } else {
@@ -773,14 +729,27 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         })
     }
 
-    fn alloc_packet(&mut self, src: NodeId, dst: NodeId) -> u32 {
-        let msg = self.rf.initial_msg(src, dst);
+    /// Whether node `v`'s injection buffer is free.
+    pub(crate) fn inj_free(&self, v: usize) -> bool {
+        self.inj_buf[v] == NONE
+    }
+
+    /// Inject a `src → dst` packet into `src`'s (free) injection buffer.
+    pub(crate) fn inject<Rec: Recorder>(
+        &mut self,
+        rf: &R,
+        src: NodeId,
+        dst: NodeId,
+        rec: &mut Rec,
+    ) {
+        debug_assert_eq!(self.inj_buf[src], NONE, "injection buffer occupied");
+        let msg = S::initial_msg(rf, src, dst);
         let uid = self.next_uid;
         self.next_uid += 1;
         if Rec::ENABLED {
-            self.rec.on_inject(self.cycle, uid, src as u32, dst as u32);
+            rec.on_inject(self.cycle, uid, src as u32, dst as u32);
         }
-        self.store.insert(PacketInit {
+        self.inj_buf[src] = self.store.insert(PacketInit {
             src: src as u32,
             dst: dst as u32,
             uid,
@@ -788,35 +757,41 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             inject_cycle: self.cycle,
             enqueued_at: self.cycle,
             moved_at: u64::MAX,
-            staged: false,
-            msg,
-            next_class: 0,
             class: 0,
+            next_class: 0,
             escape: false,
-        })
+            msg,
+        });
     }
 
-    /// One routing cycle: node fill, link, node read. Returns the
+    // --- The routing cycle -----------------------------------------------
+
+    /// One routing cycle: faults, node fill, link, node read. Returns the
     /// recorder's verdict (always [`Control::Continue`] for the no-op
     /// recorder, in which case the check folds away).
-    fn step(&mut self) -> Control {
+    fn step<Rec: Recorder>(&mut self, rf: &R, rec: &mut Rec) -> Control {
+        let all = OwnedNodes::all(self.layout.num_nodes);
         if self.faults.is_some() {
-            self.apply_faults(&OwnedNodes::all(self.layout.num_nodes));
+            self.apply_faults(rf, &all, rec);
         }
-        self.fill_phase();
-        self.link_phase();
-        self.read_phase();
+        for node in 0..self.layout.num_nodes {
+            self.fill_node(rf, node, rec);
+        }
+        self.link_phase(rf, rec);
+        for node in 0..self.layout.num_nodes {
+            self.read_node(rf, node, rec);
+        }
         if self.cfg.track_occupancy {
-            self.sample_occupancy(&OwnedNodes::all(self.layout.num_nodes));
+            self.sample_occupancy(&all);
         }
-        if Rec::ENABLED && self.rec.want_waitgraph() {
+        if Rec::ENABLED && rec.want_waitgraph() {
             // Live wait-for-graph probe: collected only when a sink asks
             // for it, so the unobserved hot path pays one (inlined,
             // constant-false) check.
             let edges = self.local_wait_edges();
-            self.rec.on_wait_probe(self.cycle, &edges);
+            rec.on_wait_probe(self.cycle, &edges);
         }
-        let mut ctl = self.end_cycle();
+        let mut ctl = self.end_cycle(rec);
         if !self.partitioned.is_empty() {
             // A partitioned destination can never drain: stop at the end
             // of the cycle that detected it instead of spinning to the
@@ -827,7 +802,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             // A stopping run (watchdog stall, partition) gets the
             // blocked wait-for relation attached to its stall evidence.
             let edges = self.local_wait_edges();
-            self.rec.on_stall_waits(&edges);
+            rec.on_stall_waits(&edges);
         }
         self.cycle += 1;
         ctl
@@ -835,11 +810,11 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
 
     /// The blocked wait-for relation over the queued packets of `nodes`:
     /// an edge `(v, c, w, c')` records that some packet resident in
-    /// central queue `(v, c)` has a cached link option into queue
-    /// `(w, c')` which `is_full` reports at capacity. Sorted and
-    /// deduplicated, so sequential and (merged) sharded probes agree. A
-    /// cycle in this relation among *fully*-blocked queues is exactly
-    /// the deadlock configuration the paper's QDG argument excludes.
+    /// central queue `(v, c)` has a move into queue `(w, c')` which
+    /// `is_full` reports at capacity. Sorted and deduplicated, so
+    /// sequential and (merged) sharded probes agree. A cycle in this
+    /// relation among *fully*-blocked queues is exactly the deadlock
+    /// configuration the paper's QDG argument excludes.
     pub(crate) fn wait_edges(
         &self,
         nodes: &OwnedNodes,
@@ -848,17 +823,17 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         let mut edges = Vec::new();
         for v in nodes.iter() {
             for &p in &self.node_fifo[v] {
-                let class = self.store.class[p as usize];
-                for i in self.store.opt_range(p) {
-                    let buf = self.opts.buf[i];
+                let h = &self.store.hot[p as usize];
+                let s = h.opt_start as usize;
+                for i in s..s + usize::from(h.opt_len) {
+                    let buf = self.src.opt_buf(i);
                     if buf == NONE {
                         continue;
                     }
-                    let chan = self.buf_chan[buf as usize] as usize;
-                    let w = self.layout.chan_to[chan];
-                    let c2 = self.opts.to_class[i];
+                    let w = self.layout.chan_to[self.layout.buf_chan[buf as usize] as usize];
+                    let c2 = self.src.opt_to_class(i);
                     if is_full(w, c2) {
-                        edges.push((v as u32, class, w, c2));
+                        edges.push((v as u32, h.class, w, c2));
                     }
                 }
             }
@@ -868,9 +843,9 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         edges
     }
 
-    /// [`Simulator::wait_edges`] over all nodes against this engine's
-    /// own queue lengths (the sequential probe; shards must consult the
-    /// merged cross-shard occupancy instead).
+    /// [`Core::wait_edges`] over all nodes against this engine's own
+    /// queue lengths (shards must consult the merged cross-shard
+    /// occupancy instead).
     fn local_wait_edges(&self) -> Vec<(u32, u8, u32, u8)> {
         let cap = self.cfg.queue_capacity;
         let full = |w: u32, c: u8| {
@@ -894,9 +869,9 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
 
     /// Fire the recorder's end-of-cycle hook (without advancing the
     /// cycle counter) and return its verdict.
-    pub(crate) fn end_cycle(&mut self) -> Control {
+    pub(crate) fn end_cycle<Rec: Recorder>(&self, rec: &mut Rec) -> Control {
         if Rec::ENABLED {
-            self.rec.on_cycle_end(self.cycle)
+            rec.on_cycle_end(self.cycle)
         } else {
             Control::Continue
         }
@@ -904,200 +879,288 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
 
     /// Node cycle, part 1 (§ 7.1): "each node fills its output buffers
     /// from low to high dimensions, taking messages from the queues in
-    /// FIFO order."
+    /// FIFO order", for one node (a shard runs this over the nodes it
+    /// owns; a node's queues, output buffers and packets are all local).
     ///
-    /// FIFO-across-queues priority comes straight from `node_fifo`, which
-    /// is kept in arrival order incrementally (appends on arrival and on
-    /// stutter re-enqueue, in-place removal when staged) — no per-cycle
-    /// rebuild or sort. Same-cycle arrivals rank in the order the read
-    /// phase accepted them, which rotates per cycle and is therefore fair
-    /// across classes.
-    fn fill_phase(&mut self) {
-        for node in 0..self.layout.num_nodes {
-            self.fill_node(node);
-        }
-    }
-
-    /// Fill pass for a single node (a shard runs this over the node
-    /// range it owns; the node's queues, output buffers, and packet
-    /// state are all shard-local).
-    pub(crate) fn fill_node(&mut self, node: usize) {
+    /// With `fast_fill`, one FIFO pass gives each packet the fill-order
+    /// first free position it wants. That is the same matching as the
+    /// per-position scan (each position in fill order taking its first
+    /// FIFO wanter): both are the greedy matching under consistent
+    /// priority orders — the first position with any wanter gets its
+    /// first wanter in either procedure, and induction on the residual
+    /// does the rest. Want sets are constant during the pass (stutters
+    /// run after), so the scan stops once every position is taken. No
+    /// queued packet has moved yet this cycle (moves happen only here
+    /// and in the stutters after), so unlike the per-position scan the
+    /// pass needs no `moved_at` check.
+    pub(crate) fn fill_node<Rec: Recorder>(&mut self, rf: &R, node: usize, rec: &mut Rec) {
         if self.node_fifo[node].is_empty() {
             return;
         }
-        let n_out = self.layout.node_out_bufs[node].len();
-        // Build per-buffer "wanting" lists in FIFO order.
-        for w in self.wanting.iter_mut().take(n_out) {
-            w.clear();
-        }
-        self.stutters.clear();
-        for &p in &self.node_fifo[node] {
-            if let Some(fs) = &self.faults {
+        let first_buf = self.layout.out_start[node] as usize;
+        let n_out = self.layout.out_start[node + 1] as usize - first_buf;
+        let mut staged_any = false;
+        let mut stutter_any = self.stutter_cnt[node] != 0;
+        if self.layout.fast_fill {
+            let ones = if n_out == 64 { !0 } else { (1u64 << n_out) - 1 };
+            let mut avail = !self.out_occ.extract(first_buf, n_out) & ones;
+            if avail == 0 && !stutter_any {
+                return;
+            }
+            let start = match self.cfg.fill_order {
+                FillOrder::LowToHigh | FillOrder::HighToLow => 0,
+                FillOrder::Rotating => rotating_start(self.cycle, node, n_out),
+            };
+            // Scan first, mutate after: the decisions depend only on the
+            // (per-pass-constant) want masks and the shrinking `avail`.
+            self.staging.clear();
+            for &p in &self.node_fifo[node] {
+                if avail == 0 {
+                    break;
+                }
+                let h = &self.store.hot[p as usize];
+                let m = h.wants & avail;
                 // A frozen queue refuses all movement: its packets
                 // neither stage onto links nor stutter until the thaw.
-                let class = self.store.class[p as usize];
-                if fs.frozen(node * self.num_classes + usize::from(class), self.cycle) {
+                if m == 0 || self.queue_frozen(node * self.num_classes + usize::from(h.class)) {
                     continue;
                 }
-            }
-            for i in self.store.opt_range(p) {
-                let buf = self.opts.buf[i];
-                if buf == NONE {
-                    self.stutters.push(p);
-                } else {
-                    let pos = self.layout.buf_out_pos[buf as usize] as usize;
-                    self.wanting[pos].push(p);
-                }
-            }
-        }
-        // Buffer-major assignment in the configured fill order.
-        let start = match self.cfg.fill_order {
-            FillOrder::LowToHigh | FillOrder::HighToLow => 0,
-            FillOrder::Rotating => rotating_start(self.cycle, node, n_out),
-        };
-        let mut staged_any = false;
-        for i in 0..n_out {
-            let pos = match self.cfg.fill_order {
-                FillOrder::LowToHigh => i,
-                FillOrder::HighToLow => n_out - 1 - i,
-                FillOrder::Rotating => (start + i) % n_out,
-            };
-            let buf = self.layout.node_out_bufs[node][pos] as usize;
-            if self.outbuf[buf] != NONE {
-                continue;
-            }
-            let Some(&p) = self.wanting[pos]
-                .iter()
-                .find(|&&p| self.store.moved_at[p as usize] != self.cycle)
-            else {
-                continue;
-            };
-            let o = self
-                .store
-                .opt_range(p)
-                .find(|&i| self.opts.buf[i] as usize == buf)
-                .expect("wanting list entry has the option");
-            let pi = p as usize;
-            self.store.msg[pi] = self.opts.next[o].clone();
-            self.store.next_class[pi] = self.opts.to_class[o];
-            self.store.escape[pi] = self.opts.escape[o];
-            self.store.moved_at[pi] = self.cycle;
-            self.store.staged[pi] = true;
-            staged_any = true;
-            self.outbuf[buf] = p;
-            self.out_occ.set(buf);
-            let chan = self.buf_chan[buf] as usize;
-            self.chan_pending[chan] += 1;
-            self.chan_live.set(chan);
-        }
-        // Remove staged packets from the node's FIFO (order preserved).
-        if staged_any {
-            let store = &mut self.store;
-            let queue_len = &mut self.queue_len;
-            let num_classes = self.num_classes;
-            let rec = &mut self.rec;
-            let cycle = self.cycle;
-            self.node_fifo[node].retain(|&p| {
-                let pi = p as usize;
-                if store.staged[pi] {
-                    store.staged[pi] = false;
-                    let class = store.class[pi];
-                    let q = node * num_classes + usize::from(class);
-                    queue_len[q] -= 1;
-                    if Rec::ENABLED {
-                        rec.on_queue_leave(cycle, store.uid[pi], node as u32, class, queue_len[q]);
+                let pos = match self.cfg.fill_order {
+                    FillOrder::LowToHigh => m.trailing_zeros() as usize,
+                    FillOrder::HighToLow => 63 - m.leading_zeros() as usize,
+                    FillOrder::Rotating => {
+                        let hi = m >> start;
+                        if hi != 0 {
+                            start + hi.trailing_zeros() as usize
+                        } else {
+                            m.trailing_zeros() as usize
+                        }
                     }
-                    false
-                } else {
-                    true
-                }
-            });
-        }
-        // Internal stutters (e.g. the shuffle-exchange's degenerate
-        // one-node cycles): advance state without crossing a link,
-        // costing one cycle. A stutter whose target class differs
-        // from the current residence physically migrates the packet,
-        // subject to the target queue's capacity — a full target
-        // blocks the stutter this cycle exactly like a full output
-        // buffer blocks a link move.
-        for i in 0..self.stutters.len() {
-            let p = self.stutters[i];
-            let pi = p as usize;
-            if self.store.moved_at[pi] == self.cycle {
-                continue;
+                };
+                self.staging.push((p, pos as u32));
+                avail &= !(1u64 << pos);
             }
-            let o = self
-                .store
-                .opt_range(p)
-                .find(|&i| self.opts.buf[i] == NONE)
-                .expect("stutter option");
-            let (next, to_class) = (self.opts.next[o].clone(), self.opts.to_class[o]);
-            let from_class = self.store.class[pi];
-            if to_class != from_class {
-                let qt = node * self.num_classes + usize::from(to_class);
-                if self.queue_len[qt] as usize >= self.cfg.queue_capacity || self.queue_frozen(qt) {
+            let staging = std::mem::take(&mut self.staging);
+            for &(p, pos) in &staging {
+                self.stage_packet(node, p, pos as usize, first_buf + pos as usize);
+            }
+            staged_any = !staging.is_empty();
+            self.staging = staging;
+        } else {
+            // Fallback (> 64 output buffers): per-buffer wanting lists
+            // in FIFO order, then buffer-major assignment in the
+            // configured fill order.
+            for w in self.wanting.iter_mut().take(n_out) {
+                w.clear();
+            }
+            for &p in &self.node_fifo[node] {
+                let h = &self.store.hot[p as usize];
+                if self.queue_frozen(node * self.num_classes + usize::from(h.class)) {
                     continue;
                 }
+                let s = h.opt_start as usize;
+                for i in s..s + usize::from(h.opt_len) {
+                    let buf = self.src.opt_buf(i);
+                    if buf != NONE {
+                        let pos = self.layout.buf_out_pos[buf as usize] as usize;
+                        self.wanting[pos].push(p);
+                    }
+                }
             }
-            self.store.msg[pi] = next;
-            self.store.moved_at[pi] = self.cycle;
+            let start = match self.cfg.fill_order {
+                FillOrder::LowToHigh | FillOrder::HighToLow => 0,
+                FillOrder::Rotating => rotating_start(self.cycle, node, n_out),
+            };
+            for i in 0..n_out {
+                let pos = match self.cfg.fill_order {
+                    FillOrder::LowToHigh => i,
+                    FillOrder::HighToLow => n_out - 1 - i,
+                    FillOrder::Rotating => (start + i) % n_out,
+                };
+                let buf = first_buf + pos;
+                if self.outbuf[buf] != NONE {
+                    continue;
+                }
+                let Some(&p) = self.wanting[pos]
+                    .iter()
+                    .find(|&&p| self.store.hot[p as usize].moved_at != self.cycle)
+                else {
+                    continue;
+                };
+                self.stage_packet(node, p, pos, buf);
+                staged_any = true;
+            }
+        }
+        if staged_any {
+            self.drain_staged(node, rec);
+            stutter_any = self.stutter_cnt[node] != 0;
+        }
+        if stutter_any {
+            // Stutter candidates in FIFO order, one entry per stutter
+            // option. Collected after the drain: staged packets have
+            // left the queue for this cycle.
+            self.stutters.clear();
+            for &p in &self.node_fifo[node] {
+                let h = &self.store.hot[p as usize];
+                if h.stutters == 0
+                    || self.queue_frozen(node * self.num_classes + usize::from(h.class))
+                {
+                    continue;
+                }
+                for _ in 0..h.stutters {
+                    self.stutters.push(p);
+                }
+            }
+            self.stutter_pass(rf, node, rec);
+        }
+    }
+
+    /// Move packet `p` onto output buffer `buf` (fill position `pos` at
+    /// `node`) along the matching option, and mark the channel live.
+    fn stage_packet(&mut self, node: usize, p: u32, pos: usize, buf: usize) {
+        let pi = p as usize;
+        let i = self.src.pick(&self.store.hot[pi], pos, buf as u32);
+        if self.store.hot[pi].stutters != 0 {
+            // Leaving its residence for good (staged packets always
+            // drain this same cycle).
+            self.stutter_cnt[node] -= 1;
+        }
+        let to_class = self.src.opt_to_class(i);
+        S::advance(self, p, i);
+        let h = &mut self.store.hot[pi];
+        h.next_class = to_class;
+        h.moved_at = self.cycle;
+        h.staged = true;
+        self.fill_outbuf(buf, p);
+    }
+
+    /// Place packet `p` in output buffer `b` (staging, or restore).
+    fn fill_outbuf(&mut self, b: usize, p: u32) {
+        self.outbuf[b] = p;
+        self.out_occ.set(b);
+        let chan = self.layout.buf_chan[b] as usize;
+        self.chan_pending[chan] += 1;
+        self.chan_live.set(chan);
+    }
+
+    /// Empty output buffer `b` (a cross-shard ack) and return its packet.
+    fn take_outbuf(&mut self, b: usize) -> u32 {
+        let p = self.outbuf[b];
+        debug_assert_ne!(p, NONE, "ack for an empty output buffer");
+        self.outbuf[b] = NONE;
+        self.out_occ.clear(b);
+        let chan = self.layout.buf_chan[b] as usize;
+        self.chan_pending[chan] -= 1;
+        if self.chan_pending[chan] == 0 {
+            self.chan_live.clear(chan);
+        }
+        p
+    }
+
+    /// Remove staged packets from the node's FIFO (order preserved),
+    /// firing `on_queue_leave` in FIFO order.
+    fn drain_staged<Rec: Recorder>(&mut self, node: usize, rec: &mut Rec) {
+        let store = &mut self.store;
+        let queue_len = &mut self.queue_len;
+        let num_classes = self.num_classes;
+        let cycle = self.cycle;
+        self.node_fifo[node].retain(|&p| {
+            let h = &mut store.hot[p as usize];
+            if !h.staged {
+                return true;
+            }
+            h.staged = false;
+            let class = h.class;
+            let q = node * num_classes + usize::from(class);
+            queue_len[q] -= 1;
+            if Rec::ENABLED {
+                rec.on_queue_leave(
+                    cycle,
+                    store.uid[p as usize],
+                    node as u32,
+                    class,
+                    queue_len[q],
+                );
+            }
+            false
+        });
+    }
+
+    /// Internal stutters (e.g. the shuffle-exchange's degenerate
+    /// one-node cycles): advance state without crossing a link, costing
+    /// one cycle. A stutter whose target class differs from the current
+    /// residence physically migrates the packet, subject to the target
+    /// queue's capacity — a full target blocks the stutter this cycle
+    /// exactly like a full output buffer blocks a link move. A
+    /// successful stutter re-enqueues at the back of the FIFO.
+    fn stutter_pass<Rec: Recorder>(&mut self, rf: &R, node: usize, rec: &mut Rec) {
+        for k in 0..self.stutters.len() {
+            let p = self.stutters[k];
+            let pi = p as usize;
+            let h = self.store.hot[pi];
+            if h.moved_at == self.cycle {
+                continue;
+            }
+            let s = h.opt_start as usize;
+            let i = (s..s + usize::from(h.opt_len))
+                .find(|&i| self.src.opt_buf(i) == NONE)
+                .expect("stutter option");
+            let (to_class, from_class) = (self.src.opt_to_class(i), h.class);
+            let qf = node * self.num_classes + usize::from(from_class);
+            let qt = node * self.num_classes + usize::from(to_class);
+            if to_class != from_class && self.refuses(qt) {
+                continue;
+            }
+            self.store.hot[pi].moved_at = self.cycle;
             self.store.enqueued_at[pi] = self.cycle;
             let uid = self.store.uid[pi];
             if Rec::ENABLED {
-                self.rec
-                    .on_stutter(self.cycle, uid, node as u32, from_class, to_class);
+                rec.on_stutter(self.cycle, uid, node as u32, from_class, to_class);
             }
             if to_class != from_class {
-                self.store.class[pi] = to_class;
-                let qf = node * self.num_classes + usize::from(from_class);
-                let qt = node * self.num_classes + usize::from(to_class);
+                self.store.hot[pi].class = to_class;
                 self.queue_len[qf] -= 1;
                 self.queue_len[qt] += 1;
                 if Rec::ENABLED {
-                    self.rec.on_queue_leave(
+                    rec.on_queue_leave(
                         self.cycle,
                         uid,
                         node as u32,
                         from_class,
                         self.queue_len[qf],
                     );
-                    self.rec.on_queue_enter(
-                        self.cycle,
-                        uid,
-                        node as u32,
-                        to_class,
-                        self.queue_len[qt],
-                    );
+                    rec.on_queue_enter(self.cycle, uid, node as u32, to_class, self.queue_len[qt]);
                 }
             }
-            // Re-enqueued now: move to the back of the arrival order.
             let fifo = &mut self.node_fifo[node];
-            let pos = fifo
+            let at = fifo
                 .iter()
                 .position(|&x| x == p)
                 .expect("stuttering packet is queued at its node");
-            fifo.remove(pos);
+            fifo.remove(at);
             fifo.push(p);
-            self.compute_options(p, node, to_class);
+            S::advance(self, p, i);
+            S::settle(self, rf, p, node, rec);
+            if self.store.hot[pi].stutters == 0 {
+                // The packet had a stutter option (it is in the list);
+                // its new residence may not.
+                self.stutter_cnt[node] -= 1;
+            }
         }
     }
 
     /// Link cycle (§ 7.1): each directed channel forwards at most one
     /// packet per cycle, round-robin over its traffic-class buffers, and
-    /// only into an empty input buffer on the far side.
-    ///
-    /// Iterates the `chan_live` bitset word by word, so idle channels
-    /// cost one word fetch per 64 instead of one counter read each. The
-    /// word snapshot is safe because [`Simulator::link_chan`] only ever
-    /// *clears* live bits (a link pass moves packets out of output
-    /// buffers, never into them).
-    fn link_phase(&mut self) {
+    /// only into an empty input buffer on the far side. Iterates the
+    /// `chan_live` bitset word by word; the word snapshot is safe because
+    /// [`Core::link_chan`] only ever *clears* live bits.
+    fn link_phase<Rec: Recorder>(&mut self, rf: &R, rec: &mut Rec) {
         for w in 0..self.chan_live.num_words() {
             let mut bits = self.chan_live.word(w);
             while bits != 0 {
                 let chan = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.link_chan(chan);
+                self.link_chan(rf, chan, rec);
             }
         }
     }
@@ -1106,14 +1169,12 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     /// whether a packet crossed (a shard's per-cycle link count feeds the
     /// replicated watchdog state in sharded runs).
     ///
-    /// For channels of at most 64 buffer classes (every real routing
-    /// family here; 2–3 is typical) the "staged and far side empty"
-    /// scan collapses to a bitmask probe: extract the channel's output
-    /// and input occupancy windows, and pick the first candidate at or
-    /// after the round-robin pointer (wrapping below it) with two
-    /// trailing-zeros counts — exactly the buffer the rotating scan
-    /// would have chosen.
-    pub(crate) fn link_chan(&mut self, chan: usize) -> bool {
+    /// For channels of at most 64 buffer classes the "staged and far
+    /// side empty" scan collapses to a bitmask probe: the first
+    /// candidate at or after the round-robin pointer (wrapping below it),
+    /// found with two trailing-zeros counts — exactly the buffer the
+    /// rotating scan picks.
+    pub(crate) fn link_chan<Rec: Recorder>(&mut self, rf: &R, chan: usize, rec: &mut Rec) -> bool {
         if self.chan_pending[chan] == 0 {
             return false;
         }
@@ -1150,19 +1211,18 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         };
         let b = start + pos;
         let p = self.outbuf[b];
-        self.inbuf[b] = p;
-        self.in_occ.set(b);
         let pi = p as usize;
-        self.store.hops[pi] += 1;
+        self.store.hot[pi].hops += 1;
         if Rec::ENABLED {
-            self.rec.on_link(
+            let h = &self.store.hot[pi];
+            rec.on_link(
                 self.cycle,
                 self.store.uid[pi],
                 self.layout.chan_from[chan],
                 self.layout.chan_to[chan],
                 matches!(self.layout.buf_class[b], BufferClass::Dynamic),
-                self.store.class[pi],
-                self.store.next_class[pi],
+                h.class,
+                h.next_class,
             );
         }
         self.outbuf[b] = NONE;
@@ -1171,108 +1231,155 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         if self.chan_pending[chan] == 0 {
             self.chan_live.clear(chan);
         }
-        self.in_occupied[self.layout.chan_to[chan] as usize] += 1;
         self.chan_rr[chan] = ((pos + 1) % len) as u16;
+        if !Rec::ENABLED && S::delivers_on_arrival(&self.store.hot[pi]) {
+            // Arriving at its destination: delivery never blocks, and
+            // within a cycle the latency sinks are insertion-order
+            // invariant, so an unrecorded run can deliver here and spare
+            // the read pass the input-buffer round trip. Recorded runs
+            // take the buffer path so the journal keeps its order.
+            self.deliver(rf, p, rec);
+            return true;
+        }
+        self.fill_inbuf(b, p);
         true
+    }
+
+    /// Place packet `p` in input buffer `b` (link arrival, cross-shard
+    /// transfer, or restore).
+    fn fill_inbuf(&mut self, b: usize, p: u32) {
+        self.inbuf[b] = p;
+        self.in_occ.set(b);
+        let to = self.layout.chan_to[self.layout.buf_chan[b] as usize] as usize;
+        self.in_occupied[to] += 1;
+        if self.layout.fast_read {
+            self.arr_mask[to] |= 1u64 << self.layout.buf_in_slot[b];
+        }
+    }
+
+    /// Empty input buffer `b` at `node` (read, or a node-down drop).
+    fn clear_inbuf(&mut self, b: usize, node: usize) {
+        self.inbuf[b] = NONE;
+        self.in_occ.clear(b);
+        self.in_occupied[node] -= 1;
+        if self.layout.fast_read {
+            self.arr_mask[node] &= !(1u64 << self.layout.buf_in_slot[b]);
+        }
     }
 
     /// Node cycle, part 2 (§ 7.1): "the node reads its input buffers and
     /// its injection buffer and moves their messages to the required
-    /// queues, if there is place to do so … in a fair way."
-    fn read_phase(&mut self) {
-        for node in 0..self.layout.num_nodes {
-            self.read_node(node);
+    /// queues, if there is place to do so … in a fair way", for one node
+    /// (shard-local: a node's input buffers are filled by the link pass
+    /// of the shard that owns the node). The slots rotate with the
+    /// cycle; with `fast_read` the occupied-slot mask is walked in the
+    /// same rotating order, skipping only the empty (no-op) slots.
+    pub(crate) fn read_node<Rec: Recorder>(&mut self, rf: &R, node: usize, rec: &mut Rec) {
+        let n_in = (self.layout.in_start[node + 1] - self.layout.in_start[node]) as usize;
+        let slots = n_in + 1;
+        if self.layout.fast_read {
+            let mut m = self.arr_mask[node];
+            if self.inj_buf[node] != NONE {
+                m |= 1u64 << n_in;
+            }
+            if m == 0 {
+                return;
+            }
+            let start = (self.cycle as usize) % slots;
+            let mut hi = m >> start;
+            while hi != 0 {
+                let slot = start + hi.trailing_zeros() as usize;
+                hi &= hi - 1;
+                self.read_slot(rf, node, slot, n_in, rec);
+            }
+            let mut lo = m & ((1u64 << start) - 1);
+            while lo != 0 {
+                let slot = lo.trailing_zeros() as usize;
+                lo &= lo - 1;
+                self.read_slot(rf, node, slot, n_in, rec);
+            }
+        } else {
+            if self.in_occupied[node] == 0 && self.inj_buf[node] == NONE {
+                return;
+            }
+            let start = (self.cycle as usize) % slots;
+            let first = self.layout.in_start[node] as usize;
+            for i in 0..slots {
+                let slot = (start + i) % slots;
+                let occupied = if slot < n_in {
+                    self.inbuf[self.layout.in_flat[first + slot] as usize] != NONE
+                } else {
+                    self.inj_buf[node] != NONE
+                };
+                if occupied {
+                    self.read_slot(rf, node, slot, n_in, rec);
+                }
+            }
         }
     }
 
-    /// Read pass for a single node (shard-local: a node's input buffers
-    /// are filled by the link pass of the shard that *owns the node*, so
-    /// no cross-shard state is touched here).
-    pub(crate) fn read_node(&mut self, node: usize) {
-        if self.in_occupied[node] == 0 && self.inj_buf[node] == NONE {
-            return;
-        }
-        let n_in = self.layout.node_in_bufs[node].len();
-        let slots = n_in + 1; // input buffers plus the injection buffer
-        let start = (self.cycle as usize) % slots;
-        for i in 0..slots {
-            let slot = (start + i) % slots;
-            if slot < n_in {
-                let b = self.layout.node_in_bufs[node][slot] as usize;
-                let p = self.inbuf[b];
-                if p == NONE {
-                    continue;
-                }
-                if self.accept_arrival(node, p) {
-                    self.inbuf[b] = NONE;
-                    self.in_occ.clear(b);
-                    self.in_occupied[node] -= 1;
-                }
-            } else if self.inj_buf[node] != NONE {
-                let p = self.inj_buf[node];
-                if self.accept_injection(node, p) {
-                    self.inj_buf[node] = NONE;
-                }
+    /// Process one occupied read slot: an input buffer below `n_in`, the
+    /// injection buffer at `n_in`.
+    fn read_slot<Rec: Recorder>(
+        &mut self,
+        rf: &R,
+        node: usize,
+        slot: usize,
+        n_in: usize,
+        rec: &mut Rec,
+    ) {
+        if slot < n_in {
+            let b = self.layout.in_flat[self.layout.in_start[node] as usize + slot] as usize;
+            let p = self.inbuf[b];
+            debug_assert_ne!(p, NONE, "read slot marked occupied but empty");
+            if self.accept_arrival(rf, node, p, rec) {
+                self.clear_inbuf(b, node);
             }
+        } else if self.accept_injection(rf, node, self.inj_buf[node], rec) {
+            self.inj_buf[node] = NONE;
         }
     }
 
     /// Move an arriving packet into its target queue (or deliver it);
-    /// returns false if the queue is full (or frozen) and the packet
-    /// must wait.
-    fn accept_arrival(&mut self, node: usize, p: u32) -> bool {
-        let pi = p as usize;
-        if self.store.escape[pi] {
-            // Degraded-mode escape hop: the staged `msg` is a
-            // placeholder (the pre-hop routing state is gone), so the
-            // packet restarts its routing state here via the injection
-            // transition. All checks run before any mutation, so a
-            // refused packet retries intact next cycle.
-            let dst = self.store.dst[pi];
-            if dst as usize == node {
-                self.deliver(p);
-                return true;
+    /// returns false if the queue refuses it and the packet must wait.
+    fn accept_arrival<Rec: Recorder>(
+        &mut self,
+        rf: &R,
+        node: usize,
+        p: u32,
+        rec: &mut Rec,
+    ) -> bool {
+        match S::arrival(self, rf, node, p, rec) {
+            Arrival::Deliver => {
+                self.deliver(rf, p, rec);
+                true
             }
-            let msg = self.rf.initial_msg(node, dst as usize);
-            let class = self.entry_class(node, &msg);
-            let q = node * self.num_classes + usize::from(class);
-            if self.queue_len[q] as usize >= self.cfg.queue_capacity || self.queue_frozen(q) {
-                if Rec::ENABLED {
-                    let uid = self.store.uid[pi];
-                    self.rec.on_block(self.cycle, uid, node as u32, class);
-                }
-                return false;
-            }
-            self.store.msg[pi] = msg;
-            self.store.escape[pi] = false;
-            let ok = self.enqueue_central(node, p, class, false);
-            debug_assert!(ok);
-            return true;
+            Arrival::Enqueue(class) => self.enqueue_central(rf, node, p, class, true, rec),
+            Arrival::Refused => false,
         }
-        let class = self.store.next_class[pi];
-        if self.rf.deliverable(node, &self.store.msg[pi]) {
-            debug_assert_eq!(self.store.dst[pi] as usize, node);
-            self.deliver(p);
-            return true;
-        }
-        self.enqueue_central(node, p, class, true)
     }
 
     /// Move a freshly injected packet into its entry queue (or deliver a
     /// self-addressed packet locally).
-    fn accept_injection(&mut self, node: usize, p: u32) -> bool {
+    fn accept_injection<Rec: Recorder>(
+        &mut self,
+        rf: &R,
+        node: usize,
+        p: u32,
+        rec: &mut Rec,
+    ) -> bool {
         if self.store.dst[p as usize] as usize == node {
-            self.deliver(p);
+            self.deliver(rf, p, rec);
             return true;
         }
-        let class = self.entry_class(node, &self.store.msg[p as usize].clone());
-        self.enqueue_central(node, p, class, true)
+        let class = S::entry(self, rf, node, p);
+        self.enqueue_central(rf, node, p, class, true, rec)
     }
 
-    /// The central class targeted by the injection queue's single
-    /// (internal, static) transition for `msg` at `node`.
-    fn entry_class(&self, node: usize, msg: &R::Msg) -> u8 {
-        entry_class_of(&self.rf, node, msg)
+    /// Whether central queue `q` refuses an entering packet: full, or
+    /// frozen by a fault this cycle.
+    fn refuses(&self, q: usize) -> bool {
+        self.queue_len[q] as usize >= self.cfg.queue_capacity || self.queue_frozen(q)
     }
 
     /// Enqueue packet `p` into central queue `class` at `node`. With
@@ -1280,28 +1387,55 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     /// block) and returns false; without, the packet is forced in — the
     /// fault layer's reabsorption path, which deliberately tolerates
     /// transient over-capacity (see [`crate::fault`]).
-    fn enqueue_central(&mut self, node: usize, p: u32, class: u8, check: bool) -> bool {
+    fn enqueue_central<Rec: Recorder>(
+        &mut self,
+        rf: &R,
+        node: usize,
+        p: u32,
+        class: u8,
+        check: bool,
+        rec: &mut Rec,
+    ) -> bool {
         let q = node * self.num_classes + usize::from(class);
-        if check && (self.queue_len[q] as usize >= self.cfg.queue_capacity || self.queue_frozen(q))
-        {
+        let pi = p as usize;
+        if check && self.refuses(q) {
             if Rec::ENABLED {
-                let uid = self.store.uid[p as usize];
-                self.rec.on_block(self.cycle, uid, node as u32, class);
+                rec.on_block(self.cycle, self.store.uid[pi], node as u32, class);
             }
             return false;
         }
-        let pi = p as usize;
         self.store.enqueued_at[pi] = self.cycle;
-        self.store.class[pi] = class;
-        let uid = self.store.uid[pi];
+        self.store.hot[pi].class = class;
         self.queue_len[q] += 1;
         if Rec::ENABLED {
-            self.rec
-                .on_queue_enter(self.cycle, uid, node as u32, class, self.queue_len[q]);
+            rec.on_queue_enter(
+                self.cycle,
+                self.store.uid[pi],
+                node as u32,
+                class,
+                self.queue_len[q],
+            );
         }
         self.node_fifo[node].push(p);
-        self.compute_options(p, node, class);
+        S::settle(self, rf, p, node, rec);
+        if self.store.hot[pi].stutters != 0 {
+            self.stutter_cnt[node] += 1;
+        }
         true
+    }
+
+    /// Reload the moves of queued packet `p` at `node` (its option set
+    /// changed under it: degraded routing, restore), keeping the node's
+    /// stutter count in step.
+    fn resettle<Rec: Recorder>(&mut self, rf: &R, p: u32, node: usize, rec: &mut Rec) {
+        let had = self.store.hot[p as usize].stutters != 0;
+        S::settle(self, rf, p, node, rec);
+        let has = self.store.hot[p as usize].stutters != 0;
+        match (had, has) {
+            (false, true) => self.stutter_cnt[node] += 1,
+            (true, false) => self.stutter_cnt[node] -= 1,
+            _ => {}
+        }
     }
 
     /// Whether central queue `q` is frozen by a fault this cycle.
@@ -1317,24 +1451,24 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         !self.faults.as_ref().is_some_and(|f| f.is_node_dead(v))
     }
 
-    fn deliver(&mut self, p: u32) {
+    fn deliver<Rec: Recorder>(&mut self, rf: &R, p: u32, rec: &mut Rec) {
         let pi = p as usize;
+        let h = self.store.hot[pi];
         let latency = 2 * (self.cycle - self.store.inject_cycle[pi]) + 1;
         if Rec::ENABLED {
-            self.rec.on_deliver(
+            rec.on_deliver(
                 self.cycle,
                 self.store.uid[pi],
                 latency,
-                u32::from(self.store.hops[pi]),
-                self.store.class[pi],
+                u32::from(h.hops),
+                h.class,
             );
         }
         if self.cfg.check_minimality {
-            let d = self
-                .rf
+            let d = rf
                 .topology()
                 .distance(self.store.src[pi] as usize, self.store.dst[pi] as usize);
-            if usize::from(self.store.hops[pi]) != d {
+            if usize::from(h.hops) != d {
                 self.minimality_violations += 1;
             }
         }
@@ -1343,165 +1477,13 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             ts.record(self.cycle, 1.0);
         }
         self.delivered += 1;
-        self.store.release(p, &mut self.opts);
+        self.free_packet(p);
     }
 
-    /// Cache the moves available to packet `p` for its residence in
-    /// central queue `class` of `node`.
-    fn compute_options(&mut self, p: u32, node: usize, class: u8) {
-        let mut opts = std::mem::take(&mut self.opt_scratch);
-        opts.clear();
-        // Borrow the message in place: `rf`, `store`, and `layout` are
-        // disjoint fields and all borrowed immutably here, so the hot
-        // path needs no `msg.clone()`.
-        push_move_options(
-            &self.rf,
-            &self.layout,
-            node,
-            class,
-            &self.store.msg[p as usize],
-            &mut opts,
-        );
-        if self.faults.is_some() {
-            self.opt_scratch = opts;
-            self.finalize_options(p, node);
-        } else {
-            debug_assert!(!opts.is_empty(), "queued packet with no moves (dead end)");
-            self.store.set_options(p, &mut self.opts, &mut opts);
-            self.opt_scratch = opts;
-        }
-    }
-
-    /// Degraded-mode post-pass over a freshly computed option set: once
-    /// any permanent fault exists, keep only moves that strictly
-    /// shorten the **surviving-graph** distance to the destination, and
-    /// when none survive fall back to a single escape hop along a
-    /// surviving shortest path — or report a partition when the
-    /// destination is unreachable (see [`crate::fault`]).
-    ///
-    /// Progress on the *original* topology is not enough: a minimal
-    /// option can lead into a region whose only minimal continuation is
-    /// dead, and the escape hop out of it would undo the progress —
-    /// packets then ping-pong between the trap node and its neighbour
-    /// forever (a livelock this crate's differential fault suite caught
-    /// on a mesh with one dead node). The monotone discipline makes
-    /// every degraded hop decrease a per-destination potential, so no
-    /// routing cycle can form. In-place class changes (stutters) are
-    /// dropped too: they make no distance progress, and the escape
-    /// fallback restarts the routing state at the next node anyway.
-    fn finalize_options(&mut self, p: u32, node: usize) {
-        let mut opts = std::mem::take(&mut self.opt_scratch);
-        let dst = self.store.dst[p as usize];
-        // With no permanent faults the original option set — which
-        // always contains a static hop — passes through untouched.
-        let mut has_static = true;
-        if self
-            .faults
-            .as_ref()
-            .expect("fault state attached")
-            .has_dead()
-        {
-            self.faults
-                .as_mut()
-                .expect("fault state attached")
-                .ensure_distances(dst, &self.layout);
-            let fs = self.faults.as_ref().expect("fault state attached");
-            let d = fs.distances(dst);
-            let here = d[node];
-            let buf_chan = &self.buf_chan;
-            let layout = &self.layout;
-            opts.retain(|o| {
-                if o.buf == NONE {
-                    return false;
-                }
-                let chan = buf_chan[o.buf as usize];
-                if fs.chan_dead(chan) {
-                    return false;
-                }
-                let to = layout.chan_to[chan as usize] as usize;
-                !fs.is_node_dead(to) && here != u32::MAX && d[to] == here - 1
-            });
-            has_static = opts.iter().any(|o| {
-                matches!(
-                    self.layout.buf_class[o.buf as usize],
-                    BufferClass::Static(_)
-                )
-            });
-        }
-        if opts.is_empty() {
-            let class = self.store.class[p as usize];
-            match self.escape_option(node, dst as usize, class) {
-                Some(opt) => opts.push(opt),
-                None => {
-                    if !self.partitioned.contains(&dst) {
-                        self.partitioned.push(dst);
-                        if Rec::ENABLED {
-                            self.rec.on_partition(self.cycle, dst);
-                        }
-                    }
-                }
-            }
-        } else if !has_static {
-            // § 2 condition 3 on the surviving graph: a state whose
-            // surviving moves are all dynamic (its one static port
-            // died) must keep a static continuation, so the escape hop
-            // is appended as the static fallback — taken only when
-            // every preceding option is blocked. The escape exists
-            // whenever the retained set is non-empty (both demand a
-            // live distance-decreasing out-channel).
-            let class = self.store.class[p as usize];
-            if let Some(opt) = self.escape_option(node, dst as usize, class) {
-                opts.push(opt);
-            }
-        }
-        self.store.set_options(p, &mut self.opts, &mut opts);
-        self.opt_scratch = opts;
-    }
-
-    /// One hop of escape routing on the surviving graph: the
-    /// lowest-port live out-channel making shortest-path progress
-    /// toward `dst`. Returns `None` when `dst` is unreachable from
-    /// `node` over live channels between live nodes.
-    fn escape_option(&mut self, node: usize, dst: usize, class: u8) -> Option<MoveOpt<R::Msg>> {
-        self.faults
-            .as_mut()
-            .expect("fault state attached")
-            .ensure_distances(dst as u32, &self.layout);
-        let fs = self.faults.as_ref().expect("fault state attached");
-        let d = fs.distances(dst as u32);
-        let here = d[node];
-        if here == u32::MAX {
-            return None;
-        }
-        debug_assert!(here > 0, "queued packet at its destination");
-        for port in 0..self.layout.max_ports {
-            let Some(chan) = self.layout.chan(node, port) else {
-                continue;
-            };
-            if fs.chan_dead(chan) {
-                continue;
-            }
-            let to = self.layout.chan_to[chan as usize] as usize;
-            if fs.is_node_dead(to) || d[to] != here - 1 {
-                continue;
-            }
-            // Ride the channel's first declared buffer class; a static
-            // class pins the arrival class, a dynamic one keeps the
-            // packet's current class until the receiver restarts it.
-            let buf = self.layout.chan_buf_start[chan as usize];
-            let to_class = match self.layout.buf_class[buf as usize] {
-                BufferClass::Static(c) => c,
-                BufferClass::Dynamic => class,
-            };
-            let next = self.rf.initial_msg(node, dst);
-            return Some(MoveOpt {
-                buf,
-                to_class,
-                next,
-                escape: true,
-            });
-        }
-        None
+    /// Return packet `p`'s option segment and slot.
+    fn free_packet(&mut self, p: u32) {
+        self.src.release(&self.store.hot[p as usize]);
+        self.store.release(p);
     }
 
     // --- Fault injection (see `crate::fault`) --------------------------
@@ -1514,92 +1496,18 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     /// effect exactly once, on the shard that owns the state — while the
     /// flag state inside [`FaultState`] is replicated identically on
     /// every shard.
-    pub(crate) fn apply_faults(&mut self, nodes: &OwnedNodes) {
+    pub(crate) fn apply_faults<Rec: Recorder>(
+        &mut self,
+        rf: &R,
+        nodes: &OwnedNodes,
+        rec: &mut Rec,
+    ) {
         let Some(mut fs) = self.faults.take() else {
             return;
         };
         let cycle = self.cycle;
-        let mut permanent = false;
         let mut reabsorb: Vec<(u32, usize)> = Vec::new();
-        while fs.next_event < fs.plan.events.len() && fs.plan.events[fs.next_event].cycle <= cycle {
-            let ev = fs.plan.events[fs.next_event];
-            fs.next_event += 1;
-            if Rec::ENABLED && nodes.contains(ev.kind.primary_node() as usize) {
-                self.rec
-                    .on_fault(cycle, ev.kind.code(), ev.kind.primary_node());
-            }
-            match ev.kind {
-                FaultKind::LinkDown { from, to } => {
-                    permanent = true;
-                    for chan in 0..self.layout.num_channels() {
-                        if self.layout.chan_from[chan] == from
-                            && self.layout.chan_to[chan] == to
-                            && fs.kill_chan(chan as u32)
-                            && nodes.contains(from as usize)
-                        {
-                            self.reabsorb_chan(chan, &mut reabsorb);
-                        }
-                    }
-                }
-                FaultKind::NodeDown { node } => {
-                    let v = node as usize;
-                    if v >= self.layout.num_nodes || !fs.kill_node(v) {
-                        continue;
-                    }
-                    permanent = true;
-                    for chan in 0..self.layout.num_channels() {
-                        let cf = self.layout.chan_from[chan] as usize;
-                        let ct = self.layout.chan_to[chan] as usize;
-                        if (cf != v && ct != v) || !fs.kill_chan(chan as u32) {
-                            continue;
-                        }
-                        if cf == v {
-                            // Out-channel of the dead node: staged
-                            // packets die with it.
-                            if nodes.contains(v) {
-                                self.drop_outbufs(chan);
-                            }
-                        } else {
-                            // In-channel: the live sender reabsorbs its
-                            // staged packets; packets already across in
-                            // the dead node's input buffers die.
-                            if nodes.contains(cf) {
-                                self.reabsorb_chan(chan, &mut reabsorb);
-                            }
-                            if nodes.contains(v) {
-                                self.drop_inbufs(chan);
-                            }
-                        }
-                    }
-                    if nodes.contains(v) {
-                        self.drop_node_packets(v);
-                    }
-                }
-                FaultKind::QueueFreeze {
-                    node,
-                    class,
-                    duration,
-                } => {
-                    let v = node as usize;
-                    let c = usize::from(class);
-                    if v < self.layout.num_nodes && c < self.num_classes {
-                        fs.freeze(v * self.num_classes + c, cycle + duration);
-                    }
-                }
-                FaultKind::FlakyLink {
-                    from,
-                    to,
-                    until,
-                    threshold,
-                } => {
-                    for chan in 0..self.layout.num_channels() {
-                        if self.layout.chan_from[chan] == from && self.layout.chan_to[chan] == to {
-                            fs.set_flaky(chan as u32, until, threshold);
-                        }
-                    }
-                }
-            }
-        }
+        let permanent = self.fire_events(&mut fs, cycle + 1, nodes, &mut reabsorb, rec);
         // Flaky retry/backoff: a packet staged on a channel that was
         // fault-down last cycle has waited one more cycle; after
         // `retry_limit` consecutive down-cycles it is reabsorbed into
@@ -1629,7 +1537,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         }
         self.faults = Some(fs);
         for &(p, node) in &reabsorb {
-            self.reroute_packet(p, node);
+            self.reroute_packet(rf, p, node, rec);
         }
         if permanent {
             // Degraded sweep: every queued packet's option set must be
@@ -1641,11 +1549,107 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
                 }
                 for i in 0..self.node_fifo[v].len() {
                     let p = self.node_fifo[v][i];
-                    let class = self.store.class[p as usize];
-                    self.compute_options(p, v, class);
+                    self.resettle(rf, p, v, rec);
                 }
             }
         }
+    }
+
+    /// Fire the plan's pending events scheduled before cycle `before`:
+    /// each event's flag effects on `fs`, and its recording and packet
+    /// surgery on the owned `nodes` only (none when replaying a
+    /// checkpoint, whose packet placement already reflects it). Returns
+    /// whether any event changed the topology for good.
+    fn fire_events<Rec: Recorder>(
+        &mut self,
+        fs: &mut FaultState,
+        before: u64,
+        nodes: &OwnedNodes,
+        reabsorb: &mut Vec<(u32, usize)>,
+        rec: &mut Rec,
+    ) -> bool {
+        let mut permanent = false;
+        while let Some(&ev) = fs.plan.events.get(fs.next_event) {
+            if ev.cycle >= before {
+                break;
+            }
+            fs.next_event += 1;
+            if Rec::ENABLED && nodes.contains(ev.kind.primary_node() as usize) {
+                rec.on_fault(ev.cycle, ev.kind.code(), ev.kind.primary_node());
+            }
+            match ev.kind {
+                FaultKind::LinkDown { from, to } => {
+                    permanent = true;
+                    for chan in 0..self.layout.num_channels() {
+                        if self.layout.chan_from[chan] == from
+                            && self.layout.chan_to[chan] == to
+                            && fs.kill_chan(chan as u32)
+                            && nodes.contains(from as usize)
+                        {
+                            self.reabsorb_chan(chan, reabsorb);
+                        }
+                    }
+                }
+                FaultKind::NodeDown { node } => {
+                    let v = node as usize;
+                    if v >= self.layout.num_nodes || !fs.kill_node(v) {
+                        continue;
+                    }
+                    permanent = true;
+                    for chan in 0..self.layout.num_channels() {
+                        let cf = self.layout.chan_from[chan] as usize;
+                        let ct = self.layout.chan_to[chan] as usize;
+                        if (cf != v && ct != v) || !fs.kill_chan(chan as u32) {
+                            continue;
+                        }
+                        if cf == v {
+                            // Out-channel of the dead node: staged
+                            // packets die with it.
+                            if nodes.contains(v) {
+                                self.drop_outbufs(chan, rec);
+                            }
+                        } else {
+                            // In-channel: the live sender reabsorbs its
+                            // staged packets; packets already across in
+                            // the dead node's input buffers die.
+                            if nodes.contains(cf) {
+                                self.reabsorb_chan(chan, reabsorb);
+                            }
+                            if nodes.contains(v) {
+                                self.drop_inbufs(chan, rec);
+                            }
+                        }
+                    }
+                    if nodes.contains(v) {
+                        self.drop_node_packets(v, rec);
+                    }
+                }
+                FaultKind::QueueFreeze {
+                    node,
+                    class,
+                    duration,
+                } => {
+                    let v = node as usize;
+                    let c = usize::from(class);
+                    if v < self.layout.num_nodes && c < self.num_classes {
+                        fs.freeze(v * self.num_classes + c, ev.cycle + duration);
+                    }
+                }
+                FaultKind::FlakyLink {
+                    from,
+                    to,
+                    until,
+                    threshold,
+                } => {
+                    for chan in 0..self.layout.num_channels() {
+                        if self.layout.chan_from[chan] == from && self.layout.chan_to[chan] == to {
+                            fs.set_flaky(chan as u32, until, threshold);
+                        }
+                    }
+                }
+            }
+        }
+        permanent
     }
 
     /// Pull every staged packet off `chan`'s output buffers for
@@ -1670,7 +1674,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     }
 
     /// Drop every packet staged on `chan` (its source node died).
-    fn drop_outbufs(&mut self, chan: usize) {
+    fn drop_outbufs<Rec: Recorder>(&mut self, chan: usize, rec: &mut Rec) {
         let start = self.layout.chan_buf_start[chan] as usize;
         let len = usize::from(self.layout.chan_buf_len[chan]);
         for b in start..start + len {
@@ -1678,7 +1682,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             if p != NONE {
                 self.outbuf[b] = NONE;
                 self.out_occ.clear(b);
-                self.drop_packet(p);
+                self.drop_packet(p, rec);
             }
         }
         self.chan_pending[chan] = 0;
@@ -1687,133 +1691,74 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
 
     /// Drop every packet sitting in `chan`'s input buffers (they crossed
     /// into a node that then died).
-    fn drop_inbufs(&mut self, chan: usize) {
+    fn drop_inbufs<Rec: Recorder>(&mut self, chan: usize, rec: &mut Rec) {
         let to = self.layout.chan_to[chan] as usize;
         let start = self.layout.chan_buf_start[chan] as usize;
         let len = usize::from(self.layout.chan_buf_len[chan]);
         for b in start..start + len {
             let p = self.inbuf[b];
             if p != NONE {
-                self.inbuf[b] = NONE;
-                self.in_occ.clear(b);
-                self.in_occupied[to] -= 1;
-                self.drop_packet(p);
+                self.clear_inbuf(b, to);
+                self.drop_packet(p, rec);
             }
         }
     }
 
     /// Drop every packet resident at dead node `v`: its central queues
     /// and its injection buffer.
-    fn drop_node_packets(&mut self, v: usize) {
+    fn drop_node_packets<Rec: Recorder>(&mut self, v: usize, rec: &mut Rec) {
         let fifo = std::mem::take(&mut self.node_fifo[v]);
+        self.stutter_cnt[v] = 0;
         for p in fifo {
-            let class = self.store.class[p as usize];
+            let class = self.store.hot[p as usize].class;
             let q = v * self.num_classes + usize::from(class);
             self.queue_len[q] -= 1;
             if Rec::ENABLED {
                 let uid = self.store.uid[p as usize];
-                self.rec
-                    .on_queue_leave(self.cycle, uid, v as u32, class, self.queue_len[q]);
+                rec.on_queue_leave(self.cycle, uid, v as u32, class, self.queue_len[q]);
             }
-            self.drop_packet(p);
+            self.drop_packet(p, rec);
         }
         let inj = self.inj_buf[v];
         if inj != NONE {
             self.inj_buf[v] = NONE;
-            self.drop_packet(inj);
+            self.drop_packet(inj, rec);
         }
     }
 
     /// Destroy a packet in flight (node-down collateral).
-    fn drop_packet(&mut self, p: u32) {
+    fn drop_packet<Rec: Recorder>(&mut self, p: u32, rec: &mut Rec) {
         if Rec::ENABLED {
-            let uid = self.store.uid[p as usize];
-            self.rec.on_drop(self.cycle, uid);
+            rec.on_drop(self.cycle, self.store.uid[p as usize]);
         }
         self.dropped += 1;
-        self.store.release(p, &mut self.opts);
+        self.free_packet(p);
     }
 
     /// Re-queue a reabsorbed packet at `node` with a restarted routing
-    /// state — the pre-hop state is unrecoverable (staging overwrote
-    /// `msg`), so the packet re-enters via the injection transition.
-    /// The enqueue is unchecked: reabsorption deliberately tolerates
-    /// transient over-capacity (see [`crate::fault`]).
-    fn reroute_packet(&mut self, p: u32, node: usize) {
+    /// state — the pre-hop state is unrecoverable (staging advanced it),
+    /// so the packet re-enters via the injection transition. The enqueue
+    /// is unchecked: reabsorption deliberately tolerates transient
+    /// over-capacity (see [`crate::fault`]).
+    fn reroute_packet<Rec: Recorder>(&mut self, rf: &R, p: u32, node: usize, rec: &mut Rec) {
         debug_assert!(self.node_alive(node));
         let pi = p as usize;
         let dst = self.store.dst[pi] as usize;
         debug_assert_ne!(dst, node, "staged packet addressed to its own node");
-        let msg = self.rf.initial_msg(node, dst);
-        let class = self.entry_class(node, &msg);
-        self.store.msg[pi] = msg;
-        self.store.escape[pi] = false;
-        self.store.staged[pi] = false;
-        self.store.next_class[pi] = class;
+        self.store.msg[pi] = S::initial_msg(rf, node, dst);
+        let class = S::entry(self, rf, node, p);
+        let h = &mut self.store.hot[pi];
+        h.escape = false;
+        h.staged = false;
+        h.next_class = class;
         if Rec::ENABLED {
-            let uid = self.store.uid[pi];
-            self.rec.on_reroute(self.cycle, uid, node as u32, class);
+            rec.on_reroute(self.cycle, self.store.uid[pi], node as u32, class);
         }
-        let ok = self.enqueue_central(node, p, class, false);
+        let ok = self.enqueue_central(rf, node, p, class, false, rec);
         debug_assert!(ok);
     }
 
-    // --- Sharding support (used by `crate::sharded`) -------------------
-    //
-    // A sharded run drives a set of full-size `Simulator`s, each touching
-    // only the node range it owns; the methods below expose exactly the
-    // per-node/per-channel state transitions the shard workers need.
-
-    /// Current routing cycle (after a [`Simulator::restore`], the
-    /// checkpoint cycle — the replay harness reports its resume window
-    /// from this).
-    pub fn cycle(&self) -> u64 {
-        self.cycle
-    }
-
-    /// Advance the cycle counter (the sharded driver's analog of the
-    /// increment at the end of [`Simulator::step`]).
-    pub(crate) fn advance_cycle(&mut self) {
-        self.cycle += 1;
-    }
-
-    /// Packets delivered so far.
-    pub(crate) fn delivered_count(&self) -> u64 {
-        self.delivered
-    }
-
-    /// Latency statistics accumulated so far.
-    pub(crate) fn latency_stats(&self) -> &LatencyStats {
-        &self.stats
-    }
-
-    /// Whether node `v`'s injection buffer is free.
-    pub(crate) fn inj_free(&self, v: usize) -> bool {
-        self.inj_buf[v] == NONE
-    }
-
-    /// Inject a packet at `src` (the injection buffer must be free).
-    pub(crate) fn inject(&mut self, src: NodeId, dst: NodeId) {
-        debug_assert_eq!(self.inj_buf[src], NONE, "injection buffer occupied");
-        self.inj_buf[src] = self.alloc_packet(src, dst);
-    }
-
-    /// Set the next packet uid (the sharded driver hands each shard its
-    /// slice of the global injection order so uids stay dense and match
-    /// the sequential engine's).
-    pub(crate) fn set_next_uid(&mut self, uid: u64) {
-        self.next_uid = uid;
-    }
-
-    /// Packets destroyed by faults on this shard so far.
-    pub(crate) fn dropped_count(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Whether this shard found any destination unreachable this run.
-    pub(crate) fn has_partition(&self) -> bool {
-        !self.partitioned.is_empty()
-    }
+    // --- Accessors for the sharded driver and the stall report ---------
 
     /// Non-empty central queues over `nodes` as `(node, class, occupancy)`
     /// — the watchdog stall report's snapshot. Ordered by `nodes` (the
@@ -1854,29 +1799,6 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
             .min_by_key(|&(uid, ..)| uid)
     }
 
-    /// Current `next_uid` frontier. At the sharded pause point the
-    /// driver replicates the global frontier into every shard, so any
-    /// shard's value is the run's.
-    pub(crate) fn next_uid(&self) -> u64 {
-        self.next_uid
-    }
-
-    /// Number of central-queue classes per node.
-    pub(crate) fn classes(&self) -> usize {
-        self.num_classes
-    }
-
-    /// Occupancy of central queue `q` (`node * num_classes + class`).
-    pub(crate) fn queue_len_at(&self, q: usize) -> u32 {
-        self.queue_len[q]
-    }
-
-    /// Round-robin pointer of channel `chan` (meaningful on the shard
-    /// that executes the channel's link pass).
-    pub(crate) fn chan_rr_at(&self, chan: usize) -> u16 {
-        self.chan_rr[chan]
-    }
-
     /// Sparse flaky-link consecutive-down counters (empty without a
     /// fault plan). Meaningful on the shard owning each channel's
     /// source node.
@@ -1884,6 +1806,519 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         self.faults
             .as_ref()
             .map_or_else(Vec::new, FaultState::fail_counts)
+    }
+}
+
+/// The computed option source: a packet's moves are computed from its
+/// routing message each time it enters a central queue, and cached in
+/// an [`OptionArena`] segment until it leaves. Under a fault plan the
+/// degraded-mode post-pass restricts them to the surviving graph.
+pub(crate) struct Computed<R: RoutingFunction> {
+    arena: OptionArena<R::Msg>,
+    /// Scratch list options are computed into before being stored (one
+    /// allocation for the engine's lifetime).
+    scratch: Vec<MoveOpt<R::Msg>>,
+}
+
+impl<R: RoutingFunction> Computed<R> {
+    pub(crate) fn new() -> Self {
+        Self {
+            arena: OptionArena::new(),
+            scratch: Vec::new(),
+        }
+    }
+}
+
+impl<R: RoutingFunction> OptionSource<R> for Computed<R> {
+    type Msg = R::Msg;
+
+    fn opt_buf(&self, i: usize) -> u32 {
+        self.arena.buf[i]
+    }
+
+    fn opt_to_class(&self, i: usize) -> u8 {
+        self.arena.to_class[i]
+    }
+
+    fn release(&mut self, h: &Hot) {
+        self.arena.release(h.opt_start, u32::from(h.opt_len));
+    }
+
+    fn clear(&mut self) {
+        self.arena.clear();
+        self.scratch.clear();
+    }
+
+    fn initial_msg(rf: &R, src: NodeId, dst: NodeId) -> R::Msg {
+        rf.initial_msg(src, dst)
+    }
+
+    fn entry(core: &mut Core<R, Self>, rf: &R, node: usize, p: u32) -> u8 {
+        entry_class_of(rf, node, &core.store.msg[p as usize])
+    }
+
+    fn advance(core: &mut Core<R, Self>, p: u32, i: usize) {
+        let pi = p as usize;
+        core.store.msg[pi] = core.src.arena.next[i].clone();
+        core.store.hot[pi].escape = core.src.arena.escape[i];
+    }
+
+    fn arrival<Rec: Recorder>(
+        core: &mut Core<R, Self>,
+        rf: &R,
+        node: usize,
+        p: u32,
+        rec: &mut Rec,
+    ) -> Arrival {
+        let pi = p as usize;
+        if core.store.hot[pi].escape {
+            // Degraded-mode escape hop: the staged `msg` is a
+            // placeholder (the pre-hop routing state is gone), so the
+            // packet restarts its routing state here via the injection
+            // transition. All checks run before any mutation, so a
+            // refused packet retries intact next cycle.
+            let dst = core.store.dst[pi] as usize;
+            if dst == node {
+                return Arrival::Deliver;
+            }
+            let msg = rf.initial_msg(node, dst);
+            let class = entry_class_of(rf, node, &msg);
+            if core.refuses(node * core.num_classes + usize::from(class)) {
+                if Rec::ENABLED {
+                    rec.on_block(core.cycle, core.store.uid[pi], node as u32, class);
+                }
+                return Arrival::Refused;
+            }
+            core.store.msg[pi] = msg;
+            core.store.hot[pi].escape = false;
+            return Arrival::Enqueue(class);
+        }
+        if rf.deliverable(node, &core.store.msg[pi]) {
+            debug_assert_eq!(core.store.dst[pi] as usize, node);
+            Arrival::Deliver
+        } else {
+            Arrival::Enqueue(core.store.hot[pi].next_class)
+        }
+    }
+
+    /// Cache the moves of `p`'s residence: [`push_move_options`], the
+    /// degraded-mode post-pass under a fault plan, and the fill summary
+    /// (want mask and stutter count) the step core reads.
+    fn settle<Rec: Recorder>(core: &mut Core<R, Self>, rf: &R, p: u32, node: usize, rec: &mut Rec) {
+        let pi = p as usize;
+        let mut opts = std::mem::take(&mut core.src.scratch);
+        opts.clear();
+        // Borrow the message in place: `rf`, `store` and `layout` are
+        // all borrowed immutably here, so the hot path needs no clone.
+        let class = core.store.hot[pi].class;
+        push_move_options(
+            rf,
+            &core.layout,
+            node,
+            class,
+            &core.store.msg[pi],
+            &mut opts,
+        );
+        if core.faults.is_some() {
+            core.degrade(rf, p, node, &mut opts, rec);
+        } else {
+            debug_assert!(!opts.is_empty(), "queued packet with no moves (dead end)");
+        }
+        let (mut wants, mut stutters) = (0u64, 0u8);
+        for o in &opts {
+            if o.buf == NONE {
+                stutters += 1;
+            } else {
+                let pos = core.layout.buf_out_pos[o.buf as usize];
+                if pos < 64 {
+                    wants |= 1u64 << pos;
+                }
+            }
+        }
+        let h = &mut core.store.hot[pi];
+        core.src.arena.release(h.opt_start, u32::from(h.opt_len));
+        let (start, len) = core.src.arena.store(&mut opts);
+        h.opt_start = start;
+        h.opt_len = u8::try_from(len).expect("per-state fan-out fits u8");
+        h.wants = wants;
+        h.stutters = stutters;
+        core.src.scratch = opts;
+    }
+}
+
+impl<R: RoutingFunction> Core<R, Computed<R>> {
+    /// Degraded-mode post-pass over a freshly computed option set: once
+    /// any permanent fault exists, keep only moves that strictly
+    /// shorten the **surviving-graph** distance to the destination, and
+    /// when none survive fall back to a single escape hop along a
+    /// surviving shortest path — or report a partition when the
+    /// destination is unreachable (see [`crate::fault`]).
+    ///
+    /// Progress on the *original* topology is not enough: a minimal
+    /// option can lead into a region whose only minimal continuation is
+    /// dead, and the escape hop out of it would undo the progress —
+    /// packets then ping-pong between the trap node and its neighbour
+    /// forever (a livelock this crate's differential fault suite caught
+    /// on a mesh with one dead node). The monotone discipline makes
+    /// every degraded hop decrease a per-destination potential, so no
+    /// routing cycle can form. In-place class changes (stutters) are
+    /// dropped too: they make no distance progress, and the escape
+    /// fallback restarts the routing state at the next node anyway.
+    fn degrade<Rec: Recorder>(
+        &mut self,
+        rf: &R,
+        p: u32,
+        node: usize,
+        opts: &mut Vec<MoveOpt<R::Msg>>,
+        rec: &mut Rec,
+    ) {
+        let dst = self.store.dst[p as usize];
+        // With no permanent faults the original option set — which
+        // always contains a static hop — passes through untouched.
+        let mut has_static = true;
+        let fs = self.faults.as_mut().expect("fault state attached");
+        if fs.has_dead() {
+            fs.ensure_distances(dst, &self.layout);
+            let d = fs.distances(dst);
+            let here = d[node];
+            let layout = &self.layout;
+            opts.retain(|o| {
+                if o.buf == NONE {
+                    return false;
+                }
+                let chan = layout.buf_chan[o.buf as usize];
+                if fs.chan_dead(chan) {
+                    return false;
+                }
+                let to = layout.chan_to[chan as usize] as usize;
+                !fs.is_node_dead(to) && here != u32::MAX && d[to] == here - 1
+            });
+            has_static = opts
+                .iter()
+                .any(|o| matches!(layout.buf_class[o.buf as usize], BufferClass::Static(_)));
+        }
+        let class = self.store.hot[p as usize].class;
+        if opts.is_empty() {
+            match self.escape_option(rf, node, dst as usize, class) {
+                Some(opt) => opts.push(opt),
+                None => {
+                    if !self.partitioned.contains(&dst) {
+                        self.partitioned.push(dst);
+                        if Rec::ENABLED {
+                            rec.on_partition(self.cycle, dst);
+                        }
+                    }
+                }
+            }
+        } else if !has_static {
+            // § 2 condition 3 on the surviving graph: a state whose
+            // surviving moves are all dynamic (its one static port
+            // died) must keep a static continuation, so the escape hop
+            // is appended as the static fallback — taken only when
+            // every preceding option is blocked. The escape exists
+            // whenever the retained set is non-empty (both demand a
+            // live distance-decreasing out-channel).
+            if let Some(opt) = self.escape_option(rf, node, dst as usize, class) {
+                opts.push(opt);
+            }
+        }
+    }
+
+    /// One hop of escape routing on the surviving graph: the
+    /// lowest-port live out-channel making shortest-path progress
+    /// toward `dst`. Returns `None` when `dst` is unreachable from
+    /// `node` over live channels between live nodes.
+    fn escape_option(
+        &mut self,
+        rf: &R,
+        node: usize,
+        dst: usize,
+        class: u8,
+    ) -> Option<MoveOpt<R::Msg>> {
+        let fs = self.faults.as_mut().expect("fault state attached");
+        fs.ensure_distances(dst as u32, &self.layout);
+        let d = fs.distances(dst as u32);
+        let here = d[node];
+        if here == u32::MAX {
+            return None;
+        }
+        debug_assert!(here > 0, "queued packet at its destination");
+        for port in 0..self.layout.max_ports {
+            let Some(chan) = self.layout.chan(node, port) else {
+                continue;
+            };
+            if fs.chan_dead(chan) {
+                continue;
+            }
+            let to = self.layout.chan_to[chan as usize] as usize;
+            if fs.is_node_dead(to) || d[to] != here - 1 {
+                continue;
+            }
+            // Ride the channel's first declared buffer class; a static
+            // class pins the arrival class, a dynamic one keeps the
+            // packet's current class until the receiver restarts it.
+            let buf = self.layout.chan_buf_start[chan as usize];
+            let to_class = match self.layout.buf_class[buf as usize] {
+                BufferClass::Static(c) => c,
+                BufferClass::Dynamic => class,
+            };
+            return Some(MoveOpt {
+                buf,
+                to_class,
+                next: rf.initial_msg(node, dst),
+                escape: true,
+            });
+        }
+        None
+    }
+
+    /// Re-apply the flag effects of every fault event before `cycle`
+    /// (packet surgery is unnecessary: the snapshot's placement already
+    /// reflects it), then restore the sparse flaky retry counters, which
+    /// [`Simulator::validate_snapshot`] has checked.
+    fn replay_faults(&mut self, cycle: u64, fail: &[(u32, u32)]) {
+        let Some(mut fs) = self.faults.take() else {
+            return;
+        };
+        let no_nodes = OwnedNodes::from_sorted(&[], self.layout.num_nodes);
+        if self.fire_events(&mut fs, cycle, &no_nodes, &mut Vec::new(), &mut NoRecorder) {
+            fs.clear_distances();
+        }
+        for &(chan, cnt) in fail {
+            let known = fs.set_fail_count(chan, cnt);
+            debug_assert!(known, "fail counters are validated before commit");
+        }
+        self.faults = Some(fs);
+    }
+}
+
+/// The packet-routing simulator; see the crate docs for the model.
+///
+/// `Rec` is the attached event [`Recorder`], monomorphized into the hot
+/// loop: the default [`NoRecorder`] has empty inline hooks, so an
+/// unobserved simulator compiles to exactly the code it had before the
+/// observability layer existed. Pass a [`fadr_metrics::SinkSet`] (or any
+/// custom recorder) via [`Simulator::with_recorder`] to collect
+/// routing-decision counters, packet traces, or watchdog evidence.
+pub struct Simulator<R: RoutingFunction, Rec: Recorder = NoRecorder> {
+    pub(crate) rf: R,
+    pub(crate) rec: Rec,
+    /// The step core on the computed option source (a sharded run
+    /// drives each shard's core per node and per channel).
+    pub(crate) core: Core<R, Computed<R>>,
+}
+
+impl<R: RoutingFunction> Simulator<R> {
+    /// Build a simulator for `rf` with the given configuration and no
+    /// recorder (the zero-overhead default).
+    pub fn new(rf: R, cfg: SimConfig) -> Self {
+        Self::with_recorder(rf, cfg, NoRecorder)
+    }
+}
+
+impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
+    /// Build a simulator with an attached event recorder. The recorder
+    /// observes every run of this simulator (it is *not* reset between
+    /// runs); use one recorder per run for per-run metrics.
+    ///
+    /// A `queue_capacity` of 0 is permitted: it wedges the network (no
+    /// packet can ever enter a central queue), which is useful for
+    /// exercising watchdog sinks against a guaranteed stall.
+    pub fn with_recorder(rf: R, cfg: SimConfig, rec: Rec) -> Self {
+        let layout = Arc::new(Layout::new(&rf));
+        Self::with_shared_layout(rf, cfg, rec, layout)
+    }
+
+    /// Build a simulator on an already-computed layout (shared between
+    /// the per-shard simulators of a [`crate::ShardedSimulator`], which
+    /// would otherwise recompute it once per shard).
+    pub(crate) fn with_shared_layout(rf: R, cfg: SimConfig, rec: Rec, layout: Arc<Layout>) -> Self {
+        let core = Core::new(cfg, layout, rf.num_classes(), Computed::new());
+        Self { rf, rec, core }
+    }
+
+    /// Attach a fault plan: its scheduled events fire at their cycles on
+    /// every subsequent run (see [`crate::fault`] for the model). The
+    /// plan's events are sorted by cycle here, so both engines process
+    /// them in the same order.
+    #[must_use]
+    pub fn with_faults(mut self, mut plan: FaultPlan) -> Self {
+        plan.normalize();
+        self.core.fault_plan = Some(Arc::new(plan));
+        self
+    }
+
+    /// Destinations a fault made unreachable in the last run, sorted and
+    /// deduplicated. Non-empty exactly when the run stopped with
+    /// [`StopReason::Partitioned`].
+    pub fn partitioned_destinations(&self) -> Vec<u32> {
+        let mut out = self.core.partitioned.clone();
+        out.sort_unstable();
+        out
+    }
+
+    /// Occupancy statistics of the last run (empty unless
+    /// [`crate::SimConfig::track_occupancy`] was set).
+    pub fn occupancy(&self) -> &OccupancyProbe {
+        &self.core.occupancy
+    }
+
+    /// The attached event recorder.
+    pub fn recorder(&self) -> &Rec {
+        &self.rec
+    }
+
+    /// Mutable access to the attached event recorder.
+    pub fn recorder_mut(&mut self) -> &mut Rec {
+        &mut self.rec
+    }
+
+    /// Consume the simulator and return its recorder (e.g. to reduce a
+    /// sink after a run).
+    pub fn into_recorder(self) -> Rec {
+        self.rec
+    }
+
+    /// Packets delivered with a hop count different from the topology
+    /// distance (0 for a correct minimal algorithm; only counted when
+    /// [`crate::SimConfig::check_minimality`] is set).
+    pub fn minimality_violations(&self) -> u64 {
+        self.core.minimality_violations
+    }
+
+    /// Delivered-packets time series of the last run, if
+    /// [`crate::SimConfig::throughput_window`] was non-zero.
+    pub fn throughput(&self) -> Option<&TimeSeries> {
+        self.core.throughput.as_ref()
+    }
+
+    /// The routing function under simulation.
+    pub fn routing(&self) -> &R {
+        &self.rf
+    }
+
+    /// Number of nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.core.layout.num_nodes
+    }
+
+    /// Current routing cycle (after a [`Simulator::restore`], the
+    /// checkpoint cycle — the replay harness reports its resume window
+    /// from this).
+    pub fn cycle(&self) -> u64 {
+        self.core.cycle
+    }
+
+    /// Run a static-injection experiment: node `v` injects the packets of
+    /// `backlog[v]` (in order) as fast as its injection buffer frees up,
+    /// and the run ends when the network drains.
+    pub fn run_static(&mut self, backlog: &[Vec<NodeId>]) -> StaticResult {
+        match self.run_static_until(backlog, None) {
+            StaticOutcome::Finished(r) => r,
+            StaticOutcome::Paused(_) => unreachable!("no pause requested"),
+        }
+    }
+
+    /// [`Simulator::run_static`] with an optional pause point: with
+    /// `pause_at = Some(p)` the run stops at cycle `p` *after* the
+    /// injection pass but *before* the routing step — the engine's
+    /// checkpointable pause point (see [`crate::snapshot`]) — and
+    /// returns the loop progress needed to resume.
+    pub fn run_static_until(
+        &mut self,
+        backlog: &[Vec<NodeId>],
+        pause_at: Option<u64>,
+    ) -> StaticOutcome {
+        self.core
+            .run_static_until(&self.rf, &mut self.rec, backlog, pause_at)
+    }
+
+    /// Continue a static run from a restored checkpoint (see
+    /// [`Simulator::restore`]). The engine must already hold the
+    /// restored state; `backlog` must be the original workload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `progress` is not [`RunProgress::Static`] or its cursor
+    /// vector does not match `backlog`.
+    pub fn resume_static(
+        &mut self,
+        backlog: &[Vec<NodeId>],
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> StaticOutcome {
+        self.core
+            .resume_static(&self.rf, &mut self.rec, backlog, progress, pause_at)
+    }
+
+    /// Run a dynamic-injection experiment for `cycles` routing cycles:
+    /// each node attempts an injection each cycle with probability
+    /// `lambda`, drawing destinations from `dest`.
+    ///
+    /// Each node draws its Bernoulli trials and destinations from its
+    /// *own* deterministic RNG stream (seeded from
+    /// [`crate::SimConfig::seed`] and the node id), and the destination
+    /// is drawn on every attempt whether or not the injection buffer is
+    /// free. Together these make the offered workload a pure function of
+    /// `(seed, λ, cycles)`: it does not depend on buffer occupancy
+    /// (i.e. on the routing algorithm, queue capacity, or fill order), so
+    /// latency numbers from different configurations answer the same
+    /// question — and a sharded run injects the exact same packets as a
+    /// sequential one regardless of how nodes are partitioned.
+    pub fn run_dynamic(
+        &mut self,
+        lambda: f64,
+        dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
+        cycles: u64,
+    ) -> DynamicResult {
+        match self.run_dynamic_until(lambda, dest, cycles, None) {
+            DynamicOutcome::Finished(r) => r,
+            DynamicOutcome::Paused(_) => unreachable!("no pause requested"),
+        }
+    }
+
+    /// [`Simulator::run_dynamic`] with an optional pause point (see
+    /// [`Simulator::run_static_until`] for the pause-point semantics).
+    pub fn run_dynamic_until(
+        &mut self,
+        lambda: f64,
+        dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
+        cycles: u64,
+        pause_at: Option<u64>,
+    ) -> DynamicOutcome {
+        self.core
+            .run_dynamic_until(&self.rf, &mut self.rec, lambda, dest, cycles, pause_at)
+    }
+
+    /// Continue a dynamic run from a restored checkpoint. `lambda`,
+    /// `dest`, and `cycles` must be the original workload parameters:
+    /// the per-node RNG streams are not stored in the snapshot but
+    /// *fast-forwarded* — each node's stream is replayed through the
+    /// draws the paused run already consumed (one Bernoulli trial plus,
+    /// on success, one destination draw per cycle, destinations drawn
+    /// unconditionally by the run loop), which is only possible because
+    /// the draw discipline is a pure function of `(seed, λ, cycle)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `progress` is not [`RunProgress::Dynamic`].
+    pub fn resume_dynamic(
+        &mut self,
+        lambda: f64,
+        dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
+        cycles: u64,
+        progress: RunProgress,
+        pause_at: Option<u64>,
+    ) -> DynamicOutcome {
+        self.core.resume_dynamic(
+            &self.rf,
+            &mut self.rec,
+            lambda,
+            dest,
+            cycles,
+            progress,
+            pause_at,
+        )
     }
 }
 
@@ -1903,11 +2338,12 @@ where
     /// back by [`Simulator::restore`].
     #[must_use]
     pub fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
+        let core = &self.core;
         debug_assert!(
-            self.partitioned.is_empty(),
+            core.partitioned.is_empty(),
             "checkpointing a partitioned run"
         );
-        let n = self.layout.num_nodes;
+        let n = core.layout.num_nodes;
         let mut lines = String::new();
         let mut count = 0usize;
         for v in 0..n {
@@ -1916,30 +2352,25 @@ where
         for v in 0..n {
             count += self.push_inj_packet(v, &mut lines);
         }
-        for b in 0..self.layout.num_buffers() {
+        for b in 0..core.layout.num_buffers() {
             count += self.push_out_packet(b, &mut lines);
         }
-        for b in 0..self.layout.num_buffers() {
+        for b in 0..core.layout.num_buffers() {
             count += self.push_in_packet(b, &mut lines);
         }
         let g = snapshot::Globals {
-            cfg: &self.cfg,
-            dims: (
-                n,
-                self.num_classes,
-                self.layout.num_buffers(),
-                self.layout.num_channels(),
-            ),
-            cycle: self.cycle,
-            next_uid: self.next_uid,
-            delivered: self.delivered,
-            dropped: self.dropped,
-            minviol: self.minimality_violations,
-            chan_rr: self.chan_rr.clone(),
-            fail: self.flaky_fail_counts(),
-            stats: &self.stats,
-            occupancy: self.cfg.track_occupancy.then_some(&self.occupancy),
-            throughput: self.throughput.as_ref(),
+            cfg: &core.cfg,
+            dims: self.dims(),
+            cycle: core.cycle,
+            next_uid: core.next_uid,
+            delivered: core.delivered,
+            dropped: core.dropped,
+            minviol: core.minimality_violations,
+            chan_rr: core.chan_rr.clone(),
+            fail: core.flaky_fail_counts(),
+            stats: &core.stats,
+            occupancy: core.cfg.track_occupancy.then_some(&core.occupancy),
+            throughput: core.throughput.as_ref(),
         };
         snapshot::assemble(meta, &g, count, &lines, progress)
     }
@@ -1950,231 +2381,204 @@ where
     ///
     /// The snapshot's configuration and network shape must match this
     /// simulator's exactly (resuming under different parameters would
-    /// silently be a different run). On error the engine is left
-    /// mid-restore; call a `run_*` method (which resets) before reusing
-    /// it.
+    /// silently be a different run). Restore is validate-then-commit:
+    /// the whole document is checked against this instance first, and
+    /// on error the engine and its recorder are left untouched.
     pub fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
         let snap: ParsedSnapshot<R::Msg> = snapshot::parse(text)?;
-        self.restore_from(&snap)?;
+        self.validate_snapshot(&snap)?;
+        self.commit_snapshot(&snap);
         Ok((snap.meta, snap.progress))
+    }
+
+    /// `(num_nodes, num_classes, num_buffers, num_channels)`, the shape a
+    /// snapshot records.
+    fn dims(&self) -> (usize, usize, usize, usize) {
+        let l = &self.core.layout;
+        let nc = self.core.num_classes;
+        (l.num_nodes, nc, l.num_buffers(), l.num_channels())
     }
 
     /// Append the packet lines of node `v`'s central queues (FIFO
     /// order); returns how many were written.
     pub(crate) fn push_queued_packets(&self, v: usize, out: &mut String) -> usize {
-        for &p in &self.node_fifo[v] {
+        let fifo = &self.core.node_fifo[v];
+        for &p in fifo {
             snapshot::push_packet_line(out, &self.packet_rec(Loc::Queue(v as u32), p));
         }
-        self.node_fifo[v].len()
+        fifo.len()
     }
 
     /// Append node `v`'s injection-buffer packet line, if occupied.
     pub(crate) fn push_inj_packet(&self, v: usize, out: &mut String) -> usize {
-        let p = self.inj_buf[v];
-        if p == NONE {
-            return 0;
-        }
-        snapshot::push_packet_line(out, &self.packet_rec(Loc::Inj(v as u32), p));
-        1
+        self.push_packet(Loc::Inj(v as u32), self.core.inj_buf[v], out)
     }
 
     /// Append output buffer `b`'s packet line, if occupied.
     pub(crate) fn push_out_packet(&self, b: usize, out: &mut String) -> usize {
-        let p = self.outbuf[b];
-        if p == NONE {
-            return 0;
-        }
-        snapshot::push_packet_line(out, &self.packet_rec(Loc::Out(b as u32), p));
-        1
+        self.push_packet(Loc::Out(b as u32), self.core.outbuf[b], out)
     }
 
     /// Append input buffer `b`'s packet line, if occupied.
     pub(crate) fn push_in_packet(&self, b: usize, out: &mut String) -> usize {
-        let p = self.inbuf[b];
+        self.push_packet(Loc::In(b as u32), self.core.inbuf[b], out)
+    }
+
+    fn push_packet(&self, loc: Loc, p: u32, out: &mut String) -> usize {
         if p == NONE {
             return 0;
         }
-        snapshot::push_packet_line(out, &self.packet_rec(Loc::In(b as u32), p));
+        snapshot::push_packet_line(out, &self.packet_rec(loc, p));
         1
     }
 
     fn packet_rec(&self, loc: Loc, p: u32) -> PacketRec<R::Msg> {
-        let pi = p as usize;
+        let (s, pi) = (&self.core.store, p as usize);
+        let h = &s.hot[pi];
         PacketRec {
             loc,
-            src: self.store.src[pi],
-            dst: self.store.dst[pi],
-            uid: self.store.uid[pi],
-            hops: self.store.hops[pi],
-            inject_cycle: self.store.inject_cycle[pi],
-            enqueued_at: self.store.enqueued_at[pi],
-            moved_at: self.store.moved_at[pi],
-            class: self.store.class[pi],
-            next_class: self.store.next_class[pi],
-            escape: self.store.escape[pi],
-            msg: self.store.msg[pi].clone(),
+            src: s.src[pi],
+            dst: s.dst[pi],
+            uid: s.uid[pi],
+            hops: h.hops,
+            inject_cycle: s.inject_cycle[pi],
+            enqueued_at: s.enqueued_at[pi],
+            moved_at: h.moved_at,
+            class: h.class,
+            next_class: h.next_class,
+            escape: h.escape,
+            msg: s.msg[pi].clone(),
         }
     }
 
-    /// Load a parsed snapshot (possibly filtered to this shard's nodes
-    /// by the sharded driver): reset, restore the global counters and
-    /// accumulators, replay the fault schedule up to the snapshot cycle,
-    /// prime the recorder, place every packet, and recompute the cached
-    /// routing options against the replayed fault flags.
-    pub(crate) fn restore_from(&mut self, snap: &ParsedSnapshot<R::Msg>) -> Result<(), String> {
-        let dims = (
-            self.layout.num_nodes,
-            self.num_classes,
-            self.layout.num_buffers(),
-            self.layout.num_channels(),
-        );
+    /// Check a parsed snapshot (the whole document, even when a sharded
+    /// driver commits it piecewise) against this engine's instance,
+    /// touching no state: every error a restore can report is found
+    /// here, so [`Simulator::commit_snapshot`] cannot fail.
+    pub(crate) fn validate_snapshot(&self, snap: &ParsedSnapshot<R::Msg>) -> Result<(), String> {
+        let dims = self.dims();
+        let (n, nc, nb, nch) = dims;
+        let core = &self.core;
         if snap.dims != dims {
             return Err(format!(
                 "snapshot network shape {:?} does not match the engine's {dims:?}",
                 snap.dims
             ));
         }
-        if snap.cfg != self.cfg {
+        if snap.cfg != core.cfg {
             return Err("snapshot configuration does not match the engine's".into());
         }
-        self.reset();
-        self.cycle = snap.cycle;
-        self.next_uid = snap.next_uid;
-        self.delivered = snap.delivered;
-        self.dropped = snap.dropped;
-        self.minimality_violations = snap.minviol;
-        self.stats = snap.stats.clone();
         if let Some(occ) = &snap.occupancy {
-            if occ.max.len() != self.queue_len.len() || occ.sum.len() != self.queue_len.len() {
+            if occ.max.len() != n * nc || occ.sum.len() != n * nc {
                 return Err("snapshot occupancy table has the wrong shape".into());
             }
-            self.occupancy = occ.clone();
         }
         if let Some(ts) = &snap.throughput {
-            if ts.window() != self.cfg.throughput_window {
+            if ts.window() != core.cfg.throughput_window {
                 return Err("snapshot throughput window differs from the configuration".into());
             }
-            self.throughput = Some(ts.clone());
         }
-        if snap.chan_rr.len() != self.chan_rr.len() {
+        if snap.chan_rr.len() != nch {
             return Err("snapshot chan_rr table has the wrong length".into());
         }
-        self.chan_rr.copy_from_slice(&snap.chan_rr);
-        self.replay_faults(snap.cycle, &snap.fail)?;
+        if let Some(c) = (0..nch).find(|&c| snap.chan_rr[c] >= core.layout.chan_buf_len[c]) {
+            return Err(format!("snapshot chan_rr of channel {c} is out of range"));
+        }
+        if core.fault_plan.is_none() && !snap.fail.is_empty() {
+            return Err("snapshot carries fault counters but no fault plan is attached".into());
+        }
+        if let Some(&(chan, _)) = snap.fail.iter().find(|&&(c, _)| c as usize >= nch) {
+            return Err(format!("snapshot fail counter for unknown channel {chan}"));
+        }
+        let (mut inj, mut out, mut inb) = (vec![false; n], vec![false; nb], vec![false; nb]);
+        for r in &snap.packets {
+            if usize::from(r.class) >= nc || usize::from(r.next_class) >= nc {
+                return Err(format!(
+                    "packet {} names an out-of-range queue class",
+                    r.uid
+                ));
+            }
+            if r.src as usize >= n || r.dst as usize >= n {
+                return Err(format!("packet {} has out-of-range endpoints", r.uid));
+            }
+            // Every move happens in a fill pass before the pause cycle
+            // (`u64::MAX` = never moved); the fill relies on it.
+            if r.inject_cycle > snap.cycle || (r.moved_at >= snap.cycle && r.moved_at != u64::MAX) {
+                return Err(format!(
+                    "packet {} has a timestamp after the snapshot",
+                    r.uid
+                ));
+            }
+            let (slot, what) = match r.loc {
+                Loc::Queue(v) if (v as usize) < n => continue,
+                Loc::Queue(_) => {
+                    return Err(format!("packet {} queued at an unknown node", r.uid));
+                }
+                Loc::Inj(v) => (inj.get_mut(v as usize), "injection slot"),
+                Loc::Out(b) => (out.get_mut(b as usize), "output buffer"),
+                Loc::In(b) => (inb.get_mut(b as usize), "input buffer"),
+            };
+            match slot {
+                Some(taken) if !*taken => *taken = true,
+                _ => return Err(format!("packet {} in a bad {what}", r.uid)),
+            }
+        }
+        Ok(())
+    }
+
+    /// Load a validated snapshot (possibly filtered to this shard's
+    /// nodes by the sharded driver): reset, restore the global counters
+    /// and accumulators, replay the fault schedule up to the snapshot
+    /// cycle, prime the recorder, place every packet, and recompute the
+    /// cached routing options against the replayed fault flags. This is
+    /// the only step of a restore that mutates the engine or fires
+    /// recorder hooks, and it cannot fail.
+    pub(crate) fn commit_snapshot(&mut self, snap: &ParsedSnapshot<R::Msg>) {
+        let core = &mut self.core;
+        core.reset();
+        core.cycle = snap.cycle;
+        core.next_uid = snap.next_uid;
+        core.delivered = snap.delivered;
+        core.dropped = snap.dropped;
+        core.minimality_violations = snap.minviol;
+        core.stats = snap.stats.clone();
+        if let Some(occ) = &snap.occupancy {
+            core.occupancy = occ.clone();
+        }
+        if let Some(ts) = &snap.throughput {
+            core.throughput = Some(ts.clone());
+        }
+        core.chan_rr.copy_from_slice(&snap.chan_rr);
+        core.replay_faults(snap.cycle, &snap.fail);
         if Rec::ENABLED {
             self.rec.on_resume(snap.cycle);
         }
         for r in &snap.packets {
-            self.place_packet(r)?;
+            self.place_packet(r);
         }
         // Cached option segments are derived state: recompute them for
         // every queued packet, after the fault replay so degraded-mode
         // filtering sees the same dead topology as the original run.
-        for v in 0..self.layout.num_nodes {
-            let mut i = 0;
-            while i < self.node_fifo[v].len() {
-                let p = self.node_fifo[v][i];
-                let class = self.store.class[p as usize];
-                self.compute_options(p, v, class);
-                i += 1;
+        let core = &mut self.core;
+        for v in 0..core.layout.num_nodes {
+            for i in 0..core.node_fifo[v].len() {
+                let p = core.node_fifo[v][i];
+                core.resettle(&self.rf, p, v, &mut self.rec);
             }
         }
-        Ok(())
     }
 
-    /// Re-apply the flag effects of every fault event before `cycle`
-    /// (packet surgery is unnecessary: the snapshot's placement already
-    /// reflects it), then restore the sparse flaky retry counters.
-    fn replay_faults(&mut self, cycle: u64, fail: &[(u32, u32)]) -> Result<(), String> {
-        let Some(mut fs) = self.faults.take() else {
-            if fail.is_empty() {
-                return Ok(());
-            }
-            return Err("snapshot carries fault counters but no fault plan is attached".into());
-        };
-        let mut permanent = false;
-        while fs.next_event < fs.plan.events.len() && fs.plan.events[fs.next_event].cycle < cycle {
-            let ev = fs.plan.events[fs.next_event];
-            fs.next_event += 1;
-            match ev.kind {
-                FaultKind::LinkDown { from, to } => {
-                    permanent = true;
-                    for chan in 0..self.layout.num_channels() {
-                        if self.layout.chan_from[chan] == from && self.layout.chan_to[chan] == to {
-                            fs.kill_chan(chan as u32);
-                        }
-                    }
-                }
-                FaultKind::NodeDown { node } => {
-                    let v = node as usize;
-                    if v >= self.layout.num_nodes || !fs.kill_node(v) {
-                        continue;
-                    }
-                    permanent = true;
-                    for chan in 0..self.layout.num_channels() {
-                        let cf = self.layout.chan_from[chan] as usize;
-                        let ct = self.layout.chan_to[chan] as usize;
-                        if cf == v || ct == v {
-                            fs.kill_chan(chan as u32);
-                        }
-                    }
-                }
-                FaultKind::QueueFreeze {
-                    node,
-                    class,
-                    duration,
-                } => {
-                    let v = node as usize;
-                    let c = usize::from(class);
-                    if v < self.layout.num_nodes && c < self.num_classes {
-                        fs.freeze(v * self.num_classes + c, ev.cycle + duration);
-                    }
-                }
-                FaultKind::FlakyLink {
-                    from,
-                    to,
-                    until,
-                    threshold,
-                } => {
-                    for chan in 0..self.layout.num_channels() {
-                        if self.layout.chan_from[chan] == from && self.layout.chan_to[chan] == to {
-                            fs.set_flaky(chan as u32, until, threshold);
-                        }
-                    }
-                }
-            }
-        }
-        if permanent {
-            fs.clear_distances();
-        }
-        for &(chan, cnt) in fail {
-            if !fs.set_fail_count(chan, cnt) {
-                self.faults = Some(fs);
-                return Err(format!("snapshot fail counter for unknown channel {chan}"));
-            }
-        }
-        self.faults = Some(fs);
-        Ok(())
-    }
-
-    /// Insert one snapshot packet at its serialized location, priming
-    /// the recorder (`on_inject`, plus `on_queue_enter` for queued
-    /// packets) so per-packet sinks see every live packet once.
-    fn place_packet(&mut self, r: &PacketRec<R::Msg>) -> Result<(), String> {
-        let nc = self.num_classes;
-        if usize::from(r.class) >= nc || usize::from(r.next_class) >= nc {
-            return Err(format!(
-                "packet {} names an out-of-range queue class",
-                r.uid
-            ));
-        }
-        if r.src as usize >= self.layout.num_nodes || r.dst as usize >= self.layout.num_nodes {
-            return Err(format!("packet {} has out-of-range endpoints", r.uid));
-        }
+    /// Insert one validated snapshot packet at its serialized location,
+    /// priming the recorder (`on_inject`, plus `on_queue_enter` for
+    /// queued packets) so per-packet sinks see every live packet once.
+    fn place_packet(&mut self, r: &PacketRec<R::Msg>) {
         if Rec::ENABLED {
             self.rec.on_inject(r.inject_cycle, r.uid, r.src, r.dst);
         }
-        let slot = self.store.insert(PacketInit {
+        let core = &mut self.core;
+        // The pause point sits between the injection pass and the fill
+        // pass, where no packet is staged.
+        let slot = core.store.insert(PacketInit {
             src: r.src,
             dst: r.dst,
             uid: r.uid,
@@ -2184,62 +2588,23 @@ where
             moved_at: r.moved_at,
             class: r.class,
             next_class: r.next_class,
-            // The pause point sits between the injection pass and the
-            // fill pass, where no packet is staged (fill clears the
-            // flag in the same cycle it sets it).
-            staged: false,
             escape: r.escape,
             msg: r.msg.clone(),
         });
         match r.loc {
             Loc::Queue(v) => {
-                let v = v as usize;
-                if v >= self.layout.num_nodes {
-                    return Err(format!("packet {} queued at an unknown node", r.uid));
-                }
-                let q = v * nc + usize::from(r.class);
-                self.queue_len[q] += 1;
+                let q = v as usize * core.num_classes + usize::from(r.class);
+                core.queue_len[q] += 1;
                 if Rec::ENABLED {
-                    self.rec.on_queue_enter(
-                        self.cycle,
-                        r.uid,
-                        v as u32,
-                        r.class,
-                        self.queue_len[q],
-                    );
+                    self.rec
+                        .on_queue_enter(core.cycle, r.uid, v, r.class, core.queue_len[q]);
                 }
-                self.node_fifo[v].push(slot);
+                core.node_fifo[v as usize].push(slot);
             }
-            Loc::Inj(v) => {
-                let v = v as usize;
-                if v >= self.layout.num_nodes || self.inj_buf[v] != NONE {
-                    return Err(format!("packet {} in a bad injection slot", r.uid));
-                }
-                self.inj_buf[v] = slot;
-            }
-            Loc::Out(b) => {
-                let b = b as usize;
-                if b >= self.outbuf.len() || self.outbuf[b] != NONE {
-                    return Err(format!("packet {} in a bad output buffer", r.uid));
-                }
-                self.outbuf[b] = slot;
-                self.out_occ.set(b);
-                let chan = self.buf_chan[b] as usize;
-                self.chan_pending[chan] += 1;
-                self.chan_live.set(chan);
-            }
-            Loc::In(b) => {
-                let b = b as usize;
-                if b >= self.inbuf.len() || self.inbuf[b] != NONE {
-                    return Err(format!("packet {} in a bad input buffer", r.uid));
-                }
-                self.inbuf[b] = slot;
-                self.in_occ.set(b);
-                let chan = self.buf_chan[b] as usize;
-                self.in_occupied[self.layout.chan_to[chan] as usize] += 1;
-            }
+            Loc::Inj(v) => core.inj_buf[v as usize] = slot,
+            Loc::Out(b) => core.fill_outbuf(b as usize, slot),
+            Loc::In(b) => core.fill_inbuf(b as usize, slot),
         }
-        Ok(())
     }
 }
 
@@ -2280,41 +2645,43 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
     /// sequential link pass retries a staged packet whose input buffer
     /// is full).
     pub(crate) fn collect_offers(&self, chan: usize, out: &mut Vec<OfferItem<R::Msg>>) {
-        if self.chan_pending[chan] == 0 {
+        let core = &self.core;
+        if core.chan_pending[chan] == 0 {
             return;
         }
-        if let Some(fs) = &self.faults {
+        if let Some(fs) = &core.faults {
             // Same guard as the sequential link pass: a dead or
             // flaky-down channel carries nothing this cycle.
-            if fs.link_blocked(chan as u32, self.cycle) {
+            if fs.link_blocked(chan as u32, core.cycle) {
                 return;
             }
         }
-        let start = self.layout.chan_buf_start[chan] as usize;
-        let len = self.layout.chan_buf_len[chan] as usize;
+        let start = core.layout.chan_buf_start[chan] as usize;
+        let len = core.layout.chan_buf_len[chan] as usize;
         for b in start..start + len {
-            let p = self.outbuf[b];
+            let p = core.outbuf[b];
             if p == NONE {
                 continue;
             }
-            let pi = p as usize;
+            let (s, pi) = (&core.store, p as usize);
+            let h = &s.hot[pi];
             out.push(OfferItem {
                 chan: chan as u32,
                 buf: b as u32,
                 payload: Some(Transfer {
-                    src: self.store.src[pi],
-                    dst: self.store.dst[pi],
-                    uid: self.store.uid[pi],
-                    hops: self.store.hops[pi],
-                    inject_cycle: self.store.inject_cycle[pi],
-                    enqueued_at: self.store.enqueued_at[pi],
-                    moved_at: self.store.moved_at[pi],
-                    class: self.store.class[pi],
-                    next_class: self.store.next_class[pi],
-                    msg: self.store.msg[pi].clone(),
-                    escape: self.store.escape[pi],
+                    src: s.src[pi],
+                    dst: s.dst[pi],
+                    uid: s.uid[pi],
+                    hops: h.hops,
+                    inject_cycle: s.inject_cycle[pi],
+                    enqueued_at: s.enqueued_at[pi],
+                    moved_at: h.moved_at,
+                    class: h.class,
+                    next_class: h.next_class,
+                    msg: s.msg[pi].clone(),
+                    escape: h.escape,
                     trace: if Rec::ENABLED {
-                        self.rec.snapshot_trace(self.store.uid[pi])
+                        self.rec.snapshot_trace(s.uid[pi])
                     } else {
                         None
                     },
@@ -2326,7 +2693,7 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
     /// Link pass for a cross-shard channel, executed by the shard that
     /// owns the receiving endpoint. `offered` holds the sender's offers
     /// for this channel; the round-robin scan is identical to
-    /// [`Simulator::link_chan`] with "output buffer occupied" replaced by
+    /// [`Core::link_chan`] with "output buffer occupied" replaced by
     /// "offer present". Returns the taken buffer (to acknowledge to the
     /// sender) if a packet crossed.
     pub(crate) fn take_cross(
@@ -2334,20 +2701,21 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
         chan: usize,
         offered: &mut [OfferItem<R::Msg>],
     ) -> Option<u32> {
-        if let Some(fs) = &self.faults {
+        let core = &self.core;
+        if let Some(fs) = &core.faults {
             // Fault flags are replicated, so receiver and sender agree
             // on blocked channels; the sender will not have offered,
             // but guard here too for symmetry with `link_chan`.
-            if fs.link_blocked(chan as u32, self.cycle) {
+            if fs.link_blocked(chan as u32, core.cycle) {
                 return None;
             }
         }
-        let start = self.layout.chan_buf_start[chan] as usize;
-        let len = self.layout.chan_buf_len[chan] as usize;
-        let rr = self.chan_rr[chan] as usize;
+        let start = core.layout.chan_buf_start[chan] as usize;
+        let len = core.layout.chan_buf_len[chan] as usize;
+        let rr = core.chan_rr[chan] as usize;
         for i in 0..len {
             let b = start + (rr + i) % len;
-            if self.inbuf[b] != NONE {
+            if self.core.inbuf[b] != NONE {
                 continue;
             }
             let Some(entry) = offered
@@ -2358,7 +2726,7 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
             };
             let t = entry.payload.take().expect("offer present");
             self.accept_transfer(chan, b, t);
-            self.chan_rr[chan] = ((rr + i + 1) % len) as u16;
+            self.core.chan_rr[chan] = ((rr + i + 1) % len) as u16;
             return Some(b as u32);
         }
         None
@@ -2367,21 +2735,22 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
     /// Materialize a transferred packet in this shard's slab and input
     /// buffer, firing the same link event the sequential engine would.
     fn accept_transfer(&mut self, chan: usize, buf: usize, t: Transfer<R::Msg>) {
+        let core = &mut self.core;
         if Rec::ENABLED {
             if let Some(state) = t.trace {
                 self.rec.adopt_trace(t.uid, state);
             }
             self.rec.on_link(
-                self.cycle,
+                core.cycle,
                 t.uid,
-                self.layout.chan_from[chan],
-                self.layout.chan_to[chan],
-                matches!(self.layout.buf_class[buf], BufferClass::Dynamic),
+                core.layout.chan_from[chan],
+                core.layout.chan_to[chan],
+                matches!(core.layout.buf_class[buf], BufferClass::Dynamic),
                 t.class,
                 t.next_class,
             );
         }
-        let slot = self.store.insert(PacketInit {
+        let slot = core.store.insert(PacketInit {
             src: t.src,
             dst: t.dst,
             uid: t.uid,
@@ -2389,41 +2758,25 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
             inject_cycle: t.inject_cycle,
             enqueued_at: t.enqueued_at,
             moved_at: t.moved_at,
-            staged: false,
-            msg: t.msg,
-            next_class: t.next_class,
             class: t.class,
+            next_class: t.next_class,
             escape: t.escape,
+            msg: t.msg,
         });
-        self.inbuf[buf] = slot;
-        self.in_occ.set(buf);
-        self.in_occupied[self.layout.chan_to[chan] as usize] += 1;
-    }
-
-    /// Process a cross-shard acknowledgement: the receiver took the
-    /// packet staged in output buffer `buf`, so free the sender-side
-    /// copy (and its trace state, which the receiver adopted).
-    fn apply_ack(&mut self, buf: usize) {
-        let slot = self.outbuf[buf];
-        debug_assert_ne!(slot, NONE, "ack for an empty output buffer");
-        if Rec::ENABLED {
-            self.rec.discard_trace(self.store.uid[slot as usize]);
-        }
-        self.outbuf[buf] = NONE;
-        self.out_occ.clear(buf);
-        let chan = self.buf_chan[buf] as usize;
-        self.chan_pending[chan] -= 1;
-        if self.chan_pending[chan] == 0 {
-            self.chan_live.clear(chan);
-        }
-        self.store.release(slot, &mut self.opts);
+        core.fill_inbuf(buf, slot);
     }
 
     /// Drain a batch of cross-shard acknowledgements (one mailbox lock's
-    /// worth) in order.
+    /// worth) in order: the receiver took the packet staged in each
+    /// output buffer, so free the sender-side copy (and its trace state,
+    /// which the receiver adopted).
     pub(crate) fn apply_acks(&mut self, bufs: &[u32]) {
         for &b in bufs {
-            self.apply_ack(b as usize);
+            let slot = self.core.take_outbuf(b as usize);
+            if Rec::ENABLED {
+                self.rec.discard_trace(self.core.store.uid[slot as usize]);
+            }
+            self.core.free_packet(slot);
         }
     }
 }
@@ -2444,13 +2797,13 @@ pub(crate) fn rotating_start(cycle: u64, node: usize, n_out: usize) -> usize {
     (cycle.wrapping_add(salt) % n_out as u64) as usize
 }
 
-/// The routing-table core shared by the sequential and lane engines:
-/// enumerate the moves available to a packet carrying `msg` while
-/// resident in central queue `class` of `node`, resolving each
-/// transition to a concrete output buffer (or `NONE` for an in-place
-/// stutter). A pure function of `(rf, layout, node, class, msg)` — the
-/// property that lets [`crate::LaneSim`] memoize its results in a table
-/// shared across all lanes.
+/// The routing-table core shared by both option sources: enumerate the
+/// moves available to a packet carrying `msg` while resident in central
+/// queue `class` of `node`, resolving each transition to a concrete
+/// output buffer (or `NONE` for an in-place stutter). A pure function of
+/// `(rf, layout, node, class, msg)` — the property that lets
+/// [`crate::LaneSim`] precompute its results in a table shared across
+/// all lanes.
 pub(crate) fn push_move_options<R: RoutingFunction>(
     rf: &R,
     layout: &Layout,
@@ -2490,7 +2843,7 @@ pub(crate) fn push_move_options<R: RoutingFunction>(
 
 /// The central class targeted by the injection queue's single
 /// (internal, static) transition for `msg` at `node` — pure in
-/// `(rf, node, msg)`, so the lane engine memoizes it per node/message.
+/// `(rf, node, msg)`, so the lane engine's table precomputes it.
 pub(crate) fn entry_class_of<R: RoutingFunction>(rf: &R, node: usize, msg: &R::Msg) -> u8 {
     let mut entry: Option<u8> = None;
     rf.for_each_transition(QueueId::inject(node), msg, &mut |t| {
@@ -2561,6 +2914,50 @@ mod tests {
             distinct > 1,
             "all 16 nodes rotated in lockstep: starts {starts:?}"
         );
+    }
+
+    /// The want-mask fill and the occupied-slot read must pick exactly
+    /// what the plain scans pick: the same run with the fast paths
+    /// switched off in its layout journals identically, under every
+    /// fill order, with and without stutters.
+    #[test]
+    fn fast_paths_match_the_fallback_scans() {
+        use fadr_core::{HypercubeFullyAdaptive, ShuffleExchangeRouting};
+        use fadr_metrics::JournalSink;
+        use fadr_workloads::Pattern;
+
+        fn run<R: RoutingFunction + Clone>(
+            rf: &R,
+            fill_order: FillOrder,
+            fast: bool,
+        ) -> (DynamicResult, u64, u64, Vec<String>) {
+            let mut layout = Layout::new(rf);
+            assert!(layout.fast_fill && layout.fast_read);
+            layout.fast_fill = fast;
+            layout.fast_read = fast;
+            let cfg = SimConfig {
+                fill_order,
+                track_occupancy: true,
+                ..SimConfig::default()
+            };
+            let journal = JournalSink::new(1 << 16);
+            let mut sim = Simulator::with_shared_layout(rf.clone(), cfg, journal, Arc::new(layout));
+            let n = rf.topology().num_nodes();
+            let res = sim.run_dynamic(0.8, |s, rng| Pattern::Random.draw(s, n, rng), 80);
+            let j = sim.recorder();
+            (res, j.count(), j.hash(), j.lines())
+        }
+
+        for order in [
+            FillOrder::LowToHigh,
+            FillOrder::HighToLow,
+            FillOrder::Rotating,
+        ] {
+            let hc = HypercubeFullyAdaptive::new(4);
+            assert_eq!(run(&hc, order, true), run(&hc, order, false), "{order:?}");
+            let se = ShuffleExchangeRouting::new(4);
+            assert_eq!(run(&se, order, true), run(&se, order, false), "{order:?}");
+        }
     }
 
     #[test]

@@ -225,13 +225,16 @@ impl FaultPlan {
     }
 
     /// Parse a `fadr-faults/1` JSON document. Events are sorted by cycle.
+    /// An unknown or repeated key, at the top level or in an event, is
+    /// an error naming the key.
     pub fn parse(text: &str) -> Result<Self, String> {
+        const KEYS: [&str; 4] = ["schema", "seed", "retry_limit", "events"];
         let mut p = Parser {
             b: text.as_bytes(),
             i: 0,
         };
         let mut plan = FaultPlan::new(0, 0);
-        let mut saw_schema = false;
+        let mut seen = [false; KEYS.len()];
         p.expect(b'{')?;
         loop {
             p.skip_ws();
@@ -240,20 +243,26 @@ impl FaultPlan {
             }
             let key = p.string()?;
             p.expect(b':')?;
-            match key.as_str() {
+            let slot = KEYS
+                .iter()
+                .position(|&k| k == key)
+                .ok_or_else(|| format!("unknown key {key:?}"))?;
+            if std::mem::replace(&mut seen[slot], true) {
+                return Err(format!("duplicate key {key:?} in fault plan"));
+            }
+            match key {
                 "schema" => {
                     let s = p.string()?;
                     if s != "fadr-faults/1" {
                         return Err(format!("unsupported schema {s:?} (want fadr-faults/1)"));
                     }
-                    saw_schema = true;
                 }
                 "seed" => plan.seed = p.u64()?,
                 "retry_limit" => {
                     plan.retry_limit = u32::try_from(p.u64()?)
                         .map_err(|_| "retry_limit out of range".to_string())?;
                 }
-                "events" => {
+                _ => {
                     p.expect(b'[')?;
                     p.skip_ws();
                     if !p.eat(b']') {
@@ -267,7 +276,6 @@ impl FaultPlan {
                         }
                     }
                 }
-                other => return Err(format!("unknown key {other:?}")),
             }
             p.skip_ws();
             if !p.eat(b',') {
@@ -279,7 +287,7 @@ impl FaultPlan {
         if p.i != p.b.len() {
             return Err("trailing data after fault plan".into());
         }
-        if !saw_schema {
+        if !seen[0] {
             return Err("missing \"schema\" key".into());
         }
         plan.normalize();
@@ -287,10 +295,23 @@ impl FaultPlan {
     }
 }
 
+/// The numeric fields a fault event may carry; each kind takes a subset.
+const EVENT_FIELDS: [&str; 7] = [
+    "from",
+    "to",
+    "node",
+    "class",
+    "duration",
+    "until",
+    "threshold",
+];
+
+/// Parse one event object into fixed per-field slots (no allocation per
+/// field), rejecting unknown, repeated and kind-foreign keys.
 fn parse_event(p: &mut Parser<'_>) -> Result<FaultEvent, String> {
     let mut cycle: Option<u64> = None;
-    let mut kind: Option<String> = None;
-    let mut fields: HashMap<String, u64> = HashMap::new();
+    let mut kind: Option<&str> = None;
+    let mut vals = [None::<u64>; EVENT_FIELDS.len()];
     p.expect(b'{')?;
     loop {
         p.skip_ws();
@@ -299,12 +320,19 @@ fn parse_event(p: &mut Parser<'_>) -> Result<FaultEvent, String> {
         }
         let key = p.string()?;
         p.expect(b':')?;
-        match key.as_str() {
-            "cycle" => cycle = Some(p.u64()?),
-            "kind" => kind = Some(p.string()?),
+        let repeated = match key {
+            "cycle" => cycle.replace(p.u64()?).is_some(),
+            "kind" => kind.replace(p.string()?).is_some(),
             _ => {
-                fields.insert(key, p.u64()?);
+                let i = EVENT_FIELDS
+                    .iter()
+                    .position(|&f| f == key)
+                    .ok_or_else(|| format!("unknown key {key:?} in fault event"))?;
+                vals[i].replace(p.u64()?).is_some()
             }
+        };
+        if repeated {
+            return Err(format!("duplicate key {key:?} in fault event"));
         }
         p.skip_ws();
         if !p.eat(b',') {
@@ -314,10 +342,23 @@ fn parse_event(p: &mut Parser<'_>) -> Result<FaultEvent, String> {
     }
     let cycle = cycle.ok_or("event missing \"cycle\"")?;
     let kind = kind.ok_or("event missing \"kind\"")?;
+    let takes: &[&str] = match kind {
+        "link_down" => &["from", "to"],
+        "node_down" => &["node"],
+        "queue_freeze" => &["node", "class", "duration"],
+        "flaky_link" => &["from", "to", "until", "threshold"],
+        other => return Err(format!("unknown fault kind {other:?}")),
+    };
+    if let Some(i) =
+        (0..EVENT_FIELDS.len()).find(|&i| vals[i].is_some() && !takes.contains(&EVENT_FIELDS[i]))
+    {
+        return Err(format!("{kind} event does not take {:?}", EVENT_FIELDS[i]));
+    }
     let get = |name: &str| -> Result<u64, String> {
-        fields
-            .get(name)
-            .copied()
+        EVENT_FIELDS
+            .iter()
+            .position(|&f| f == name)
+            .and_then(|i| vals[i])
             .ok_or_else(|| format!("{kind} event missing {name:?}"))
     };
     let get32 = |name: &str| -> Result<u32, String> {
@@ -326,7 +367,7 @@ fn parse_event(p: &mut Parser<'_>) -> Result<FaultEvent, String> {
     let get8 = |name: &str| -> Result<u8, String> {
         u8::try_from(get(name)?).map_err(|_| format!("{name} out of range"))
     };
-    let kind = match kind.as_str() {
+    let kind = match kind {
         "link_down" => FaultKind::LinkDown {
             from: get32("from")?,
             to: get32("to")?,
@@ -339,7 +380,7 @@ fn parse_event(p: &mut Parser<'_>) -> Result<FaultEvent, String> {
             class: get8("class")?,
             duration: get("duration")?,
         },
-        "flaky_link" => {
+        _ => {
             let threshold = get8("threshold")?;
             if threshold > 100 {
                 return Err("flaky_link threshold must be 0..=100".into());
@@ -351,7 +392,6 @@ fn parse_event(p: &mut Parser<'_>) -> Result<FaultEvent, String> {
                 threshold,
             }
         }
-        other => return Err(format!("unknown fault kind {other:?}")),
     };
     Ok(FaultEvent { cycle, kind })
 }
@@ -363,7 +403,7 @@ struct Parser<'a> {
     i: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn skip_ws(&mut self) {
         while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
             self.i += 1;
@@ -392,7 +432,8 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string token, borrowed from the input.
+    fn string(&mut self) -> Result<&'a str, String> {
         self.expect(b'"')?;
         let start = self.i;
         while self.i < self.b.len() && self.b[self.i] != b'"' {
@@ -405,8 +446,7 @@ impl Parser<'_> {
             return Err("unterminated string".into());
         }
         let s = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| "invalid UTF-8 in string".to_string())?
-            .to_string();
+            .map_err(|_| "invalid UTF-8 in string".to_string())?;
         self.i += 1;
         Ok(s)
     }
@@ -713,6 +753,30 @@ mod tests {
             )
             .is_err(),
             "link_down needs both endpoints"
+        );
+        let rejects = |text: &str, key: &str| {
+            let err = FaultPlan::parse(text).expect_err(text);
+            assert!(err.contains(key), "{err:?} must name {key:?}");
+        };
+        // A key the event's kind does not take.
+        rejects(
+            "{\"schema\": \"fadr-faults/1\", \"events\": [{\"cycle\": 3, \"kind\": \"node_down\", \"node\": 5, \"from\": 7}]}",
+            "\"from\"",
+        );
+        // A repeated top-level key.
+        rejects(
+            "{\"schema\": \"fadr-faults/1\", \"seed\": 1, \"seed\": 2}",
+            "\"seed\"",
+        );
+        // A repeated event key.
+        rejects(
+            "{\"schema\": \"fadr-faults/1\", \"events\": [{\"cycle\": 1, \"kind\": \"link_down\", \"from\": 0, \"to\": 1, \"to\": 2}]}",
+            "\"to\"",
+        );
+        // A key no event takes.
+        rejects(
+            "{\"schema\": \"fadr-faults/1\", \"events\": [{\"cycle\": 1, \"kind\": \"node_down\", \"node\": 1, \"color\": 2}]}",
+            "\"color\"",
         );
     }
 

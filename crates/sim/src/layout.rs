@@ -32,13 +32,27 @@ pub struct Layout {
     pub chan_buf_len: Vec<u16>,
     /// Buffer id → traffic class.
     pub buf_class: Vec<BufferClass>,
-    /// Per node: its output-buffer ids in fill order
-    /// (port ascending, classes in declared order).
-    pub node_out_bufs: Vec<Vec<u32>>,
-    /// Per node: incoming buffer ids (input buffers located at this node).
-    pub node_in_bufs: Vec<Vec<u32>>,
-    /// Buffer id → position within its source node's `node_out_bufs`.
+    /// Buffer id → position within its source node's output buffers
+    /// (see [`Layout::node_out_bufs`]).
     pub buf_out_pos: Vec<u32>,
+    /// Buffer id → channel id.
+    pub(crate) buf_chan: Vec<u32>,
+    /// Buffers are numbered node by node, so node `v`'s output buffers
+    /// are the ids `out_start[v]..out_start[v + 1]`: fill position `pos`
+    /// is buffer `out_start[v] + pos`.
+    pub(crate) out_start: Vec<u32>,
+    /// Input buffers grouped by the node they sit at: node `v`'s are
+    /// `in_flat[in_start[v]..in_start[v + 1]]`, ascending.
+    pub(crate) in_flat: Vec<u32>,
+    pub(crate) in_start: Vec<u32>,
+    /// Buffer id → its slot in the *target* node's input buffers.
+    pub(crate) buf_in_slot: Vec<u32>,
+    /// Every node has at most 64 output buffers, so the fill pass can
+    /// iterate want masks.
+    pub(crate) fast_fill: bool,
+    /// Every node has at most 63 input buffers, so the read pass can
+    /// iterate an occupied-slot mask (bit `n_in` is the injection buffer).
+    pub(crate) fast_read: bool,
 }
 
 impl Layout {
@@ -56,11 +70,18 @@ impl Layout {
             chan_buf_start: Vec::new(),
             chan_buf_len: Vec::new(),
             buf_class: Vec::new(),
-            node_out_bufs: vec![Vec::new(); n],
-            node_in_bufs: vec![Vec::new(); n],
             buf_out_pos: Vec::new(),
+            buf_chan: Vec::new(),
+            out_start: Vec::with_capacity(n + 1),
+            in_flat: Vec::new(),
+            in_start: vec![0; n + 1],
+            buf_in_slot: Vec::new(),
+            fast_fill: false,
+            fast_read: false,
         };
         for node in 0..n {
+            let first = layout.buf_class.len() as u32;
+            layout.out_start.push(first);
             for port in 0..mp {
                 let Some(to) = topo.neighbor(node, port) else {
                     continue;
@@ -78,17 +99,47 @@ impl Layout {
                     .chan_buf_len
                     .push(u16::try_from(classes.len()).expect("BufferClass bounds class count"));
                 for class in classes {
-                    let buf = layout.buf_class.len() as u32;
-                    layout.buf_class.push(class);
                     layout
                         .buf_out_pos
-                        .push(layout.node_out_bufs[node].len() as u32);
-                    layout.node_out_bufs[node].push(buf);
-                    layout.node_in_bufs[to].push(buf);
+                        .push(layout.buf_class.len() as u32 - first);
+                    layout.buf_class.push(class);
+                    layout.buf_chan.push(chan);
+                    layout.in_start[to + 1] += 1;
                 }
             }
         }
+        let nb = layout.num_buffers();
+        layout.out_start.push(nb as u32);
+        // Group input buffers by target node (a counting sort over the
+        // ascending buffer ids, so each node's list stays ascending).
+        for v in 0..n {
+            layout.in_start[v + 1] += layout.in_start[v];
+        }
+        let mut cursor = layout.in_start.clone();
+        layout.in_flat = vec![0; nb];
+        layout.buf_in_slot = vec![0; nb];
+        for b in 0..nb {
+            let to = layout.chan_to[layout.buf_chan[b] as usize] as usize;
+            let at = cursor[to];
+            cursor[to] += 1;
+            layout.in_flat[at as usize] = b as u32;
+            layout.buf_in_slot[b] = at - layout.in_start[to];
+        }
+        let widest = |start: &[u32]| start.windows(2).map(|w| w[1] - w[0]).max().unwrap_or(0);
+        layout.fast_fill = widest(&layout.out_start) <= 64;
+        layout.fast_read = widest(&layout.in_start) < 64;
         layout
+    }
+
+    /// Node `v`'s output-buffer ids in fill order (port ascending,
+    /// classes in declared order).
+    pub fn node_out_bufs(&self, v: usize) -> std::ops::Range<u32> {
+        self.out_start[v]..self.out_start[v + 1]
+    }
+
+    /// Node `v`'s input-buffer ids (the input buffers located at `v`).
+    pub fn node_in_bufs(&self, v: usize) -> &[u32] {
+        &self.in_flat[self.in_start[v] as usize..self.in_start[v + 1] as usize]
     }
 
     /// Total buffer count.
@@ -144,8 +195,8 @@ mod tests {
         assert_eq!(l.num_buffers(), 48);
         // Each node: 3 out-channels x 2 classes, and same incoming.
         for v in 0..8 {
-            assert_eq!(l.node_out_bufs[v].len(), 6);
-            assert_eq!(l.node_in_bufs[v].len(), 6);
+            assert_eq!(l.node_out_bufs(v).len(), 6);
+            assert_eq!(l.node_in_bufs(v).len(), 6);
         }
     }
 
@@ -233,12 +284,36 @@ mod tests {
     }
 
     #[test]
+    fn fast_path_flags_follow_node_width() {
+        // Hypercube(4) nodes carry 8 output and 8 input buffers; EcubeSbp(9)
+        // nodes carry 81 of each, past both mask widths.
+        let narrow = Layout::new(&HypercubeFullyAdaptive::new(4));
+        assert!(narrow.fast_fill && narrow.fast_read);
+        let wide = Layout::new(&fadr_core::EcubeSbp::new(9));
+        assert_eq!(wide.node_out_bufs(0).len(), 81);
+        assert_eq!(wide.node_in_bufs(0).len(), 81);
+        assert!(!wide.fast_fill && !wide.fast_read);
+        // Every buffer sits in exactly one input list, at its slot.
+        let mut seen = vec![false; narrow.num_buffers()];
+        for v in 0..narrow.num_nodes {
+            for (i, &b) in narrow.node_in_bufs(v).iter().enumerate() {
+                let chan = narrow.buf_chan[b as usize] as usize;
+                assert_eq!(narrow.chan_to[chan] as usize, v);
+                assert_eq!(narrow.buf_in_slot[b as usize] as usize, i);
+                assert!(!std::mem::replace(&mut seen[b as usize], true));
+            }
+        }
+        assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
     fn out_positions_invert_out_lists() {
         let rf = HypercubeFullyAdaptive::new(4);
         let l = Layout::new(&rf);
         for v in 0..l.num_nodes {
-            for (pos, &b) in l.node_out_bufs[v].iter().enumerate() {
+            for (pos, b) in l.node_out_bufs(v).enumerate() {
                 assert_eq!(l.buf_out_pos[b as usize] as usize, pos);
+                assert_eq!(l.chan_from[l.buf_chan[b as usize] as usize] as usize, v);
             }
         }
     }

@@ -226,12 +226,12 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Planner<R, Rec> for StaticPlanner<'
             if self.next_idx[i] >= self.backlog[v].len() {
                 continue;
             }
-            if !sim.node_alive(v) {
+            if !sim.core.node_alive(v) {
                 // Same write-off as the sequential loop: a dead node's
                 // remaining backlog is never offered.
                 lost += (self.backlog[v].len() - self.next_idx[i]) as u64;
                 self.next_idx[i] = self.backlog[v].len();
-            } else if sim.inj_free(v) {
+            } else if sim.core.inj_free(v) {
                 pending.push((v32, self.backlog[v][self.next_idx[i]] as u32));
                 self.next_idx[i] += 1;
             }
@@ -276,7 +276,7 @@ where
             // node keeps drawing and discarding so the per-node stream
             // is fault-independent.
             let dst = (self.dest)(v, rng);
-            if sim.inj_free(v) && sim.node_alive(v) {
+            if sim.core.inj_free(v) && sim.core.node_alive(v) {
                 pending.push((v32, dst as u32));
             }
         }
@@ -516,7 +516,7 @@ fn run_worker<R: RoutingFunction, Rec: ShardRecorder, P: Planner<R, Rec>>(
             // The restored engines all carry the global uid frontier;
             // the first loop iteration re-executes the pause cycle's
             // routing step, so nothing is planned or ranked here.
-            (sim.next_uid(), rb.delivered, rb.dropped, rb.lost)
+            (sim.core.next_uid, rb.delivered, rb.dropped, rb.lost)
         } else {
             // Plan cycle 0's injections, publish their node ids, and
             // rank them into the global injection order before starting.
@@ -537,8 +537,8 @@ fn run_worker<R: RoutingFunction, Rec: ShardRecorder, P: Planner<R, Rec>>(
 
     let mut attempts = 0u64;
     let mut injected = 0u64;
-    let mut prev_delivered = sim.delivered_count();
-    let mut prev_dropped = sim.dropped_count();
+    let mut prev_delivered = sim.core.delivered;
+    let mut prev_dropped = sim.core.dropped;
     let mut aborted = false;
     let mut stall: Option<StallInfo> = None;
 
@@ -571,8 +571,9 @@ fn run_worker<R: RoutingFunction, Rec: ShardRecorder, P: Planner<R, Rec>>(
         injected += pending.len() as u64;
         let lost_cycle = lost_next;
         for (j, &(v, dst)) in pending.iter().enumerate() {
-            sim.set_next_uid(uids[j]);
-            sim.inject(v as usize, dst as usize);
+            sim.core.next_uid = uids[j];
+            sim.core
+                .inject(&sim.rf, v as usize, dst as usize, &mut sim.rec);
         }
         pending.clear();
         if resumed {
@@ -584,7 +585,7 @@ fn run_worker<R: RoutingFunction, Rec: ShardRecorder, P: Planner<R, Rec>>(
             // Align every shard's uid frontier with the replicated
             // global one so any shard's engine serializes the run's
             // `next_uid` (and resume can read it back from any shard).
-            sim.set_next_uid(next_uid_global);
+            sim.core.next_uid = next_uid_global;
             return WorkerOut {
                 attempts,
                 injected,
@@ -601,9 +602,9 @@ fn run_worker<R: RoutingFunction, Rec: ShardRecorder, P: Planner<R, Rec>>(
         // ack drain above must precede this: a packet that crossed last
         // cycle but whose ack is still in the mailbox would otherwise be
         // reabsorbed a second time from the sender's output buffer.
-        sim.apply_faults(owned);
+        sim.core.apply_faults(&sim.rf, owned, &mut sim.rec);
         for &v in nodes {
-            sim.fill_node(v as usize);
+            sim.core.fill_node(&sim.rf, v as usize, &mut sim.rec);
         }
         {
             let mut outboxes: HeldBoxes<'_, OfferItem<R::Msg>> = (0..shards)
@@ -631,7 +632,7 @@ fn run_worker<R: RoutingFunction, Rec: ShardRecorder, P: Planner<R, Rec>>(
             let mut cursor = vec![0usize; shards];
             for &(chan, sf) in &plan.exec[sid] {
                 if sf as usize == sid {
-                    if sim.link_chan(chan as usize) {
+                    if sim.core.link_chan(&sim.rf, chan as usize, &mut sim.rec) {
                         links_cycle += 1;
                     }
                     continue;
@@ -659,16 +660,16 @@ fn run_worker<R: RoutingFunction, Rec: ShardRecorder, P: Planner<R, Rec>>(
             }
         }
         for &v in nodes {
-            sim.read_node(v as usize);
+            sim.core.read_node(&sim.rf, v as usize, &mut sim.rec);
         }
         if track_occupancy {
-            sim.sample_occupancy(owned);
+            sim.core.sample_occupancy(owned);
         }
-        let delivered_cycle = sim.delivered_count() - prev_delivered;
-        prev_delivered = sim.delivered_count();
-        let dropped_cycle = sim.dropped_count() - prev_dropped;
-        prev_dropped = sim.dropped_count();
-        let ctl = sim.end_cycle();
+        let delivered_cycle = sim.core.delivered - prev_delivered;
+        prev_delivered = sim.core.delivered;
+        let dropped_cycle = sim.core.dropped - prev_dropped;
+        prev_dropped = sim.core.dropped;
+        let ctl = sim.core.end_cycle(&mut sim.rec);
         let next = planner.plan(sim, &mut pending);
         att_next = next.0;
         lost_next = next.1;
@@ -682,7 +683,7 @@ fn run_worker<R: RoutingFunction, Rec: ShardRecorder, P: Planner<R, Rec>>(
             links: links_cycle,
             dropped: dropped_cycle,
             lost: lost_cycle,
-            partitioned: sim.has_partition(),
+            partitioned: !sim.core.partitioned.is_empty(),
             stop: ctl == Control::Stop,
         };
         mb.barrier.wait();
@@ -745,7 +746,7 @@ fn run_worker<R: RoutingFunction, Rec: ShardRecorder, P: Planner<R, Rec>>(
             &mut uids,
             &mut cursors,
         );
-        sim.advance_cycle();
+        sim.core.cycle += 1;
         if aborted {
             break;
         }
@@ -918,7 +919,7 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
         plan.normalize();
         let plan = Arc::new(plan);
         for sim in &mut self.shards {
-            sim.set_fault_plan(Arc::clone(&plan));
+            sim.core.fault_plan = Some(Arc::clone(&plan));
         }
         self
     }
@@ -1319,7 +1320,7 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
     {
         if resume.is_none() {
             for sim in &mut self.shards {
-                sim.reset();
+                sim.core.reset();
             }
         }
         self.stall = None;
@@ -1381,17 +1382,17 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
     }
 
     fn delivered(&self) -> u64 {
-        self.shards.iter().map(Simulator::delivered_count).sum()
+        self.shards.iter().map(|sim| sim.core.delivered).sum()
     }
 
     fn dropped(&self) -> u64 {
-        self.shards.iter().map(Simulator::dropped_count).sum()
+        self.shards.iter().map(|sim| sim.core.dropped).sum()
     }
 
     fn merged_stats(&self) -> LatencyStats {
-        let mut stats = self.shards[0].latency_stats().clone();
+        let mut stats = self.shards[0].core.stats.clone();
         for sim in &self.shards[1..] {
-            stats.merge(sim.latency_stats());
+            stats.merge(&sim.core.stats);
         }
         stats
     }
@@ -1399,7 +1400,7 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
     fn build_stall_report(&self, info: StallInfo) -> StallReport {
         let mut queues = Vec::new();
         for (sid, sim) in self.shards.iter().enumerate() {
-            queues.extend(sim.nonempty_queues(&self.plan.nodes[sid]));
+            queues.extend(sim.core.nonempty_queues(&self.plan.nodes[sid]));
         }
         // Shards own interleaved node sets under non-contiguous
         // partitions; restore the sequential report's (node, class)
@@ -1408,25 +1409,25 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
         let oldest = self
             .shards
             .iter()
-            .filter_map(Simulator::oldest_live)
+            .filter_map(|sim| sim.core.oldest_live())
             .min_by_key(|&(uid, ..)| uid);
         // Wait-for edges need the *global* queue-full table: a blocked
         // head's target queue may live on another shard.
-        let nc = self.shards[0].classes();
+        let nc = self.shards[0].core.num_classes;
         let cap = self.cfg.queue_capacity;
         let mut full = vec![false; self.num_nodes() * nc];
         for (sid, sim) in self.shards.iter().enumerate() {
             for &v in &self.plan.nodes[sid] {
                 for c in 0..nc {
                     let q = v as usize * nc + c;
-                    full[q] = sim.queue_len_at(q) as usize >= cap;
+                    full[q] = sim.core.queue_len[q] as usize >= cap;
                 }
             }
         }
         let is_full = move |w: u32, c: u8| full[w as usize * nc + usize::from(c)];
         let mut waits = Vec::new();
         for (sid, sim) in self.shards.iter().enumerate() {
-            waits.extend(sim.wait_edges(&self.plan.owned[sid], &is_full));
+            waits.extend(sim.core.wait_edges(&self.plan.owned[sid], &is_full));
         }
         waits.sort_unstable();
         waits.dedup();
@@ -1520,20 +1521,6 @@ where
         self.plan.node_shard[self.layout.chan_from[c] as usize] as usize
     }
 
-    /// Buffer id → channel id, derived from the shared layout.
-    fn buf_chan_map(&self) -> Vec<u32> {
-        let mut buf_chan = vec![0u32; self.layout.num_buffers()];
-        for c in 0..self.layout.num_channels() {
-            let start = self.layout.chan_buf_start[c] as usize;
-            let len = usize::from(self.layout.chan_buf_len[c]);
-            // Cast audit: unreachable in practice — `NetLayout` already
-            // stores `chan_from`/`chan_to` as `u32`, so a layout with
-            // more than `u32::MAX` channels cannot be built.
-            buf_chan[start..start + len].fill(u32::try_from(c).expect("channel id fits u32"));
-        }
-        buf_chan
-    }
-
     /// Sharded equivalent of [`Simulator::checkpoint`]: serialize the
     /// merged engine state as a `fadr-snapshot/1` document, byte-for-byte
     /// equal to what a sequential engine paused at the same cycle writes.
@@ -1542,7 +1529,7 @@ where
         let n = self.num_nodes();
         let nb = self.layout.num_buffers();
         let nch = self.layout.num_channels();
-        let buf_chan = self.buf_chan_map();
+        let buf_chan = &self.layout.buf_chan;
         let mut lines = String::new();
         let mut count = 0usize;
         for v in 0..n {
@@ -1562,12 +1549,13 @@ where
             count += self.shards[s].push_in_packet(b, &mut lines);
         }
         let chan_rr: Vec<u16> = (0..nch)
-            .map(|c| self.shards[self.chan_exec_shard(c)].chan_rr_at(c))
+            .map(|c| self.shards[self.chan_exec_shard(c)].core.chan_rr[c])
             .collect();
         let mut fail: Vec<(u32, u32)> = Vec::new();
         for (sid, sim) in self.shards.iter().enumerate() {
             fail.extend(
-                sim.flaky_fail_counts()
+                sim.core
+                    .flaky_fail_counts()
                     .into_iter()
                     .filter(|&(chan, _)| self.chan_src_shard(chan as usize) == sid),
             );
@@ -1578,9 +1566,9 @@ where
         let throughput = self.throughput();
         let g = snapshot::Globals {
             cfg: &self.cfg,
-            dims: (n, self.shards[0].classes(), nb, nch),
+            dims: (n, self.shards[0].core.num_classes, nb, nch),
             cycle: self.shards[0].cycle(),
-            next_uid: self.shards[0].next_uid(),
+            next_uid: self.shards[0].core.next_uid,
             delivered: self.delivered(),
             dropped: self.dropped(),
             minviol: self.minimality_violations(),
@@ -1598,29 +1586,23 @@ where
     /// packet to the shard that owns its location. Merged global state
     /// (latency statistics, occupancy, throughput, delivered/dropped
     /// totals) is carried by shard 0 — the merge accessors and the
-    /// resumed workers' replicated counters reassemble the totals.
+    /// resumed workers' replicated counters reassemble the totals. The
+    /// whole document is validated before any shard changes, so on error
+    /// every shard and recorder is left untouched.
     pub fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
         let snap: ParsedSnapshot<R::Msg> = snapshot::parse(text)?;
-        let buf_chan = self.buf_chan_map();
-        let nb = self.layout.num_buffers();
+        // Every shard runs the same instance, so shard 0 validates for all.
+        self.shards[0].validate_snapshot(&snap)?;
+        let buf_chan = &self.layout.buf_chan;
         for sid in 0..self.shards.len() {
             let packets: Vec<_> = snap
                 .packets
                 .iter()
                 .filter(|r| {
                     let owner = match r.loc {
-                        Loc::Queue(v) | Loc::Inj(v) => {
-                            self.plan.node_shard.get(v as usize).copied().unwrap_or(0) as usize
-                        }
-                        Loc::Out(b) if (b as usize) < nb => {
-                            self.chan_src_shard(buf_chan[b as usize] as usize)
-                        }
-                        Loc::In(b) if (b as usize) < nb => {
-                            self.chan_exec_shard(buf_chan[b as usize] as usize)
-                        }
-                        // Out-of-range locations go to shard 0, whose
-                        // `restore_from` rejects them with a real error.
-                        Loc::Out(_) | Loc::In(_) => 0,
+                        Loc::Queue(v) | Loc::Inj(v) => self.plan.node_shard[v as usize] as usize,
+                        Loc::Out(b) => self.chan_src_shard(buf_chan[b as usize] as usize),
+                        Loc::In(b) => self.chan_exec_shard(buf_chan[b as usize] as usize),
                     };
                     owner == sid
                 })
@@ -1648,7 +1630,7 @@ where
                 throughput: if first { snap.throughput.clone() } else { None },
                 progress: snap.progress.clone(),
             };
-            self.shards[sid].restore_from(&shard_snap)?;
+            self.shards[sid].commit_snapshot(&shard_snap);
         }
         Ok((snap.meta, snap.progress))
     }

@@ -3,12 +3,11 @@
 //! bitsets over buffers and channels.
 //!
 //! The hot phases of the routing cycle each touch a narrow slice of
-//! per-packet state — the fill pass reads option buffers and `moved_at`,
+//! per-packet state — the fill pass reads want masks and `moved_at`,
 //! the link pass reads buffer occupancy, the read pass reads
-//! `next_class`/`dst` — so the packet slab is stored as parallel arrays
-//! ([`PacketStore`]) instead of an array of structs: a phase streams
-//! through only the fields it uses. Option lists, which the old engine
-//! kept as one `Vec` allocation per packet slot, live in a shared
+//! `next_class` — so the packet slab keeps those fields in one packed
+//! 32-byte [`Hot`] row and everything else in parallel cold columns
+//! ([`PacketStore`]). Computed option lists live in one shared
 //! [`OptionArena`] with exact-fit segment recycling, and buffer/channel
 //! occupancy is mirrored in [`BitSet`]s so the link pass can test a
 //! whole channel's "staged and far side empty" condition with two word
@@ -26,48 +25,72 @@ pub(crate) struct MoveOpt<M> {
     pub(crate) escape: bool,
 }
 
+/// Per-packet state the fill, link and read phases touch every cycle,
+/// packed into one 32-byte row so a queue scan costs one cache line per
+/// packet. While the packet is queued, `opt_*`, `wants` and `stutters`
+/// describe its current residence's moves; once staged, `next_class`
+/// (and, for the table source, `state` and the option fields) describe
+/// the post-hop residence.
+#[derive(Clone, Copy)]
+#[repr(C)]
+pub(crate) struct Hot {
+    /// Fill positions the packet's moves target (bit `pos` for each
+    /// option onto fill position `pos < 64`).
+    pub(crate) wants: u64,
+    /// Cycle of the packet's last move (enforces one move per cycle).
+    pub(crate) moved_at: u64,
+    /// Start of the packet's option segment in its option source.
+    pub(crate) opt_start: u32,
+    /// Routing-state id for the table source (`TERMINAL` = deliver on
+    /// arrival); unused by the computed source.
+    pub(crate) state: u32,
+    /// Length of the option segment.
+    pub(crate) opt_len: u8,
+    /// Central-queue class of the current residence (valid while queued).
+    pub(crate) class: u8,
+    /// Central-queue class on arrival (valid while staged).
+    pub(crate) next_class: u8,
+    /// Set while the packet sits in an output buffer, pending removal
+    /// from its queue after the fill pass.
+    pub(crate) staged: bool,
+    /// Internal (stutter) options of the current residence.
+    pub(crate) stutters: u8,
+    /// The packet's current hop is a degraded-mode escape move (see
+    /// [`crate::fault`]).
+    pub(crate) escape: bool,
+    /// Link hops taken so far (for the minimality check).
+    pub(crate) hops: u16,
+}
+
+/// Placeholder routing-state id of a packet that has no table state
+/// yet, and the table's successor marker for "this hop delivers".
+pub(crate) const TERMINAL: u32 = u32::MAX;
+
 /// Struct-of-arrays slab of in-flight packets, indexed by recycled slot
-/// id. Slot lifecycle matches the old `Vec<Packet>`: [`PacketStore::insert`]
-/// pops the free list or grows every column, [`PacketStore::release`]
-/// frees the slot and returns its option segment to the arena (uids are
-/// never recycled, slots are).
+/// id: the packed [`Hot`] row plus cold columns touched only at
+/// injection, enqueue, delivery and checkpoint. [`PacketStore::insert`]
+/// pops the free list or grows every column; uids are never recycled,
+/// slots are.
 pub(crate) struct PacketStore<M> {
-    pub(crate) src: Vec<u32>,
-    pub(crate) dst: Vec<u32>,
+    pub(crate) hot: Vec<Hot>,
     /// Run-unique id in injection order; this is the `pkt` handed to the
     /// [`fadr_metrics::Recorder`] hooks.
     pub(crate) uid: Vec<u64>,
-    /// Link hops taken so far (for the minimality check).
-    pub(crate) hops: Vec<u16>,
+    pub(crate) src: Vec<u32>,
+    pub(crate) dst: Vec<u32>,
     pub(crate) inject_cycle: Vec<u64>,
-    /// Cycle the packet entered its current central queue; FIFO priority
-    /// *across* a node's queues is by this timestamp (§ 7.1's "taking
-    /// messages from the queues in FIFO order").
+    /// Cycle the packet entered its current central queue (checkpoint
+    /// state only: FIFO order lives in the engine's per-node lists).
     pub(crate) enqueued_at: Vec<u64>,
-    /// Cycle of the packet's last move (enforces one move per cycle).
-    pub(crate) moved_at: Vec<u64>,
-    /// Central-queue class of the current residence (valid while queued).
-    pub(crate) class: Vec<u8>,
-    /// Central-queue class on arrival (valid while staged).
-    pub(crate) next_class: Vec<u8>,
-    /// Set while the packet sits in an output/input buffer, pending
-    /// removal from its queue after the fill pass.
-    pub(crate) staged: Vec<bool>,
-    /// The packet's current hop is a degraded-mode escape move (see
-    /// [`crate::fault`]).
-    pub(crate) escape: Vec<bool>,
-    /// Routing state; updated to the post-hop state when staged.
+    /// Routing message (the computed source's state; `()` for the
+    /// table source). Updated to the post-hop message when staged.
     pub(crate) msg: Vec<M>,
-    /// Start of the packet's option segment in the [`OptionArena`].
-    pub(crate) opt_start: Vec<u32>,
-    /// Length of the packet's option segment (0 = none cached).
-    pub(crate) opt_len: Vec<u32>,
     /// Recycled slot ids.
     pub(crate) free: Vec<u32>,
 }
 
-/// Initial field values for [`PacketStore::insert`] (everything except
-/// the option segment, which starts empty).
+/// Initial field values for [`PacketStore::insert`] (the option segment
+/// starts empty, the packet unstaged).
 pub(crate) struct PacketInit<M> {
     pub(crate) src: u32,
     pub(crate) dst: u32,
@@ -78,7 +101,6 @@ pub(crate) struct PacketInit<M> {
     pub(crate) moved_at: u64,
     pub(crate) class: u8,
     pub(crate) next_class: u8,
-    pub(crate) staged: bool,
     pub(crate) escape: bool,
     pub(crate) msg: M,
 }
@@ -86,112 +108,73 @@ pub(crate) struct PacketInit<M> {
 impl<M> PacketStore<M> {
     pub(crate) fn new() -> Self {
         Self {
+            hot: Vec::new(),
+            uid: Vec::new(),
             src: Vec::new(),
             dst: Vec::new(),
-            uid: Vec::new(),
-            hops: Vec::new(),
             inject_cycle: Vec::new(),
             enqueued_at: Vec::new(),
-            moved_at: Vec::new(),
-            class: Vec::new(),
-            next_class: Vec::new(),
-            staged: Vec::new(),
-            escape: Vec::new(),
             msg: Vec::new(),
-            opt_start: Vec::new(),
-            opt_len: Vec::new(),
             free: Vec::new(),
         }
     }
 
     /// Number of slots (live + free).
     pub(crate) fn len(&self) -> usize {
-        self.src.len()
+        self.hot.len()
     }
 
     /// Place a packet, recycling a free slot if available.
     pub(crate) fn insert(&mut self, init: PacketInit<M>) -> u32 {
+        let hot = Hot {
+            wants: 0,
+            moved_at: init.moved_at,
+            opt_start: 0,
+            state: TERMINAL,
+            opt_len: 0,
+            class: init.class,
+            next_class: init.next_class,
+            staged: false,
+            stutters: 0,
+            escape: init.escape,
+            hops: init.hops,
+        };
         if let Some(i) = self.free.pop() {
             let p = i as usize;
+            self.hot[p] = hot;
+            self.uid[p] = init.uid;
             self.src[p] = init.src;
             self.dst[p] = init.dst;
-            self.uid[p] = init.uid;
-            self.hops[p] = init.hops;
             self.inject_cycle[p] = init.inject_cycle;
             self.enqueued_at[p] = init.enqueued_at;
-            self.moved_at[p] = init.moved_at;
-            self.class[p] = init.class;
-            self.next_class[p] = init.next_class;
-            self.staged[p] = init.staged;
-            self.escape[p] = init.escape;
             self.msg[p] = init.msg;
-            debug_assert_eq!(self.opt_len[p], 0, "freed slot kept an option segment");
             i
         } else {
+            self.hot.push(hot);
+            self.uid.push(init.uid);
             self.src.push(init.src);
             self.dst.push(init.dst);
-            self.uid.push(init.uid);
-            self.hops.push(init.hops);
             self.inject_cycle.push(init.inject_cycle);
             self.enqueued_at.push(init.enqueued_at);
-            self.moved_at.push(init.moved_at);
-            self.class.push(init.class);
-            self.next_class.push(init.next_class);
-            self.staged.push(init.staged);
-            self.escape.push(init.escape);
             self.msg.push(init.msg);
-            self.opt_start.push(0);
-            self.opt_len.push(0);
-            (self.src.len() - 1) as u32
+            (self.hot.len() - 1) as u32
         }
     }
 
-    /// Free slot `p`: return its option segment to `arena` and push the
-    /// slot onto the free list.
-    pub(crate) fn release(&mut self, p: u32, arena: &mut OptionArena<M>) {
-        let pi = p as usize;
-        arena.release(self.opt_start[pi], self.opt_len[pi]);
-        self.opt_len[pi] = 0;
+    /// Push slot `p` onto the free list (its option segment must already
+    /// be returned to its source).
+    pub(crate) fn release(&mut self, p: u32) {
         self.free.push(p);
     }
 
-    /// Replace slot `p`'s cached option segment, recycling the old one.
-    pub(crate) fn set_options(
-        &mut self,
-        p: u32,
-        arena: &mut OptionArena<M>,
-        opts: &mut Vec<MoveOpt<M>>,
-    ) {
-        let pi = p as usize;
-        arena.release(self.opt_start[pi], self.opt_len[pi]);
-        let (start, len) = arena.store(opts);
-        self.opt_start[pi] = start;
-        self.opt_len[pi] = len;
-    }
-
-    /// The option segment of slot `p` as an arena index range.
-    #[inline]
-    pub(crate) fn opt_range(&self, p: u32) -> std::ops::Range<usize> {
-        let pi = p as usize;
-        let s = self.opt_start[pi] as usize;
-        s..s + self.opt_len[pi] as usize
-    }
-
     pub(crate) fn clear(&mut self) {
+        self.hot.clear();
+        self.uid.clear();
         self.src.clear();
         self.dst.clear();
-        self.uid.clear();
-        self.hops.clear();
         self.inject_cycle.clear();
         self.enqueued_at.clear();
-        self.moved_at.clear();
-        self.class.clear();
-        self.next_class.clear();
-        self.staged.clear();
-        self.escape.clear();
         self.msg.clear();
-        self.opt_start.clear();
-        self.opt_len.clear();
         self.free.clear();
     }
 }
@@ -428,7 +411,6 @@ mod tests {
 
     #[test]
     fn packet_store_recycles_slots() {
-        let mut a: OptionArena<u8> = OptionArena::new();
         let mut s: PacketStore<u8> = PacketStore::new();
         let init = |uid| PacketInit {
             src: 0,
@@ -440,27 +422,26 @@ mod tests {
             moved_at: u64::MAX,
             class: 0,
             next_class: 0,
-            staged: false,
             escape: false,
             msg: 0u8,
         };
         let p0 = s.insert(init(0));
         let p1 = s.insert(init(1));
         assert_eq!((p0, p1), (0, 1));
-        let mut opts = vec![MoveOpt {
-            buf: 3,
-            to_class: 0,
-            next: 0u8,
-            escape: false,
-        }];
-        s.set_options(p0, &mut a, &mut opts);
-        assert_eq!(s.opt_range(p0), 0..1);
-        s.release(p0, &mut a);
-        // The freed slot (and its arena segment) are recycled.
+        s.hot[0].opt_len = 3;
+        s.hot[0].wants = 0b101;
+        s.release(p0);
+        // The freed slot is recycled with a fresh hot row.
         let p2 = s.insert(init(2));
         assert_eq!(p2, 0);
         assert_eq!(s.uid[0], 2);
-        assert_eq!(s.opt_range(p2), 0..0);
+        assert_eq!((s.hot[0].opt_len, s.hot[0].wants), (0, 0));
+        assert_eq!(s.hot[0].state, TERMINAL);
         assert_eq!(s.len(), 2);
+    }
+
+    #[test]
+    fn hot_row_is_32_bytes() {
+        assert_eq!(std::mem::size_of::<Hot>(), 32);
     }
 }

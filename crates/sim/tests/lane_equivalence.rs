@@ -343,3 +343,52 @@ fn explicit_lane_seeds_map_to_sequential_runs() {
         assert_eq!(results[k], seq_res, "seed {seed:#x}: diverged");
     }
 }
+
+// --- fallback scans -------------------------------------------------------
+
+#[test]
+fn wide_nodes_take_the_fallback_scans() {
+    // EcubeSbp(9) gives every node 81 output and 81 input buffers: more
+    // than the mask-iterated fill (64) and read (63) paths cover, so the
+    // core's plain fill and read scans run on both engines here.
+    let rf = EcubeSbp::new(9);
+    let size = rf.topology().num_nodes();
+    let cfg = instrumented_cfg();
+    let lanes = 2;
+    let mut batch = LaneSim::new(rf, cfg, lanes);
+    let mut journals = vec![JournalSink::new(1 << 18); lanes];
+    let dest = |s, rng: &mut StdRng| Pattern::Random.draw(s, size, rng);
+    let results = batch.run_dynamic_recorded(0.5, dest, 24, &mut journals);
+    for (k, res) in results.iter().enumerate() {
+        let seed = lane_seed(cfg.seed, k);
+        let mut seq =
+            Simulator::with_recorder(rf, SimConfig { seed, ..cfg }, JournalSink::new(1 << 18));
+        assert_eq!(
+            *res,
+            seq.run_dynamic(0.5, dest, 24),
+            "lane={k}: result diverged"
+        );
+        assert!(res.delivered > 0, "lane={k}: nothing delivered");
+        assert_journals_match("ecube9-dyn", k, lanes, &journals[k], seq.recorder());
+        assert_eq!(batch.lane_occupancy(k), seq.occupancy(), "lane={k}");
+    }
+
+    let backlogs: Vec<Vec<Vec<usize>>> = (0..lanes)
+        .map(|k| {
+            let mut rng = StdRng::seed_from_u64(lane_seed(cfg.seed, k) ^ 0xBAC1);
+            static_backlog(&Pattern::Random, size, 1, &mut rng)
+        })
+        .collect();
+    let mut journals = vec![JournalSink::new(1 << 18); lanes];
+    let results = batch.run_static_recorded(&backlogs, &mut journals);
+    for (k, res) in results.iter().enumerate() {
+        let seed = lane_seed(cfg.seed, k);
+        let mut seq =
+            Simulator::with_recorder(rf, SimConfig { seed, ..cfg }, JournalSink::new(1 << 18));
+        let seq_res = seq.run_static(&backlogs[k]);
+        assert_eq!(seq_res.stop, StopReason::Drained, "lane={k}: run broken");
+        assert_eq!(*res, seq_res, "lane={k}: static result diverged");
+        assert_journals_match("ecube9-static", k, lanes, &journals[k], seq.recorder());
+        assert_eq!(batch.lane_occupancy(k), seq.occupancy(), "lane={k}");
+    }
+}

@@ -287,3 +287,57 @@ fn sharded_runs_are_repeatable() {
     assert_eq!(first, second);
     assert_eq!(first_occ, sim.occupancy());
 }
+
+// --- fallback scans -------------------------------------------------------
+
+/// EcubeSbp(9) gives every node 81 output and 81 input buffers, past the
+/// mask-iterated fill (64) and read (63) paths, so the core's plain fill
+/// and read scans run on every shard here: results and merged journals
+/// must still match the sequential engine.
+#[test]
+fn wide_nodes_take_the_fallback_scans() {
+    let rf = EcubeSbp::new(9);
+    let size = rf.topology().num_nodes();
+    let cfg = instrumented_cfg();
+    let mk = || SinkSet::new().with_journal(1 << 18);
+    let journal = |s: SinkSet| s.journal.expect("journal attached");
+    let assert_same = |what: &str, a: &fadr_metrics::JournalSink, b: &fadr_metrics::JournalSink| {
+        assert_eq!(
+            (a.count(), a.hash()),
+            (b.count(), b.hash()),
+            "{what}: journal diverged"
+        );
+        assert_eq!(a.lines(), b.lines(), "{what}: journal lines diverged");
+    };
+
+    let dest = |s, rng: &mut StdRng| Pattern::Random.draw(s, size, rng);
+    let mut seq = Simulator::with_recorder(rf, cfg, mk());
+    let seq_res = seq.run_dynamic(0.5, dest, 24);
+    assert!(seq_res.delivered > 0, "seed run delivered nothing");
+    let seq_occ = seq.occupancy().clone();
+    let mut shr = ShardedSimulator::with_recorders(rf, cfg, 2, |_| mk());
+    assert_eq!(
+        seq_res,
+        shr.run_dynamic(0.5, dest, 24),
+        "dynamic result diverged"
+    );
+    assert_eq!(seq_occ, shr.occupancy(), "dynamic occupancy diverged");
+    assert_same(
+        "dynamic",
+        &journal(seq.into_recorder()),
+        &journal(shr.into_recorder()),
+    );
+
+    let mut rng = StdRng::seed_from_u64(0xE9);
+    let backlog = static_backlog(&Pattern::Random, size, 1, &mut rng);
+    let mut seq = Simulator::with_recorder(rf, cfg, mk());
+    let seq_res = seq.run_static(&backlog);
+    assert_eq!(seq_res.stop, StopReason::Drained, "seed run broken");
+    let mut shr = ShardedSimulator::with_recorders(rf, cfg, 2, |_| mk());
+    assert_eq!(seq_res, shr.run_static(&backlog), "static result diverged");
+    assert_same(
+        "static",
+        &journal(seq.into_recorder()),
+        &journal(shr.into_recorder()),
+    );
+}

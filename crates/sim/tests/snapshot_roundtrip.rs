@@ -8,9 +8,10 @@
 //! plan whose events straddle the pause point.
 
 use fadr_core::{HypercubeFullyAdaptive, MeshFullyAdaptive};
+use fadr_metrics::JournalSink;
 use fadr_sim::{
     DynamicOutcome, FaultKind, FaultPlan, PartitionStrategy, RunProgress, ShardedSimulator,
-    SimConfig, Simulator, StaticOutcome, StopReason,
+    SimConfig, Simulator, SinkSet, StaticOutcome, StopReason,
 };
 use fadr_workloads::{static_backlog, Pattern};
 use rand::rngs::StdRng;
@@ -348,4 +349,135 @@ fn bad_snapshots_rejected() {
 
     // Sharded engine applies the same validation.
     assert!(ShardedSimulator::new(rf, cfg, 2).restore(cut).is_err());
+
+    // Validate-then-commit: each corruption of a valid checkpoint is
+    // rejected by a paused engine carrying a journal, and leaves its
+    // checkpoint text and journal exactly as they were.
+    let mut plan = FaultPlan::new(7, 2);
+    plan.push(
+        2,
+        FaultKind::FlakyLink {
+            from: 3,
+            to: 7,
+            until: 30,
+            threshold: 60,
+        },
+    );
+    let dest = |s: usize, rng: &mut StdRng| Pattern::Random.draw(s, 16, rng);
+    let journal = || JournalSink::new(1 << 14);
+    let mut seq = Simulator::with_recorder(rf, cfg, journal()).with_faults(plan.clone());
+    let progress = expect_paused_dyn(seq.run_dynamic_until(1.0, dest, 40, Some(12)), "dyn@12");
+    let text = seq.checkpoint("bad", &progress);
+    // The journal's debug rendering covers its whole state: retained
+    // and staged events, hash, count and resume floor.
+    let before = format!("{:?}", seq.recorder());
+    for (what, bad) in corruptions(&text) {
+        assert!(
+            seq.restore(&bad).is_err(),
+            "sequential engine accepted {what}"
+        );
+        assert_eq!(
+            seq.checkpoint("bad", &progress),
+            text,
+            "{what} changed the engine"
+        );
+        assert_eq!(
+            format!("{:?}", seq.recorder()),
+            before,
+            "{what} touched the journal"
+        );
+    }
+
+    let sinks = |_| SinkSet::new().with_journal(1 << 14);
+    let paused_sharded = || {
+        let mut shr = ShardedSimulator::with_recorders(rf, cfg, 2, sinks).with_faults(plan.clone());
+        let p = expect_paused_dyn(shr.run_dynamic_until(1.0, dest, 40, Some(12)), "shr@12");
+        (shr, p)
+    };
+    let (mut shr, p) = paused_sharded();
+    assert_eq!(p, progress);
+    assert_eq!(shr.checkpoint("bad", &p), text);
+    for (what, bad) in corruptions(&text) {
+        assert!(shr.restore(&bad).is_err(), "sharded engine accepted {what}");
+        assert_eq!(
+            shr.checkpoint("bad", &p),
+            text,
+            "{what} changed the sharded engine"
+        );
+    }
+    // Finish both runs: a rejected restore that had touched a shard or
+    // its recorder would show in the result or the merged journal.
+    let (mut untouched, _) = paused_sharded();
+    let finish =
+        |s: &mut ShardedSimulator<_, SinkSet>| s.resume_dynamic(1.0, dest, 40, p.clone(), None);
+    assert_eq!(finish(&mut shr), finish(&mut untouched));
+    let journal_of = |s: ShardedSimulator<_, SinkSet>| format!("{:?}", s.into_recorder().journal);
+    assert_eq!(
+        journal_of(shr),
+        journal_of(untouched),
+        "a rejected restore touched a journal"
+    );
+}
+
+/// Corruptions of a valid checkpoint that restore must reject: a queue
+/// class out of range, two packets in one output buffer, a fail counter
+/// for an unknown channel, an occupancy table of the wrong length, and a
+/// move stamped at the snapshot cycle.
+fn corruptions(text: &str) -> Vec<(&'static str, String)> {
+    let lines: Vec<&str> = text.lines().collect();
+    let find = |prefix: &str| {
+        lines
+            .iter()
+            .position(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("checkpoint has no `{prefix}` line"))
+    };
+    let with = |i: usize, line: String| {
+        let mut out: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
+        out[i] = line;
+        out.join("\n") + "\n"
+    };
+    // Packet line: p <loc> <arg> <src> <dst> <uid> <hops> <inject> <enq> <moved> <class> …
+    let q = find("p q ");
+    let mut toks: Vec<&str> = lines[q].split(' ').collect();
+    toks[10] = "99";
+    let class = with(q, toks.join(" "));
+    // state <cycle> …: a move stamped at the snapshot cycle itself.
+    let cycle = lines[find("state ")]
+        .split(' ')
+        .nth(1)
+        .expect("state cycle");
+    let mut toks: Vec<&str> = lines[q].split(' ').collect();
+    toks[9] = cycle;
+    let future = with(q, toks.join(" "));
+
+    let o = find("p o ");
+    let n = find("packets ");
+    let count: usize = lines[n]["packets ".len()..].parse().expect("packet count");
+    let mut dup: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
+    dup.insert(o + 1, lines[o].to_string());
+    dup[n] = format!("packets {}", count + 1);
+    let shared_buffer = dup.join("\n") + "\n";
+
+    let fail = with(find("fail "), "fail 1 999999 1".to_string());
+
+    let occ = find("occupancy ");
+    let toks: Vec<&str> = lines[occ].split(' ').collect();
+    let nq: usize = toks[2].parse().expect("queue count");
+    let (max, sum) = toks[3..].split_at(nq);
+    let short = format!(
+        "occupancy {} {} {} {}",
+        toks[1],
+        nq - 1,
+        max[..nq - 1].join(" "),
+        sum[..nq - 1].join(" ")
+    );
+    let occupancy = with(occ, short);
+
+    vec![
+        ("a class out of range", class),
+        ("two packets in one output buffer", shared_buffer),
+        ("a fail counter for an unknown channel", fail),
+        ("a wrong occupancy length", occupancy),
+        ("a move at the snapshot cycle", future),
+    ]
 }
