@@ -15,6 +15,7 @@
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
+use fadr_metrics::json::{self, Quoted};
 use fadr_metrics::{JournalSink, NoRecorder, ShardRecorder, SinkSet, StallReport, WatchdogSink};
 use fadr_sim::FaultPlan;
 
@@ -374,48 +375,33 @@ pub fn metrics_json(algo: &str, rows: &[MetricsRow]) -> String {
     let mut out = String::new();
     let _ = write!(
         out,
-        "{{\"schema\": \"fadr-metrics/1\", \"algo\": \"{algo}\", \"rows\": ["
+        "{{\"schema\": \"fadr-metrics/1\", \"algo\": {}, \"rows\": ",
+        Quoted(algo)
     );
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{{\"table\": {}, \"n\": {}, ", row.table, row.n);
+    json::list(&mut out, rows, |out, row| {
+        write!(out, "{{\"table\": {}, \"n\": {}, ", row.table, row.n)?;
         match &row.label {
-            // Labels are harness-generated (no quotes/escapes to worry
-            // about).
-            Some(l) => {
-                let _ = write!(out, "\"label\": \"{l}\", ");
-            }
+            Some(l) => write!(out, "\"label\": {}, ", Quoted(l))?,
             None => out.push_str("\"label\": null, "),
         }
         match &row.sinks.counters {
-            Some(c) => {
-                let _ = write!(out, "\"counters\": {}, ", c.to_json(TOP_QUEUES));
-            }
+            Some(c) => write!(out, "\"counters\": {}, ", c.to_json(TOP_QUEUES))?,
             None => out.push_str("\"counters\": null, "),
         }
         match &row.sinks.latency {
-            Some(l) => {
-                let _ = write!(out, "\"latency\": {}, ", l.to_json());
-            }
+            Some(l) => write!(out, "\"latency\": {}, ", l.to_json())?,
             None => out.push_str("\"latency\": null, "),
         }
         match &row.sinks.waitgraph {
-            Some(w) => {
-                let _ = write!(out, "\"waitgraph\": {}, ", w.to_json());
-            }
+            Some(w) => write!(out, "\"waitgraph\": {}, ", w.to_json())?,
             None => out.push_str("\"waitgraph\": null, "),
         }
         match row.sinks.stall() {
-            Some(s) => {
-                let _ = write!(out, "\"stall\": {}", s.to_json());
-            }
-            None => out.push_str("\"stall\": null"),
+            Some(s) => write!(out, "\"stall\": {}}}", s.to_json()),
+            None => write!(out, "\"stall\": null}}"),
         }
-        out.push('}');
-    }
-    out.push_str("]}");
+    });
+    out.push('}');
     out
 }
 

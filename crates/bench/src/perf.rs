@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use fadr_metrics::json::{self, Quoted};
 use fadr_metrics::{MeanCi, Verdict};
 
 /// One timed measurement: a label plus its per-sample wall-clock times.
@@ -169,36 +170,27 @@ pub fn report_line(m: &Measurement) -> String {
     )
 }
 
-/// Serialize measurements plus run metadata as a JSON document.
-///
-/// Hand-rolled writer (no serde in the environment); labels are plain
-/// ASCII identifiers so no escaping is needed beyond a debug assert.
+/// Serialize measurements plus run metadata as a one-line JSON
+/// document.
 pub fn to_json(meta: &[(&str, String)], measurements: &[Measurement]) -> String {
-    let mut out = String::from("{\n");
+    let mut out = String::from("{");
     for (k, v) in meta {
-        debug_assert!(!k.contains('"') && !v.contains('"'), "labels are plain");
-        let _ = writeln!(out, "  \"{k}\": \"{v}\",");
+        let _ = write!(out, "{}: {}, ", Quoted(k), Quoted(v));
     }
-    out.push_str("  \"workloads\": [\n");
-    for (i, m) in measurements.iter().enumerate() {
-        debug_assert!(!m.name.contains('"'), "labels are plain");
-        let secs: Vec<String> = m.secs.iter().map(|s| format!("{s:.6}")).collect();
-        let _ = write!(
+    out.push_str("\"workloads\": ");
+    json::list(&mut out, measurements, |out, m| {
+        write!(
             out,
-            "    {{\"name\": \"{}\", \"min_s\": {:.6}, \"median_s\": {:.6}, \"mean_s\": {:.6}, \"samples_s\": [{}]}}",
-            m.name,
+            "{{\"name\": {}, \"min_s\": {:.6}, \"median_s\": {:.6}, \"mean_s\": {:.6}, \"samples_s\": ",
+            Quoted(&m.name),
             m.min(),
             m.median(),
-            m.mean(),
-            secs.join(", ")
-        );
-        out.push_str(if i + 1 < measurements.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    out.push_str("  ]\n}\n");
+            m.mean()
+        )?;
+        json::list(out, &m.secs, |out, s| write!(out, "{s:.6}"));
+        write!(out, "}}")
+    });
+    out.push_str("}\n");
     out
 }
 

@@ -4,12 +4,14 @@
 //! scheme, optional sabotage mutation, queue capacity, fault plan,
 //! workload, shard counts, partition strategy, and the lane count for
 //! the lane-engine differential. Specs round-trip
-//! through the one-line `fadr-fuzz/1` JSON schema (hand-rolled, like
-//! `fadr-faults/1` — the build has no serde), which is what the
-//! committed regression corpus stores.
+//! through the one-line `fadr-fuzz/1` JSON schema, read and written
+//! with the workspace's one [`json`] module like `fadr-faults/1`,
+//! which is what the committed regression corpus stores.
 
 use std::fmt::Write as _;
 use std::str::FromStr;
+
+use fadr_sim::json::{self, Quoted, Reader};
 
 use fadr_core::{
     AdaptiveSbp, EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang, MeshFullyAdaptive,
@@ -206,9 +208,10 @@ impl CaseSpec {
         let mut out = String::new();
         let _ = write!(
             out,
-            "{{\"schema\": \"{SCHEMA}\", \"seed\": {}, \"scheme\": {{\"kind\": \"{}\"",
+            "{{\"schema\": {}, \"seed\": {}, \"scheme\": {{\"kind\": {}",
+            Quoted(SCHEMA),
             self.seed,
-            self.scheme.kind()
+            Quoted(self.scheme.kind())
         );
         match &self.scheme {
             SchemeSpec::HypercubeFa { dims }
@@ -226,14 +229,8 @@ impl CaseSpec {
                 let _ = write!(out, ", \"width\": {width}, \"height\": {height}");
             }
             SchemeSpec::MeshKd { extents } => {
-                out.push_str(", \"extents\": [");
-                for (i, e) in extents.iter().enumerate() {
-                    if i > 0 {
-                        out.push_str(", ");
-                    }
-                    let _ = write!(out, "{e}");
-                }
-                out.push(']');
+                out.push_str(", \"extents\": ");
+                json::list(&mut out, extents, |out, e| write!(out, "{e}"));
             }
             SchemeSpec::SbpRandomRegular {
                 nodes,
@@ -275,17 +272,12 @@ impl CaseSpec {
                 );
             }
         }
-        out.push_str(", \"shards\": [");
-        for (i, s) in self.shards.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{s}");
-        }
+        out.push_str(", \"shards\": ");
+        json::list(&mut out, &self.shards, |out, s| write!(out, "{s}"));
         let _ = write!(
             out,
-            "], \"strategy\": \"{}\", \"lanes\": {}, \"faults\": {}}}",
-            self.strategy.name(),
+            ", \"strategy\": {}, \"lanes\": {}, \"faults\": {}}}",
+            Quoted(self.strategy.name()),
             self.lanes,
             self.faults.to_json()
         );
@@ -293,315 +285,160 @@ impl CaseSpec {
     }
 
     /// Parse a `fadr-fuzz/1` document (as produced by
-    /// [`CaseSpec::to_json`], whitespace-insensitively).
+    /// [`CaseSpec::to_json`]). The scheme, mutation and workload objects
+    /// each take exactly the keys their kind lists; `seed` (0),
+    /// `mutation` (none), `queue_capacity` (64), `strategy` (auto),
+    /// `lanes` (1) and `faults` (empty) may be left out.
     ///
     /// # Errors
     ///
     /// Returns a description of the first malformed construct.
     pub fn parse(text: &str) -> Result<Self, String> {
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
+        const KEYS: [&str; 10] = [
+            "schema",
+            "seed",
+            "scheme",
+            "mutation",
+            "queue_capacity",
+            "workload",
+            "shards",
+            "strategy",
+            "lanes",
+            "faults",
+        ];
+        let mut spec = Self {
+            seed: 0,
+            // Placeholders: "scheme" and "workload" are required.
+            scheme: SchemeSpec::HypercubeFa { dims: 0 },
+            mutation: MutationSpec::None,
+            queue_capacity: 64,
+            faults: FaultPlan::new(0, 0),
+            workload: WorkloadSpec::Static { per_node: 0 },
+            shards: Vec::new(),
+            strategy: PartitionStrategy::Auto,
+            lanes: 1,
         };
-        let mut saw_schema = false;
-        let mut seed = 0u64;
-        let mut scheme = None;
-        let mut mutation = MutationSpec::None;
-        let mut queue_capacity = 64usize;
-        let mut faults = FaultPlan::new(0, 0);
-        let mut workload = None;
-        let mut shards = Vec::new();
-        let mut strategy = PartitionStrategy::Auto;
-        let mut lanes = 1usize;
-        p.expect(b'{')?;
-        loop {
-            p.skip_ws();
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.skip_ws();
-            p.expect(b':')?;
-            p.skip_ws();
-            match key.as_str() {
+        let mut r = Reader::new(text);
+        let seen = r.object(&KEYS, |slot, r| {
+            match KEYS[slot] {
                 "schema" => {
-                    let s = p.string()?;
+                    let s = r.str()?;
                     if s != SCHEMA {
-                        return Err(format!("unsupported schema '{s}'"));
-                    }
-                    saw_schema = true;
-                }
-                "seed" => seed = p.u64()?,
-                "scheme" => scheme = Some(parse_scheme(&mut p)?),
-                "mutation" => mutation = parse_mutation(&mut p)?,
-                "queue_capacity" => queue_capacity = p.u64()? as usize,
-                "workload" => workload = Some(parse_workload(&mut p)?),
-                "shards" => {
-                    p.expect(b'[')?;
-                    loop {
-                        p.skip_ws();
-                        if p.eat(b']') {
-                            break;
-                        }
-                        shards.push(p.u64()? as usize);
-                        p.skip_ws();
-                        let _ = p.eat(b',');
+                        return Err(format!("unsupported schema {s:?}"));
                     }
                 }
-                "strategy" => {
-                    let s = p.string()?;
-                    strategy = PartitionStrategy::from_str(&s)?;
-                }
-                "lanes" => lanes = p.u64()? as usize,
-                "faults" => {
-                    let obj = p.balanced_object()?;
-                    faults = FaultPlan::parse(&obj)?;
-                }
-                other => return Err(format!("unknown key '{other}'")),
+                "seed" => spec.seed = r.u64()?,
+                "scheme" => spec.scheme = read_scheme(r)?,
+                "mutation" => spec.mutation = read_mutation(r)?,
+                "queue_capacity" => spec.queue_capacity = r.u64()? as usize,
+                "workload" => spec.workload = read_workload(r)?,
+                "shards" => r.array(|r| {
+                    spec.shards.push(r.u64()? as usize);
+                    Ok(())
+                })?,
+                "strategy" => spec.strategy = PartitionStrategy::from_str(r.str()?)?,
+                "lanes" => spec.lanes = r.u64()? as usize,
+                _ => spec.faults = FaultPlan::read(r)?,
             }
-            p.skip_ws();
-            let _ = p.eat(b',');
+            Ok(())
+        })?;
+        r.end()?;
+        if let Some(key) = ["schema", "scheme", "workload"]
+            .into_iter()
+            .find(|k| !seen.has(k))
+        {
+            return Err(format!("missing {key:?}"));
         }
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err("trailing data after case spec".into());
-        }
-        if !saw_schema {
-            return Err("missing schema tag".into());
-        }
-        let scheme = scheme.ok_or("missing scheme")?;
-        let workload = workload.ok_or("missing workload")?;
-        if shards.is_empty() {
+        if spec.shards.is_empty() {
             return Err("missing shards".into());
         }
-        Ok(Self {
-            seed,
-            scheme,
-            mutation,
-            queue_capacity,
-            faults,
-            workload,
-            shards,
-            strategy,
-            lanes,
-        })
+        Ok(spec)
     }
 }
 
-fn parse_scheme(p: &mut Parser<'_>) -> Result<SchemeSpec, String> {
-    let mut kind = String::new();
-    let (mut dims, mut width, mut height) = (0usize, 0usize, 0usize);
-    let (mut nodes, mut degree, mut seed) = (0usize, 0usize, 0u64);
+fn read_scheme(r: &mut Reader<'_>) -> Result<SchemeSpec, String> {
+    const KEYS: [&str; 8] = [
+        "kind", "dims", "width", "height", "nodes", "degree", "seed", "extents",
+    ];
+    const DIMS: &[&str] = &["kind", "dims"];
+    const SIDES: &[&str] = &["kind", "width", "height"];
+    let mut kind = None;
+    let mut vals = [0u64; KEYS.len()];
     let mut extents = Vec::new();
-    p.expect(b'{')?;
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
+    let seen = r.object(&KEYS, |slot, r| {
+        match KEYS[slot] {
+            "kind" => kind = Some(r.str()?),
+            "extents" => r.array(|r| {
+                extents.push(r.u64()? as usize);
+                Ok(())
+            })?,
+            _ => vals[slot] = r.u64()?,
         }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "kind" => kind = p.string()?,
-            "dims" => dims = p.u64()? as usize,
-            "width" => width = p.u64()? as usize,
-            "height" => height = p.u64()? as usize,
-            "nodes" => nodes = p.u64()? as usize,
-            "degree" => degree = p.u64()? as usize,
-            "seed" => seed = p.u64()?,
-            "extents" => {
-                p.expect(b'[')?;
-                loop {
-                    p.skip_ws();
-                    if p.eat(b']') {
-                        break;
-                    }
-                    extents.push(p.u64()? as usize);
-                    p.skip_ws();
-                    let _ = p.eat(b',');
-                }
-            }
-            other => return Err(format!("unknown scheme key '{other}'")),
-        }
-        p.skip_ws();
-        let _ = p.eat(b',');
-    }
-    Ok(match kind.as_str() {
-        "hypercube-fa" => SchemeSpec::HypercubeFa { dims },
-        "hypercube-hang" => SchemeSpec::HypercubeHang { dims },
-        "ecube-sbp" => SchemeSpec::EcubeSbp { dims },
-        "mesh-fa" => SchemeSpec::MeshFa { width, height },
-        "mesh-hang" => SchemeSpec::MeshHang { width, height },
-        "mesh-xy" => SchemeSpec::MeshXy { width, height },
-        "mesh-kd" => SchemeSpec::MeshKd { extents },
-        "torus" => SchemeSpec::Torus { width, height },
-        "shuffle-exchange" => SchemeSpec::ShuffleExchange { dims },
-        "shuffle-exchange-paper" => SchemeSpec::ShuffleExchangePaper { dims },
-        "ecube-store-forward" => SchemeSpec::EcubeStoreForward { dims },
-        "sbp-random-regular" => SchemeSpec::SbpRandomRegular {
-            nodes,
-            degree,
-            seed,
-        },
-        other => return Err(format!("unknown scheme kind '{other}'")),
-    })
+        Ok(())
+    })?;
+    let kind = kind.ok_or("scheme missing \"kind\"")?;
+    let [_, dims, width, height, nodes, degree, _, _] = vals.map(|v| v as usize);
+    let (spec, takes) = match kind {
+        "hypercube-fa" => (SchemeSpec::HypercubeFa { dims }, DIMS),
+        "hypercube-hang" => (SchemeSpec::HypercubeHang { dims }, DIMS),
+        "ecube-sbp" => (SchemeSpec::EcubeSbp { dims }, DIMS),
+        "mesh-fa" => (SchemeSpec::MeshFa { width, height }, SIDES),
+        "mesh-hang" => (SchemeSpec::MeshHang { width, height }, SIDES),
+        "mesh-xy" => (SchemeSpec::MeshXy { width, height }, SIDES),
+        "mesh-kd" => (SchemeSpec::MeshKd { extents }, &["kind", "extents"][..]),
+        "torus" => (SchemeSpec::Torus { width, height }, SIDES),
+        "shuffle-exchange" => (SchemeSpec::ShuffleExchange { dims }, DIMS),
+        "shuffle-exchange-paper" => (SchemeSpec::ShuffleExchangePaper { dims }, DIMS),
+        "ecube-store-forward" => (SchemeSpec::EcubeStoreForward { dims }, DIMS),
+        "sbp-random-regular" => (
+            SchemeSpec::SbpRandomRegular {
+                nodes,
+                degree,
+                seed: vals[6],
+            },
+            &["kind", "nodes", "degree", "seed"][..],
+        ),
+        other => return Err(format!("unknown scheme kind {other:?}")),
+    };
+    seen.exactly(takes, format_args!("scheme {kind:?}"))?;
+    Ok(spec)
 }
 
-fn parse_mutation(p: &mut Parser<'_>) -> Result<MutationSpec, String> {
-    let mut kind = String::new();
-    let mut node = 0usize;
-    let mut classes = 0usize;
-    p.expect(b'{')?;
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "kind" => kind = p.string()?,
-            "node" => node = p.u64()? as usize,
-            "classes" => classes = p.u64()? as usize,
-            other => return Err(format!("unknown mutation key '{other}'")),
-        }
-        p.skip_ws();
-        let _ = p.eat(b',');
-    }
-    Ok(match kind.as_str() {
-        "none" => MutationSpec::None,
-        "demote-static" => MutationSpec::DemoteStatic(node),
-        "drop-transitions" => MutationSpec::DropTransitions(node),
-        "inflate-classes" => MutationSpec::InflateClasses(classes),
-        other => return Err(format!("unknown mutation kind '{other}'")),
-    })
+fn read_mutation(r: &mut Reader<'_>) -> Result<MutationSpec, String> {
+    let (kind, vals, seen) = r.tagged(&["kind", "node", "classes"])?;
+    let [_, node, classes] = vals.map(|v| v as usize);
+    let (spec, takes): (_, &[&str]) = match kind {
+        "none" => (MutationSpec::None, &["kind"]),
+        "demote-static" => (MutationSpec::DemoteStatic(node), &["kind", "node"]),
+        "drop-transitions" => (MutationSpec::DropTransitions(node), &["kind", "node"]),
+        "inflate-classes" => (MutationSpec::InflateClasses(classes), &["kind", "classes"]),
+        other => return Err(format!("unknown mutation kind {other:?}")),
+    };
+    seen.exactly(takes, format_args!("mutation {kind:?}"))?;
+    Ok(spec)
 }
 
-fn parse_workload(p: &mut Parser<'_>) -> Result<WorkloadSpec, String> {
-    let mut kind = String::new();
-    let mut per_node = 0usize;
-    let mut lambda_pct = 0u8;
-    let mut cycles = 0u64;
-    p.expect(b'{')?;
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match key.as_str() {
-            "kind" => kind = p.string()?,
-            "per_node" => per_node = p.u64()? as usize,
-            "lambda_pct" => {
-                lambda_pct = u8::try_from(p.u64()?).map_err(|_| "lambda_pct > 255".to_string())?;
-            }
-            "cycles" => cycles = p.u64()?,
-            other => return Err(format!("unknown workload key '{other}'")),
-        }
-        p.skip_ws();
-        let _ = p.eat(b',');
-    }
-    Ok(match kind.as_str() {
-        "static" => WorkloadSpec::Static { per_node },
-        "dynamic" => WorkloadSpec::Dynamic { lambda_pct, cycles },
-        other => return Err(format!("unknown workload kind '{other}'")),
-    })
-}
-
-/// Minimal JSON scanner (the `fadr-faults/1` idiom): enough for the flat
-/// objects this schema uses, no external dependencies.
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> bool {
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.eat(c) {
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", char::from(c), self.i))
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.skip_ws();
-        if !self.eat(b'"') {
-            return Err(format!("expected string at byte {}", self.i));
-        }
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i] != b'"' {
-            self.i += 1;
-        }
-        if self.i == self.b.len() {
-            return Err("unterminated string".into());
-        }
-        let s = String::from_utf8_lossy(&self.b[start..self.i]).into_owned();
-        self.i += 1;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .expect("digits are utf8")
-            .parse()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    /// Consume one balanced `{...}` object and return its text (used to
-    /// hand the nested fault plan to [`FaultPlan::parse`] verbatim; the
-    /// schema has no strings containing braces).
-    fn balanced_object(&mut self) -> Result<String, String> {
-        self.skip_ws();
-        let start = self.i;
-        if !self.eat(b'{') {
-            return Err(format!("expected object at byte {start}"));
-        }
-        let mut depth = 1usize;
-        while self.i < self.b.len() && depth > 0 {
-            match self.b[self.i] {
-                b'{' => depth += 1,
-                b'}' => depth -= 1,
-                _ => {}
-            }
-            self.i += 1;
-        }
-        if depth > 0 {
-            return Err("unterminated object".into());
-        }
-        Ok(String::from_utf8_lossy(&self.b[start..self.i]).into_owned())
-    }
+fn read_workload(r: &mut Reader<'_>) -> Result<WorkloadSpec, String> {
+    let (kind, [_, per_node, lambda_pct, cycles], seen) =
+        r.tagged(&["kind", "per_node", "lambda_pct", "cycles"])?;
+    let (spec, takes): (_, &[&str]) = match kind {
+        "static" => (
+            WorkloadSpec::Static {
+                per_node: per_node as usize,
+            },
+            &["kind", "per_node"],
+        ),
+        "dynamic" => (
+            WorkloadSpec::Dynamic {
+                lambda_pct: u8::try_from(lambda_pct).map_err(|_| "lambda_pct > 255".to_string())?,
+                cycles,
+            },
+            &["kind", "lambda_pct", "cycles"],
+        ),
+        other => return Err(format!("unknown workload kind {other:?}")),
+    };
+    seen.exactly(takes, format_args!("workload {kind:?}"))?;
+    Ok(spec)
 }
 
 // ---------------------------------------------------------------------

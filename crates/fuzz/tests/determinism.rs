@@ -32,8 +32,9 @@ fn json_roundtrip_over_generated_specs() {
     }
 }
 
-/// The parser is strict: schema tag, unknown keys, and trailing data
-/// are all rejected (a corrupted corpus file fails loudly, not quietly).
+/// The parser is strict: schema tag, unknown, repeated and
+/// kind-foreign keys, missing commas and trailing data are all rejected
+/// (a corrupted corpus file fails loudly, not quietly).
 #[test]
 fn parser_rejects_malformed_cases() {
     let good = gen_case(7, 0).to_json();
@@ -45,6 +46,49 @@ fn parser_rejects_malformed_cases() {
     let unknown_key = good.replace("\"seed\"", "\"sead\"");
     assert!(CaseSpec::parse(&unknown_key).is_err());
     assert!(CaseSpec::parse("{}").is_err());
+
+    // One corpus-shaped case; each edit below parsed before the reader
+    // was strict.
+    let case = "{\"schema\": \"fadr-fuzz/1\", \"seed\": 6, \
+                \"scheme\": {\"kind\": \"shuffle-exchange-paper\", \"dims\": 4}, \
+                \"mutation\": {\"kind\": \"none\"}, \"queue_capacity\": 8, \
+                \"workload\": {\"kind\": \"static\", \"per_node\": 1}, \
+                \"shards\": [2], \"strategy\": \"auto\", \
+                \"faults\": {\"schema\": \"fadr-faults/1\", \"seed\": 0, \"retry_limit\": 0, \"events\": []}}";
+    assert!(CaseSpec::parse(case).is_ok());
+    let rejects = |from: &str, to: &str, names: &str| {
+        assert!(case.contains(from), "{from:?} not in the case");
+        let bad = case.replacen(from, to, 1);
+        let err = CaseSpec::parse(&bad).expect_err(&bad);
+        assert!(err.contains(names), "{err:?} must name {names:?}");
+    };
+    rejects("\"seed\": 6, ", "\"seed\": 6 ", "expected ','");
+    rejects("\"shards\": [2]", "\"shards\": [2 3]", "expected ','");
+    rejects(
+        "\"seed\": 6, ",
+        "\"seed\": 1, \"seed\": 2, ",
+        "duplicate key \"seed\"",
+    );
+    rejects(
+        "{\"kind\": \"none\"}",
+        "{\"kind\": \"none\", \"node\": 3}",
+        "\"node\"",
+    );
+    rejects(
+        "\"per_node\": 1}",
+        "\"per_node\": 1, \"cycles\": 9}",
+        "\"cycles\"",
+    );
+    rejects(
+        "{\"kind\": \"shuffle-exchange-paper\", \"dims\": 4}",
+        "{\"kind\": \"mesh-fa\", \"dims\": 3}",
+        "scheme \"mesh-fa\" does not take \"dims\"",
+    );
+    rejects(
+        "{\"kind\": \"shuffle-exchange-paper\", \"dims\": 4}",
+        "{\"kind\": \"hypercube-fa\"}",
+        "scheme \"hypercube-fa\" missing \"dims\"",
+    );
 }
 
 /// Two whole campaigns from the same seed agree case-for-case; this is

@@ -50,6 +50,7 @@ use std::fmt::Write as _;
 
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::{QueueId, RoutingFunction};
+use fadr_sim::json::{self, Quoted};
 use fadr_sim::FaultPlan;
 use fadr_topology::NodeId;
 
@@ -425,67 +426,61 @@ impl Report {
         self.findings.iter().any(|f| f.lint == lint)
     }
 
-    /// Serialize as a `fadr-lint/1` JSON document.
+    /// Serialize as a one-line `fadr-lint/1` JSON document.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"scheme\": \"{}\",", esc(&self.scheme));
-        let _ = writeln!(s, "  \"topology\": \"{}\",", esc(&self.topology));
-        let _ = writeln!(s, "  \"nodes\": {},", self.nodes);
-        let _ = writeln!(s, "  \"states_explored\": {},", self.states_explored);
-        let _ = writeln!(s, "  \"queues_seen\": {},", self.queues_seen);
-        match &self.fault_plan {
-            Some(fp) => {
-                let _ = writeln!(
-                    s,
-                    "  \"fault_plan\": {{\"events\": {}, \"dead_nodes\": {}, \"dead_links\": {}}},",
-                    fp.events, fp.dead_nodes, fp.dead_links
-                );
-            }
-            None => s.push_str("  \"fault_plan\": null,\n"),
-        }
-        s.push_str("  \"findings\": [\n");
-        for (k, f) in self.findings.iter().enumerate() {
-            let comma = if k + 1 == self.findings.len() {
-                ""
-            } else {
-                ","
-            };
-            let queues: Vec<String> = f.queues.iter().map(|q| format!("\"{q}\"")).collect();
-            let nodes: Vec<String> = f.nodes.iter().map(ToString::to_string).collect();
+        let mut s = String::new();
+        let _ = write!(
+            s,
+            "{{\"schema\": {}, \"scheme\": {}, \"topology\": {}, \"nodes\": {}, \"states_explored\": {}, \"queues_seen\": {}, \"fault_plan\": ",
+            Quoted(SCHEMA),
+            Quoted(&self.scheme),
+            Quoted(&self.topology),
+            self.nodes,
+            self.states_explored,
+            self.queues_seen
+        );
+        let _ = match &self.fault_plan {
+            Some(fp) => write!(
+                s,
+                "{{\"events\": {}, \"dead_nodes\": {}, \"dead_links\": {}}}",
+                fp.events, fp.dead_nodes, fp.dead_links
+            ),
+            None => write!(s, "null"),
+        };
+        s.push_str(", \"findings\": ");
+        json::list(&mut s, &self.findings, |s, f| {
             let dst = f.dst.map_or("null".into(), |d| d.to_string());
             let state = f
                 .state
                 .as_deref()
-                .map_or("null".into(), |m| format!("\"{}\"", esc(m)));
-            let _ = writeln!(
+                .map_or("null".into(), |m| Quoted(m).to_string());
+            write!(
                 s,
-                "    {{\"lint\": \"{}\", \"severity\": \"{}\", \"clause\": \"{}\", \
-                 \"message\": \"{}\", \"witness\": {{\"queues\": [{}], \"nodes\": [{}], \
-                 \"dst\": {dst}, \"state\": {state}}}, \"suggestion\": \"{}\"}}{comma}",
-                f.lint.id(),
-                f.severity().as_str(),
-                esc(f.lint.clause()),
-                esc(&f.message),
-                queues.join(", "),
-                nodes.join(", "),
-                esc(f.lint.suggestion()),
-            );
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"suppressed\": [");
-        for (k, (l, n)) in self.suppressed.iter().enumerate() {
-            let comma = if k + 1 == self.suppressed.len() {
-                ""
-            } else {
-                ", "
-            };
-            let _ = write!(s, "{{\"lint\": \"{}\", \"count\": {n}}}{comma}", l.id());
-        }
-        s.push_str("],\n");
-        let _ = writeln!(s, "  \"errors\": {},", self.errors());
-        let _ = writeln!(s, "  \"warnings\": {}", self.warnings());
-        s.push_str("}\n");
+                "{{\"lint\": {}, \"severity\": {}, \"clause\": {}, \"message\": {}, \"witness\": {{\"queues\": ",
+                Quoted(f.lint.id()),
+                Quoted(f.severity().as_str()),
+                Quoted(f.lint.clause()),
+                Quoted(&f.message)
+            )?;
+            json::list(s, &f.queues, |s, q| write!(s, "{}", Quoted(&q.to_string())));
+            s.push_str(", \"nodes\": ");
+            json::list(s, &f.nodes, |s, v| write!(s, "{v}"));
+            write!(
+                s,
+                ", \"dst\": {dst}, \"state\": {state}}}, \"suggestion\": {}}}",
+                Quoted(f.lint.suggestion())
+            )
+        });
+        s.push_str(", \"suppressed\": ");
+        json::list(&mut s, &self.suppressed, |s, (l, n)| {
+            write!(s, "{{\"lint\": {}, \"count\": {n}}}", Quoted(l.id()))
+        });
+        let _ = writeln!(
+            s,
+            ", \"errors\": {}, \"warnings\": {}}}",
+            self.errors(),
+            self.warnings()
+        );
         s
     }
 
@@ -533,23 +528,6 @@ impl Report {
         }
         s
     }
-}
-
-/// Escape a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '"' => out.push_str("\\\""),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Run the scheme lints over every destination of the concrete instance.
@@ -649,7 +627,22 @@ mod tests {
 
     #[test]
     fn esc_escapes_json_specials() {
-        assert_eq!(esc("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(esc("\u{1}"), "\\u0001");
+        let cfg = LintConfig::default();
+        let mut col = Collector::new(&cfg);
+        col.emit(Finding {
+            lint: LintId::DeadEnd,
+            message: "a\"b\\c\nd".into(),
+            queues: Vec::new(),
+            nodes: Vec::new(),
+            dst: None,
+            state: Some("\u{1}".into()),
+        });
+        let rep = Report::from_collector("s\"".into(), "t\\".into(), 1, 0, 0, None, col);
+        let doc = rep.to_json();
+        assert!(doc.contains("\"scheme\": \"s\\\"\""), "{doc}");
+        assert!(doc.contains("\"topology\": \"t\\\\\""), "{doc}");
+        assert!(doc.contains("\"message\": \"a\\\"b\\\\c\\nd\""), "{doc}");
+        assert!(doc.contains("\"state\": \"\\u0001\""), "{doc}");
+        assert_eq!(doc.lines().count(), 1);
     }
 }

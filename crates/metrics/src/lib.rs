@@ -8,12 +8,14 @@
 //! observability layer (event [`Recorder`] trait, routing-decision
 //! [`CounterSink`], JSONL [`TraceSink`], no-progress [`WatchdogSink`],
 //! replay [`JournalSink`], per-class [`LatencySink`], and live
-//! [`WaitGraphSink`]).
+//! [`WaitGraphSink`]), and the [`json`] wire format every `fadr-*`
+//! document is read and written in.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ci;
+pub mod json;
 pub mod partition;
 pub mod record;
 pub mod stats;

@@ -40,6 +40,8 @@
 
 use std::fmt::Write as _;
 
+use crate::json::{self, Quoted};
+
 /// Flow-control verdict returned by [`Recorder::on_cycle_end`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Control {
@@ -464,20 +466,19 @@ impl CounterSink {
         );
         let _ = write!(
             out,
-            "\"occupancy\": {{\"peak_max\": {}, \"mean_total\": {:.6}, \"queues_nonzero\": {}, \"queues_omitted\": {}, \"top\": [",
+            "\"occupancy\": {{\"peak_max\": {}, \"mean_total\": {:.6}, \"queues_nonzero\": {}, \"queues_omitted\": {}, \"top\": ",
             self.peak_max(),
             self.mean_total(),
             nonzero,
             nonzero.saturating_sub(top_queues.len())
         );
-        for (i, (node, class, peak, mean)) in top_queues.iter().enumerate() {
-            let _ = write!(
+        json::list(&mut out, top_queues, |out, (node, class, peak, mean)| {
+            write!(
                 out,
-                "{}{{\"node\": {node}, \"class\": {class}, \"peak\": {peak}, \"mean\": {mean:.6}}}",
-                if i == 0 { "" } else { ", " }
-            );
-        }
-        out.push_str("]}}");
+                "{{\"node\": {node}, \"class\": {class}, \"peak\": {peak}, \"mean\": {mean:.6}}}"
+            )
+        });
+        out.push_str("}}");
         out
     }
 }
@@ -849,48 +850,42 @@ impl StallReport {
     /// Serialize as a JSON object (the full queue snapshot is included —
     /// a stalled network's non-empty queue set is small by nature).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
+        let mut out = String::new();
         let _ = write!(
             out,
-            "\"verdict\": \"{}\", \"cycle\": {}, \"in_flight\": {}, \"window\": {}, \"links_in_window\": {}, ",
-            self.verdict(),
+            "{{\"verdict\": {}, \"cycle\": {}, \"in_flight\": {}, \"window\": {}, \"links_in_window\": {}, \"partitioned\": ",
+            Quoted(self.verdict()),
             self.cycle,
             self.in_flight,
             self.window,
             self.links_in_window
         );
-        out.push_str("\"partitioned\": [");
-        for (i, dst) in self.partitioned.iter().enumerate() {
-            let _ = write!(out, "{}{dst}", if i == 0 { "" } else { ", " });
-        }
-        out.push_str("], ");
+        json::list(&mut out, &self.partitioned, |out, dst| write!(out, "{dst}"));
         match self.oldest {
             Some((pkt, src, dst, inject)) => {
                 let _ = write!(
                     out,
-                    "\"oldest\": {{\"pkt\": {pkt}, \"src\": {src}, \"dst\": {dst}, \"inject\": {inject}, \"age\": {}}}, ",
+                    ", \"oldest\": {{\"pkt\": {pkt}, \"src\": {src}, \"dst\": {dst}, \"inject\": {inject}, \"age\": {}}}",
                     self.cycle.saturating_sub(inject)
                 );
             }
-            None => out.push_str("\"oldest\": null, "),
+            None => out.push_str(", \"oldest\": null"),
         }
-        out.push_str("\"queues\": [");
-        for (i, (node, class, occ)) in self.queues.iter().enumerate() {
-            let _ = write!(
+        out.push_str(", \"queues\": ");
+        json::list(&mut out, &self.queues, |out, (node, class, occ)| {
+            write!(
                 out,
-                "{}{{\"node\": {node}, \"class\": {class}, \"occupancy\": {occ}}}",
-                if i == 0 { "" } else { ", " }
-            );
-        }
-        out.push_str("], \"waits\": [");
-        for (i, (v, c, w, c2)) in self.waits.iter().enumerate() {
-            let _ = write!(
-                out,
-                "{}[{v}, {c}, {w}, {c2}]",
-                if i == 0 { "" } else { ", " }
-            );
-        }
-        out.push_str("]}");
+                "{{\"node\": {node}, \"class\": {class}, \"occupancy\": {occ}}}"
+            )
+        });
+        out.push_str(", \"waits\": ");
+        json::list(&mut out, &self.waits, |out, &(v, c, w, c2)| {
+            json::list(out, [v, c.into(), w, c2.into()], |out, x: u32| {
+                write!(out, "{x}")
+            });
+            Ok(())
+        });
+        out.push('}');
         out
     }
 
@@ -1484,20 +1479,19 @@ impl LatencySink {
     /// Serialize as a JSON object: per-class count, p50/p95/p99 (bucket
     /// upper bounds, <25% overestimate), and the exact max.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"classes\": [");
-        for (i, h) in self.classes.iter().enumerate() {
-            let _ = write!(
+        let mut out = String::from("{\"classes\": ");
+        json::list(&mut out, self.classes.iter().enumerate(), |out, (i, h)| {
+            write!(
                 out,
-                "{}{{\"class\": {i}, \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
-                if i == 0 { "" } else { ", " },
+                "{{\"class\": {i}, \"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"max\": {}}}",
                 h.total(),
                 h.percentile(0.50),
                 h.percentile(0.95),
                 h.percentile(0.99),
                 h.max()
-            );
-        }
-        out.push_str("]}");
+            )
+        });
+        out.push('}');
         out
     }
 }

@@ -76,7 +76,7 @@ impl Table {
     /// Render as CSV (RFC-4180-ish; cells containing commas or quotes are
     /// quoted).
     pub fn to_csv(&self) -> String {
-        fn esc(cell: &str) -> String {
+        fn csv(cell: &str) -> String {
             if cell.contains([',', '"', '\n']) {
                 format!("\"{}\"", cell.replace('"', "\"\""))
             } else {
@@ -89,7 +89,7 @@ impl Table {
             "{}",
             self.headers
                 .iter()
-                .map(|c| esc(c))
+                .map(|c| csv(c))
                 .collect::<Vec<_>>()
                 .join(",")
         );
@@ -97,7 +97,7 @@ impl Table {
             let _ = writeln!(
                 out,
                 "{}",
-                row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(",")
+                row.iter().map(|c| csv(c)).collect::<Vec<_>>().join(",")
             );
         }
         out

@@ -31,6 +31,7 @@ use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use crate::json::{self, Quoted, Reader};
 use crate::layout::Layout;
 
 /// Recorder kind code for a link-down event (see `Recorder::on_fault`).
@@ -175,52 +176,44 @@ impl FaultPlan {
 
     /// Serialize as JSON (schema `fadr-faults/1`).
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"schema\": \"fadr-faults/1\", ");
+        let mut out = String::new();
         let _ = write!(
             out,
-            "\"seed\": {}, \"retry_limit\": {}, \"events\": [",
-            self.seed, self.retry_limit
+            "{{\"schema\": {}, \"seed\": {}, \"retry_limit\": {}, \"events\": ",
+            Quoted(SCHEMA),
+            self.seed,
+            self.retry_limit
         );
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(out, "{{\"cycle\": {}, ", e.cycle);
+        json::list(&mut out, &self.events, |out, e| {
+            write!(out, "{{\"cycle\": {}, ", e.cycle)?;
             match e.kind {
-                FaultKind::LinkDown { from, to } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\": \"link_down\", \"from\": {from}, \"to\": {to}"
-                    );
-                }
+                FaultKind::LinkDown { from, to } => write!(
+                    out,
+                    "\"kind\": \"link_down\", \"from\": {from}, \"to\": {to}}}"
+                ),
                 FaultKind::NodeDown { node } => {
-                    let _ = write!(out, "\"kind\": \"node_down\", \"node\": {node}");
+                    write!(out, "\"kind\": \"node_down\", \"node\": {node}}}")
                 }
                 FaultKind::QueueFreeze {
                     node,
                     class,
                     duration,
-                } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\": \"queue_freeze\", \"node\": {node}, \"class\": {class}, \"duration\": {duration}"
-                    );
-                }
+                } => write!(
+                    out,
+                    "\"kind\": \"queue_freeze\", \"node\": {node}, \"class\": {class}, \"duration\": {duration}}}"
+                ),
                 FaultKind::FlakyLink {
                     from,
                     to,
                     until,
                     threshold,
-                } => {
-                    let _ = write!(
-                        out,
-                        "\"kind\": \"flaky_link\", \"from\": {from}, \"to\": {to}, \"until\": {until}, \"threshold\": {threshold}"
-                    );
-                }
+                } => write!(
+                    out,
+                    "\"kind\": \"flaky_link\", \"from\": {from}, \"to\": {to}, \"until\": {until}, \"threshold\": {threshold}}}"
+                ),
             }
-            out.push('}');
-        }
-        out.push_str("]}");
+        });
+        out.push('}');
         out
     }
 
@@ -228,66 +221,38 @@ impl FaultPlan {
     /// An unknown or repeated key, at the top level or in an event, is
     /// an error naming the key.
     pub fn parse(text: &str) -> Result<Self, String> {
-        const KEYS: [&str; 4] = ["schema", "seed", "retry_limit", "events"];
-        let mut p = Parser {
-            b: text.as_bytes(),
-            i: 0,
-        };
+        let mut r = Reader::new(text);
+        let plan = Self::read(&mut r)?;
+        r.end()?;
+        Ok(plan)
+    }
+
+    /// Read a `fadr-faults/1` object at the reader's position (the rules
+    /// of [`FaultPlan::parse`]); documents that embed a plan read it in
+    /// place.
+    pub fn read(r: &mut Reader<'_>) -> Result<Self, String> {
         let mut plan = FaultPlan::new(0, 0);
-        let mut seen = [false; KEYS.len()];
-        p.expect(b'{')?;
-        loop {
-            p.skip_ws();
-            if p.eat(b'}') {
-                break;
-            }
-            let key = p.string()?;
-            p.expect(b':')?;
-            let slot = KEYS
-                .iter()
-                .position(|&k| k == key)
-                .ok_or_else(|| format!("unknown key {key:?}"))?;
-            if std::mem::replace(&mut seen[slot], true) {
-                return Err(format!("duplicate key {key:?} in fault plan"));
-            }
-            match key {
-                "schema" => {
-                    let s = p.string()?;
-                    if s != "fadr-faults/1" {
-                        return Err(format!("unsupported schema {s:?} (want fadr-faults/1)"));
+        let seen = r.object(&["schema", "seed", "retry_limit", "events"], |slot, r| {
+            match slot {
+                0 => {
+                    let s = r.str()?;
+                    if s != SCHEMA {
+                        return Err(format!("unsupported schema {s:?} (want {SCHEMA})"));
                     }
                 }
-                "seed" => plan.seed = p.u64()?,
-                "retry_limit" => {
-                    plan.retry_limit = u32::try_from(p.u64()?)
+                1 => plan.seed = r.u64()?,
+                2 => {
+                    plan.retry_limit = u32::try_from(r.u64()?)
                         .map_err(|_| "retry_limit out of range".to_string())?;
                 }
-                _ => {
-                    p.expect(b'[')?;
-                    p.skip_ws();
-                    if !p.eat(b']') {
-                        loop {
-                            plan.events.push(parse_event(&mut p)?);
-                            p.skip_ws();
-                            if p.eat(b']') {
-                                break;
-                            }
-                            p.expect(b',')?;
-                        }
-                    }
-                }
+                _ => r.array(|r| {
+                    plan.events.push(read_event(r)?);
+                    Ok(())
+                })?,
             }
-            p.skip_ws();
-            if !p.eat(b',') {
-                p.expect(b'}')?;
-                break;
-            }
-        }
-        p.skip_ws();
-        if p.i != p.b.len() {
-            return Err("trailing data after fault plan".into());
-        }
-        if !seen[0] {
+            Ok(())
+        })?;
+        if !seen.has("schema") {
             return Err("missing \"schema\" key".into());
         }
         plan.normalize();
@@ -295,176 +260,61 @@ impl FaultPlan {
     }
 }
 
-/// The numeric fields a fault event may carry; each kind takes a subset.
-const EVENT_FIELDS: [&str; 7] = [
-    "from",
-    "to",
-    "node",
-    "class",
-    "duration",
-    "until",
-    "threshold",
-];
+/// Schema tag of a serialized [`FaultPlan`].
+const SCHEMA: &str = "fadr-faults/1";
 
-/// Parse one event object into fixed per-field slots (no allocation per
-/// field), rejecting unknown, repeated and kind-foreign keys.
-fn parse_event(p: &mut Parser<'_>) -> Result<FaultEvent, String> {
-    let mut cycle: Option<u64> = None;
-    let mut kind: Option<&str> = None;
-    let mut vals = [None::<u64>; EVENT_FIELDS.len()];
-    p.expect(b'{')?;
-    loop {
-        p.skip_ws();
-        if p.eat(b'}') {
-            break;
-        }
-        let key = p.string()?;
-        p.expect(b':')?;
-        let repeated = match key {
-            "cycle" => cycle.replace(p.u64()?).is_some(),
-            "kind" => kind.replace(p.string()?).is_some(),
-            _ => {
-                let i = EVENT_FIELDS
-                    .iter()
-                    .position(|&f| f == key)
-                    .ok_or_else(|| format!("unknown key {key:?} in fault event"))?;
-                vals[i].replace(p.u64()?).is_some()
-            }
-        };
-        if repeated {
-            return Err(format!("duplicate key {key:?} in fault event"));
-        }
-        p.skip_ws();
-        if !p.eat(b',') {
-            p.expect(b'}')?;
-            break;
-        }
-    }
-    let cycle = cycle.ok_or("event missing \"cycle\"")?;
-    let kind = kind.ok_or("event missing \"kind\"")?;
+/// Read one event object, rejecting unknown, repeated, missing and
+/// kind-foreign keys.
+fn read_event(r: &mut Reader<'_>) -> Result<FaultEvent, String> {
+    let (kind, vals, seen) = r.tagged(&[
+        "kind",
+        "cycle",
+        "from",
+        "to",
+        "node",
+        "class",
+        "duration",
+        "until",
+        "threshold",
+    ])?;
     let takes: &[&str] = match kind {
-        "link_down" => &["from", "to"],
-        "node_down" => &["node"],
-        "queue_freeze" => &["node", "class", "duration"],
-        "flaky_link" => &["from", "to", "until", "threshold"],
+        "link_down" => &["kind", "cycle", "from", "to"],
+        "node_down" => &["kind", "cycle", "node"],
+        "queue_freeze" => &["kind", "cycle", "node", "class", "duration"],
+        "flaky_link" => &["kind", "cycle", "from", "to", "until", "threshold"],
         other => return Err(format!("unknown fault kind {other:?}")),
     };
-    if let Some(i) =
-        (0..EVENT_FIELDS.len()).find(|&i| vals[i].is_some() && !takes.contains(&EVENT_FIELDS[i]))
-    {
-        return Err(format!("{kind} event does not take {:?}", EVENT_FIELDS[i]));
-    }
-    let get = |name: &str| -> Result<u64, String> {
-        EVENT_FIELDS
-            .iter()
-            .position(|&f| f == name)
-            .and_then(|i| vals[i])
-            .ok_or_else(|| format!("{kind} event missing {name:?}"))
-    };
-    let get32 = |name: &str| -> Result<u32, String> {
-        u32::try_from(get(name)?).map_err(|_| format!("{name} out of range"))
-    };
-    let get8 = |name: &str| -> Result<u8, String> {
-        u8::try_from(get(name)?).map_err(|_| format!("{name} out of range"))
-    };
+    seen.exactly(takes, format_args!("{kind} event"))?;
+    let [_, cycle, from, to, node, class, duration, until, threshold] = vals;
+    let u32_of = |v: u64, name: &str| u32::try_from(v).map_err(|_| format!("{name} out of range"));
+    let u8_of = |v: u64, name: &str| u8::try_from(v).map_err(|_| format!("{name} out of range"));
     let kind = match kind {
         "link_down" => FaultKind::LinkDown {
-            from: get32("from")?,
-            to: get32("to")?,
+            from: u32_of(from, "from")?,
+            to: u32_of(to, "to")?,
         },
         "node_down" => FaultKind::NodeDown {
-            node: get32("node")?,
+            node: u32_of(node, "node")?,
         },
         "queue_freeze" => FaultKind::QueueFreeze {
-            node: get32("node")?,
-            class: get8("class")?,
-            duration: get("duration")?,
+            node: u32_of(node, "node")?,
+            class: u8_of(class, "class")?,
+            duration,
         },
         _ => {
-            let threshold = get8("threshold")?;
+            let threshold = u8_of(threshold, "threshold")?;
             if threshold > 100 {
                 return Err("flaky_link threshold must be 0..=100".into());
             }
             FaultKind::FlakyLink {
-                from: get32("from")?,
-                to: get32("to")?,
-                until: get("until")?,
+                from: u32_of(from, "from")?,
+                to: u32_of(to, "to")?,
+                until,
                 threshold,
             }
         }
     };
     Ok(FaultEvent { cycle, kind })
-}
-
-/// Minimal JSON scanner for the flat `fadr-faults/1` shape (objects,
-/// arrays, strings without escapes, unsigned integers).
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, ch: u8) -> bool {
-        self.skip_ws();
-        if self.i < self.b.len() && self.b[self.i] == ch {
-            self.i += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, ch: u8) -> Result<(), String> {
-        if self.eat(ch) {
-            Ok(())
-        } else {
-            Err(format!(
-                "expected {:?} at byte {} of fault plan",
-                char::from(ch),
-                self.i
-            ))
-        }
-    }
-
-    /// A string token, borrowed from the input.
-    fn string(&mut self) -> Result<&'a str, String> {
-        self.expect(b'"')?;
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i] != b'"' {
-            if self.b[self.i] == b'\\' {
-                return Err("escape sequences are not supported in fault plans".into());
-            }
-            self.i += 1;
-        }
-        if self.i == self.b.len() {
-            return Err("unterminated string".into());
-        }
-        let s = std::str::from_utf8(&self.b[start..self.i])
-            .map_err(|_| "invalid UTF-8 in string".to_string())?;
-        self.i += 1;
-        Ok(s)
-    }
-
-    fn u64(&mut self) -> Result<u64, String> {
-        self.skip_ws();
-        let start = self.i;
-        while self.i < self.b.len() && self.b[self.i].is_ascii_digit() {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| "number out of range".to_string())
-    }
 }
 
 /// Whether flaky channel `chan` is down at `cycle`: a pure hash of

@@ -66,7 +66,7 @@ pub use engine::{
     StaticResult, StopReason,
 };
 pub use fadr_metrics::{
-    Control, CounterSink, NoRecorder, PartitionStats, Recorder, ShardRecorder, SinkSet,
+    json, Control, CounterSink, NoRecorder, PartitionStats, Recorder, ShardRecorder, SinkSet,
     StallReport, TraceSink, TraceState, WatchdogSink,
 };
 pub use fadr_qdg::SnapshotMsg;

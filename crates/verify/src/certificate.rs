@@ -11,6 +11,7 @@
 use std::fmt::Write as _;
 
 use fadr_qdg::sym::QueueClass;
+use fadr_sim::json::{self, Quoted};
 use fadr_topology::NodeId;
 
 use crate::classgraph::{ClassGraph, EscapeWitness};
@@ -117,73 +118,63 @@ impl Certificate {
         self.dynamic_class_edges == 0
     }
 
-    /// Serialize as `fadr-verify/1` JSON.
+    /// Serialize as one-line `fadr-verify/1` JSON.
     pub fn to_json(&self) -> String {
         let mut s = String::new();
-        s.push_str("{\n");
-        let _ = writeln!(s, "  \"schema\": \"{SCHEMA}\",");
-        let _ = writeln!(s, "  \"algorithm\": \"{}\",", esc(&self.algorithm));
-        let _ = writeln!(s, "  \"topology\": \"{}\",", esc(&self.topology));
-        let _ = writeln!(s, "  \"nodes\": {},", self.nodes);
-        match &self.classifier {
-            ClassifierMode::Scheme { description } => {
-                let _ = writeln!(
-                    s,
-                    "  \"classifier\": {{\"mode\": \"scheme\", \"description\": \"{}\"}},",
-                    esc(description)
-                );
-            }
-            ClassifierMode::Concrete => {
-                let _ = writeln!(s, "  \"classifier\": {{\"mode\": \"concrete\"}},");
-            }
-        }
-        if self.all_dsts {
-            let _ = writeln!(s, "  \"destinations\": {{\"mode\": \"all\"}},");
-        } else {
-            let reps: Vec<String> = self.dsts.iter().map(ToString::to_string).collect();
-            let _ = writeln!(
-                s,
-                "  \"destinations\": {{\"mode\": \"representatives\", \"nodes\": [{}]}},",
-                reps.join(", ")
-            );
-        }
-        let _ = writeln!(s, "  \"queues_seen\": {},", self.queues_seen);
-        let _ = writeln!(s, "  \"states_explored\": {},", self.states_explored);
-        let _ = writeln!(s, "  \"static_class_edges\": {},", self.static_class_edges);
-        let _ = writeln!(
+        let _ = write!(
             s,
-            "  \"dynamic_class_edges\": {},",
-            self.dynamic_class_edges
+            "{{\"schema\": {}, \"algorithm\": {}, \"topology\": {}, \"nodes\": {}, \"classifier\": ",
+            Quoted(SCHEMA),
+            Quoted(&self.algorithm),
+            Quoted(&self.topology),
+            self.nodes
         );
-        let _ = writeln!(
+        let _ = match &self.classifier {
+            ClassifierMode::Scheme { description } => write!(
+                s,
+                "{{\"mode\": \"scheme\", \"description\": {}}}",
+                Quoted(description)
+            ),
+            ClassifierMode::Concrete => write!(s, "{{\"mode\": \"concrete\"}}"),
+        };
+        if self.all_dsts {
+            s.push_str(", \"destinations\": {\"mode\": \"all\"}");
+        } else {
+            s.push_str(", \"destinations\": {\"mode\": \"representatives\", \"nodes\": ");
+            json::list(&mut s, &self.dsts, |s, v| write!(s, "{v}"));
+            s.push('}');
+        }
+        let _ = write!(
             s,
-            "  \"wormhole\": {{\"adaptive_in_scope\": {}, \"dynamic_class_edges\": {}}},",
+            ", \"queues_seen\": {}, \"states_explored\": {}, \"static_class_edges\": {}, \"dynamic_class_edges\": {}, \"wormhole\": {{\"adaptive_in_scope\": {}, \"dynamic_class_edges\": {}}}, \"ranks\": ",
+            self.queues_seen,
+            self.states_explored,
+            self.static_class_edges,
+            self.dynamic_class_edges,
             self.adaptive_wormhole_in_scope(),
             self.dynamic_class_edges
         );
-        s.push_str("  \"ranks\": [\n");
-        for (k, (c, r)) in self.ranks.iter().enumerate() {
-            let comma = if k + 1 == self.ranks.len() { "" } else { "," };
-            let _ = writeln!(s, "    {{\"class\": \"{c}\", \"rank\": {r}}}{comma}");
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"escapes\": [\n");
-        for (k, e) in self.escapes.iter().enumerate() {
-            let comma = if k + 1 == self.escapes.len() { "" } else { "," };
-            let _ = writeln!(
+        json::list(&mut s, &self.ranks, |s, (c, r)| {
+            write!(
                 s,
-                "    {{\"class\": \"{}\", \"from\": \"{}\", \"to\": \"{}\", \"dst\": {}}}{comma}",
-                e.class, e.from, e.to, e.dst
-            );
-        }
-        s.push_str("  ]\n}\n");
+                "{{\"class\": {}, \"rank\": {r}}}",
+                Quoted(&c.to_string())
+            )
+        });
+        s.push_str(", \"escapes\": ");
+        json::list(&mut s, &self.escapes, |s, e| {
+            write!(
+                s,
+                "{{\"class\": {}, \"from\": {}, \"to\": {}, \"dst\": {}}}",
+                Quoted(&e.class.to_string()),
+                Quoted(&e.from.to_string()),
+                Quoted(&e.to.to_string()),
+                e.dst
+            )
+        });
+        s.push_str("}\n");
         s
     }
-}
-
-/// Escape a string for embedding in a JSON literal.
-fn esc(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]
@@ -192,6 +183,24 @@ mod tests {
 
     #[test]
     fn esc_escapes_quotes_and_backslashes() {
-        assert_eq!(esc("a\"b\\c"), "a\\\"b\\\\c");
+        let cert = Certificate {
+            algorithm: "a\"b\\c".into(),
+            topology: "t".into(),
+            nodes: 1,
+            classifier: ClassifierMode::Scheme {
+                description: "d\"".into(),
+            },
+            all_dsts: true,
+            dsts: Vec::new(),
+            queues_seen: 0,
+            states_explored: 0,
+            static_class_edges: 0,
+            dynamic_class_edges: 0,
+            ranks: Vec::new(),
+            escapes: Vec::new(),
+        };
+        let doc = cert.to_json();
+        assert!(doc.contains("\"algorithm\": \"a\\\"b\\\\c\""), "{doc}");
+        assert!(doc.contains("\"description\": \"d\\\"\""), "{doc}");
     }
 }
