@@ -1,86 +1,83 @@
-//! Wall-clock perf baseline over the canonical workloads.
+//! Interleaved A/B timing of the harness, and the scale scenarios.
 //!
 //! ```text
-//! perf [--samples S] [--jobs J] [--shards S] [--partition P] [--out PATH] [--quick | --large]
-//! perf --compare self  [--samples S] [--lanes R]   # harness sanity: A = B must be within-noise
-//! perf --compare lanes [--samples S] [--lanes R]   # batched lanes vs R sequential runs
+//! perf --compare self  [--samples S] [--shards S] [--partition P]  # harness sanity: A = B must be within-noise
+//! perf --compare lanes [--samples S] [--lanes R] [--jobs J]        # table vs computed option source
+//! perf --large [--samples S] [--shards S] [--partition P]          # million-packet runs, sequential vs sharded
 //! ```
 //!
-//! Times Table 1 and Table 6 rows at n = 10–12 plus one dynamic row
-//! (Table 9, n = 10), the Table-6 row fan-out at `--jobs 1` vs
-//! `--jobs J`, and (when `--shards > 1`) a Table 9 row on the sequential
-//! vs the sharded engine, then writes a `BENCH_<stamp>.json` report
-//! (stamp = Unix seconds) for before/after comparisons across PRs; see
-//! EXPERIMENTS.md for the recorded history.
+//! The tracked performance ledger is the `benchmark/` package (see
+//! `benchmark/README.md`). `perf` keeps the measurements it cannot
+//! make: an A/B of two configurations inside one process, and the
+//! minutes-long scale scenarios. Exactly one mode is required.
 //!
-//! * `--samples S` — timed samples per workload (default 3; plus one
-//!   warm-up each).
-//! * `--jobs J` — worker threads for the parallel fan-out measurement
-//!   (default: available parallelism).
-//! * `--shards S` — shard threads for the intra-simulation speedup
-//!   measurements (default 4). With `--compare self` it instead runs the
-//!   compared workload on `S` shards (default 1).
-//! * `--partition P` — shard partition strategy
-//!   (`auto|contiguous|hamming|bisection|bfs`, default `auto`); the
-//!   measured cut fraction is printed per scenario and never changes
-//!   results.
-//! * `--out PATH` — report path (default `BENCH_<stamp>.json` in the
-//!   current directory).
-//! * `--quick` — n = 10 only (fast smoke run).
-//! * `--large` — *instead of* the table workloads, run the
-//!   million-packet scale scenarios: a hypercube(16) and a 256×256 mesh
-//!   dynamic run (λ = 1, ≥10⁶ delivered packets each) on the sequential
-//!   engine vs `--shards S` shard threads, recording delivered-packet
-//!   counts and the sharded speedup in the report's metadata. These
-//!   minutes-long runs are timed cold (no warm-up iteration).
-//! * `--trace PATH` / `--metrics-out PATH` / `--watchdog K` — after the
-//!   timed (recorder-free) measurements, re-run one Table 6 and one
-//!   Table 9 row with recording sinks and print a metrics summary
-//!   block; the instrumented re-runs are *not* timed, so the baseline
-//!   numbers stay comparable across PRs.
-//! * `--faults PLAN.json` — inject a `fadr-faults/1` plan into the
-//!   table workloads and the instrumented re-runs (measures the
-//!   degraded-mode overhead; the `--large` scenarios ignore it).
-//! * `--lanes R` — run the table rows on the lane engine, or set the
-//!   lane count of `--compare lanes` (default 32).
+//! * `--samples S` — timed samples per side (default 3; the compare
+//!   modes take at least 2 and add one warm-up each).
 //! * `--compare self` — time the same workload twice, interleaved, and
 //!   demand a within-noise verdict; any directional verdict exits
 //!   nonzero. This is the fail-closed sanity check of the statistical
 //!   harness itself: a comparison method that can call identical code
 //!   "faster" would also launder noise into fake regressions. The
 //!   workload (a Table 9 row at n = 8) honours the run flags
-//!   (`--shards`, `--partition`, `--faults`, checkpoint/resume), which
-//!   pass the same flag-conflict check as `tables`; recording flags
-//!   trigger the same untimed instrumented re-runs as the baseline.
-//! * `--compare lanes` — the lane engine's acceptance measurement:
-//!   `--lanes R` (default 32) replications of a Table 9 row on the
-//!   hypercube(8) (λ = 1, 300 cycles), batched as lanes of one
-//!   `fadr_sim::LaneSim` vs R standalone sequential runs, interleaved,
-//!   both through the table runner (so the lane side pays its routing
-//!   table build per sample, as `tables --lanes` does). Asserts the
-//!   rows are bit-identical across engines and reports the aggregate
-//!   replication-throughput speedup (delivered packets per wall-clock
-//!   second) with an overlap-aware verdict. The speedup is recorded in
-//!   EXPERIMENTS.md, not asserted: wall-clock thresholds in CI are
-//!   flakes waiting to happen. The harness runs a lane batch with
-//!   faults, snapshots or shards one engine per replication, so this
-//!   mode rejects `--faults`, checkpoint/resume and `--shards > 1`
-//!   rather than time that path against itself.
+//!   (`--shards`, `--partition`, `--lanes`, `--faults`,
+//!   checkpoint/resume), which pass the same flag-conflict check as
+//!   `tables`.
+//! * `--compare lanes` — the option-source A/B: `--lanes R` (default 32,
+//!   at least 2) replications of a Table 9 row on the hypercube(8)
+//!   (λ = 1, 300 cycles) on the computed source vs on the routing-state
+//!   table, interleaved, both through the table runner over `--jobs J`
+//!   workers (default: available parallelism). The computed side runs
+//!   one replication per work unit; the table side runs ⌈R/J⌉ per unit,
+//!   so each worker builds one table per sample, as `tables --lanes`
+//!   does. Asserts the rows are bit-identical across sources and
+//!   reports the aggregate replication-throughput speedup (delivered
+//!   packets per wall-clock second) with an overlap-aware verdict. The
+//!   speedup is recorded in EXPERIMENTS.md, not asserted: wall-clock
+//!   thresholds in CI are flakes waiting to happen. The table has no
+//!   fault model, snapshot form or shards, so this mode rejects
+//!   `--faults`, checkpoint/resume and `--shards > 1` rather than time
+//!   the computed source against itself.
+//! * `--large` — the million-packet scale scenarios: a hypercube(16)
+//!   and a 256×256 mesh dynamic run (λ = 1, ≥10⁶ delivered packets
+//!   each) on the sequential engine vs `--shards S` shard threads
+//!   (default 4), printing delivered-packet counts and the sharded
+//!   speedup. These minutes-long runs are timed cold (no warm-up).
+//! * `--partition P` — shard partition strategy
+//!   (`auto|contiguous|hamming|bisection|bfs`, default `auto`); the
+//!   measured cut fraction is printed per scenario and never changes
+//!   results.
+//! * `--trace PATH` / `--metrics-out PATH` / `--watchdog K` — after the
+//!   timed (recorder-free) measurements, re-run one Table 6 and one
+//!   Table 9 row with recording sinks and print a metrics summary
+//!   block; the instrumented re-runs are *not* timed.
+//! * `--faults PLAN.json` — inject a `fadr-faults/1` plan into the
+//!   compared row and the instrumented re-runs (the `--large`
+//!   scenarios ignore it).
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
-use std::time::{SystemTime, UNIX_EPOCH};
 
 use fadr_bench::exec;
 use fadr_bench::obs::{self, parse_positive, parse_run_flag, MetricsRow, ObsArgs};
-use fadr_bench::perf::{compare, compare_line, report_line, time, time_cold, to_json, Measurement};
-use fadr_bench::runner::{run_row, run_rows_recorded, run_table_jobs, spec, RunOptions};
+use fadr_bench::perf::{compare, compare_line, report_line, time_cold};
+use fadr_bench::runner::{run_row, run_rows, run_rows_recorded, spec, RunOptions};
 use fadr_core::{HypercubeFullyAdaptive, MeshFullyAdaptive};
 use fadr_metrics::Verdict;
 use fadr_qdg::RoutingFunction;
 use fadr_sim::{PartitionStrategy, ShardedSimulator, SimConfig, Simulator};
 use fadr_workloads::Pattern;
+
+/// What one `perf` invocation measures.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    CompareSelf,
+    CompareLanes,
+    Large,
+}
+
+const USAGE: &str = "usage: perf --compare self|lanes | --large [--samples S] [--jobs J] \
+                     [--shards S] [--partition P] [--lanes R]";
 
 /// `--compare self`: run the identical workload on both sides of the
 /// interleaved harness. The only honest verdict is within-noise;
@@ -104,34 +101,36 @@ fn compare_self(samples: usize, opts: RunOptions) -> ExitCode {
 }
 
 /// `--compare lanes`: `opts.lanes` replications of a Table 9 row at
-/// n = 8 (λ = 1, 300 cycles) as standalone sequential runs vs lanes of
-/// one [`fadr_sim::LaneSim`], interleaved, both through the harness's
-/// one drive path. The rows must be bit-identical; the reported number
-/// is the aggregate replication-throughput speedup.
-fn compare_lanes(samples: usize, opts: RunOptions) -> ExitCode {
-    let lanes = opts.lanes;
-    let lane_opts = RunOptions {
-        reps: u32::try_from(lanes).expect("lane count fits in u32"),
+/// n = 8 (λ = 1, 300 cycles) on the computed source vs the table source,
+/// interleaved, both through [`run_rows`] over `jobs` workers. The rows
+/// must be bit-identical; the reported number is the aggregate
+/// replication-throughput speedup.
+fn compare_lanes(samples: usize, jobs: usize, opts: RunOptions) -> ExitCode {
+    let reps = opts.lanes;
+    let computed = RunOptions {
+        reps: u32::try_from(reps).expect("replication count fits in u32"),
+        lanes: 1,
         dynamic_cycles: 300,
         ..opts
     };
-    let seq_opts = RunOptions {
-        lanes: 1,
-        ..lane_opts
+    let table = RunOptions {
+        lanes: reps.div_ceil(jobs).max(2),
+        ..computed
     };
-    let (mut seq, mut batched) = (None, None);
+    let row = |o| run_rows(spec(9), &[8], o, jobs)[0];
+    let (mut seq, mut tab) = (None, None);
     let r = compare(
-        &format!("seq_x{lanes}"),
-        &format!("lanes_{lanes}"),
+        &format!("computed_x{reps}_jobs{jobs}"),
+        &format!("table_x{reps}_jobs{jobs}"),
         samples,
-        || seq = Some(run_row(spec(9), 8, seq_opts)),
-        || batched = Some(run_row(spec(9), 8, lane_opts)),
+        || seq = Some(row(computed)),
+        || tab = Some(row(table)),
     );
-    let (seq, batched) = (seq.expect("timed"), batched.expect("timed"));
+    let (seq, tab) = (seq.expect("timed"), tab.expect("timed"));
     assert_eq!(
         (seq.l_avg.to_bits(), seq.l_max, seq.delivered),
-        (batched.l_avg.to_bits(), batched.l_max, batched.delivered),
-        "the replicated rows diverged between the engines"
+        (tab.l_avg.to_bits(), tab.l_max, tab.delivered),
+        "the replicated rows diverged between the option sources"
     );
     let total = seq.delivered;
     println!("{}", compare_line(&r));
@@ -150,7 +149,7 @@ fn compare_lanes(samples: usize, opts: RunOptions) -> ExitCode {
 /// vs `shards` shard threads. The horizon is sized so each run delivers
 /// well over 10⁶ packets (asserted); sequential and sharded deliver the
 /// *bit-identical* packet set, which doubles as an at-scale equivalence
-/// check. Returns `(delivered, speedup)` for the report metadata.
+/// check.
 fn large_scenario<R>(
     label: &str,
     rf: R,
@@ -158,9 +157,7 @@ fn large_scenario<R>(
     samples: usize,
     shards: usize,
     partition: PartitionStrategy,
-    measurements: &mut Vec<Measurement>,
-) -> (u64, f64)
-where
+) where
     R: RoutingFunction + Clone + Send,
     R::Msg: Send,
 {
@@ -200,9 +197,37 @@ where
          (cut {:.1}%)",
         100.0 * cut
     );
-    measurements.push(m_seq);
-    measurements.push(m_shr);
-    (seq_delivered, speedup)
+}
+
+/// `--large`: the million-packet scale scenarios. Shard threads
+/// time-slice whatever the host exposes, so the speedup is printed next
+/// to the host's thread count.
+fn large(samples: usize, shards: usize, partition: PartitionStrategy) -> ExitCode {
+    let host_threads = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
+    println!("# large: {shards} shards, {host_threads} host threads");
+    large_scenario(
+        "hypercube16_dynamic",
+        HypercubeFullyAdaptive::new(16),
+        60,
+        samples,
+        shards,
+        partition,
+    );
+    // 12000 cycles: the saturated 256x256 mesh delivers ever more
+    // slowly as its buffers fill toward global saturation (measured
+    // cumulative: 281k by cycle 700, 518k by 1800, 830k by 5000 —
+    // marginal rate decaying 216 -> 97 packets/cycle), so the horizon
+    // carries a large margin: even if the rate quarters again, 12000
+    // cycles clear 10^6 delivered.
+    large_scenario(
+        "mesh256_dynamic",
+        MeshFullyAdaptive::new(256, 256),
+        12_000,
+        samples,
+        shards,
+        partition,
+    );
+    ExitCode::SUCCESS
 }
 
 fn main() -> ExitCode {
@@ -218,10 +243,7 @@ fn main() -> ExitCode {
 fn run() -> Result<ExitCode, String> {
     let mut samples = 3usize;
     let mut jobs = exec::default_jobs();
-    let mut out: Option<String> = None;
-    let mut quick = false;
-    let mut large = false;
-    let mut compare_mode: Option<String> = None;
+    let mut mode: Option<Mode> = None;
     // 0 = flag not given (the shared parser only accepts positive
     // values), so perf's own defaults apply below.
     let mut opts = RunOptions {
@@ -233,47 +255,65 @@ fn run() -> Result<ExitCode, String> {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         let mut next = |flag: &str| it.next().ok_or_else(|| format!("{flag} needs a value"));
-        match a.as_str() {
+        let picked = match a.as_str() {
             "--compare" => match next("--compare")?.as_str() {
-                m @ ("self" | "lanes") => compare_mode = Some(m.to_string()),
+                "self" => Mode::CompareSelf,
+                "lanes" => Mode::CompareLanes,
                 _ => return Err("--compare needs self|lanes".into()),
             },
-            "--samples" => samples = parse_positive("--samples", &next("--samples")?)?,
-            "--out" => out = Some(next("--out")?),
-            "--quick" => quick = true,
-            "--large" => large = true,
+            "--large" => Mode::Large,
+            "--samples" => {
+                samples = parse_positive("--samples", &next("--samples")?)?;
+                continue;
+            }
             other => {
                 if !parse_run_flag(other, &mut opts, &mut jobs, &mut next)?
                     && !obs_args.parse_flag(other, &mut next)?
                 {
                     return Err(format!(
-                        "unknown argument {other}\nusage: perf [--samples S] [--jobs J] [--shards S] [--partition P] [--out PATH] [--quick | --large] [--lanes R] [--compare self|lanes] {}",
+                        "unknown argument {other}\n{USAGE} {}",
                         ObsArgs::USAGE
                     ));
                 }
+                continue;
             }
+        };
+        if mode.replace(picked).is_some_and(|m| m != picked) {
+            return Err(format!(
+                "perf takes one mode: --compare self, --compare lanes or --large\n{USAGE}"
+            ));
         }
     }
+    let Some(mode) = mode else {
+        return Err(format!(
+            "perf needs a mode: --compare self, --compare lanes or --large\n{USAGE}"
+        ));
+    };
     let shards = if opts.shards == 0 { 4 } else { opts.shards };
-    let compare_lanes_count = if opts.lanes == 0 { 32 } else { opts.lanes };
-    // The baseline rows run sequentially (the shard point and `--large`
-    // take `shards`); the compare workloads run on exactly what the
-    // flags select.
-    opts.shards = if compare_mode.is_some() {
-        opts.shards.max(1)
-    } else {
+    // The compare workloads run on exactly what the flags select; the
+    // instrumented re-runs after `--large` run sequentially.
+    opts.shards = if mode == Mode::Large {
         1
-    };
-    opts.lanes = if compare_mode.as_deref() == Some("lanes") {
-        compare_lanes_count
     } else {
-        opts.lanes.max(1)
+        opts.shards.max(1)
     };
+    if mode == Mode::CompareLanes {
+        if opts.lanes == 0 {
+            opts.lanes = 32;
+        } else if opts.lanes < 2 {
+            return Err(
+                "--compare lanes needs --lanes of at least 2: a lone replication never \
+                 takes the table source"
+                    .into(),
+            );
+        }
+    }
+    opts.lanes = opts.lanes.max(1);
     obs_args.validate(&opts)?;
-    if compare_mode.as_deref() == Some("lanes") {
-        // The harness runs a lane batch with shards, faults or snapshots
-        // one engine per replication, so this comparison would time the
-        // per-replication path against itself.
+    if mode == Mode::CompareLanes {
+        // The harness runs replications with shards, faults or snapshots
+        // on the computed source, so this comparison would time the
+        // computed source against itself.
         let snapshots = obs_args.checkpoint_at.is_some() || obs_args.resume_from.is_some();
         if opts.shards > 1 {
             return Err(
@@ -291,16 +331,15 @@ fn run() -> Result<ExitCode, String> {
             );
         }
     }
-    // `--faults` rides every RunOptions-driven workload (the table rows,
-    // the compared row and the instrumented re-runs); the `--large`
-    // scenarios stay fault-free so their delivered-count floor keeps
-    // holding.
+    // `--faults` rides every RunOptions-driven workload (the compared
+    // row and the instrumented re-runs); the `--large` scenarios stay
+    // fault-free so their delivered-count floor keeps holding.
     opts.faults = obs_args.load_fault_plan()?;
     opts.snapshot = obs_args.snapshot_policy()?;
-    let code = match compare_mode.as_deref() {
-        Some("self") => compare_self(samples.max(2), opts),
-        Some(_) => compare_lanes(samples.max(2), opts),
-        None => baseline(samples, jobs, shards, opts, out, quick, large)?,
+    let code = match mode {
+        Mode::CompareSelf => compare_self(samples.max(2), opts),
+        Mode::CompareLanes => compare_lanes(samples.max(2), jobs, opts),
+        Mode::Large => large(samples, shards, opts.partition),
     };
 
     // Instrumented (untimed) re-runs: one static and one dynamic row
@@ -318,115 +357,4 @@ fn run() -> Result<ExitCode, String> {
             .map_err(|e| format!("failed to write observability output: {e}"))?;
     }
     Ok(code)
-}
-
-/// The timed baseline: table rows (or the `--large` scale scenarios),
-/// written as a `BENCH_<stamp>.json` report.
-#[allow(clippy::too_many_arguments)]
-fn baseline(
-    samples: usize,
-    jobs: usize,
-    shards: usize,
-    opts: RunOptions,
-    out: Option<String>,
-    quick: bool,
-    large: bool,
-) -> Result<ExitCode, String> {
-    let partition = opts.partition;
-    let stamp = SystemTime::now()
-        .duration_since(UNIX_EPOCH)
-        .map_or(0, |d| d.as_secs());
-    let dims: &[usize] = if quick { &[10] } else { &[10, 11, 12] };
-    let mut measurements = Vec::new();
-    // Shard threads time-slice whatever the host exposes, so a speedup
-    // number is only interpretable next to the core count it ran on
-    // (a 1-core container caps any --shards N at parity minus overhead).
-    let host_threads = std::thread::available_parallelism().map_or(0, std::num::NonZero::get);
-    let mut meta = vec![
-        ("stamp", stamp.to_string()),
-        ("samples", samples.to_string()),
-        ("jobs", jobs.to_string()),
-        ("quick", quick.to_string()),
-        ("large", large.to_string()),
-        ("shards", shards.to_string()),
-        ("partition", partition.name().to_string()),
-        ("host_threads", host_threads.to_string()),
-    ];
-    if large {
-        // Million-packet scale scenarios: dynamic λ = 1 runs sized so
-        // each delivers over 10⁶ packets, sequential vs sharded engine.
-        let (d, s) = large_scenario(
-            "hypercube16_dynamic",
-            HypercubeFullyAdaptive::new(16),
-            60,
-            samples,
-            shards,
-            partition,
-            &mut measurements,
-        );
-        meta.push(("hypercube16_delivered", d.to_string()));
-        meta.push(("hypercube16_speedup", format!("{s:.2}")));
-        // 12000 cycles: the saturated 256x256 mesh delivers ever more
-        // slowly as its buffers fill toward global saturation
-        // (measured cumulative: 281k by cycle 700, 518k by 1800, 830k
-        // by 5000 — marginal rate decaying 216 -> 97 packets/cycle),
-        // so the horizon carries a large margin: even if the rate
-        // quarters again, 12000 cycles clear 10^6 delivered.
-        let (d, s) = large_scenario(
-            "mesh256_dynamic",
-            MeshFullyAdaptive::new(256, 256),
-            12_000,
-            samples,
-            shards,
-            partition,
-            &mut measurements,
-        );
-        meta.push(("mesh256_delivered", d.to_string()));
-        meta.push(("mesh256_speedup", format!("{s:.2}")));
-    } else {
-        // Static rows: Table 1 (random, 1 packet) and Table 6 (complement,
-        // n packets) — the light and heavy ends of the static workloads.
-        for &table in &[1usize, 6] {
-            for &n in dims {
-                let m = time(&format!("table{table}_n{n}"), samples, || {
-                    run_row(spec(table), n, opts)
-                });
-                println!("{}", report_line(&m));
-                measurements.push(m);
-            }
-        }
-        // One dynamic row (Table 9: random, λ = 1).
-        let m = time("table9_n10_dynamic", samples, || run_row(spec(9), 10, opts));
-        println!("{}", report_line(&m));
-        measurements.push(m);
-        // The full Table-6 row fan-out, sequential vs parallel, for the
-        // harness speedup trend.
-        // With `--jobs 1` the two legs coincide; time it once.
-        let legs: &[usize] = if jobs == 1 { &[1] } else { &[1, jobs] };
-        for &j in legs {
-            let m = time(&format!("table6_rows_jobs{j}"), samples, || {
-                run_table_jobs(6, false, opts, j)
-            });
-            println!("{}", report_line(&m));
-            measurements.push(m);
-        }
-        // One sharded-engine point for the intra-run speedup trend.
-        if shards > 1 {
-            let shard_opts = RunOptions {
-                shards,
-                lanes: 1,
-                ..opts
-            };
-            let m = time(&format!("table9_n10_shards{shards}"), samples, || {
-                run_row(spec(9), 10, shard_opts)
-            });
-            println!("{}", report_line(&m));
-            measurements.push(m);
-        }
-    }
-    let path = out.unwrap_or_else(|| format!("BENCH_{stamp}.json"));
-    std::fs::write(&path, to_json(&meta, &measurements))
-        .map_err(|e| format!("failed to write {path}: {e}"))?;
-    println!("wrote {path}");
-    Ok(ExitCode::SUCCESS)
 }

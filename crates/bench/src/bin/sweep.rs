@@ -12,13 +12,14 @@
 //! rows). Malformed or out-of-range values are rejected, never
 //! defaulted.
 //!
-//! `--lanes R` replicates every point `R` times as lanes of one batched
-//! engine (`fadr_sim::LaneSim`). Lambda points then emit mean ± 95% CI
-//! columns instead of single noisy samples (the CSV header changes, so
-//! downstream parsing is never silently wrong); capacity rows average
-//! the replications like `tables --reps R`. With `--faults`,
-//! checkpoint/resume or `--shards > 1` the replications run one engine
-//! each instead (a lane batch has none of these), with the same output.
+//! `--lanes R` replicates every point `R` times on one shared
+//! routing-state table (`fadr_sim::Simulator::with_table`). Lambda
+//! points then emit mean ± 95% CI columns instead of single noisy
+//! samples (the CSV header changes, so downstream parsing is never
+//! silently wrong); capacity rows average the replications like
+//! `tables --reps R`. With `--faults`, checkpoint/resume or
+//! `--shards > 1` the replications run on the computed source instead
+//! (the table has none of these), with the same output.
 //!
 //! `--partition P` picks the shard partition strategy
 //! (`auto|contiguous|hamming|bisection|bfs`, default `auto`); a `#`
@@ -34,7 +35,7 @@
 //!
 //! Observability: `--trace PATH`, `--metrics-out PATH`, `--journal PATH`
 //! and `--watchdog K` attach recording sinks to every sweep point (one
-//! per lane, merged in lane order); metrics
+//! per replication, merged in replication order); metrics
 //! rows carry a `label` identifying the point (the CSV itself is
 //! unchanged by recording). `--faults PLAN.json` injects a
 //! `fadr-faults/1` plan into every sweep point (degraded-mode routing).

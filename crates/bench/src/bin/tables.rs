@@ -18,14 +18,14 @@
 //!   default 1 = sequential). Composes with `--jobs`: each of the `J`
 //!   concurrent runs uses `S` shard threads. Output is bit-identical
 //!   for any value of `S`.
-//! * `--lanes R` — run each row's replications batched, `R` at a time,
-//!   as lanes of the lane engine (`fadr_sim::LaneSim`) instead of as
-//!   standalone simulations. Implies `--reps R` unless `--reps` is given;
-//!   output is bit-identical to `--reps R` without `--lanes` (CI diffs
-//!   the two), recording sinks included. With `--faults`,
-//!   checkpoint/resume or `--shards > 1` the replications run one
-//!   engine each instead (a lane batch has none of these), with the
-//!   same output.
+//! * `--lanes R` — run each row's replications `R` at a time on one
+//!   routing-state table per batch (`fadr_sim::Simulator::with_table`)
+//!   instead of calling the routing function per hop. Implies
+//!   `--reps R` unless `--reps` is given; output is bit-identical to
+//!   `--reps R` without `--lanes` (CI diffs the two), recording sinks
+//!   included. With `--faults`, checkpoint/resume or `--shards > 1` the
+//!   replications run on the computed source instead (the table has
+//!   none of these), with the same output.
 //! * `--csv` — emit CSV instead of aligned text.
 //! * `--trace PATH` — write JSONL packet lifecycles (first 256 packets
 //!   per run).

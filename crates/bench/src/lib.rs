@@ -8,8 +8,9 @@
 //!   `--full` for the paper's complete n = 10..14 sweep).
 //! * `bin/figures` — regenerates Figures 1–6 (QDGs as Graphviz DOT, node
 //!   designs as text).
-//! * `bin/perf` — times the canonical workloads and writes a
-//!   `BENCH_<stamp>.json` wall-clock baseline.
+//! * `bin/perf` — interleaved A/B timing (the `--compare self` honesty
+//!   gate and the option-source A/B) and the `--large` scale scenarios;
+//!   the tracked ledger is the `benchmark/` package.
 //! * [`perf`] — the minimal timing/reporting harness those use.
 //! * [`exec`] — deterministic parallel execution of independent
 //!   simulation runs (`--jobs N`).

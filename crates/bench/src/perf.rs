@@ -1,17 +1,14 @@
 //! Minimal wall-clock benchmarking: timed samples, summary statistics,
-//! and a machine-readable JSON report (`BENCH_<stamp>.json`).
+//! and interleaved A/B comparisons with overlap-aware 95% intervals.
 //!
 //! The build environment has no registry access, so the harness ships
 //! its own timing loop instead of Criterion: each measurement runs a
 //! warm-up iteration, then `samples` timed iterations, and reports
-//! min / median / mean seconds. The `perf` binary assembles the
-//! measurements into a JSON baseline so successive PRs can track the
-//! simulator's perf trajectory.
+//! min / median / mean seconds. The `perf` binary prints them; the
+//! tracked performance ledger is the `benchmark/` package.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
-use fadr_metrics::json::{self, Quoted};
 use fadr_metrics::{MeanCi, Verdict};
 
 /// One timed measurement: a label plus its per-sample wall-clock times.
@@ -49,17 +46,7 @@ impl Measurement {
 pub fn time<T>(name: &str, samples: usize, mut f: impl FnMut() -> T) -> Measurement {
     assert!(samples >= 1, "need at least one sample");
     std::hint::black_box(f());
-    let secs = (0..samples)
-        .map(|_| {
-            let start = Instant::now();
-            std::hint::black_box(f());
-            start.elapsed().as_secs_f64()
-        })
-        .collect();
-    Measurement {
-        name: name.to_string(),
-        secs,
-    }
+    time_cold(name, samples, f)
 }
 
 /// Time `f` with `samples` timed iterations and **no** warm-up.
@@ -170,30 +157,6 @@ pub fn report_line(m: &Measurement) -> String {
     )
 }
 
-/// Serialize measurements plus run metadata as a one-line JSON
-/// document.
-pub fn to_json(meta: &[(&str, String)], measurements: &[Measurement]) -> String {
-    let mut out = String::from("{");
-    for (k, v) in meta {
-        let _ = write!(out, "{}: {}, ", Quoted(k), Quoted(v));
-    }
-    out.push_str("\"workloads\": ");
-    json::list(&mut out, measurements, |out, m| {
-        write!(
-            out,
-            "{{\"name\": {}, \"min_s\": {:.6}, \"median_s\": {:.6}, \"mean_s\": {:.6}, \"samples_s\": ",
-            Quoted(&m.name),
-            m.min(),
-            m.median(),
-            m.mean()
-        )?;
-        json::list(out, &m.secs, |out, s| write!(out, "{s:.6}"));
-        write!(out, "}}")
-    });
-    out.push_str("}\n");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,20 +202,5 @@ mod tests {
         assert_eq!(r.verdict, Verdict::Faster, "{}", compare_line(&r));
         let r = compare("fast", "slow", 4, fast, slow);
         assert_eq!(r.verdict, Verdict::Slower, "{}", compare_line(&r));
-    }
-
-    #[test]
-    fn json_shape_is_valid() {
-        let m = Measurement {
-            name: "w1".into(),
-            secs: vec![0.25, 0.5],
-        };
-        let j = to_json(&[("stamp", "123".into())], &[m]);
-        assert!(j.contains("\"stamp\": \"123\""));
-        assert!(j.contains("\"name\": \"w1\""));
-        assert!(j.contains("\"min_s\": 0.250000"));
-        // Balanced braces/brackets.
-        assert_eq!(j.matches('{').count(), j.matches('}').count());
-        assert_eq!(j.matches('[').count(), j.matches(']').count());
     }
 }

@@ -3,11 +3,13 @@
 //! Every experiment — a paper-table row or a λ-sweep point — runs
 //! through one path. A [`Workload`] is built from the work unit's
 //! coordinates, [`with_algo`] constructs the router, one construction
-//! site picks the engine the [`RunOptions`] select (sequential, sharded,
-//! or lane-batched), and one generic `drive` runs the workload on any
-//! [`fadr_sim::Engine`] under the checkpoint/resume policy.
+//! site picks the engine the [`RunOptions`] select (sharded, or
+//! sequential on the computed or the table option source), and one
+//! generic `drive` runs the workload on any [`fadr_sim::Engine`] under
+//! the checkpoint/resume policy.
 
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,7 +19,7 @@ use fadr_metrics::{table::fmt2, MeanCi, NoRecorder, RunningStats, SinkSet, Table
 use fadr_qdg::RoutingFunction;
 use fadr_sim::{
     lane_seed, DynamicOutcome, DynamicResult, Engine, PartitionStrategy, RunProgress, SimConfig,
-    Simulator, SnapshotMsg, StaticOutcome, StaticResult, StopReason,
+    Simulator, SnapshotMsg, Snapshots, StateTable, StaticOutcome, StaticResult, StopReason,
 };
 use fadr_topology::NodeId;
 use fadr_workloads::{static_backlog, Pattern};
@@ -259,11 +261,12 @@ pub struct RunOptions {
     /// `--jobs`, which parallelizes *across* runs). 1 = the sequential
     /// engine; any value yields bit-identical results.
     pub shards: usize,
-    /// Replications batched per engine (`--lanes`). Above 1, a row's
-    /// replications run `lanes` at a time as lanes of one
-    /// [`fadr_sim::LaneSim`] sharing a precomputed routing table; each
-    /// lane is bit-identical to its standalone run, so this is purely a
-    /// performance knob.
+    /// Replications per work unit (`--lanes`). Above 1, a row's
+    /// replications run `lanes` at a time on one shared
+    /// [`fadr_sim::StateTable`] ([`fadr_sim::Simulator::with_table`]);
+    /// each is bit-identical to its computed run, so this is purely a
+    /// performance knob (faults, snapshots and shards keep the computed
+    /// source).
     pub lanes: usize,
     /// How sharded runs split nodes across shards (`--partition`).
     /// Purely a performance knob — every strategy is bit-identical —
@@ -377,8 +380,7 @@ fn reduce_reps(n: usize, results: &[RowResult]) -> RowResult {
 
 /// Run several rows of one table, fanning the work units out over `jobs`
 /// worker threads. A work unit is one replication, or with
-/// `opts.lanes > 1` a batch of up to `lanes` replications run as lanes
-/// of one engine.
+/// `opts.lanes > 1` a batch of up to `lanes` replications.
 ///
 /// Every replication seeds its RNG streams purely from
 /// `(opts.seed, spec.number, rep, n)`, so results do not depend on which
@@ -406,10 +408,10 @@ pub struct RecordedRow {
 
 /// [`run_rows`] with recording sinks attached to every replication.
 ///
-/// Each replication records into its own [`SinkSet`] (one per lane on
-/// the lane engine); the per-row merge happens on the calling thread in
-/// fixed rep order, so both the measured rows *and* the merged sinks are
-/// bit-identical for any `jobs`, `shards` or `lanes` value.
+/// Each replication records into its own [`SinkSet`]; the per-row merge
+/// happens on the calling thread in fixed rep order, so both the
+/// measured rows *and* the merged sinks are bit-identical for any
+/// `jobs`, `shards` or `lanes` value.
 pub fn run_rows_recorded(
     spec: TableSpec,
     dims: &[usize],
@@ -475,9 +477,9 @@ fn table_rows<Rec: RunRecorder>(
 }
 
 /// One uniform-random dynamic sweep point at injection rate `lambda` on
-/// the n-cube: `opts.reps` replications (lanes of one engine when
-/// `opts.lanes > 1`), returned unreduced in replication order together
-/// with their sinks merged in that order. A single replication runs on
+/// the n-cube: `opts.reps` replications (work units of `opts.lanes`),
+/// returned unreduced in replication order together with their sinks
+/// merged in that order. A single replication runs on
 /// `opts.seed` itself; replication `r` of several runs on
 /// [`fadr_sim::lane_seed`]`(opts.seed, r)`. `label` names the point's
 /// snapshot file (suffixed `_r<rep>` when replicated); the snapshot's
@@ -648,21 +650,25 @@ pub(crate) fn drive<E: Engine>(
     leg.unwrap_or_else(|e| panic!("{e}"))
 }
 
+/// The result of a leg that was not asked to pause.
+fn finished(leg: Leg) -> RunResult {
+    match leg {
+        Leg::Finished(res) => res,
+        Leg::Paused(_) => unreachable!("no pause requested"),
+    }
+}
+
 /// [`drive`] a whole run under a [`SnapshotPolicy`]: checkpoint at
 /// `sp.at` and continue in-process, or restore `<label>.snap` and
 /// resume. A missing snapshot on resume means the run finished before
 /// the checkpoint cycle — rerun from cycle 0 (bit-identical either way).
-fn snapshot_run<E: Engine>(
+fn snapshot_run<E: Snapshots>(
     engine: &mut E,
     w: &Workload,
     snap: Option<SnapshotPolicy>,
     meta: &str,
     label: &str,
 ) -> RunResult {
-    let finished = |leg: Leg| match leg {
-        Leg::Finished(res) => res,
-        Leg::Paused(_) => unreachable!("no pause requested"),
-    };
     let Some(sp) = snap else {
         return finished(drive(engine, w, None, None));
     };
@@ -713,11 +719,7 @@ fn run_reps<Rec: RunRecorder>(
         rc,
         rec: PhantomData,
     };
-    let mut runs = with_algo(opts.algo, n, unit);
-    for (_, rec) in &mut runs {
-        rec.flush();
-    }
-    runs
+    with_algo(opts.algo, n, unit)
 }
 
 /// A batch of replications waiting for its router (see [`run_reps`]).
@@ -733,23 +735,20 @@ struct Unit<'a, Rec> {
 impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
     type Out = Vec<(RunResult, Rec)>;
 
-    /// The one engine-construction site. `opts.lanes > 1` batches the
-    /// replications as lanes of one [`fadr_sim::LaneSim`]; it fires every recorder
-    /// hook per lane (watchdog stop and wait-for-graph probe included),
-    /// so each lane records into its own sink set. A lane batch has no
-    /// fault model, snapshots or shards, so a run with a fault plan, a
-    /// snapshot policy or `opts.shards > 1` takes the per-replication
-    /// path instead, which the `--lanes R` ≡ `--reps R` contract makes
-    /// byte-identical. There every replication gets a standalone engine:
-    /// sequential, or sharded when `opts.shards > 1`. The sharded engine
-    /// evaluates the watchdog on global progress, so its per-shard sink
-    /// sets are built without the watchdog and the wait-for-graph probe
-    /// (per-shard copies would
-    /// misfire on a locally idle shard; `ObsArgs::validate` rejects
-    /// `--waitgraph` with `--shards > 1`), the engine runs the watchdog
-    /// itself, and its [`fadr_metrics::StallReport`] is re-installed into
-    /// the merged sink set — so downstream reporting is oblivious to
-    /// which engine ran.
+    /// The one engine-construction site: every replication gets its own
+    /// engine, run through `drive` or `snapshot_run`. With
+    /// `opts.shards > 1` it is sharded. The sharded engine evaluates the
+    /// watchdog on global progress, so its per-shard sink sets are built
+    /// without the watchdog and the wait-for-graph probe (per-shard
+    /// copies would misfire on a locally idle shard; `ObsArgs::validate`
+    /// rejects `--waitgraph` with `--shards > 1`), the engine runs the
+    /// watchdog itself, and its [`fadr_metrics::StallReport`] is
+    /// re-installed into the merged sink set — so downstream reporting
+    /// is oblivious to which engine ran. Otherwise it is a [`Simulator`]:
+    /// with `opts.lanes > 1` and neither a fault plan nor a snapshot
+    /// policy, on a routing-state table the unit builds once for all of
+    /// its replications; else on the computed source. The choice never
+    /// changes a result, which is the `--lanes R` ≡ `--reps R` contract.
     fn visit<R>(self, rf: R) -> Self::Out
     where
         R: RoutingFunction + Clone + Send + 'static,
@@ -762,47 +761,12 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
             seed,
             ..SimConfig::default()
         };
-        let workloads: Vec<Workload> = self
-            .reps
-            .iter()
-            .map(|r| Workload::new(self.source, self.n, r.seed, opts.dynamic_cycles))
-            .collect();
-        let lanes =
-            opts.lanes > 1 && opts.faults.is_none() && opts.snapshot.is_none() && opts.shards <= 1;
-        if lanes {
-            let seeds = self.reps.iter().map(|r| r.seed).collect();
-            let mut sim = fadr_sim::LaneSim::with_lane_seeds(rf, cfg(self.reps[0].seed), seeds);
-            let mut recs: Vec<Rec> = (0..self.reps.len())
-                .map(|_| Rec::build(rc, nodes, classes))
-                .collect();
-            let results: Vec<RunResult> = match workloads[0] {
-                Workload::Static(_) => {
-                    let backlogs: Vec<Vec<Vec<NodeId>>> = workloads
-                        .into_iter()
-                        .map(|w| match w {
-                            Workload::Static(backlog) => backlog,
-                            Workload::Dynamic { .. } => unreachable!("one source, one model"),
-                        })
-                        .collect();
-                    let res = sim.run_static_recorded(&backlogs, &mut recs);
-                    res.into_iter().map(RunResult::Static).collect()
-                }
-                Workload::Dynamic { lambda, cycles, .. } => {
-                    let dest =
-                        |k: usize, src: NodeId, rng: &mut StdRng| workloads[k].draw(src, rng);
-                    let res = sim.run_dynamic_indexed(lambda, dest, cycles, &mut recs);
-                    res.into_iter().map(RunResult::Dynamic).collect()
-                }
-            };
-            return results.into_iter().zip(recs).collect();
-        }
         let (table, lambda) = match self.source {
             Source::Table(spec) => (spec.number, None),
             Source::Random { lambda } => (0, Some(lambda)),
         };
-        let mut runs = Vec::with_capacity(self.reps.len());
-        for (rep, w) in self.reps.iter().zip(&workloads) {
-            let meta = crate::replay::meta_line(
+        let meta = |rep: &Rep| {
+            crate::replay::meta_line(
                 &rep.label,
                 opts.algo,
                 table,
@@ -811,8 +775,16 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
                 opts.dynamic_cycles,
                 rep.seed,
                 lambda,
-            );
-            runs.push(if opts.shards > 1 {
+            )
+        };
+        let state_table = (opts.lanes > 1
+            && opts.faults.is_none()
+            && opts.snapshot.is_none()
+            && opts.shards <= 1)
+            .then(|| StateTable::build(&rf));
+        let run = |rep: &Rep| {
+            let w = Workload::new(self.source, self.n, rep.seed, opts.dynamic_cycles);
+            let (res, mut rec) = if opts.shards > 1 {
                 let shard_rc = RecordConfig {
                     watchdog: None,
                     waitgraph: false,
@@ -831,24 +803,31 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
                 if let Some(k) = rc.watchdog {
                     sim = sim.with_watchdog(k);
                 }
-                let res = snapshot_run(&mut sim, w, opts.snapshot, &meta, &rep.label);
+                let res = snapshot_run(&mut sim, &w, opts.snapshot, &meta(rep), &rep.label);
                 let stall = sim.stall_report().cloned();
                 let mut rec = sim.into_recorder();
                 if let Some(k) = rc.watchdog {
                     rec.install_watchdog(k, stall);
                 }
                 (res, rec)
+            } else if let Some(t) = &state_table {
+                let rec = Rec::build(rc, nodes, classes);
+                let mut sim = Simulator::with_table(rf.clone(), cfg(rep.seed), rec, Arc::clone(t));
+                let res = finished(drive(&mut sim, &w, None, None));
+                (res, sim.into_recorder())
             } else {
                 let rec = Rec::build(rc, nodes, classes);
                 let mut sim = Simulator::with_recorder(rf.clone(), cfg(rep.seed), rec);
                 if let Some(plan) = opts.faults {
                     sim = sim.with_faults(plan.clone());
                 }
-                let res = snapshot_run(&mut sim, w, opts.snapshot, &meta, &rep.label);
+                let res = snapshot_run(&mut sim, &w, opts.snapshot, &meta(rep), &rep.label);
                 (res, sim.into_recorder())
-            });
-        }
-        runs
+            };
+            rec.flush();
+            (res, rec)
+        };
+        self.reps.iter().map(run).collect()
     }
 }
 

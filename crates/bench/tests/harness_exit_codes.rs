@@ -110,6 +110,10 @@ fn perf_compare_routes_through_the_conflict_check() {
                 "no fault model",
             ),
             (
+                &["--compare", "lanes", "--lanes", "1"],
+                "--lanes of at least 2",
+            ),
+            (
                 &[
                     "--compare",
                     "self",

@@ -1,7 +1,8 @@
-//! Regression: the lane-batched row runner is bit-identical to the
-//! sequential replication loop. With `lanes > 1` the runner runs a
-//! row's replications as lanes of one `LaneSim` — same per-rep seeds,
-//! same reduction, one sink set per lane merged in rep order — so every
+//! Regression: the table-sourced row runner is bit-identical to the
+//! computed replication loop. With `lanes > 1` the runner runs a row's
+//! replications in work units of `lanes`, each on one routing-state
+//! table its simulators share — same per-rep seeds, same reduction, one
+//! sink set per replication merged in rep order — so every
 //! statistic must reproduce the `lanes = 1` path exactly, compared via
 //! `f64::to_bits` (no epsilon), and recorded output must match byte for
 //! byte. This is the contract that lets `tables --lanes R` stand in for
@@ -67,16 +68,28 @@ fn run_row_lanes_bitwise_identical_to_run_row() {
 
 /// The lane fan-out over dimensions agrees with the sequential fan-out
 /// for any job count (the reduction is the same single-threaded path).
+/// Five replications in batches of two give each row three table
+/// units, which several workers then run at once.
 #[test]
 fn run_rows_lanes_matches_run_rows_across_jobs() {
     let s = spec(9);
-    let base = run_rows(s, &DIMS, opts(), 1);
-    for jobs in [1usize, 4] {
-        let batched = run_rows(s, &DIMS, lanes(opts()), jobs);
-        assert_eq!(batched.len(), base.len());
-        for (a, b) in base.iter().zip(&batched) {
-            assert_eq!(a.l_avg.to_bits(), b.l_avg.to_bits(), "jobs={jobs}");
-            assert_eq!(a.l_max, b.l_max, "jobs={jobs}");
+    let five = RunOptions { reps: 5, ..opts() };
+    for (plain, batched_opts) in [
+        (opts(), lanes(opts())),
+        (five, RunOptions { lanes: 2, ..five }),
+    ] {
+        let base = run_rows(s, &DIMS, plain, 1);
+        for jobs in [1usize, 4] {
+            let batched = run_rows(s, &DIMS, batched_opts, jobs);
+            let what = format!(
+                "reps={} lanes={} jobs={jobs}",
+                plain.reps, batched_opts.lanes
+            );
+            assert_eq!(batched.len(), base.len(), "{what}");
+            for (a, b) in base.iter().zip(&batched) {
+                assert_eq!(a.l_avg.to_bits(), b.l_avg.to_bits(), "{what}");
+                assert_eq!(a.l_max, b.l_max, "{what}");
+            }
         }
     }
 }
@@ -200,10 +213,10 @@ fn replicated_point_aggregates_all_lanes() {
     assert_eq!(point(2, 2).throughput.n, 2);
 }
 
-/// A lane batch has no fault model, snapshots or shards, so with a fault
-/// plan or `shards > 1` the runner runs one engine per replication; the
-/// rows must still reproduce the `lanes = 1` path exactly (a lane batch
-/// that silently ignored the plan would not).
+/// The table has no fault model, snapshots or shards, so with a fault
+/// plan or `shards > 1` the runner runs the computed source; the rows
+/// must still reproduce the `lanes = 1` path exactly (a table run that
+/// silently ignored the plan would not).
 #[test]
 fn lanes_with_faults_or_shards_match_reps() {
     let mut plan = fadr_sim::FaultPlan::new(5, 3);

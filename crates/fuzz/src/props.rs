@@ -5,9 +5,10 @@
 //!    and, in scope, the wormhole engine must agree: identical results,
 //!    identical partitioned-destination sets, identical journal
 //!    fingerprints, and complete wormhole delivery. When the case draws
-//!    `lanes > 1` (and has no faults), the lane-batched engine joins the
-//!    panel: lane `k` of one `LaneSim` must reproduce a standalone
-//!    sequential run with lane `k`'s seed, result-for-result.
+//!    `lanes > 1` (and has no faults), the table option source joins
+//!    the panel: for each of the case's `lanes` seeds, a simulator on
+//!    one shared routing-state table must reproduce the computed run
+//!    with that seed — result, partition set and journal fingerprint.
 //! 2. **Oracle parity** — the certifier, the exhaustive checker, and
 //!    the lint battery must agree on accept/reject, and the class
 //!    graph's level assignment must exist exactly when it is acyclic.
@@ -20,13 +21,15 @@
 //!    with a deadlock verdict, and certified fault-free drains respect
 //!    a Faber-style `O(P · H)` cycle bound.
 
+use std::sync::Arc;
+
 use fadr_lint::{lint_scheme, LintConfig};
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::verify::verify_deadlock_free;
 use fadr_qdg::{explore, RoutingFunction};
 use fadr_sim::{
-    lane_seeds, DynamicOutcome, Engine, FaultPlan, LaneSim, ShardPanicked, ShardedSimulator,
-    SimConfig, Simulator, SinkSet, SnapshotMsg, StaticOutcome, StopReason,
+    lane_seeds, DynamicOutcome, Engine, FaultPlan, ShardPanicked, ShardedSimulator, SimConfig,
+    Simulator, SinkSet, SnapshotMsg, StateTable, StaticOutcome, StopReason,
 };
 use fadr_topology::NodeId;
 use fadr_verify::{certify, check_certificate, Certificate, ClassifierMode, Outcome};
@@ -123,7 +126,7 @@ impl SchemeVisitor for CaseRunner<'_> {
         // feeding a known dead end to the simulator just wedges it.
         if spec.mutation == MutationSpec::None {
             differential(spec, &rf, cert.as_ref())?;
-            lane_differential(spec, &rf)?;
+            table_differential(spec, &rf)?;
             verdicts(spec, &rf, cert.is_some())?;
         }
         Ok(())
@@ -406,11 +409,11 @@ where
     Ok(())
 }
 
-/// Lane-engine leg of the differential: every lane of one batched
-/// [`LaneSim`] must reproduce a standalone sequential run seeded with
-/// that lane's seed. Skipped when the case drew `lanes == 1` or carries
-/// faults (the lane engine is deliberately fault-free).
-fn lane_differential<R>(spec: &CaseSpec, rf: &R) -> Result<(), Failure>
+/// Table leg of the differential: for each of the case's `lanes` seeds,
+/// a simulator on one shared [`StateTable`] must reproduce the computed
+/// run with that seed. Skipped when the case drew `lanes == 1` or
+/// carries faults (the table describes fault-free routing).
+fn table_differential<R>(spec: &CaseSpec, rf: &R) -> Result<(), Failure>
 where
     R: Symmetry + Clone + Send + 'static,
     R::Msg: Send + SnapshotMsg,
@@ -419,31 +422,25 @@ where
         return Ok(());
     }
     let n = rf.topology().num_nodes();
-    let cfg = sim_config(spec);
-    let seeds = lane_seeds(cfg.seed, spec.lanes);
-    let mut lanes = LaneSim::with_lane_seeds(rf.clone(), cfg, seeds.clone());
+    let table = StateTable::build(rf);
     let backlog = backlog_for(spec, n);
-    let lane_res: Vec<String> = match spec.workload {
-        WorkloadSpec::Static { .. } => {
-            let backlogs = vec![backlog.clone(); spec.lanes];
-            let res = lanes.run_static(&backlogs);
-            res.iter().map(|r| format!("{r:?}")).collect()
-        }
-        WorkloadSpec::Dynamic { lambda_pct, cycles } => {
-            let lambda = f64::from(lambda_pct) / 100.0;
-            let res = lanes.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, n, rng), cycles);
-            res.iter().map(|r| format!("{r:?}")).collect()
-        }
-    };
-    for (k, (&seed, lr)) in seeds.iter().zip(&lane_res).enumerate() {
-        let twin = Simulator::with_recorder(rf.clone(), SimConfig { seed, ..cfg }, SinkSet::new());
-        let (sr, _, _) = run_leg(twin, spec, &backlog, n)
-            .unwrap_or_else(|_| unreachable!("the sequential engine has no workers"));
-        if *lr != sr {
+    let mk = || SinkSet::new().with_journal(JOURNAL_CAP);
+    let no_workers = |_| unreachable!("the sequential engine has no workers");
+    for (k, seed) in lane_seeds(spec.seed, spec.lanes).into_iter().enumerate() {
+        let cfg = SimConfig {
+            seed,
+            ..sim_config(spec)
+        };
+        let tab = Simulator::with_table(rf.clone(), cfg, mk(), Arc::clone(&table));
+        let seq = Simulator::with_recorder(rf.clone(), cfg, mk());
+        let tab = run_leg(tab, spec, &backlog, n).unwrap_or_else(no_workers);
+        let seq = run_leg(seq, spec, &backlog, n).unwrap_or_else(no_workers);
+        if tab != seq {
             return fail(
                 PropertyId::Differential,
                 format!(
-                    "{}: lane {k}/{} {} result diverged from its sequential twin: lane {lr} vs seq {sr}",
+                    "{}: seed {k}/{} {} run diverged between the table and computed sources: \
+                     table {tab:?} vs computed {seq:?}",
                     rf.name(),
                     spec.lanes,
                     model(spec)

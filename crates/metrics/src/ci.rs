@@ -3,7 +3,7 @@
 //! verdicts.
 //!
 //! The sweep and perf harnesses replicate every measurement across R
-//! independent RNG lanes (see `fadr_sim`'s lane engine) and report
+//! independent RNG seeds (see `fadr_sim::lane_seed`) and report
 //! `mean ± half_width` per point instead of a single noisy sample. The
 //! t-quantile table is exact for 1–30 degrees of freedom and rounds
 //! *down in df* (up in quantile) between the tabulated breakpoints

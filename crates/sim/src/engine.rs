@@ -7,8 +7,9 @@
 //! occupancy is mirrored in dense bitsets so the link pass can test a
 //! whole channel with two word fetches instead of a per-buffer scan.
 //! Where a queued packet's moves come from is the [`OptionSource`]
-//! seam: computed at enqueue ([`Computed`], every `Simulator` and
-//! shard) or looked up in the lane engine's shared state table.
+//! seam, a type parameter of [`Simulator`]: computed at enqueue
+//! ([`Computed`], the default and every shard's) or looked up in a
+//! shared routing-state table ([`crate::StateTable`]).
 
 use std::marker::PhantomData;
 use std::sync::Arc;
@@ -259,7 +260,7 @@ struct DynState {
 }
 
 /// What an arriving staged packet does at its receiving node.
-pub(crate) enum Arrival {
+pub enum Arrival {
     /// Its routing state has arrived: deliver it.
     Deliver,
     /// Enter central queue `class` if it has room.
@@ -273,17 +274,23 @@ pub(crate) enum Arrival {
 ///
 /// * [`Computed`] runs the routing function when a packet enqueues
 ///   ([`push_move_options`] plus the degraded-mode post-pass). It is the
-///   only source that supports faults and snapshots; [`Simulator`] and
-///   every shard of a [`crate::ShardedSimulator`] use it.
-/// * The lane engine's shared, precomputed routing-state table
-///   (`crate::lanes`), which a packet walks by state id.
+///   only source that supports faults and snapshots; it is
+///   [`Simulator`]'s default and every shard of a
+///   [`crate::ShardedSimulator`] uses it.
+/// * `Arc<`[`crate::StateTable`]`>`, a shared, precomputed
+///   routing-state table that a packet walks by state id
+///   ([`Simulator::with_table`]).
 ///
 /// A source owns the option records a packet's hot row points into
 /// (`opt_start..opt_start + opt_len`) and decides how a packet's routing
 /// state starts, advances and arrives. Everything else — fill, link,
 /// read, enqueue, delivery, occupancy sampling, wait edges and fault
 /// surgery — is [`Core`]'s, written once.
-pub(crate) trait OptionSource<R: RoutingFunction>: Sized {
+///
+/// The trait is public only so it can bound [`Simulator`]'s parameter:
+/// it lives in a private module, so no other crate can name or
+/// implement it.
+pub trait OptionSource<R: RoutingFunction>: Sized {
     /// Per-packet routing message the core stores (`()` for a source
     /// that tracks state ids instead).
     type Msg: Clone;
@@ -349,10 +356,10 @@ pub(crate) trait OptionSource<R: RoutingFunction>: Sized {
 }
 
 /// The one step core: § 7.1's fill/link/read cycle over one network's
-/// mutable run state — a [`Simulator`], one shard of a
-/// [`crate::ShardedSimulator`], or one lane of a [`crate::LaneSim`]. The
-/// routing function and the recorder are passed in per call, so lanes
-/// share one routing function and take a recorder per run.
+/// mutable run state — a [`Simulator`] on either option source, or one
+/// shard of a [`crate::ShardedSimulator`]. The routing function and the
+/// recorder are passed in per call, so a sharded run's shards drive
+/// their cores per node and per channel.
 ///
 /// The fast paths are exact: a want-mask fill when every node has at
 /// most 64 output buffers ([`Layout`]'s `fast_fill`), an
@@ -360,10 +367,10 @@ pub(crate) trait OptionSource<R: RoutingFunction>: Sized {
 /// (`fast_read`), and the source's option pick. Each visits exactly the
 /// positions the plain scans (the fallbacks) would pick, in the same
 /// order.
-pub(crate) struct Core<R: RoutingFunction, S: OptionSource<R>> {
+pub struct Core<R: RoutingFunction, S: OptionSource<R>> {
     pub(crate) cfg: SimConfig,
-    /// Shared with sibling shards and lanes (immutable after
-    /// construction).
+    /// Shared with sibling shards and with every simulator on one
+    /// routing-state table (immutable after construction).
     pub(crate) layout: Arc<Layout>,
     pub(crate) num_classes: usize,
     /// Where queued packets' moves come from.
@@ -1813,7 +1820,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
 /// routing message each time it enters a central queue, and cached in
 /// an [`OptionArena`] segment until it leaves. Under a fault plan the
 /// degraded-mode post-pass restricts them to the surviving graph.
-pub(crate) struct Computed<R: RoutingFunction> {
+pub struct Computed<R: RoutingFunction> {
     arena: OptionArena<R::Msg>,
     /// Scratch list options are computed into before being stored (one
     /// allocation for the engine's lifetime).
@@ -2100,12 +2107,22 @@ impl<R: RoutingFunction> Core<R, Computed<R>> {
 /// observability layer existed. Pass a [`fadr_metrics::SinkSet`] (or any
 /// custom recorder) via [`Simulator::with_recorder`] to collect
 /// routing-decision counters, packet traces, or watchdog evidence.
-pub struct Simulator<R: RoutingFunction, Rec: Recorder = NoRecorder> {
+///
+/// `S` is where a queued packet's moves come from: the routing function
+/// (`Computed`, the default), or a shared routing-state table
+/// ([`Simulator::with_table`]). Both run the same step core and are
+/// bit-identical for one seed; only the computed source supports fault
+/// plans and snapshots.
+pub struct Simulator<
+    R: RoutingFunction,
+    Rec: Recorder = NoRecorder,
+    S: OptionSource<R> = Computed<R>,
+> {
     pub(crate) rf: R,
     pub(crate) rec: Rec,
-    /// The step core on the computed option source (a sharded run
-    /// drives each shard's core per node and per channel).
-    pub(crate) core: Core<R, Computed<R>>,
+    /// The step core (a sharded run drives each shard's core per node
+    /// and per channel).
+    pub(crate) core: Core<R, S>,
 }
 
 impl<R: RoutingFunction> Simulator<R> {
@@ -2147,7 +2164,9 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
         self.core.fault_plan = Some(Arc::new(plan));
         self
     }
+}
 
+impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Simulator<R, Rec, S> {
     /// Destinations a fault made unreachable in the last run, sorted and
     /// deduplicated. Non-empty exactly when the run stopped with
     /// [`StopReason::Partitioned`].
@@ -2802,8 +2821,8 @@ pub(crate) fn rotating_start(cycle: u64, node: usize, n_out: usize) -> usize {
 /// queue `class` of `node`, resolving each transition to a concrete
 /// output buffer (or `NONE` for an in-place stutter). A pure function of
 /// `(rf, layout, node, class, msg)` — the property that lets
-/// [`crate::LaneSim`] precompute its results in a table shared across
-/// all lanes.
+/// [`crate::StateTable`] precompute its results once for every
+/// simulator that shares the table.
 pub(crate) fn push_move_options<R: RoutingFunction>(
     rf: &R,
     layout: &Layout,
@@ -2843,7 +2862,7 @@ pub(crate) fn push_move_options<R: RoutingFunction>(
 
 /// The central class targeted by the injection queue's single
 /// (internal, static) transition for `msg` at `node` — pure in
-/// `(rf, node, msg)`, so the lane engine's table precomputes it.
+/// `(rf, node, msg)`, so the routing-state table precomputes it.
 pub(crate) fn entry_class_of<R: RoutingFunction>(rf: &R, node: usize, msg: &R::Msg) -> u8 {
     let mut entry: Option<u8> = None;
     rf.for_each_transition(QueueId::inject(node), msg, &mut |t| {

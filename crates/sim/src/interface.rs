@@ -1,14 +1,16 @@
 //! One run interface over the packet engines.
 //!
-//! The sequential [`Simulator`] and the shard-parallel
-//! [`ShardedSimulator`] produce bit-identical runs and exchange
-//! snapshots freely, so a harness has no reason to know which one it
-//! holds. [`Engine`] is that common surface: pausable static and
-//! dynamic runs, their resume legs, checkpoint/restore, and the
-//! post-run accessors. Each implementation delegates to the engine's
-//! inherent methods; the only adaptation is the error channel — the
-//! sharded engine reports a worker panic as [`ShardPanicked`], and the
-//! sequential engine, which has no workers, always returns `Ok`.
+//! The sequential [`Simulator`] on either option source and the
+//! shard-parallel [`ShardedSimulator`] produce bit-identical runs, so a
+//! harness has no reason to know which one it holds. [`Engine`] is that
+//! common surface: pausable static and dynamic runs, their resume legs,
+//! and the post-run accessors. [`Snapshots`] adds checkpoint/restore,
+//! which only the computed source has; the two computed engines
+//! exchange snapshots freely. Each implementation delegates to the
+//! engine's inherent methods; the only adaptation is the error channel
+//! — the sharded engine reports a worker panic as [`ShardPanicked`],
+//! and the sequential engine, which has no workers, always returns
+//! `Ok`.
 //!
 //! Destination functions are `Fn + Sync` (not `FnMut`) because the
 //! sharded engine shares one closure across its shard threads.
@@ -19,6 +21,7 @@ use fadr_metrics::{Recorder, ShardRecorder, StallReport};
 use fadr_qdg::{RoutingFunction, SnapshotMsg};
 use fadr_topology::NodeId;
 
+use crate::engine::OptionSource;
 use crate::{
     DynamicOutcome, RunProgress, ShardPanicked, ShardedSimulator, Simulator, StaticOutcome,
 };
@@ -73,14 +76,6 @@ pub trait Engine {
     where
         F: Fn(NodeId, &mut StdRng) -> NodeId + Sync;
 
-    /// Serialize the paused engine as a `fadr-snapshot/1` document
-    /// (byte-identical across engines; see [`Simulator::checkpoint`]).
-    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String;
-
-    /// Load a `fadr-snapshot/1` document written by either engine (see
-    /// [`Simulator::restore`]).
-    fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String>;
-
     /// Destinations a fault made unreachable in the last run, sorted.
     fn partitioned_destinations(&self) -> Vec<u32>;
 
@@ -93,10 +88,20 @@ pub trait Engine {
     fn into_recorder(self) -> Self::Rec;
 }
 
-impl<R: RoutingFunction, Rec: Recorder> Engine for Simulator<R, Rec>
-where
-    R::Msg: SnapshotMsg,
-{
+/// An [`Engine`] that checkpoints and restores: the computed
+/// [`Simulator`] and the [`ShardedSimulator`]. A table-sourced simulator
+/// has no snapshot form, so asking it for one fails to compile.
+pub trait Snapshots: Engine {
+    /// Serialize the paused engine as a `fadr-snapshot/1` document
+    /// (byte-identical across engines; see [`Simulator::checkpoint`]).
+    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String;
+
+    /// Load a `fadr-snapshot/1` document written by either engine (see
+    /// [`Simulator::restore`]).
+    fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String>;
+}
+
+impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Engine for Simulator<R, Rec, S> {
     type Rec = Rec;
 
     fn run_static_until(
@@ -147,14 +152,6 @@ where
         ))
     }
 
-    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
-        Simulator::checkpoint(self, meta, progress)
-    }
-
-    fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
-        Simulator::restore(self, text)
-    }
-
     fn partitioned_destinations(&self) -> Vec<u32> {
         Simulator::partitioned_destinations(self)
     }
@@ -168,10 +165,23 @@ where
     }
 }
 
+impl<R: RoutingFunction, Rec: Recorder> Snapshots for Simulator<R, Rec>
+where
+    R::Msg: SnapshotMsg,
+{
+    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
+        Simulator::checkpoint(self, meta, progress)
+    }
+
+    fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
+        Simulator::restore(self, text)
+    }
+}
+
 impl<R, Rec> Engine for ShardedSimulator<R, Rec>
 where
     R: RoutingFunction + Clone + Send,
-    R::Msg: Send + SnapshotMsg,
+    R::Msg: Send,
     Rec: ShardRecorder + Send,
 {
     type Rec = Rec;
@@ -220,14 +230,6 @@ where
         self.try_resume_dynamic(lambda, dest, cycles, progress, pause_at)
     }
 
-    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
-        ShardedSimulator::checkpoint(self, meta, progress)
-    }
-
-    fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
-        ShardedSimulator::restore(self, text)
-    }
-
     fn partitioned_destinations(&self) -> Vec<u32> {
         ShardedSimulator::partitioned_destinations(self)
     }
@@ -238,5 +240,20 @@ where
 
     fn into_recorder(self) -> Rec {
         ShardedSimulator::into_recorder(self)
+    }
+}
+
+impl<R, Rec> Snapshots for ShardedSimulator<R, Rec>
+where
+    R: RoutingFunction + Clone + Send,
+    R::Msg: Send + SnapshotMsg,
+    Rec: ShardRecorder + Send,
+{
+    fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
+        ShardedSimulator::checkpoint(self, meta, progress)
+    }
+
+    fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
+        ShardedSimulator::restore(self, text)
     }
 }

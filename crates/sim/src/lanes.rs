@@ -1,41 +1,37 @@
-//! `LaneSim`: a batched replication engine that runs R independent RNG
-//! **lanes** of the same experiment over one shared topology.
+//! The routing-state table option source ([`StateTable`]), the seed
+//! schedule of replicated runs ([`lane_seed`]), and the [`LaneSim`]
+//! batch wrapper.
 //!
 //! A λ-sweep point or a table row is only statistically meaningful when
-//! replicated, and the naive way to replicate — R fresh [`Simulator`]s —
-//! pays R times for everything that is actually *identical* across
-//! replications. For a fixed routing function and layout, a packet's
-//! whole routing future is a pure function of its `(node, class, msg)`
-//! state (see [`crate::engine::push_move_options`]), and the set of such
-//! states reachable from any injection is finite. `LaneSim` therefore
-//! **precomputes the entire reachable state graph once** at
-//! construction: every state's move options, each option's successor
-//! *state index* (or a terminal marker when the hop delivers), and the
-//! state's fill summary. A packet is then a dense `u32` state index and
-//! a hop is a table lookup: the lanes never hash a key, clone a routing
-//! message or call the routing function, and all R lanes share the one
-//! immutable table.
+//! replicated, and R replications pay R times for everything that is
+//! actually *identical* across them. For a fixed routing function and
+//! layout, a packet's whole routing future is a pure function of its
+//! `(node, class, msg)` state (see [`crate::engine::push_move_options`]),
+//! and the set of such states reachable from any injection is finite.
+//! [`StateTable::build`] therefore **precomputes the entire reachable
+//! state graph once**: every state's move options, each option's
+//! successor *state index* (or a terminal marker when the hop
+//! delivers), and the state's fill summary. A simulator built by
+//! [`Simulator::with_table`] stores a packet as a dense `u32` state
+//! index, so a hop is a table lookup: it never hashes a key, clones a
+//! routing message or calls the routing function, and any number of
+//! simulators — on any number of threads — share the one immutable
+//! table.
 //!
-//! # Execution model
+//! # Contract
 //!
-//! Each lane is one instance of the engine's step core
-//! ([`crate::engine::Core`]) whose option source is the shared table:
+//! The table is an [`OptionSource`] of the one step core ([`Core`]):
 //! the fill, link and read phases, enqueue, delivery and the recorder
-//! hooks are the same code every [`Simulator`] runs, so a lane is
-//! **bit-identical** to a standalone sequential run seeded with
-//! [`lane_seed`]`(master, k)` — same delivered-packet journal, same
-//! histograms, same occupancy probe (`tests/lane_equivalence.rs` and
-//! the fuzzer's lane axis check it event for event). Lanes run to
-//! completion one after another, which on a single core keeps one
-//! lane's working set hot.
+//! hooks are the same code every [`Simulator`] runs, so a table-sourced
+//! run is **bit-identical** to a computed run with the same seed — same
+//! delivered-packet journal, same histograms, same occupancy probe
+//! (`tests/lane_equivalence.rs` and the fuzzer's table leg check it
+//! event for event).
 //!
 //! The eager table covers all n² `(src, dst)` pairs, so it pays only
-//! for many replications of small networks. A lane batch has no fault
-//! plan, snapshot or shards; the harness runs such replications one
-//! engine each, and the `--lanes R` ≡ `--reps R` contract keeps the
-//! output identical.
-//!
-//! [`Simulator`]: crate::Simulator
+//! for many replications of small networks. It describes fault-free
+//! routing and has no snapshot form: fault plans, `checkpoint` and
+//! `restore` exist only on the computed source.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -44,13 +40,12 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
-use fadr_metrics::{NoRecorder, Recorder, TimeSeries};
+use fadr_metrics::{NoRecorder, Recorder};
 use fadr_qdg::RoutingFunction;
 use fadr_topology::NodeId;
 
 use crate::engine::{
-    entry_class_of, push_move_options, Arrival, Core, DynamicOutcome, DynamicResult,
-    OccupancyProbe, OptionSource, StaticOutcome, StaticResult,
+    entry_class_of, push_move_options, Arrival, Core, DynamicResult, OptionSource, Simulator,
 };
 use crate::layout::{Layout, NONE};
 use crate::store::{Hot, MoveOpt, TERMINAL};
@@ -73,8 +68,8 @@ pub fn lane_seed(master: u64, lane: usize) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The per-lane seeds [`LaneSim::new`] derives from a master seed:
-/// `lane_seed(master, k)` for `k` in `0..lanes`.
+/// The first `lanes` seeds of `master`'s schedule: `lane_seed(master,
+/// k)` for `k` in `0..lanes`.
 pub fn lane_seeds(master: u64, lanes: usize) -> Vec<u64> {
     (0..lanes).map(|k| lane_seed(master, k)).collect()
 }
@@ -187,14 +182,18 @@ struct StateRow {
     _pad: u8,
 }
 
-/// The shared immutable routing table: every `(node, class, msg)` state
-/// reachable from any injection, enumerated by breadth-first closure at
-/// construction. Rows and option segments are struct-of-arrays indexed
-/// by dense state id; `inj[src * n + dst]` is the entry state of a
-/// fresh `src → dst` packet. Everything here is a pure function of the
-/// routing function and layout (fault-free routing), so all lanes — and
-/// all runs — share one table with no synchronization or growth.
-pub(crate) struct StateTable {
+/// A shared, immutable routing-state table: every `(node, class, msg)`
+/// state reachable from any injection, enumerated by breadth-first
+/// closure, with its move options, their successor states and the fill
+/// summary the step core reads. Rows and option segments are
+/// struct-of-arrays indexed by dense state id; `inj[src * n + dst]` is
+/// the entry state of a fresh `src → dst` packet. Everything here is a
+/// pure function of the routing function and its layout (fault-free
+/// routing), so every simulator built on one table by
+/// [`Simulator::with_table`] shares it — and its layout — with no
+/// synchronization or growth.
+pub struct StateTable {
+    layout: Arc<Layout>,
     rows: Vec<StateRow>,
     opts: Vec<PackedOpt>,
     inj: Vec<u32>,
@@ -228,7 +227,15 @@ fn intern_state<M: Clone + Eq + Hash>(
 }
 
 impl StateTable {
-    fn build<R: RoutingFunction>(rf: &R, layout: &Layout) -> Self {
+    /// Build `rf`'s layout and enumerate every routing state reachable
+    /// from any injection.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a reachable state has no moves (a dead end; no
+    /// certified scheme has one).
+    pub fn build<R: RoutingFunction>(rf: &R) -> Arc<Self> {
+        let layout = Arc::new(Layout::new(rf));
         let n = layout.num_nodes;
         let mut idx: HashMap<(u32, u8, R::Msg), u32, FxBuild> = HashMap::with_hasher(FxBuild);
         let mut keys: Vec<(u32, u8, R::Msg)> = Vec::new();
@@ -253,7 +260,7 @@ impl StateTable {
         while i < keys.len() {
             let (node, class, msg) = keys[i].clone();
             scratch.clear();
-            push_move_options(rf, layout, node as usize, class, &msg, &mut scratch);
+            push_move_options(rf, &layout, node as usize, class, &msg, &mut scratch);
             assert!(
                 !scratch.is_empty(),
                 "queued packet with no moves (dead end)"
@@ -338,12 +345,13 @@ impl StateTable {
                 o.succ_stutters = r.stutters;
             }
         }
-        Self {
+        Arc::new(Self {
+            layout,
             rows,
             opts,
             inj,
             rank_ok,
-        }
+        })
     }
 }
 
@@ -424,200 +432,76 @@ impl<R: RoutingFunction> OptionSource<R> for Arc<StateTable> {
     }
 }
 
-/// Batched replication engine: R independent RNG lanes of the same
-/// experiment over one shared precomputed routing table. See the module
-/// docs for the execution model and bit-identity contract.
-pub struct LaneSim<R: RoutingFunction> {
-    rf: R,
-    seeds: Vec<u64>,
-    /// One step core per lane, each on the shared table.
-    lanes: Vec<Core<R, Arc<StateTable>>>,
+impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec, Arc<StateTable>> {
+    /// Build a simulator whose queued packets take their moves from
+    /// `table` instead of calling the routing function. A run is
+    /// bit-identical to one on [`Simulator::with_recorder`] with the same
+    /// arguments; any number of simulators may share one table.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` was built for a network whose node count
+    /// differs from `rf`'s.
+    pub fn with_table(rf: R, cfg: SimConfig, rec: Rec, table: Arc<StateTable>) -> Self {
+        let (built, given) = (table.layout.num_nodes, rf.topology().num_nodes());
+        assert!(
+            built == given,
+            "the routing-state table was built for {built} nodes, the router has {given}"
+        );
+        let layout = Arc::clone(&table.layout);
+        let core = Core::new(cfg, layout, rf.num_classes(), table);
+        Self { rf, rec, core }
+    }
 }
 
-impl<R: RoutingFunction> LaneSim<R> {
-    /// Build a lane engine with `lanes` replication lanes whose seeds
-    /// derive from `cfg.seed` via [`lane_seed`].
-    pub fn new(rf: R, cfg: SimConfig, lanes: usize) -> Self {
-        let seeds = lane_seeds(cfg.seed, lanes);
-        Self::with_lane_seeds(rf, cfg, seeds)
-    }
+/// A batch of table-sourced simulators on one shared [`StateTable`], one
+/// per seed. It is the batch API of the benchmark package's
+/// `lane_replicas` workload; other callers build the simulators with
+/// [`Simulator::with_table`] directly.
+pub struct LaneSim<R: RoutingFunction> {
+    table: Arc<StateTable>,
+    lanes: Vec<Simulator<R, NoRecorder, Arc<StateTable>>>,
+}
 
-    /// Build a lane engine with explicit per-lane seeds (one lane per
-    /// seed) — the hook that lets existing harness seed formulas (e.g.
-    /// the table runner's per-rep seeds) map onto lanes bit-identically.
+impl<R: RoutingFunction + Clone> LaneSim<R> {
+    /// Build `rf`'s table and one simulator on it per seed: lane `k`
+    /// runs `cfg` with seed `seeds[k]`.
     ///
     /// # Panics
     ///
     /// Panics if `seeds` is empty.
     pub fn with_lane_seeds(rf: R, cfg: SimConfig, seeds: Vec<u64>) -> Self {
         assert!(!seeds.is_empty(), "at least one lane");
-        let layout = Arc::new(Layout::new(&rf));
-        let table = Arc::new(StateTable::build(&rf, &layout));
+        let table = StateTable::build(&rf);
         let lanes = seeds
             .iter()
             .map(|&seed| {
                 let cfg = SimConfig { seed, ..cfg };
-                Core::new(
-                    cfg,
-                    Arc::clone(&layout),
-                    rf.num_classes(),
-                    Arc::clone(&table),
-                )
+                Simulator::with_table(rf.clone(), cfg, NoRecorder, Arc::clone(&table))
             })
             .collect();
-        Self { rf, seeds, lanes }
-    }
-
-    /// Number of replication lanes.
-    pub fn num_lanes(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// Number of nodes in the shared topology.
-    pub fn num_nodes(&self) -> usize {
-        self.lanes[0].layout.num_nodes
-    }
-
-    /// The routing function the lanes share.
-    pub fn routing(&self) -> &R {
-        &self.rf
-    }
-
-    /// The per-lane RNG seeds (lane `k`'s standalone-equivalent
-    /// [`crate::SimConfig::seed`]).
-    pub fn seeds(&self) -> &[u64] {
-        &self.seeds
+        Self { table, lanes }
     }
 
     /// Distinct reachable `(node, class, msg)` routing states in the
-    /// shared precomputed table (fixed at construction; a diagnostic
-    /// for table size and precompute coverage).
+    /// shared table (a diagnostic for its size).
     pub fn memo_entries(&self) -> usize {
-        self.lanes[0].src.rows.len()
+        self.table.rows.len()
     }
 
-    /// Lane `k`'s occupancy probe from its last run (empty unless
-    /// [`crate::SimConfig::track_occupancy`] is set).
-    pub fn lane_occupancy(&self, k: usize) -> &OccupancyProbe {
-        &self.lanes[k].occupancy
-    }
-
-    /// Lane `k`'s minimality violations from its last run (only counted
-    /// when [`crate::SimConfig::check_minimality`] is set).
-    pub fn lane_minimality_violations(&self, k: usize) -> u64 {
-        self.lanes[k].minimality_violations
-    }
-
-    /// Lane `k`'s delivered-packets time series from its last run, if
-    /// [`crate::SimConfig::throughput_window`] was non-zero.
-    pub fn lane_throughput(&self, k: usize) -> Option<&TimeSeries> {
-        self.lanes[k].throughput.as_ref()
-    }
-
-    /// Run every lane's dynamic-injection experiment (the lane-batched
-    /// analogue of [`Simulator::run_dynamic`]): lane `k` runs with the
-    /// per-node RNG streams a sequential simulator seeded
-    /// `self.seeds()[k]` would use, and the results are returned in lane
-    /// order. `dest` must be memoryless (a pure function of its
-    /// arguments and the RNG), as each lane evaluates it independently.
-    ///
-    /// [`Simulator::run_dynamic`]: crate::Simulator::run_dynamic
+    /// Run every lane's [`Simulator::run_dynamic`] in turn, returning the
+    /// results in lane order. `dest` must be memoryless (a pure function
+    /// of its arguments and the RNG), as each lane draws from it
+    /// independently.
     pub fn run_dynamic(
-        &mut self,
-        lambda: f64,
-        dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
-        cycles: u64,
-    ) -> Vec<DynamicResult> {
-        let mut recs = vec![NoRecorder; self.lanes.len()];
-        self.run_dynamic_recorded(lambda, dest, cycles, &mut recs)
-    }
-
-    /// [`LaneSim::run_dynamic`] with one attached [`Recorder`] per lane
-    /// (`recs[k]` observes lane `k`, and only lane `k`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if λ is outside `[0, 1]` or `recs.len() != num_lanes()`.
-    pub fn run_dynamic_recorded<Rec: Recorder>(
         &mut self,
         lambda: f64,
         mut dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
         cycles: u64,
-        recs: &mut [Rec],
     ) -> Vec<DynamicResult> {
-        self.run_dynamic_indexed(lambda, |_, src, rng| dest(src, rng), cycles, recs)
-    }
-
-    /// [`LaneSim::run_dynamic_recorded`] with a lane-aware destination
-    /// function: `dest(k, src, rng)` draws lane `k`'s destination for an
-    /// injection at `src`. This is the hook for workloads compiled per
-    /// replication seed (e.g. the table runner's seeded leveled
-    /// permutations), where each lane must draw from its own compiled
-    /// pattern to stay bit-identical to the standalone sequential run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if λ is outside `[0, 1]` or `recs.len() != num_lanes()`.
-    pub fn run_dynamic_indexed<Rec: Recorder>(
-        &mut self,
-        lambda: f64,
-        mut dest: impl FnMut(usize, NodeId, &mut StdRng) -> NodeId,
-        cycles: u64,
-        recs: &mut [Rec],
-    ) -> Vec<DynamicResult> {
-        assert_eq!(recs.len(), self.lanes.len(), "one recorder per lane");
-        let rf = &self.rf;
         self.lanes
             .iter_mut()
-            .zip(recs)
-            .enumerate()
-            .map(|(k, (lane, rec))| {
-                let lane_dest = |src: NodeId, rng: &mut StdRng| dest(k, src, rng);
-                match lane.run_dynamic_until(rf, rec, lambda, lane_dest, cycles, None) {
-                    DynamicOutcome::Finished(r) => r,
-                    DynamicOutcome::Paused(_) => unreachable!("no pause requested"),
-                }
-            })
-            .collect()
-    }
-
-    /// Run every lane's static-injection experiment (the lane-batched
-    /// analogue of [`Simulator::run_static`]): lane `k` drains
-    /// `backlogs[k]` (one per-node backlog per lane; static runs consume
-    /// no engine RNG, so lanes differ only through their backlogs).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backlogs.len() != num_lanes()`.
-    ///
-    /// [`Simulator::run_static`]: crate::Simulator::run_static
-    pub fn run_static(&mut self, backlogs: &[Vec<Vec<NodeId>>]) -> Vec<StaticResult> {
-        let mut recs = vec![NoRecorder; self.lanes.len()];
-        self.run_static_recorded(backlogs, &mut recs)
-    }
-
-    /// [`LaneSim::run_static`] with one attached [`Recorder`] per lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `backlogs.len()` or `recs.len()` is not `num_lanes()`.
-    pub fn run_static_recorded<Rec: Recorder>(
-        &mut self,
-        backlogs: &[Vec<Vec<NodeId>>],
-        recs: &mut [Rec],
-    ) -> Vec<StaticResult> {
-        assert_eq!(backlogs.len(), self.lanes.len(), "one backlog per lane");
-        assert_eq!(recs.len(), self.lanes.len(), "one recorder per lane");
-        let rf = &self.rf;
-        self.lanes
-            .iter_mut()
-            .zip(backlogs.iter().zip(recs))
-            .map(
-                |(lane, (backlog, rec))| match lane.run_static_until(rf, rec, backlog, None) {
-                    StaticOutcome::Finished(r) => r,
-                    StaticOutcome::Paused(_) => unreachable!("no pause requested"),
-                },
-            )
+            .map(|sim| sim.run_dynamic(lambda, &mut dest, cycles))
             .collect()
     }
 }

@@ -71,8 +71,8 @@ pub use fadr_metrics::{
 };
 pub use fadr_qdg::SnapshotMsg;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
-pub use interface::Engine;
-pub use lanes::{lane_seed, lane_seeds, LaneSim};
+pub use interface::{Engine, Snapshots};
+pub use lanes::{lane_seed, lane_seeds, LaneSim, StateTable};
 pub use layout::Layout;
 pub use partition::{Partition, PartitionError, PartitionStrategy};
 pub use sharded::{ShardPanicked, ShardedSimulator};

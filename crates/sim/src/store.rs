@@ -33,7 +33,7 @@ pub(crate) struct MoveOpt<M> {
 /// the post-hop residence.
 #[derive(Clone, Copy)]
 #[repr(C)]
-pub(crate) struct Hot {
+pub struct Hot {
     /// Fill positions the packet's moves target (bit `pos` for each
     /// option onto fill position `pos < 64`).
     pub(crate) wants: u64,

@@ -1,14 +1,18 @@
-//! Lane-identity differential suite: every lane of a batched
-//! [`LaneSim`] run must be **bit-identical** to a standalone sequential
-//! [`Simulator`] run seeded with that lane's seed — same result struct
-//! (statistics and histograms included via `PartialEq`), same
+//! Table-source differential suite: a [`Simulator`] built by
+//! [`Simulator::with_table`] must be **bit-identical** to a computed
+//! [`Simulator::with_recorder`] run with the same seed — same result
+//! struct (statistics and histograms included via `PartialEq`), same
 //! delivered-packet journal event for event, same occupancy probe,
 //! same throughput series, same minimality count.
 //!
 //! The matrix covers scheme × topology × workload (dynamic Bernoulli
 //! injection at two rates and a hotspot pattern; static random
-//! backlogs) × lane counts R ∈ {1, 2, 7, 32}, plus the three fill
-//! orders, memo-table reuse across runs, and explicit per-lane seeds.
+//! backlogs) × R ∈ {1, 2, 7, 32} seeds sharing one table, plus the
+//! three fill orders, one simulator reused across runs, explicit seeds
+//! through the [`LaneSim`] batch wrapper, and a table built for another
+//! network.
+
+use std::sync::Arc;
 
 use fadr_core::{
     EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang, MeshFullyAdaptive, MeshKDFullyAdaptive,
@@ -16,7 +20,10 @@ use fadr_core::{
 };
 use fadr_metrics::JournalSink;
 use fadr_qdg::RoutingFunction;
-use fadr_sim::{lane_seed, FillOrder, LaneSim, SimConfig, Simulator, StopReason};
+use fadr_sim::{
+    lane_seed, lane_seeds, FillOrder, LaneSim, NoRecorder, Recorder, SimConfig, Simulator,
+    StateTable, StopReason,
+};
 use fadr_workloads::{static_backlog, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,8 +42,23 @@ fn instrumented_cfg() -> SimConfig {
     }
 }
 
-/// Run lane `k`'s standalone sequential twin: same config but seeded
-/// with the lane's seed, journal attached.
+/// A simulator on the shared `table`, seeded `seed`.
+fn on_table<R: RoutingFunction + Clone, Rec: Recorder>(
+    rf: &R,
+    cfg: SimConfig,
+    seed: u64,
+    rec: Rec,
+    table: &Arc<StateTable>,
+) -> Simulator<R, Rec, Arc<StateTable>> {
+    Simulator::with_table(
+        rf.clone(),
+        SimConfig { seed, ..cfg },
+        rec,
+        Arc::clone(table),
+    )
+}
+
+/// Run seed `seed`'s computed twin: same config, journal attached.
 fn sequential_dynamic<R: RoutingFunction + Clone>(
     rf: &R,
     cfg: SimConfig,
@@ -78,7 +100,8 @@ fn assert_journals_match(name: &str, lane: usize, lanes: usize, a: &JournalSink,
     );
 }
 
-/// Dynamic-injection lane identity for one routing family at one λ.
+/// Dynamic-injection identity for one routing family at one λ: R seeds
+/// on one shared table, each against its computed twin.
 fn assert_dynamic_lane_identity<R>(name: &str, rf: R, pattern: &Pattern, lambda: f64, cycles: u64)
 where
     R: RoutingFunction + Clone,
@@ -86,37 +109,36 @@ where
     let cfg = instrumented_cfg();
     let size = rf.topology().num_nodes();
     for lanes in LANE_COUNTS {
-        let mut batch = LaneSim::new(rf.clone(), cfg, lanes);
-        let mut journals = vec![JournalSink::new(JOURNAL_CAP); lanes];
-        let results = batch.run_dynamic_recorded(
-            lambda,
-            |s, rng| pattern.draw(s, size, rng),
-            cycles,
-            &mut journals,
-        );
-        assert_eq!(results.len(), lanes);
-        for k in 0..lanes {
+        let table = StateTable::build(&rf);
+        let seeds = lane_seeds(cfg.seed, lanes);
+        let runs: Vec<_> = seeds
+            .iter()
+            .map(|&seed| {
+                let mut tab = on_table(&rf, cfg, seed, JournalSink::new(JOURNAL_CAP), &table);
+                let res = tab.run_dynamic(lambda, |s, rng| pattern.draw(s, size, rng), cycles);
+                (res, tab)
+            })
+            .collect();
+        assert_eq!(runs.len(), lanes);
+        for (k, (res, tab)) in runs.iter().enumerate() {
             let seed = lane_seed(cfg.seed, k);
-            assert_eq!(batch.seeds()[k], seed, "{name}: seed schedule diverged");
+            assert_eq!(seeds[k], seed, "{name}: seed schedule diverged");
             let (seq_res, seq_journal, seq) =
                 sequential_dynamic(&rf, cfg, seed, pattern, lambda, cycles);
+            assert_eq!(*res, seq_res, "{name} R={lanes} lane={k}: result diverged");
+            assert_journals_match(name, k, lanes, tab.recorder(), &seq_journal);
             assert_eq!(
-                results[k], seq_res,
-                "{name} R={lanes} lane={k}: result diverged"
-            );
-            assert_journals_match(name, k, lanes, &journals[k], &seq_journal);
-            assert_eq!(
-                batch.lane_occupancy(k),
+                tab.occupancy(),
                 seq.occupancy(),
                 "{name} R={lanes} lane={k}: occupancy diverged"
             );
             assert_eq!(
-                batch.lane_throughput(k),
+                tab.throughput(),
                 seq.throughput(),
                 "{name} R={lanes} lane={k}: throughput diverged"
             );
             assert_eq!(
-                batch.lane_minimality_violations(k),
+                tab.minimality_violations(),
                 seq.minimality_violations(),
                 "{name} R={lanes} lane={k}: minimality count diverged"
             );
@@ -124,9 +146,9 @@ where
     }
 }
 
-/// Static-injection lane identity: lanes differ through per-lane
-/// backlogs (static runs consume no engine RNG), generated from each
-/// lane's seed so the sequential twin sees the identical workload.
+/// Static-injection identity: the seeds differ through their backlogs
+/// (static runs consume no engine RNG), generated from each seed so the
+/// computed twin sees the identical workload.
 fn assert_static_lane_identity<R>(name: &str, rf: R)
 where
     R: RoutingFunction + Clone,
@@ -140,10 +162,17 @@ where
                 static_backlog(&Pattern::Random, size, 2, &mut rng)
             })
             .collect();
-        let mut batch = LaneSim::new(rf.clone(), cfg, lanes);
-        let mut journals = vec![JournalSink::new(JOURNAL_CAP); lanes];
-        let results = batch.run_static_recorded(&backlogs, &mut journals);
-        for k in 0..lanes {
+        let table = StateTable::build(&rf);
+        let runs: Vec<_> = backlogs
+            .iter()
+            .enumerate()
+            .map(|(k, backlog)| {
+                let rec = JournalSink::new(JOURNAL_CAP);
+                let mut tab = on_table(&rf, cfg, lane_seed(cfg.seed, k), rec, &table);
+                (tab.run_static(backlog), tab)
+            })
+            .collect();
+        for (k, (res, tab)) in runs.iter().enumerate() {
             let mut seq = Simulator::with_recorder(
                 rf.clone(),
                 SimConfig {
@@ -155,12 +184,12 @@ where
             let seq_res = seq.run_static(&backlogs[k]);
             assert_eq!(seq_res.stop, StopReason::Drained, "{name}: run broken");
             assert_eq!(
-                results[k], seq_res,
+                *res, seq_res,
                 "{name} R={lanes} lane={k}: static result diverged"
             );
-            assert_journals_match(name, k, lanes, &journals[k], seq.recorder());
+            assert_journals_match(name, k, lanes, tab.recorder(), seq.recorder());
             assert_eq!(
-                batch.lane_occupancy(k),
+                tab.occupancy(),
                 seq.occupancy(),
                 "{name} R={lanes} lane={k}: occupancy diverged"
             );
@@ -279,8 +308,9 @@ fn hotspot_workload_lane_identity() {
 
 #[test]
 fn fill_orders_lane_identity() {
-    // The lane engine's mask-iterated fill must match the sequential
-    // scan under all three orders (ascending, descending, rotating).
+    // The table's rank-indexed option pick must match the computed
+    // source's scan under all three orders (ascending, descending,
+    // rotating).
     for order in [
         FillOrder::LowToHigh,
         FillOrder::HighToLow,
@@ -291,19 +321,13 @@ fn fill_orders_lane_identity() {
             ..instrumented_cfg()
         };
         let rf = HypercubeFullyAdaptive::new(4);
-        let lanes = 7;
-        let mut batch = LaneSim::new(rf, cfg, lanes);
-        let results = batch.run_dynamic(0.8, |s, rng| Pattern::Random.draw(s, 16, rng), 100);
-        for (k, res) in results.iter().enumerate() {
-            let mut seq = Simulator::new(
-                rf,
-                SimConfig {
-                    seed: lane_seed(cfg.seed, k),
-                    ..cfg
-                },
-            );
+        let table = StateTable::build(&rf);
+        for (k, seed) in lane_seeds(cfg.seed, 7).into_iter().enumerate() {
+            let mut tab = on_table(&rf, cfg, seed, NoRecorder, &table);
+            let res = tab.run_dynamic(0.8, |s, rng| Pattern::Random.draw(s, 16, rng), 100);
+            let mut seq = Simulator::new(rf, SimConfig { seed, ..cfg });
             let seq_res = seq.run_dynamic(0.8, |s, rng| Pattern::Random.draw(s, 16, rng), 100);
-            assert_eq!(*res, seq_res, "order={order:?} lane={k}: diverged");
+            assert_eq!(res, seq_res, "order={order:?} lane={k}: diverged");
         }
     }
 }
@@ -312,10 +336,12 @@ fn fill_orders_lane_identity() {
 
 #[test]
 fn memo_table_reuse_across_runs_is_exact() {
-    // A second run on the same engine starts with a fully warm memo
-    // table; results must not change, and the table must have grown.
+    // A second run on the same simulators reuses their state and the
+    // shared table; results must not change, and the table, fixed at
+    // construction, must not grow.
     let rf = TorusTwoPhase::new(4, 4);
-    let mut batch = LaneSim::new(rf, instrumented_cfg(), 4);
+    let cfg = instrumented_cfg();
+    let mut batch = LaneSim::with_lane_seeds(rf, cfg, lane_seeds(cfg.seed, 4));
     let first = batch.run_dynamic(0.6, |s, rng| Pattern::Random.draw(s, 16, rng), 150);
     let entries = batch.memo_entries();
     assert!(entries > 0, "memo table never populated");
@@ -326,12 +352,20 @@ fn memo_table_reuse_across_runs_is_exact() {
         batch.memo_entries(),
         "identical rerun grew the table"
     );
+    // One table-sourced simulator, reused: each run reproduces lane 0.
+    let table = StateTable::build(&rf);
+    let mut sim = on_table(&rf, cfg, lane_seed(cfg.seed, 0), NoRecorder, &table);
+    for run in 0..2 {
+        let res = sim.run_dynamic(0.6, |s, rng| Pattern::Random.draw(s, 16, rng), 150);
+        assert_eq!(res, first[0], "run {run} on a reused simulator diverged");
+    }
 }
 
 #[test]
 fn explicit_lane_seeds_map_to_sequential_runs() {
     // Arbitrary caller-chosen seeds (the table runner's rep formula
-    // shape) must behave exactly like sequential runs with those seeds.
+    // shape) must behave exactly like sequential runs with those seeds,
+    // through the `LaneSim` wrapper the benchmark package drives.
     let rf = MeshFullyAdaptive::new(4, 4);
     let cfg = instrumented_cfg();
     let seeds = vec![0xFAD2, 0xFAD2 ^ (3 << 16), 0xDEAD_BEEF, 1];
@@ -344,33 +378,48 @@ fn explicit_lane_seeds_map_to_sequential_runs() {
     }
 }
 
+#[test]
+#[should_panic(expected = "the routing-state table was built for 8 nodes, the router has 16")]
+fn with_table_rejects_a_table_of_another_network() {
+    let table = StateTable::build(&HypercubeFullyAdaptive::new(3));
+    let _ = Simulator::with_table(
+        HypercubeFullyAdaptive::new(4),
+        SimConfig::default(),
+        NoRecorder,
+        table,
+    );
+}
+
 // --- fallback scans -------------------------------------------------------
 
 #[test]
 fn wide_nodes_take_the_fallback_scans() {
     // EcubeSbp(9) gives every node 81 output and 81 input buffers: more
     // than the mask-iterated fill (64) and read (63) paths cover, so the
-    // core's plain fill and read scans run on both engines here.
+    // core's plain fill and read scans run on both sources here.
     let rf = EcubeSbp::new(9);
     let size = rf.topology().num_nodes();
     let cfg = instrumented_cfg();
     let lanes = 2;
-    let mut batch = LaneSim::new(rf, cfg, lanes);
-    let mut journals = vec![JournalSink::new(1 << 18); lanes];
+    let table = StateTable::build(&rf);
+    let mut tabs: Vec<_> = lane_seeds(cfg.seed, lanes)
+        .into_iter()
+        .map(|seed| on_table(&rf, cfg, seed, JournalSink::new(1 << 18), &table))
+        .collect();
     let dest = |s, rng: &mut StdRng| Pattern::Random.draw(s, size, rng);
-    let results = batch.run_dynamic_recorded(0.5, dest, 24, &mut journals);
-    for (k, res) in results.iter().enumerate() {
+    for (k, tab) in tabs.iter_mut().enumerate() {
+        let res = tab.run_dynamic(0.5, dest, 24);
         let seed = lane_seed(cfg.seed, k);
         let mut seq =
             Simulator::with_recorder(rf, SimConfig { seed, ..cfg }, JournalSink::new(1 << 18));
         assert_eq!(
-            *res,
+            res,
             seq.run_dynamic(0.5, dest, 24),
             "lane={k}: result diverged"
         );
         assert!(res.delivered > 0, "lane={k}: nothing delivered");
-        assert_journals_match("ecube9-dyn", k, lanes, &journals[k], seq.recorder());
-        assert_eq!(batch.lane_occupancy(k), seq.occupancy(), "lane={k}");
+        assert_journals_match("ecube9-dyn", k, lanes, tab.recorder(), seq.recorder());
+        assert_eq!(tab.occupancy(), seq.occupancy(), "lane={k}");
     }
 
     let backlogs: Vec<Vec<Vec<usize>>> = (0..lanes)
@@ -379,16 +428,17 @@ fn wide_nodes_take_the_fallback_scans() {
             static_backlog(&Pattern::Random, size, 1, &mut rng)
         })
         .collect();
-    let mut journals = vec![JournalSink::new(1 << 18); lanes];
-    let results = batch.run_static_recorded(&backlogs, &mut journals);
-    for (k, res) in results.iter().enumerate() {
+    for (k, tab) in tabs.iter_mut().enumerate() {
+        // Fresh journals: the dynamic run above already filled them.
+        *tab.recorder_mut() = JournalSink::new(1 << 18);
+        let res = tab.run_static(&backlogs[k]);
         let seed = lane_seed(cfg.seed, k);
         let mut seq =
             Simulator::with_recorder(rf, SimConfig { seed, ..cfg }, JournalSink::new(1 << 18));
         let seq_res = seq.run_static(&backlogs[k]);
         assert_eq!(seq_res.stop, StopReason::Drained, "lane={k}: run broken");
-        assert_eq!(*res, seq_res, "lane={k}: static result diverged");
-        assert_journals_match("ecube9-static", k, lanes, &journals[k], seq.recorder());
-        assert_eq!(batch.lane_occupancy(k), seq.occupancy(), "lane={k}");
+        assert_eq!(res, seq_res, "lane={k}: static result diverged");
+        assert_journals_match("ecube9-static", k, lanes, tab.recorder(), seq.recorder());
+        assert_eq!(tab.occupancy(), seq.occupancy(), "lane={k}");
     }
 }
