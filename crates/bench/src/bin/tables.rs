@@ -1,8 +1,9 @@
 //! Regenerate the paper's Tables 1–12.
 //!
 //! ```text
-//! tables [--table K]... [--full] [--cap N] [--cycles N] [--seed S] [--jobs J] [--shards S] [--partition P]
-//!        [--lanes R] [--csv] [--trace PATH] [--metrics-out PATH] [--watchdog K]
+//! tables [--table K]... [--full] [--cap N] [--cycles N] [--seed S] [--reps R] [--algo A]
+//!        [--jobs J] [--shards S] [--partition P] [--lanes R] [--csv] [--trace PATH]
+//!        [--metrics-out PATH] [--watchdog K]
 //! ```
 //!
 //! * `--table K` — regenerate only table K (repeatable); default: all 12.
@@ -11,6 +12,10 @@
 //!   0 deliberately wedges the network and requires `--watchdog`).
 //! * `--cycles N` — dynamic-run horizon in routing cycles (default 500).
 //! * `--seed S` — base RNG seed.
+//! * `--reps R` — replications per row (default 1, or `R` of
+//!   `--lanes R`); each replication runs with its own seed.
+//! * `--algo A` — the hypercube router: `fully-adaptive` (default, the
+//!   paper's § 3 algorithm), `static-hang` or `ecube-sbp` (baselines).
 //! * `--jobs J` — worker threads for the row × replication fan-out
 //!   (default: available parallelism). Output is bit-identical for any
 //!   value of `J`.
@@ -134,7 +139,8 @@ fn main() -> ExitCode {
         }
     };
     eprintln!(
-        "# fully-adaptive hypercube routing (SPAA'91), queue capacity {}, dynamic horizon {} cycles, {} jobs, {} shards{}",
+        "# {} hypercube routing (SPAA'91), queue capacity {}, dynamic horizon {} cycles, {} jobs, {} shards{}",
+        args.opts.algo.name(),
         args.opts.queue_capacity,
         args.opts.dynamic_cycles,
         args.jobs,

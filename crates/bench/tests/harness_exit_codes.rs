@@ -162,3 +162,18 @@ fn sweep_lanes_compose_with_capacity_and_recording() {
     );
     std::fs::remove_file(&journal).ok();
 }
+
+/// The stderr header names the router the run uses.
+#[test]
+fn tables_header_names_the_algorithm() {
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_tables"),
+        &["--algo", "ecube-sbp", "--table", "2"],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let header = stderr.lines().next().unwrap_or_default();
+    assert!(
+        header.starts_with("# ecube-sbp hypercube routing"),
+        "{header:?}"
+    );
+}

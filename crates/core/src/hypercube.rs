@@ -62,6 +62,13 @@ pub fn hung_corrections(node: NodeId, dst: NodeId, root: NodeId) -> (usize, usiz
     (diff & down, diff & !down)
 }
 
+/// A hypercube scheme's relative state key: `tag` above the two
+/// `dims`-bit masks `a` and `b`. `None` past 28 dimensions, where the
+/// masks no longer fit beside an 8-bit tag.
+fn cube_key(dims: usize, tag: u8, a: usize, b: usize) -> Option<u64> {
+    (dims <= 28).then(|| (u64::from(tag) << 56) | ((a as u64) << 28) | b as u64)
+}
+
 fn internal<M>(to: QueueId, msg: M) -> Transition<M> {
     Transition {
         kind: LinkKind::Static,
@@ -221,6 +228,17 @@ impl RoutingFunction for HypercubeFullyAdaptive {
         self.cube.dims()
     }
 
+    /// (class, zeros, ones) from [`hung_corrections`] with the scheme's
+    /// root. Every node has the same n two-buffer channels, so a fill
+    /// position is `2·port + index`, and a correction bit fixes its
+    /// channel's direction: a `zeros` bit is a downward channel, a
+    /// `ones` bit an upward one. So the key fixes every position: 3ⁿ − 1
+    /// keys against N(N − 1) states.
+    fn state_key(&self, node: NodeId, class: u8, msg: &CubeMsg) -> Option<u64> {
+        let (zeros, ones) = hung_corrections(node, msg.dst, self.root);
+        cube_key(self.cube.dims(), class, zeros, ones)
+    }
+
     fn name(&self) -> String {
         if self.root == 0 {
             format!("hypercube-fully-adaptive(n={})", self.cube.dims())
@@ -261,6 +279,10 @@ impl Symmetry for HypercubeFullyAdaptive {
 /// This is the partially-adaptive scheme of \[BGSS89\]/\[Kon90\] that the
 /// paper starts from; it concentrates traffic near `1…1`, which the
 /// dynamic links of [`HypercubeFullyAdaptive`] relieve.
+///
+/// It declares no [`RoutingFunction::state_key`]: its upward channels
+/// carry one buffer and its downward channels two, so a port's fill
+/// position depends on the node's lower address bits.
 #[derive(Debug, Clone, Copy)]
 pub struct HypercubeStaticHang {
     cube: Hypercube,
@@ -484,6 +506,13 @@ impl RoutingFunction for EcubeSbp {
 
     fn max_hops(&self) -> usize {
         self.cube.dims()
+    }
+
+    /// (hops, node ^ dst): every channel declares the same n classes,
+    /// and the lowest differing bit picks the port, so the key fixes the
+    /// one move's fill position and its successor's key.
+    fn state_key(&self, node: NodeId, _class: u8, msg: &EcubeMsg) -> Option<u64> {
+        cube_key(self.cube.dims(), msg.hops, 0, node ^ msg.dst)
     }
 
     fn name(&self) -> String {

@@ -89,6 +89,10 @@ fn link(
 /// "if it still has some descending path to pass through", i.e. while a
 /// `+` correction remains. Fully adaptive, minimal, deadlock- and
 /// livelock-free with two central queues per node (Theorem 2).
+///
+/// It declares no [`RoutingFunction::state_key`]: boundary nodes have
+/// fewer ports, which shifts their fill positions, so a relative key
+/// would need a per-node position map.
 #[derive(Debug, Clone, Copy)]
 pub struct MeshFullyAdaptive {
     mesh: Mesh2D,

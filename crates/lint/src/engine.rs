@@ -9,11 +9,15 @@
 //! visits exactly the union of the per-pair state graphs in O(N)
 //! explorations instead of O(N²).
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::fmt::Debug;
+use std::hash::Hash;
 
 use fadr_qdg::graph::Digraph;
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, Transition};
+use fadr_sim::Layout;
 use fadr_topology::graph::reverse_adjacency;
 use fadr_topology::NodeId;
 
@@ -84,6 +88,7 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
     // (node, port) → buffer classes actually exercised by some route.
     let mut used_buffers: HashMap<(NodeId, usize), BTreeSet<BufferClass>> = HashMap::new();
     let mut used_central_classes: BTreeSet<u8> = BTreeSet::new();
+    let mut key_check = col.enabled(LintId::StateKey).then(KeyCheck::new);
 
     let mut buf: Vec<Transition<R::Msg>> = Vec::new();
     for dst in 0..n {
@@ -138,6 +143,9 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
             queues_seen.insert(q);
             if let QueueKind::Central(c) = q.kind {
                 used_central_classes.insert(c);
+                if let Some(kc) = &mut key_check {
+                    kc.check(rf, col, (q, c, &msg), &buf, dst);
+                }
             }
             let a = intern.intern(q);
             let mut has_static = false;
@@ -314,6 +322,206 @@ fn check_declared<R: Symmetry + ?Sized>(
         dst: Some(dst),
         state: Some(format!("{:?}", t.msg)),
     });
+}
+
+/// Where a keyed state's move leads, in the routing-state table's
+/// terms: delivery on arrival, a keyed row, or an unkeyed state (which
+/// stands for itself).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Succ {
+    Delivers,
+    Key,
+    /// `Move::to` indexes [`KeyCheck::unkeyed`].
+    State,
+}
+
+/// One move as the routing-state table stores it: the fill position
+/// (`u32::MAX` for a stutter), the arrival class and the successor
+/// (`to` is the key, or the unkeyed state's index).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Move {
+    to: u64,
+    pos: u32,
+    class: u8,
+    succ: Succ,
+}
+
+/// The `state-key` check of the `RoutingFunction::state_key` contract:
+/// each key's first-seen class and moves, compared with every later
+/// state of the key. A state's moves are listed as the table lists
+/// them: link moves by fill position (ties in emission order), then
+/// stutters in emission order. Fill positions come from the scheme's
+/// `fadr_sim::Layout`, built on the first keyed state. The records are
+/// flat — a key index, 8-byte records and one arena of 16-byte moves —
+/// so the comparisons mostly stay in cache.
+struct KeyCheck<M> {
+    layout: Option<Layout>,
+    index: HashMap<u64, u32>,
+    /// Per key: its class and its moves' range in `moves`.
+    records: Vec<(u32, u16, u8)>,
+    moves: Vec<Move>,
+    /// Per key: its first state (read only to report a finding).
+    firsts: Vec<(QueueId, M)>,
+    /// Unkeyed successor states, by index.
+    unkeyed: Vec<(QueueId, M)>,
+    unkeyed_index: HashMap<(QueueId, M), u64>,
+    reported: HashSet<u64>,
+    scratch: Vec<Move>,
+}
+
+impl<M: Clone + Eq + Hash + Debug> KeyCheck<M> {
+    fn new() -> Self {
+        Self {
+            layout: None,
+            index: HashMap::new(),
+            records: Vec::new(),
+            moves: Vec::new(),
+            firsts: Vec::new(),
+            unkeyed: Vec::new(),
+            unkeyed_index: HashMap::new(),
+            reported: HashSet::new(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// Check central state `(q, class, msg)` with transitions `ts`
+    /// against the first state of its key. States the table never holds
+    /// are skipped: unkeyed ones, deliverable ones (arrivals there
+    /// deliver), and ones with a transition the table cannot express,
+    /// which other lints report.
+    fn check<R: Symmetry<Msg = M> + ?Sized>(
+        &mut self,
+        rf: &R,
+        col: &mut Collector<'_>,
+        (q, class, msg): (QueueId, u8, &M),
+        ts: &[Transition<M>],
+        dst: NodeId,
+    ) {
+        let Some(key) = rf.state_key(q.node, class, msg) else {
+            return;
+        };
+        if rf.deliverable(q.node, msg) || !self.table_moves(rf, q, ts) {
+            return;
+        }
+        let id = match self.index.entry(key) {
+            Entry::Occupied(e) => *e.get() as usize,
+            Entry::Vacant(e) => {
+                e.insert(u32::try_from(self.records.len()).expect("key count fits u32"));
+                let start = u32::try_from(self.moves.len()).expect("move count fits u32");
+                let len = u16::try_from(self.scratch.len()).expect("fan-out fits u16");
+                self.records.push((start, len, class));
+                self.moves.extend_from_slice(&self.scratch);
+                self.firsts.push((q, msg.clone()));
+                return;
+            }
+        };
+        let (start, len, class0) = self.records[id];
+        let moves0 = &self.moves[start as usize..start as usize + usize::from(len)];
+        if (class0, moves0) == (class, &self.scratch[..]) || !self.reported.insert(key) {
+            return;
+        }
+        let (q0, msg0) = &self.firsts[id];
+        col.emit(Finding {
+            lint: LintId::StateKey,
+            message: format!(
+                "{q0} in state {msg0:?} and {q} in state {msg:?} share state key {key:#x} \
+                 but differ: {} vs {}",
+                self.render(class0, moves0),
+                self.render(class, &self.scratch)
+            ),
+            queues: vec![*q0, q],
+            nodes: vec![q0.node, q.node],
+            dst: Some(dst),
+            state: Some(format!("{msg:?}")),
+        });
+    }
+
+    /// Write central state `q`'s moves `ts` into `scratch` in the
+    /// routing-state table's terms; false when a transition has no
+    /// table form (a link into a non-central queue or onto an
+    /// undeclared buffer class, or an internal hop to another node or a
+    /// non-central queue).
+    fn table_moves<R: Symmetry<Msg = M> + ?Sized>(
+        &mut self,
+        rf: &R,
+        q: QueueId,
+        ts: &[Transition<M>],
+    ) -> bool {
+        let layout = self.layout.get_or_insert_with(|| Layout::new(rf));
+        self.scratch.clear();
+        for t in ts {
+            let QueueKind::Central(class) = t.to.kind else {
+                return false;
+            };
+            let pos = match t.hop {
+                HopKind::Link(port) => {
+                    match buffer_class_of(t).and_then(|bc| fill_pos(layout, q.node, port, bc)) {
+                        Some(pos) => pos,
+                        None => return false,
+                    }
+                }
+                HopKind::Internal if t.to.node == q.node => u32::MAX,
+                HopKind::Internal => return false,
+            };
+            let (succ, to) = if pos != u32::MAX && rf.deliverable(t.to.node, &t.msg) {
+                (Succ::Delivers, 0)
+            } else if let Some(k) = rf.state_key(t.to.node, class, &t.msg) {
+                (Succ::Key, k)
+            } else {
+                let fresh = self.unkeyed.len() as u64;
+                let id = *self
+                    .unkeyed_index
+                    .entry((t.to, t.msg.clone()))
+                    .or_insert(fresh);
+                if id == fresh {
+                    self.unkeyed.push((t.to, t.msg.clone()));
+                }
+                (Succ::State, id)
+            };
+            self.scratch.push(Move {
+                to,
+                pos,
+                class,
+                succ,
+            });
+        }
+        self.scratch.sort_by_key(|m| m.pos);
+        true
+    }
+
+    fn render(&self, class: u8, moves: &[Move]) -> String {
+        let list: Vec<String> = moves
+            .iter()
+            .map(|m| {
+                let at = if m.pos == u32::MAX {
+                    "stutter".to_string()
+                } else {
+                    format!("pos {}", m.pos)
+                };
+                let to = match m.succ {
+                    Succ::Delivers => "delivers".to_string(),
+                    Succ::Key => format!("key {:#x}", m.to),
+                    Succ::State => {
+                        let (q, msg) = &self.unkeyed[m.to as usize];
+                        format!("{q} {msg:?}")
+                    }
+                };
+                format!("{at} -> q{} {to}", m.class)
+            })
+            .collect();
+        format!("class {class} [{}]", list.join(", "))
+    }
+}
+
+/// The fill position of `node`'s output buffer of class `bc` on `port`
+/// (its index among the node's output buffers), if the channel declares
+/// the class.
+fn fill_pos(layout: &Layout, node: NodeId, port: usize, bc: BufferClass) -> Option<u32> {
+    let chan = layout.chan(node, port)? as usize;
+    let start = layout.chan_buf_start[chan] as usize;
+    let classes = &layout.buf_class[start..start + usize::from(layout.chan_buf_len[chan])];
+    let i = classes.iter().position(|&c| c == bc)?;
+    Some(layout.buf_out_pos[start + i])
 }
 
 /// The class-order lints over the accumulated concrete static QDG.

@@ -23,8 +23,10 @@
 //!   break it: a *provisioning* bug, e.g.
 //!   `ShuffleExchangeRouting::paper_literal` on composite `n`) and
 //!   [`LintId::UnrankableClassOrder`] (the cycle spans classes: the
-//!   class *order* itself is broken). Minimality violations and
-//!   undeclared buffer classes are errors the certifier does not check.
+//!   class *order* itself is broken). Minimality violations, undeclared
+//!   buffer classes and a relative state key that merges states with
+//!   different moves ([`LintId::StateKey`]) are errors the certifier
+//!   does not check.
 //! * **Warnings** — provisioning smells that cost hardware or trust but
 //!   not correctness: declared-but-unused buffer classes, central
 //!   classes never occupied, and a declared symmetry quotient that is
@@ -118,6 +120,10 @@ pub enum LintId {
     /// The scheme's declared symmetry quotient is cyclic although the
     /// concrete static QDG is acyclic: the certifier must fall back.
     NonMonotoneClassOrder,
+    /// Two reachable central states share a relative state key
+    /// (`RoutingFunction::state_key`) but differ in class or moves, so
+    /// the routing-state table would give one of them the other's moves.
+    StateKey,
     /// A fault plan leaves a destination with no surviving minimal path
     /// from some surviving source.
     FaultDeadEnd,
@@ -142,6 +148,7 @@ pub const ALL_LINTS: &[LintId] = &[
     LintId::UnreachableClass,
     LintId::ClassCountOverflow,
     LintId::NonMonotoneClassOrder,
+    LintId::StateKey,
     LintId::FaultDeadEnd,
     LintId::FaultOutOfRange,
     LintId::FaultNoopLink,
@@ -163,6 +170,7 @@ impl LintId {
             LintId::UnreachableClass => "unreachable-class",
             LintId::ClassCountOverflow => "class-count-overflow",
             LintId::NonMonotoneClassOrder => "non-monotone-class-order",
+            LintId::StateKey => "state-key",
             LintId::FaultDeadEnd => "fault-dead-end",
             LintId::FaultOutOfRange => "fault-out-of-range",
             LintId::FaultNoopLink => "fault-noop-link",
@@ -186,6 +194,7 @@ impl LintId {
             | LintId::ClassCapacityExhausted
             | LintId::UndeclaredBufferClass
             | LintId::ClassCountOverflow
+            | LintId::StateKey
             | LintId::FaultDeadEnd
             | LintId::FaultOutOfRange => Severity::Error,
             LintId::ShadowedBufferClass
@@ -215,6 +224,7 @@ impl LintId {
             LintId::NonMonotoneClassOrder => {
                 "§ 2 condition 1 (declared symmetry quotient unrankable)"
             }
+            LintId::StateKey => "routing-state table (one state key, one class and move list)",
             LintId::FaultDeadEnd => "§ 2 on the surviving graph (no surviving minimal path)",
             LintId::FaultOutOfRange | LintId::FaultNoopLink => {
                 "fadr-faults/1 well-formedness against the instance"
@@ -249,6 +259,7 @@ impl LintId {
             LintId::NonMonotoneClassOrder => {
                 "refine queue_class so static class edges ascend (avoids the exact fallback pass)"
             }
+            LintId::StateKey => "refine state_key so it separates these states, or declare none",
             LintId::FaultDeadEnd => {
                 "drop the disconnecting events or accept a Partitioned verdict for these flows"
             }

@@ -5,7 +5,8 @@
 //! queues and clause text) so a refactor that silently weakens a lint's
 //! localization fails here first.
 
-use fadr_core::ShuffleExchangeRouting;
+use fadr_core::hypercube::{hung_corrections, CubeMsg};
+use fadr_core::{HypercubeFullyAdaptive, ShuffleExchangeRouting};
 use fadr_lint::{lint_all, lint_scheme, LintConfig, LintId, Severity};
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::verify::test_fixtures::EcubeHypercube;
@@ -211,6 +212,97 @@ fn single_queue_ecube_flags_capacity_not_order() {
         .queues
         .iter()
         .all(|q| matches!(q.kind, QueueKind::Central(0))));
+}
+
+/// `HypercubeFullyAdaptive` with a wrong state key, one that drops the
+/// `ones` mask: states that differ only in their upward corrections
+/// share a key although their moves differ.
+struct DropOnes(HypercubeFullyAdaptive);
+
+impl RoutingFunction for DropOnes {
+    type Msg = CubeMsg;
+
+    fn topology(&self) -> &dyn Topology {
+        self.0.topology()
+    }
+
+    fn num_classes(&self) -> usize {
+        self.0.num_classes()
+    }
+
+    fn initial_msg(&self, src: NodeId, dst: NodeId) -> CubeMsg {
+        self.0.initial_msg(src, dst)
+    }
+
+    fn destination(&self, msg: &CubeMsg) -> NodeId {
+        self.0.destination(msg)
+    }
+
+    fn deliverable(&self, node: NodeId, msg: &CubeMsg) -> bool {
+        self.0.deliverable(node, msg)
+    }
+
+    fn for_each_transition(
+        &self,
+        at: QueueId,
+        msg: &CubeMsg,
+        f: &mut dyn FnMut(Transition<CubeMsg>),
+    ) {
+        self.0.for_each_transition(at, msg, f);
+    }
+
+    fn buffer_classes(&self, node: NodeId, port: Port) -> Vec<BufferClass> {
+        self.0.buffer_classes(node, port)
+    }
+
+    fn is_minimal(&self) -> bool {
+        self.0.is_minimal()
+    }
+
+    fn max_hops(&self) -> usize {
+        self.0.max_hops()
+    }
+
+    fn name(&self) -> String {
+        format!("drop-ones[{}]", self.0.name())
+    }
+
+    fn state_key(&self, node: NodeId, class: u8, msg: &CubeMsg) -> Option<u64> {
+        let (zeros, _ones) = hung_corrections(node, msg.dst, self.0.root());
+        Some((u64::from(class) << 32) | zeros as u64)
+    }
+}
+
+impl Symmetry for DropOnes {}
+
+#[test]
+fn a_key_that_drops_ones_flags_state_key() {
+    let rf = DropOnes(HypercubeFullyAdaptive::new(4));
+    let report = lint_scheme(&rf, &LintConfig::default());
+    let f = report
+        .findings
+        .iter()
+        .find(|f| f.lint == LintId::StateKey)
+        .unwrap_or_else(|| panic!("no state-key finding:\n{}", report.render_text()));
+    // Stable snapshot: the first two states to share a key are the
+    // phase-B states 1 -> 0 and 2 -> 0. Each has one move and it
+    // delivers, but on different ports.
+    let witness: Vec<String> = f.queues.iter().map(ToString::to_string).collect();
+    assert_eq!(witness, vec!["q1[1]", "q1[2]"]);
+    assert_eq!(f.dst, Some(0));
+    assert!(
+        f.message
+            .contains("class 1 [pos 0 -> q1 delivers] vs class 1 [pos 2 -> q1 delivers]"),
+        "{}",
+        f.message
+    );
+    assert_eq!(f.lint.severity(), Severity::Error);
+    // The scheme's own key is clean, and the check explores no states
+    // of its own.
+    let honest = lint_scheme(&HypercubeFullyAdaptive::new(4), &LintConfig::default());
+    assert!(!honest.has(LintId::StateKey), "{}", honest.render_text());
+    assert_eq!(honest.errors(), 0, "{}", honest.render_text());
+    assert_eq!(honest.states_explored, report.states_explored);
 }
 
 /// Toggles: `--allow`-style suppression hides a lint; `only` runs one.

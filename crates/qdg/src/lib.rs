@@ -216,6 +216,40 @@ pub trait RoutingFunction {
     /// Human-readable algorithm name.
     fn name(&self) -> String;
 
+    /// A relative key for the central state `(node, class, msg)`, or
+    /// `None` (the default) to key the state by itself.
+    ///
+    /// A scheme whose moves do not depend on the node's address returns
+    /// one key for every state that moves alike, and the simulator's
+    /// routing-state table (`fadr_sim::StateTable`) then stores one row
+    /// per key instead of one per state. A state's *fill position* for
+    /// a link move is the index of the move's output buffer among its
+    /// node's output buffers, in `fadr_sim::Layout` order: ports
+    /// ascending, each port's [`RoutingFunction::buffer_classes`] in
+    /// declared order.
+    ///
+    /// # Contract
+    ///
+    /// Take any two reachable central states with the same key. They
+    /// must have:
+    ///
+    /// * the same central class;
+    /// * the same link moves, listed by fill position (ties in emission
+    ///   order), each written as (fill position at their node, arrival
+    ///   class, successor key or "delivers");
+    /// * the same stutter moves, in emission order, each written as
+    ///   (arrival class, successor key).
+    ///
+    /// A successor state without a key stands for itself. A scheme
+    /// cannot declare a key when one key's fill positions differ between
+    /// nodes, as when a port's buffer classes depend on the node's
+    /// address. The table trusts the contract; `fadr-lint`'s `state-key`
+    /// lint checks it over every reachable state, as the
+    /// cross-validation suite checks [`sym::Symmetry`].
+    fn state_key(&self, _node: NodeId, _class: u8, _msg: &Self::Msg) -> Option<u64> {
+        None
+    }
+
     /// Collect all transitions into a vector (convenience; the simulator
     /// uses [`RoutingFunction::for_each_transition`] directly).
     fn transitions(&self, at: QueueId, msg: &Self::Msg) -> Vec<Transition<Self::Msg>> {

@@ -18,6 +18,13 @@
 //! The default implementation *is* that identity classifier (every queue
 //! its own class, every destination a representative), which is trivially
 //! sound for any scheme.
+//!
+//! A scheme declares one more symmetry beside [`Symmetry`]: the relative
+//! state key [`RoutingFunction::state_key`], which names the states that
+//! move alike at every node so the simulator's routing-state table can
+//! share one row between them. Its contract is documented on the method;
+//! like this one it is trusted by its user and checked elsewhere (by the
+//! `state-key` lint).
 
 use std::fmt;
 

@@ -295,18 +295,22 @@ pub trait OptionSource<R: RoutingFunction>: Sized {
     /// that tracks state ids instead).
     type Msg: Clone;
 
-    /// Output buffer of option record `i` ([`NONE`] for a stutter).
-    fn opt_buf(&self, i: usize) -> u32;
+    /// Output buffer of option record `i` at a node whose first output
+    /// buffer is `first` ([`NONE`] for a stutter). The table stores fill
+    /// positions relative to the node; the computed source stores buffer
+    /// ids and ignores `first`.
+    fn opt_buf(&self, i: usize, first: u32) -> u32;
 
     /// Central-queue class on arrival of option record `i`.
     fn opt_to_class(&self, i: usize) -> u8;
 
     /// The option record of `h`'s segment that stages onto fill position
     /// `pos`, output buffer `buf`.
-    fn pick(&self, h: &Hot, _pos: usize, buf: u32) -> usize {
+    fn pick(&self, h: &Hot, pos: usize, buf: u32) -> usize {
         let s = h.opt_start as usize;
+        let first = buf - pos as u32;
         (s..s + usize::from(h.opt_len))
-            .find(|&i| self.opt_buf(i) == buf)
+            .find(|&i| self.opt_buf(i, first) == buf)
             .expect("wanting packet has the option")
     }
 
@@ -829,11 +833,12 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
     ) -> Vec<(u32, u8, u32, u8)> {
         let mut edges = Vec::new();
         for v in nodes.iter() {
+            let first = self.layout.out_start[v];
             for &p in &self.node_fifo[v] {
                 let h = &self.store.hot[p as usize];
                 let s = h.opt_start as usize;
                 for i in s..s + usize::from(h.opt_len) {
-                    let buf = self.src.opt_buf(i);
+                    let buf = self.src.opt_buf(i, first);
                     if buf == NONE {
                         continue;
                     }
@@ -967,10 +972,9 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
                 }
                 let s = h.opt_start as usize;
                 for i in s..s + usize::from(h.opt_len) {
-                    let buf = self.src.opt_buf(i);
+                    let buf = self.src.opt_buf(i, first_buf as u32);
                     if buf != NONE {
-                        let pos = self.layout.buf_out_pos[buf as usize] as usize;
-                        self.wanting[pos].push(p);
+                        self.wanting[buf as usize - first_buf].push(p);
                     }
                 }
             }
@@ -1109,8 +1113,9 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
                 continue;
             }
             let s = h.opt_start as usize;
+            let first = self.layout.out_start[node];
             let i = (s..s + usize::from(h.opt_len))
-                .find(|&i| self.src.opt_buf(i) == NONE)
+                .find(|&i| self.src.opt_buf(i, first) == NONE)
                 .expect("stutter option");
             let (to_class, from_class) = (self.src.opt_to_class(i), h.class);
             let qf = node * self.num_classes + usize::from(from_class);
@@ -1839,7 +1844,7 @@ impl<R: RoutingFunction> Computed<R> {
 impl<R: RoutingFunction> OptionSource<R> for Computed<R> {
     type Msg = R::Msg;
 
-    fn opt_buf(&self, i: usize) -> u32 {
+    fn opt_buf(&self, i: usize, _first: u32) -> u32 {
         self.arena.buf[i]
     }
 

@@ -9,14 +9,27 @@
 //! `(node, class, msg)` state (see [`crate::engine::push_move_options`]),
 //! and the set of such states reachable from any injection is finite.
 //! [`StateTable::build`] therefore **precomputes the entire reachable
-//! state graph once**: every state's move options, each option's
-//! successor *state index* (or a terminal marker when the hop
-//! delivers), and the state's fill summary. A simulator built by
-//! [`Simulator::with_table`] stores a packet as a dense `u32` state
-//! index, so a hop is a table lookup: it never hashes a key, clones a
-//! routing message or calls the routing function, and any number of
-//! simulators — on any number of threads — share the one immutable
-//! table.
+//! state graph once**: every row's move options, each option's fill
+//! position at the packet's node and successor *row index* (or a
+//! terminal marker when the hop delivers), and the row's fill summary.
+//! A simulator built by [`Simulator::with_table`] stores a packet as a
+//! dense `u32` row index, so a hop is a table lookup: it never hashes a
+//! key, clones a routing message or calls the routing function, and any
+//! number of simulators — on any number of threads — share the one
+//! immutable table.
+//!
+//! # Rows: one per state key
+//!
+//! A scheme whose moves do not depend on the node's address declares a
+//! relative key ([`RoutingFunction::state_key`]), and the table interns
+//! one row per key instead of one per state. Option records store fill
+//! positions relative to the node, so one row serves every node: the
+//! core adds the node's first output buffer. `HypercubeFullyAdaptive`
+//! (any root) has 3ⁿ − 1 keys against N(N − 1) states — 59 048 rows
+//! instead of 1 047 552 at n = 10 — and `EcubeSbp` has one key per
+//! (hops, node ^ dst). A scheme that declares no key gets one row per
+//! absolute state from the same code. The key's contract is trusted
+//! here and checked by `fadr-lint`'s `state-key` lint.
 //!
 //! # Contract
 //!
@@ -28,10 +41,10 @@
 //! (`tests/lane_equivalence.rs` and the fuzzer's table leg check it
 //! event for event).
 //!
-//! The eager table covers all n² `(src, dst)` pairs, so it pays only
-//! for many replications of small networks. It describes fault-free
-//! routing and has no snapshot form: fault plans, `checkpoint` and
-//! `restore` exist only on the computed source.
+//! The entry array covers all N² `(src, dst)` pairs, so the build still
+//! grows with the network even when the rows do not. The table
+//! describes fault-free routing and has no snapshot form: fault plans,
+//! `checkpoint` and `restore` exist only on the computed source.
 
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
@@ -75,10 +88,11 @@ pub fn lane_seeds(master: u64, lanes: usize) -> Vec<u64> {
 }
 
 /// FxHash-style multiply-rotate hasher for the construction-time state
-/// interner. The keys are tiny (`(node, class, msg)` tuples of
-/// integers), so the default SipHash would dominate the build; this is
-/// the classic compiler-style replacement — not DoS-resistant, which is
-/// fine for keys the simulator itself generates.
+/// interner. The keys are tiny (state keys or `(node, class, msg)`
+/// tuples of integers), so the default SipHash would dominate the
+/// build; this is the classic compiler-style replacement — not
+/// DoS-resistant, which is fine for keys the simulator itself
+/// generates.
 #[derive(Clone, Copy, Default)]
 struct FxBuild;
 
@@ -147,19 +161,19 @@ impl Hasher for FxHasher {
     }
 }
 
-/// One move option of a routing state: the output buffer it stages onto
-/// (or [`NONE`] for an internal stutter), the successor state index
-/// after the hop (or [`TERMINAL`]), the central-queue class on arrival —
-/// and the successor state's row, denormalized inline so staging a
+/// One move option of a row: the fill position it stages onto at the
+/// packet's node (or [`NONE`] for an internal stutter), the successor
+/// row after the hop (or [`TERMINAL`]), the central-queue class on
+/// arrival — and the successor's row, denormalized inline so staging a
 /// packet rewrites its hot row from this one record and the arrival
 /// enqueue touches no table at all.
 #[derive(Clone, Copy)]
 #[repr(C)]
 struct PackedOpt {
-    /// Successor state's fill-position want mask (zero for [`TERMINAL`]).
+    /// Successor row's fill-position want mask (zero for [`TERMINAL`]).
     succ_wants: u64,
     next: u32,
-    buf: u32,
+    pos: u32,
     succ_opt_start: u32,
     succ_opt_len: u8,
     succ_stutters: u8,
@@ -167,10 +181,10 @@ struct PackedOpt {
     _pad: u8,
 }
 
-/// Per-state row of the shared table: the option segment reference, the
-/// state's central-queue class, and its precomputed fill summary — the
-/// mask of fill positions its options target at the owning node and
-/// the number of internal (stutter) options.
+/// One row of the shared table: the option segment reference, the
+/// central-queue class, and the precomputed fill summary — the mask of
+/// fill positions its options target at the packet's node and the
+/// number of internal (stutter) options.
 #[derive(Clone, Copy)]
 #[repr(C)]
 struct StateRow {
@@ -182,53 +196,68 @@ struct StateRow {
     _pad: u8,
 }
 
-/// A shared, immutable routing-state table: every `(node, class, msg)`
-/// state reachable from any injection, enumerated by breadth-first
-/// closure, with its move options, their successor states and the fill
-/// summary the step core reads. Rows and option segments are
-/// struct-of-arrays indexed by dense state id; `inj[src * n + dst]` is
-/// the entry state of a fresh `src → dst` packet. Everything here is a
-/// pure function of the routing function and its layout (fault-free
-/// routing), so every simulator built on one table by
-/// [`Simulator::with_table`] shares it — and its layout — with no
-/// synchronization or growth.
+/// A shared, immutable routing-state table: one row per state key (or
+/// per `(node, class, msg)` state, for a scheme that declares no key)
+/// reachable from any injection, enumerated by breadth-first closure,
+/// with its move options, their successor rows and the fill summary the
+/// step core reads. Rows and option segments are struct-of-arrays
+/// indexed by dense row id; `inj[src * n + dst]` is the entry row of a
+/// fresh `src → dst` packet. Everything here is a pure function of the
+/// routing function and its layout (fault-free routing), so every
+/// simulator built on one table by [`Simulator::with_table`] shares it —
+/// and its layout — with no synchronization or growth.
 pub struct StateTable {
+    /// The scheme the table was built for ([`RoutingFunction::name`]).
+    scheme: String,
     layout: Arc<Layout>,
     rows: Vec<StateRow>,
     opts: Vec<PackedOpt>,
     inj: Vec<u32>,
-    /// True when every state's link options sit in ascending
-    /// fill-position order with one option per position (always, in
-    /// practice): the option for want-bit `pos` is then
+    /// True when every row's link options sit in ascending fill-position
+    /// order with one option per position (always, in practice): the
+    /// option for want-bit `pos` is then
     /// `opts[opt_start + popcount(wants below pos)]` — one indexed load
     /// instead of a scan. Falls back to the scan otherwise.
     rank_ok: bool,
 }
 
-/// Construction-time interner: dense ids in first-sight order, with the
-/// key list doubling as the BFS work queue (rows are expanded in id
-/// order, and ids are only ever appended).
-fn intern_state<M: Clone + Eq + Hash>(
-    idx: &mut HashMap<(u32, u8, M), u32, FxBuild>,
-    keys: &mut Vec<(u32, u8, M)>,
-    node: u32,
-    class: u8,
-    msg: M,
-) -> u32 {
-    let fresh = keys.len() as u32;
-    match idx.entry((node, class, msg)) {
-        Entry::Occupied(e) => *e.get(),
-        Entry::Vacant(e) => {
-            keys.push(e.key().clone());
-            e.insert(fresh);
-            fresh
+/// Construction-time interner: dense row ids in first-sight order, by
+/// the scheme's state key where it declares one and by the absolute
+/// state otherwise. `states` holds each row's first-seen state and
+/// doubles as the BFS work queue (rows are expanded in id order, and
+/// ids are only ever appended).
+struct Interner<M> {
+    keyed: HashMap<u64, u32, FxBuild>,
+    absolute: HashMap<(u32, u8, M), u32, FxBuild>,
+    states: Vec<(u32, u8, M)>,
+}
+
+impl<M: Clone + Eq + Hash> Interner<M> {
+    fn intern<R: RoutingFunction<Msg = M>>(&mut self, rf: &R, node: u32, class: u8, msg: M) -> u32 {
+        let fresh = u32::try_from(self.states.len()).expect("row count fits u32");
+        match rf.state_key(node as usize, class, &msg) {
+            Some(key) => {
+                let id = *self.keyed.entry(key).or_insert(fresh);
+                if id == fresh {
+                    self.states.push((node, class, msg));
+                }
+                id
+            }
+            None => match self.absolute.entry((node, class, msg)) {
+                Entry::Occupied(e) => *e.get(),
+                Entry::Vacant(e) => {
+                    self.states.push(e.key().clone());
+                    e.insert(fresh);
+                    fresh
+                }
+            },
         }
     }
 }
 
 impl StateTable {
-    /// Build `rf`'s layout and enumerate every routing state reachable
-    /// from any injection.
+    /// Build `rf`'s layout and enumerate every row reachable from any
+    /// injection.
     ///
     /// # Panics
     ///
@@ -237,8 +266,11 @@ impl StateTable {
     pub fn build<R: RoutingFunction>(rf: &R) -> Arc<Self> {
         let layout = Arc::new(Layout::new(rf));
         let n = layout.num_nodes;
-        let mut idx: HashMap<(u32, u8, R::Msg), u32, FxBuild> = HashMap::with_hasher(FxBuild);
-        let mut keys: Vec<(u32, u8, R::Msg)> = Vec::new();
+        let mut rows_of = Interner {
+            keyed: HashMap::with_hasher(FxBuild),
+            absolute: HashMap::with_hasher(FxBuild),
+            states: Vec::new(),
+        };
         let mut inj = vec![TERMINAL; n * n];
         for src in 0..n {
             for dst in 0..n {
@@ -247,18 +279,18 @@ impl StateTable {
                 }
                 let msg = rf.initial_msg(src, dst);
                 let class = entry_class_of(rf, src, &msg);
-                inj[src * n + dst] = intern_state(&mut idx, &mut keys, src as u32, class, msg);
+                inj[src * n + dst] = rows_of.intern(rf, src as u32, class, msg);
             }
         }
         let mut rows: Vec<StateRow> = Vec::new();
         let mut opts: Vec<PackedOpt> = Vec::new();
         let mut scratch: Vec<MoveOpt<R::Msg>> = Vec::new();
         let mut rank_ok = true;
-        // `keys` grows while we walk it: each expansion may intern new
-        // successor states, which are expanded in turn (BFS order).
+        // `states` grows while we walk it: each expansion may intern new
+        // successor rows, which are expanded in turn (BFS order).
         let mut i = 0;
-        while i < keys.len() {
-            let (node, class, msg) = keys[i].clone();
+        while i < rows_of.states.len() {
+            let (node, class, msg) = rows_of.states[i].clone();
             scratch.clear();
             push_move_options(rf, &layout, node as usize, class, &msg, &mut scratch);
             assert!(
@@ -267,21 +299,22 @@ impl StateTable {
             );
             // Stable-sort link options into ascending fill-position
             // order, internal options last. This changes no observable
-            // behavior — staging matches options by buffer, wanting
+            // behavior — staging matches options by position, wanting
             // lists are per-position, and internals keep their relative
             // order — but makes the want mask's bit ranks line up with
             // the option segment for the rank-indexed pick.
-            scratch.sort_by_key(|o| {
+            let pos_of = |o: &MoveOpt<R::Msg>| {
                 if o.buf == NONE {
-                    u32::MAX
+                    NONE
                 } else {
                     layout.buf_out_pos[o.buf as usize]
                 }
-            });
+            };
+            scratch.sort_by_key(pos_of);
             rank_ok &= scratch
                 .iter()
-                .filter(|o| o.buf != NONE)
-                .map(|o| layout.buf_out_pos[o.buf as usize])
+                .map(pos_of)
+                .filter(|&pos| pos != NONE)
                 .try_fold(None::<u32>, |prev, pos| {
                     (pos < 64 && prev.is_none_or(|q| pos > q)).then_some(Some(pos))
                 })
@@ -292,15 +325,15 @@ impl StateTable {
             let mut stutters = 0u8;
             for opt in scratch.drain(..) {
                 debug_assert!(!opt.escape, "escape options only exist under faults");
-                let next = if opt.buf == NONE {
+                let pos = pos_of(&opt);
+                let next = if pos == NONE {
                     // Internal stutter: stays at the node, may change
                     // class. The computed source recomputes options
                     // without a deliverability check here, so neither
                     // does the table.
                     stutters += 1;
-                    intern_state(&mut idx, &mut keys, node, opt.to_class, opt.next)
+                    rows_of.intern(rf, node, opt.to_class, opt.next)
                 } else {
-                    let pos = layout.buf_out_pos[opt.buf as usize];
                     // Positions ≥ 64 only occur when the core falls back
                     // to the plain fill scan, which never reads `wants`.
                     if pos < 64 {
@@ -310,13 +343,13 @@ impl StateTable {
                     if rf.deliverable(to as usize, &opt.next) {
                         TERMINAL
                     } else {
-                        intern_state(&mut idx, &mut keys, to, opt.to_class, opt.next)
+                        rows_of.intern(rf, to, opt.to_class, opt.next)
                     }
                 };
                 opts.push(PackedOpt {
                     succ_wants: 0,
                     next,
-                    buf: opt.buf,
+                    pos,
                     succ_opt_start: 0,
                     succ_opt_len: 0,
                     succ_stutters: 0,
@@ -346,6 +379,7 @@ impl StateTable {
             }
         }
         Arc::new(Self {
+            scheme: rf.name(),
             layout,
             rows,
             opts,
@@ -362,8 +396,11 @@ impl StateTable {
 impl<R: RoutingFunction> OptionSource<R> for Arc<StateTable> {
     type Msg = ();
 
-    fn opt_buf(&self, i: usize) -> u32 {
-        self.opts[i].buf
+    fn opt_buf(&self, i: usize, first: u32) -> u32 {
+        match self.opts[i].pos {
+            NONE => NONE,
+            pos => first + pos,
+        }
     }
 
     fn opt_to_class(&self, i: usize) -> u8 {
@@ -372,15 +409,18 @@ impl<R: RoutingFunction> OptionSource<R> for Arc<StateTable> {
 
     /// With `rank_ok`, the option for want-bit `pos` is the one ranked
     /// by the want bits below `pos`: one indexed load instead of a scan.
-    fn pick(&self, h: &Hot, pos: usize, buf: u32) -> usize {
+    fn pick(&self, h: &Hot, pos: usize, _buf: u32) -> usize {
         let s = h.opt_start as usize;
         if self.rank_ok {
             let i = s + (h.wants & ((1u64 << pos) - 1)).count_ones() as usize;
-            debug_assert_eq!(self.opts[i].buf, buf, "rank-indexed option mismatch");
+            debug_assert_eq!(
+                self.opts[i].pos as usize, pos,
+                "rank-indexed option mismatch"
+            );
             i
         } else {
             (s..s + usize::from(h.opt_len))
-                .find(|&i| self.opts[i].buf == buf)
+                .find(|&i| self.opts[i].pos as usize == pos)
                 .expect("wanting packet has the option")
         }
     }
@@ -441,12 +481,20 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec, Arc<StateTable>> {
     /// # Panics
     ///
     /// Panics if `table` was built for a network whose node count
-    /// differs from `rf`'s.
+    /// differs from `rf`'s, or for another scheme (by
+    /// [`RoutingFunction::name`], which also names the size and the
+    /// hang root).
     pub fn with_table(rf: R, cfg: SimConfig, rec: Rec, table: Arc<StateTable>) -> Self {
         let (built, given) = (table.layout.num_nodes, rf.topology().num_nodes());
         assert!(
             built == given,
             "the routing-state table was built for {built} nodes, the router has {given}"
+        );
+        let scheme = rf.name();
+        assert!(
+            table.scheme == scheme,
+            "the routing-state table was built for {}, the router is {scheme}",
+            table.scheme
         );
         let layout = Arc::clone(&table.layout);
         let core = Core::new(cfg, layout, rf.num_classes(), table);
@@ -483,8 +531,9 @@ impl<R: RoutingFunction + Clone> LaneSim<R> {
         Self { table, lanes }
     }
 
-    /// Distinct reachable `(node, class, msg)` routing states in the
-    /// shared table (a diagnostic for its size).
+    /// Rows in the shared table (a diagnostic for its size): one per
+    /// reachable state key for a scheme that declares keys, one per
+    /// reachable `(node, class, msg)` state otherwise.
     pub fn memo_entries(&self) -> usize {
         self.table.rows.len()
     }

@@ -9,21 +9,25 @@
 //! injection at two rates and a hotspot pattern; static random
 //! backlogs) × R ∈ {1, 2, 7, 32} seeds sharing one table, plus the
 //! three fill orders, one simulator reused across runs, explicit seeds
-//! through the [`LaneSim`] batch wrapper, and a table built for another
-//! network.
+//! through the [`LaneSim`] batch wrapper, a table built for another
+//! network or scheme, the table's row counts under the schemes' state
+//! keys, and a wrong key's misrouting.
 
+use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
+use fadr_core::hypercube::{hung_corrections, CubeMsg};
 use fadr_core::{
     EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang, MeshFullyAdaptive, MeshKDFullyAdaptive,
     ShuffleExchangeRouting, TorusTwoPhase,
 };
 use fadr_metrics::JournalSink;
-use fadr_qdg::RoutingFunction;
+use fadr_qdg::{BufferClass, QueueId, RoutingFunction, Transition};
 use fadr_sim::{
     lane_seed, lane_seeds, FillOrder, LaneSim, NoRecorder, Recorder, SimConfig, Simulator,
     StateTable, StopReason,
 };
+use fadr_topology::{NodeId, Port, Topology};
 use fadr_workloads::{static_backlog, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -209,6 +213,11 @@ fn hypercube_fully_adaptive_lanes() {
         120,
     );
     assert_static_lane_identity("hc-adaptive", HypercubeFullyAdaptive::new(4));
+    // A rooted hang shares the key space of the root-0 hang: its keys
+    // come from the relabelled corrections.
+    let rooted = HypercubeFullyAdaptive::hung_from(4, 0b1011);
+    assert_dynamic_lane_identity("hc-adaptive-rooted", rooted, &Pattern::Random, 0.7, 120);
+    assert_static_lane_identity("hc-adaptive-rooted", rooted);
 }
 
 #[test]
@@ -387,6 +396,148 @@ fn with_table_rejects_a_table_of_another_network() {
         SimConfig::default(),
         NoRecorder,
         table,
+    );
+}
+
+#[test]
+#[should_panic(
+    expected = "the routing-state table was built for hypercube-static-hang(n=4), the router is hypercube-fully-adaptive(n=4)"
+)]
+fn with_table_rejects_a_table_of_another_scheme() {
+    let table = StateTable::build(&HypercubeStaticHang::new(4));
+    let _ = Simulator::with_table(
+        HypercubeFullyAdaptive::new(4),
+        SimConfig::default(),
+        NoRecorder,
+        table,
+    );
+}
+
+#[test]
+#[should_panic(
+    expected = "the routing-state table was built for hypercube-fully-adaptive(n=4, root=5), the router is hypercube-fully-adaptive(n=4)"
+)]
+fn with_table_rejects_a_table_of_another_root() {
+    // Both hangs share one key space, so their tables are the same size
+    // but not interchangeable.
+    let table = StateTable::build(&HypercubeFullyAdaptive::hung_from(4, 5));
+    let _ = Simulator::with_table(
+        HypercubeFullyAdaptive::new(4),
+        SimConfig::default(),
+        NoRecorder,
+        table,
+    );
+}
+
+// --- state keys -----------------------------------------------------------
+
+fn rows<R: RoutingFunction + Clone>(rf: R) -> usize {
+    LaneSim::with_lane_seeds(rf, SimConfig::default(), vec![1]).memo_entries()
+}
+
+#[test]
+fn keyed_schemes_build_one_row_per_key() {
+    // Fully adaptive: one row per (class, zeros, ones), 3ⁿ − 1 of them,
+    // against N(N − 1) absolute states.
+    for n in 3..=8u32 {
+        let rf = HypercubeFullyAdaptive::new(n as usize);
+        assert_eq!(rows(rf), 3usize.pow(n) - 1, "fully-adaptive n={n}");
+    }
+    // E-cube: one row per (hops, node ^ dst) with hops at most the
+    // trailing zeros of node ^ dst: Σ 2^(7−t)·(t + 1) = 502 at n = 8.
+    assert_eq!(rows(EcubeSbp::new(8)), 502);
+    // The static hang declares no key: one row per absolute state.
+    assert_eq!(rows(HypercubeStaticHang::new(6)), 64 * 63);
+}
+
+/// `HypercubeFullyAdaptive` with a wrong state key, one that drops the
+/// `ones` mask: states that differ only in their upward corrections
+/// share a row although their moves differ.
+#[derive(Clone, Copy)]
+struct DropOnes(HypercubeFullyAdaptive);
+
+impl RoutingFunction for DropOnes {
+    type Msg = CubeMsg;
+
+    fn topology(&self) -> &dyn Topology {
+        self.0.topology()
+    }
+
+    fn num_classes(&self) -> usize {
+        self.0.num_classes()
+    }
+
+    fn initial_msg(&self, src: NodeId, dst: NodeId) -> CubeMsg {
+        self.0.initial_msg(src, dst)
+    }
+
+    fn destination(&self, msg: &CubeMsg) -> NodeId {
+        self.0.destination(msg)
+    }
+
+    fn deliverable(&self, node: NodeId, msg: &CubeMsg) -> bool {
+        self.0.deliverable(node, msg)
+    }
+
+    fn for_each_transition(
+        &self,
+        at: QueueId,
+        msg: &CubeMsg,
+        f: &mut dyn FnMut(Transition<CubeMsg>),
+    ) {
+        self.0.for_each_transition(at, msg, f);
+    }
+
+    fn buffer_classes(&self, node: NodeId, port: Port) -> Vec<BufferClass> {
+        self.0.buffer_classes(node, port)
+    }
+
+    fn is_minimal(&self) -> bool {
+        self.0.is_minimal()
+    }
+
+    fn max_hops(&self) -> usize {
+        self.0.max_hops()
+    }
+
+    fn name(&self) -> String {
+        format!("drop-ones[{}]", self.0.name())
+    }
+
+    fn state_key(&self, node: NodeId, class: u8, msg: &CubeMsg) -> Option<u64> {
+        let (zeros, _ones) = hung_corrections(node, msg.dst, self.0.root());
+        Some((u64::from(class) << 32) | zeros as u64)
+    }
+}
+
+#[test]
+fn a_key_that_drops_ones_misroutes_on_the_table() {
+    // Mutation witness for the key contract: the table trusts the key,
+    // so a wrong one must show up in the journal. (The `state-key` lint
+    // rejects this key statically.) One packet goes 1 → 6. Its lowest
+    // correction is upward, so the computed run takes that dynamic hop
+    // first (fills go low to high). The wrong key gives it the row of
+    // 0 → 6, which offers only the two downward hops.
+    let rf = DropOnes(HypercubeFullyAdaptive::new(4));
+    let cfg = SimConfig {
+        max_cycles: 200,
+        ..instrumented_cfg()
+    };
+    let mut backlog: Vec<Vec<usize>> = vec![Vec::new(); 16];
+    backlog[1].push(6);
+    let mut seq = Simulator::with_recorder(rf, cfg, JournalSink::new(JOURNAL_CAP));
+    assert_eq!(seq.run_static(&backlog).stop, StopReason::Drained);
+    let table = StateTable::build(&rf);
+    let mut tab = on_table(&rf, cfg, cfg.seed, JournalSink::new(JOURNAL_CAP), &table);
+    // Debug builds stop at the first delivery at a wrong node (the
+    // table's arrival check); the journal up to there must already have
+    // left the computed run's.
+    let _ = std::panic::catch_unwind(AssertUnwindSafe(|| tab.run_static(&backlog)));
+    let (wrong, right) = (tab.recorder().lines(), seq.recorder().lines());
+    assert!(
+        !right.starts_with(&wrong),
+        "a table on a wrong key reproduced the computed journal ({} events)",
+        wrong.len()
     );
 }
 
