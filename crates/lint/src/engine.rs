@@ -18,7 +18,7 @@ use fadr_qdg::graph::Digraph;
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, Transition};
 use fadr_sim::Layout;
-use fadr_topology::graph::reverse_adjacency;
+use fadr_topology::graph::{Csr, DistanceRows};
 use fadr_topology::NodeId;
 
 use crate::{Collector, Finding, LintId};
@@ -59,16 +59,14 @@ impl Interner {
 pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stats {
     let topo = rf.topology();
     let n = topo.num_nodes();
-    // Reverse adjacency once; per-destination reverse BFS gives exact
-    // distance-to-dst tables even on directed topologies (the shuffle
-    // part of SE is one-way), without O(states) `Topology::distance`
-    // calls whose default implementation BFSes per query.
+    // Distance-to-dst rows from the bit-parallel reverse BFS, one
+    // traversal per 64 destinations: exact even on directed topologies
+    // (the shuffle part of SE is one-way), without O(states)
+    // `Topology::distance` calls whose default implementation BFSes per
+    // query.
     let check_minimal = rf.is_minimal() && col.enabled(LintId::NonMinimalHop);
-    let rev = if check_minimal {
-        Some(reverse_adjacency(topo))
-    } else {
-        None
-    };
+    let mut dist =
+        check_minimal.then(|| DistanceRows::in_order(Csr::from_topology(topo, |_, _| true)));
 
     let mut intern = Interner::default();
     let mut static_g = Digraph::default();
@@ -92,7 +90,7 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
 
     let mut buf: Vec<Transition<R::Msg>> = Vec::new();
     for dst in 0..n {
-        let dist_to_dst = rev.as_deref().map(|rev| reverse_bfs(rev, dst));
+        let dist_to_dst = dist.as_mut().map(|d| d.row(dst));
         // BFS seeded with every source's injection state.
         let mut index: HashMap<(QueueId, R::Msg), u32> = HashMap::new();
         let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
@@ -255,33 +253,12 @@ fn as_u32(n: usize) -> u32 {
     u32::try_from(n).expect("state count fits u32")
 }
 
-fn fmt_dist(d: usize) -> String {
-    if d == usize::MAX {
+fn fmt_dist(d: u32) -> String {
+    if d == u32::MAX {
         "unreachable".into()
     } else {
         d.to_string()
     }
-}
-
-/// Distances *to* `dst` over the reversed adjacency (`usize::MAX` =
-/// cannot reach `dst` at all).
-fn reverse_bfs(rev: &[Vec<NodeId>], dst: NodeId) -> Vec<usize> {
-    let mut dist = vec![usize::MAX; rev.len()];
-    dist[dst] = 0;
-    let mut frontier = vec![dst];
-    while !frontier.is_empty() {
-        let mut next = Vec::new();
-        for &v in &frontier {
-            for &u in &rev[v] {
-                if dist[u] == usize::MAX {
-                    dist[u] = dist[v] + 1;
-                    next.push(u);
-                }
-            }
-        }
-        frontier = next;
-    }
-    dist
 }
 
 /// The § 6 buffer a link hop occupies on its channel: static traffic has
@@ -772,9 +749,14 @@ mod tests {
     #[test]
     fn reverse_bfs_on_a_directed_path() {
         // 0 -> 1 -> 2: distances TO 2 are [2, 1, 0]; TO 0 only from 0.
-        let rev = vec![vec![], vec![0], vec![1]];
-        assert_eq!(reverse_bfs(&rev, 2), vec![2, 1, 0]);
-        assert_eq!(reverse_bfs(&rev, 0), vec![0, usize::MAX, usize::MAX]);
+        let path = Csr::build(3, |u, out| {
+            if u < 2 {
+                out.push(u as u32 + 1);
+            }
+        });
+        let mut dist = DistanceRows::new(path);
+        assert_eq!(dist.row(2), [2, 1, 0]);
+        assert_eq!(dist.row(0), [0, u32::MAX, u32::MAX]);
     }
 
     #[test]

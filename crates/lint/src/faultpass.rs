@@ -4,16 +4,17 @@
 //! A destination survives a plan's permanent faults iff every surviving
 //! source can still reach it over surviving directed channels — and any
 //! such path's shortest form *is* a surviving minimal path, so plain
-//! reverse reachability is the exact check. One reverse BFS per
-//! surviving destination, mirroring the degraded-mode certifier's
-//! per-destination distance tables, finds every `(source, destination)`
-//! flow the plan silently kills before any simulation is attempted.
+//! reverse reachability is the exact check. The surviving distance rows
+//! the degraded-mode certifier and the engine route by (one
+//! bit-parallel reverse BFS per 64 destinations) find every
+//! `(source, destination)` flow the plan silently kills before any
+//! simulation is attempted.
 
 use std::collections::HashSet;
 
 use fadr_qdg::RoutingFunction;
 use fadr_sim::{FaultKind, FaultPlan};
-use fadr_topology::graph::reverse_adjacency;
+use fadr_topology::graph::{Csr, DistanceRows};
 use fadr_topology::NodeId;
 
 use crate::{Collector, FaultSummary, Finding, LintId};
@@ -36,37 +37,18 @@ pub(crate) fn run<R: RoutingFunction + ?Sized>(
     };
 
     if col.enabled(LintId::FaultDeadEnd) {
-        // Surviving reverse adjacency: keep a directed channel v -> u iff
-        // both endpoints are alive and the link is not itself down.
-        let mut rev: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for (v, targets) in reverse_adjacency(topo).into_iter().enumerate() {
-            // `reverse_adjacency[v]` lists the sources u with u -> v.
-            for u in targets {
-                let alive = !dead_nodes[u]
-                    && !dead_nodes[v]
-                    && !dead_links.contains(&(as_u32(u), as_u32(v)));
-                if alive {
-                    rev[v].push(u);
-                }
-            }
-        }
+        // Keep a directed channel u -> v iff both endpoints are alive and
+        // the link is not itself down.
+        let mut dist = DistanceRows::in_order(Csr::from_topology(topo, |u, v| {
+            !dead_nodes[u] && !dead_nodes[v] && !dead_links.contains(&(as_u32(u), as_u32(v)))
+        }));
         for dst in 0..n {
             if dead_nodes[dst] {
                 continue;
             }
-            let mut reached = vec![false; n];
-            reached[dst] = true;
-            let mut frontier = vec![dst];
-            while let Some(v) = frontier.pop() {
-                for &u in &rev[v] {
-                    if !reached[u] {
-                        reached[u] = true;
-                        frontier.push(u);
-                    }
-                }
-            }
+            let row = dist.row(dst);
             let cut: Vec<NodeId> = (0..n)
-                .filter(|&s| s != dst && !dead_nodes[s] && !reached[s])
+                .filter(|&s| s != dst && !dead_nodes[s] && row[s] == u32::MAX)
                 .collect();
             if cut.is_empty() {
                 continue;

@@ -1545,7 +1545,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
             }
         }
         if permanent {
-            fs.clear_distances();
+            fs.reset_distances(&self.layout);
         }
         self.faults = Some(fs);
         for &(p, node) in &reabsorb {
@@ -1990,20 +1990,11 @@ impl<R: RoutingFunction> Core<R, Computed<R>> {
         let mut has_static = true;
         let fs = self.faults.as_mut().expect("fault state attached");
         if fs.has_dead() {
-            fs.ensure_distances(dst, &self.layout);
-            let d = fs.distances(dst);
-            let here = d[node];
             let layout = &self.layout;
+            let toward = fs.toward(dst, layout);
+            let here = toward.dist[node];
             opts.retain(|o| {
-                if o.buf == NONE {
-                    return false;
-                }
-                let chan = layout.buf_chan[o.buf as usize];
-                if fs.chan_dead(chan) {
-                    return false;
-                }
-                let to = layout.chan_to[chan as usize] as usize;
-                !fs.is_node_dead(to) && here != u32::MAX && d[to] == here - 1
+                o.buf != NONE && toward.advances(layout.buf_chan[o.buf as usize], here)
             });
             has_static = opts
                 .iter()
@@ -2048,9 +2039,8 @@ impl<R: RoutingFunction> Core<R, Computed<R>> {
         class: u8,
     ) -> Option<MoveOpt<R::Msg>> {
         let fs = self.faults.as_mut().expect("fault state attached");
-        fs.ensure_distances(dst as u32, &self.layout);
-        let d = fs.distances(dst as u32);
-        let here = d[node];
+        let toward = fs.toward(dst as u32, &self.layout);
+        let here = toward.dist[node];
         if here == u32::MAX {
             return None;
         }
@@ -2059,11 +2049,7 @@ impl<R: RoutingFunction> Core<R, Computed<R>> {
             let Some(chan) = self.layout.chan(node, port) else {
                 continue;
             };
-            if fs.chan_dead(chan) {
-                continue;
-            }
-            let to = self.layout.chan_to[chan as usize] as usize;
-            if fs.is_node_dead(to) || d[to] != here - 1 {
+            if !toward.advances(chan, here) {
                 continue;
             }
             // Ride the channel's first declared buffer class; a static
@@ -2094,7 +2080,7 @@ impl<R: RoutingFunction> Core<R, Computed<R>> {
         };
         let no_nodes = OwnedNodes::from_sorted(&[], self.layout.num_nodes);
         if self.fire_events(&mut fs, cycle, &no_nodes, &mut Vec::new(), &mut NoRecorder) {
-            fs.clear_distances();
+            fs.reset_distances(&self.layout);
         }
         for &(chan, cnt) in fail {
             let known = fs.set_fail_count(chan, cnt);
@@ -2412,6 +2398,7 @@ where
         let snap: ParsedSnapshot<R::Msg> = snapshot::parse(text)?;
         self.validate_snapshot(&snap)?;
         self.commit_snapshot(&snap);
+        self.resettle_queued();
         Ok((snap.meta, snap.progress))
     }
 
@@ -2553,10 +2540,10 @@ where
     /// Load a validated snapshot (possibly filtered to this shard's
     /// nodes by the sharded driver): reset, restore the global counters
     /// and accumulators, replay the fault schedule up to the snapshot
-    /// cycle, prime the recorder, place every packet, and recompute the
-    /// cached routing options against the replayed fault flags. This is
-    /// the only step of a restore that mutates the engine or fires
-    /// recorder hooks, and it cannot fail.
+    /// cycle, prime the recorder and place every packet. This and
+    /// [`Simulator::resettle_queued`], which must follow it, are the only
+    /// steps of a restore that mutate the engine or fire recorder hooks,
+    /// and neither can fail.
     pub(crate) fn commit_snapshot(&mut self, snap: &ParsedSnapshot<R::Msg>) {
         let core = &mut self.core;
         core.reset();
@@ -2580,9 +2567,14 @@ where
         for r in &snap.packets {
             self.place_packet(r);
         }
-        // Cached option segments are derived state: recompute them for
-        // every queued packet, after the fault replay so degraded-mode
-        // filtering sees the same dead topology as the original run.
+    }
+
+    /// Recompute the cached routing options of every queued packet after
+    /// [`Simulator::commit_snapshot`]. They are derived state, computed
+    /// after the fault replay so degraded-mode filtering sees the same
+    /// dead topology as the original run; under a permanent fault this
+    /// fills the surviving-distance rows.
+    pub(crate) fn resettle_queued(&mut self) {
         let core = &mut self.core;
         for v in 0..core.layout.num_nodes {
             for i in 0..core.node_fifo[v].len() {

@@ -27,9 +27,10 @@
 //! Plans serialize as JSON (schema `fadr-faults/1`); see
 //! [`FaultPlan::to_json`] / [`FaultPlan::parse`].
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
+
+use fadr_topology::graph::{Csr, DistanceRows};
 
 use crate::json::{self, Quoted, Reader};
 use crate::layout::Layout;
@@ -355,21 +356,15 @@ pub(crate) struct FaultState {
     fail_count: Vec<u32>,
     /// Fast path: no channel is permanently dead yet.
     has_dead: bool,
-    /// dst → distance-to-dst over the surviving graph (`u32::MAX` =
-    /// unreachable), computed lazily and invalidated on permanent
-    /// topology changes.
-    dist: HashMap<u32, Vec<u32>>,
-    /// Per node: incoming channel ids (reverse adjacency for the BFS).
-    in_chans: Vec<Vec<u32>>,
+    /// Surviving-graph distances over the live channels between live
+    /// nodes (`None` until the first lookup), reset on each permanent
+    /// change.
+    dist: Option<DistanceRows>,
 }
 
 impl FaultState {
     pub(crate) fn new(plan: Arc<FaultPlan>, layout: &Layout, num_classes: usize) -> Self {
         let n = layout.num_nodes;
-        let mut in_chans = vec![Vec::new(); n];
-        for chan in 0..layout.num_channels() {
-            in_chans[layout.chan_to[chan] as usize].push(chan as u32);
-        }
         Self {
             plan,
             next_event: 0,
@@ -380,18 +375,13 @@ impl FaultState {
             flaky_chans: Vec::new(),
             fail_count: vec![0; layout.num_channels()],
             has_dead: false,
-            dist: HashMap::new(),
-            in_chans,
+            dist: None,
         }
     }
 
     /// Whether any channel is permanently dead (gates option filtering).
     pub(crate) fn has_dead(&self) -> bool {
         self.has_dead
-    }
-
-    pub(crate) fn chan_dead(&self, chan: u32) -> bool {
-        self.chan_dead[chan as usize]
     }
 
     /// Mark a channel permanently dead; returns whether it was alive.
@@ -501,52 +491,72 @@ impl FaultState {
         }
     }
 
-    /// Invalidate the surviving-graph distance cache (call on any
-    /// permanent topology change).
-    pub(crate) fn clear_distances(&mut self) {
-        self.dist.clear();
+    /// Rebuild the surviving graph the distances run over (call on any
+    /// permanent topology change): every distance row goes stale.
+    pub(crate) fn reset_distances(&mut self, layout: &Layout) {
+        if let Some(dist) = &mut self.dist {
+            dist.reset(live_graph(layout, &self.chan_dead, &self.node_dead));
+        }
     }
 
-    /// Ensure the distance-to-`dst` table over the surviving graph is
-    /// cached (reverse BFS from `dst` over live channels between live
-    /// nodes).
-    pub(crate) fn ensure_distances(&mut self, dst: u32, layout: &Layout) {
-        if self.dist.contains_key(&dst) {
+    /// The surviving graph seen from `dst`. A miss fills the distance
+    /// rows of `dst`'s whole batch of 64 destinations in one traversal,
+    /// so routing toward every destination costs `N / 64` traversals
+    /// per permanent change.
+    pub(crate) fn toward<'a>(&'a mut self, dst: u32, layout: &'a Layout) -> Toward<'a> {
+        let (chan_dead, node_dead) = (&self.chan_dead, &self.node_dead);
+        let dist = self
+            .dist
+            .get_or_insert_with(|| DistanceRows::new(live_graph(layout, chan_dead, node_dead)))
+            .row(dst as usize);
+        Toward {
+            dist,
+            chan_dead,
+            node_dead,
+            chan_to: &layout.chan_to,
+        }
+    }
+}
+
+/// Successor lists over the live channels between live nodes.
+fn live_graph(layout: &Layout, chan_dead: &[bool], node_dead: &[bool]) -> Csr {
+    Csr::build(layout.num_nodes, |u, out| {
+        if node_dead[u] {
             return;
         }
-        let n = layout.num_nodes;
-        let mut d = vec![u32::MAX; n];
-        if !self.node_dead[dst as usize] {
-            d[dst as usize] = 0;
-            let mut frontier = vec![dst as usize];
-            let mut next = Vec::new();
-            let mut depth = 0u32;
-            while !frontier.is_empty() {
-                depth += 1;
-                for &v in &frontier {
-                    for &c in &self.in_chans[v] {
-                        if self.chan_dead[c as usize] {
-                            continue;
-                        }
-                        let u = layout.chan_from[c as usize] as usize;
-                        if self.node_dead[u] || d[u] != u32::MAX {
-                            continue;
-                        }
-                        d[u] = depth;
-                        next.push(u);
-                    }
-                }
-                frontier.clear();
-                std::mem::swap(&mut frontier, &mut next);
+        for port in 0..layout.max_ports {
+            let Some(chan) = layout.chan(u, port) else {
+                continue;
+            };
+            let to = layout.chan_to[chan as usize];
+            if !chan_dead[chan as usize] && !node_dead[to as usize] {
+                out.push(to);
             }
         }
-        self.dist.insert(dst, d);
-    }
+    })
+}
 
-    /// The cached distance table for `dst` ([`FaultState::ensure_distances`]
-    /// must have run).
-    pub(crate) fn distances(&self, dst: u32) -> &[u32] {
-        self.dist.get(&dst).expect("distance table ensured")
+/// The surviving graph seen from one destination
+/// ([`FaultState::toward`]).
+pub(crate) struct Toward<'a> {
+    /// Hop distance from each node to the destination (`u32::MAX` =
+    /// unreachable).
+    pub(crate) dist: &'a [u32],
+    chan_dead: &'a [bool],
+    node_dead: &'a [bool],
+    chan_to: &'a [u32],
+}
+
+impl Toward<'_> {
+    /// Whether crossing `chan` from a node at distance `here` is one hop
+    /// of surviving shortest-path progress: the channel and its target
+    /// are alive, and the target is one hop closer.
+    pub(crate) fn advances(&self, chan: u32, here: u32) -> bool {
+        let to = self.chan_to[chan as usize] as usize;
+        !self.chan_dead[chan as usize]
+            && !self.node_dead[to]
+            && here != u32::MAX
+            && self.dist[to] == here - 1
     }
 }
 

@@ -1589,7 +1589,22 @@ where
     /// resumed workers' replicated counters reassemble the totals. The
     /// whole document is validated before any shard changes, so on error
     /// every shard and recorder is left untouched.
-    pub fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
+    ///
+    /// The shards recompute their queued packets' routing options on one
+    /// thread each, as a run does. Under a fault plan this recompute
+    /// fills each shard's surviving-distance rows (16 MiB per shard at
+    /// hypercube(11)), so they land in a worker thread's heap, which
+    /// glibc hands back to the OS when the simulator drops. Filled on the
+    /// caller's thread, they landed in glibc's main heap below blocks
+    /// allocated later, which kept them resident after the drop, and a
+    /// 2-shard hypercube(11) pause-and-resume peaked at 61 or 80 MiB from
+    /// one run to the next. The shards also fill their rows in parallel.
+    pub fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String>
+    where
+        R: Send,
+        R::Msg: Send,
+        Rec: Send,
+    {
         let snap: ParsedSnapshot<R::Msg> = snapshot::parse(text)?;
         // Every shard runs the same instance, so shard 0 validates for all.
         self.shards[0].validate_snapshot(&snap)?;
@@ -1632,6 +1647,11 @@ where
             };
             self.shards[sid].commit_snapshot(&shard_snap);
         }
+        std::thread::scope(|scope| {
+            for sim in &mut self.shards {
+                scope.spawn(move || sim.resettle_queued());
+            }
+        });
         Ok((snap.meta, snap.progress))
     }
 }

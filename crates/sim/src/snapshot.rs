@@ -43,7 +43,9 @@
 //!
 //! The parser validates lengths and field ranges and fails loudly on
 //! mismatch: resuming from a corrupted snapshot must not silently turn
-//! into a different run.
+//! into a different run. Every number follows the JSON reader's rule
+//! (`fadr_metrics::json::Reader::u64`): digits only, no sign, no
+//! leading zero, no overflow, and an error that names the line.
 
 use fadr_metrics::{Histogram, LatencyStats, TimeSeries};
 use fadr_qdg::SnapshotMsg;
@@ -296,10 +298,24 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// Whether `tok` is a number by the JSON reader's rule
+/// (`fadr_metrics::json::Reader::u64`) over the given digits: at least
+/// one digit, nothing else (no sign), and no leading zero.
+fn canonical(tok: &str, digit: fn(&u8) -> bool) -> bool {
+    let b = tok.as_bytes();
+    !b.is_empty() && b.iter().all(digit) && (b[0] != b'0' || b.len() == 1)
+}
+
+/// A canonical decimal token that fits `T`.
+fn decimal<T: std::str::FromStr>(tok: &str) -> Option<T> {
+    canonical(tok, u8::is_ascii_digit)
+        .then(|| tok.parse().ok())
+        .flatten()
+}
+
 fn parse_u64(tok: Option<&str>, cur: &Cursor<'_>, what: &str) -> Result<u64, String> {
-    tok.ok_or_else(|| cur.err(&format!("missing {what}")))?
-        .parse::<u64>()
-        .map_err(|_| cur.err(&format!("bad {what}")))
+    decimal(tok.ok_or_else(|| cur.err(&format!("missing {what}")))?)
+        .ok_or_else(|| cur.err(&format!("bad {what}")))
 }
 
 fn parse_usize(tok: Option<&str>, cur: &Cursor<'_>, what: &str) -> Result<usize, String> {
@@ -485,7 +501,7 @@ fn parse_packet<M: SnapshotMsg>(line: &str, cur: &Cursor<'_>) -> Result<PacketRe
     let next_class = parse_u64(t.next(), cur, "next class")?;
     let escape = parse_flag(t.next(), cur, "escape flag")?;
     let words: Vec<u64> = t
-        .map(|w| w.parse::<u64>().map_err(|_| cur.err("bad msg word")))
+        .map(|w| decimal(w).ok_or_else(|| cur.err("bad msg word")))
         .collect::<Result<_, _>>()?;
     let msg = M::decode(&words).ok_or_else(|| cur.err("bad msg encoding"))?;
     Ok(PacketRec {
@@ -507,19 +523,12 @@ fn parse_packet<M: SnapshotMsg>(line: &str, cur: &Cursor<'_>) -> Result<PacketRe
 fn parse_stats(line: &str, cur: &Cursor<'_>) -> Result<LatencyStats, String> {
     let mut t = fields(line, "stats", cur)?;
     let count = parse_u64(t.next(), cur, "stats count")?;
-    let sum = t
-        .next()
-        .ok_or_else(|| cur.err("missing stats sum"))?
-        .parse::<u128>()
-        .map_err(|_| cur.err("bad stats sum"))?;
+    let sum = decimal::<u128>(t.next().ok_or_else(|| cur.err("missing stats sum"))?)
+        .ok_or_else(|| cur.err("bad stats sum"))?;
     let parse_opt = |tok: Option<&str>, what: &str| -> Result<Option<u64>, String> {
         match tok {
             Some("-") => Ok(None),
-            Some(s) => s
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| cur.err(&format!("bad {what}"))),
-            None => Err(cur.err(&format!("missing {what}"))),
+            tok => parse_u64(tok, cur, what).map(Some),
         }
     };
     let min = parse_opt(t.next(), "stats min")?;
@@ -570,11 +579,11 @@ fn parse_throughput(line: &str, cur: &Cursor<'_>) -> Result<TimeSeries, String> 
     }
     let mut sums = Vec::with_capacity(n);
     for _ in 0..n {
-        let bits = u64::from_str_radix(
-            t.next().ok_or_else(|| cur.err("missing throughput sum"))?,
-            16,
-        )
-        .map_err(|_| cur.err("bad throughput sum"))?;
+        let tok = t.next().ok_or_else(|| cur.err("missing throughput sum"))?;
+        let bits = canonical(tok, |b| b.is_ascii_digit() || (b'a'..=b'f').contains(b))
+            .then(|| u64::from_str_radix(tok, 16).ok())
+            .flatten()
+            .ok_or_else(|| cur.err("bad throughput sum"))?;
         sums.push(f64::from_bits(bits));
     }
     Ok(TimeSeries::from_raw(window, sums, saturated))
@@ -692,15 +701,37 @@ mod tests {
     }
 
     #[test]
+    fn non_canonical_numbers_rejected() {
+        let text = sample_text();
+        for (from, to) in [
+            ("state 13 ", "state +13 "),
+            ("state 13 ", "state 013 "),
+            ("state 13 ", "state 18446744073709551616 "),
+            (" 9\n", " 09\n"),
+            ("stats 2 18 ", "stats 2 +18 "),
+            ("stats 2 18 7 ", "stats 2 18 +7 "),
+        ] {
+            assert!(text.contains(from), "sample has no {from:?}");
+            let err = parse::<TestMsg>(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(err.starts_with("snapshot line "), "{to:?}: {err}");
+        }
+        // Throughput sums are lowercase hex without a sign, as written.
+        let text = throughput_text(&sample_series());
+        let sum = " 3ff0000000000000 ";
+        assert!(text.contains(sum), "series has no {sum:?}");
+        for to in [" +3ff0000000000000 ", " 3FF0000000000000 "] {
+            let err = parse::<TestMsg>(&text.replacen(sum, to, 1)).unwrap_err();
+            assert!(err.starts_with("snapshot line "), "{to:?}: {err}");
+        }
+    }
+
+    #[test]
     fn wrong_magic_rejected() {
         assert!(parse::<TestMsg>("fadr-snapshot/9\n").is_err());
     }
 
-    #[test]
-    fn throughput_sums_round_trip_bitwise() {
-        let mut ts = TimeSeries::new(10);
-        ts.record(3, 1.0);
-        ts.record(17, 0.1 + 0.2); // not exactly representable — bit fidelity matters
+    /// A snapshot carrying the throughput series `ts`.
+    fn throughput_text(ts: &TimeSeries) -> String {
         let stats = LatencyStats::new();
         let cfg = SimConfig {
             throughput_window: 10,
@@ -718,9 +749,9 @@ mod tests {
             fail: vec![],
             stats: &stats,
             occupancy: None,
-            throughput: Some(&ts),
+            throughput: Some(ts),
         };
-        let text = assemble(
+        assemble(
             "ts",
             &g,
             0,
@@ -729,7 +760,21 @@ mod tests {
                 attempts: 5,
                 injected: 4,
             },
-        );
+        )
+    }
+
+    /// Two windows, the first summing to 1.0 (bits `3ff0000000000000`).
+    fn sample_series() -> TimeSeries {
+        let mut ts = TimeSeries::new(10);
+        ts.record(3, 1.0);
+        ts.record(17, 0.1 + 0.2); // not exactly representable — bit fidelity matters
+        ts
+    }
+
+    #[test]
+    fn throughput_sums_round_trip_bitwise() {
+        let ts = sample_series();
+        let text = throughput_text(&ts);
         let snap: ParsedSnapshot<TestMsg> = parse(&text).expect("parses");
         assert_eq!(snap.throughput.as_ref(), Some(&ts));
         assert_eq!(

@@ -257,7 +257,9 @@ fn sharded_dynamic_roundtrip() {
 /// permanent link-down and a queue freeze before it, a flaky window
 /// active across it, and a node death after it. The restore replays
 /// pre-pause events as flag state only (the packet placement already
-/// reflects their surgery); post-pause events fire normally.
+/// reflects their surgery); post-pause events fire normally. The second
+/// plan adds another link-down before the pause, so the restore on 1, 2
+/// and 3 shards replays two surviving-distance epochs.
 #[test]
 fn faulted_static_roundtrip() {
     let rf = HypercubeFullyAdaptive::new(4);
@@ -283,35 +285,48 @@ fn faulted_static_roundtrip() {
         },
     );
     plan.push(14, FaultKind::NodeDown { node: 9 });
+    let mut two_links = plan.clone();
+    two_links.push(6, FaultKind::LinkDown { from: 5, to: 4 });
+    two_links.normalize();
 
-    let mut base = Simulator::new(rf, cfg).with_faults(plan.clone());
-    let base_res = base.run_static(&backlog);
+    for (k, plan) in [plan, two_links].into_iter().enumerate() {
+        let mut base = Simulator::new(rf, cfg).with_faults(plan.clone());
+        let base_res = base.run_static(&backlog);
 
-    let mut paused = Simulator::new(rf, cfg).with_faults(plan.clone());
-    let progress = expect_paused(paused.run_static_until(&backlog, Some(8)), "faulted@8");
-    let text = paused.checkpoint("faulted", &progress);
+        let mut paused = Simulator::new(rf, cfg).with_faults(plan.clone());
+        let progress = expect_paused(paused.run_static_until(&backlog, Some(8)), "faulted@8");
+        let text = paused.checkpoint("faulted", &progress);
 
-    // Sequential restore + resume.
-    let mut resumed = Simulator::new(rf, cfg).with_faults(plan.clone());
-    let (_, p) = resumed.restore(&text).expect("restore failed");
-    let StaticOutcome::Finished(res) = resumed.resume_static(&backlog, p, None) else {
-        panic!("resume paused");
-    };
-    assert_eq!(res, base_res, "faulted resumed run diverged");
-    assert_eq!(resumed.occupancy(), base.occupancy(), "occupancy diverged");
-
-    // Sharded restore + resume of the same snapshot.
-    for shards in [2, 3] {
-        let mut shr = ShardedSimulator::new(rf, cfg, shards).with_faults(plan.clone());
-        let (_, p) = shr.restore(&text).expect("sharded restore failed");
-        let StaticOutcome::Finished(res) = shr.resume_static(&backlog, p, None) else {
-            panic!("sharded resume paused");
+        // Sequential restore + resume.
+        let mut resumed = Simulator::new(rf, cfg).with_faults(plan.clone());
+        let (_, p) = resumed.restore(&text).expect("restore failed");
+        let StaticOutcome::Finished(res) = resumed.resume_static(&backlog, p, None) else {
+            panic!("resume paused");
         };
+        assert_eq!(res, base_res, "plan {k}: faulted resumed run diverged");
         assert_eq!(
-            res, base_res,
-            "shards={shards}: faulted resumed run diverged"
+            resumed.occupancy(),
+            base.occupancy(),
+            "plan {k}: occupancy diverged"
         );
-        assert_eq!(shr.occupancy(), *base.occupancy(), "shards={shards}");
+
+        // Sharded restore + resume of the same snapshot.
+        for shards in [1, 2, 3] {
+            let mut shr = ShardedSimulator::new(rf, cfg, shards).with_faults(plan.clone());
+            let (_, p) = shr.restore(&text).expect("sharded restore failed");
+            let StaticOutcome::Finished(res) = shr.resume_static(&backlog, p, None) else {
+                panic!("sharded resume paused");
+            };
+            assert_eq!(
+                res, base_res,
+                "plan {k}, shards={shards}: faulted resumed run diverged"
+            );
+            assert_eq!(
+                shr.occupancy(),
+                *base.occupancy(),
+                "plan {k}, shards={shards}"
+            );
+        }
     }
 }
 
@@ -460,6 +475,15 @@ fn corruptions(text: &str) -> Vec<(&'static str, String)> {
 
     let fail = with(find("fail "), "fail 1 999999 1".to_string());
 
+    // Numbers the JSON reader's rule rejects, though they parse to the
+    // values they replace: a signed hop count and a zero-padded cycle.
+    let mut toks: Vec<&str> = lines[q].split(' ').collect();
+    let signed = format!("+{}", toks[6]);
+    toks[6] = &signed;
+    let signed = with(q, toks.join(" "));
+    let s = find("state ");
+    let padded = with(s, lines[s].replacen(' ', " 0", 1));
+
     let occ = find("occupancy ");
     let toks: Vec<&str> = lines[occ].split(' ').collect();
     let nq: usize = toks[2].parse().expect("queue count");
@@ -479,5 +503,7 @@ fn corruptions(text: &str) -> Vec<(&'static str, String)> {
         ("a fail counter for an unknown channel", fail),
         ("a wrong occupancy length", occupancy),
         ("a move at the snapshot cycle", future),
+        ("a signed hop count", signed),
+        ("a zero-padded cycle", padded),
     ]
 }

@@ -39,6 +39,7 @@
 
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, RoutingFunction, Transition};
+use fadr_topology::graph::{Csr, DistanceRows};
 use fadr_topology::{NodeId, Port, Topology};
 
 use crate::hasher::FxHashSet;
@@ -95,14 +96,12 @@ pub struct Faulted<'a, R: RoutingFunction + ?Sized> {
     comp_of: Vec<usize>,
     /// Permanently dead directed channels, original ids.
     dead_link: FxHashSet<(NodeId, NodeId)>,
-    /// `dist[original dst][original node]`: surviving-graph distance to
-    /// `dst` (`u32::MAX` = unreachable); empty for dead destinations.
-    /// Populated only when `degraded`.
-    dist: Vec<Vec<u32>>,
-    /// Whether any permanent fault actually bit (a dead node, or a dead
-    /// link naming a real channel). Without one the wrapper forwards
-    /// the scheme untouched, exactly like the engine's `has_dead` gate.
-    degraded: bool,
+    /// Surviving-graph distance rows by original ids, every row filled
+    /// (`u32::MAX` = unreachable). `Some` iff any permanent fault
+    /// actually bit (a dead node, or a dead link naming a real
+    /// channel); without one the wrapper forwards the scheme untouched,
+    /// exactly like the engine's `has_dead` gate.
+    dist: Option<DistanceRows>,
     name: String,
 }
 
@@ -138,13 +137,11 @@ impl<'a, R: RoutingFunction + ?Sized> Faulted<'a, R> {
         for (c, &v) in orig_of.iter().enumerate() {
             comp_of[v] = c;
         }
-        // Surviving adjacency (compact) and reverse adjacency
-        // (original) in one pass; count how many dead links name real
-        // channels so a plan of no-op link faults stays non-degraded,
-        // matching the engine.
+        // Surviving adjacency (compact); count how many dead links name
+        // real channels so a plan of no-op link faults stays
+        // non-degraded, matching the engine.
         let max_ports = topo.max_ports();
         let mut adj = vec![vec![None; max_ports]; orig_of.len()];
-        let mut rev: Vec<Vec<NodeId>> = vec![Vec::new(); n];
         let mut dead_edges = 0usize;
         for (c, &u) in orig_of.iter().enumerate() {
             for (port, slot) in adj[c].iter_mut().enumerate() {
@@ -159,38 +156,19 @@ impl<'a, R: RoutingFunction + ?Sized> Faulted<'a, R> {
                     continue;
                 }
                 *slot = Some(comp_of[w]);
-                rev[w].push(u);
             }
         }
         let dead_node_count = n - orig_of.len();
         let degraded = dead_node_count > 0 || dead_edges > 0;
-        let mut dist = vec![Vec::new(); n];
-        if degraded {
-            // One reverse BFS per live destination over the surviving
-            // channels — the same table the engine's
-            // `FaultState::ensure_distances` computes lazily.
-            for &dstv in &orig_of {
-                let mut d = vec![u32::MAX; n];
-                d[dstv] = 0;
-                let mut frontier = vec![dstv];
-                let mut next = Vec::new();
-                let mut depth = 0u32;
-                while !frontier.is_empty() {
-                    depth += 1;
-                    for &v in &frontier {
-                        for &u in &rev[v] {
-                            if d[u] == u32::MAX {
-                                d[u] = depth;
-                                next.push(u);
-                            }
-                        }
-                    }
-                    frontier.clear();
-                    std::mem::swap(&mut frontier, &mut next);
-                }
-                dist[dstv] = d;
-            }
-        }
+        // Every destination's row over the surviving channels: the
+        // rows the engine's degraded routing reads too.
+        let dist = degraded.then(|| {
+            let mut rows = DistanceRows::new(Csr::from_topology(topo, |u, w| {
+                !dead_nodes[u] && !dead_nodes[w] && !dead_link.contains(&(u, w))
+            }));
+            rows.fill_all();
+            rows
+        });
         let name = format!(
             "{} [degraded: {dead_node_count} dead node(s), {dead_edges} dead link(s)]",
             rf.name()
@@ -207,7 +185,6 @@ impl<'a, R: RoutingFunction + ?Sized> Faulted<'a, R> {
             comp_of,
             dead_link,
             dist,
-            degraded,
             name,
         })
     }
@@ -216,7 +193,7 @@ impl<'a, R: RoutingFunction + ?Sized> Faulted<'a, R> {
     /// link naming a real channel). A non-degraded wrapper forwards the
     /// scheme untouched.
     pub fn is_degraded(&self) -> bool {
-        self.degraded
+        self.dist.is_some()
     }
 
     /// The surviving network (compacted live nodes).
@@ -290,13 +267,13 @@ impl<R: RoutingFunction + ?Sized> RoutingFunction for Faulted<'_, R> {
             },
             msg: t.msg,
         };
-        if !self.degraded {
+        let Some(dist) = &self.dist else {
             // No permanent fault bit: the compaction is the identity
             // and the engine routes undegraded — forward everything.
             self.rf
                 .for_each_transition(inner_at, msg, &mut |t| f(remap(t)));
             return;
-        }
+        };
         if at.kind == QueueKind::Inject {
             // Injection transitions are internal (inject → central at
             // the same, live, node): forward them.
@@ -312,7 +289,7 @@ impl<R: RoutingFunction + ?Sized> RoutingFunction for Faulted<'_, R> {
                 .for_each_transition(inner_at, msg, &mut |t| f(remap(t)));
             return;
         }
-        let d = &self.dist[dst];
+        let d = dist.get(dst).expect("every row is filled");
         let here = d[u];
         let mut kept_static = false;
         self.rf.for_each_transition(inner_at, msg, &mut |t| {
@@ -380,11 +357,11 @@ impl<R: RoutingFunction + ?Sized> RoutingFunction for Faulted<'_, R> {
         // Every degraded hop decreases the surviving-graph distance by
         // exactly one, so the degraded function is minimal on the
         // surviving network even when the original scheme is not.
-        self.degraded || self.rf.is_minimal()
+        self.is_degraded() || self.rf.is_minimal()
     }
 
     fn max_hops(&self) -> usize {
-        if self.degraded {
+        if self.is_degraded() {
             // Each link hop strictly decreases a surviving distance,
             // which is at most m - 1 on an m-node network.
             self.orig_of.len()

@@ -221,3 +221,125 @@ fn pattern_draws_in_range() {
         }
     }
 }
+
+/// Plain reverse BFS, one target at a time: the hop distance from every
+/// node to `t` over the directed edges `pred[v] ∋ u` (`u -> v`),
+/// `u32::MAX` when a node cannot reach `t`.
+fn scalar_row(pred: &[Vec<usize>], t: usize) -> Vec<u32> {
+    let mut d = vec![u32::MAX; pred.len()];
+    d[t] = 0;
+    let mut queue = std::collections::VecDeque::from([t]);
+    while let Some(v) = queue.pop_front() {
+        for &u in &pred[v] {
+            if d[u] == u32::MAX {
+                d[u] = d[v] + 1;
+                queue.push_back(u);
+            }
+        }
+    }
+    d
+}
+
+/// A random surviving graph of `topo`: each node dies with
+/// probability `cut`, and so does each link between live nodes. Returns
+/// the dead flags, the predecessor lists of the live links and the
+/// kernel's successor lists of the same links.
+fn surviving(
+    topo: &dyn Topology,
+    rng: &mut StdRng,
+    cut: f64,
+) -> (Vec<bool>, Vec<Vec<usize>>, graph::Csr) {
+    let n = topo.num_nodes();
+    let dead: Vec<bool> = (0..n).map(|_| rng.gen_bool(cut)).collect();
+    let mut pred = vec![Vec::new(); n];
+    let mut live = std::collections::HashSet::new();
+    for u in 0..n {
+        for port in 0..topo.max_ports() {
+            if let Some(v) = topo.neighbor(u, port) {
+                if !dead[u] && !dead[v] && !rng.gen_bool(cut) {
+                    pred[v].push(u);
+                    live.insert((u, v));
+                }
+            }
+        }
+    }
+    let g = graph::Csr::from_topology(topo, |u, v| live.contains(&(u, v)));
+    (dead, pred, g)
+}
+
+/// The bit-parallel reverse BFS (`graph::reverse_bfs_batch`) fills
+/// every row exactly as a scalar reverse BFS per target does, over
+/// random dead channels and nodes: networks below (32, 60, 63), at (64)
+/// and above (72) one batch of 64 nodes, aligned batches and target
+/// ranges at any offset (crossing a 64-node boundary on the torus),
+/// dead targets and live nodes that cannot reach a live target. The
+/// row cache (`graph::DistanceRows`) serves the same rows walked in
+/// order, walked backwards with every batch kept, and refilled after a
+/// reset onto another cut.
+#[test]
+fn batched_reverse_bfs_matches_scalar() {
+    let mut rng = StdRng::seed_from_u64(0xf015);
+    let topos: [Box<dyn Topology>; 5] = [
+        Box::new(Hypercube::new(5)),
+        Box::new(Mesh2D::new(9, 7)),
+        Box::new(Torus2D::new(8, 9)),
+        Box::new(MeshKD::new(&[3, 4, 5])),
+        Box::new(ShuffleExchange::new(6)),
+    ];
+    let (mut dead_targets, mut unreachable, mut crossing) = (0, 0, 0);
+    for topo in &topos {
+        let n = topo.num_nodes();
+        for case in 0..CASES / 4 {
+            // From intact to heavily cut, so some cases disconnect.
+            let cut = [0.0, 0.03, 0.1, 0.3][case % 4];
+            let (dead_node, pred, g) = surviving(topo.as_ref(), &mut rng, cut);
+            let what = format!("{} case {case}", topo.name());
+            let check = |t: usize, row: &[u32], unreachable: &mut usize| {
+                assert_eq!(row, scalar_row(&pred, t), "{what}: target {t}");
+                if !dead_node[t] {
+                    *unreachable += (0..n)
+                        .filter(|&u| !dead_node[u] && row[u] == u32::MAX)
+                        .count();
+                }
+            };
+            // Every target, one aligned batch held at a time.
+            let mut rows = graph::DistanceRows::in_order(g.clone());
+            for t in 0..n {
+                check(t, rows.row(t), &mut unreachable);
+            }
+            dead_targets += dead_node.iter().filter(|&&d| d).count();
+            // A range at a random offset, and the last 64 targets.
+            let lo = rng.gen_range(0..n);
+            let hi = rng.gen_range(lo + 1..=n.min(lo + graph::BATCH));
+            for targets in [lo..hi, n.saturating_sub(graph::BATCH)..n] {
+                crossing += usize::from(targets.start < 64 && targets.end > 64);
+                let mut rows = vec![0; targets.len() * n];
+                graph::reverse_bfs_batch(&g, targets.clone(), &mut rows);
+                for (i, t) in targets.enumerate() {
+                    check(t, &rows[i * n..(i + 1) * n], &mut unreachable);
+                }
+            }
+            // Backwards with every batch kept, then every row again.
+            let mut rows = graph::DistanceRows::new(g);
+            for t in (0..n).rev() {
+                check(t, rows.row(t), &mut unreachable);
+            }
+            for t in 0..n {
+                assert_eq!(rows.get(t), Some(&scalar_row(&pred, t)[..]), "{what}");
+            }
+            // A reset leaves every batch stale until refilled.
+            let (_, pred, g) = surviving(topo.as_ref(), &mut rng, cut);
+            rows.reset(g);
+            assert_eq!(rows.get(n - 1), None, "{what}: stale row served");
+            rows.fill_all();
+            for t in 0..n {
+                assert_eq!(
+                    rows.get(t),
+                    Some(&scalar_row(&pred, t)[..]),
+                    "{what}: after reset"
+                );
+            }
+        }
+    }
+    assert!(dead_targets > 0 && unreachable > 0 && crossing > 0);
+}
