@@ -25,7 +25,9 @@ fn main() {
             5..=8 => format!("table{t:02}_staticN"),
             _ => format!("table{t:02}_dynamic"),
         };
-        let m = time(&name, SAMPLES, || run_row(spec(t), BENCH_DIMS, opts()));
+        let m = time(&name, SAMPLES, || {
+            run_row(spec(t), BENCH_DIMS, opts()).unwrap()
+        });
         println!("{}", report_line(&m));
     }
 }

@@ -56,6 +56,7 @@
 
 #![forbid(unsafe_code)]
 
+use std::cell::RefCell;
 use std::process::ExitCode;
 
 use fadr_bench::exec;
@@ -83,20 +84,28 @@ const USAGE: &str = "usage: perf --compare self|lanes | --large [--samples S] [-
 /// interleaved harness. The only honest verdict is within-noise;
 /// anything directional means the harness itself manufactures signal,
 /// so the binary exits nonzero (CI runs this fail-closed).
-fn compare_self(samples: usize, opts: RunOptions) -> ExitCode {
-    let workload = || run_row(spec(9), 8, opts);
+fn compare_self(samples: usize, opts: RunOptions) -> Result<ExitCode, String> {
+    let failed = RefCell::new(None);
+    let workload = || {
+        if let Err(e) = run_row(spec(9), 8, opts) {
+            failed.borrow_mut().get_or_insert(e);
+        }
+    };
     let r = compare("self_a", "self_b", samples, workload, workload);
+    if let Some(e) = failed.into_inner() {
+        return Err(e);
+    }
     println!("{}", compare_line(&r));
     if r.verdict == Verdict::WithinNoise {
         println!("# compare self: ok (identical workloads are indistinguishable)");
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         eprintln!(
             "# compare self: FAILED — identical workloads judged {}; the harness is \
              reading noise as signal",
             r.verdict.label()
         );
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -117,7 +126,8 @@ fn compare_lanes(samples: usize, jobs: usize, opts: RunOptions) -> ExitCode {
         lanes: reps.div_ceil(jobs).max(2),
         ..computed
     };
-    let row = |o| run_rows(spec(9), &[8], o, jobs)[0];
+    // `run` rejects snapshots in this mode, the only way a run fails.
+    let row = |o| run_rows(spec(9), &[8], o, jobs).expect("no snapshot to restore")[0];
     let (mut seq, mut tab) = (None, None);
     let r = compare(
         &format!("computed_x{reps}_jobs{jobs}"),
@@ -337,7 +347,7 @@ fn run() -> Result<ExitCode, String> {
     opts.faults = obs_args.load_fault_plan()?;
     opts.snapshot = obs_args.snapshot_policy()?;
     let code = match mode {
-        Mode::CompareSelf => compare_self(samples.max(2), opts),
+        Mode::CompareSelf => compare_self(samples.max(2), opts)?,
         Mode::CompareLanes => compare_lanes(samples.max(2), jobs, opts),
         Mode::Large => large(samples, shards, opts.partition),
     };
@@ -348,7 +358,7 @@ fn run() -> Result<ExitCode, String> {
         let rc = obs_args.record_config();
         let mut metrics = Vec::new();
         for &table in &[6usize, 9] {
-            let recorded = run_rows_recorded(spec(table), &[10], opts, 1, rc);
+            let recorded = run_rows_recorded(spec(table), &[10], opts, 1, rc)?;
             metrics.extend(recorded.iter().map(|r| MetricsRow::from_recorded(table, r)));
         }
         println!("# metrics summary (instrumented re-runs, untimed)");

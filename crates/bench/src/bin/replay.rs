@@ -5,7 +5,7 @@
 //!        [--watchdog K] [--waitgraph] [--faults PLAN.json] [--dot PATH]
 //! ```
 //!
-//! * `--snapshot FILE` — a `fadr-snapshot/1` checkpoint written by
+//! * `--snapshot FILE` — a `fadr-snapshot/2` checkpoint written by
 //!   `tables`/`sweep`/`perf` under `--checkpoint-at C --checkpoint-dir D`
 //!   (the file is `D/<label>.snap`).
 //! * `--to CYCLE` — re-execute up to this cycle and pause there

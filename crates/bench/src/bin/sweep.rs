@@ -100,7 +100,12 @@ fn emit(
 
 /// Offered load vs throughput, latency and I_r. A replicated point
 /// (`--lanes R`) reports mean ± 95% CI per column.
-fn lambda_sweep(n: usize, jobs: usize, opts: RunOptions, obs: &ObsArgs) -> Vec<MetricsRow> {
+fn lambda_sweep(
+    n: usize,
+    jobs: usize,
+    opts: RunOptions,
+    obs: &ObsArgs,
+) -> Result<Vec<MetricsRow>, String> {
     const LAMBDAS: [f64; 11] = [0.05, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0];
     let cycles = opts.dynamic_cycles;
     let replicated = opts.reps > 1;
@@ -116,7 +121,7 @@ fn lambda_sweep(n: usize, jobs: usize, opts: RunOptions, obs: &ObsArgs) -> Vec<M
         // File-safe label keying this point's snapshot inside
         // `--checkpoint-dir` (the display label below has spaces).
         let snap_label = format!("lambda{lambda}_{name}");
-        let (rows, sinks) = run_point_recorded(lambda, n, point, obs.record_config(), &snap_label);
+        let (rows, sinks) = run_point_recorded(lambda, n, point, obs.record_config(), &snap_label)?;
         let p = LanePoint::of(&rows, cycles);
         let line = if replicated {
             format!(
@@ -135,7 +140,7 @@ fn lambda_sweep(n: usize, jobs: usize, opts: RunOptions, obs: &ObsArgs) -> Vec<M
                 p.throughput.mean, p.l_avg.mean, p.l_max, p.injection_rate.mean
             )
         };
-        (line, format!("lambda={lambda} algo={name}"), sinks)
+        Ok::<_, String>((line, format!("lambda={lambda} algo={name}"), sinks))
     });
     let header = if replicated {
         "lambda,algo,throughput_mean,throughput_ci95,l_avg_mean,l_avg_ci95,l_max,\
@@ -143,7 +148,8 @@ fn lambda_sweep(n: usize, jobs: usize, opts: RunOptions, obs: &ObsArgs) -> Vec<M
     } else {
         "lambda,algo,throughput,l_avg,l_max,injection_rate"
     };
-    emit(header, 0, n, points)
+    let points = points.into_iter().collect::<Result<_, _>>()?;
+    Ok(emit(header, 0, n, points))
 }
 
 /// Central-queue capacity vs latency on one paper table row.
@@ -153,7 +159,7 @@ fn capacity_sweep(
     jobs: usize,
     opts: RunOptions,
     obs: &ObsArgs,
-) -> Vec<MetricsRow> {
+) -> Result<Vec<MetricsRow>, String> {
     const CAPS: [usize; 8] = [1, 2, 3, 5, 8, 10, 12, 16];
     print_partition_stats(n, opts.shards, opts.partition);
     let points = exec::run_indexed(CAPS.len() * ALGOS.len(), jobs, |i| {
@@ -165,12 +171,13 @@ fn capacity_sweep(
             ..opts
         };
         // One dimension: the recorded row is the sweep point.
-        let mut recorded = run_rows_recorded(spec(table), &[n], point, 1, obs.record_config());
+        let mut recorded = run_rows_recorded(spec(table), &[n], point, 1, obs.record_config())?;
         let r = recorded.remove(0);
         let line = format!("{cap},{name},{:.2},{}", r.row.l_avg, r.row.l_max);
-        (line, format!("cap={cap} algo={name}"), r.sinks)
+        Ok::<_, String>((line, format!("cap={cap} algo={name}"), r.sinks))
     });
-    emit("capacity,algo,l_avg,l_max", table, n, points)
+    let points = points.into_iter().collect::<Result<_, _>>()?;
+    Ok(emit("capacity,algo,l_avg,l_max", table, n, points))
 }
 
 const USAGE: &str = "usage: sweep <lambda|capacity> [--n N] [--cycles C] [--table K] [--jobs J] \
@@ -218,9 +225,9 @@ fn run() -> Result<(), String> {
     opts.faults = obs_args.load_fault_plan()?;
     opts.snapshot = obs_args.snapshot_policy()?;
     let metrics = if lambda {
-        lambda_sweep(n, jobs, opts, &obs_args)
+        lambda_sweep(n, jobs, opts, &obs_args)?
     } else {
-        capacity_sweep(n, table, jobs, opts, &obs_args)
+        capacity_sweep(n, table, jobs, opts, &obs_args)?
     };
     if obs_args.enabled() {
         obs::report(&metrics);

@@ -49,7 +49,7 @@ use std::process::ExitCode;
 use fadr_bench::exec;
 use fadr_bench::obs::{self, parse_run_flag, parse_table, MetricsRow, ObsArgs};
 use fadr_bench::runner::{
-    dims_for, run_table_dims_recorded, run_table_jobs, spec, Algo, RunOptions,
+    dims_for, run_table_dims, run_table_dims_recorded, spec, Algo, RunOptions,
 };
 
 struct Args {
@@ -131,13 +131,17 @@ fn parse_args() -> Result<Args, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    match run() {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("{e}");
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
+    }
+}
+
+fn run() -> Result<(), String> {
+    let args = parse_args()?;
     eprintln!(
         "# {} hypercube routing (SPAA'91), queue capacity {}, dynamic horizon {} cycles, {} jobs, {} shards{}",
         args.opts.algo.name(),
@@ -150,14 +154,14 @@ fn main() -> ExitCode {
     let mut metrics: Vec<MetricsRow> = Vec::new();
     for &t in &args.tables {
         let start = std::time::Instant::now();
+        let dims = dims_for(spec(t), args.full);
         let table = if args.obs.enabled() {
-            let dims = dims_for(spec(t), args.full);
             let (table, recorded) =
-                run_table_dims_recorded(t, &dims, args.opts, args.jobs, args.obs.record_config());
+                run_table_dims_recorded(t, &dims, args.opts, args.jobs, args.obs.record_config())?;
             metrics.extend(recorded.iter().map(|r| MetricsRow::from_recorded(t, r)));
             table
         } else {
-            run_table_jobs(t, args.full, args.opts, args.jobs)
+            run_table_dims(t, &dims, args.opts, args.jobs)?
         };
         if args.csv {
             print!("{}", table.to_csv());
@@ -169,10 +173,8 @@ fn main() -> ExitCode {
     if args.obs.enabled() {
         obs::report(&metrics);
         let algo = format!("{:?}", args.opts.algo);
-        if let Err(e) = obs::export(&args.obs, &algo, &metrics) {
-            eprintln!("failed to write observability output: {e}");
-            return ExitCode::FAILURE;
-        }
+        obs::export(&args.obs, &algo, &metrics)
+            .map_err(|e| format!("failed to write observability output: {e}"))?;
     }
-    ExitCode::SUCCESS
+    Ok(())
 }

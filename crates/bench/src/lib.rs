@@ -18,7 +18,7 @@
 //!   `--watchdog` / `--journal` / `--waitgraph` flags, the
 //!   checkpoint/resume controls, recording-sink construction, and
 //!   structured JSON export.
-//! * [`replay`] — snapshot replay: restore a `fadr-snapshot/1`
+//! * [`replay`] — snapshot replay: restore a `fadr-snapshot/2`
 //!   checkpoint, re-execute with a journal attached, and diff against a
 //!   reference journal (`bin/replay`).
 //! * `benches/` — one timing bench per table plus ablation benches for

@@ -186,7 +186,7 @@ pub struct ObsArgs {
     /// candidates + longest blocked-chain depth in `--metrics-out`).
     pub waitgraph: bool,
     /// `--checkpoint-at CYCLE`: pause every run at this cycle, write a
-    /// `fadr-snapshot/1` file into `--checkpoint-dir`, then continue.
+    /// `fadr-snapshot/2` file into `--checkpoint-dir`, then continue.
     pub checkpoint_at: Option<u64>,
     /// `--checkpoint-dir DIR`: where `--checkpoint-at` snapshots go.
     pub checkpoint_dir: Option<PathBuf>,

@@ -1,4 +1,4 @@
-//! Snapshot replay: restore a `fadr-snapshot/1` checkpoint, rebuild the
+//! Snapshot replay: restore a `fadr-snapshot/2` checkpoint, rebuild the
 //! workload it was running from its metadata line, and re-execute —
 //! with a journal attached — to a target cycle or to completion. The
 //! journal of the replayed segment can then be diffed against a
@@ -7,7 +7,7 @@
 //! flight-recorder debugging loop: checkpoint near the anomaly, replay
 //! deterministically, diff.
 //!
-//! The snapshot's `meta` line is written by the runner
+//! The snapshot's `meta` label is written by the runner
 //! ([`meta_line`]): a work-unit label followed by `key=value` pairs
 //! carrying everything the engine state does not — which router ran
 //! ([`Algo`]), which paper table (hence pattern and injection model),
@@ -115,18 +115,9 @@ impl SnapshotMeta {
     }
 }
 
-/// Read the `meta` line of a snapshot without restoring it.
+/// Read the `meta` label of a snapshot without restoring it.
 pub fn peek_meta(text: &str) -> Result<SnapshotMeta, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some("fadr-snapshot/1") => {}
-        _ => return Err("not a fadr-snapshot/1 file".into()),
-    }
-    let meta = lines
-        .next()
-        .and_then(|l| l.strip_prefix("meta "))
-        .ok_or("snapshot has no meta line")?;
-    SnapshotMeta::parse(meta)
+    SnapshotMeta::parse(&fadr_sim::snapshot::meta(text)?)
 }
 
 /// Replay controls (the `replay` binary's flags).
@@ -411,10 +402,18 @@ mod tests {
 
     #[test]
     fn peek_requires_magic() {
+        let mut sim = Simulator::new(fadr_core::EcubeSbp::new(3), SimConfig::default());
+        let paused = sim.run_dynamic_until(1.0, |s, _| s ^ 7, 10, Some(2));
+        let fadr_sim::DynamicOutcome::Paused(progress) = paused else {
+            panic!("run did not pause");
+        };
+        let text = sim.checkpoint("x algo=ecube-sbp n=3", &progress);
+        assert_eq!(peek_meta(&text).unwrap().algo, Algo::EcubeSbp);
         assert!(peek_meta("not a snapshot").is_err());
-        assert!(peek_meta("fadr-snapshot/1\nnometa").is_err());
-        let m = peek_meta("fadr-snapshot/1\nmeta x algo=ecube-sbp n=3\ncfg ...").unwrap();
-        assert_eq!(m.algo, Algo::EcubeSbp);
+        let old = text.replacen("fadr-snapshot/2", "fadr-snapshot/1", 1);
+        assert!(peek_meta(&old).unwrap_err().contains("unsupported schema"));
+        let cut = &text[..text.len() / 2];
+        assert!(peek_meta(cut).unwrap_err().contains("at byte"));
     }
 
     #[test]

@@ -212,7 +212,7 @@ pub fn with_algo<V: AlgoVisitor>(algo: Algo, n: usize, v: V) -> V::Out {
 }
 
 /// Flight-recorder checkpoint/resume policy (`--checkpoint-at` /
-/// `--resume-from`): every work unit either writes a `fadr-snapshot/1`
+/// `--resume-from`): every work unit either writes a `fadr-snapshot/2`
 /// file when it reaches a cycle (then continues in-process, so measured
 /// rows are unchanged), or restores its snapshot and resumes instead of
 /// running from cycle 0. Snapshot files are named `<label>.snap` where
@@ -220,8 +220,10 @@ pub fn with_algo<V: AlgoVisitor>(algo: Algo, n: usize, v: V) -> V::Out {
 /// for table rows), so resume pairs with the checkpoint run per unit.
 /// Runs that finish before the checkpoint cycle write no snapshot and
 /// rerun from cycle 0 on resume — either way the final tables are
-/// bit-identical to an uninterrupted run. Snapshots are engine-agnostic,
-/// so the checkpoint and resume legs may run at different shard counts.
+/// bit-identical to an uninterrupted run. A snapshot that exists but
+/// cannot be read or restored is an error naming its file. Snapshots are
+/// engine-agnostic, so the checkpoint and resume legs may run at
+/// different shard counts.
 #[derive(Debug, Clone, Copy)]
 pub struct SnapshotPolicy {
     /// Pause and write a checkpoint when a run reaches this cycle.
@@ -341,9 +343,10 @@ impl RowResult {
 }
 
 /// Run one row (one hypercube dimension) of one table, averaging over
-/// `opts.reps` replications.
-pub fn run_row(spec: TableSpec, n: usize, opts: RunOptions) -> RowResult {
-    run_rows(spec, &[n], opts, 1)[0]
+/// `opts.reps` replications. Fails only on a snapshot the run cannot
+/// read, restore or write.
+pub fn run_row(spec: TableSpec, n: usize, opts: RunOptions) -> Result<RowResult, String> {
+    Ok(run_rows(spec, &[n], opts, 1)?[0])
 }
 
 /// Fold per-replication results into one row. Replications must be in
@@ -387,12 +390,16 @@ fn reduce_reps(n: usize, results: &[RowResult]) -> RowResult {
 /// worker or engine ran them; the per-row reduction then happens in
 /// fixed rep order on the calling thread. Output is bit-identical to
 /// the sequential `run_row` loop (see `tests/parallel_identity.rs`,
-/// `tests/sharded_identity.rs` and `tests/lane_identity.rs`).
-pub fn run_rows(spec: TableSpec, dims: &[usize], opts: RunOptions, jobs: usize) -> Vec<RowResult> {
-    table_rows::<NoRecorder>(spec, dims, opts, jobs, RecordConfig::default())
-        .into_iter()
-        .map(|(row, _)| row)
-        .collect()
+/// `tests/sharded_identity.rs` and `tests/lane_identity.rs`). Fails
+/// only on a snapshot a run cannot read, restore or write.
+pub fn run_rows(
+    spec: TableSpec,
+    dims: &[usize],
+    opts: RunOptions,
+    jobs: usize,
+) -> Result<Vec<RowResult>, String> {
+    let rows = table_rows::<NoRecorder>(spec, dims, opts, jobs, RecordConfig::default())?;
+    Ok(rows.into_iter().map(|(row, _)| row).collect())
 }
 
 /// One table row with the merged observability sinks of all its
@@ -418,11 +425,12 @@ pub fn run_rows_recorded(
     opts: RunOptions,
     jobs: usize,
     rc: RecordConfig,
-) -> Vec<RecordedRow> {
-    table_rows::<SinkSet>(spec, dims, opts, jobs, rc)
+) -> Result<Vec<RecordedRow>, String> {
+    let rows = table_rows::<SinkSet>(spec, dims, opts, jobs, rc)?;
+    Ok(rows
         .into_iter()
         .map(|(row, sinks)| RecordedRow { row, sinks })
-        .collect()
+        .collect())
 }
 
 /// The rows of one table with their merged recorders (see [`run_rows`]).
@@ -432,7 +440,7 @@ fn table_rows<Rec: RunRecorder>(
     opts: RunOptions,
     jobs: usize,
     rc: RecordConfig,
-) -> Vec<(RowResult, Rec)> {
+) -> Result<Vec<(RowResult, Rec)>, String> {
     let reps = opts.reps.max(1) as usize;
     let batch = opts.lanes.clamp(1, reps);
     let units_per_row = reps.div_ceil(batch);
@@ -450,8 +458,10 @@ fn table_rows<Rec: RunRecorder>(
     // A watchdogged or faulted run may abort instead of draining;
     // report, don't panic.
     let require_drain = rc.watchdog.is_none() && opts.faults.is_none();
+    let units = units.into_iter().collect::<Result<Vec<_>, String>>()?;
     let runs: Vec<(RunResult, Rec)> = units.into_iter().flatten().collect();
-    runs.chunks(reps)
+    Ok(runs
+        .chunks(reps)
         .zip(dims)
         .map(|(chunk, &n)| {
             let rows: Vec<RowResult> = chunk
@@ -473,7 +483,7 @@ fn table_rows<Rec: RunRecorder>(
             }
             (reduce_reps(n, &rows), rec)
         })
-        .collect()
+        .collect())
 }
 
 /// One uniform-random dynamic sweep point at injection rate `lambda` on
@@ -491,7 +501,7 @@ pub fn run_point_recorded(
     opts: RunOptions,
     rc: RecordConfig,
     label: &str,
-) -> (Vec<RowResult>, SinkSet) {
+) -> Result<(Vec<RowResult>, SinkSet), String> {
     let reps = opts.reps.max(1) as usize;
     let all: Vec<Rep> = if reps == 1 {
         vec![Rep {
@@ -509,12 +519,12 @@ pub fn run_point_recorded(
     let mut rows = Vec::with_capacity(reps);
     let mut sinks = SinkSet::new();
     for unit in all.chunks(opts.lanes.clamp(1, reps)) {
-        for (res, rec) in run_reps::<SinkSet>(Source::Random { lambda }, n, unit, &opts, &rc) {
+        for (res, rec) in run_reps::<SinkSet>(Source::Random { lambda }, n, unit, &opts, &rc)? {
             rows.push(RowResult::of(n, &res));
             sinks.merge(&rec);
         }
     }
-    (rows, sinks)
+    Ok((rows, sinks))
 }
 
 /// Where a work unit's workload comes from.
@@ -662,34 +672,40 @@ fn finished(leg: Leg) -> RunResult {
 /// `sp.at` and continue in-process, or restore `<label>.snap` and
 /// resume. A missing snapshot on resume means the run finished before
 /// the checkpoint cycle — rerun from cycle 0 (bit-identical either way).
+/// Any other read error, a rejected snapshot and a failed write are
+/// errors naming the file.
 fn snapshot_run<E: Snapshots>(
     engine: &mut E,
     w: &Workload,
     snap: Option<SnapshotPolicy>,
     meta: &str,
     label: &str,
-) -> RunResult {
+) -> Result<RunResult, String> {
     let Some(sp) = snap else {
-        return finished(drive(engine, w, None, None));
+        return Ok(finished(drive(engine, w, None, None)));
     };
     let path = sp.path(label);
     if sp.resume {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            return finished(drive(engine, w, None, None));
+        let text = match std::fs::read_to_string(&path) {
+            Ok(text) => text,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
+                return Ok(finished(drive(engine, w, None, None)));
+            }
+            Err(e) => return Err(format!("reading {}: {e}", path.display())),
         };
         let (_, progress) = engine
             .restore(&text)
-            .unwrap_or_else(|e| panic!("restoring {}: {e}", path.display()));
-        return finished(drive(engine, w, Some(progress), None));
+            .map_err(|e| format!("restoring {}: {e}", path.display()))?;
+        return Ok(finished(drive(engine, w, Some(progress), None)));
     }
     match drive(engine, w, None, sp.at) {
-        Leg::Finished(res) => res,
+        Leg::Finished(res) => Ok(res),
         Leg::Paused(progress) => {
             // Fail loudly: a checkpoint the resume leg can't find would
             // silently degrade to a from-scratch rerun.
             std::fs::write(&path, engine.checkpoint(meta, &progress))
-                .unwrap_or_else(|e| panic!("writing snapshot {}: {e}", path.display()));
-            finished(drive(engine, w, Some(progress), None))
+                .map_err(|e| format!("writing snapshot {}: {e}", path.display()))?;
+            Ok(finished(drive(engine, w, Some(progress), None)))
         }
     }
 }
@@ -710,7 +726,7 @@ fn run_reps<Rec: RunRecorder>(
     reps: &[Rep],
     opts: &RunOptions,
     rc: &RecordConfig,
-) -> Vec<(RunResult, Rec)> {
+) -> Result<Vec<(RunResult, Rec)>, String> {
     let unit = Unit::<Rec> {
         source,
         n,
@@ -733,7 +749,7 @@ struct Unit<'a, Rec> {
 }
 
 impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
-    type Out = Vec<(RunResult, Rec)>;
+    type Out = Result<Vec<(RunResult, Rec)>, String>;
 
     /// The one engine-construction site: every replication gets its own
     /// engine, run through `drive` or `snapshot_run`. With
@@ -803,7 +819,7 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
                 if let Some(k) = rc.watchdog {
                     sim = sim.with_watchdog(k);
                 }
-                let res = snapshot_run(&mut sim, &w, opts.snapshot, &meta(rep), &rep.label);
+                let res = snapshot_run(&mut sim, &w, opts.snapshot, &meta(rep), &rep.label)?;
                 let stall = sim.stall_report().cloned();
                 let mut rec = sim.into_recorder();
                 if let Some(k) = rc.watchdog {
@@ -821,11 +837,11 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
                 if let Some(plan) = opts.faults {
                     sim = sim.with_faults(plan.clone());
                 }
-                let res = snapshot_run(&mut sim, &w, opts.snapshot, &meta(rep), &rep.label);
+                let res = snapshot_run(&mut sim, &w, opts.snapshot, &meta(rep), &rep.label)?;
                 (res, sim.into_recorder())
             };
             rec.flush();
-            (res, rec)
+            Ok((res, rec))
         };
         self.reps.iter().map(run).collect()
     }
@@ -889,18 +905,20 @@ pub fn dims_for(spec: TableSpec, full: bool) -> Vec<usize> {
     base
 }
 
-/// Regenerate one table with row × replication work units spread over
-/// `jobs` worker threads. Output is bit-identical for every `jobs`.
-pub fn run_table_jobs(number: usize, full: bool, opts: RunOptions, jobs: usize) -> Table {
-    run_table_dims(number, &dims_for(spec(number), full), opts, jobs)
-}
-
-/// Regenerate one table over an explicit dimension list, returning a
-/// rendered [`Table`] with measured and paper reference columns side by
-/// side. The dims override exists so tests and sweeps can run the full
-/// table pipeline at reduced scale.
-pub fn run_table_dims(number: usize, dims: &[usize], opts: RunOptions, jobs: usize) -> Table {
-    render_table(number, &run_rows(spec(number), dims, opts, jobs))
+/// Regenerate one table over a dimension list ([`dims_for`] gives the
+/// paper's), returning a rendered [`Table`] with measured and paper
+/// reference columns side by side. Row × replication work units spread
+/// over `jobs` worker threads; output is bit-identical for every `jobs`.
+pub fn run_table_dims(
+    number: usize,
+    dims: &[usize],
+    opts: RunOptions,
+    jobs: usize,
+) -> Result<Table, String> {
+    Ok(render_table(
+        number,
+        &run_rows(spec(number), dims, opts, jobs)?,
+    ))
 }
 
 /// [`run_table_dims`] with recording: returns the rendered table plus
@@ -912,10 +930,10 @@ pub fn run_table_dims_recorded(
     opts: RunOptions,
     jobs: usize,
     rc: RecordConfig,
-) -> (Table, Vec<RecordedRow>) {
-    let recorded = run_rows_recorded(spec(number), dims, opts, jobs, rc);
+) -> Result<(Table, Vec<RecordedRow>), String> {
+    let recorded = run_rows_recorded(spec(number), dims, opts, jobs, rc)?;
     let rows: Vec<RowResult> = recorded.iter().map(|r| r.row).collect();
-    (render_table(number, &rows), recorded)
+    Ok((render_table(number, &rows), recorded))
 }
 
 /// Render measured rows of table `number` next to the paper's reference
@@ -1015,7 +1033,7 @@ mod tests {
             pattern: PatternKind::Complement,
             packets: Some(PacketsPerNode::One),
         };
-        let r = run_row(s, 6, RunOptions::default());
+        let r = run_row(s, 6, RunOptions::default()).unwrap();
         assert_eq!(r.l_max, 13);
         assert!((r.l_avg - 13.0).abs() < 1e-9);
     }
@@ -1031,7 +1049,7 @@ mod tests {
             dynamic_cycles: 100,
             ..RunOptions::default()
         };
-        let r = run_row(s, 6, opts);
+        let r = run_row(s, 6, opts).unwrap();
         assert!(r.injection_rate.unwrap() > 0.5);
         assert!(r.l_avg > 0.0);
     }

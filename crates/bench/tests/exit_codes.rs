@@ -43,7 +43,7 @@ fn malformed_snapshot_exits_two() {
     let dir = std::env::temp_dir().join("fadr-replay-exit-codes");
     std::fs::create_dir_all(&dir).expect("mkdir");
     let path = dir.join("garbage.snap");
-    std::fs::write(&path, "not a fadr-snapshot/1 document").expect("write");
+    std::fs::write(&path, "not a fadr-snapshot/2 document").expect("write");
     let (code, _, stderr) = replay(&["--snapshot", path.to_str().expect("utf-8 path")]);
     assert_eq!(code, Some(2), "{stderr}");
     std::fs::remove_file(&path).ok();

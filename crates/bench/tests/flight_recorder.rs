@@ -40,7 +40,7 @@ fn journal_is_bit_identical_across_jobs_shards_and_partitions() {
             ..RunOptions::default()
         };
         let fingerprint = |o: RunOptions, jobs: usize| {
-            let recorded = run_rows_recorded(spec(table), &[5], o, jobs, journal_config());
+            let recorded = run_rows_recorded(spec(table), &[5], o, jobs, journal_config()).unwrap();
             let j = recorded[0].sinks.journal.as_ref().expect("journal sink");
             (j.count(), j.hash(), j.lines())
         };
@@ -93,14 +93,15 @@ fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
                 partition,
                 ..RunOptions::default()
             };
-            let straight = run_rows_recorded(spec(table), &[5], base, 1, journal_config());
+            let straight = run_rows_recorded(spec(table), &[5], base, 1, journal_config()).unwrap();
 
             let dir_tag = format!("split_{tag}_t{table}");
             let ckpt = RunOptions {
                 snapshot: Some(temp_policy(&dir_tag, Some(5), false)),
                 ..base
             };
-            let checkpointed = run_rows_recorded(spec(table), &[5], ckpt, 1, journal_config());
+            let checkpointed =
+                run_rows_recorded(spec(table), &[5], ckpt, 1, journal_config()).unwrap();
             let snap_path = ckpt.snapshot.unwrap().path(&format!("t{table}_n5_q5_r0"));
             assert!(
                 snap_path.exists(),
@@ -113,7 +114,8 @@ fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
                 shards: resume_shards,
                 ..base
             };
-            let resumed = run_rows_recorded(spec(table), &[5], resume, 1, journal_config());
+            let resumed =
+                run_rows_recorded(spec(table), &[5], resume, 1, journal_config()).unwrap();
 
             for (name, other) in [("checkpoint", &checkpointed), ("resume", &resumed)] {
                 let a = &straight[0].row;
@@ -165,7 +167,7 @@ fn replay_reproduces_the_reference_journal() {
         snapshot: Some(sp),
         ..RunOptions::default()
     };
-    let recorded = run_rows_recorded(spec(6), &[5], opts, 1, journal_config());
+    let recorded = run_rows_recorded(spec(6), &[5], opts, 1, journal_config()).unwrap();
     let reference = recorded[0].sinks.journal.as_ref().unwrap().lines();
 
     let text = std::fs::read_to_string(sp.path("t6_n5_q5_r0")).unwrap();
@@ -208,7 +210,7 @@ fn wedge_checkpoint_replays_to_a_deadlock_verdict() {
         watchdog: Some(200),
         ..RecordConfig::default()
     };
-    let recorded = run_rows_recorded(spec(2), &[4], opts, 1, rc);
+    let recorded = run_rows_recorded(spec(2), &[4], opts, 1, rc).unwrap();
     assert!(
         recorded[0].sinks.stall().is_some(),
         "original run must stall"
@@ -240,7 +242,7 @@ fn metrics_json_carries_latency_percentiles_and_waitgraph() {
         waitgraph: true,
         ..RecordConfig::default()
     };
-    let recorded = run_rows_recorded(spec(6), &[5], RunOptions::default(), 1, rc);
+    let recorded = run_rows_recorded(spec(6), &[5], RunOptions::default(), 1, rc).unwrap();
     let lat = recorded[0].sinks.latency.as_ref().expect("latency sink");
     let json = lat.to_json();
     assert!(json.contains("\"p50\":") && json.contains("\"p95\":") && json.contains("\"p99\":"));
@@ -268,20 +270,20 @@ fn metrics_json_carries_latency_percentiles_and_waitgraph() {
 #[test]
 fn resume_reruns_rows_that_finished_before_the_checkpoint() {
     let base = RunOptions::default();
-    let straight = run_rows(spec(1), &[5], base, 1);
+    let straight = run_rows(spec(1), &[5], base, 1).unwrap();
     let ckpt = RunOptions {
         // Table 1 (one packet per node) drains n=5 long before cycle
         // 10_000, so the pause never fires and no snapshot appears.
         snapshot: Some(temp_policy("norun", Some(10_000), false)),
         ..base
     };
-    let checkpointed = run_rows(spec(1), &[5], ckpt, 1);
+    let checkpointed = run_rows(spec(1), &[5], ckpt, 1).unwrap();
     assert!(!ckpt.snapshot.unwrap().path("t1_n5_q5_r0").exists());
     let resume = RunOptions {
         snapshot: Some(temp_policy("norun", None, true)),
         ..base
     };
-    let resumed = run_rows(spec(1), &[5], resume, 1);
+    let resumed = run_rows(spec(1), &[5], resume, 1).unwrap();
     for other in [&checkpointed, &resumed] {
         assert_eq!(straight[0].l_avg.to_bits(), other[0].l_avg.to_bits());
         assert_eq!(straight[0].l_max, other[0].l_max);

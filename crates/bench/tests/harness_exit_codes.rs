@@ -177,3 +177,45 @@ fn tables_header_names_the_algorithm() {
         "{header:?}"
     );
 }
+
+/// Only a missing snapshot means a run finished before the checkpoint.
+/// A snapshot that cannot be read, or that restore rejects, fails the
+/// resume with exit 1 and a message naming the file and the reason.
+#[test]
+fn tables_resume_rejects_an_unreadable_or_corrupt_snapshot() {
+    let tables = env!("CARGO_BIN_EXE_tables");
+    let dir = std::env::temp_dir().join(format!("fadr_bad_resume_{}", std::process::id()));
+    let d = dir.to_str().expect("utf-8 path");
+    let (code, stderr) = run(
+        tables,
+        &[
+            "--table",
+            "1",
+            "--checkpoint-at",
+            "8",
+            "--checkpoint-dir",
+            d,
+        ],
+    );
+    assert_eq!(code, Some(0), "{stderr}");
+    let snap = dir.join("t1_n10_q5_r0.snap");
+    let text = std::fs::read_to_string(&snap).expect("checkpoint written");
+    let signed = text.replacen("\"packets\": [[", "\"packets\": [[+", 1);
+    assert_ne!(signed, text, "the checkpoint holds no packet");
+    let mut not_utf8 = text.into_bytes();
+    not_utf8.extend([0xff, 0xfe]);
+    for (what, bytes, reason) in [
+        ("a signed number", signed.into_bytes(), "at byte"),
+        ("two non-UTF-8 bytes", not_utf8, "UTF-8"),
+    ] {
+        std::fs::write(&snap, bytes).expect("corrupt the checkpoint");
+        let (code, stderr) = run(tables, &["--table", "1", "--resume-from", d]);
+        assert_eq!(code, Some(1), "{what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{what}: {stderr}");
+        assert!(
+            stderr.contains("t1_n10_q5_r0.snap") && stderr.contains(reason),
+            "{what}: {stderr:?} lacks the file or {reason:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -45,8 +45,8 @@ fn run_row_lanes_bitwise_identical_to_run_row() {
     for t in TABLES {
         let s = spec(t);
         for &n in &DIMS {
-            let seq = run_row(s, n, opts());
-            let lane = run_row(s, n, lanes(opts()));
+            let seq = run_row(s, n, opts()).unwrap();
+            let lane = run_row(s, n, lanes(opts())).unwrap();
             assert_eq!(lane.n, seq.n, "table {t} n={n}");
             assert_eq!(lane.l_max, seq.l_max, "table {t} n={n}");
             assert_eq!(lane.aborted, seq.aborted, "table {t} n={n}");
@@ -78,9 +78,9 @@ fn run_rows_lanes_matches_run_rows_across_jobs() {
         (opts(), lanes(opts())),
         (five, RunOptions { lanes: 2, ..five }),
     ] {
-        let base = run_rows(s, &DIMS, plain, 1);
+        let base = run_rows(s, &DIMS, plain, 1).unwrap();
         for jobs in [1usize, 4] {
-            let batched = run_rows(s, &DIMS, batched_opts, jobs);
+            let batched = run_rows(s, &DIMS, batched_opts, jobs).unwrap();
             let what = format!(
                 "reps={} lanes={} jobs={jobs}",
                 plain.reps, batched_opts.lanes
@@ -105,8 +105,8 @@ fn custom_seed_and_reps_reproduce() {
         ..RunOptions::default()
     };
     for t in [6usize, 9] {
-        let seq = run_row(spec(t), 5, custom);
-        let lane = run_row(spec(t), 5, lanes(custom));
+        let seq = run_row(spec(t), 5, custom).unwrap();
+        let lane = run_row(spec(t), 5, lanes(custom)).unwrap();
         assert_eq!(lane.l_avg.to_bits(), seq.l_avg.to_bits(), "table {t}");
         assert_eq!(lane.l_max, seq.l_max, "table {t}");
     }
@@ -122,8 +122,8 @@ fn partial_lane_batches_reproduce() {
         ..RunOptions::default()
     };
     for t in [2usize, 12] {
-        let seq = run_row(spec(t), 5, five);
-        let lane = run_row(spec(t), 5, RunOptions { lanes: 2, ..five });
+        let seq = run_row(spec(t), 5, five).unwrap();
+        let lane = run_row(spec(t), 5, RunOptions { lanes: 2, ..five }).unwrap();
         assert_eq!(lane.l_avg.to_bits(), seq.l_avg.to_bits(), "table {t}");
         assert_eq!(lane.l_max, seq.l_max, "table {t}");
         assert_eq!(lane.delivered, seq.delivered, "table {t}");
@@ -146,7 +146,7 @@ fn recorded_lanes_match_recorded_reps() {
     };
     for t in [6usize, 9, 12] {
         let render = |o: RunOptions| {
-            let recorded = run_rows_recorded(spec(t), &DIMS, o, 2, rc);
+            let recorded = run_rows_recorded(spec(t), &DIMS, o, 2, rc).unwrap();
             let rows: Vec<MetricsRow> = recorded
                 .iter()
                 .map(|r| MetricsRow::from_recorded(t, r))
@@ -192,7 +192,7 @@ fn replicated_point_aggregates_all_lanes() {
             dynamic_cycles: 60,
             ..RunOptions::default()
         };
-        let (rows, _) = run_point_recorded(1.0, 5, o, RecordConfig::default(), "p");
+        let (rows, _) = run_point_recorded(1.0, 5, o, RecordConfig::default(), "p").unwrap();
         LanePoint::of(&rows, 60)
     };
     let p = point(4, 4);
@@ -240,8 +240,8 @@ fn lanes_with_faults_or_shards_match_reps() {
     };
     for (what, base) in [("faults", faulted), ("shards", sharded)] {
         for t in [2, 9] {
-            let seq = run_rows(spec(t), &DIMS, base, 1);
-            let lane = run_rows(spec(t), &DIMS, lanes(base), 1);
+            let seq = run_rows(spec(t), &DIMS, base, 1).unwrap();
+            let lane = run_rows(spec(t), &DIMS, lanes(base), 1).unwrap();
             assert_eq!(
                 format!("{seq:?}"),
                 format!("{lane:?}"),
@@ -249,8 +249,8 @@ fn lanes_with_faults_or_shards_match_reps() {
             );
         }
     }
-    let clean = run_rows(spec(9), &DIMS, opts(), 1);
-    let faulted_rows = run_rows(spec(9), &DIMS, faulted, 1);
+    let clean = run_rows(spec(9), &DIMS, opts(), 1).unwrap();
+    let faulted_rows = run_rows(spec(9), &DIMS, faulted, 1).unwrap();
     assert_ne!(
         format!("{clean:?}"),
         format!("{faulted_rows:?}"),

@@ -23,8 +23,8 @@ const DIMS: [usize; 2] = [5, 6];
 #[test]
 fn run_table_cells_identical_across_jobs() {
     for t in 1..=12usize {
-        let seq = run_table_dims(t, &DIMS, opts(), 1);
-        let par = run_table_dims(t, &DIMS, opts(), 4);
+        let seq = run_table_dims(t, &DIMS, opts(), 1).unwrap();
+        let par = run_table_dims(t, &DIMS, opts(), 4).unwrap();
         assert_eq!(seq.title(), par.title(), "table {t}");
         assert_eq!(seq.num_rows(), par.num_rows(), "table {t}");
         assert_eq!(seq.to_text(), par.to_text(), "table {t} text differs");
@@ -38,10 +38,10 @@ fn run_table_cells_identical_across_jobs() {
 fn run_rows_bitwise_identical_to_run_row() {
     for t in [1usize, 6, 9, 12] {
         let s = spec(t);
-        let par = run_rows(s, &DIMS, opts(), 4);
+        let par = run_rows(s, &DIMS, opts(), 4).unwrap();
         assert_eq!(par.len(), DIMS.len());
         for (row, &n) in par.iter().zip(&DIMS) {
-            let seq = run_row(s, n, opts());
+            let seq = run_row(s, n, opts()).unwrap();
             assert_eq!(row.n, seq.n);
             assert_eq!(row.l_max, seq.l_max, "table {t} n={n}");
             assert_eq!(
@@ -65,9 +65,9 @@ fn run_rows_bitwise_identical_to_run_row() {
 #[test]
 fn job_count_never_changes_output() {
     let s = spec(6);
-    let base = run_rows(s, &DIMS, opts(), 1);
+    let base = run_rows(s, &DIMS, opts(), 1).unwrap();
     for jobs in [2, 3, 64] {
-        let got = run_rows(s, &DIMS, opts(), jobs);
+        let got = run_rows(s, &DIMS, opts(), jobs).unwrap();
         for (a, b) in base.iter().zip(&got) {
             assert_eq!(a.l_avg.to_bits(), b.l_avg.to_bits(), "jobs={jobs}");
             assert_eq!(a.l_max, b.l_max, "jobs={jobs}");

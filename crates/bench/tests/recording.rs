@@ -29,8 +29,8 @@ fn full_config() -> RecordConfig {
 fn recorded_rows_are_bit_identical_to_plain_rows() {
     for table in [2usize, 9] {
         let dims = [5usize, 6];
-        let plain = run_rows(spec(table), &dims, opts(), 1);
-        let recorded = run_rows_recorded(spec(table), &dims, opts(), 1, full_config());
+        let plain = run_rows(spec(table), &dims, opts(), 1).unwrap();
+        let recorded = run_rows_recorded(spec(table), &dims, opts(), 1, full_config()).unwrap();
         assert_eq!(plain.len(), recorded.len());
         for (p, r) in plain.iter().zip(&recorded) {
             assert_eq!(p.n, r.row.n);
@@ -51,7 +51,7 @@ fn recorded_rows_are_bit_identical_to_plain_rows() {
 fn recorded_sinks_are_identical_across_jobs() {
     let dims = [5usize, 6];
     let doc = |jobs: usize| {
-        let recorded = run_rows_recorded(spec(6), &dims, opts(), jobs, full_config());
+        let recorded = run_rows_recorded(spec(6), &dims, opts(), jobs, full_config()).unwrap();
         let rows: Vec<MetricsRow> = recorded
             .iter()
             .map(|r| MetricsRow::from_recorded(6, r))
@@ -71,7 +71,7 @@ fn recorded_sinks_are_identical_across_jobs() {
 /// no JSON dependency).
 #[test]
 fn metrics_document_is_well_formed_json() {
-    let recorded = run_rows_recorded(spec(2), &[5], opts(), 1, full_config());
+    let recorded = run_rows_recorded(spec(2), &[5], opts(), 1, full_config()).unwrap();
     let rows: Vec<MetricsRow> = recorded
         .iter()
         .map(|r| MetricsRow::from_recorded(2, r))
@@ -187,7 +187,7 @@ fn wedged_run_reports_stall_through_export() {
         watchdog: Some(200),
         ..RecordConfig::default()
     };
-    let recorded = run_rows_recorded(spec(2), &[4], o, 1, rc);
+    let recorded = run_rows_recorded(spec(2), &[4], o, 1, rc).unwrap();
     let rows: Vec<MetricsRow> = recorded
         .iter()
         .map(|r| MetricsRow::from_recorded(2, r))

@@ -4,6 +4,7 @@
 
 use fadr_bench::obs::RecordConfig;
 use fadr_bench::runner::{run_rows, run_rows_recorded, spec, RunOptions, TableSpec};
+use fadr_metrics::TraceSink;
 
 fn opts(shards: usize) -> RunOptions {
     RunOptions {
@@ -14,8 +15,8 @@ fn opts(shards: usize) -> RunOptions {
 }
 
 fn assert_rows_identical(t: usize, s: TableSpec, dims: &[usize], shards: usize) {
-    let seq = run_rows(s, dims, opts(1), 1);
-    let shr = run_rows(s, dims, opts(shards), 1);
+    let seq = run_rows(s, dims, opts(1), 1).unwrap();
+    let shr = run_rows(s, dims, opts(shards), 1).unwrap();
     for (a, b) in seq.iter().zip(&shr) {
         assert_eq!(
             a.l_avg.to_bits(),
@@ -67,15 +68,15 @@ fn recorded_rows_and_sinks_identical_at_two_shards() {
         ..RecordConfig::default()
     };
     for t in [6usize, 9] {
-        let seq = run_rows_recorded(spec(t), &[7], opts(1), 1, rc);
-        let shr = run_rows_recorded(spec(t), &[7], opts(2), 1, rc);
+        let seq = run_rows_recorded(spec(t), &[7], opts(1), 1, rc).unwrap();
+        let shr = run_rows_recorded(spec(t), &[7], opts(2), 1, rc).unwrap();
         for (a, b) in seq.iter().zip(&shr) {
             assert_eq!(a.row.l_avg.to_bits(), b.row.l_avg.to_bits(), "table {t}");
             assert_eq!(a.row.l_max, b.row.l_max, "table {t}");
             assert_eq!(a.sinks.counters, b.sinks.counters, "table {t}: counters");
             assert_eq!(
-                a.sinks.trace.as_ref().map(|tr| tr.lines().to_vec()),
-                b.sinks.trace.as_ref().map(|tr| tr.lines().to_vec()),
+                a.sinks.trace.as_ref().map(TraceSink::lines),
+                b.sinks.trace.as_ref().map(TraceSink::lines),
                 "table {t}: trace"
             );
         }
@@ -88,16 +89,19 @@ fn recorded_rows_and_sinks_identical_at_two_shards() {
 #[test]
 fn shards_compose_with_jobs() {
     let s = spec(6);
-    let seq = run_rows(s, &[6, 7], opts(1), 1);
-    let both = run_rows(s, &[6, 7], RunOptions { reps: 2, ..opts(2) }, 2);
+    let seq = run_rows(s, &[6, 7], opts(1), 1).unwrap();
+    let both = run_rows(s, &[6, 7], RunOptions { reps: 2, ..opts(2) }, 2).unwrap();
     // reps=2 changes the reduction (mean over reps), so compare against
     // the same reps sequentially instead of against the 1-rep rows.
-    let seq2 = run_rows(s, &[6, 7], RunOptions { reps: 2, ..opts(1) }, 1);
+    let seq2 = run_rows(s, &[6, 7], RunOptions { reps: 2, ..opts(1) }, 1).unwrap();
     for (a, b) in seq2.iter().zip(&both) {
         assert_eq!(a.l_avg.to_bits(), b.l_avg.to_bits());
         assert_eq!(a.l_max, b.l_max);
     }
     // And the 1-rep row is still what it was (guard against accidental
     // seed coupling between reps and shards).
-    assert_eq!(seq[0].l_max, run_rows(s, &[6, 7], opts(2), 2)[0].l_max);
+    assert_eq!(
+        seq[0].l_max,
+        run_rows(s, &[6, 7], opts(2), 2).unwrap()[0].l_max
+    );
 }

@@ -38,7 +38,7 @@
 //! [`SinkSet`] composes any subset and merges deterministically across
 //! parallel workers.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::json::{self, Quoted};
 
@@ -577,9 +577,40 @@ pub struct TraceState {
     src: u32,
     dst: u32,
     inject_cycle: u64,
-    /// Pre-rendered hop fragments (JSON objects).
-    hops: String,
-    n_hops: u32,
+    hops: Vec<Hop>,
+}
+
+/// One recorded move of a traced packet.
+#[derive(Debug, Clone, Copy)]
+struct Hop {
+    cycle: u64,
+    from: u32,
+    to: u32,
+    /// `static`, `dynamic`, `stutter` or `reroute`.
+    kind: &'static str,
+    /// Queue class before and after the move.
+    q: [u8; 2],
+}
+
+/// Render one lifecycle as its JSON line; `end` holds the fields
+/// between `inject` and `hops`.
+fn render(pkt: u64, t: &TraceState, end: fmt::Arguments<'_>) -> String {
+    let mut line = format!(
+        "{{\"pkt\": {pkt}, \"src\": {}, \"dst\": {}, \"inject\": {}, {end}, \"hops\": ",
+        t.src, t.dst, t.inject_cycle
+    );
+    json::list(&mut line, &t.hops, |out, h| {
+        write!(
+            out,
+            "{{\"c\": {}, \"from\": {}, \"to\": {}, \"kind\": \"{}\", \"q\": ",
+            h.cycle, h.from, h.to, h.kind
+        )?;
+        json::list(out, h.q, |out, class| write!(out, "{class}"));
+        out.push('}');
+        Ok(())
+    });
+    line.push('}');
+    line
 }
 
 /// Bounded JSONL packet-lifecycle traces: one JSON line per packet,
@@ -593,8 +624,8 @@ pub struct TraceState {
 pub struct TraceSink {
     limit: u64,
     active: Vec<Option<TraceState>>,
-    /// Completed (or flushed) lifecycles, one JSON object per line.
-    lines: Vec<String>,
+    /// Completed (or flushed) lifecycles: packet id and JSON line.
+    done: Vec<(u64, String)>,
     /// Packets beyond the trace bound (not traced).
     pub skipped: u64,
 }
@@ -605,56 +636,40 @@ impl TraceSink {
         Self {
             limit: limit as u64,
             active: Vec::new(),
-            lines: Vec::new(),
+            done: Vec::new(),
             skipped: 0,
         }
     }
 
     /// Completed lifecycle lines (call [`TraceSink::flush`] first to
     /// include packets still in flight).
-    pub fn lines(&self) -> &[String] {
-        &self.lines
+    pub fn lines(&self) -> Vec<&str> {
+        self.done.iter().map(|(_, line)| line.as_str()).collect()
     }
 
-    /// Render still-in-flight packets as undelivered lifecycles and move
-    /// them into [`TraceSink::lines`], then sort all lines into canonical
-    /// packet-id order. Call once after the run.
+    /// Render still-in-flight packets as undelivered lifecycles, then
+    /// sort all lifecycles into canonical packet-id order. Call once
+    /// after the run.
     ///
     /// The sort makes the rendered output independent of *delivery*
     /// order, which is what lets a shard-merged sink reproduce the
     /// sequential sink byte-for-byte (shards complete deliveries in
     /// shard-local order).
     pub fn flush(&mut self) {
-        for slot in 0..self.active.len() {
-            if let Some(t) = self.active[slot].take() {
-                let line = format!(
-                    "{{\"pkt\": {slot}, \"src\": {}, \"dst\": {}, \"inject\": {}, \"delivered\": false, \"hops\": [{}]}}",
-                    t.src, t.dst, t.inject_cycle, t.hops
-                );
-                self.lines.push(line);
-            }
+        for pkt in 0..self.active.len() as u64 {
+            self.finish(pkt, format_args!("\"delivered\": false"));
         }
-        self.lines.sort_by_key(|l| Self::line_pkt(l));
+        self.done.sort_by_key(|&(pkt, _)| pkt);
     }
 
-    /// The `pkt` id a rendered line starts with (every line is produced
-    /// by this sink with the `{"pkt": N, …}` prefix).
-    fn line_pkt(line: &str) -> u64 {
-        line.strip_prefix("{\"pkt\": ")
-            .unwrap_or("")
-            .bytes()
-            .take_while(u8::is_ascii_digit)
-            .fold(0u64, |acc, b| acc * 10 + u64::from(b - b'0'))
-    }
-
-    /// Append another sink's lines (parallel-merge path); `skipped`
+    /// Append another sink's lifecycles (parallel-merge path); `skipped`
     /// counts add. In-flight lifecycles transfer too (first writer wins
     /// on a slot collision), so merging *unflushed* per-shard sinks of
     /// one run — where each packet is in flight at exactly one shard —
     /// loses nothing; the post-run [`TraceSink::flush`] then renders
     /// them as usual.
     pub fn merge(&mut self, other: &TraceSink) {
-        self.lines.extend(other.lines.iter().cloned());
+        self.done.extend(other.done.iter().cloned());
         self.skipped += other.skipped;
         for (slot, st) in other.active.iter().enumerate() {
             let Some(st) = st else { continue };
@@ -691,18 +706,38 @@ impl TraceSink {
 
     /// Drop the local lifecycle of `pkt` (it moved to another shard).
     pub fn discard_state(&mut self, pkt: u64) {
-        if pkt < self.limit {
-            if let Some(s) = self.active.get_mut(pkt as usize) {
-                *s = None;
-            }
+        if let Some(s) = self.slot(pkt) {
+            *s = None;
         }
     }
 
-    fn slot(&mut self, pkt: u64) -> Option<&mut TraceState> {
+    /// The lifecycle slot of `pkt`, if traced.
+    fn slot(&mut self, pkt: u64) -> Option<&mut Option<TraceState>> {
         if pkt >= self.limit {
             return None;
         }
-        self.active.get_mut(pkt as usize)?.as_mut()
+        self.active.get_mut(pkt as usize)
+    }
+
+    /// Record a move of `pkt`, if in flight.
+    fn hop(&mut self, pkt: u64, cycle: u64, from: u32, to: u32, kind: &'static str, q: [u8; 2]) {
+        if let Some(Some(t)) = self.slot(pkt) {
+            t.hops.push(Hop {
+                cycle,
+                from,
+                to,
+                kind,
+                q,
+            });
+        }
+    }
+
+    /// End the lifecycle of `pkt`, if in flight, and render it (see
+    /// [`render`]).
+    fn finish(&mut self, pkt: u64, end: fmt::Arguments<'_>) {
+        if let Some(t) = self.slot(pkt).and_then(Option::take) {
+            self.done.push((pkt, render(pkt, &t, end)));
+        }
     }
 }
 
@@ -720,8 +755,7 @@ impl Recorder for TraceSink {
             src,
             dst,
             inject_cycle: cycle,
-            hops: String::new(),
-            n_hops: 0,
+            hops: Vec::new(),
         });
     }
 
@@ -736,63 +770,28 @@ impl Recorder for TraceSink {
         from_class: u8,
         to_class: u8,
     ) {
-        if let Some(t) = self.slot(pkt) {
-            let sep = if t.n_hops == 0 { "" } else { ", " };
-            let kind = if dynamic { "dynamic" } else { "static" };
-            let _ = write!(
-                t.hops,
-                "{sep}{{\"c\": {cycle}, \"from\": {from}, \"to\": {to}, \"kind\": \"{kind}\", \"q\": [{from_class}, {to_class}]}}"
-            );
-            t.n_hops += 1;
-        }
+        let kind = if dynamic { "dynamic" } else { "static" };
+        self.hop(pkt, cycle, from, to, kind, [from_class, to_class]);
     }
 
     fn on_stutter(&mut self, cycle: u64, pkt: u64, node: u32, from_class: u8, to_class: u8) {
-        if let Some(t) = self.slot(pkt) {
-            let sep = if t.n_hops == 0 { "" } else { ", " };
-            let _ = write!(
-                t.hops,
-                "{sep}{{\"c\": {cycle}, \"from\": {node}, \"to\": {node}, \"kind\": \"stutter\", \"q\": [{from_class}, {to_class}]}}"
-            );
-            t.n_hops += 1;
-        }
+        self.hop(pkt, cycle, node, node, "stutter", [from_class, to_class]);
     }
 
     fn on_deliver(&mut self, cycle: u64, pkt: u64, latency: u64, _hops: u32, _class: u8) {
-        if pkt >= self.limit {
-            return;
-        }
-        if let Some(t) = self.active.get_mut(pkt as usize).and_then(Option::take) {
-            let line = format!(
-                "{{\"pkt\": {pkt}, \"src\": {}, \"dst\": {}, \"inject\": {}, \"deliver\": {cycle}, \"latency\": {latency}, \"delivered\": true, \"hops\": [{}]}}",
-                t.src, t.dst, t.inject_cycle, t.hops
-            );
-            self.lines.push(line);
-        }
+        let end = format_args!("\"deliver\": {cycle}, \"latency\": {latency}, \"delivered\": true");
+        self.finish(pkt, end);
     }
 
     fn on_drop(&mut self, cycle: u64, pkt: u64) {
-        if pkt >= self.limit {
-            return;
-        }
-        if let Some(t) = self.active.get_mut(pkt as usize).and_then(Option::take) {
-            let line = format!(
-                "{{\"pkt\": {pkt}, \"src\": {}, \"dst\": {}, \"inject\": {}, \"dropped\": {cycle}, \"delivered\": false, \"hops\": [{}]}}",
-                t.src, t.dst, t.inject_cycle, t.hops
-            );
-            self.lines.push(line);
-        }
+        self.finish(
+            pkt,
+            format_args!("\"dropped\": {cycle}, \"delivered\": false"),
+        );
     }
 
     fn on_reroute(&mut self, cycle: u64, pkt: u64, node: u32, class: u8) {
-        if let Some(t) = self.slot(pkt) {
-            let sep = if t.n_hops == 0 { "" } else { ", " };
-            let _ = write!(
-                t.hops,
-                "{sep}{{\"c\": {cycle}, \"from\": {node}, \"to\": {node}, \"kind\": \"reroute\", \"q\": [{class}, {class}]}}"
-            );
-            t.n_hops += 1;
-        }
+        self.hop(pkt, cycle, node, node, "reroute", [class, class]);
     }
 }
 

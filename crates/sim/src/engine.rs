@@ -26,7 +26,7 @@ use fadr_topology::NodeId;
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::layout::{Layout, NONE};
 use crate::partition::OwnedNodes;
-use crate::snapshot::{self, Loc, PacketRec, ParsedSnapshot};
+use crate::snapshot::{self, Loc, ParsedSnapshot};
 use crate::store::{BitSet, Hot, MoveOpt, OptionArena, PacketInit, PacketStore};
 use crate::{FillOrder, SimConfig};
 
@@ -2339,13 +2339,18 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec>
 where
     R::Msg: SnapshotMsg,
 {
-    /// Serialize the complete engine state as a `fadr-snapshot/1`
+    /// Serialize the complete engine state as a `fadr-snapshot/2`
     /// document. Only valid at the pause point a `*_until` run method
     /// stops at (cycle `P`, post-injection, pre-fault-application):
     /// there no packet is staged mid-move, so the placement alone
     /// determines all derived state. `progress` is the loop progress the
-    /// pause returned; `meta` is a free-form single-line label echoed
-    /// back by [`Simulator::restore`].
+    /// pause returned; `meta` is a free-form label echoed back by
+    /// [`Simulator::restore`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `meta` holds a character JSON escapes (`"`, `\` or a
+    /// control character): the reader takes no escapes.
     #[must_use]
     pub fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
         let core = &self.core;
@@ -2353,21 +2358,6 @@ where
             core.partitioned.is_empty(),
             "checkpointing a partitioned run"
         );
-        let n = core.layout.num_nodes;
-        let mut lines = String::new();
-        let mut count = 0usize;
-        for v in 0..n {
-            count += self.push_queued_packets(v, &mut lines);
-        }
-        for v in 0..n {
-            count += self.push_inj_packet(v, &mut lines);
-        }
-        for b in 0..core.layout.num_buffers() {
-            count += self.push_out_packet(b, &mut lines);
-        }
-        for b in 0..core.layout.num_buffers() {
-            count += self.push_in_packet(b, &mut lines);
-        }
         let g = snapshot::Globals {
             cfg: &core.cfg,
             dims: self.dims(),
@@ -2382,10 +2372,12 @@ where
             occupancy: core.cfg.track_occupancy.then_some(&core.occupancy),
             throughput: core.throughput.as_ref(),
         };
-        snapshot::assemble(meta, &g, count, &lines, progress)
+        let (n, _, nb, _) = g.dims;
+        let packets = Loc::all(n, nb).flat_map(|loc| self.packets_at(loc));
+        snapshot::assemble(meta, &g, packets, progress)
     }
 
-    /// Load a `fadr-snapshot/1` document, replacing the engine state
+    /// Load a `fadr-snapshot/2` document, replacing the engine state
     /// with the snapshot's. Returns the snapshot's meta label and the
     /// loop progress to feed into the matching `resume_*` run method.
     ///
@@ -2397,7 +2389,7 @@ where
     pub fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String> {
         let snap: ParsedSnapshot<R::Msg> = snapshot::parse(text)?;
         self.validate_snapshot(&snap)?;
-        self.commit_snapshot(&snap);
+        self.commit_snapshot(&snap, true, |_| true);
         self.resettle_queued();
         Ok((snap.meta, snap.progress))
     }
@@ -2410,56 +2402,23 @@ where
         (l.num_nodes, nc, l.num_buffers(), l.num_channels())
     }
 
-    /// Append the packet lines of node `v`'s central queues (FIFO
-    /// order); returns how many were written.
-    pub(crate) fn push_queued_packets(&self, v: usize, out: &mut String) -> usize {
-        let fifo = &self.core.node_fifo[v];
-        for &p in fifo {
-            snapshot::push_packet_line(out, &self.packet_rec(Loc::Queue(v as u32), p));
-        }
-        fifo.len()
-    }
-
-    /// Append node `v`'s injection-buffer packet line, if occupied.
-    pub(crate) fn push_inj_packet(&self, v: usize, out: &mut String) -> usize {
-        self.push_packet(Loc::Inj(v as u32), self.core.inj_buf[v], out)
-    }
-
-    /// Append output buffer `b`'s packet line, if occupied.
-    pub(crate) fn push_out_packet(&self, b: usize, out: &mut String) -> usize {
-        self.push_packet(Loc::Out(b as u32), self.core.outbuf[b], out)
-    }
-
-    /// Append input buffer `b`'s packet line, if occupied.
-    pub(crate) fn push_in_packet(&self, b: usize, out: &mut String) -> usize {
-        self.push_packet(Loc::In(b as u32), self.core.inbuf[b], out)
-    }
-
-    fn push_packet(&self, loc: Loc, p: u32, out: &mut String) -> usize {
-        if p == NONE {
-            return 0;
-        }
-        snapshot::push_packet_line(out, &self.packet_rec(loc, p));
-        1
-    }
-
-    fn packet_rec(&self, loc: Loc, p: u32) -> PacketRec<R::Msg> {
-        let (s, pi) = (&self.core.store, p as usize);
-        let h = &s.hot[pi];
-        PacketRec {
-            loc,
-            src: s.src[pi],
-            dst: s.dst[pi],
-            uid: s.uid[pi],
-            hops: h.hops,
-            inject_cycle: s.inject_cycle[pi],
-            enqueued_at: s.enqueued_at[pi],
-            moved_at: h.moved_at,
-            class: h.class,
-            next_class: h.next_class,
-            escape: h.escape,
-            msg: s.msg[pi].clone(),
-        }
+    /// The packets at `loc` with their records: a central queue's in
+    /// FIFO order, and at most one at any other location.
+    pub(crate) fn packets_at(
+        &self,
+        loc: Loc,
+    ) -> impl Iterator<Item = (Loc, PacketInit<R::Msg>)> + '_ {
+        let core = &self.core;
+        let slots = match loc {
+            Loc::Queue(v) => &core.node_fifo[v as usize][..],
+            Loc::Inj(v) => std::slice::from_ref(&core.inj_buf[v as usize]),
+            Loc::Out(b) => std::slice::from_ref(&core.outbuf[b as usize]),
+            Loc::In(b) => std::slice::from_ref(&core.inbuf[b as usize]),
+        };
+        slots
+            .iter()
+            .filter(|&&p| p != NONE)
+            .map(move |&p| (loc, core.store.record(p)))
     }
 
     /// Check a parsed snapshot (the whole document, even when a sharded
@@ -2502,7 +2461,7 @@ where
             return Err(format!("snapshot fail counter for unknown channel {chan}"));
         }
         let (mut inj, mut out, mut inb) = (vec![false; n], vec![false; nb], vec![false; nb]);
-        for r in &snap.packets {
+        for (loc, r) in &snap.packets {
             if usize::from(r.class) >= nc || usize::from(r.next_class) >= nc {
                 return Err(format!(
                     "packet {} names an out-of-range queue class",
@@ -2520,7 +2479,7 @@ where
                     r.uid
                 ));
             }
-            let (slot, what) = match r.loc {
+            let (slot, what) = match *loc {
                 Loc::Queue(v) if (v as usize) < n => continue,
                 Loc::Queue(_) => {
                     return Err(format!("packet {} queued at an unknown node", r.uid));
@@ -2537,35 +2496,44 @@ where
         Ok(())
     }
 
-    /// Load a validated snapshot (possibly filtered to this shard's
-    /// nodes by the sharded driver): reset, restore the global counters
-    /// and accumulators, replay the fault schedule up to the snapshot
-    /// cycle, prime the recorder and place every packet. This and
+    /// Load a validated snapshot: reset, restore the global counters,
+    /// replay the fault schedule up to the snapshot cycle, prime the
+    /// recorder and place the packets whose location `owns` accepts.
+    /// Without `totals` the delivered, dropped and minimality counters
+    /// and the latency, occupancy and throughput accumulators stay
+    /// empty: a sharded driver loads them into one shard only. This and
     /// [`Simulator::resettle_queued`], which must follow it, are the only
     /// steps of a restore that mutate the engine or fire recorder hooks,
     /// and neither can fail.
-    pub(crate) fn commit_snapshot(&mut self, snap: &ParsedSnapshot<R::Msg>) {
+    pub(crate) fn commit_snapshot(
+        &mut self,
+        snap: &ParsedSnapshot<R::Msg>,
+        totals: bool,
+        owns: impl Fn(Loc) -> bool,
+    ) {
         let core = &mut self.core;
         core.reset();
         core.cycle = snap.cycle;
         core.next_uid = snap.next_uid;
-        core.delivered = snap.delivered;
-        core.dropped = snap.dropped;
-        core.minimality_violations = snap.minviol;
-        core.stats = snap.stats.clone();
-        if let Some(occ) = &snap.occupancy {
-            core.occupancy = occ.clone();
-        }
-        if let Some(ts) = &snap.throughput {
-            core.throughput = Some(ts.clone());
+        if totals {
+            core.delivered = snap.delivered;
+            core.dropped = snap.dropped;
+            core.minimality_violations = snap.minviol;
+            core.stats = snap.stats.clone();
+            if let Some(occ) = &snap.occupancy {
+                core.occupancy = occ.clone();
+            }
+            if let Some(ts) = &snap.throughput {
+                core.throughput = Some(ts.clone());
+            }
         }
         core.chan_rr.copy_from_slice(&snap.chan_rr);
         core.replay_faults(snap.cycle, &snap.fail);
         if Rec::ENABLED {
             self.rec.on_resume(snap.cycle);
         }
-        for r in &snap.packets {
-            self.place_packet(r);
+        for rec in snap.packets.iter().filter(|(loc, _)| owns(*loc)) {
+            self.place_packet(rec);
         }
     }
 
@@ -2587,27 +2555,15 @@ where
     /// Insert one validated snapshot packet at its serialized location,
     /// priming the recorder (`on_inject`, plus `on_queue_enter` for
     /// queued packets) so per-packet sinks see every live packet once.
-    fn place_packet(&mut self, r: &PacketRec<R::Msg>) {
+    fn place_packet(&mut self, (loc, r): &(Loc, PacketInit<R::Msg>)) {
         if Rec::ENABLED {
             self.rec.on_inject(r.inject_cycle, r.uid, r.src, r.dst);
         }
         let core = &mut self.core;
         // The pause point sits between the injection pass and the fill
         // pass, where no packet is staged.
-        let slot = core.store.insert(PacketInit {
-            src: r.src,
-            dst: r.dst,
-            uid: r.uid,
-            hops: r.hops,
-            inject_cycle: r.inject_cycle,
-            enqueued_at: r.enqueued_at,
-            moved_at: r.moved_at,
-            class: r.class,
-            next_class: r.next_class,
-            escape: r.escape,
-            msg: r.msg.clone(),
-        });
-        match r.loc {
+        let slot = core.store.insert(r.clone());
+        match *loc {
             Loc::Queue(v) => {
                 let q = v as usize * core.num_classes + usize::from(r.class);
                 core.queue_len[q] += 1;
@@ -2630,17 +2586,7 @@ where
 /// is attached (the receiver adopts it so the packet's event history
 /// stays contiguous in one sink).
 pub(crate) struct Transfer<M> {
-    src: u32,
-    dst: u32,
-    uid: u64,
-    hops: u16,
-    inject_cycle: u64,
-    enqueued_at: u64,
-    moved_at: u64,
-    class: u8,
-    next_class: u8,
-    msg: M,
-    escape: bool,
+    pkt: PacketInit<M>,
     trace: Option<TraceState>,
 }
 
@@ -2679,29 +2625,16 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
             if p == NONE {
                 continue;
             }
-            let (s, pi) = (&core.store, p as usize);
-            let h = &s.hot[pi];
+            let pkt = core.store.record(p);
+            let trace = if Rec::ENABLED {
+                self.rec.snapshot_trace(pkt.uid)
+            } else {
+                None
+            };
             out.push(OfferItem {
                 chan: chan as u32,
                 buf: b as u32,
-                payload: Some(Transfer {
-                    src: s.src[pi],
-                    dst: s.dst[pi],
-                    uid: s.uid[pi],
-                    hops: h.hops,
-                    inject_cycle: s.inject_cycle[pi],
-                    enqueued_at: s.enqueued_at[pi],
-                    moved_at: h.moved_at,
-                    class: h.class,
-                    next_class: h.next_class,
-                    msg: s.msg[pi].clone(),
-                    escape: h.escape,
-                    trace: if Rec::ENABLED {
-                        self.rec.snapshot_trace(s.uid[pi])
-                    } else {
-                        None
-                    },
-                }),
+                payload: Some(Transfer { pkt, trace }),
             });
         }
     }
@@ -2751,34 +2684,24 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
     /// Materialize a transferred packet in this shard's slab and input
     /// buffer, firing the same link event the sequential engine would.
     fn accept_transfer(&mut self, chan: usize, buf: usize, t: Transfer<R::Msg>) {
+        let Transfer { mut pkt, trace } = t;
+        pkt.hops += 1;
         let core = &mut self.core;
         if Rec::ENABLED {
-            if let Some(state) = t.trace {
-                self.rec.adopt_trace(t.uid, state);
+            if let Some(state) = trace {
+                self.rec.adopt_trace(pkt.uid, state);
             }
             self.rec.on_link(
                 core.cycle,
-                t.uid,
+                pkt.uid,
                 core.layout.chan_from[chan],
                 core.layout.chan_to[chan],
                 matches!(core.layout.buf_class[buf], BufferClass::Dynamic),
-                t.class,
-                t.next_class,
+                pkt.class,
+                pkt.next_class,
             );
         }
-        let slot = core.store.insert(PacketInit {
-            src: t.src,
-            dst: t.dst,
-            uid: t.uid,
-            hops: t.hops + 1,
-            inject_cycle: t.inject_cycle,
-            enqueued_at: t.enqueued_at,
-            moved_at: t.moved_at,
-            class: t.class,
-            next_class: t.next_class,
-            escape: t.escape,
-            msg: t.msg,
-        });
+        let slot = core.store.insert(pkt);
         core.fill_inbuf(buf, slot);
     }
 

@@ -299,9 +299,8 @@ const SIBLING_PANIC: &str = "sibling shard worker panicked";
 /// woken by the poisoned phase barrier are filtered out) and carries
 /// the stringified panic payload. After this error the simulator's
 /// shard state is mid-cycle and unspecified — drop it or build a fresh
-/// one; the error exists so a long-lived harness (the fuzzer,
-/// `fadr-serve`) can report the failure instead of aborting with the
-/// worker.
+/// one; the error exists so a long-lived harness (the fuzzer) can
+/// report the failure instead of aborting with the worker.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardPanicked {
     /// Shard whose worker panicked first.
@@ -1521,33 +1520,27 @@ where
         self.plan.node_shard[self.layout.chan_from[c] as usize] as usize
     }
 
+    /// The shard holding a packet at `loc`: the shard of the node whose
+    /// queue or injection buffer it is, of an output buffer's channel
+    /// source, or of an input buffer's channel target (which runs the
+    /// channel's link pass).
+    fn loc_shard(plan: &ShardPlan, layout: &Layout, loc: Loc) -> usize {
+        let node = match loc {
+            Loc::Queue(v) | Loc::Inj(v) => v,
+            Loc::Out(b) => layout.chan_from[layout.buf_chan[b as usize] as usize],
+            Loc::In(b) => layout.chan_to[layout.buf_chan[b as usize] as usize],
+        };
+        plan.node_shard[node as usize] as usize
+    }
+
     /// Sharded equivalent of [`Simulator::checkpoint`]: serialize the
-    /// merged engine state as a `fadr-snapshot/1` document, byte-for-byte
+    /// merged engine state as a `fadr-snapshot/2` document, byte-for-byte
     /// equal to what a sequential engine paused at the same cycle writes.
     #[must_use]
     pub fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
         let n = self.num_nodes();
         let nb = self.layout.num_buffers();
         let nch = self.layout.num_channels();
-        let buf_chan = &self.layout.buf_chan;
-        let mut lines = String::new();
-        let mut count = 0usize;
-        for v in 0..n {
-            let s = self.plan.node_shard[v] as usize;
-            count += self.shards[s].push_queued_packets(v, &mut lines);
-        }
-        for v in 0..n {
-            let s = self.plan.node_shard[v] as usize;
-            count += self.shards[s].push_inj_packet(v, &mut lines);
-        }
-        for (b, &bc) in buf_chan.iter().enumerate() {
-            let s = self.chan_src_shard(bc as usize);
-            count += self.shards[s].push_out_packet(b, &mut lines);
-        }
-        for (b, &bc) in buf_chan.iter().enumerate() {
-            let s = self.chan_exec_shard(bc as usize);
-            count += self.shards[s].push_in_packet(b, &mut lines);
-        }
         let chan_rr: Vec<u16> = (0..nch)
             .map(|c| self.shards[self.chan_exec_shard(c)].core.chan_rr[c])
             .collect();
@@ -1578,12 +1571,15 @@ where
             occupancy: occupancy.as_ref(),
             throughput: throughput.as_ref(),
         };
-        snapshot::assemble(meta, &g, count, &lines, progress)
+        let packets = Loc::all(n, nb).flat_map(|loc| {
+            self.shards[Self::loc_shard(&self.plan, &self.layout, loc)].packets_at(loc)
+        });
+        snapshot::assemble(meta, &g, packets, progress)
     }
 
     /// Sharded equivalent of [`Simulator::restore`]: load a
-    /// `fadr-snapshot/1` document (from either engine), scattering each
-    /// packet to the shard that owns its location. Merged global state
+    /// `fadr-snapshot/2` document (from either engine), placing each
+    /// packet in the shard that holds its location. Merged global state
     /// (latency statistics, occupancy, throughput, delivered/dropped
     /// totals) is carried by shard 0 — the merge accessors and the
     /// resumed workers' replicated counters reassemble the totals. The
@@ -1608,44 +1604,11 @@ where
         let snap: ParsedSnapshot<R::Msg> = snapshot::parse(text)?;
         // Every shard runs the same instance, so shard 0 validates for all.
         self.shards[0].validate_snapshot(&snap)?;
-        let buf_chan = &self.layout.buf_chan;
-        for sid in 0..self.shards.len() {
-            let packets: Vec<_> = snap
-                .packets
-                .iter()
-                .filter(|r| {
-                    let owner = match r.loc {
-                        Loc::Queue(v) | Loc::Inj(v) => self.plan.node_shard[v as usize] as usize,
-                        Loc::Out(b) => self.chan_src_shard(buf_chan[b as usize] as usize),
-                        Loc::In(b) => self.chan_exec_shard(buf_chan[b as usize] as usize),
-                    };
-                    owner == sid
-                })
-                .cloned()
-                .collect();
-            let first = sid == 0;
-            let shard_snap = ParsedSnapshot {
-                meta: String::new(),
-                cfg: snap.cfg,
-                dims: snap.dims,
-                cycle: snap.cycle,
-                next_uid: snap.next_uid,
-                delivered: if first { snap.delivered } else { 0 },
-                dropped: if first { snap.dropped } else { 0 },
-                minviol: if first { snap.minviol } else { 0 },
-                packets,
-                chan_rr: snap.chan_rr.clone(),
-                fail: snap.fail.clone(),
-                stats: if first {
-                    snap.stats.clone()
-                } else {
-                    LatencyStats::new()
-                },
-                occupancy: if first { snap.occupancy.clone() } else { None },
-                throughput: if first { snap.throughput.clone() } else { None },
-                progress: snap.progress.clone(),
-            };
-            self.shards[sid].commit_snapshot(&shard_snap);
+        let (plan, layout) = (&self.plan, &self.layout);
+        for (sid, sim) in self.shards.iter_mut().enumerate() {
+            sim.commit_snapshot(&snap, sid == 0, |loc| {
+                Self::loc_shard(plan, layout, loc) == sid
+            });
         }
         std::thread::scope(|scope| {
             for sim in &mut self.shards {

@@ -1,5 +1,7 @@
-//! The `fadr-snapshot/1` checkpoint format: a line-oriented ASCII
-//! serialization of the complete engine state at a pause point.
+//! The `fadr-snapshot/2` checkpoint format: the complete engine state at
+//! a pause point as one JSON document on one line, written with the
+//! writer pieces of `fadr_metrics::json` and read by its strict
+//! [`Reader`] (DESIGN.md §§ 13 and 18).
 //!
 //! # Format
 //!
@@ -12,49 +14,51 @@
 //! is a pure function of the packet placement plus the fault flags —
 //! so none of it is stored; restore recomputes it.
 //!
-//! One record per line, space-separated decimal fields:
-//!
 //! ```text
-//! fadr-snapshot/1
-//! meta <free-form single-line label>
-//! cfg <capacity> <seed> <max_cycles> <fill_order> <track_occ> <check_min> <tw>
-//! layout <num_nodes> <num_classes> <num_buffers> <num_channels>
-//! state <cycle> <next_uid> <delivered> <dropped> <minviol>
-//! packets <count>
-//! p <loc> <arg> <src> <dst> <uid> <hops> <inject> <enq> <moved> <class> <next_class> <esc> <msg words…>
-//! chan_rr <count> <values…>
-//! fail <count> [<chan> <count>]…
-//! stats <count> <sum> <min|-> <max|-> <saturated> <npairs> [<latency> <count>]…
-//! occupancy <samples> <nqueues> <max…> <sum…>        (only when tracked)
-//! throughput <window> <saturated> <nwindows> <f64-bits-hex…>   (optional)
-//! progress static <lost> <n> <next_idx…>
-//! progress dynamic <attempts> <injected>
-//! end
+//! {"schema": "fadr-snapshot/2", "meta": "<label>",
+//!  "cfg": {"queue_capacity": C, "seed": S, "max_cycles": M, "fill_order": F,
+//!          "track_occupancy": 0|1, "check_minimality": 0|1, "throughput_window": W},
+//!  "layout": {"nodes": N, "classes": K, "buffers": B, "channels": H},
+//!  "state": {"cycle": P, "next_uid": U, "delivered": D, "dropped": X, "minviol": V},
+//!  "packets": [[loc, at, src, dst, uid, hops, inject, enqueued, moved,
+//!               class, next_class, escape, msg words…], …],
+//!  "chan_rr": [r, …], "fail": [[chan, count], …],
+//!  "stats": {"count": n, "sum": [high, low], "min": a, "max": b,
+//!            "saturated": 0|1, "hist": [[latency, count], …]},
+//!  "occupancy": {"samples": s, "max": […], "sum": […]},          (when tracked)
+//!  "throughput": {"window": W, "saturated": 0|1, "sums": [f64 bits, …]},  (when kept)
+//!  "progress": {"kind": "static", "lost": L, "next_idx": […]}
+//!            | {"kind": "dynamic", "attempts": A, "injected": I}}
 //! ```
 //!
-//! Packet `<loc>` is `q` (central queue of node `arg`, lines in FIFO
-//! order), `i` (injection buffer of node `arg`), `o`/`n` (output/input
-//! buffer `arg`). Packet lines appear in a canonical order — all queued
-//! packets by node, then injection buffers by node, then output and
-//! input buffers by ascending buffer id — so a sharded checkpoint
-//! (assembled piecewise from the owning shards) is **byte-identical**
-//! to the sequential engine's at the same cycle. Message routing state
-//! is encoded via [`fadr_qdg::SnapshotMsg`] words.
+//! A packet's location code is 0 (central queue of node `at`, records
+//! in FIFO order), 1 (injection buffer of node `at`), 2 or 3 (output or
+//! input buffer `at`); the eleven `PacketInit` fields follow in
+//! order, the message's [`SnapshotMsg`] words last. Packets appear in a
+//! canonical order (`Loc::all`), so a sharded checkpoint (assembled
+//! from the owning shards) is **byte-identical** to the sequential
+//! engine's at the same cycle. The `u128` latency sum is two `u64`
+//! words, an absent `min`, `max`, `occupancy` or `throughput` is an
+//! absent key, throughput sums are `f64` bit patterns, and flags are 0
+//! or 1.
 //!
-//! The parser validates lengths and field ranges and fails loudly on
-//! mismatch: resuming from a corrupted snapshot must not silently turn
-//! into a different run. Every number follows the JSON reader's rule
-//! (`fadr_metrics::json::Reader::u64`): digits only, no sign, no
-//! leading zero, no overflow, and an error that names the line.
+//! Every number goes through [`Reader::u64`], so every syntax error ends
+//! in `at byte N`; a value that does not fit its field is an error
+//! naming the field. Resuming from a corrupted snapshot must not
+//! silently turn into a different run.
 
+use std::fmt::{self, Write as _};
+
+use fadr_metrics::json::{self, Quoted, Reader, Seen};
 use fadr_metrics::{Histogram, LatencyStats, TimeSeries};
 use fadr_qdg::SnapshotMsg;
 
 use crate::engine::{OccupancyProbe, RunProgress};
+use crate::store::PacketInit;
 use crate::{FillOrder, SimConfig};
 
-/// Format magic of the only supported version.
-pub(crate) const MAGIC: &str = "fadr-snapshot/1";
+/// Schema tag of the only supported version.
+const SCHEMA: &str = "fadr-snapshot/2";
 
 /// Where a serialized packet sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,21 +74,18 @@ pub(crate) enum Loc {
     In(u32),
 }
 
-/// One in-flight packet, location plus full per-packet state.
-#[derive(Debug, Clone)]
-pub(crate) struct PacketRec<M> {
-    pub(crate) loc: Loc,
-    pub(crate) src: u32,
-    pub(crate) dst: u32,
-    pub(crate) uid: u64,
-    pub(crate) hops: u16,
-    pub(crate) inject_cycle: u64,
-    pub(crate) enqueued_at: u64,
-    pub(crate) moved_at: u64,
-    pub(crate) class: u8,
-    pub(crate) next_class: u8,
-    pub(crate) escape: bool,
-    pub(crate) msg: M,
+impl Loc {
+    /// Every packet location of a network in the canonical snapshot
+    /// order: central queues by node, injection buffers by node, then
+    /// output and input buffers by ascending buffer id.
+    pub(crate) fn all(nodes: usize, buffers: usize) -> impl Iterator<Item = Loc> {
+        let (n, nb) = (nodes as u32, buffers as u32);
+        (0..n)
+            .map(Loc::Queue)
+            .chain((0..n).map(Loc::Inj))
+            .chain((0..nb).map(Loc::Out))
+            .chain((0..nb).map(Loc::In))
+    }
 }
 
 /// A fully parsed snapshot, ready to load into an engine.
@@ -100,7 +101,7 @@ pub(crate) struct ParsedSnapshot<M> {
     pub(crate) delivered: u64,
     pub(crate) dropped: u64,
     pub(crate) minviol: u64,
-    pub(crate) packets: Vec<PacketRec<M>>,
+    pub(crate) packets: Vec<(Loc, PacketInit<M>)>,
     pub(crate) chan_rr: Vec<u16>,
     /// Sparse flaky-link consecutive-down counters.
     pub(crate) fail: Vec<(u32, u32)>,
@@ -110,7 +111,7 @@ pub(crate) struct ParsedSnapshot<M> {
     pub(crate) progress: RunProgress,
 }
 
-/// Everything the writer needs beyond the packet lines (the caller —
+/// Everything the writer needs beyond the packets (the caller —
 /// sequential engine or sharded driver — computes these; for a sharded
 /// run they are the *merged* totals, which is what makes the output
 /// byte-identical to the sequential engine's).
@@ -146,22 +147,41 @@ fn fill_order_from(code: u64) -> Option<FillOrder> {
     }
 }
 
-/// Assemble the full snapshot text around pre-rendered packet lines.
-pub(crate) fn assemble(
+/// Write `items` as a JSON array of numbers.
+fn nums<T: fmt::Display>(out: &mut String, items: impl IntoIterator<Item = T>) -> fmt::Result {
+    json::list(out, items, |out, v| write!(out, "{v}"));
+    Ok(())
+}
+
+/// Write the snapshot document. `packets` yields every packet in the
+/// canonical order of [`Loc::all`].
+///
+/// # Panics
+///
+/// Panics if `meta` holds a character [`Quoted`] escapes, which the
+/// reader could not read back.
+pub(crate) fn assemble<M: SnapshotMsg>(
     meta: &str,
     g: &Globals<'_>,
-    packet_count: usize,
-    packet_lines: &str,
+    packets: impl Iterator<Item = (Loc, PacketInit<M>)>,
     progress: &RunProgress,
 ) -> String {
-    assert!(!meta.contains('\n'), "snapshot meta must be a single line");
-    let mut out = String::with_capacity(packet_lines.len() + 1024);
-    out.push_str(MAGIC);
-    out.push('\n');
-    out.push_str(&format!("meta {meta}\n"));
-    let c = g.cfg;
-    out.push_str(&format!(
-        "cfg {} {} {} {} {} {} {}\n",
+    assert!(
+        !meta.contains(|c: char| c == '"' || c == '\\' || c < ' '),
+        "snapshot meta must need no JSON escape"
+    );
+    let (c, (n, nc, nb, nch)) = (g.cfg, g.dims);
+    let mut out = String::new();
+    // Writing into a `String` cannot fail.
+    let _ = write!(
+        out,
+        "{{\"schema\": {}, \"meta\": {}, \"cfg\": {{\"queue_capacity\": {}, \"seed\": {}, \
+         \"max_cycles\": {}, \"fill_order\": {}, \"track_occupancy\": {}, \
+         \"check_minimality\": {}, \"throughput_window\": {}}}, \"layout\": {{\"nodes\": {n}, \
+         \"classes\": {nc}, \"buffers\": {nb}, \"channels\": {nch}}}, \"state\": {{\"cycle\": {}, \
+         \"next_uid\": {}, \"delivered\": {}, \"dropped\": {}, \"minviol\": {}}}, \"packets\": ",
+        Quoted(SCHEMA),
+        Quoted(meta),
         c.queue_capacity,
         c.seed,
         c.max_cycles,
@@ -169,424 +189,438 @@ pub(crate) fn assemble(
         u8::from(c.track_occupancy),
         u8::from(c.check_minimality),
         c.throughput_window,
-    ));
-    let (n, nc, nb, nch) = g.dims;
-    out.push_str(&format!("layout {n} {nc} {nb} {nch}\n"));
-    out.push_str(&format!(
-        "state {} {} {} {} {}\n",
-        g.cycle, g.next_uid, g.delivered, g.dropped, g.minviol
-    ));
-    out.push_str(&format!("packets {packet_count}\n"));
-    out.push_str(packet_lines);
-    out.push_str(&format!("chan_rr {}", g.chan_rr.len()));
-    for &v in &g.chan_rr {
-        out.push_str(&format!(" {v}"));
+        g.cycle,
+        g.next_uid,
+        g.delivered,
+        g.dropped,
+        g.minviol,
+    );
+    let mut words = Vec::new();
+    json::list(&mut out, packets, |out, (loc, p)| {
+        let (code, at) = match loc {
+            Loc::Queue(v) => (0, v),
+            Loc::Inj(v) => (1, v),
+            Loc::Out(b) => (2, b),
+            Loc::In(b) => (3, b),
+        };
+        words.clear();
+        words.extend([
+            code,
+            at.into(),
+            p.src.into(),
+            p.dst.into(),
+            p.uid,
+            p.hops.into(),
+            p.inject_cycle,
+            p.enqueued_at,
+            p.moved_at,
+            p.class.into(),
+            p.next_class.into(),
+            p.escape.into(),
+        ]);
+        p.msg.encode(&mut words);
+        nums(out, &words)
+    });
+    out.push_str(", \"chan_rr\": ");
+    let _ = nums(&mut out, &g.chan_rr);
+    out.push_str(", \"fail\": ");
+    json::list(&mut out, &g.fail, |out, &(chan, count)| {
+        nums(out, [chan, count])
+    });
+    let (s, hist) = (g.stats, g.stats.histogram());
+    let _ = write!(out, ", \"stats\": {{\"count\": {}, \"sum\": ", s.count());
+    let _ = nums(&mut out, [(s.sum() >> 64) as u64, s.sum() as u64]);
+    for (key, v) in [("min", s.min_opt()), ("max", s.max_opt())] {
+        if let Some(v) = v {
+            let _ = write!(out, ", \"{key}\": {v}");
+        }
     }
-    out.push('\n');
-    out.push_str(&format!("fail {}", g.fail.len()));
-    for &(chan, cnt) in &g.fail {
-        out.push_str(&format!(" {chan} {cnt}"));
-    }
-    out.push('\n');
-    write_stats(&mut out, g.stats);
+    let _ = write!(
+        out,
+        ", \"saturated\": {}, \"hist\": ",
+        u8::from(hist.saturated())
+    );
+    json::list(&mut out, hist.iter(), |out, (v, count)| {
+        nums(out, [v, count])
+    });
+    out.push('}');
     if let Some(occ) = g.occupancy {
-        out.push_str(&format!("occupancy {} {}", occ.samples, occ.max.len()));
-        for &m in &occ.max {
-            out.push_str(&format!(" {m}"));
-        }
-        for &s in &occ.sum {
-            out.push_str(&format!(" {s}"));
-        }
-        out.push('\n');
+        let _ = write!(
+            out,
+            ", \"occupancy\": {{\"samples\": {}, \"max\": ",
+            occ.samples
+        );
+        let _ = nums(&mut out, &occ.max);
+        out.push_str(", \"sum\": ");
+        let _ = nums(&mut out, &occ.sum);
+        out.push('}');
     }
     if let Some(ts) = g.throughput {
-        out.push_str(&format!(
-            "throughput {} {} {}",
+        let _ = write!(
+            out,
+            ", \"throughput\": {{\"window\": {}, \"saturated\": {}, \"sums\": ",
             ts.window(),
-            u8::from(ts.saturated()),
-            ts.windows().len()
-        ));
-        for &w in ts.windows() {
-            out.push_str(&format!(" {:x}", w.to_bits()));
-        }
-        out.push('\n');
+            u8::from(ts.saturated())
+        );
+        let _ = nums(&mut out, ts.windows().iter().map(|w| w.to_bits()));
+        out.push('}');
     }
     match progress {
         RunProgress::Static { next_idx, lost } => {
-            out.push_str(&format!("progress static {lost} {}", next_idx.len()));
-            for &i in next_idx {
-                out.push_str(&format!(" {i}"));
-            }
-            out.push('\n');
+            let _ = write!(
+                out,
+                ", \"progress\": {{\"kind\": \"static\", \"lost\": {lost}, \"next_idx\": "
+            );
+            let _ = nums(&mut out, next_idx);
+            out.push('}');
         }
         RunProgress::Dynamic { attempts, injected } => {
-            out.push_str(&format!("progress dynamic {attempts} {injected}\n"));
+            let _ = write!(
+                out,
+                ", \"progress\": {{\"kind\": \"dynamic\", \"attempts\": {attempts}, \"injected\": {injected}}}"
+            );
         }
     }
-    out.push_str("end\n");
+    out.push_str("}\n");
     out
-}
-
-fn write_stats(out: &mut String, stats: &LatencyStats) {
-    let hist = stats.histogram();
-    let pairs: Vec<(u64, u64)> = hist.iter().collect();
-    out.push_str(&format!(
-        "stats {} {} {} {} {} {}",
-        stats.count(),
-        stats.sum(),
-        stats
-            .min_opt()
-            .map_or_else(|| "-".to_string(), |v| v.to_string()),
-        stats
-            .max_opt()
-            .map_or_else(|| "-".to_string(), |v| v.to_string()),
-        u8::from(hist.saturated()),
-        pairs.len(),
-    ));
-    for (v, c) in pairs {
-        out.push_str(&format!(" {v} {c}"));
-    }
-    out.push('\n');
-}
-
-/// Render one packet line (shared by both engines so their bytes agree).
-pub(crate) fn push_packet_line<M: SnapshotMsg>(out: &mut String, r: &PacketRec<M>) {
-    let (loc, arg) = match r.loc {
-        Loc::Queue(v) => ('q', v),
-        Loc::Inj(v) => ('i', v),
-        Loc::Out(b) => ('o', b),
-        Loc::In(b) => ('n', b),
-    };
-    out.push_str(&format!(
-        "p {loc} {arg} {} {} {} {} {} {} {} {} {} {}",
-        r.src,
-        r.dst,
-        r.uid,
-        r.hops,
-        r.inject_cycle,
-        r.enqueued_at,
-        r.moved_at,
-        r.class,
-        r.next_class,
-        u8::from(r.escape),
-    ));
-    let mut words = Vec::new();
-    r.msg.encode(&mut words);
-    for w in words {
-        out.push_str(&format!(" {w}"));
-    }
-    out.push('\n');
 }
 
 // --- Parsing ----------------------------------------------------------
 
-struct Cursor<'a> {
-    lines: std::str::Lines<'a>,
-    lineno: usize,
+/// The top-level keys, required unless optional (`occupancy`,
+/// `throughput`).
+const KEYS: [&str; 12] = [
+    "schema",
+    "meta",
+    "cfg",
+    "layout",
+    "state",
+    "packets",
+    "chan_rr",
+    "fail",
+    "stats",
+    "occupancy",
+    "throughput",
+    "progress",
+];
+
+/// `v` as a `T`; `what` names the field in a range error.
+fn narrow<T: TryFrom<u64>>(v: u64, what: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("{what} {v} out of range"))
 }
 
-impl<'a> Cursor<'a> {
-    fn next(&mut self) -> Result<&'a str, String> {
-        self.lineno += 1;
-        self.lines
-            .next()
-            .ok_or_else(|| format!("snapshot truncated at line {}", self.lineno))
-    }
-
-    fn err(&self, msg: &str) -> String {
-        format!("snapshot line {}: {}", self.lineno, msg)
-    }
-}
-
-/// Whether `tok` is a number by the JSON reader's rule
-/// (`fadr_metrics::json::Reader::u64`) over the given digits: at least
-/// one digit, nothing else (no sign), and no leading zero.
-fn canonical(tok: &str, digit: fn(&u8) -> bool) -> bool {
-    let b = tok.as_bytes();
-    !b.is_empty() && b.iter().all(digit) && (b[0] != b'0' || b.len() == 1)
-}
-
-/// A canonical decimal token that fits `T`.
-fn decimal<T: std::str::FromStr>(tok: &str) -> Option<T> {
-    canonical(tok, u8::is_ascii_digit)
-        .then(|| tok.parse().ok())
-        .flatten()
-}
-
-fn parse_u64(tok: Option<&str>, cur: &Cursor<'_>, what: &str) -> Result<u64, String> {
-    decimal(tok.ok_or_else(|| cur.err(&format!("missing {what}")))?)
-        .ok_or_else(|| cur.err(&format!("bad {what}")))
-}
-
-fn parse_usize(tok: Option<&str>, cur: &Cursor<'_>, what: &str) -> Result<usize, String> {
-    usize::try_from(parse_u64(tok, cur, what)?).map_err(|_| cur.err(&format!("bad {what}")))
-}
-
-fn parse_flag(tok: Option<&str>, cur: &Cursor<'_>, what: &str) -> Result<bool, String> {
-    match parse_u64(tok, cur, what)? {
+/// `v` as a flag: 0 or 1.
+fn flag(v: u64, what: &str) -> Result<bool, String> {
+    match v {
         0 => Ok(false),
         1 => Ok(true),
-        _ => Err(cur.err(&format!("bad {what}"))),
+        _ => Err(format!("{what} {v} is not 0 or 1")),
     }
 }
 
-/// Expect `line` to start with `keyword` and return its remaining tokens.
-fn fields<'a>(
-    line: &'a str,
-    keyword: &str,
-    cur: &Cursor<'_>,
-) -> Result<std::str::SplitWhitespace<'a>, String> {
-    let mut toks = line.split_whitespace();
-    if toks.next() != Some(keyword) {
-        return Err(cur.err(&format!("expected `{keyword}` record")));
+/// Require that an object carried every key in `keys`.
+fn require(seen: &Seen<'_>, keys: &[&str], what: &str) -> Result<(), String> {
+    match keys.iter().find(|&&k| !seen.has(k)) {
+        Some(k) => Err(format!("{what} missing {k:?}")),
+        None => Ok(()),
     }
-    Ok(toks)
 }
 
-/// Parse a full `fadr-snapshot/1` document.
-#[allow(clippy::too_many_lines)]
-pub(crate) fn parse<M: SnapshotMsg>(text: &str) -> Result<ParsedSnapshot<M>, String> {
-    let mut cur = Cursor {
-        lines: text.lines(),
-        lineno: 0,
-    };
-    if cur.next()? != MAGIC {
-        return Err(format!("not a {MAGIC} snapshot"));
-    }
-
-    let meta_line = cur.next()?;
-    let meta = meta_line
-        .strip_prefix("meta")
-        .ok_or_else(|| cur.err("expected `meta` record"))?
-        .trim_start()
-        .to_string();
-
-    let line = cur.next()?;
-    let mut t = fields(line, "cfg", &cur)?;
-    let cfg = SimConfig {
-        queue_capacity: parse_usize(t.next(), &cur, "queue capacity")?,
-        seed: parse_u64(t.next(), &cur, "seed")?,
-        max_cycles: parse_u64(t.next(), &cur, "max cycles")?,
-        fill_order: fill_order_from(parse_u64(t.next(), &cur, "fill order")?)
-            .ok_or_else(|| cur.err("bad fill order"))?,
-        track_occupancy: parse_flag(t.next(), &cur, "track_occupancy")?,
-        check_minimality: parse_flag(t.next(), &cur, "check_minimality")?,
-        throughput_window: parse_u64(t.next(), &cur, "throughput window")?,
-    };
-
-    let line = cur.next()?;
-    let mut t = fields(line, "layout", &cur)?;
-    let dims = (
-        parse_usize(t.next(), &cur, "num nodes")?,
-        parse_usize(t.next(), &cur, "num classes")?,
-        parse_usize(t.next(), &cur, "num buffers")?,
-        parse_usize(t.next(), &cur, "num channels")?,
-    );
-
-    let line = cur.next()?;
-    let mut t = fields(line, "state", &cur)?;
-    let cycle = parse_u64(t.next(), &cur, "cycle")?;
-    let next_uid = parse_u64(t.next(), &cur, "next uid")?;
-    let delivered = parse_u64(t.next(), &cur, "delivered")?;
-    let dropped = parse_u64(t.next(), &cur, "dropped")?;
-    let minviol = parse_u64(t.next(), &cur, "minimality violations")?;
-
-    let line = cur.next()?;
-    let mut t = fields(line, "packets", &cur)?;
-    let n_packets = parse_usize(t.next(), &cur, "packet count")?;
-    let mut packets = Vec::with_capacity(n_packets);
-    for _ in 0..n_packets {
-        let line = cur.next()?;
-        packets.push(parse_packet(line, &cur)?);
-    }
-
-    let line = cur.next()?;
-    let mut t = fields(line, "chan_rr", &cur)?;
-    let n_rr = parse_usize(t.next(), &cur, "chan_rr count")?;
-    let mut chan_rr = Vec::with_capacity(n_rr);
-    for _ in 0..n_rr {
-        let v = parse_u64(t.next(), &cur, "chan_rr value")?;
-        chan_rr.push(u16::try_from(v).map_err(|_| cur.err("chan_rr value overflows u16"))?);
-    }
-
-    let line = cur.next()?;
-    let mut t = fields(line, "fail", &cur)?;
-    let n_fail = parse_usize(t.next(), &cur, "fail count")?;
-    let mut fail = Vec::with_capacity(n_fail);
-    for _ in 0..n_fail {
-        let chan = parse_u64(t.next(), &cur, "fail channel")?;
-        let cnt = parse_u64(t.next(), &cur, "fail counter")?;
-        fail.push((
-            u32::try_from(chan).map_err(|_| cur.err("fail channel overflows u32"))?,
-            u32::try_from(cnt).map_err(|_| cur.err("fail counter overflows u32"))?,
-        ));
-    }
-
-    let line = cur.next()?;
-    let stats = parse_stats(line, &cur)?;
-
-    let mut line = cur.next()?;
-    let mut occupancy = None;
-    if line.starts_with("occupancy ") {
-        occupancy = Some(parse_occupancy(line, &cur)?);
-        line = cur.next()?;
-    }
-    let mut throughput = None;
-    if line.starts_with("throughput ") {
-        throughput = Some(parse_throughput(line, &cur)?);
-        line = cur.next()?;
-    }
-
-    let mut t = fields(line, "progress", &cur)?;
-    let progress = match t.next() {
-        Some("static") => {
-            let lost = parse_u64(t.next(), &cur, "lost")?;
-            let n = parse_usize(t.next(), &cur, "next_idx count")?;
-            let mut next_idx = Vec::with_capacity(n);
-            for _ in 0..n {
-                next_idx.push(parse_usize(t.next(), &cur, "next_idx value")?);
-            }
-            RunProgress::Static { next_idx, lost }
-        }
-        Some("dynamic") => RunProgress::Dynamic {
-            attempts: parse_u64(t.next(), &cur, "attempts")?,
-            injected: parse_u64(t.next(), &cur, "injected")?,
-        },
-        _ => return Err(cur.err("bad progress kind")),
-    };
-
-    if cur.next()? != "end" {
-        return Err(cur.err("expected `end` record"));
-    }
-
-    Ok(ParsedSnapshot {
-        meta,
-        cfg,
-        dims,
-        cycle,
-        next_uid,
-        delivered,
-        dropped,
-        minviol,
-        packets,
-        chan_rr,
-        fail,
-        stats,
-        occupancy,
-        throughput,
-        progress,
+/// Read an array of numbers into `out`, replacing its contents.
+fn words(r: &mut Reader<'_>, out: &mut Vec<u64>) -> Result<(), String> {
+    out.clear();
+    r.array(|r| {
+        out.push(r.u64()?);
+        Ok(())
     })
 }
 
-fn parse_packet<M: SnapshotMsg>(line: &str, cur: &Cursor<'_>) -> Result<PacketRec<M>, String> {
-    let mut t = fields(line, "p", cur)?;
-    let loc_tok = t.next().ok_or_else(|| cur.err("missing packet loc"))?;
-    let arg = parse_u64(t.next(), cur, "packet loc arg")?;
-    let arg = u32::try_from(arg).map_err(|_| cur.err("packet loc arg overflows u32"))?;
-    let loc = match loc_tok {
-        "q" => Loc::Queue(arg),
-        "i" => Loc::Inj(arg),
-        "o" => Loc::Out(arg),
-        "n" => Loc::In(arg),
-        _ => return Err(cur.err("bad packet loc")),
+/// Read an array of numbers that each fit `T`.
+fn nums_of<T: TryFrom<u64>>(r: &mut Reader<'_>, what: &str) -> Result<Vec<T>, String> {
+    let mut out = Vec::new();
+    r.array(|r| {
+        out.push(narrow(r.u64()?, what)?);
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Read an array of `[a, b]` number pairs.
+fn pairs(r: &mut Reader<'_>, what: &str) -> Result<Vec<(u64, u64)>, String> {
+    let (mut out, mut pair) = (Vec::new(), Vec::new());
+    r.array(|r| {
+        words(r, &mut pair)?;
+        let &[a, b] = &pair[..] else {
+            return Err(format!("{what} entry is not a pair"));
+        };
+        out.push((a, b));
+        Ok(())
+    })?;
+    Ok(out)
+}
+
+/// Read an object of numbers carrying every key in `keys`.
+fn record<const N: usize>(
+    r: &mut Reader<'_>,
+    keys: &[&str; N],
+    what: &str,
+) -> Result<[u64; N], String> {
+    let mut vals = [0; N];
+    let seen = r.object(keys, |slot, r| {
+        vals[slot] = r.u64()?;
+        Ok(())
+    })?;
+    require(&seen, keys, what)?;
+    Ok(vals)
+}
+
+/// Parse a full `fadr-snapshot/2` document.
+pub(crate) fn parse<M: SnapshotMsg>(text: &str) -> Result<ParsedSnapshot<M>, String> {
+    let mut snap = ParsedSnapshot {
+        meta: String::new(),
+        cfg: SimConfig::default(),
+        dims: (0, 0, 0, 0),
+        cycle: 0,
+        next_uid: 0,
+        delivered: 0,
+        dropped: 0,
+        minviol: 0,
+        packets: Vec::new(),
+        chan_rr: Vec::new(),
+        fail: Vec::new(),
+        stats: LatencyStats::new(),
+        occupancy: None,
+        throughput: None,
+        progress: RunProgress::Dynamic {
+            attempts: 0,
+            injected: 0,
+        },
     };
-    let src = parse_u64(t.next(), cur, "src")?;
-    let dst = parse_u64(t.next(), cur, "dst")?;
-    let uid = parse_u64(t.next(), cur, "uid")?;
-    let hops = parse_u64(t.next(), cur, "hops")?;
-    let inject_cycle = parse_u64(t.next(), cur, "inject cycle")?;
-    let enqueued_at = parse_u64(t.next(), cur, "enqueued_at")?;
-    let moved_at = parse_u64(t.next(), cur, "moved_at")?;
-    let class = parse_u64(t.next(), cur, "class")?;
-    let next_class = parse_u64(t.next(), cur, "next class")?;
-    let escape = parse_flag(t.next(), cur, "escape flag")?;
-    let words: Vec<u64> = t
-        .map(|w| decimal(w).ok_or_else(|| cur.err("bad msg word")))
-        .collect::<Result<_, _>>()?;
-    let msg = M::decode(&words).ok_or_else(|| cur.err("bad msg encoding"))?;
-    Ok(PacketRec {
-        loc,
-        src: u32::try_from(src).map_err(|_| cur.err("src overflows u32"))?,
-        dst: u32::try_from(dst).map_err(|_| cur.err("dst overflows u32"))?,
+    let mut r = Reader::new(text);
+    let mut scratch = Vec::new();
+    let seen = r.object(&KEYS, |slot, r| {
+        match slot {
+            0 => {
+                let s = r.str()?;
+                if s != SCHEMA {
+                    return Err(format!("unsupported schema {s:?} (want {SCHEMA})"));
+                }
+            }
+            1 => snap.meta = r.str()?.to_string(),
+            2 => snap.cfg = read_cfg(r)?,
+            3 => {
+                let [n, nc, nb, nch] =
+                    record(r, &["nodes", "classes", "buffers", "channels"], "layout")?;
+                snap.dims = (
+                    narrow(n, "nodes")?,
+                    narrow(nc, "classes")?,
+                    narrow(nb, "buffers")?,
+                    narrow(nch, "channels")?,
+                );
+            }
+            4 => {
+                let keys = ["cycle", "next_uid", "delivered", "dropped", "minviol"];
+                [
+                    snap.cycle,
+                    snap.next_uid,
+                    snap.delivered,
+                    snap.dropped,
+                    snap.minviol,
+                ] = record(r, &keys, "state")?;
+            }
+            5 => r.array(|r| {
+                words(r, &mut scratch)?;
+                snap.packets.push(packet(&scratch)?);
+                Ok(())
+            })?,
+            6 => snap.chan_rr = nums_of(r, "chan_rr value")?,
+            7 => {
+                for (chan, count) in pairs(r, "fail")? {
+                    let chan = narrow(chan, "fail channel")?;
+                    snap.fail.push((chan, narrow(count, "fail counter")?));
+                }
+            }
+            8 => snap.stats = read_stats(r)?,
+            9 => snap.occupancy = Some(read_occupancy(r)?),
+            10 => snap.throughput = Some(read_throughput(r)?),
+            _ => snap.progress = read_progress(r)?,
+        }
+        Ok(())
+    })?;
+    r.end()?;
+    match KEYS
+        .iter()
+        .find(|&&k| !seen.has(k) && k != "occupancy" && k != "throughput")
+    {
+        Some(k) => Err(format!("snapshot missing {k:?}")),
+        None => Ok(snap),
+    }
+}
+
+/// The `meta` label of a `fadr-snapshot/2` document, read without an
+/// engine: the whole document is parsed, message words undecoded.
+pub fn meta(text: &str) -> Result<String, String> {
+    parse::<Undecoded>(text).map(|s| s.meta)
+}
+
+/// A message that takes any words (see [`meta`]).
+struct Undecoded;
+
+impl SnapshotMsg for Undecoded {
+    fn encode(&self, _: &mut Vec<u64>) {}
+
+    fn decode(_: &[u64]) -> Option<Self> {
+        Some(Self)
+    }
+}
+
+fn read_cfg(r: &mut Reader<'_>) -> Result<SimConfig, String> {
+    let keys = [
+        "queue_capacity",
+        "seed",
+        "max_cycles",
+        "fill_order",
+        "track_occupancy",
+        "check_minimality",
+        "throughput_window",
+    ];
+    let [cap, seed, max_cycles, fill, occ, minim, throughput_window] = record(r, &keys, "cfg")?;
+    Ok(SimConfig {
+        queue_capacity: narrow(cap, "queue_capacity")?,
+        seed,
+        max_cycles,
+        fill_order: fill_order_from(fill)
+            .ok_or_else(|| format!("fill_order {fill} out of range"))?,
+        track_occupancy: flag(occ, "track_occupancy")?,
+        check_minimality: flag(minim, "check_minimality")?,
+        throughput_window,
+    })
+}
+
+/// Decode one packet array: the location code and its node or buffer,
+/// the eleven [`PacketInit`] fields in order, the message words last.
+fn packet<M: SnapshotMsg>(w: &[u64]) -> Result<(Loc, PacketInit<M>), String> {
+    let &[code, at, src, dst, uid, hops, inject_cycle, enqueued_at, moved_at, class, next_class, escape, ref msg @ ..] =
+        w
+    else {
+        return Err(format!("packet of {} numbers is too short", w.len()));
+    };
+    let at = narrow(at, "packet node or buffer")?;
+    let loc = match code {
+        0 => Loc::Queue(at),
+        1 => Loc::Inj(at),
+        2 => Loc::Out(at),
+        3 => Loc::In(at),
+        _ => return Err(format!("packet location code {code} out of range")),
+    };
+    let pkt = PacketInit {
+        src: narrow(src, "packet src")?,
+        dst: narrow(dst, "packet dst")?,
         uid,
-        hops: u16::try_from(hops).map_err(|_| cur.err("hops overflows u16"))?,
+        hops: narrow(hops, "packet hops")?,
         inject_cycle,
         enqueued_at,
         moved_at,
-        class: u8::try_from(class).map_err(|_| cur.err("class overflows u8"))?,
-        next_class: u8::try_from(next_class).map_err(|_| cur.err("next class overflows u8"))?,
-        escape,
-        msg,
-    })
+        class: narrow(class, "packet class")?,
+        next_class: narrow(next_class, "packet next_class")?,
+        escape: flag(escape, "packet escape")?,
+        msg: M::decode(msg).ok_or_else(|| format!("packet {uid} has a bad msg encoding"))?,
+    };
+    Ok((loc, pkt))
 }
 
-fn parse_stats(line: &str, cur: &Cursor<'_>) -> Result<LatencyStats, String> {
-    let mut t = fields(line, "stats", cur)?;
-    let count = parse_u64(t.next(), cur, "stats count")?;
-    let sum = decimal::<u128>(t.next().ok_or_else(|| cur.err("missing stats sum"))?)
-        .ok_or_else(|| cur.err("bad stats sum"))?;
-    let parse_opt = |tok: Option<&str>, what: &str| -> Result<Option<u64>, String> {
-        match tok {
-            Some("-") => Ok(None),
-            tok => parse_u64(tok, cur, what).map(Some),
+fn read_stats(r: &mut Reader<'_>) -> Result<LatencyStats, String> {
+    let keys = ["count", "sum", "min", "max", "saturated", "hist"];
+    let (mut vals, mut sum, mut hist) = ([0; 6], Vec::new(), Vec::new());
+    let seen = r.object(&keys, |slot, r| {
+        match slot {
+            1 => words(r, &mut sum)?,
+            5 => hist = pairs(r, "stats hist")?,
+            _ => vals[slot] = r.u64()?,
         }
+        Ok(())
+    })?;
+    require(&seen, &["count", "sum", "saturated", "hist"], "stats")?;
+    let &[high, low] = &sum[..] else {
+        return Err("stats sum is not two words".into());
     };
-    let min = parse_opt(t.next(), "stats min")?;
-    let max = parse_opt(t.next(), "stats max")?;
-    let saturated = parse_flag(t.next(), cur, "stats saturation flag")?;
-    let npairs = parse_usize(t.next(), cur, "stats pair count")?;
-    let mut pairs = Vec::with_capacity(npairs);
-    for _ in 0..npairs {
-        let v = parse_u64(t.next(), cur, "stats latency")?;
-        let c = parse_u64(t.next(), cur, "stats latency count")?;
-        pairs.push((v, c));
+    if let Some(&(v, _)) = hist.iter().find(|&&(v, _)| v > Histogram::OVERFLOW_CAP) {
+        return Err(format!("stats hist latency {v} out of range"));
     }
+    let [count, _, min, max, saturated, _] = vals;
     Ok(LatencyStats::from_raw(
         count,
-        sum,
-        min,
-        max,
-        Histogram::from_counts(pairs, saturated),
+        u128::from(high) << 64 | u128::from(low),
+        seen.has("min").then_some(min),
+        seen.has("max").then_some(max),
+        Histogram::from_counts(hist, flag(saturated, "stats saturated")?),
     ))
 }
 
-fn parse_occupancy(line: &str, cur: &Cursor<'_>) -> Result<OccupancyProbe, String> {
-    let mut t = fields(line, "occupancy", cur)?;
-    let samples = parse_u64(t.next(), cur, "occupancy samples")?;
-    let n = parse_usize(t.next(), cur, "occupancy queue count")?;
-    let mut max = Vec::with_capacity(n);
-    for _ in 0..n {
-        let v = parse_u64(t.next(), cur, "occupancy max")?;
-        max.push(u16::try_from(v).map_err(|_| cur.err("occupancy max overflows u16"))?);
-    }
-    let mut sum = Vec::with_capacity(n);
-    for _ in 0..n {
-        sum.push(parse_u64(t.next(), cur, "occupancy sum")?);
-    }
-    Ok(OccupancyProbe { max, sum, samples })
+fn read_occupancy(r: &mut Reader<'_>) -> Result<OccupancyProbe, String> {
+    let keys = ["samples", "max", "sum"];
+    let mut occ = OccupancyProbe::default();
+    let seen = r.object(&keys, |slot, r| {
+        match slot {
+            0 => occ.samples = r.u64()?,
+            1 => occ.max = nums_of(r, "occupancy max")?,
+            _ => words(r, &mut occ.sum)?,
+        }
+        Ok(())
+    })?;
+    require(&seen, &keys, "occupancy")?;
+    Ok(occ)
 }
 
-fn parse_throughput(line: &str, cur: &Cursor<'_>) -> Result<TimeSeries, String> {
-    let mut t = fields(line, "throughput", cur)?;
-    let window = parse_u64(t.next(), cur, "throughput window")?;
+fn read_throughput(r: &mut Reader<'_>) -> Result<TimeSeries, String> {
+    let keys = ["window", "saturated", "sums"];
+    let (mut window, mut saturated, mut sums) = (0, 0, Vec::new());
+    let seen = r.object(&keys, |slot, r| {
+        match slot {
+            0 => window = r.u64()?,
+            1 => saturated = r.u64()?,
+            _ => words(r, &mut sums)?,
+        }
+        Ok(())
+    })?;
+    require(&seen, &keys, "throughput")?;
     if window == 0 {
-        return Err(cur.err("zero throughput window"));
+        return Err("zero throughput window".into());
     }
-    let saturated = parse_flag(t.next(), cur, "throughput saturation flag")?;
-    let n = parse_usize(t.next(), cur, "throughput window count")?;
-    if n > TimeSeries::MAX_WINDOWS {
-        return Err(cur.err("too many throughput windows"));
+    if sums.len() > TimeSeries::MAX_WINDOWS {
+        return Err("too many throughput windows".into());
     }
-    let mut sums = Vec::with_capacity(n);
-    for _ in 0..n {
-        let tok = t.next().ok_or_else(|| cur.err("missing throughput sum"))?;
-        let bits = canonical(tok, |b| b.is_ascii_digit() || (b'a'..=b'f').contains(b))
-            .then(|| u64::from_str_radix(tok, 16).ok())
-            .flatten()
-            .ok_or_else(|| cur.err("bad throughput sum"))?;
-        sums.push(f64::from_bits(bits));
-    }
+    let saturated = flag(saturated, "throughput saturated")?;
+    let sums = sums.into_iter().map(f64::from_bits).collect();
     Ok(TimeSeries::from_raw(window, sums, saturated))
+}
+
+fn read_progress(r: &mut Reader<'_>) -> Result<RunProgress, String> {
+    let keys = ["kind", "lost", "next_idx", "attempts", "injected"];
+    let (mut kind, mut vals, mut next_idx) = ("", [0; 5], Vec::new());
+    let seen = r.object(&keys, |slot, r| {
+        match slot {
+            0 => kind = r.str()?,
+            2 => next_idx = nums_of(r, "next_idx value")?,
+            _ => vals[slot] = r.u64()?,
+        }
+        Ok(())
+    })?;
+    require(&seen, &["kind"], "progress")?;
+    let [_, lost, _, attempts, injected] = vals;
+    let (takes, progress): (&[&str], _) = match kind {
+        "static" => (
+            &["kind", "lost", "next_idx"],
+            RunProgress::Static { next_idx, lost },
+        ),
+        "dynamic" => (
+            &["kind", "attempts", "injected"],
+            RunProgress::Dynamic { attempts, injected },
+        ),
+        other => return Err(format!("unknown progress kind {other:?}")),
+    };
+    seen.exactly(takes, format_args!("{kind} progress"))?;
+    Ok(progress)
 }
 
 #[cfg(test)]
@@ -609,29 +643,63 @@ mod tests {
         }
     }
 
+    /// Two windows, the first summing to 1.0 (bits 4607182418800017408).
+    fn sample_series() -> TimeSeries {
+        let mut ts = TimeSeries::new(10);
+        ts.record(3, 1.0);
+        ts.record(17, 0.1 + 0.2); // not exactly representable — bit fidelity matters
+        ts
+    }
+
+    /// Write `snap` back out (what `checkpoint` writes for its state).
+    fn assemble_parsed<M: SnapshotMsg + Clone>(snap: &ParsedSnapshot<M>) -> String {
+        let g = Globals {
+            cfg: &snap.cfg,
+            dims: snap.dims,
+            cycle: snap.cycle,
+            next_uid: snap.next_uid,
+            delivered: snap.delivered,
+            dropped: snap.dropped,
+            minviol: snap.minviol,
+            chan_rr: snap.chan_rr.clone(),
+            fail: snap.fail.clone(),
+            stats: &snap.stats,
+            occupancy: snap.occupancy.as_ref(),
+            throughput: snap.throughput.as_ref(),
+        };
+        assemble(&snap.meta, &g, snap.packets.iter().cloned(), &snap.progress)
+    }
+
+    /// A snapshot carrying every record kind: one queued packet, a fail
+    /// counter, latency stats, occupancy and a throughput series.
     fn sample_text() -> String {
         let mut stats = LatencyStats::new();
         stats.record(7);
         stats.record(11);
-        let mut pkts = String::new();
-        push_packet_line(
-            &mut pkts,
-            &PacketRec {
-                loc: Loc::Queue(3),
-                src: 1,
-                dst: 5,
-                uid: 42,
-                hops: 2,
-                inject_cycle: 10,
-                enqueued_at: 12,
-                moved_at: u64::MAX,
-                class: 1,
-                next_class: 0,
-                escape: false,
-                msg: TestMsg(9),
-            },
-        );
-        let cfg = SimConfig::default();
+        let packet = PacketInit {
+            src: 1,
+            dst: 5,
+            uid: 42,
+            hops: 2,
+            inject_cycle: 10,
+            enqueued_at: 12,
+            moved_at: u64::MAX,
+            class: 1,
+            next_class: 0,
+            escape: false,
+            msg: TestMsg(9),
+        };
+        let cfg = SimConfig {
+            track_occupancy: true,
+            throughput_window: 10,
+            ..SimConfig::default()
+        };
+        let occupancy = OccupancyProbe {
+            max: vec![0, 2],
+            sum: vec![0, 5],
+            samples: 13,
+        };
+        let ts = sample_series();
         let g = Globals {
             cfg: &cfg,
             dims: (8, 2, 64, 24),
@@ -643,32 +711,34 @@ mod tests {
             chan_rr: vec![0, 3, 1],
             fail: vec![(2, 1)],
             stats: &stats,
-            occupancy: None,
-            throughput: None,
+            occupancy: Some(&occupancy),
+            throughput: Some(&ts),
+        };
+        let progress = RunProgress::Static {
+            next_idx: vec![5, 5, 6],
+            lost: 2,
         };
         assemble(
             "test snapshot",
             &g,
-            1,
-            &pkts,
-            &RunProgress::Static {
-                next_idx: vec![5, 5, 6],
-                lost: 2,
-            },
+            [(Loc::Queue(3), packet)].into_iter(),
+            &progress,
         )
     }
 
     #[test]
     fn round_trips_through_text() {
         let text = sample_text();
+        assert_eq!(text.lines().count(), 1);
         let snap: ParsedSnapshot<TestMsg> = parse(&text).expect("parses");
         assert_eq!(snap.meta, "test snapshot");
+        assert_eq!(meta(&text).unwrap(), "test snapshot");
         assert_eq!(snap.cycle, 13);
         assert_eq!(snap.next_uid, 43);
         assert_eq!(snap.dims, (8, 2, 64, 24));
         assert_eq!(snap.packets.len(), 1);
-        let p = &snap.packets[0];
-        assert_eq!(p.loc, Loc::Queue(3));
+        let (loc, p) = &snap.packets[0];
+        assert_eq!(*loc, Loc::Queue(3));
         assert_eq!(p.uid, 42);
         assert_eq!(p.moved_at, u64::MAX);
         assert_eq!(p.msg, TestMsg(9));
@@ -676,6 +746,7 @@ mod tests {
         assert_eq!(snap.fail, vec![(2, 1)]);
         assert_eq!(snap.stats.count(), 2);
         assert_eq!(snap.stats.min_opt(), Some(7));
+        assert_eq!(snap.occupancy.as_ref().map(|o| o.samples), Some(13));
         assert_eq!(
             snap.progress,
             RunProgress::Static {
@@ -683,19 +754,21 @@ mod tests {
                 lost: 2
             }
         );
+        assert_eq!(assemble_parsed(&snap), text);
     }
 
     #[test]
     fn truncated_snapshot_rejected() {
         let text = sample_text();
-        // Drop the trailing `end` line.
-        let cut = text.rsplit_once("end\n").unwrap().0;
+        // Drop the closing brace.
+        let cut = text.trim_end().strip_suffix('}').unwrap();
         assert!(parse::<TestMsg>(cut).is_err());
+        assert!(parse::<TestMsg>(&text[..text.len() / 2]).is_err());
     }
 
     #[test]
     fn corrupt_msg_words_rejected() {
-        let text = sample_text().replace(" 9\n", " 999\n");
+        let text = sample_text().replace(", 0, 9]]", ", 0, 999]]");
         let err = parse::<TestMsg>(&text).unwrap_err();
         assert!(err.contains("msg"), "unexpected error: {err}");
     }
@@ -703,86 +776,105 @@ mod tests {
     #[test]
     fn non_canonical_numbers_rejected() {
         let text = sample_text();
-        for (from, to) in [
-            ("state 13 ", "state +13 "),
-            ("state 13 ", "state 013 "),
-            ("state 13 ", "state 18446744073709551616 "),
-            (" 9\n", " 09\n"),
-            ("stats 2 18 ", "stats 2 +18 "),
-            ("stats 2 18 7 ", "stats 2 18 +7 "),
+        let one = f64::to_bits(1.0).to_string();
+        // (text before the number, the number, its replacement)
+        for (before, from, to) in [
+            ("\"cycle\": ", "13", "+13"),
+            ("\"cycle\": ", "13", "013"),
+            ("\"cycle\": ", "13", "18446744073709551616"),
+            (", 0, 0, ", "9]]", "09]]"),
+            ("\"sum\": [", "0", "+0"),
+            ("\"min\": ", "7", "+7"),
+            ("\"sums\": [", &one, &format!("+{one}")),
         ] {
-            assert!(text.contains(from), "sample has no {from:?}");
-            let err = parse::<TestMsg>(&text.replacen(from, to, 1)).unwrap_err();
-            assert!(err.starts_with("snapshot line "), "{to:?}: {err}");
-        }
-        // Throughput sums are lowercase hex without a sign, as written.
-        let text = throughput_text(&sample_series());
-        let sum = " 3ff0000000000000 ";
-        assert!(text.contains(sum), "series has no {sum:?}");
-        for to in [" +3ff0000000000000 ", " 3FF0000000000000 "] {
-            let err = parse::<TestMsg>(&text.replacen(sum, to, 1)).unwrap_err();
-            assert!(err.starts_with("snapshot line "), "{to:?}: {err}");
+            let key = format!("{before}{from}");
+            let at = text
+                .find(&key)
+                .unwrap_or_else(|| panic!("sample has no {key:?}"));
+            let bad = text.replacen(&key, &format!("{before}{to}"), 1);
+            let err = parse::<TestMsg>(&bad).unwrap_err();
+            let start = at + before.len();
+            assert!(err.ends_with(&format!("at byte {start}")), "{to:?}: {err}");
         }
     }
 
     #[test]
     fn wrong_magic_rejected() {
         assert!(parse::<TestMsg>("fadr-snapshot/9\n").is_err());
+        let text = sample_text().replacen("fadr-snapshot/2", "fadr-snapshot/1", 1);
+        let err = parse::<TestMsg>(&text).unwrap_err();
+        assert!(err.contains("unsupported schema"), "{err}");
     }
 
-    /// A snapshot carrying the throughput series `ts`.
-    fn throughput_text(ts: &TimeSeries) -> String {
-        let stats = LatencyStats::new();
-        let cfg = SimConfig {
-            throughput_window: 10,
-            ..SimConfig::default()
-        };
-        let g = Globals {
-            cfg: &cfg,
-            dims: (2, 1, 4, 2),
-            cycle: 20,
-            next_uid: 0,
-            delivered: 0,
-            dropped: 0,
-            minviol: 0,
-            chan_rr: vec![0, 0],
-            fail: vec![],
-            stats: &stats,
-            occupancy: None,
-            throughput: Some(ts),
-        };
-        assemble(
-            "ts",
-            &g,
-            0,
-            "",
-            &RunProgress::Dynamic {
-                attempts: 5,
-                injected: 4,
-            },
-        )
-    }
-
-    /// Two windows, the first summing to 1.0 (bits `3ff0000000000000`).
-    fn sample_series() -> TimeSeries {
-        let mut ts = TimeSeries::new(10);
-        ts.record(3, 1.0);
-        ts.record(17, 0.1 + 0.2); // not exactly representable — bit fidelity matters
-        ts
+    #[test]
+    fn range_errors_name_the_field() {
+        let text = sample_text();
+        for (from, to, field) in [
+            (
+                "[[0, 3, 1, 5, 42, 2,",
+                "[[0, 3, 1, 5, 42, 65536,",
+                "packet hops",
+            ),
+            ("\"chan_rr\": [0,", "\"chan_rr\": [65536,", "chan_rr value"),
+            ("\"max\": [0,", "\"max\": [65536,", "occupancy max"),
+            ("\"fail\": [[2,", "\"fail\": [[4294967296,", "fail channel"),
+            (
+                "\"track_occupancy\": 1",
+                "\"track_occupancy\": 2",
+                "track_occupancy",
+            ),
+        ] {
+            assert!(text.contains(from), "sample has no {from:?}");
+            let err = parse::<TestMsg>(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(err.starts_with(field), "{to:?}: {err}");
+        }
     }
 
     #[test]
     fn throughput_sums_round_trip_bitwise() {
-        let ts = sample_series();
-        let text = throughput_text(&ts);
+        let text = sample_text();
         let snap: ParsedSnapshot<TestMsg> = parse(&text).expect("parses");
-        assert_eq!(snap.throughput.as_ref(), Some(&ts));
-        assert_eq!(
-            snap.progress,
-            RunProgress::Dynamic {
-                attempts: 5,
-                injected: 4
+        assert_eq!(snap.throughput.as_ref(), Some(&sample_series()));
+    }
+
+    /// The byte-mutation recipe of `crates/fuzz/tests/inputs.rs` on a
+    /// snapshot: delete each byte, and replace it with each of a few
+    /// structural characters, a digit and a letter. Parsing never
+    /// panics; an accepted document writes back to text that parses and
+    /// writes back to the same bytes; and deleting a `,` or `:` outside
+    /// a string is always an error.
+    #[test]
+    fn byte_mutations_are_rejected_or_round_trip() {
+        let text = sample_text();
+        let mut in_string = false;
+        let mut accepted = 0;
+        for (i, &b) in text.as_bytes().iter().enumerate() {
+            let mut deleted = text.as_bytes().to_vec();
+            deleted.remove(i);
+            let mut mutants = vec![deleted];
+            for &to in b",:\"}]0x" {
+                let mut m = text.as_bytes().to_vec();
+                m[i] = to;
+                mutants.push(m);
             }
-        );
+            for (k, m) in mutants.iter().enumerate() {
+                let m = std::str::from_utf8(m).expect("ASCII sample");
+                let Ok(snap) = parse::<TestMsg>(m) else {
+                    continue;
+                };
+                assert!(
+                    k > 0 || in_string || (b != b',' && b != b':'),
+                    "deleting byte {i} ({:?}) was accepted",
+                    char::from(b)
+                );
+                accepted += 1;
+                let once = assemble_parsed(&snap);
+                let again = parse::<TestMsg>(&once)
+                    .unwrap_or_else(|e| panic!("mutant {m:?} wrote back unreadable: {e}"));
+                assert_eq!(assemble_parsed(&again), once, "mutant {m:?}");
+            }
+            in_string ^= b == b'"';
+        }
+        assert!(accepted > 0, "no mutant parsed");
     }
 }

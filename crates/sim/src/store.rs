@@ -89,8 +89,11 @@ pub(crate) struct PacketStore<M> {
     pub(crate) free: Vec<u32>,
 }
 
-/// Initial field values for [`PacketStore::insert`] (the option segment
-/// starts empty, the packet unstaged).
+/// One packet's own state: what [`PacketStore::insert`] places (the
+/// option segment starts empty, the packet unstaged), what
+/// [`PacketStore::record`] gathers back, and what a snapshot packet
+/// record and a cross-shard transfer carry.
+#[derive(Debug, Clone)]
 pub(crate) struct PacketInit<M> {
     pub(crate) src: u32,
     pub(crate) dst: u32,
@@ -158,6 +161,27 @@ impl<M> PacketStore<M> {
             self.enqueued_at.push(init.enqueued_at);
             self.msg.push(init.msg);
             (self.hot.len() - 1) as u32
+        }
+    }
+
+    /// The record of the packet in slot `p`.
+    pub(crate) fn record(&self, p: u32) -> PacketInit<M>
+    where
+        M: Clone,
+    {
+        let (h, p) = (&self.hot[p as usize], p as usize);
+        PacketInit {
+            src: self.src[p],
+            dst: self.dst[p],
+            uid: self.uid[p],
+            hops: h.hops,
+            inject_cycle: self.inject_cycle[p],
+            enqueued_at: self.enqueued_at[p],
+            moved_at: h.moved_at,
+            class: h.class,
+            next_class: h.next_class,
+            escape: h.escape,
+            msg: self.msg[p].clone(),
         }
     }
 

@@ -348,7 +348,7 @@ fn bad_snapshots_rejected() {
 
     // Wrong magic.
     assert!(Simulator::new(rf, cfg)
-        .restore(&text.replacen("fadr-snapshot/1", "fadr-snapshot/9", 1))
+        .restore(&text.replacen("fadr-snapshot/2", "fadr-snapshot/9", 1))
         .is_err());
 
     // Config mismatch (different seed).
@@ -436,66 +436,75 @@ fn bad_snapshots_rejected() {
 
 /// Corruptions of a valid checkpoint that restore must reject: a queue
 /// class out of range, two packets in one output buffer, a fail counter
-/// for an unknown channel, an occupancy table of the wrong length, and a
-/// move stamped at the snapshot cycle.
+/// for an unknown channel, an occupancy table of the wrong length, a
+/// move stamped at the snapshot cycle, and two numbers the JSON reader's
+/// rule rejects though they parse to the values they replace.
 fn corruptions(text: &str) -> Vec<(&'static str, String)> {
-    let lines: Vec<&str> = text.lines().collect();
-    let find = |prefix: &str| {
-        lines
+    // A packet is [loc, at, src, dst, uid, hops, inject, enqueued, moved,
+    // class, next_class, escape, msg words…]; loc 0 is a central queue,
+    // 2 an output buffer.
+    let (head, rest) = text
+        .split_once("\"packets\": [[")
+        .expect("checkpoint has packets");
+    let (body, tail) = rest.split_once("]], \"chan_rr\"").expect("packets end");
+    let packets: Vec<Vec<String>> = body
+        .split("], [")
+        .map(|p| p.split(", ").map(str::to_string).collect())
+        .collect();
+    let with = |ps: &[Vec<String>]| {
+        let ps: Vec<String> = ps.iter().map(|p| p.join(", ")).collect();
+        format!(
+            "{head}\"packets\": [[{}]], \"chan_rr\"{tail}",
+            ps.join("], [")
+        )
+    };
+    assert_eq!(with(&packets), text, "packet split must be lossless");
+    let first = |code: &str| {
+        packets
             .iter()
-            .position(|l| l.starts_with(prefix))
-            .unwrap_or_else(|| panic!("checkpoint has no `{prefix}` line"))
+            .position(|p| p[0] == code)
+            .unwrap_or_else(|| panic!("checkpoint has no packet at location {code}"))
     };
-    let with = |i: usize, line: String| {
-        let mut out: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
-        out[i] = line;
-        out.join("\n") + "\n"
+    let edit = |field: usize, value: String| {
+        let mut ps = packets.clone();
+        ps[first("0")][field] = value;
+        with(&ps)
     };
-    // Packet line: p <loc> <arg> <src> <dst> <uid> <hops> <inject> <enq> <moved> <class> …
-    let q = find("p q ");
-    let mut toks: Vec<&str> = lines[q].split(' ').collect();
-    toks[10] = "99";
-    let class = with(q, toks.join(" "));
-    // state <cycle> …: a move stamped at the snapshot cycle itself.
-    let cycle = lines[find("state ")]
-        .split(' ')
-        .nth(1)
-        .expect("state cycle");
-    let mut toks: Vec<&str> = lines[q].split(' ').collect();
-    toks[9] = cycle;
-    let future = with(q, toks.join(" "));
+    let number_after = |key: &str| {
+        let at = text.find(key).expect(key) + key.len();
+        text[at..]
+            .split(|c: char| !c.is_ascii_digit())
+            .next()
+            .expect(key)
+    };
+    let class = edit(9, "99".into());
+    let future = edit(8, number_after("\"cycle\": ").into());
+    let signed = edit(5, format!("+{}", packets[first("0")][5]));
 
-    let o = find("p o ");
-    let n = find("packets ");
-    let count: usize = lines[n]["packets ".len()..].parse().expect("packet count");
-    let mut dup: Vec<String> = lines.iter().map(|l| (*l).to_string()).collect();
-    dup.insert(o + 1, lines[o].to_string());
-    dup[n] = format!("packets {}", count + 1);
-    let shared_buffer = dup.join("\n") + "\n";
+    let mut dup = packets.clone();
+    dup.insert(first("2"), dup[first("2")].clone());
+    let shared_buffer = with(&dup);
 
-    let fail = with(find("fail "), "fail 1 999999 1".to_string());
+    let start = text.find("\"fail\": ").expect("fail counters") + "\"fail\": ".len();
+    let end = start + text[start..].find(", \"stats\"").expect("stats");
+    let fail = format!("{}[[999999, 1]]{}", &text[..start], &text[end..]);
 
-    // Numbers the JSON reader's rule rejects, though they parse to the
-    // values they replace: a signed hop count and a zero-padded cycle.
-    let mut toks: Vec<&str> = lines[q].split(' ').collect();
-    let signed = format!("+{}", toks[6]);
-    toks[6] = &signed;
-    let signed = with(q, toks.join(" "));
-    let s = find("state ");
-    let padded = with(s, lines[s].replacen(' ', " 0", 1));
+    let padded = text.replacen("\"cycle\": ", "\"cycle\": 0", 1);
 
-    let occ = find("occupancy ");
-    let toks: Vec<&str> = lines[occ].split(' ').collect();
-    let nq: usize = toks[2].parse().expect("queue count");
-    let (max, sum) = toks[3..].split_at(nq);
-    let short = format!(
-        "occupancy {} {} {} {}",
-        toks[1],
-        nq - 1,
-        max[..nq - 1].join(" "),
-        sum[..nq - 1].join(" ")
-    );
-    let occupancy = with(occ, short);
+    // Drop the last entry of the occupancy table's `max` and `sum`.
+    let mut occupancy = text.to_string();
+    let occ = occupancy
+        .find("\"occupancy\": ")
+        .expect("checkpoint tracks occupancy");
+    for key in ["\"max\": [", "\"sum\": ["] {
+        let start = occ + occupancy[occ..].find(key).expect(key) + key.len();
+        let end = start + occupancy[start..].find(']').expect("array end");
+        let cut = start
+            + occupancy[start..end]
+                .rfind(", ")
+                .expect("two or more queues");
+        occupancy.replace_range(cut..end, "");
+    }
 
     vec![
         ("a class out of range", class),

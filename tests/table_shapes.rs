@@ -144,7 +144,7 @@ fn bench_runner_produces_comparable_tables() {
         dynamic_cycles: 100,
         ..fadr_bench::runner::RunOptions::default()
     };
-    let row = fadr_bench::runner::run_row(fadr_bench::runner::spec(2), 10, opts);
+    let row = fadr_bench::runner::run_row(fadr_bench::runner::spec(2), 10, opts).unwrap();
     assert_eq!(row.l_max, 21);
     let paper = fadr_bench::paper::static_ref(2, 10).unwrap();
     assert_eq!(row.l_max, paper.1);
