@@ -141,14 +141,13 @@ fn lambda_sweep(
             )
         };
         Ok::<_, String>((line, format!("lambda={lambda} algo={name}"), sinks))
-    });
+    })?;
     let header = if replicated {
         "lambda,algo,throughput_mean,throughput_ci95,l_avg_mean,l_avg_ci95,l_max,\
          injection_rate_mean,injection_rate_ci95"
     } else {
         "lambda,algo,throughput,l_avg,l_max,injection_rate"
     };
-    let points = points.into_iter().collect::<Result<_, _>>()?;
     Ok(emit(header, 0, n, points))
 }
 
@@ -175,8 +174,7 @@ fn capacity_sweep(
         let r = recorded.remove(0);
         let line = format!("{cap},{name},{:.2},{}", r.row.l_avg, r.row.l_max);
         Ok::<_, String>((line, format!("cap={cap} algo={name}"), r.sinks))
-    });
-    let points = points.into_iter().collect::<Result<_, _>>()?;
+    })?;
     Ok(emit("capacity,algo,l_avg,l_max", table, n, points))
 }
 

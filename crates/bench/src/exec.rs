@@ -21,7 +21,11 @@ pub fn default_jobs() -> usize {
 }
 
 /// Evaluate `f(0), f(1), …, f(count - 1)` on up to `jobs` worker
-/// threads and return the results in index order.
+/// threads and return the results in index order, or fail fast: once a
+/// unit has returned `Err`, no worker claims another, and the error is
+/// the lowest-index unit's. Units are claimed in index order, so that is
+/// the unit a sequential loop stops at, and the message is the same for
+/// any `jobs`.
 ///
 /// Work is distributed dynamically (an atomic cursor), so uneven item
 /// costs — e.g. table rows at growing dimension — still load-balance.
@@ -32,20 +36,23 @@ pub fn default_jobs() -> usize {
 /// # Panics
 ///
 /// Propagates a panic from any worker (the first one joined).
-pub fn run_indexed<T, F>(count: usize, jobs: usize, f: F) -> Vec<T>
+pub fn run_indexed<T, E, F>(count: usize, jobs: usize, f: F) -> Result<Vec<T>, E>
 where
     T: Send,
-    F: Fn(usize) -> T + Sync,
+    E: Send,
+    F: Fn(usize) -> Result<T, E> + Sync,
 {
     let jobs = jobs.clamp(1, count.max(1));
     if jobs == 1 {
         return (0..count).map(f).collect();
     }
+    // An error moves the cursor past the end, so the claim that follows
+    // it in the cursor's modification order finds no unit.
     let cursor = AtomicUsize::new(0);
     // `forbid(unsafe_code)` rules out writing into shared slots from the
     // workers, so each worker returns its own (index, value) batch and
     // the gather below scatters them back into index order.
-    let batches: Vec<Vec<(usize, T)>> = std::thread::scope(|s| {
+    let batches: Vec<Vec<(usize, Result<T, E>)>> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..jobs)
             .map(|_| {
                 s.spawn(|| {
@@ -55,7 +62,11 @@ where
                         if i >= count {
                             break;
                         }
-                        mine.push((i, f(i)));
+                        let v = f(i);
+                        if v.is_err() {
+                            cursor.fetch_max(count, Ordering::Relaxed);
+                        }
+                        mine.push((i, v));
                     }
                     mine
                 })
@@ -67,30 +78,40 @@ where
             .collect()
     });
     let mut slots: Vec<Option<T>> = std::iter::repeat_with(|| None).take(count).collect();
-    for batch in batches {
-        for (i, v) in batch {
-            debug_assert!(slots[i].is_none(), "item {i} computed twice");
-            slots[i] = Some(v);
+    let mut failed: Option<(usize, E)> = None;
+    for (i, v) in batches.into_iter().flatten() {
+        debug_assert!(slots[i].is_none(), "item {i} computed twice");
+        match v {
+            Ok(v) => slots[i] = Some(v),
+            Err(e) if failed.as_ref().is_none_or(|&(j, _)| i < j) => failed = Some((i, e)),
+            Err(_) => {}
         }
     }
-    slots
+    if let Some((_, e)) = failed {
+        return Err(e);
+    }
+    Ok(slots
         .into_iter()
         .enumerate()
         .map(|(i, v)| v.unwrap_or_else(|| panic!("item {i} never computed")))
-        .collect()
+        .collect())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn ok<T>(v: T) -> Result<T, String> {
+        Ok(v)
+    }
+
     #[test]
     fn preserves_index_order() {
         for jobs in [1, 2, 3, 8, 64] {
-            let out = run_indexed(37, jobs, |i| i * i);
+            let out = run_indexed(37, jobs, |i| ok(i * i));
             assert_eq!(
                 out,
-                (0..37).map(|i| i * i).collect::<Vec<_>>(),
+                Ok((0..37).map(|i| i * i).collect::<Vec<_>>()),
                 "jobs={jobs}"
             );
         }
@@ -98,8 +119,8 @@ mod tests {
 
     #[test]
     fn handles_empty_and_tiny() {
-        assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(run_indexed(1, 4, |i| i + 10), vec![10]);
+        assert_eq!(run_indexed(0, 4, ok), Ok(Vec::<usize>::new()));
+        assert_eq!(run_indexed(1, 4, |i| ok(i + 10)), Ok(vec![10]));
     }
 
     #[test]
@@ -110,9 +131,36 @@ mod tests {
             if i < 4 {
                 std::thread::sleep(std::time::Duration::from_millis(5));
             }
-            i
+            ok(i)
         });
-        assert_eq!(out, (0..16).collect::<Vec<_>>());
+        assert_eq!(out, Ok((0..16).collect::<Vec<_>>()));
+    }
+
+    #[test]
+    fn stops_claiming_after_an_error() {
+        // Unit 3 fails slowly and unit 4 at once: at two jobs unit 4
+        // may fail first, but the error is still unit 3's, and at most
+        // the one unit claimed beside it runs past it.
+        for (jobs, most) in [(1, 4), (2, 5)] {
+            let started = AtomicUsize::new(0);
+            let out = run_indexed(100, jobs, |i| {
+                started.fetch_add(1, Ordering::Relaxed);
+                match i {
+                    3 => {
+                        std::thread::sleep(std::time::Duration::from_millis(20));
+                        Err(format!("unit {i}"))
+                    }
+                    4 => Err(format!("unit {i}")),
+                    _ => Ok(i),
+                }
+            });
+            assert_eq!(out, Err("unit 3".to_string()), "jobs={jobs}");
+            let started = started.into_inner();
+            assert!(
+                (4..=most).contains(&started),
+                "jobs={jobs}: {started} units started"
+            );
+        }
     }
 
     #[test]

@@ -454,11 +454,10 @@ fn table_rows<Rec: RunRecorder>(
             })
             .collect();
         run_reps::<Rec>(Source::Table(spec), n, &unit, &opts, &rc)
-    });
+    })?;
     // A watchdogged or faulted run may abort instead of draining;
     // report, don't panic.
     let require_drain = rc.watchdog.is_none() && opts.faults.is_none();
-    let units = units.into_iter().collect::<Result<Vec<_>, String>>()?;
     let runs: Vec<(RunResult, Rec)> = units.into_iter().flatten().collect();
     Ok(runs
         .chunks(reps)

@@ -1976,6 +1976,11 @@ impl<R: RoutingFunction> Core<R, Computed<R>> {
     /// routing cycle can form. In-place class changes (stutters) are
     /// dropped too: they make no distance progress, and the escape
     /// fallback restarts the routing state at the next node anyway.
+    ///
+    /// Toward an intact destination ([`FaultState::intact`]) a minimal
+    /// scheme's hop strictly shortens the surviving distance iff its
+    /// channel and target are alive, so the filter reads no distance row;
+    /// rows are filled only for the faults' cone and the escape hop.
     fn degrade<Rec: Recorder>(
         &mut self,
         rf: &R,
@@ -1991,11 +1996,19 @@ impl<R: RoutingFunction> Core<R, Computed<R>> {
         let fs = self.faults.as_mut().expect("fault state attached");
         if fs.has_dead() {
             let layout = &self.layout;
-            let toward = fs.toward(dst, layout);
-            let here = toward.dist[node];
-            opts.retain(|o| {
-                o.buf != NONE && toward.advances(layout.buf_chan[o.buf as usize], here)
-            });
+            if rf.is_minimal() && !fs.is_node_dead(node) && fs.intact(dst, layout) {
+                // Every live node keeps its fault-free distance to `dst`,
+                // and a minimal hop lowers that distance by one.
+                opts.retain(|o| {
+                    o.buf != NONE && fs.chan_alive(layout.buf_chan[o.buf as usize], layout)
+                });
+            } else {
+                let toward = fs.toward(dst, layout);
+                let here = toward.dist[node];
+                opts.retain(|o| {
+                    o.buf != NONE && toward.advances(layout.buf_chan[o.buf as usize], here)
+                });
+            }
             has_static = opts
                 .iter()
                 .any(|o| matches!(layout.buf_class[o.buf as usize], BufferClass::Static(_)));
@@ -2471,6 +2484,13 @@ where
             if r.src as usize >= n || r.dst as usize >= n {
                 return Err(format!("packet {} has out-of-range endpoints", r.uid));
             }
+            let to = self.rf.destination(&r.msg);
+            if to != r.dst as usize {
+                return Err(format!(
+                    "packet {} is addressed to {} but routed to {to}",
+                    r.uid, r.dst
+                ));
+            }
             // Every move happens in a fill pass before the pause cycle
             // (`u64::MAX` = never moved); the fill relies on it.
             if r.inject_cycle > snap.cycle || (r.moved_at >= snap.cycle && r.moved_at != u64::MAX) {
@@ -2480,6 +2500,9 @@ where
                 ));
             }
             let (slot, what) = match *loc {
+                Loc::Queue(v) if v == r.dst => {
+                    return Err(format!("packet {} is queued at its destination", r.uid));
+                }
                 Loc::Queue(v) if (v as usize) < n => continue,
                 Loc::Queue(_) => {
                     return Err(format!("packet {} queued at an unknown node", r.uid));
@@ -2541,7 +2564,7 @@ where
     /// [`Simulator::commit_snapshot`]. They are derived state, computed
     /// after the fault replay so degraded-mode filtering sees the same
     /// dead topology as the original run; under a permanent fault this
-    /// fills the surviving-distance rows.
+    /// fills the surviving-distance rows that degraded routing reads.
     pub(crate) fn resettle_queued(&mut self) {
         let core = &mut self.core;
         for v in 0..core.layout.num_nodes {

@@ -30,7 +30,7 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use fadr_topology::graph::{Csr, DistanceRows};
+use fadr_topology::graph::{self, Csr, DistanceRows};
 
 use crate::json::{self, Quoted, Reader};
 use crate::layout::Layout;
@@ -360,6 +360,10 @@ pub(crate) struct FaultState {
     /// nodes (`None` until the first lookup), reset on each permanent
     /// change.
     dist: Option<DistanceRows>,
+    /// Destinations every live node is as far from as before any fault
+    /// ([`graph::intact_targets`]; `None` until the first lookup), reset
+    /// with the distances.
+    intact: Option<Vec<bool>>,
 }
 
 impl FaultState {
@@ -376,6 +380,7 @@ impl FaultState {
             fail_count: vec![0; layout.num_channels()],
             has_dead: false,
             dist: None,
+            intact: None,
         }
     }
 
@@ -492,17 +497,41 @@ impl FaultState {
     }
 
     /// Rebuild the surviving graph the distances run over (call on any
-    /// permanent topology change): every distance row goes stale.
+    /// permanent topology change): every distance row and the intact set
+    /// go stale.
     pub(crate) fn reset_distances(&mut self, layout: &Layout) {
+        self.intact = None;
         if let Some(dist) = &mut self.dist {
             dist.reset(live_graph(layout, &self.chan_dead, &self.node_dead));
         }
     }
 
+    /// Whether every live node is exactly as far from `dst` over the
+    /// surviving graph as before any fault. Toward such a destination a
+    /// minimal hop over a live channel to a live node is one hop of
+    /// surviving progress, so no distance row is needed.
+    pub(crate) fn intact(&mut self, dst: u32, layout: &Layout) -> bool {
+        let (chan_dead, node_dead) = (&self.chan_dead, &self.node_dead);
+        self.intact.get_or_insert_with(|| {
+            graph::intact_targets(
+                &channel_graph(layout, |_| true),
+                &live_graph(layout, chan_dead, node_dead),
+                node_dead,
+            )
+        })[dst as usize]
+    }
+
+    /// Whether `chan` and its target are alive.
+    pub(crate) fn chan_alive(&self, chan: u32, layout: &Layout) -> bool {
+        !self.chan_dead[chan as usize] && !self.node_dead[layout.chan_to[chan as usize] as usize]
+    }
+
     /// The surviving graph seen from `dst`. A miss fills the distance
     /// rows of `dst`'s whole batch of 64 destinations in one traversal,
     /// so routing toward every destination costs `N / 64` traversals
-    /// per permanent change.
+    /// per permanent change. A minimal scheme asks only for destinations
+    /// outside the intact set ([`FaultState::intact`]) and for escape
+    /// hops.
     pub(crate) fn toward<'a>(&'a mut self, dst: u32, layout: &'a Layout) -> Toward<'a> {
         let (chan_dead, node_dead) = (&self.chan_dead, &self.node_dead);
         let dist = self
@@ -520,17 +549,19 @@ impl FaultState {
 
 /// Successor lists over the live channels between live nodes.
 fn live_graph(layout: &Layout, chan_dead: &[bool], node_dead: &[bool]) -> Csr {
+    channel_graph(layout, |chan| {
+        let (from, to) = (layout.chan_from[chan], layout.chan_to[chan]);
+        !chan_dead[chan] && !node_dead[from as usize] && !node_dead[to as usize]
+    })
+}
+
+/// Successor lists over the channels `keep` accepts.
+fn channel_graph(layout: &Layout, keep: impl Fn(usize) -> bool) -> Csr {
     Csr::build(layout.num_nodes, |u, out| {
-        if node_dead[u] {
-            return;
-        }
         for port in 0..layout.max_ports {
-            let Some(chan) = layout.chan(u, port) else {
-                continue;
-            };
-            let to = layout.chan_to[chan as usize];
-            if !chan_dead[chan as usize] && !node_dead[to as usize] {
-                out.push(to);
+            match layout.chan(u, port) {
+                Some(chan) if keep(chan as usize) => out.push(layout.chan_to[chan as usize]),
+                _ => {}
             }
         }
     })

@@ -1588,8 +1588,10 @@ where
     ///
     /// The shards recompute their queued packets' routing options on one
     /// thread each, as a run does. Under a fault plan this recompute
-    /// fills each shard's surviving-distance rows (16 MiB per shard at
-    /// hypercube(11)), so they land in a worker thread's heap, which
+    /// fills the surviving-distance rows the shard's packets need (every
+    /// row of a non-minimal scheme, 16 MiB per shard at hypercube(11);
+    /// a minimal one's only outside the intact-destination set), so they
+    /// land in a worker thread's heap, which
     /// glibc hands back to the OS when the simulator drops. Filled on the
     /// caller's thread, they landed in glibc's main heap below blocks
     /// allocated later, which kept them resident after the drop, and a

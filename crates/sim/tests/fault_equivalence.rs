@@ -8,11 +8,15 @@
 //!
 //! The sweep is a hand-rolled seeded property harness: 256 cases of
 //! (routing family × random backlog/traffic × random fault plan), each
-//! derived from a fixed master seed so failures replay exactly.
+//! derived from a fixed master seed so failures replay exactly. Each
+//! case also runs sequentially with the scheme wrapped as non-minimal
+//! ([`RowPath`]), which sends every degraded option set through the
+//! distance rows: it must match the intact-destination fast path.
 
 use fadr_core::{HypercubeFullyAdaptive, MeshFullyAdaptive, MeshKDFullyAdaptive, TorusTwoPhase};
-use fadr_qdg::RoutingFunction;
+use fadr_qdg::{BufferClass, QueueId, RoutingFunction, Transition};
 use fadr_sim::{FaultKind, FaultPlan, ShardedSimulator, SimConfig, Simulator, SinkSet, StopReason};
+use fadr_topology::{NodeId, Port, Topology};
 use fadr_workloads::{static_backlog, Pattern};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -20,6 +24,69 @@ use rand::{Rng, RngCore, SeedableRng};
 const MASTER_SEED: u64 = 0xFA01_7EE7;
 const CASES: u64 = 256;
 const SHARD_COUNTS: [usize; 2] = [2, 3];
+
+/// A scheme that disclaims minimality and is otherwise `R`: degraded
+/// routing then filters every option set by the surviving distance rows,
+/// never by the intact-destination set.
+#[derive(Clone)]
+struct RowPath<R>(R);
+
+impl<R: RoutingFunction> RoutingFunction for RowPath<R> {
+    type Msg = R::Msg;
+
+    fn topology(&self) -> &dyn Topology {
+        self.0.topology()
+    }
+
+    fn num_classes(&self) -> usize {
+        self.0.num_classes()
+    }
+
+    fn initial_msg(&self, src: NodeId, dst: NodeId) -> R::Msg {
+        self.0.initial_msg(src, dst)
+    }
+
+    fn destination(&self, msg: &R::Msg) -> NodeId {
+        self.0.destination(msg)
+    }
+
+    fn deliverable(&self, node: NodeId, msg: &R::Msg) -> bool {
+        self.0.deliverable(node, msg)
+    }
+
+    fn for_each_transition(
+        &self,
+        at: QueueId,
+        msg: &R::Msg,
+        f: &mut dyn FnMut(Transition<R::Msg>),
+    ) {
+        self.0.for_each_transition(at, msg, f);
+    }
+
+    fn buffer_classes(&self, node: NodeId, port: Port) -> Vec<BufferClass> {
+        self.0.buffer_classes(node, port)
+    }
+
+    fn is_minimal(&self) -> bool {
+        false
+    }
+
+    fn max_hops(&self) -> usize {
+        self.0.max_hops()
+    }
+
+    fn name(&self) -> String {
+        self.0.name()
+    }
+
+    fn state_key(&self, node: NodeId, class: u8, msg: &R::Msg) -> Option<u64> {
+        self.0.state_key(node, class, msg)
+    }
+
+    fn transitions(&self, at: QueueId, msg: &R::Msg) -> Vec<Transition<R::Msg>> {
+        self.0.transitions(at, msg)
+    }
+}
 
 /// All directed channels of `rf`'s topology as `(from, to)` pairs.
 fn links<R: RoutingFunction>(rf: &R) -> Vec<(u32, u32)> {
@@ -128,6 +195,17 @@ where
         let mut seq = Simulator::new(rf.clone(), cfg).with_faults(plan.clone());
         let seq_res = seq.run_static(&backlog);
         let seq_part = seq.partitioned_destinations();
+        let mut rows = Simulator::new(RowPath(rf.clone()), cfg).with_faults(plan.clone());
+        assert_eq!(
+            seq_res,
+            rows.run_static(&backlog),
+            "{name} case {case}: static result diverged from the row path\nplan: {plan:?}"
+        );
+        assert_eq!(
+            seq_part,
+            rows.partitioned_destinations(),
+            "{name} case {case}: partition set diverged from the row path\nplan: {plan:?}"
+        );
         assert_ne!(
             seq_res.stop,
             StopReason::MaxCycles,
@@ -163,6 +241,17 @@ where
         let mut seq = Simulator::new(rf.clone(), cfg).with_faults(plan.clone());
         let seq_res = seq.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, size, rng), cycles);
         let seq_part = seq.partitioned_destinations();
+        let mut rows = Simulator::new(RowPath(rf.clone()), cfg).with_faults(plan.clone());
+        assert_eq!(
+            seq_res,
+            rows.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, size, rng), cycles),
+            "{name} case {case}: dynamic result diverged from the row path\nplan: {plan:?}"
+        );
+        assert_eq!(
+            seq_part,
+            rows.partitioned_destinations(),
+            "{name} case {case}: partition set diverged from the row path\nplan: {plan:?}"
+        );
         if survives_connected(&rf, &plan) {
             assert_eq!(
                 seq_res.stop,

@@ -437,8 +437,10 @@ fn bad_snapshots_rejected() {
 /// Corruptions of a valid checkpoint that restore must reject: a queue
 /// class out of range, two packets in one output buffer, a fail counter
 /// for an unknown channel, an occupancy table of the wrong length, a
-/// move stamped at the snapshot cycle, and two numbers the JSON reader's
-/// rule rejects though they parse to the values they replace.
+/// move stamped at the snapshot cycle, a message routed to a node other
+/// than the packet's destination, a queued packet at its destination,
+/// and two numbers the JSON reader's rule rejects though they parse to
+/// the values they replace.
 fn corruptions(text: &str) -> Vec<(&'static str, String)> {
     // A packet is [loc, at, src, dst, uid, hops, inject, enqueued, moved,
     // class, next_class, escape, msg words…]; loc 0 is a central queue,
@@ -481,6 +483,16 @@ fn corruptions(text: &str) -> Vec<(&'static str, String)> {
     let future = edit(8, number_after("\"cycle\": ").into());
     let signed = edit(5, format!("+{}", packets[first("0")][5]));
 
+    // The first queued packet's message word names its own node, with
+    // its `dst` unchanged and then moved there too.
+    let mut here = packets.clone();
+    let queued = &mut here[first("0")];
+    queued[12] = queued[1].clone();
+    let misrouted = with(&here);
+    let queued = &mut here[first("0")];
+    queued[3] = queued[1].clone();
+    let arrived = with(&here);
+
     let mut dup = packets.clone();
     dup.insert(first("2"), dup[first("2")].clone());
     let shared_buffer = with(&dup);
@@ -512,6 +524,8 @@ fn corruptions(text: &str) -> Vec<(&'static str, String)> {
         ("a fail counter for an unknown channel", fail),
         ("a wrong occupancy length", occupancy),
         ("a move at the snapshot cycle", future),
+        ("a message routed to another node", misrouted),
+        ("a queued packet at its destination", arrived),
         ("a signed hop count", signed),
         ("a zero-padded cycle", padded),
     ]

@@ -94,6 +94,19 @@ impl Csr {
         })
     }
 
+    /// The same nodes with every edge reversed. Rows *to* targets over
+    /// the transpose are distances *from* them over `self`.
+    pub fn transpose(&self) -> Self {
+        let n = self.num_nodes();
+        let mut pred = vec![Vec::new(); n];
+        for u in 0..n {
+            for &v in self.succ(u) {
+                pred[v as usize].push(u32::try_from(u).expect("node id fits u32"));
+            }
+        }
+        Self::build(n, |v, out| out.append(&mut pred[v]))
+    }
+
     fn num_nodes(&self) -> usize {
         self.start.len() - 1
     }
@@ -108,8 +121,9 @@ pub const BATCH: usize = 64;
 
 /// Distance rows *to* up to [`BATCH`] target nodes in one traversal:
 /// `rows[i * n + u]` becomes the directed hop distance from node `u` to
-/// target `targets.start + i` over `g`'s edges, `u32::MAX` when `u`
-/// cannot reach it (`n = g.num_nodes()`; every entry is written).
+/// target `targets[i]` over `g`'s edges, `u32::MAX` when `u` cannot
+/// reach it (`n = g.num_nodes()`; every entry is written). Over
+/// [`Csr::transpose`] the rows are distances *from* the targets.
 ///
 /// A bit-parallel reverse BFS, as in the multi-source BFS of Then et al.
 /// (PVLDB 8(4), 2014): each node keeps one `u64` with a lane per target.
@@ -117,14 +131,16 @@ pub const BATCH: usize = 64;
 /// `k - 1`, and every lane it had not seen before ends at `k`. A level
 /// is one pass over the edges for all targets together, so `N` rows
 /// cost `N / 64` traversals instead of `N`.
-pub fn reverse_bfs_batch(g: &Csr, targets: std::ops::Range<NodeId>, rows: &mut [u32]) {
+pub fn reverse_bfs_batch(g: &Csr, targets: &[NodeId], rows: &mut [u32]) {
     let n = g.num_nodes();
     let lanes = targets.len();
     assert!(
         lanes <= BATCH,
         "{lanes} targets exceed one batch of {BATCH}"
     );
-    assert!(targets.end <= n, "target {} out of range", targets.end - 1);
+    if let Some(&t) = targets.iter().find(|&&t| t >= n) {
+        panic!("target {t} out of range");
+    }
     assert_eq!(rows.len(), lanes * n, "rows must hold one row per target");
     rows.fill(u32::MAX);
     // Lanes a node has seen once it has seen every target.
@@ -136,7 +152,7 @@ pub fn reverse_bfs_batch(g: &Csr, targets: std::ops::Range<NodeId>, rows: &mut [
     let mut seen = vec![0u64; n];
     let mut frontier = vec![0u64; n];
     let mut next = vec![0u64; n];
-    for (i, t) in targets.enumerate() {
+    for (i, &t) in targets.iter().enumerate() {
         seen[t] |= 1 << i;
         frontier[t] |= 1 << i;
         rows[i * n + t] = 0;
@@ -254,7 +270,7 @@ impl DistanceRows {
 
     fn fill(&mut self, b: usize) {
         let n = self.g.num_nodes();
-        let targets = b * BATCH..n.min((b + 1) * BATCH);
+        let targets: Vec<NodeId> = (b * BATCH..n.min((b + 1) * BATCH)).collect();
         let len = targets.len() * n;
         if self.one_batch {
             if let Some(last) = self.fresh.iter().position(|&f| f) {
@@ -266,9 +282,48 @@ impl DistanceRows {
         if slab.len() < len {
             *slab = vec![0; len].into();
         }
-        reverse_bfs_batch(&self.g, targets, &mut slab[..len]);
+        reverse_bfs_batch(&self.g, &targets, &mut slab[..len]);
         self.fresh[b] = true;
     }
+}
+
+/// The targets a loss of edges leaves *intact*: `intact[t]` holds when
+/// every live node (`!dead_node[u]`) has the same hop distance to `t`
+/// over `live` as over `full`. `live` is a subgraph of `full` on the same
+/// nodes, with no edge at a dead node.
+///
+/// Only the live *sources* of lost edges need rows. Lemma: `t` is not
+/// intact iff some live `a` with fewer successors in `live` than in
+/// `full` is farther from `t` over `live`. Proof of "only if": among the
+/// live nodes whose distance to `t` grew, take `v` closest to `t` over
+/// `full`. Its distance `d(v, t)` is finite and positive, so `v` has a
+/// tight edge `v -> w` with `d(w, t) = d(v, t) - 1`. Were one in `live`,
+/// `w` would be live and closer, so its distance did not grow, and
+/// neither did `v`'s. So every tight edge of `v` is lost, and `v` is a
+/// source. The rows are forward distances from the sources, taken over
+/// both transposes, 64 sources per traversal.
+pub fn intact_targets(full: &Csr, live: &Csr, dead_node: &[bool]) -> Vec<bool> {
+    let n = full.num_nodes();
+    assert_eq!(live.num_nodes(), n, "node count changed");
+    assert_eq!(dead_node.len(), n, "one flag per node");
+    let sources: Vec<NodeId> = (0..n)
+        .filter(|&a| !dead_node[a] && live.succ(a).len() < full.succ(a).len())
+        .collect();
+    let (full, live) = (full.transpose(), live.transpose());
+    let len = sources.len().min(BATCH) * n;
+    let (mut was, mut now) = (vec![0; len], vec![0; len]);
+    let mut intact = vec![true; n];
+    for batch in sources.chunks(BATCH) {
+        let len = batch.len() * n;
+        reverse_bfs_batch(&full, batch, &mut was[..len]);
+        reverse_bfs_batch(&live, batch, &mut now[..len]);
+        for (i, (before, after)) in was[..len].iter().zip(&now[..len]).enumerate() {
+            if after > before {
+                intact[i % n] = false;
+            }
+        }
+    }
+    intact
 }
 
 /// Whether every node can reach every other node over directed links.
@@ -285,7 +340,7 @@ pub fn is_strongly_connected(topo: &dyn Topology) -> bool {
     }
     // Transposed reachability: every node's distance to node 0.
     let mut to_root = vec![0; n];
-    reverse_bfs_batch(&Csr::from_topology(topo, |_, _| true), 0..1, &mut to_root);
+    reverse_bfs_batch(&Csr::from_topology(topo, |_, _| true), &[0], &mut to_root);
     !to_root.contains(&u32::MAX)
 }
 

@@ -267,25 +267,32 @@ fn surviving(
     (dead, pred, g)
 }
 
-/// The bit-parallel reverse BFS (`graph::reverse_bfs_batch`) fills
-/// every row exactly as a scalar reverse BFS per target does, over
-/// random dead channels and nodes: networks below (32, 60, 63), at (64)
-/// and above (72) one batch of 64 nodes, aligned batches and target
-/// ranges at any offset (crossing a 64-node boundary on the torus),
-/// dead targets and live nodes that cannot reach a live target. The
-/// row cache (`graph::DistanceRows`) serves the same rows walked in
-/// order, walked backwards with every batch kept, and refilled after a
-/// reset onto another cut.
-#[test]
-fn batched_reverse_bfs_matches_scalar() {
-    let mut rng = StdRng::seed_from_u64(0xf015);
-    let topos: [Box<dyn Topology>; 5] = [
+/// The networks the distance-kernel tests cut: below (32, 60, 63), at
+/// (64) and above (72) one batch of 64 nodes.
+fn cut_topologies() -> [Box<dyn Topology>; 5] {
+    [
         Box::new(Hypercube::new(5)),
         Box::new(Mesh2D::new(9, 7)),
         Box::new(Torus2D::new(8, 9)),
         Box::new(MeshKD::new(&[3, 4, 5])),
         Box::new(ShuffleExchange::new(6)),
-    ];
+    ]
+}
+
+/// The bit-parallel reverse BFS (`graph::reverse_bfs_batch`) fills
+/// every row exactly as a scalar reverse BFS per target does, over
+/// random dead channels and nodes: networks below (32, 60, 63), at (64)
+/// and above (72) one batch of 64 nodes, aligned batches and target
+/// ranges at any offset (crossing a 64-node boundary on the torus),
+/// dead targets and live nodes that cannot reach a live target, and a
+/// scattered target list (out of order, repeats allowed). The row cache
+/// (`graph::DistanceRows`) serves the same rows walked in order, walked
+/// backwards with every batch kept, and refilled after a reset onto
+/// another cut.
+#[test]
+fn batched_reverse_bfs_matches_scalar() {
+    let mut rng = StdRng::seed_from_u64(0xf015);
+    let topos = cut_topologies();
     let (mut dead_targets, mut unreachable, mut crossing) = (0, 0, 0);
     for topo in &topos {
         let n = topo.num_nodes();
@@ -308,14 +315,20 @@ fn batched_reverse_bfs_matches_scalar() {
                 check(t, rows.row(t), &mut unreachable);
             }
             dead_targets += dead_node.iter().filter(|&&d| d).count();
-            // A range at a random offset, and the last 64 targets.
+            // A range at a random offset, the last 64 targets, and a
+            // scattered list.
             let lo = rng.gen_range(0..n);
             let hi = rng.gen_range(lo + 1..=n.min(lo + graph::BATCH));
-            for targets in [lo..hi, n.saturating_sub(graph::BATCH)..n] {
-                crossing += usize::from(targets.start < 64 && targets.end > 64);
+            crossing += usize::from(lo < 64 && hi > 64);
+            let scattered = (0..rng.gen_range(1..=graph::BATCH))
+                .map(|_| rng.gen_range(0..n))
+                .collect();
+            let last = n.saturating_sub(graph::BATCH)..n;
+            for targets in [(lo..hi).collect(), last.collect(), scattered] {
+                let targets: Vec<usize> = targets;
                 let mut rows = vec![0; targets.len() * n];
-                graph::reverse_bfs_batch(&g, targets.clone(), &mut rows);
-                for (i, t) in targets.enumerate() {
+                graph::reverse_bfs_batch(&g, &targets, &mut rows);
+                for (i, &t) in targets.iter().enumerate() {
                     check(t, &rows[i * n..(i + 1) * n], &mut unreachable);
                 }
             }
@@ -342,4 +355,38 @@ fn batched_reverse_bfs_matches_scalar() {
         }
     }
     assert!(dead_targets > 0 && unreachable > 0 && crossing > 0);
+}
+
+/// The intact set (`graph::intact_targets`) is its definition: `t` is
+/// intact iff every live node's row to `t` over the surviving graph
+/// equals its row over the whole topology, both read from full
+/// `graph::DistanceRows`. Same five topologies and random cuts as
+/// `batched_reverse_bfs_matches_scalar`.
+#[test]
+fn intact_targets_match_their_definition() {
+    let mut rng = StdRng::seed_from_u64(0x1a7c);
+    let topos = cut_topologies();
+    let (mut intact, mut broken, mut mixed) = (0, 0, 0);
+    for topo in &topos {
+        let n = topo.num_nodes();
+        let full = graph::Csr::from_topology(topo.as_ref(), |_, _| true);
+        let mut before = graph::DistanceRows::new(full.clone());
+        before.fill_all();
+        for case in 0..CASES / 4 {
+            let cut = [0.0, 0.03, 0.1, 0.3][case % 4];
+            let (dead_node, _, g) = surviving(topo.as_ref(), &mut rng, cut);
+            let got = graph::intact_targets(&full, &g, &dead_node);
+            let mut after = graph::DistanceRows::new(g);
+            for (t, &intact) in got.iter().enumerate() {
+                let (was, now) = (before.get(t).expect("filled"), after.row(t));
+                let want = (0..n).all(|u| dead_node[u] || was[u] == now[u]);
+                assert_eq!(intact, want, "{} case {case}: target {t}", topo.name());
+            }
+            let kept = got.iter().filter(|&&i| i).count();
+            intact += kept;
+            broken += n - kept;
+            mixed += usize::from(kept > 0 && kept < n);
+        }
+    }
+    assert!(intact > 0 && broken > 0 && mixed > 0);
 }
