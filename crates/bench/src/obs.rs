@@ -36,21 +36,24 @@ pub struct RecordConfig {
     pub counters: bool,
     /// Attach a [`fadr_metrics::TraceSink`] bounded to this many packets.
     pub trace: Option<usize>,
-    /// Attach a [`fadr_metrics::WatchdogSink`] with this no-progress
-    /// window (cycles).
+    /// Run the engine's no-progress watchdog with this window (cycles);
+    /// its [`StallReport`] is installed into the merged sink set after
+    /// the run ([`RunRecorder::install_watchdog`]). No sink is attached
+    /// for it.
     pub watchdog: Option<u64>,
     /// Attach a [`JournalSink`] bounded to this many events.
     pub journal: Option<usize>,
     /// Attach a [`fadr_metrics::LatencySink`] (per-class p50/p95/p99/max).
     pub latency: bool,
     /// Attach a [`fadr_metrics::WaitGraphSink`] (per-cycle wait-for-graph
-    /// probe; global semantics, so incompatible with `--shards > 1`).
+    /// probe; a sharded engine assembles the graph from every shard and
+    /// hands it to shard 0's sink).
     pub waitgraph: bool,
 }
 
 impl RecordConfig {
     /// Build the sink set for one run over a `num_nodes` ×
-    /// `num_classes` network.
+    /// `num_classes` network (the watchdog is the engine's, not a sink).
     pub fn build(&self, num_nodes: usize, num_classes: usize) -> SinkSet {
         let mut s = SinkSet::new();
         if self.counters {
@@ -58,9 +61,6 @@ impl RecordConfig {
         }
         if let Some(limit) = self.trace {
             s = s.with_trace(limit);
-        }
-        if let Some(k) = self.watchdog {
-            s = s.with_watchdog(k);
         }
         if let Some(capacity) = self.journal {
             s = s.with_journal(capacity);
@@ -83,8 +83,9 @@ pub trait RunRecorder: ShardRecorder + Clone + Send {
     /// `num_classes` network.
     fn build(rc: &RecordConfig, num_nodes: usize, num_classes: usize) -> Self;
 
-    /// Install an engine-level watchdog's window and stall report (the
-    /// sharded engine runs the watchdog outside its per-shard recorders).
+    /// Install the engine watchdog's window and stall report, where the
+    /// metrics export and the stall summary read them (every engine runs
+    /// the watchdog in its run loop, outside its recorders).
     fn install_watchdog(&mut self, window: u64, report: Option<StallReport>);
 
     /// Merge a later replication's recorder (fixed replication order).
@@ -330,9 +331,6 @@ impl ObsArgs {
              a run either writes its snapshot or restores one"
         } else if opts.queue_capacity == 0 && self.watchdog.is_none() {
             "--cap 0 wedges the network; it requires --watchdog to stop the run"
-        } else if self.waitgraph && opts.shards > 1 {
-            "--waitgraph needs --shards 1: the wait-for-graph probe is global, \
-             and a shard sees only its own queues"
         } else {
             return Ok(());
         };
@@ -562,7 +560,7 @@ mod tests {
             waitgraph: true,
         };
         let s = rc.build(8, 2);
-        assert!(s.counters.is_some() && s.trace.is_some() && s.watchdog.is_some());
+        assert!(s.counters.is_some() && s.trace.is_some() && s.watchdog.is_none());
         assert!(s.journal.is_some() && s.latency.is_some() && s.waitgraph.is_some());
     }
 
@@ -589,7 +587,7 @@ mod tests {
             f(&mut o);
             o
         };
-        let cases: [(ObsArgs, RunOptions, &str); 3] = [
+        let cases: [(ObsArgs, RunOptions, &str); 2] = [
             (
                 with(|o| {
                     o.checkpoint_at = Some(5);
@@ -606,19 +604,14 @@ mod tests {
                 },
                 "requires --watchdog",
             ),
-            (
-                with(|o| o.waitgraph = true),
-                RunOptions { shards: 2, ..plain },
-                "probe is global",
-            ),
         ];
         for (o, opts, reason) in &cases {
             let err = o.validate(opts).expect_err(reason);
             assert!(err.contains(reason), "{err:?} must name {reason:?}");
         }
         // Everything else composes: lanes with every recording sink and
-        // with shards, faults and snapshots; shards with faults and
-        // snapshots; a wedge under a watchdog.
+        // with shards, faults and snapshots; shards with faults,
+        // snapshots and every recording sink; a wedge under a watchdog.
         let recording = with(|o| {
             o.metrics_out = Some(PathBuf::from("m.json"));
             o.trace_out = Some(PathBuf::from("t.jsonl"));
@@ -627,6 +620,10 @@ mod tests {
             o.waitgraph = true;
         });
         assert_eq!(recording.validate(&lanes), Ok(()));
+        assert_eq!(
+            recording.validate(&RunOptions { shards: 2, ..plain }),
+            Ok(())
+        );
         let faulted = with(|o| {
             o.faults = Some(PathBuf::from("p.json"));
             o.checkpoint_at = Some(5);

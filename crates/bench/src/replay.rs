@@ -199,9 +199,6 @@ impl AlgoVisitor for Replay<'_> {
         } else {
             ro.journal_capacity
         });
-        if let Some(k) = ro.watchdog {
-            sinks = sinks.with_watchdog(k);
-        }
         if ro.waitgraph {
             sinks = sinks.with_waitgraph();
         }
@@ -209,14 +206,8 @@ impl AlgoVisitor for Replay<'_> {
         if let Some(plan) = ro.faults {
             sim = sim.with_faults(plan.clone());
         }
-        let (_, progress) = sim.restore(text)?;
-        let start_cycle = sim.cycle();
-        if let Some(to) = ro.to {
-            if to <= start_cycle {
-                return Err(format!(
-                    "--to {to} is not after the checkpoint cycle {start_cycle}"
-                ));
-            }
+        if let Some(k) = ro.watchdog {
+            sim = sim.with_watchdog(k);
         }
         let source = if meta.table >= 1 {
             Source::Table(spec(meta.table))
@@ -226,15 +217,25 @@ impl AlgoVisitor for Replay<'_> {
             }
         };
         let workload = Workload::new(source, meta.n, meta.seed, meta.cycles);
+        let (_, progress) = sim.restore(text)?;
+        workload.check_progress(&progress)?;
+        let start_cycle = sim.cycle();
+        if let Some(to) = ro.to {
+            if to <= start_cycle {
+                return Err(format!(
+                    "--to {to} is not after the checkpoint cycle {start_cycle}"
+                ));
+            }
+        }
         let outcome = match drive(&mut sim, &workload, Some(progress), ro.to) {
             Leg::Paused(_) => format!("paused at cycle {}", sim.cycle()),
             Leg::Finished(RunResult::Static(res)) => describe_stop(res.stop, res.drained),
             Leg::Finished(RunResult::Dynamic(res)) => describe_stop(res.stop, true),
         };
         let end_cycle = sim.cycle();
+        let stall = sim.stall_report().cloned();
         let mut sinks = sim.into_recorder();
         sinks.flush();
-        let stall = sinks.stall().cloned();
         Ok(ReplayOutput {
             meta,
             start_cycle,

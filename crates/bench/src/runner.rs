@@ -596,6 +596,26 @@ impl Workload {
         }
     }
 
+    /// Check that a restored snapshot's `progress` is what this
+    /// workload's runs pause with, before resuming from it.
+    ///
+    /// # Errors
+    ///
+    /// The mismatch: a static workload cannot resume a dynamic run's
+    /// progress, nor the reverse.
+    pub fn check_progress(&self, progress: &RunProgress) -> Result<(), String> {
+        match (self, progress) {
+            (Workload::Static(_), RunProgress::Static { .. })
+            | (Workload::Dynamic { .. }, RunProgress::Dynamic { .. }) => Ok(()),
+            (Workload::Static(_), RunProgress::Dynamic { .. }) => {
+                Err("snapshot progress is dynamic, but the workload is static".into())
+            }
+            (Workload::Dynamic { .. }, RunProgress::Static { .. }) => {
+                Err("snapshot progress is static, but the workload is dynamic".into())
+            }
+        }
+    }
+
     /// Draw a dynamic workload's destination for an injection at `src`.
     fn draw(&self, src: NodeId, rng: &mut StdRng) -> NodeId {
         match self {
@@ -692,8 +712,9 @@ fn snapshot_run<E: Snapshots>(
             }
             Err(e) => return Err(format!("reading {}: {e}", path.display())),
         };
-        let (_, progress) = engine
+        let progress = engine
             .restore(&text)
+            .and_then(|(_, p)| w.check_progress(&p).map(|()| p))
             .map_err(|e| format!("restoring {}: {e}", path.display()))?;
         return Ok(finished(drive(engine, w, Some(progress), None)));
     }
@@ -752,18 +773,14 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
 
     /// The one engine-construction site: every replication gets its own
     /// engine, run through `drive` or `snapshot_run`. With
-    /// `opts.shards > 1` it is sharded. The sharded engine evaluates the
-    /// watchdog on global progress, so its per-shard sink sets are built
-    /// without the watchdog and the wait-for-graph probe (per-shard
-    /// copies would misfire on a locally idle shard; `ObsArgs::validate`
-    /// rejects `--waitgraph` with `--shards > 1`), the engine runs the
-    /// watchdog itself, and its [`fadr_metrics::StallReport`] is
-    /// re-installed into the merged sink set — so downstream reporting
-    /// is oblivious to which engine ran. Otherwise it is a [`Simulator`]:
+    /// `opts.shards > 1` it is sharded. Otherwise it is a [`Simulator`]:
     /// with `opts.lanes > 1` and neither a fault plan nor a snapshot
     /// policy, on a routing-state table the unit builds once for all of
     /// its replications; else on the computed source. The choice never
     /// changes a result, which is the `--lanes R` ≡ `--reps R` contract.
+    /// Every engine runs the watchdog itself, and its
+    /// [`fadr_metrics::StallReport`] is installed into the merged sink
+    /// set, so downstream reporting is oblivious to which engine ran.
     fn visit<R>(self, rf: R) -> Self::Out
     where
         R: RoutingFunction + Clone + Send + 'static,
@@ -797,20 +814,16 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
             && opts.snapshot.is_none()
             && opts.shards <= 1)
             .then(|| StateTable::build(&rf));
+        let rec = || Rec::build(rc, nodes, classes);
         let run = |rep: &Rep| {
             let w = Workload::new(self.source, self.n, rep.seed, opts.dynamic_cycles);
-            let (res, mut rec) = if opts.shards > 1 {
-                let shard_rc = RecordConfig {
-                    watchdog: None,
-                    waitgraph: false,
-                    ..*rc
-                };
+            let (res, stall, mut rec) = if opts.shards > 1 {
                 let mut sim = fadr_sim::ShardedSimulator::with_recorders_strategy(
                     rf.clone(),
                     cfg(rep.seed),
                     opts.shards,
                     opts.partition,
-                    |_| Rec::build(&shard_rc, nodes, classes),
+                    |_| rec(),
                 );
                 if let Some(plan) = opts.faults {
                     sim = sim.with_faults(plan.clone());
@@ -819,26 +832,29 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
                     sim = sim.with_watchdog(k);
                 }
                 let res = snapshot_run(&mut sim, &w, opts.snapshot, &meta(rep), &rep.label)?;
-                let stall = sim.stall_report().cloned();
-                let mut rec = sim.into_recorder();
-                if let Some(k) = rc.watchdog {
-                    rec.install_watchdog(k, stall);
-                }
-                (res, rec)
+                (res, sim.stall_report().cloned(), sim.into_recorder())
             } else if let Some(t) = &state_table {
-                let rec = Rec::build(rc, nodes, classes);
-                let mut sim = Simulator::with_table(rf.clone(), cfg(rep.seed), rec, Arc::clone(t));
+                let mut sim =
+                    Simulator::with_table(rf.clone(), cfg(rep.seed), rec(), Arc::clone(t));
+                if let Some(k) = rc.watchdog {
+                    sim = sim.with_watchdog(k);
+                }
                 let res = finished(drive(&mut sim, &w, None, None));
-                (res, sim.into_recorder())
+                (res, sim.stall_report().cloned(), sim.into_recorder())
             } else {
-                let rec = Rec::build(rc, nodes, classes);
-                let mut sim = Simulator::with_recorder(rf.clone(), cfg(rep.seed), rec);
+                let mut sim = Simulator::with_recorder(rf.clone(), cfg(rep.seed), rec());
                 if let Some(plan) = opts.faults {
                     sim = sim.with_faults(plan.clone());
                 }
+                if let Some(k) = rc.watchdog {
+                    sim = sim.with_watchdog(k);
+                }
                 let res = snapshot_run(&mut sim, &w, opts.snapshot, &meta(rep), &rep.label)?;
-                (res, sim.into_recorder())
+                (res, sim.stall_report().cloned(), sim.into_recorder())
             };
+            if let Some(k) = rc.watchdog {
+                rec.install_watchdog(k, stall);
+            }
             rec.flush();
             Ok((res, rec))
         };

@@ -58,10 +58,6 @@ fn sweep_rejects_bad_values() {
             ),
             (&["lambda", "--partition", "diagonal"], "--partition"),
             (&["lambda", "--bogus"], "unknown argument --bogus"),
-            (
-                &["lambda", "--waitgraph", "--shards", "2"],
-                "probe is global",
-            ),
         ],
     );
 }
@@ -76,7 +72,6 @@ fn tables_rejects_bad_values_and_conflicts() {
             (&["--watchdog", "0"], "--watchdog window"),
             (&["--cap", "0"], "requires --watchdog"),
             (&["--shards", "0"], "--shards must be a positive integer"),
-            (&["--waitgraph", "--shards", "2"], "probe is global"),
             (
                 &[
                     "--checkpoint-at",
@@ -123,10 +118,6 @@ fn perf_compare_routes_through_the_conflict_check() {
                     "d",
                 ],
                 "mutually exclusive",
-            ),
-            (
-                &["--compare", "self", "--waitgraph", "--shards", "2"],
-                "probe is global",
             ),
             (&["--jobs", "zero"], "--jobs must be a positive integer"),
             (&["--compare", "other"], "--compare needs self|lanes"),
@@ -179,8 +170,10 @@ fn tables_header_names_the_algorithm() {
 }
 
 /// Only a missing snapshot means a run finished before the checkpoint.
-/// A snapshot that cannot be read, or that restore rejects, fails the
-/// resume with exit 1 and a message naming the file and the reason.
+/// A snapshot that cannot be read, that restore rejects, or whose
+/// progress does not fit its run fails the resume with exit 1 and a
+/// message naming the file and the reason; `replay` rejects the same
+/// snapshots with exit 2.
 #[test]
 fn tables_resume_rejects_an_unreadable_or_corrupt_snapshot() {
     let tables = env!("CARGO_BIN_EXE_tables");
@@ -202,11 +195,27 @@ fn tables_resume_rejects_an_unreadable_or_corrupt_snapshot() {
     let text = std::fs::read_to_string(&snap).expect("checkpoint written");
     let signed = text.replacen("\"packets\": [[", "\"packets\": [[+", 1);
     assert_ne!(signed, text, "the checkpoint holds no packet");
+    // Table 1 is static: its progress is one backlog cursor per node.
+    let (head, rest) = text
+        .split_once("\"progress\": {")
+        .expect("checkpoint has progress");
+    let tail = &rest[rest.find('}').expect("progress ends")..];
+    let dynamic = format!(
+        "{head}\"progress\": {{\"kind\": \"dynamic\", \"attempts\": 0, \"injected\": 0{tail}"
+    );
+    let short = text.replacen("\"next_idx\": [1, ", "\"next_idx\": [", 1);
+    assert_ne!(short, text, "the checkpoint holds no cursor");
     let mut not_utf8 = text.into_bytes();
     not_utf8.extend([0xff, 0xfe]);
     for (what, bytes, reason) in [
         ("a signed number", signed.into_bytes(), "at byte"),
         ("two non-UTF-8 bytes", not_utf8, "UTF-8"),
+        (
+            "dynamic progress",
+            dynamic.into_bytes(),
+            "workload is static",
+        ),
+        ("a missing cursor", short.into_bytes(), "backlog cursors"),
     ] {
         std::fs::write(&snap, bytes).expect("corrupt the checkpoint");
         let (code, stderr) = run(tables, &["--table", "1", "--resume-from", d]);
@@ -216,6 +225,10 @@ fn tables_resume_rejects_an_unreadable_or_corrupt_snapshot() {
             stderr.contains("t1_n10_q5_r0.snap") && stderr.contains(reason),
             "{what}: {stderr:?} lacks the file or {reason:?}"
         );
+        let path = snap.to_str().expect("utf-8 path");
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_replay"), &["--snapshot", path]);
+        assert_eq!(code, Some(2), "replay, {what}: {stderr}");
+        assert!(!stderr.contains("panicked"), "replay, {what}: {stderr}");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

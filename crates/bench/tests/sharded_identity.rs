@@ -105,3 +105,40 @@ fn shards_compose_with_jobs() {
         run_rows(s, &[6, 7], opts(2), 2).unwrap()[0].l_max
     );
 }
+
+/// The wait-for-graph probe composes with `--shards`: recorded at 1, 2
+/// and 3 shards, the rows and the merged sinks — the wait-for graph the
+/// engine assembles from every shard's queues included — are identical.
+#[test]
+fn waitgraph_rows_and_sinks_identical_across_shard_counts() {
+    let rc = RecordConfig {
+        counters: true,
+        waitgraph: true,
+        ..RecordConfig::default()
+    };
+    for t in [6usize, 9] {
+        let seq = run_rows_recorded(spec(t), &[7], opts(1), 1, rc).unwrap();
+        let graph = seq[0].sinks.waitgraph.as_ref().expect("probe attached");
+        assert!(graph.max_chain_depth >= 2, "table {t}: {graph:?}");
+        for shards in [2, 3] {
+            let shr = run_rows_recorded(spec(t), &[7], opts(shards), 1, rc).unwrap();
+            for (a, b) in seq.iter().zip(&shr) {
+                assert_eq!(a.row.l_avg.to_bits(), b.row.l_avg.to_bits(), "table {t}");
+                assert_eq!(a.row.l_max, b.row.l_max, "table {t} shards={shards}");
+                assert_eq!(
+                    a.row.injection_rate.map(f64::to_bits),
+                    b.row.injection_rate.map(f64::to_bits),
+                    "table {t} shards={shards}"
+                );
+                assert_eq!(
+                    a.sinks.counters, b.sinks.counters,
+                    "table {t} shards={shards}"
+                );
+                assert_eq!(
+                    a.sinks.waitgraph, b.sinks.waitgraph,
+                    "table {t} shards={shards}: wait-for graph"
+                );
+            }
+        }
+    }
+}

@@ -160,8 +160,10 @@ pub trait Recorder {
 
     /// The blocked wait-for relation at abort time (same edge encoding
     /// as [`Recorder::on_wait_probe`]), fired once by the engine after a
-    /// watchdog stop so the [`StallReport`] can carry the wait-for
-    /// subgraph behind its verdict.
+    /// run stops early (a recorder's or the engine's watchdog, a fault
+    /// partition) so a [`WatchdogSink`]'s [`StallReport`] can carry the
+    /// wait-for subgraph behind its verdict. A sharded engine fires it on
+    /// shard 0's recorder with the whole network's relation.
     #[inline(always)]
     fn on_stall_waits(&mut self, edges: &[(u32, u8, u32, u8)]) {}
 
@@ -1519,8 +1521,10 @@ impl Recorder for LatencySink {
 /// (back edges contribute nothing), a deterministic lower bound on the
 /// true blocked-chain length when cycles are present.
 ///
-/// This sink's semantics are global (a shard-local probe would miss
-/// cross-shard chains), so a [`SinkSet`] carrying one is not shardable.
+/// The relation is global: a sharded engine assembles it from every
+/// shard's queues and hands it to shard 0's sink only, so the other
+/// shards' copies stay empty and [`SinkSet::merge_shard`] keeps shard
+/// 0's.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WaitGraphSink {
     /// Probes consumed (one per cycle with collection enabled).
@@ -1697,8 +1701,7 @@ impl SinkSet {
         self
     }
 
-    /// Add a [`WaitGraphSink`] (makes the set non-shardable: the probe
-    /// is global).
+    /// Add a [`WaitGraphSink`].
     pub fn with_waitgraph(mut self) -> Self {
         self.waitgraph = Some(WaitGraphSink::new());
         self
@@ -1743,7 +1746,7 @@ impl SinkSet {
     /// take the max), traces via [`TraceSink::merge`] (in-flight
     /// lifecycles transfer; slots are disjoint across shards), watchdogs
     /// via [`WatchdogSink::merge`] (earliest report wins — present only
-    /// when a sharded engine installed a synthesized global report).
+    /// when a harness installed an engine's report).
     pub fn merge_shard(&mut self, other: &SinkSet) {
         match (&mut self.counters, &other.counters) {
             (Some(a), Some(b)) => a.merge_shard(b),
@@ -1770,8 +1773,9 @@ impl SinkSet {
             (slot @ None, Some(b)) => *slot = Some(b.clone()),
             _ => {}
         }
-        // WaitGraphSink is never sharded (shardable() forbids it), so
-        // there is nothing to merge here.
+        // The engine hands the whole-network wait-for graph to shard 0
+        // only, so shard 0's WaitGraphSink (already in `self`) is the
+        // run's.
     }
 
     /// Flush the trace sink (renders still-in-flight packets).
@@ -1790,10 +1794,9 @@ impl SinkSet {
 impl ShardRecorder for SinkSet {
     fn shardable(&self) -> bool {
         // A per-shard watchdog would see only its shard's deliveries and
-        // stall-report a healthy network; sharded engines must run the
-        // watchdog globally and install the report post-run. A per-shard
-        // wait-graph probe would likewise miss cross-shard chains.
-        self.watchdog.is_none() && self.waitgraph.is_none()
+        // stall-report a healthy network; engines run the watchdog in
+        // their run loop on global progress instead.
+        self.watchdog.is_none()
     }
 
     fn snapshot_trace(&self, pkt: u64) -> Option<TraceState> {
@@ -2497,17 +2500,13 @@ mod tests {
             .with_latency(2)
             .with_waitgraph();
         assert!(s.want_waitgraph());
-        assert!(!s.shardable(), "wait-graph probe is global");
+        // The engine assembles the wait-for graph across shards.
+        assert!(s.shardable());
         feed(&mut s);
         assert!(s.journal.as_ref().unwrap().count() > 0);
         assert_eq!(s.latency.as_ref().unwrap().total(), 1);
         s.on_wait_probe(3, &[(0, 0, 1, 0)]);
         assert_eq!(s.waitgraph.as_ref().unwrap().probes, 1);
-        let shardable = SinkSet::new()
-            .with_counters(4, 2)
-            .with_journal(64)
-            .with_latency(2);
-        assert!(shardable.shardable());
     }
 
     #[test]

@@ -15,14 +15,14 @@ use std::marker::PhantomData;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 use fadr_metrics::{
-    Control, LatencyStats, NoRecorder, Recorder, ShardRecorder, TimeSeries, TraceState,
+    LatencyStats, NoRecorder, Recorder, ShardRecorder, StallReport, TimeSeries, TraceState,
 };
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, RoutingFunction, SnapshotMsg};
 use fadr_topology::NodeId;
 
+use crate::driver::{self, WaitEdge};
 use crate::fault::{FaultKind, FaultPlan, FaultState};
 use crate::layout::{Layout, NONE};
 use crate::partition::OwnedNodes;
@@ -45,8 +45,9 @@ pub enum StopReason {
     /// Static run: the [`crate::SimConfig::max_cycles`] safety cap was
     /// hit before the network drained.
     MaxCycles,
-    /// An attached [`Recorder`] returned [`Control::Stop`] — e.g. a
-    /// watchdog sink declared a no-progress stall.
+    /// The engine's watchdog ([`Simulator::with_watchdog`]) declared a
+    /// no-progress stall, or an attached [`Recorder`] returned
+    /// [`fadr_metrics::Control::Stop`].
     Aborted,
     /// A fault left some destination unreachable from a live packet
     /// (see [`crate::fault`]); the run aborted at the end of the cycle
@@ -249,16 +250,6 @@ pub enum DynamicOutcome {
     Paused(RunProgress),
 }
 
-/// Internal parameter pack for [`Core::dynamic_loop`].
-struct DynState {
-    lambda: f64,
-    cycles: u64,
-    attempts: u64,
-    injected: u64,
-    pause_at: Option<u64>,
-    resumed: bool,
-}
-
 /// What an arriving staged packet does at its receiving node.
 pub enum Arrival {
     /// Its routing state has arrived: deliver it.
@@ -362,8 +353,8 @@ pub trait OptionSource<R: RoutingFunction>: Sized {
 /// The one step core: § 7.1's fill/link/read cycle over one network's
 /// mutable run state — a [`Simulator`] on either option source, or one
 /// shard of a [`crate::ShardedSimulator`]. The routing function and the
-/// recorder are passed in per call, so a sharded run's shards drive
-/// their cores per node and per channel.
+/// recorder are passed in per call, so the run loop (`driver`) drives a
+/// core per node and per channel; the core holds no loop of its own.
 ///
 /// The fast paths are exact: a want-mask fill when every node has at
 /// most 64 output buffers ([`Layout`]'s `fast_fill`), an
@@ -413,7 +404,9 @@ pub struct Core<R: RoutingFunction, S: OptionSource<R>> {
     /// Bitset mirror of `chan_pending[c] > 0`.
     chan_live: BitSet,
     pub(crate) cycle: u64,
-    /// Next packet uid (injection order; never recycled).
+    /// Next packet uid (injection order; never recycled). The run loop
+    /// keeps the frontier and writes it here at a pause, where a
+    /// checkpoint reads it.
     pub(crate) next_uid: u64,
     pub(crate) stats: LatencyStats,
     pub(crate) delivered: u64,
@@ -522,241 +515,23 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
         }
     }
 
-    // --- Run loops -------------------------------------------------------
-
-    pub(crate) fn run_static_until<Rec: Recorder>(
-        &mut self,
-        rf: &R,
-        rec: &mut Rec,
-        backlog: &[Vec<NodeId>],
-        pause_at: Option<u64>,
-    ) -> StaticOutcome {
-        assert_eq!(backlog.len(), self.layout.num_nodes);
-        self.reset();
-        let next_idx = vec![0usize; backlog.len()];
-        self.static_loop(rf, rec, backlog, next_idx, 0, pause_at, false)
-    }
-
-    pub(crate) fn resume_static<Rec: Recorder>(
-        &mut self,
-        rf: &R,
-        rec: &mut Rec,
-        backlog: &[Vec<NodeId>],
-        progress: RunProgress,
-        pause_at: Option<u64>,
-    ) -> StaticOutcome {
-        assert_eq!(backlog.len(), self.layout.num_nodes);
-        let RunProgress::Static { next_idx, lost } = progress else {
-            panic!("resume_static needs static progress");
-        };
-        assert_eq!(next_idx.len(), backlog.len(), "progress/backlog mismatch");
-        self.static_loop(rf, rec, backlog, next_idx, lost, pause_at, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn static_loop<Rec: Recorder>(
-        &mut self,
-        rf: &R,
-        rec: &mut Rec,
-        backlog: &[Vec<NodeId>],
-        mut next_idx: Vec<usize>,
-        mut lost: u64,
-        pause_at: Option<u64>,
-        mut resumed: bool,
-    ) -> StaticOutcome {
-        let total: u64 = backlog.iter().map(|b| b.len() as u64).sum();
-        let mut aborted = false;
-        while self.delivered + self.dropped + lost < total && self.cycle < self.cfg.max_cycles {
-            if resumed {
-                // The restored cycle already performed its injections
-                // (the pause point is post-injection); run its routing
-                // step directly.
-                resumed = false;
-            } else {
-                for v in 0..backlog.len() {
-                    if next_idx[v] >= backlog[v].len() {
-                        continue;
-                    }
-                    if !self.node_alive(v) {
-                        // A dead node's remaining backlog is never offered.
-                        lost += (backlog[v].len() - next_idx[v]) as u64;
-                        next_idx[v] = backlog[v].len();
-                    } else if self.inj_buf[v] == NONE {
-                        let dst = backlog[v][next_idx[v]];
-                        next_idx[v] += 1;
-                        self.inject(rf, v, dst, rec);
-                    }
-                }
-                if pause_at == Some(self.cycle) {
-                    return StaticOutcome::Paused(RunProgress::Static { next_idx, lost });
-                }
-            }
-            if self.step(rf, rec) == Control::Stop {
-                aborted = true;
-                break;
-            }
-        }
-        let accounted = self.delivered + self.dropped + lost == total;
-        let stop = if accounted {
-            StopReason::Drained
-        } else if !self.partitioned.is_empty() {
-            StopReason::Partitioned
-        } else if aborted {
-            StopReason::Aborted
-        } else {
-            StopReason::MaxCycles
-        };
-        StaticOutcome::Finished(StaticResult {
-            stats: self.stats.clone(),
-            cycles: self.cycle,
-            delivered: self.delivered,
-            total,
-            drained: stop == StopReason::Drained,
-            dropped: self.dropped,
-            lost,
-            stop,
-        })
-    }
-
-    pub(crate) fn run_dynamic_until<Rec: Recorder>(
-        &mut self,
-        rf: &R,
-        rec: &mut Rec,
-        lambda: f64,
-        mut dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
-        cycles: u64,
-        pause_at: Option<u64>,
-    ) -> DynamicOutcome {
-        assert!((0.0..=1.0).contains(&lambda));
-        self.reset();
-        let seed = self.cfg.seed;
-        let rngs: Vec<StdRng> = (0..self.layout.num_nodes)
-            .map(|v| node_rng(seed, v))
-            .collect();
-        let st = DynState {
-            lambda,
-            cycles,
-            attempts: 0,
-            injected: 0,
-            pause_at,
-            resumed: false,
-        };
-        self.dynamic_loop(rf, rec, st, &mut dest, rngs)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn resume_dynamic<Rec: Recorder>(
-        &mut self,
-        rf: &R,
-        rec: &mut Rec,
-        lambda: f64,
-        mut dest: impl FnMut(NodeId, &mut StdRng) -> NodeId,
-        cycles: u64,
-        progress: RunProgress,
-        pause_at: Option<u64>,
-    ) -> DynamicOutcome {
-        assert!((0.0..=1.0).contains(&lambda));
-        let RunProgress::Dynamic { attempts, injected } = progress else {
-            panic!("resume_dynamic needs dynamic progress");
-        };
-        let seed = self.cfg.seed;
-        // The pause point is post-injection at cycle P, so each stream
-        // has consumed exactly P + 1 per-cycle draw rounds.
-        let rounds = self.cycle + 1;
-        let rngs: Vec<StdRng> = (0..self.layout.num_nodes)
-            .map(|v| {
-                let mut rng = node_rng(seed, v);
-                for _ in 0..rounds {
-                    let _ = draw(&mut rng, lambda, v, &mut dest);
-                }
-                rng
-            })
-            .collect();
-        let st = DynState {
-            lambda,
-            cycles,
-            attempts,
-            injected,
-            pause_at,
-            resumed: true,
-        };
-        self.dynamic_loop(rf, rec, st, &mut dest, rngs)
-    }
-
-    fn dynamic_loop<Rec: Recorder>(
-        &mut self,
-        rf: &R,
-        rec: &mut Rec,
-        mut st: DynState,
-        dest: &mut impl FnMut(NodeId, &mut StdRng) -> NodeId,
-        mut rngs: Vec<StdRng>,
-    ) -> DynamicOutcome {
-        let mut stop = StopReason::HorizonReached;
-        while self.cycle < st.cycles {
-            if st.resumed {
-                // The restored cycle already performed its injections.
-                st.resumed = false;
-            } else {
-                for (v, rng) in rngs.iter_mut().enumerate() {
-                    // Destinations are drawn unconditionally (see
-                    // `draw`): a blocked attempt discards the draw
-                    // instead of deferring it, keeping the per-node
-                    // stream independent of buffer occupancy (and of
-                    // fault-induced node deaths — a dead node keeps
-                    // drawing and discarding).
-                    let Some(dst) = draw(rng, st.lambda, v, dest) else {
-                        continue;
-                    };
-                    st.attempts += 1;
-                    if self.inj_buf[v] == NONE && self.node_alive(v) {
-                        self.inject(rf, v, dst, rec);
-                        st.injected += 1;
-                    }
-                }
-                if st.pause_at == Some(self.cycle) {
-                    return DynamicOutcome::Paused(RunProgress::Dynamic {
-                        attempts: st.attempts,
-                        injected: st.injected,
-                    });
-                }
-            }
-            if self.step(rf, rec) == Control::Stop {
-                stop = if self.partitioned.is_empty() {
-                    StopReason::Aborted
-                } else {
-                    StopReason::Partitioned
-                };
-                break;
-            }
-        }
-        DynamicOutcome::Finished(DynamicResult {
-            stats: self.stats.clone(),
-            attempts: st.attempts,
-            injected: st.injected,
-            delivered: self.delivered,
-            cycles: self.cycle,
-            dropped: self.dropped,
-            stop,
-        })
-    }
-
     /// Whether node `v`'s injection buffer is free.
     pub(crate) fn inj_free(&self, v: usize) -> bool {
         self.inj_buf[v] == NONE
     }
 
-    /// Inject a `src → dst` packet into `src`'s (free) injection buffer.
+    /// Inject a `src → dst` packet with id `uid` into `src`'s (free)
+    /// injection buffer.
     pub(crate) fn inject<Rec: Recorder>(
         &mut self,
         rf: &R,
         src: NodeId,
         dst: NodeId,
+        uid: u64,
         rec: &mut Rec,
     ) {
         debug_assert_eq!(self.inj_buf[src], NONE, "injection buffer occupied");
         let msg = S::initial_msg(rf, src, dst);
-        let uid = self.next_uid;
-        self.next_uid += 1;
         if Rec::ENABLED {
             rec.on_inject(self.cycle, uid, src as u32, dst as u32);
         }
@@ -777,48 +552,6 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
 
     // --- The routing cycle -----------------------------------------------
 
-    /// One routing cycle: faults, node fill, link, node read. Returns the
-    /// recorder's verdict (always [`Control::Continue`] for the no-op
-    /// recorder, in which case the check folds away).
-    fn step<Rec: Recorder>(&mut self, rf: &R, rec: &mut Rec) -> Control {
-        let all = OwnedNodes::all(self.layout.num_nodes);
-        if self.faults.is_some() {
-            self.apply_faults(rf, &all, rec);
-        }
-        for node in 0..self.layout.num_nodes {
-            self.fill_node(rf, node, rec);
-        }
-        self.link_phase(rf, rec);
-        for node in 0..self.layout.num_nodes {
-            self.read_node(rf, node, rec);
-        }
-        if self.cfg.track_occupancy {
-            self.sample_occupancy(&all);
-        }
-        if Rec::ENABLED && rec.want_waitgraph() {
-            // Live wait-for-graph probe: collected only when a sink asks
-            // for it, so the unobserved hot path pays one (inlined,
-            // constant-false) check.
-            let edges = self.local_wait_edges();
-            rec.on_wait_probe(self.cycle, &edges);
-        }
-        let mut ctl = self.end_cycle(rec);
-        if !self.partitioned.is_empty() {
-            // A partitioned destination can never drain: stop at the end
-            // of the cycle that detected it instead of spinning to the
-            // cycle cap.
-            ctl = Control::Stop;
-        }
-        if Rec::ENABLED && ctl == Control::Stop {
-            // A stopping run (watchdog stall, partition) gets the
-            // blocked wait-for relation attached to its stall evidence.
-            let edges = self.local_wait_edges();
-            rec.on_stall_waits(&edges);
-        }
-        self.cycle += 1;
-        ctl
-    }
-
     /// The blocked wait-for relation over the queued packets of `nodes`:
     /// an edge `(v, c, w, c')` records that some packet resident in
     /// central queue `(v, c)` has a move into queue `(w, c')` which
@@ -830,7 +563,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
         &self,
         nodes: &OwnedNodes,
         is_full: &dyn Fn(u32, u8) -> bool,
-    ) -> Vec<(u32, u8, u32, u8)> {
+    ) -> Vec<WaitEdge> {
         let mut edges = Vec::new();
         for v in nodes.iter() {
             let first = self.layout.out_start[v];
@@ -858,7 +591,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
     /// [`Core::wait_edges`] over all nodes against this engine's own
     /// queue lengths (shards must consult the merged cross-shard
     /// occupancy instead).
-    fn local_wait_edges(&self) -> Vec<(u32, u8, u32, u8)> {
+    pub(crate) fn local_wait_edges(&self) -> Vec<WaitEdge> {
         let cap = self.cfg.queue_capacity;
         let full = |w: u32, c: u8| {
             self.queue_len[w as usize * self.num_classes + usize::from(c)] as usize >= cap
@@ -877,16 +610,6 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
             }
         }
         self.occupancy.samples += 1;
-    }
-
-    /// Fire the recorder's end-of-cycle hook (without advancing the
-    /// cycle counter) and return its verdict.
-    pub(crate) fn end_cycle<Rec: Recorder>(&self, rec: &mut Rec) -> Control {
-        if Rec::ENABLED {
-            rec.on_cycle_end(self.cycle)
-        } else {
-            Control::Continue
-        }
     }
 
     /// Node cycle, part 1 (§ 7.1): "each node fills its output buffers
@@ -1165,21 +888,24 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
     /// packet per cycle, round-robin over its traffic-class buffers, and
     /// only into an empty input buffer on the far side. Iterates the
     /// `chan_live` bitset word by word; the word snapshot is safe because
-    /// [`Core::link_chan`] only ever *clears* live bits.
-    fn link_phase<Rec: Recorder>(&mut self, rf: &R, rec: &mut Rec) {
+    /// [`Core::link_chan`] only ever *clears* live bits. Returns the
+    /// number of packets that crossed.
+    pub(crate) fn link_phase<Rec: Recorder>(&mut self, rf: &R, rec: &mut Rec) -> u64 {
+        let mut links = 0;
         for w in 0..self.chan_live.num_words() {
             let mut bits = self.chan_live.word(w);
             while bits != 0 {
                 let chan = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                self.link_chan(rf, chan, rec);
+                links += u64::from(self.link_chan(rf, chan, rec));
             }
         }
+        links
     }
 
     /// Link pass for one channel whose endpoints are both local; returns
-    /// whether a packet crossed (a shard's per-cycle link count feeds the
-    /// replicated watchdog state in sharded runs).
+    /// whether a packet crossed (the per-cycle link count feeds the
+    /// watchdog's replicated state).
     ///
     /// For channels of at most 64 buffer classes the "staged and far
     /// side empty" scan collapses to a bitmask probe: the first
@@ -1770,18 +1496,18 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
         debug_assert!(ok);
     }
 
-    // --- Accessors for the sharded driver and the stall report ---------
+    // --- Accessors for the run loop and the stall report --------------
 
     /// Non-empty central queues over `nodes` as `(node, class, occupancy)`
     /// — the watchdog stall report's snapshot. Ordered by `nodes` (the
-    /// sharded caller sorts the merged result).
-    pub(crate) fn nonempty_queues(&self, nodes: &[u32]) -> Vec<(u32, u8, u32)> {
+    /// driver sorts the shards' merged result).
+    pub(crate) fn nonempty_queues(&self, nodes: &OwnedNodes) -> Vec<(u32, u8, u32)> {
         let mut out = Vec::new();
-        for &node in nodes {
+        for node in nodes.iter() {
             for class in 0..self.num_classes {
-                let len = self.queue_len[node as usize * self.num_classes + class];
+                let len = self.queue_len[node * self.num_classes + class];
                 if len > 0 {
-                    out.push((node, class as u8, len));
+                    out.push((node as u32, class as u8, len));
                 }
             }
         }
@@ -2110,7 +1836,8 @@ impl<R: RoutingFunction> Core<R, Computed<R>> {
 /// unobserved simulator compiles to exactly the code it had before the
 /// observability layer existed. Pass a [`fadr_metrics::SinkSet`] (or any
 /// custom recorder) via [`Simulator::with_recorder`] to collect
-/// routing-decision counters, packet traces, or watchdog evidence.
+/// routing-decision counters, packet traces or the wait-for graph;
+/// [`Simulator::with_watchdog`] adds the no-progress watchdog.
 ///
 /// `S` is where a queued packet's moves come from: the routing function
 /// (`Computed`, the default), or a shared routing-state table
@@ -2124,9 +1851,13 @@ pub struct Simulator<
 > {
     pub(crate) rf: R,
     pub(crate) rec: Rec,
-    /// The step core (a sharded run drives each shard's core per node
-    /// and per channel).
+    /// The step core (the run loop drives it per node and per channel).
     pub(crate) core: Core<R, S>,
+    /// The no-progress watchdog's window ([`Simulator::with_watchdog`];
+    /// a sharded run reads shard 0's).
+    pub(crate) watchdog: Option<u64>,
+    /// The last run's stall report (a sharded run keeps it in shard 0).
+    pub(crate) stall: Option<StallReport>,
 }
 
 impl<R: RoutingFunction> Simulator<R> {
@@ -2144,7 +1875,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     ///
     /// A `queue_capacity` of 0 is permitted: it wedges the network (no
     /// packet can ever enter a central queue), which is useful for
-    /// exercising watchdog sinks against a guaranteed stall.
+    /// exercising the watchdog against a guaranteed stall.
     pub fn with_recorder(rf: R, cfg: SimConfig, rec: Rec) -> Self {
         let layout = Arc::new(Layout::new(&rf));
         Self::with_shared_layout(rf, cfg, rec, layout)
@@ -2155,7 +1886,13 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     /// would otherwise recompute it once per shard).
     pub(crate) fn with_shared_layout(rf: R, cfg: SimConfig, rec: Rec, layout: Arc<Layout>) -> Self {
         let core = Core::new(cfg, layout, rf.num_classes(), Computed::new());
-        Self { rf, rec, core }
+        Self {
+            rf,
+            rec,
+            core,
+            watchdog: None,
+            stall: None,
+        }
     }
 
     /// Attach a fault plan: its scheduled events fire at their cycles on
@@ -2171,13 +1908,33 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
 }
 
 impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Simulator<R, Rec, S> {
+    /// Abort runs after `k` consecutive cycles without a delivery while
+    /// packets are in flight, with a [`StallReport`] available from
+    /// [`Simulator::stall_report`] after the run. This is the rule of
+    /// [`fadr_metrics::WatchdogSink`], run by the engine itself (see
+    /// the `driver` module), so both engines report alike.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `k` is 0.
+    #[must_use]
+    pub fn with_watchdog(mut self, k: u64) -> Self {
+        assert!(k >= 1, "watchdog window must be at least 1 cycle");
+        self.watchdog = Some(k);
+        self
+    }
+
+    /// The stall report of the last run, if the watchdog or a fault
+    /// partition aborted it.
+    pub fn stall_report(&self) -> Option<&StallReport> {
+        self.stall.as_ref()
+    }
+
     /// Destinations a fault made unreachable in the last run, sorted and
     /// deduplicated. Non-empty exactly when the run stopped with
     /// [`StopReason::Partitioned`].
     pub fn partitioned_destinations(&self) -> Vec<u32> {
-        let mut out = self.core.partitioned.clone();
-        out.sort_unstable();
-        out
+        driver::partitioned(std::slice::from_ref(self))
     }
 
     /// Occupancy statistics of the last run (empty unless
@@ -2252,8 +2009,8 @@ impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Simulator<R, Rec, S>
         backlog: &[Vec<NodeId>],
         pause_at: Option<u64>,
     ) -> StaticOutcome {
-        self.core
-            .run_static_until(&self.rf, &mut self.rec, backlog, pause_at)
+        let Ok(out) = driver::static_leg(self, backlog, None, pause_at);
+        out
     }
 
     /// Continue a static run from a restored checkpoint (see
@@ -2270,8 +2027,8 @@ impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Simulator<R, Rec, S>
         progress: RunProgress,
         pause_at: Option<u64>,
     ) -> StaticOutcome {
-        self.core
-            .resume_static(&self.rf, &mut self.rec, backlog, progress, pause_at)
+        let Ok(out) = driver::static_leg(self, backlog, Some(&progress), pause_at);
+        out
     }
 
     /// Run a dynamic-injection experiment for `cycles` routing cycles:
@@ -2309,8 +2066,8 @@ impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Simulator<R, Rec, S>
         cycles: u64,
         pause_at: Option<u64>,
     ) -> DynamicOutcome {
-        self.core
-            .run_dynamic_until(&self.rf, &mut self.rec, lambda, dest, cycles, pause_at)
+        let Ok(out) = driver::dynamic_leg(self, lambda, dest, cycles, None, pause_at);
+        out
     }
 
     /// Continue a dynamic run from a restored checkpoint. `lambda`,
@@ -2333,15 +2090,8 @@ impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Simulator<R, Rec, S>
         progress: RunProgress,
         pause_at: Option<u64>,
     ) -> DynamicOutcome {
-        self.core.resume_dynamic(
-            &self.rf,
-            &mut self.rec,
-            lambda,
-            dest,
-            cycles,
-            progress,
-            pause_at,
-        )
+        let Ok(out) = driver::dynamic_leg(self, lambda, dest, cycles, Some(&progress), pause_at);
+        out
     }
 }
 
@@ -2472,6 +2222,14 @@ where
         }
         if let Some(&(chan, _)) = snap.fail.iter().find(|&&(c, _)| c as usize >= nch) {
             return Err(format!("snapshot fail counter for unknown channel {chan}"));
+        }
+        if let RunProgress::Static { next_idx, .. } = &snap.progress {
+            if next_idx.len() != n {
+                return Err(format!(
+                    "snapshot progress has {} backlog cursors for {n} nodes",
+                    next_idx.len()
+                ));
+            }
         }
         let (mut inj, mut out, mut inb) = (vec![false; n], vec![false; nb], vec![false; nb]);
         for (loc, r) in &snap.packets {
@@ -2817,34 +2575,6 @@ pub(crate) fn entry_class_of<R: RoutingFunction>(rf: &R, node: usize, msg: &R::M
     entry.expect("injection transition exists")
 }
 
-/// Deterministic per-node RNG stream for dynamic injection: node `v`'s
-/// Bernoulli trials and destination draws come from its own generator,
-/// so the offered workload is independent of the order nodes are visited
-/// in — the property that lets a sharded run reproduce the sequential
-/// injection sequence exactly.
-pub(crate) fn node_rng(seed: u64, v: usize) -> StdRng {
-    // Golden-ratio multiply decorrelates consecutive node ids before
-    // `seed_from_u64`'s SplitMix64 scrambling.
-    StdRng::seed_from_u64(seed ^ (v as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// One per-cycle injection draw of node `v`'s stream: the Bernoulli
-/// trial (skipped at λ = 1) and, on success, the destination draw.
-/// This is *the* RNG consumption contract of a dynamic run — both run
-/// loops and the checkpoint-resume fast-forward replay exactly this, so
-/// a resumed stream continues bit-identically.
-pub(crate) fn draw(
-    rng: &mut StdRng,
-    lambda: f64,
-    v: NodeId,
-    dest: &mut impl FnMut(NodeId, &mut StdRng) -> NodeId,
-) -> Option<NodeId> {
-    if lambda < 1.0 && !rng.gen_bool(lambda) {
-        return None;
-    }
-    Some(dest(v, rng))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2920,18 +2650,5 @@ mod tests {
             let se = ShuffleExchangeRouting::new(4);
             assert_eq!(run(&se, order, true), run(&se, order, false), "{order:?}");
         }
-    }
-
-    #[test]
-    fn node_rng_streams_are_distinct() {
-        let mut a = node_rng(7, 0);
-        let mut b = node_rng(7, 1);
-        let va: Vec<u64> = (0..4).map(|_| a.gen_range(0..1u64 << 60)).collect();
-        let vb: Vec<u64> = (0..4).map(|_| b.gen_range(0..1u64 << 60)).collect();
-        assert_ne!(va, vb);
-        // Same (seed, node) reproduces the stream.
-        let mut a2 = node_rng(7, 0);
-        let va2: Vec<u64> = (0..4).map(|_| a2.gen_range(0..1u64 << 60)).collect();
-        assert_eq!(va, va2);
     }
 }

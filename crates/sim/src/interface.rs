@@ -6,11 +6,11 @@
 //! common surface: pausable static and dynamic runs, their resume legs,
 //! and the post-run accessors. [`Snapshots`] adds checkpoint/restore,
 //! which only the computed source has; the two computed engines
-//! exchange snapshots freely. Each implementation delegates to the
-//! engine's inherent methods; the only adaptation is the error channel
-//! — the sharded engine reports a worker panic as [`ShardPanicked`],
-//! and the sequential engine, which has no workers, always returns
-//! `Ok`.
+//! exchange snapshots freely. Both engines' runs are the same driver
+//! legs on different executors; the only adaptation is the error
+//! channel — the sharded engine reports a worker panic as
+//! [`ShardPanicked`], and the sequential engine, which has no workers,
+//! always returns `Ok`.
 //!
 //! Destination functions are `Fn + Sync` (not `FnMut`) because the
 //! sharded engine shares one closure across its shard threads.
@@ -21,6 +21,7 @@ use fadr_metrics::{Recorder, ShardRecorder, StallReport};
 use fadr_qdg::{RoutingFunction, SnapshotMsg};
 use fadr_topology::NodeId;
 
+use crate::driver;
 use crate::engine::OptionSource;
 use crate::{
     DynamicOutcome, RunProgress, ShardPanicked, ShardedSimulator, Simulator, StaticOutcome,
@@ -79,9 +80,10 @@ pub trait Engine {
     /// Destinations a fault made unreachable in the last run, sorted.
     fn partitioned_destinations(&self) -> Vec<u32>;
 
-    /// The stall report of an *engine-level* watchdog
-    /// ([`ShardedSimulator::with_watchdog`]). The sequential engine has
-    /// none — its watchdog is a recorder sink — so it returns `None`.
+    /// The stall report of the last run, if the engine's watchdog
+    /// ([`Simulator::with_watchdog`], [`ShardedSimulator::with_watchdog`])
+    /// or a fault partition aborted it. Both engines run the watchdog in
+    /// the one run loop, so their reports are equal.
     fn stall_report(&self) -> Option<&StallReport>;
 
     /// Consume the engine and return its (merged) recorder.
@@ -157,7 +159,7 @@ impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Engine for Simulator
     }
 
     fn stall_report(&self) -> Option<&StallReport> {
-        None
+        Simulator::stall_report(self)
     }
 
     fn into_recorder(self) -> Rec {
@@ -191,7 +193,7 @@ where
         backlog: &[Vec<NodeId>],
         pause_at: Option<u64>,
     ) -> Result<StaticOutcome, ShardPanicked> {
-        self.try_run_static_until(backlog, pause_at)
+        driver::static_leg(self, backlog, None, pause_at)
     }
 
     fn resume_static(
@@ -200,7 +202,7 @@ where
         progress: RunProgress,
         pause_at: Option<u64>,
     ) -> Result<StaticOutcome, ShardPanicked> {
-        self.try_resume_static(backlog, progress, pause_at)
+        driver::static_leg(self, backlog, Some(&progress), pause_at)
     }
 
     fn run_dynamic_until<F>(
@@ -213,7 +215,7 @@ where
     where
         F: Fn(NodeId, &mut StdRng) -> NodeId + Sync,
     {
-        self.try_run_dynamic_until(lambda, dest, cycles, pause_at)
+        driver::dynamic_leg(self, lambda, &dest, cycles, None, pause_at)
     }
 
     fn resume_dynamic<F>(
@@ -227,7 +229,7 @@ where
     where
         F: Fn(NodeId, &mut StdRng) -> NodeId + Sync,
     {
-        self.try_resume_dynamic(lambda, dest, cycles, progress, pause_at)
+        driver::dynamic_leg(self, lambda, &dest, cycles, Some(&progress), pause_at)
     }
 
     fn partitioned_destinations(&self) -> Vec<u32> {

@@ -282,7 +282,7 @@ impl StateTable {
                 inj[src * n + dst] = rows_of.intern(rf, src as u32, class, msg);
             }
         }
-        let mut rows: Vec<StateRow> = Vec::new();
+        let mut rows: Vec<StateRow> = Vec::with_capacity(rows_of.states.len());
         let mut opts: Vec<PackedOpt> = Vec::new();
         let mut scratch: Vec<MoveOpt<R::Msg>> = Vec::new();
         let mut rank_ok = true;
@@ -319,6 +319,15 @@ impl StateTable {
                     (pos < 64 && prev.is_none_or(|q| pos > q)).then_some(Some(pos))
                 })
                 .is_some();
+            if opts.capacity() - opts.len() < scratch.len() {
+                // Room for every row interned so far at the mean fan-out
+                // seen, and at least double: growing from empty by
+                // doubling alone would leave multi-MiB copies freed but
+                // resident in the heap.
+                let mean = (opts.len() + scratch.len()).div_ceil(i + 1);
+                let want = (rows_of.states.len() * (mean + 1)).max(2 * opts.len());
+                opts.reserve_exact(want - opts.len());
+            }
             let opt_start = u32::try_from(opts.len()).expect("option table fits u32");
             let opt_len = u8::try_from(scratch.len()).expect("per-state fan-out fits u8");
             let mut wants = 0u64;
@@ -498,7 +507,13 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec, Arc<StateTable>> {
         );
         let layout = Arc::clone(&table.layout);
         let core = Core::new(cfg, layout, rf.num_classes(), table);
-        Self { rf, rec, core }
+        Self {
+            rf,
+            rec,
+            core,
+            watchdog: None,
+            stall: None,
+        }
     }
 }
 

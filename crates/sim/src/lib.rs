@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod driver;
 mod engine;
 pub mod fault;
 mod interface;
@@ -83,8 +84,9 @@ pub struct SimConfig {
     /// Capacity of each central queue (`q_A`/`q_B` size; the paper
     /// fixes 5). A capacity of 0 deliberately wedges the network —
     /// packets can never leave their injection buffers — which is useful
-    /// for exercising the no-progress watchdog ([`WatchdogSink`]); any
-    /// run without a watchdog will spin to `max_cycles`.
+    /// for exercising the no-progress watchdog
+    /// ([`Simulator::with_watchdog`]); any run without a watchdog will
+    /// spin to `max_cycles`.
     pub queue_capacity: usize,
     /// RNG seed (workload draws and Bernoulli injection).
     pub seed: u64,

@@ -365,6 +365,13 @@ fn destination_partition_reports_not_hangs() {
     assert_eq!(stall.verdict(), "partitioned");
     assert_eq!(stall.partitioned, vec![victim]);
 
+    // The engine watchdog reports the same stall, whole, on the
+    // sequential engine and at every shard count.
+    let mut eng = Simulator::new(rf, cfg)
+        .with_faults(plan.clone())
+        .with_watchdog(64);
+    assert_eq!(eng.run_static(&backlog), seq_res, "engine watchdog");
+    assert_eq!(eng.stall_report(), Some(stall), "engine watchdog");
     for shards in SHARD_COUNTS {
         let mut shr = ShardedSimulator::new(rf, cfg, shards)
             .with_faults(plan.clone())
@@ -376,10 +383,7 @@ fn destination_partition_reports_not_hangs() {
             vec![victim],
             "shards={shards}"
         );
-        let stall = shr
-            .stall_report()
-            .expect("sharded watchdog must report the partition");
-        assert_eq!(stall.verdict(), "partitioned", "shards={shards}");
+        assert_eq!(shr.stall_report(), Some(stall), "shards={shards}");
     }
 }
 

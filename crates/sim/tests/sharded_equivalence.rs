@@ -148,18 +148,30 @@ fn shuffle_exchange_static_and_dynamic() {
 
 /// Per-shard counter and trace sinks, merged in shard order, must equal
 /// the single sequential sink — including full trace *lines*, which pin
-/// packet ids, per-hop channels, classes, and cycles.
+/// packet ids, per-hop channels, classes, and cycles. The wait-for-graph
+/// probe, which the engine assembles from every shard's queues, must
+/// match too.
 #[test]
 fn sinks_match_sequential_bit_for_bit() {
     let rf = HypercubeFullyAdaptive::new(4);
     let cfg = SimConfig::default();
     let size = 16;
-    let mk = || SinkSet::new().with_counters(size, 2).with_trace(48);
+    let mk = || {
+        SinkSet::new()
+            .with_counters(size, 2)
+            .with_trace(48)
+            .with_waitgraph()
+    };
 
     let mut seq = Simulator::with_recorder(rf, cfg, mk());
     let seq_res = seq.run_dynamic(0.8, |s, rng| Pattern::Random.draw(s, size, rng), 80);
     let mut seq_sinks = seq.into_recorder();
     seq_sinks.flush();
+    let seq_graph = seq_sinks.waitgraph.as_ref().unwrap();
+    assert!(
+        seq_graph.max_chain_depth >= 2,
+        "the run must block some chain: {seq_graph:?}"
+    );
 
     for shards in SHARD_COUNTS {
         let mut shr = ShardedSimulator::with_recorders(rf, cfg, shards, |_| mk());
@@ -179,6 +191,10 @@ fn sinks_match_sequential_bit_for_bit() {
             "shards={shards}: trace lines diverged"
         );
         assert_eq!(seq_trace.skipped, shr_trace.skipped, "shards={shards}");
+        assert_eq!(
+            seq_sinks.waitgraph, shr_sinks.waitgraph,
+            "shards={shards}: wait-for graph diverged"
+        );
     }
 }
 
@@ -216,8 +232,9 @@ fn sinks_match_sequential_on_static_runs() {
 
 // --- watchdog equivalence -------------------------------------------------
 
-/// The sharded engine's global watchdog must abort a wedged network at
-/// the same cycle, with the same stall evidence, as the sequential
+/// One watchdog, three witnesses: the engine watchdog on the sequential
+/// engine and on every shard count must abort a wedged network at the
+/// same cycle, with the same stall evidence, as the reference
 /// [`fadr_sim::WatchdogSink`].
 #[test]
 fn sharded_watchdog_matches_sequential_stall_report() {
@@ -239,6 +256,15 @@ fn sharded_watchdog_matches_sequential_stall_report() {
         .stall()
         .expect("sequential watchdog fired")
         .clone();
+
+    let mut eng = Simulator::new(rf, cfg).with_watchdog(k);
+    let eng_res = eng.run_dynamic(1.0, |s, rng| Pattern::Random.draw(s, size, rng), 200);
+    assert_eq!(eng_res, seq_res, "engine watchdog: result diverged");
+    assert_eq!(
+        eng.stall_report(),
+        Some(&seq_stall),
+        "engine watchdog: stall report diverged"
+    );
 
     for shards in SHARD_COUNTS {
         let mut shr = ShardedSimulator::new(rf, cfg, shards).with_watchdog(k);

@@ -439,8 +439,9 @@ fn bad_snapshots_rejected() {
 /// for an unknown channel, an occupancy table of the wrong length, a
 /// move stamped at the snapshot cycle, a message routed to a node other
 /// than the packet's destination, a queued packet at its destination,
-/// and two numbers the JSON reader's rule rejects though they parse to
-/// the values they replace.
+/// static progress whose cursor vector does not cover the network, and
+/// two numbers the JSON reader's rule rejects though they parse to the
+/// values they replace.
 fn corruptions(text: &str) -> Vec<(&'static str, String)> {
     // A packet is [loc, at, src, dst, uid, hops, inject, enqueued, moved,
     // class, next_class, escape, msg words…]; loc 0 is a central queue,
@@ -503,6 +504,13 @@ fn corruptions(text: &str) -> Vec<(&'static str, String)> {
 
     let padded = text.replacen("\"cycle\": ", "\"cycle\": 0", 1);
 
+    // Static progress with one backlog cursor for the whole network.
+    let (before, after) = text.split_once("\"progress\": {").expect("progress");
+    let after = &after[after.find('}').expect("progress ends")..];
+    let cursors = format!(
+        "{before}\"progress\": {{\"kind\": \"static\", \"lost\": 0, \"next_idx\": [0]{after}"
+    );
+
     // Drop the last entry of the occupancy table's `max` and `sum`.
     let mut occupancy = text.to_string();
     let occ = occupancy
@@ -526,6 +534,7 @@ fn corruptions(text: &str) -> Vec<(&'static str, String)> {
         ("a move at the snapshot cycle", future),
         ("a message routed to another node", misrouted),
         ("a queued packet at its destination", arrived),
+        ("a static cursor vector of the wrong length", cursors),
         ("a signed hop count", signed),
         ("a zero-padded cycle", padded),
     ]
