@@ -363,7 +363,7 @@ fn run() -> Result<ExitCode, String> {
         }
         println!("# metrics summary (instrumented re-runs, untimed)");
         obs::report(&metrics);
-        obs::export(&obs_args, "FullyAdaptive", &metrics)
+        obs::export(&obs_args, opts.algo.algo(), &metrics)
             .map_err(|e| format!("failed to write observability output: {e}"))?;
     }
     Ok(code)

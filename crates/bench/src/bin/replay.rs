@@ -127,7 +127,7 @@ fn main() -> ExitCode {
     println!(
         "replayed {} (algo={} table={} n={} cap={} seed={})",
         out.meta.label,
-        out.meta.algo.name(),
+        out.meta.algo.algo(),
         out.meta.table,
         out.meta.n,
         out.meta.cap,

@@ -6,7 +6,8 @@
 //! sweep capacity [--n N] [--table K] [--cycles C] [--jobs J] [--shards S] [--lanes R]  # central-queue capacity vs latency
 //! ```
 //!
-//! `--n` is the hypercube dimension (1..=30, default 8), `--table` a
+//! `--n` is the hypercube dimension (the scheme registry's hypercube
+//! bound, 1..=30; default 8), `--table` a
 //! paper table number (1..=12, default 6), and `--cycles` the dynamic
 //! horizon (default 300 for lambda points, the tables' 500 for capacity
 //! rows). Malformed or out-of-range values are rejected, never
@@ -47,17 +48,15 @@ use std::process::ExitCode;
 use fadr_bench::exec;
 use fadr_bench::obs::{self, parse_positive, parse_run_flag, parse_table, MetricsRow, ObsArgs};
 use fadr_bench::runner::{
-    run_point_recorded, run_rows_recorded, spec, Algo, LanePoint, RunOptions,
+    hypercube_scheme, run_point_recorded, run_rows_recorded, spec, LanePoint, RunOptions,
 };
+use fadr_core::scheme::{SchemeSpec, Size};
 use fadr_core::HypercubeFullyAdaptive;
 use fadr_metrics::SinkSet;
 use fadr_sim::{PartitionStrategy, SimConfig};
 
-const ALGOS: [(&str, Algo); 3] = [
-    ("fully-adaptive", Algo::FullyAdaptive),
-    ("static-hang", Algo::StaticHang),
-    ("ecube-sbp", Algo::EcubeSbp),
-];
+/// The compared schemes, by their `--algo` spelling.
+const ALGOS: [&str; 3] = ["fully-adaptive", "static-hang", "ecube-sbp"];
 
 /// Print the shard-partition cut measurement as a `#` comment line (all
 /// three algorithms run on the same n-cube, so the partition — a pure
@@ -112,9 +111,9 @@ fn lambda_sweep(
     print_partition_stats(n, opts.shards, opts.partition);
     let points = exec::run_indexed(LAMBDAS.len() * ALGOS.len(), jobs, |i| {
         let lambda = LAMBDAS[i / ALGOS.len()];
-        let (name, algo) = ALGOS[i % ALGOS.len()];
+        let name = ALGOS[i % ALGOS.len()];
         let point = RunOptions {
-            algo,
+            algo: hypercube_scheme(name)?,
             seed: SimConfig::default().seed,
             ..opts
         };
@@ -163,10 +162,10 @@ fn capacity_sweep(
     print_partition_stats(n, opts.shards, opts.partition);
     let points = exec::run_indexed(CAPS.len() * ALGOS.len(), jobs, |i| {
         let cap = CAPS[i / ALGOS.len()];
-        let (name, algo) = ALGOS[i % ALGOS.len()];
+        let name = ALGOS[i % ALGOS.len()];
         let point = RunOptions {
             queue_capacity: cap,
-            algo,
+            algo: hypercube_scheme(name)?,
             ..opts
         };
         // One dimension: the recorded row is the sweep point.
@@ -198,9 +197,10 @@ fn run() -> Result<(), String> {
         match a.as_str() {
             "--n" => {
                 n = parse_positive("--n", &next("--n")?)?;
-                if n > 30 {
-                    return Err(format!("--n must be 1..=30 (hypercube dimension), got {n}"));
-                }
+                let cube = opts.algo;
+                SchemeSpec::new(cube, Size::Dims(n)).map_err(|_| {
+                    format!("--n must be {} (hypercube dimension), got {n}", cube.shape)
+                })?;
             }
             "--cycles" => cycles = Some(parse_positive("--cycles", &next("--cycles")?)? as u64),
             "--table" => table = parse_table(&next("--table")?)?,

@@ -14,8 +14,9 @@
 //! * `--seed S` — base RNG seed.
 //! * `--reps R` — replications per row (default 1, or `R` of
 //!   `--lanes R`); each replication runs with its own seed.
-//! * `--algo A` — the hypercube router: `fully-adaptive` (default, the
-//!   paper's § 3 algorithm), `static-hang` or `ecube-sbp` (baselines).
+//! * `--algo A` — the hypercube router, a row of the scheme registry:
+//!   `fully-adaptive` (default, the paper's § 3 algorithm),
+//!   `static-hang` or `ecube-sbp` (baselines).
 //! * `--jobs J` — worker threads for the row × replication fan-out
 //!   (default: available parallelism). Output is bit-identical for any
 //!   value of `J`.
@@ -49,7 +50,7 @@ use std::process::ExitCode;
 use fadr_bench::exec;
 use fadr_bench::obs::{self, parse_run_flag, parse_table, MetricsRow, ObsArgs};
 use fadr_bench::runner::{
-    dims_for, run_table_dims, run_table_dims_recorded, spec, Algo, RunOptions,
+    dims_for, hypercube_scheme, run_table_dims, run_table_dims_recorded, spec, RunOptions,
 };
 
 struct Args {
@@ -99,9 +100,7 @@ fn parse_args() -> Result<Args, String> {
                 reps_given = true;
             }
             "--algo" => {
-                let v = next("--algo")?;
-                args.opts.algo = Algo::parse(&v)
-                    .ok_or("--algo must be fully-adaptive | static-hang | ecube-sbp")?;
+                args.opts.algo = hypercube_scheme(&next("--algo")?)?;
             }
             "--help" | "-h" => {
                 return Err(format!(
@@ -144,7 +143,7 @@ fn run() -> Result<(), String> {
     let args = parse_args()?;
     eprintln!(
         "# {} hypercube routing (SPAA'91), queue capacity {}, dynamic horizon {} cycles, {} jobs, {} shards{}",
-        args.opts.algo.name(),
+        args.opts.algo.algo(),
         args.opts.queue_capacity,
         args.opts.dynamic_cycles,
         args.jobs,
@@ -172,8 +171,7 @@ fn run() -> Result<(), String> {
     }
     if args.obs.enabled() {
         obs::report(&metrics);
-        let algo = format!("{:?}", args.opts.algo);
-        obs::export(&args.obs, &algo, &metrics)
+        obs::export(&args.obs, args.opts.algo.algo(), &metrics)
             .map_err(|e| format!("failed to write observability output: {e}"))?;
     }
     Ok(())

@@ -10,16 +10,18 @@
 //! The snapshot's `meta` label is written by the runner
 //! ([`meta_line`]): a work-unit label followed by `key=value` pairs
 //! carrying everything the engine state does not — which router ran
-//! ([`Algo`]), which paper table (hence pattern and injection model),
-//! the dynamic horizon, and the workload seed. Engine state (queue
+//! (the `--algo` spelling of a hypercube row of the scheme registry,
+//! [`hypercube_scheme`]), which paper table (hence pattern and
+//! injection model), the dynamic horizon, and the workload seed. Engine state (queue
 //! capacity, RNG seed, in-flight packets) lives in the snapshot body
 //! itself.
 
+use fadr_core::scheme::{with_hypercube, Scheme, SchemeSpec, SchemeVisitor, Size};
 use fadr_metrics::{JournalSink, SinkSet, StallReport, WaitGraphSink};
-use fadr_qdg::RoutingFunction;
+use fadr_qdg::sym::Symmetry;
 use fadr_sim::{FaultPlan, SimConfig, Simulator, SnapshotMsg, StopReason};
 
-use crate::runner::{drive, spec, with_algo, Algo, AlgoVisitor, Leg, RunResult, Source, Workload};
+use crate::runner::{drive, hypercube_scheme, spec, Leg, RunResult, Source, Workload};
 
 /// Render the snapshot metadata line for one work unit. `lambda` is
 /// `Some` only for non-table dynamic points (sweeps); paper tables
@@ -27,7 +29,7 @@ use crate::runner::{drive, spec, with_algo, Algo, AlgoVisitor, Leg, RunResult, S
 #[allow(clippy::too_many_arguments)]
 pub fn meta_line(
     label: &str,
-    algo: Algo,
+    algo: &Scheme,
     table: usize,
     n: usize,
     cap: usize,
@@ -37,7 +39,7 @@ pub fn meta_line(
 ) -> String {
     let mut out = format!(
         "{label} algo={} table={table} n={n} cap={cap} cycles={cycles} seed={seed}",
-        algo.name()
+        algo.algo()
     );
     if let Some(l) = lambda {
         out.push_str(&format!(" lambda={l}"));
@@ -51,7 +53,7 @@ pub struct SnapshotMeta {
     /// Work-unit label (snapshot file stem).
     pub label: String,
     /// Router that produced the snapshot.
-    pub algo: Algo,
+    pub algo: &'static Scheme,
     /// Paper table number (0 = a sweep point: dynamic, uniform random).
     pub table: usize,
     /// Hypercube dimension.
@@ -73,7 +75,7 @@ impl SnapshotMeta {
         let label = words.next().ok_or("empty snapshot meta line")?.to_string();
         let mut meta = SnapshotMeta {
             label,
-            algo: Algo::FullyAdaptive,
+            algo: hypercube_scheme("fully-adaptive")?,
             table: 0,
             n: 0,
             cap: 0,
@@ -89,7 +91,8 @@ impl SnapshotMeta {
                 .ok_or_else(|| format!("bad meta field `{w}` (expected key=value)"))?;
             match key {
                 "algo" => {
-                    meta.algo = Algo::parse(val).ok_or_else(|| format!("unknown algo `{val}`"))?;
+                    meta.algo =
+                        hypercube_scheme(val).map_err(|_| format!("unknown algo `{val}`"))?;
                     seen_algo = true;
                 }
                 "table" => meta.table = val.parse().map_err(|e| format!("table: {e}"))?,
@@ -167,7 +170,8 @@ pub fn replay(text: &str, ro: &ReplayOptions) -> Result<ReplayOutput, String> {
             meta.table
         ));
     }
-    with_algo(meta.algo, meta.n, Replay { meta, text, ro })
+    let scheme = SchemeSpec::new(meta.algo, Size::Dims(meta.n))?;
+    with_hypercube(&scheme, Replay { meta, text, ro })?
 }
 
 /// A parsed snapshot waiting for its router (see [`replay`]).
@@ -177,12 +181,12 @@ struct Replay<'a> {
     ro: &'a ReplayOptions,
 }
 
-impl AlgoVisitor for Replay<'_> {
+impl SchemeVisitor for Replay<'_> {
     type Out = Result<ReplayOutput, String>;
 
     fn visit<R>(self, rf: R) -> Self::Out
     where
-        R: RoutingFunction + Clone + Send + 'static,
+        R: Symmetry + Clone + Send + 'static,
         R::Msg: Send + SnapshotMsg,
     {
         let Replay { meta, text, ro } = self;
@@ -308,7 +312,7 @@ pub fn select_section(lines: &[String], meta: &SnapshotMeta) -> Result<Vec<Strin
     // Sweep rows carry a display label ("lambda=0.4 algo=fully-adaptive
     // n=8 ..." / "cap=5 algo=... n=8 ...") that differs from the
     // file-safe snapshot label; match those by coordinates instead.
-    let algo_tag = format!("algo={} ", meta.algo.name());
+    let algo_tag = format!("algo={} ", meta.algo.algo());
     let n_tag = format!(" n={} ", meta.n);
     let point_tag = match meta.lambda {
         Some(l) => format!("lambda={l} "),
@@ -363,10 +367,11 @@ mod tests {
 
     #[test]
     fn meta_round_trips() {
-        let line = meta_line("t9_n6_q5_r0", Algo::EcubeSbp, 9, 6, 5, 500, 0xFAD2, None);
+        let sbp = hypercube_scheme("ecube-sbp").unwrap();
+        let line = meta_line("t9_n6_q5_r0", sbp, 9, 6, 5, 500, 0xFAD2, None);
         let m = SnapshotMeta::parse(&line).unwrap();
         assert_eq!(m.label, "t9_n6_q5_r0");
-        assert_eq!(m.algo, Algo::EcubeSbp);
+        assert_eq!(m.algo.name, "ecube-sbp");
         assert_eq!(
             (m.table, m.n, m.cap, m.cycles, m.seed),
             (9, 6, 5, 500, 0xFAD2)
@@ -375,7 +380,7 @@ mod tests {
 
         let line = meta_line(
             "lambda0.4_fully-adaptive",
-            Algo::FullyAdaptive,
+            hypercube_scheme("fully-adaptive").unwrap(),
             0,
             8,
             5,
@@ -409,7 +414,7 @@ mod tests {
             panic!("run did not pause");
         };
         let text = sim.checkpoint("x algo=ecube-sbp n=3", &progress);
-        assert_eq!(peek_meta(&text).unwrap().algo, Algo::EcubeSbp);
+        assert_eq!(peek_meta(&text).unwrap().algo.name, "ecube-sbp");
         assert!(peek_meta("not a snapshot").is_err());
         let old = text.replacen("fadr-snapshot/2", "fadr-snapshot/1", 1);
         assert!(peek_meta(&old).unwrap_err().contains("unsupported schema"));

@@ -2,8 +2,9 @@
 //!
 //! Every experiment — a paper-table row or a λ-sweep point — runs
 //! through one path. A [`Workload`] is built from the work unit's
-//! coordinates, [`with_algo`] constructs the router, one construction
-//! site picks the engine the [`RunOptions`] select (sharded, or
+//! coordinates, the scheme registry's hypercube arm
+//! ([`fadr_core::scheme::with_hypercube`]) constructs the router, one
+//! construction site picks the engine the [`RunOptions`] select (sharded, or
 //! sequential on the computed or the table option source), and one
 //! generic `drive` runs the workload on any [`fadr_sim::Engine`] under
 //! the checkpoint/resume policy.
@@ -14,9 +15,9 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use fadr_core::{EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang};
+use fadr_core::scheme::{self, with_hypercube, Scheme, SchemeSpec, SchemeVisitor, Size};
 use fadr_metrics::{table::fmt2, MeanCi, NoRecorder, RunningStats, SinkSet, Table};
-use fadr_qdg::RoutingFunction;
+use fadr_qdg::sym::Symmetry;
 use fadr_sim::{
     lane_seed, DynamicOutcome, DynamicResult, Engine, PartitionStrategy, RunProgress, SimConfig,
     Simulator, SnapshotMsg, Snapshots, StateTable, StaticOutcome, StaticResult, StopReason,
@@ -153,62 +154,18 @@ pub fn spec(number: usize) -> TableSpec {
     TABLES[number - 1]
 }
 
-/// Which hypercube router the harness runs (the paper's tables use the
-/// fully-adaptive § 3 algorithm; the others enable baseline tables).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algo {
-    /// § 3 fully-adaptive (the paper's evaluated algorithm).
-    FullyAdaptive,
-    /// The underlying hang without dynamic links (≈ \[BGSS89\]/\[Kon90\]).
-    StaticHang,
-    /// Oblivious e-cube + structured buffer pool (\[Gun81\]/\[MS80\]).
-    EcubeSbp,
-}
-
-impl Algo {
-    /// Parse a `--algo` argument.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "fully-adaptive" | "adaptive" => Some(Self::FullyAdaptive),
-            "static-hang" | "hang" => Some(Self::StaticHang),
-            "ecube-sbp" | "ecube" => Some(Self::EcubeSbp),
-            _ => None,
-        }
-    }
-
-    /// Canonical name, round-trippable through [`Algo::parse`] (used in
-    /// snapshot metadata so `replay` can rebuild the router).
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::FullyAdaptive => "fully-adaptive",
-            Self::StaticHang => "static-hang",
-            Self::EcubeSbp => "ecube-sbp",
-        }
-    }
-}
-
-/// Monomorphizing visitor over the router an [`Algo`] names.
-/// [`RoutingFunction`] is not object-safe (associated `Msg`), so runs
-/// dispatch through this trait instead of `dyn`.
-pub trait AlgoVisitor {
-    /// Result of visiting.
-    type Out;
-
-    /// Called with the constructed n-cube router.
-    fn visit<R>(self, rf: R) -> Self::Out
-    where
-        R: RoutingFunction + Clone + Send + 'static,
-        R::Msg: Send + SnapshotMsg;
-}
-
-/// Build the n-cube router `algo` names and hand it to `v` — the
-/// harness's one `Algo` dispatch.
-pub fn with_algo<V: AlgoVisitor>(algo: Algo, n: usize, v: V) -> V::Out {
-    match algo {
-        Algo::FullyAdaptive => v.visit(HypercubeFullyAdaptive::new(n)),
-        Algo::StaticHang => v.visit(HypercubeStaticHang::new(n)),
-        Algo::EcubeSbp => v.visit(EcubeSbp::new(n)),
-    }
+/// The hypercube row of the scheme registry that `--algo algo` names:
+/// the paper's tables use the fully-adaptive § 3 algorithm, and the
+/// others (aliases included) run baseline tables.
+///
+/// # Errors
+///
+/// The accepted values, when `algo` names none of them.
+pub fn hypercube_scheme(algo: &str) -> Result<&'static Scheme, String> {
+    scheme::by_flags("hypercube", algo).ok_or_else(|| {
+        let algos: Vec<&str> = scheme::algos("hypercube").collect();
+        format!("--algo must be {}, got {algo:?}", algos.join(" | "))
+    })
 }
 
 /// Flight-recorder checkpoint/resume policy (`--checkpoint-at` /
@@ -257,8 +214,9 @@ pub struct RunOptions {
     /// Independent replications per row (averaged; L_max is the max over
     /// replications). The paper reports single runs; default 1.
     pub reps: u32,
-    /// Routing algorithm under test.
-    pub algo: Algo,
+    /// Routing scheme under test: a hypercube row of the scheme
+    /// registry ([`hypercube_scheme`]).
+    pub algo: &'static Scheme,
     /// Intra-simulation shards (threads *inside* one run; composes with
     /// `--jobs`, which parallelizes *across* runs). 1 = the sequential
     /// engine; any value yields bit-identical results.
@@ -294,7 +252,7 @@ impl Default for RunOptions {
             dynamic_cycles: 500,
             seed: 0xFAD2,
             reps: 1,
-            algo: Algo::FullyAdaptive,
+            algo: hypercube_scheme("fully-adaptive").expect("the registry holds § 3's scheme"),
             shards: 1,
             lanes: 1,
             partition: PartitionStrategy::Auto,
@@ -738,7 +696,7 @@ struct Rep {
 }
 
 /// Run the replications `reps` of `source` on the n-cube with the
-/// router `opts.algo` names, returning each replication's result and
+/// scheme `opts.algo` names, returning each replication's result and
 /// flushed recorder in order.
 fn run_reps<Rec: RunRecorder>(
     source: Source,
@@ -755,7 +713,7 @@ fn run_reps<Rec: RunRecorder>(
         rc,
         rec: PhantomData,
     };
-    with_algo(opts.algo, n, unit)
+    with_hypercube(&SchemeSpec::new(opts.algo, Size::Dims(n))?, unit)?
 }
 
 /// A batch of replications waiting for its router (see [`run_reps`]).
@@ -768,7 +726,7 @@ struct Unit<'a, Rec> {
     rec: PhantomData<Rec>,
 }
 
-impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
+impl<Rec: RunRecorder> SchemeVisitor for Unit<'_, Rec> {
     type Out = Result<Vec<(RunResult, Rec)>, String>;
 
     /// The one engine-construction site: every replication gets its own
@@ -783,7 +741,7 @@ impl<Rec: RunRecorder> AlgoVisitor for Unit<'_, Rec> {
     /// set, so downstream reporting is oblivious to which engine ran.
     fn visit<R>(self, rf: R) -> Self::Out
     where
-        R: RoutingFunction + Clone + Send + 'static,
+        R: Symmetry + Clone + Send + 'static,
         R::Msg: Send + SnapshotMsg,
     {
         let (opts, rc) = (self.opts, self.rc);

@@ -69,6 +69,8 @@ fn tables_rejects_bad_values_and_conflicts() {
         &[
             (&["--table", "13"], "--table must be 1..=12"),
             (&["--algo", "bogus"], "--algo must be"),
+            // The wedging registry row has no `--algo` spelling.
+            (&["--algo", "store-forward"], "--algo must be"),
             (&["--watchdog", "0"], "--watchdog window"),
             (&["--cap", "0"], "requires --watchdog"),
             (&["--shards", "0"], "--shards must be a positive integer"),

@@ -46,6 +46,7 @@ pub mod hypercube;
 pub mod mesh;
 pub mod mesh_kd;
 pub mod sbp;
+pub mod scheme;
 pub mod shuffle;
 pub mod snapshot;
 pub mod torus;

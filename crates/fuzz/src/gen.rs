@@ -7,14 +7,12 @@
 //! exhaustive in the network size, and a counterexample on 8 nodes is
 //! worth more than an unexplored one on 1024.
 
-use fadr_qdg::RoutingFunction;
+use fadr_core::scheme::{self, with_scheme, SchemeSpec, SchemeVisitor, Size};
 use fadr_sim::{FaultKind, FaultPlan, PartitionStrategy};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::spec::{
-    with_scheme, CaseSpec, Mutated, MutationSpec, SchemeSpec, SchemeVisitor, WorkloadSpec,
-};
+use crate::spec::{CaseSpec, MutationSpec, WorkloadSpec};
 
 /// Per-index seed mix (golden-ratio stride, the repo's property-suite
 /// idiom).
@@ -29,10 +27,10 @@ struct InstanceInfo;
 impl SchemeVisitor for InstanceInfo {
     type Out = (usize, Vec<(u32, u32)>);
 
-    fn visit<R>(self, rf: Mutated<R>) -> Self::Out
+    fn visit<R>(self, rf: R) -> Self::Out
     where
         R: fadr_qdg::sym::Symmetry + Clone + Send + 'static,
-        R::Msg: Send,
+        R::Msg: Send + fadr_qdg::SnapshotMsg,
     {
         let topo = rf.topology();
         let mut links = Vec::new();
@@ -48,58 +46,45 @@ impl SchemeVisitor for InstanceInfo {
 }
 
 fn gen_scheme(rng: &mut StdRng) -> SchemeSpec {
-    match rng.gen_range(0..12u8) {
-        0 => SchemeSpec::HypercubeFa {
-            dims: rng.gen_range(2..=4),
-        },
-        1 => SchemeSpec::HypercubeHang {
-            dims: rng.gen_range(2..=3),
-        },
-        2 => SchemeSpec::EcubeSbp {
-            dims: rng.gen_range(2..=3),
-        },
-        3 => SchemeSpec::MeshFa {
-            width: rng.gen_range(2..=4),
-            height: rng.gen_range(2..=3),
-        },
-        4 => SchemeSpec::MeshHang {
-            width: rng.gen_range(2..=3),
-            height: rng.gen_range(2..=3),
-        },
-        5 => SchemeSpec::MeshXy {
-            width: rng.gen_range(2..=4),
-            height: rng.gen_range(2..=3),
-        },
-        6 => SchemeSpec::MeshKd {
-            extents: if rng.gen_range(0..2u8) == 0 {
+    let sides = |width, height| Size::Sides { width, height };
+    let (name, size) = match rng.gen_range(0..12u8) {
+        0 => ("hypercube-fa", Size::Dims(rng.gen_range(2..=4))),
+        1 => ("hypercube-hang", Size::Dims(rng.gen_range(2..=3))),
+        2 => ("ecube-sbp", Size::Dims(rng.gen_range(2..=3))),
+        3 => ("mesh-fa", sides(rng.gen_range(2..=4), rng.gen_range(2..=3))),
+        4 => (
+            "mesh-hang",
+            sides(rng.gen_range(2..=3), rng.gen_range(2..=3)),
+        ),
+        5 => ("mesh-xy", sides(rng.gen_range(2..=4), rng.gen_range(2..=3))),
+        6 => (
+            "mesh-kd",
+            Size::Extents(if rng.gen_range(0..2u8) == 0 {
                 vec![2, 2, 2]
             } else {
                 vec![2, 3, 2]
+            }),
+        ),
+        7 => ("torus", sides(rng.gen_range(3..=4), 3)),
+        8 => ("shuffle-exchange", Size::Dims(rng.gen_range(2..=3))),
+        // Paper-literal SE: prime dims are sound, dims = 4 is the known
+        // § 6 deadlock — keep both in the pool.
+        9 => (
+            "shuffle-exchange-paper",
+            Size::Dims(if rng.gen_range(0..2u8) == 0 { 3 } else { 4 }),
+        ),
+        10 => ("ecube-store-forward", Size::Dims(rng.gen_range(2..=3))),
+        _ => (
+            "sbp-random-regular",
+            Size::Graph {
+                nodes: 2 * rng.gen_range(4..=7usize),
+                degree: 3,
+                seed: rng.next_u64(),
             },
-        },
-        7 => SchemeSpec::Torus {
-            width: rng.gen_range(3..=4),
-            height: 3,
-        },
-        8 => SchemeSpec::ShuffleExchange {
-            dims: rng.gen_range(2..=3),
-        },
-        9 => {
-            // Paper-literal SE: prime dims are sound, dims = 4 is the
-            // known § 6 deadlock — keep both in the pool.
-            SchemeSpec::ShuffleExchangePaper {
-                dims: if rng.gen_range(0..2u8) == 0 { 3 } else { 4 },
-            }
-        }
-        10 => SchemeSpec::EcubeStoreForward {
-            dims: rng.gen_range(2..=3),
-        },
-        _ => SchemeSpec::SbpRandomRegular {
-            nodes: 2 * rng.gen_range(4..=7usize),
-            degree: 3,
-            seed: rng.next_u64(),
-        },
-    }
+        ),
+    };
+    let scheme = scheme::by_name(name).expect("the generator draws registry rows");
+    SchemeSpec::new(scheme, size).expect("the generator draws sizes within bounds")
 }
 
 fn gen_faults(
@@ -145,7 +130,7 @@ pub fn gen_case(master: u64, idx: u64) -> CaseSpec {
     let mut rng = case_rng(master, idx);
     let scheme = gen_scheme(&mut rng);
     let n = scheme.num_nodes();
-    let (num_classes, links) = with_scheme(&scheme, MutationSpec::None, InstanceInfo);
+    let (num_classes, links) = with_scheme(&scheme, InstanceInfo);
 
     let mutation = match rng.gen_range(0..10u8) {
         0..=6 => MutationSpec::None,

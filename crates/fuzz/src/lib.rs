@@ -36,6 +36,4 @@ pub use gen::gen_case;
 pub use props::{run_case, Failure, PropertyId};
 pub use runner::{fuzz, replay_file, run_case_guarded, FoundCase, FuzzConfig, FuzzOutcome};
 pub use shrink::{shrink, shrink_with};
-pub use spec::{
-    CaseSpec, Mutated, MutationSpec, SchemeSpec, StoreForwardEcube, WorkloadSpec, SCHEMA,
-};
+pub use spec::{CaseSpec, Mutated, MutationSpec, WorkloadSpec, SCHEMA};

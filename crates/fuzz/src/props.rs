@@ -23,6 +23,7 @@
 
 use std::sync::Arc;
 
+use fadr_core::scheme::{with_scheme, SchemeVisitor};
 use fadr_lint::{lint_scheme, LintConfig};
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::verify::verify_deadlock_free;
@@ -38,7 +39,7 @@ use fadr_wormhole::{WormConfig, WormholeSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::spec::{CaseSpec, Mutated, MutationSpec, SchemeVisitor, WorkloadSpec};
+use crate::spec::{CaseSpec, Mutated, MutationSpec, WorkloadSpec};
 
 /// Which property family a failure belongs to (shrinking preserves it).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,7 +102,7 @@ const MAX_CYCLES: u64 = 50_000;
 ///
 /// Returns the first [`Failure`] found.
 pub fn run_case(spec: &CaseSpec) -> Result<(), Failure> {
-    crate::spec::with_scheme(&spec.scheme, spec.mutation, CaseRunner { spec })
+    with_scheme(&spec.scheme, CaseRunner { spec })
 }
 
 struct CaseRunner<'a> {
@@ -111,12 +112,13 @@ struct CaseRunner<'a> {
 impl SchemeVisitor for CaseRunner<'_> {
     type Out = Result<(), Failure>;
 
-    fn visit<R>(self, rf: Mutated<R>) -> Self::Out
+    fn visit<R>(self, rf: R) -> Self::Out
     where
         R: Symmetry + Clone + Send + 'static,
         R::Msg: Send + SnapshotMsg,
     {
         let spec = self.spec;
+        let rf = Mutated::new(rf, spec.mutation);
         let cert = oracle_parity(&rf)?;
         if let Some(cert) = &cert {
             certificate_roundtrip(&rf, cert)?;

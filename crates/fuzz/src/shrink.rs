@@ -8,11 +8,12 @@
 //! regression corpus: the smallest witness the shrinker could find, not
 //! the sprawling instance the generator happened to draw.
 
+use fadr_core::scheme::{SchemeSpec, Size};
 use fadr_sim::FaultKind;
 
 use crate::props::Failure;
 use crate::runner::run_case_guarded;
-use crate::spec::{CaseSpec, MutationSpec, SchemeSpec, WorkloadSpec};
+use crate::spec::{CaseSpec, MutationSpec, WorkloadSpec};
 
 /// Evaluation budget: each candidate costs one full property run, so
 /// the cap bounds shrink time at roughly 200 case executions.
@@ -159,115 +160,56 @@ fn candidates(spec: &CaseSpec) -> Vec<CaseSpec> {
     out
 }
 
-/// One-step-smaller instances of a scheme (empty when already minimal).
+/// One-step-smaller instances of a scheme (empty when already minimal),
+/// by the shape of its size. Dims stop at 2 and random-regular graphs
+/// at `degree + 2` nodes (the fuzzer's floors); every other move stops
+/// at the row's bounds, which [`SchemeSpec::new`] checks.
 fn shrunk_schemes(s: &SchemeSpec) -> Vec<SchemeSpec> {
-    let mut out = Vec::new();
-    match s {
-        SchemeSpec::HypercubeFa { dims } if *dims > 2 => {
-            out.push(SchemeSpec::HypercubeFa { dims: dims - 1 });
-        }
-        SchemeSpec::HypercubeHang { dims } if *dims > 2 => {
-            out.push(SchemeSpec::HypercubeHang { dims: dims - 1 });
-        }
-        SchemeSpec::EcubeSbp { dims } if *dims > 2 => {
-            out.push(SchemeSpec::EcubeSbp { dims: dims - 1 });
-        }
-        SchemeSpec::ShuffleExchange { dims } if *dims > 2 => {
-            out.push(SchemeSpec::ShuffleExchange { dims: dims - 1 });
-        }
-        SchemeSpec::ShuffleExchangePaper { dims } if *dims > 2 => {
-            out.push(SchemeSpec::ShuffleExchangePaper { dims: dims - 1 });
-        }
-        SchemeSpec::EcubeStoreForward { dims } if *dims > 2 => {
-            out.push(SchemeSpec::EcubeStoreForward { dims: dims - 1 });
-        }
-        SchemeSpec::MeshFa { width, height } => {
-            if *width > 2 {
-                out.push(SchemeSpec::MeshFa {
-                    width: width - 1,
-                    height: *height,
-                });
-            }
-            if *height > 2 {
-                out.push(SchemeSpec::MeshFa {
-                    width: *width,
-                    height: height - 1,
-                });
-            }
-        }
-        SchemeSpec::MeshHang { width, height } => {
-            if *width > 2 {
-                out.push(SchemeSpec::MeshHang {
-                    width: width - 1,
-                    height: *height,
-                });
-            }
-            if *height > 2 {
-                out.push(SchemeSpec::MeshHang {
-                    width: *width,
-                    height: height - 1,
-                });
-            }
-        }
-        SchemeSpec::MeshXy { width, height } => {
-            if *width > 2 {
-                out.push(SchemeSpec::MeshXy {
-                    width: width - 1,
-                    height: *height,
-                });
-            }
-            if *height > 2 {
-                out.push(SchemeSpec::MeshXy {
-                    width: *width,
-                    height: height - 1,
-                });
-            }
-        }
-        SchemeSpec::MeshKd { extents } => {
-            for (i, e) in extents.iter().enumerate() {
-                if *e > 2 {
+    let sizes = match s.size() {
+        &Size::Dims(dims) if dims > 2 => vec![Size::Dims(dims - 1)],
+        &Size::Sides { width, height } => vec![
+            Size::Sides {
+                width: width - 1,
+                height,
+            },
+            Size::Sides {
+                width,
+                height: height - 1,
+            },
+        ],
+        Size::Extents(extents) => {
+            let mut out: Vec<Size> = (0..extents.len())
+                .map(|i| {
                     let mut smaller = extents.clone();
-                    smaller[i] = e - 1;
-                    out.push(SchemeSpec::MeshKd { extents: smaller });
-                }
-            }
+                    smaller[i] -= 1;
+                    Size::Extents(smaller)
+                })
+                .collect();
             if extents.len() > 2 {
                 for i in 0..extents.len() {
                     let mut fewer = extents.clone();
                     fewer.remove(i);
-                    out.push(SchemeSpec::MeshKd { extents: fewer });
+                    out.push(Size::Extents(fewer));
                 }
             }
-        }
-        SchemeSpec::Torus { width, height } => {
-            if *width > 3 {
-                out.push(SchemeSpec::Torus {
-                    width: width - 1,
-                    height: *height,
-                });
-            }
-            if *height > 3 {
-                out.push(SchemeSpec::Torus {
-                    width: *width,
-                    height: height - 1,
-                });
-            }
+            out
         }
         // Keep the configuration model valid: degree < nodes and an
         // even stub count (degree is 3 in generated cases, so the node
         // count stays even).
-        SchemeSpec::SbpRandomRegular {
+        &Size::Graph {
             nodes,
             degree,
             seed,
-        } if *nodes >= degree + 4 && ((nodes - 2) * degree).is_multiple_of(2) => {
-            out.push(SchemeSpec::SbpRandomRegular {
-                nodes: nodes - 2,
-                degree: *degree,
-                seed: *seed,
-            });
-        }
-        _ => {}
-    }
-    out
+        } if nodes >= degree + 4 => vec![Size::Graph {
+            nodes: nodes - 2,
+            degree,
+            seed,
+        }],
+        _ => Vec::new(),
+    };
+    sizes
+        .into_iter()
+        .filter_map(|size| SchemeSpec::new(s.scheme(), size).ok())
+        .collect()
 }

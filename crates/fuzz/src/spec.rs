@@ -13,136 +13,14 @@ use std::str::FromStr;
 
 use fadr_sim::json::{self, Quoted, Reader};
 
-use fadr_core::{
-    AdaptiveSbp, EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang, MeshFullyAdaptive,
-    MeshKDFullyAdaptive, MeshStaticHang, MeshXY, ShuffleExchangeRouting, TorusTwoPhase,
-};
+use fadr_core::scheme::{self, SchemeSpec, Shape, Size};
 use fadr_qdg::sym::Symmetry;
-use fadr_qdg::verify::test_fixtures::EcubeHypercube;
 use fadr_qdg::{BufferClass, LinkKind, QueueId, RoutingFunction, Transition};
 use fadr_sim::{FaultPlan, PartitionStrategy};
-use fadr_topology::{NodeId, Port, RandomRegular, Topology};
+use fadr_topology::{NodeId, Port, Topology};
 
 /// Schema tag of the serialized form.
 pub const SCHEMA: &str = "fadr-fuzz/1";
-
-/// Which routing scheme (and instance size) a case runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SchemeSpec {
-    /// `HypercubeFullyAdaptive::new(dims)`.
-    HypercubeFa {
-        /// Cube dimensions.
-        dims: usize,
-    },
-    /// `HypercubeStaticHang::new(dims)`.
-    HypercubeHang {
-        /// Cube dimensions.
-        dims: usize,
-    },
-    /// `EcubeSbp::new(dims)`.
-    EcubeSbp {
-        /// Cube dimensions.
-        dims: usize,
-    },
-    /// `MeshFullyAdaptive::new(width, height)`.
-    MeshFa {
-        /// Mesh width.
-        width: usize,
-        /// Mesh height.
-        height: usize,
-    },
-    /// `MeshStaticHang::new(width, height)`.
-    MeshHang {
-        /// Mesh width.
-        width: usize,
-        /// Mesh height.
-        height: usize,
-    },
-    /// `MeshXY::new(width, height)`.
-    MeshXy {
-        /// Mesh width.
-        width: usize,
-        /// Mesh height.
-        height: usize,
-    },
-    /// `MeshKDFullyAdaptive::new(&extents)`.
-    MeshKd {
-        /// Per-dimension extents.
-        extents: Vec<usize>,
-    },
-    /// `TorusTwoPhase::new(width, height)`.
-    Torus {
-        /// Torus width.
-        width: usize,
-        /// Torus height.
-        height: usize,
-    },
-    /// `ShuffleExchangeRouting::new(dims)` (corrected provisioning).
-    ShuffleExchange {
-        /// Address bits.
-        dims: usize,
-    },
-    /// `ShuffleExchangeRouting::paper_literal(dims)` — the § 6 text as
-    /// printed; deadlock-prone for composite `dims`.
-    ShuffleExchangePaper {
-        /// Address bits.
-        dims: usize,
-    },
-    /// Single-central-queue store-and-forward e-cube (cyclic QDG; the
-    /// classic rejected baseline).
-    EcubeStoreForward {
-        /// Cube dimensions.
-        dims: usize,
-    },
-    /// `AdaptiveSbp` over a seeded [`RandomRegular`] graph: the
-    /// structure-free adversarial instance.
-    SbpRandomRegular {
-        /// Node count (even times degree).
-        nodes: usize,
-        /// Uniform degree.
-        degree: usize,
-        /// Draw seed.
-        seed: u64,
-    },
-}
-
-impl SchemeSpec {
-    /// Number of nodes the instance will have.
-    pub fn num_nodes(&self) -> usize {
-        match self {
-            Self::HypercubeFa { dims }
-            | Self::HypercubeHang { dims }
-            | Self::EcubeSbp { dims }
-            | Self::ShuffleExchange { dims }
-            | Self::ShuffleExchangePaper { dims }
-            | Self::EcubeStoreForward { dims } => 1 << dims,
-            Self::MeshFa { width, height }
-            | Self::MeshHang { width, height }
-            | Self::MeshXy { width, height }
-            | Self::Torus { width, height } => width * height,
-            Self::MeshKd { extents } => extents.iter().product(),
-            Self::SbpRandomRegular { nodes, .. } => *nodes,
-        }
-    }
-
-    /// JSON `kind` tag.
-    fn kind(&self) -> &'static str {
-        match self {
-            Self::HypercubeFa { .. } => "hypercube-fa",
-            Self::HypercubeHang { .. } => "hypercube-hang",
-            Self::EcubeSbp { .. } => "ecube-sbp",
-            Self::MeshFa { .. } => "mesh-fa",
-            Self::MeshHang { .. } => "mesh-hang",
-            Self::MeshXy { .. } => "mesh-xy",
-            Self::MeshKd { .. } => "mesh-kd",
-            Self::Torus { .. } => "torus",
-            Self::ShuffleExchange { .. } => "shuffle-exchange",
-            Self::ShuffleExchangePaper { .. } => "shuffle-exchange-paper",
-            Self::EcubeStoreForward { .. } => "ecube-store-forward",
-            Self::SbpRandomRegular { .. } => "sbp-random-regular",
-        }
-    }
-}
 
 /// How a case sabotages the scheme (the lint/certifier bug classes).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,7 +61,8 @@ pub enum WorkloadSpec {
 pub struct CaseSpec {
     /// Workload/engine seed.
     pub seed: u64,
-    /// Scheme and instance.
+    /// Scheme and instance: a registry row and its checked size, whose
+    /// name is the case file's `kind`.
     pub scheme: SchemeSpec,
     /// Sabotage applied to the scheme.
     pub mutation: MutationSpec,
@@ -211,28 +90,20 @@ impl CaseSpec {
             "{{\"schema\": {}, \"seed\": {}, \"scheme\": {{\"kind\": {}",
             Quoted(SCHEMA),
             self.seed,
-            Quoted(self.scheme.kind())
+            Quoted(self.scheme.scheme().name)
         );
-        match &self.scheme {
-            SchemeSpec::HypercubeFa { dims }
-            | SchemeSpec::HypercubeHang { dims }
-            | SchemeSpec::EcubeSbp { dims }
-            | SchemeSpec::ShuffleExchange { dims }
-            | SchemeSpec::ShuffleExchangePaper { dims }
-            | SchemeSpec::EcubeStoreForward { dims } => {
+        match self.scheme.size() {
+            Size::Dims(dims) => {
                 let _ = write!(out, ", \"dims\": {dims}");
             }
-            SchemeSpec::MeshFa { width, height }
-            | SchemeSpec::MeshHang { width, height }
-            | SchemeSpec::MeshXy { width, height }
-            | SchemeSpec::Torus { width, height } => {
+            Size::Sides { width, height } => {
                 let _ = write!(out, ", \"width\": {width}, \"height\": {height}");
             }
-            SchemeSpec::MeshKd { extents } => {
+            Size::Extents(extents) => {
                 out.push_str(", \"extents\": ");
                 json::list(&mut out, extents, |out, e| write!(out, "{e}"));
             }
-            SchemeSpec::SbpRandomRegular {
+            Size::Graph {
                 nodes,
                 degree,
                 seed,
@@ -306,18 +177,13 @@ impl CaseSpec {
             "lanes",
             "faults",
         ];
-        let mut spec = Self {
-            seed: 0,
-            // Placeholders: "scheme" and "workload" are required.
-            scheme: SchemeSpec::HypercubeFa { dims: 0 },
-            mutation: MutationSpec::None,
-            queue_capacity: 64,
-            faults: FaultPlan::new(0, 0),
-            workload: WorkloadSpec::Static { per_node: 0 },
-            shards: Vec::new(),
-            strategy: PartitionStrategy::Auto,
-            lanes: 1,
-        };
+        let (mut seed, mut queue_capacity, mut lanes) = (0, 64, 1);
+        // "scheme" and "workload" are required.
+        let (mut scheme, mut workload) = (None, None);
+        let mut mutation = MutationSpec::None;
+        let mut faults = FaultPlan::new(0, 0);
+        let mut shards = Vec::new();
+        let mut strategy = PartitionStrategy::Auto;
         let mut r = Reader::new(text);
         let seen = r.object(&KEYS, |slot, r| {
             match KEYS[slot] {
@@ -327,41 +193,51 @@ impl CaseSpec {
                         return Err(format!("unsupported schema {s:?}"));
                     }
                 }
-                "seed" => spec.seed = r.u64()?,
-                "scheme" => spec.scheme = read_scheme(r)?,
-                "mutation" => spec.mutation = read_mutation(r)?,
-                "queue_capacity" => spec.queue_capacity = r.u64()? as usize,
-                "workload" => spec.workload = read_workload(r)?,
+                "seed" => seed = r.u64()?,
+                "scheme" => scheme = Some(read_scheme(r)?),
+                "mutation" => mutation = read_mutation(r)?,
+                "queue_capacity" => queue_capacity = r.u64()? as usize,
+                "workload" => workload = Some(read_workload(r)?),
                 "shards" => r.array(|r| {
-                    spec.shards.push(r.u64()? as usize);
+                    shards.push(r.u64()? as usize);
                     Ok(())
                 })?,
-                "strategy" => spec.strategy = PartitionStrategy::from_str(r.str()?)?,
-                "lanes" => spec.lanes = r.u64()? as usize,
-                _ => spec.faults = FaultPlan::read(r)?,
+                "strategy" => strategy = PartitionStrategy::from_str(r.str()?)?,
+                "lanes" => lanes = r.u64()? as usize,
+                _ => faults = FaultPlan::read(r)?,
             }
             Ok(())
         })?;
         r.end()?;
-        if let Some(key) = ["schema", "scheme", "workload"]
-            .into_iter()
-            .find(|k| !seen.has(k))
-        {
-            return Err(format!("missing {key:?}"));
+        if !seen.has("schema") {
+            return Err("missing \"schema\"".into());
         }
-        if spec.shards.is_empty() {
+        let scheme = scheme.ok_or("missing \"scheme\"")?;
+        let workload = workload.ok_or("missing \"workload\"")?;
+        if shards.is_empty() {
             return Err("missing shards".into());
         }
-        Ok(spec)
+        Ok(Self {
+            seed,
+            scheme,
+            mutation,
+            queue_capacity,
+            faults,
+            workload,
+            shards,
+            strategy,
+            lanes,
+        })
     }
 }
 
+/// Read a scheme object: its `kind` names a registry row, whose shape
+/// says which size keys it takes, and [`SchemeSpec::new`] checks the
+/// size against the row's bounds.
 fn read_scheme(r: &mut Reader<'_>) -> Result<SchemeSpec, String> {
     const KEYS: [&str; 8] = [
         "kind", "dims", "width", "height", "nodes", "degree", "seed", "extents",
     ];
-    const DIMS: &[&str] = &["kind", "dims"];
-    const SIDES: &[&str] = &["kind", "width", "height"];
     let mut kind = None;
     let mut vals = [0u64; KEYS.len()];
     let mut extents = Vec::new();
@@ -377,31 +253,23 @@ fn read_scheme(r: &mut Reader<'_>) -> Result<SchemeSpec, String> {
         Ok(())
     })?;
     let kind = kind.ok_or("scheme missing \"kind\"")?;
+    let row = scheme::by_name(kind).ok_or_else(|| format!("unknown scheme kind {kind:?}"))?;
     let [_, dims, width, height, nodes, degree, _, _] = vals.map(|v| v as usize);
-    let (spec, takes) = match kind {
-        "hypercube-fa" => (SchemeSpec::HypercubeFa { dims }, DIMS),
-        "hypercube-hang" => (SchemeSpec::HypercubeHang { dims }, DIMS),
-        "ecube-sbp" => (SchemeSpec::EcubeSbp { dims }, DIMS),
-        "mesh-fa" => (SchemeSpec::MeshFa { width, height }, SIDES),
-        "mesh-hang" => (SchemeSpec::MeshHang { width, height }, SIDES),
-        "mesh-xy" => (SchemeSpec::MeshXy { width, height }, SIDES),
-        "mesh-kd" => (SchemeSpec::MeshKd { extents }, &["kind", "extents"][..]),
-        "torus" => (SchemeSpec::Torus { width, height }, SIDES),
-        "shuffle-exchange" => (SchemeSpec::ShuffleExchange { dims }, DIMS),
-        "shuffle-exchange-paper" => (SchemeSpec::ShuffleExchangePaper { dims }, DIMS),
-        "ecube-store-forward" => (SchemeSpec::EcubeStoreForward { dims }, DIMS),
-        "sbp-random-regular" => (
-            SchemeSpec::SbpRandomRegular {
+    let (size, takes): (_, &[&str]) = match row.shape {
+        Shape::Dims { .. } => (Size::Dims(dims), &["kind", "dims"]),
+        Shape::Sides { .. } => (Size::Sides { width, height }, &["kind", "width", "height"]),
+        Shape::Extents => (Size::Extents(extents), &["kind", "extents"]),
+        Shape::Graph => (
+            Size::Graph {
                 nodes,
                 degree,
                 seed: vals[6],
             },
-            &["kind", "nodes", "degree", "seed"][..],
+            &["kind", "nodes", "degree", "seed"],
         ),
-        other => return Err(format!("unknown scheme kind {other:?}")),
     };
     seen.exactly(takes, format_args!("scheme {kind:?}"))?;
-    Ok(spec)
+    SchemeSpec::new(row, size)
 }
 
 fn read_mutation(r: &mut Reader<'_>) -> Result<MutationSpec, String> {
@@ -442,7 +310,7 @@ fn read_workload(r: &mut Reader<'_>) -> Result<WorkloadSpec, String> {
 }
 
 // ---------------------------------------------------------------------
-// Scheme construction
+// Sabotage
 // ---------------------------------------------------------------------
 
 /// A scheme sabotaged per [`MutationSpec`] (the lint parity suite's
@@ -527,139 +395,3 @@ impl<R: RoutingFunction> RoutingFunction for Mutated<R> {
 
 // Identity symmetry — sound for any scheme (the lint engine's default).
 impl<R: RoutingFunction> Symmetry for Mutated<R> {}
-
-/// Clonable wrapper around the store-and-forward e-cube fixture
-/// ([`EcubeHypercube`] keeps no parameters, so cloning rebuilds it).
-pub struct StoreForwardEcube {
-    dims: usize,
-    inner: EcubeHypercube,
-}
-
-impl StoreForwardEcube {
-    /// Single-queue e-cube on the `dims`-cube.
-    pub fn new(dims: usize) -> Self {
-        Self {
-            dims,
-            inner: EcubeHypercube::new(dims),
-        }
-    }
-}
-
-impl Clone for StoreForwardEcube {
-    fn clone(&self) -> Self {
-        Self::new(self.dims)
-    }
-}
-
-impl RoutingFunction for StoreForwardEcube {
-    type Msg = <EcubeHypercube as RoutingFunction>::Msg;
-
-    fn topology(&self) -> &dyn Topology {
-        self.inner.topology()
-    }
-
-    fn num_classes(&self) -> usize {
-        self.inner.num_classes()
-    }
-
-    fn initial_msg(&self, src: NodeId, dst: NodeId) -> Self::Msg {
-        self.inner.initial_msg(src, dst)
-    }
-
-    fn destination(&self, msg: &Self::Msg) -> NodeId {
-        self.inner.destination(msg)
-    }
-
-    fn deliverable(&self, node: NodeId, msg: &Self::Msg) -> bool {
-        self.inner.deliverable(node, msg)
-    }
-
-    fn for_each_transition(
-        &self,
-        at: QueueId,
-        msg: &Self::Msg,
-        f: &mut dyn FnMut(Transition<Self::Msg>),
-    ) {
-        self.inner.for_each_transition(at, msg, f);
-    }
-
-    fn buffer_classes(&self, node: NodeId, port: Port) -> Vec<BufferClass> {
-        self.inner.buffer_classes(node, port)
-    }
-
-    fn is_minimal(&self) -> bool {
-        self.inner.is_minimal()
-    }
-
-    fn max_hops(&self) -> usize {
-        self.inner.max_hops()
-    }
-
-    fn name(&self) -> String {
-        self.inner.name()
-    }
-}
-
-impl Symmetry for StoreForwardEcube {}
-
-/// Monomorphizing visitor over the scheme a spec names.
-/// [`RoutingFunction`] is not object-safe (associated `Msg`), so case
-/// execution is dispatched through this trait instead of `dyn`.
-pub trait SchemeVisitor {
-    /// Result of visiting.
-    type Out;
-
-    /// Called with the constructed (and possibly mutated) scheme.
-    fn visit<R>(self, rf: Mutated<R>) -> Self::Out
-    where
-        R: Symmetry + Clone + Send + 'static,
-        R::Msg: Send + fadr_sim::SnapshotMsg;
-}
-
-/// Build the scheme `spec` names, wrap it in [`Mutated`] per `mutation`,
-/// and hand it to `v`.
-pub fn with_scheme<V: SchemeVisitor>(spec: &SchemeSpec, mutation: MutationSpec, v: V) -> V::Out {
-    match spec {
-        SchemeSpec::HypercubeFa { dims } => {
-            v.visit(Mutated::new(HypercubeFullyAdaptive::new(*dims), mutation))
-        }
-        SchemeSpec::HypercubeHang { dims } => {
-            v.visit(Mutated::new(HypercubeStaticHang::new(*dims), mutation))
-        }
-        SchemeSpec::EcubeSbp { dims } => v.visit(Mutated::new(EcubeSbp::new(*dims), mutation)),
-        SchemeSpec::MeshFa { width, height } => v.visit(Mutated::new(
-            MeshFullyAdaptive::new(*width, *height),
-            mutation,
-        )),
-        SchemeSpec::MeshHang { width, height } => {
-            v.visit(Mutated::new(MeshStaticHang::new(*width, *height), mutation))
-        }
-        SchemeSpec::MeshXy { width, height } => {
-            v.visit(Mutated::new(MeshXY::new(*width, *height), mutation))
-        }
-        SchemeSpec::MeshKd { extents } => {
-            v.visit(Mutated::new(MeshKDFullyAdaptive::new(extents), mutation))
-        }
-        SchemeSpec::Torus { width, height } => {
-            v.visit(Mutated::new(TorusTwoPhase::new(*width, *height), mutation))
-        }
-        SchemeSpec::ShuffleExchange { dims } => {
-            v.visit(Mutated::new(ShuffleExchangeRouting::new(*dims), mutation))
-        }
-        SchemeSpec::ShuffleExchangePaper { dims } => v.visit(Mutated::new(
-            ShuffleExchangeRouting::paper_literal(*dims),
-            mutation,
-        )),
-        SchemeSpec::EcubeStoreForward { dims } => {
-            v.visit(Mutated::new(StoreForwardEcube::new(*dims), mutation))
-        }
-        SchemeSpec::SbpRandomRegular {
-            nodes,
-            degree,
-            seed,
-        } => v.visit(Mutated::new(
-            AdaptiveSbp::new(RandomRegular::new(*nodes, *degree, *seed)),
-            mutation,
-        )),
-    }
-}

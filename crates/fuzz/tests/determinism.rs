@@ -89,6 +89,23 @@ fn parser_rejects_malformed_cases() {
         "{\"kind\": \"hypercube-fa\"}",
         "scheme \"hypercube-fa\" missing \"dims\"",
     );
+    // Sizes outside the registry's bounds are rejected when read, not
+    // replayed into a topology assertion.
+    rejects(
+        "\"dims\": 4",
+        "\"dims\": 1",
+        "Dims(1) is out of bounds (2..=30)",
+    );
+    rejects(
+        "\"dims\": 4",
+        "\"dims\": 31",
+        "Dims(31) is out of bounds (2..=30)",
+    );
+    rejects(
+        "{\"kind\": \"shuffle-exchange-paper\", \"dims\": 4}",
+        "{\"kind\": \"torus\", \"width\": 2, \"height\": 3}",
+        "torus: Sides { width: 2, height: 3 } is out of bounds (each >= 3)",
+    );
 }
 
 /// Two whole campaigns from the same seed agree case-for-case; this is

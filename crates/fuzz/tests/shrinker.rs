@@ -3,9 +3,10 @@
 //! the campaign itself; here we pin the *machinery*: move generation,
 //! same-property acceptance, fixpoint, and budget termination).
 
+use fadr_core::scheme::{self, SchemeSpec, Size};
 use fadr_fuzz::props::{Failure, PropertyId};
 use fadr_fuzz::shrink_with;
-use fadr_fuzz::spec::{CaseSpec, MutationSpec, SchemeSpec, WorkloadSpec};
+use fadr_fuzz::spec::{CaseSpec, MutationSpec, WorkloadSpec};
 use fadr_sim::{FaultKind, FaultPlan, PartitionStrategy};
 
 fn fail(property: PropertyId) -> Failure {
@@ -40,7 +41,7 @@ fn big_spec() -> CaseSpec {
     );
     CaseSpec {
         seed: 77,
-        scheme: SchemeSpec::HypercubeFa { dims: 4 },
+        scheme: cube(4),
         mutation: MutationSpec::None,
         queue_capacity: 8,
         faults,
@@ -49,6 +50,11 @@ fn big_spec() -> CaseSpec {
         strategy: PartitionStrategy::Bisection,
         lanes: 4,
     }
+}
+
+/// The fully-adaptive scheme on the `dims`-cube.
+fn cube(dims: usize) -> SchemeSpec {
+    SchemeSpec::new(scheme::by_name("hypercube-fa").unwrap(), Size::Dims(dims)).unwrap()
 }
 
 fn has_link_down(spec: &CaseSpec) -> bool {
@@ -73,7 +79,7 @@ fn shrinks_to_minimal_witness() {
     };
     let (min, f) = shrink_with(&spec, &fail(PropertyId::Differential), oracle);
     assert_eq!(f.property, PropertyId::Differential);
-    assert_eq!(min.scheme, SchemeSpec::HypercubeFa { dims: 3 });
+    assert_eq!(min.scheme, cube(3));
     assert_eq!(min.scheme.num_nodes(), 8);
     assert_eq!(
         min.faults.events.len(),
@@ -104,7 +110,7 @@ fn always_failing_oracle_terminates_minimal() {
     let spec = big_spec();
     let oracle = |_: &CaseSpec| Err(fail(PropertyId::Verdicts));
     let (min, _) = shrink_with(&spec, &fail(PropertyId::Verdicts), oracle);
-    assert_eq!(min.scheme, SchemeSpec::HypercubeFa { dims: 2 });
+    assert_eq!(min.scheme, cube(2));
     assert!(min.faults.events.is_empty());
     assert_eq!(min.workload, WorkloadSpec::Static { per_node: 1 });
     assert_eq!(min.shards, vec![2]);

@@ -8,7 +8,8 @@
 //! lint --list
 //! ```
 //!
-//! Families and sizes mirror the `certify` bin. Exit status: 0 when the
+//! Families, sizes and their bounds come from the scheme registry
+//! (`fadr_core::scheme`), as in the `certify` bin. Exit status: 0 when the
 //! battery is clean (no errors; warnings tolerated unless
 //! `--deny-warnings`), 1 when findings gate, 2 on usage or I/O errors.
 //! With `--expect ID...` the polarity flips to corpus mode: exit 0 iff
@@ -17,22 +18,16 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use fadr_core::{
-    EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang, MeshFullyAdaptive, MeshStaticHang,
-    MeshXY, ShuffleExchangeRouting, TorusTwoPhase,
-};
+use fadr_core::scheme::{with_scheme, SchemeArgs, SchemeSpec, SchemeVisitor};
 use fadr_qdg::sym::Symmetry;
+use fadr_qdg::SnapshotMsg;
 use fadr_sim::FaultPlan;
 
 use crate::{lint_all, LintConfig, LintId, Report, ALL_LINTS};
 
 #[derive(Debug)]
 struct Opts {
-    family: String,
-    algo: String,
-    n: usize,
-    width: usize,
-    height: usize,
+    scheme: SchemeSpec,
     faults: Option<PathBuf>,
     json: Option<PathBuf>,
     allow: Vec<LintId>,
@@ -41,72 +36,57 @@ struct Opts {
     expect: Vec<LintId>,
 }
 
-fn usage() -> &'static str {
-    "usage: lint --family <hypercube|mesh|torus|se> [options]\n\
-     \n\
-     --family hypercube  --n DIMS   --algo fully-adaptive|static-hang|ecube-sbp\n\
-     --family mesh       --width W --height H (or --n for square)\n\
-     \x20                           --algo fully-adaptive|static-hang|xy\n\
-     --family torus      --width W --height H (or --n for square)\n\
-     --family se         --n DIMS   --algo adaptive|static|paper-literal\n\
-     \n\
-     --faults FILE     also lint FILE's fadr-faults/1 plan against the instance\n\
-     --json FILE       write the fadr-lint/1 report to FILE\n\
-     --allow ID        disable a lint (repeatable)\n\
-     --only ID         run only the named lint(s) (repeatable)\n\
-     --deny-warnings   gate on warnings too, not just errors\n\
-     --expect ID       corpus mode: exit 0 iff every expected lint fired (repeatable)\n\
-     --list            print the lint registry and exit"
+fn usage() -> String {
+    format!(
+        "usage: lint --family F [options]\n\
+         \n\
+         {}\n\
+         \n\
+         --faults FILE     also lint FILE's fadr-faults/1 plan against the instance\n\
+         --json FILE       write the fadr-lint/1 report to FILE\n\
+         --allow ID        disable a lint (repeatable)\n\
+         --only ID         run only the named lint(s) (repeatable)\n\
+         --deny-warnings   gate on warnings too, not just errors\n\
+         --expect ID       corpus mode: exit 0 iff every expected lint fired (repeatable)\n\
+         --list            print the lint registry and exit",
+        SchemeArgs::help()
+    )
 }
 
 fn parse(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
-    let mut o = Opts {
-        family: String::new(),
-        algo: "fully-adaptive".into(),
-        n: 0,
-        width: 0,
-        height: 0,
-        faults: None,
-        json: None,
-        allow: Vec::new(),
-        only: Vec::new(),
-        deny_warnings: false,
-        expect: Vec::new(),
-    };
+    let mut scheme = SchemeArgs::default();
+    let (mut faults, mut json, mut deny_warnings) = (None, None, false);
+    let (mut allow, mut only, mut expect) = (Vec::new(), Vec::new(), Vec::new());
     let want = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().ok_or(format!("{flag} needs a value"))
     };
     let lint_id =
         |s: String| LintId::from_id(&s).ok_or(format!("unknown lint id {s} (see lint --list)"));
     while let Some(a) = args.next() {
+        if scheme.take(&a, || want(&mut args, &a))? {
+            continue;
+        }
         match a.as_str() {
-            "--family" => o.family = want(&mut args, "--family")?,
-            "--algo" => o.algo = want(&mut args, "--algo")?,
-            "--n" => o.n = parse_num(&want(&mut args, "--n")?)?,
-            "--width" => o.width = parse_num(&want(&mut args, "--width")?)?,
-            "--height" => o.height = parse_num(&want(&mut args, "--height")?)?,
-            "--faults" => o.faults = Some(PathBuf::from(want(&mut args, "--faults")?)),
-            "--json" => o.json = Some(PathBuf::from(want(&mut args, "--json")?)),
-            "--allow" => o.allow.push(lint_id(want(&mut args, "--allow")?)?),
-            "--only" => o.only.push(lint_id(want(&mut args, "--only")?)?),
-            "--deny-warnings" => o.deny_warnings = true,
-            "--expect" => o.expect.push(lint_id(want(&mut args, "--expect")?)?),
+            "--faults" => faults = Some(PathBuf::from(want(&mut args, "--faults")?)),
+            "--json" => json = Some(PathBuf::from(want(&mut args, "--json")?)),
+            "--allow" => allow.push(lint_id(want(&mut args, "--allow")?)?),
+            "--only" => only.push(lint_id(want(&mut args, "--only")?)?),
+            "--deny-warnings" => deny_warnings = true,
+            "--expect" => expect.push(lint_id(want(&mut args, "--expect")?)?),
             "--list" => return Err(registry()),
-            "--help" | "-h" => return Err(usage().into()),
+            "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
-    if o.width == 0 {
-        o.width = o.n;
-    }
-    if o.height == 0 {
-        o.height = o.width;
-    }
-    Ok(o)
-}
-
-fn parse_num(s: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("not a number: {s}"))
+    Ok(Opts {
+        scheme: scheme.spec().map_err(|e| format!("{e}\n{}", usage()))?,
+        faults,
+        json,
+        allow,
+        only,
+        deny_warnings,
+        expect,
+    })
 }
 
 /// The `--list` output: every lint with severity and clause.
@@ -141,67 +121,60 @@ pub fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let code = match (opts.family.as_str(), opts.algo.as_str()) {
-        ("hypercube", "fully-adaptive") => run(&HypercubeFullyAdaptive::new(opts.n), &opts),
-        ("hypercube", "static-hang") => run(&HypercubeStaticHang::new(opts.n), &opts),
-        ("hypercube", "ecube-sbp") => run(&EcubeSbp::new(opts.n), &opts),
-        ("mesh", "fully-adaptive") => run(&MeshFullyAdaptive::new(opts.width, opts.height), &opts),
-        ("mesh", "static-hang") => run(&MeshStaticHang::new(opts.width, opts.height), &opts),
-        ("mesh", "xy") => run(&MeshXY::new(opts.width, opts.height), &opts),
-        ("torus", "fully-adaptive") => run(&TorusTwoPhase::new(opts.width, opts.height), &opts),
-        ("se", "adaptive" | "fully-adaptive") => run(&ShuffleExchangeRouting::new(opts.n), &opts),
-        ("se", "static") => run(
-            &ShuffleExchangeRouting::without_dynamic_links(opts.n),
-            &opts,
-        ),
-        ("se", "paper-literal") => run(&ShuffleExchangeRouting::paper_literal(opts.n), &opts),
-        (fam, algo) => {
-            eprintln!("unsupported family/algo: {fam}/{algo}\n{}", usage());
-            return ExitCode::from(2);
-        }
-    };
-    ExitCode::from(code)
+    ExitCode::from(with_scheme(&opts.scheme, Run(&opts)))
 }
 
-fn run<R: Symmetry>(rf: &R, opts: &Opts) -> u8 {
-    let plan = match &opts.faults {
-        None => None,
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {}: {e}", path.display());
-                    return 2;
-                }
-            };
-            match FaultPlan::parse(&text) {
-                Ok(p) => Some(p),
-                Err(e) => {
-                    eprintln!("bad fault plan {}: {e}", path.display());
-                    return 2;
+/// Lints the scheme the registry builds.
+struct Run<'a>(&'a Opts);
+
+impl SchemeVisitor for Run<'_> {
+    type Out = u8;
+
+    fn visit<R>(self, rf: R) -> u8
+    where
+        R: Symmetry + Clone + Send + 'static,
+        R::Msg: Send + SnapshotMsg,
+    {
+        let (rf, opts) = (&rf, self.0);
+        let plan = match &opts.faults {
+            None => None,
+            Some(path) => {
+                let text = match std::fs::read_to_string(path) {
+                    Ok(t) => t,
+                    Err(e) => {
+                        eprintln!("cannot read {}: {e}", path.display());
+                        return 2;
+                    }
+                };
+                match FaultPlan::parse(&text) {
+                    Ok(p) => Some(p),
+                    Err(e) => {
+                        eprintln!("bad fault plan {}: {e}", path.display());
+                        return 2;
+                    }
                 }
             }
+        };
+        let cfg = if opts.only.is_empty() {
+            LintConfig {
+                disabled: opts.allow.clone(),
+            }
+        } else {
+            LintConfig::only(&opts.only)
+        };
+        let started = std::time::Instant::now();
+        let report = lint_all(rf, plan.as_ref(), &cfg);
+        print!("{}", report.render_text());
+        println!("completed in {:.2?}", started.elapsed());
+        if let Some(path) = &opts.json {
+            if let Err(e) = std::fs::write(path, report.to_json()) {
+                eprintln!("cannot write {}: {e}", path.display());
+                return 2;
+            }
+            println!("report: {}", path.display());
         }
-    };
-    let cfg = if opts.only.is_empty() {
-        LintConfig {
-            disabled: opts.allow.clone(),
-        }
-    } else {
-        LintConfig::only(&opts.only)
-    };
-    let started = std::time::Instant::now();
-    let report = lint_all(rf, plan.as_ref(), &cfg);
-    print!("{}", report.render_text());
-    println!("completed in {:.2?}", started.elapsed());
-    if let Some(path) = &opts.json {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return 2;
-        }
-        println!("report: {}", path.display());
+        verdict(&report, opts)
     }
-    verdict(&report, opts)
 }
 
 /// Gate: normally 0 iff no errors (and no warnings under
@@ -234,6 +207,7 @@ fn verdict(report: &Report, opts: &Opts) -> u8 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fadr_core::scheme::Size;
 
     fn opts(args: &[&str]) -> Result<Opts, String> {
         parse(args.iter().map(ToString::to_string))
@@ -254,8 +228,8 @@ mod tests {
             "shadowed-buffer-class",
         ])
         .unwrap();
-        assert_eq!(o.family, "se");
-        assert_eq!(o.n, 4);
+        assert_eq!(o.scheme.scheme().name, "shuffle-exchange-paper");
+        assert_eq!(o.scheme.size(), &Size::Dims(4));
         assert_eq!(o.expect, vec![LintId::ClassCapacityExhausted]);
         assert_eq!(o.allow, vec![LintId::ShadowedBufferClass]);
     }
@@ -263,7 +237,13 @@ mod tests {
     #[test]
     fn square_defaults_from_n() {
         let o = opts(&["--family", "mesh", "--n", "7"]).unwrap();
-        assert_eq!((o.width, o.height), (7, 7));
+        assert_eq!(
+            o.scheme.size(),
+            &Size::Sides {
+                width: 7,
+                height: 7
+            }
+        );
     }
 
     #[test]

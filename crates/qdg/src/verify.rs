@@ -499,6 +499,7 @@ pub mod test_fixtures {
     /// Oblivious ascending-dimension (e-cube) routing with a single central
     /// queue per node. Store-and-forward e-cube is NOT deadlock-free: its
     /// QDG is cyclic; the tests assert the checker catches this.
+    #[derive(Clone)]
     pub struct EcubeHypercube {
         cube: Hypercube,
     }

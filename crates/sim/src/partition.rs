@@ -445,7 +445,17 @@ impl Iterator for OwnedIter<'_> {
             Self::Subset(it) => it.next().map(|&v| v as usize),
         }
     }
+
+    // Exact, so a `collect` over a shard's nodes allocates once.
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        match self {
+            Self::All(r) => r.size_hint(),
+            Self::Subset(it) => it.size_hint(),
+        }
+    }
 }
+
+impl ExactSizeIterator for OwnedIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -567,5 +577,17 @@ mod tests {
         assert_eq!(o.iter().collect::<Vec<usize>>(), vec![1, 5, 6]);
         let all = OwnedNodes::from_sorted(&[0, 1, 2, 3], 4);
         assert!(matches!(all, OwnedNodes::All(4)));
+    }
+
+    #[test]
+    fn owned_iter_length_is_exact() {
+        for o in [OwnedNodes::from_sorted(&[1, 5, 6], 8), OwnedNodes::all(5)] {
+            let mut it = o.iter();
+            let count = o.iter().count();
+            assert_eq!(it.len(), count);
+            assert_eq!(it.size_hint(), (count, Some(count)));
+            it.next();
+            assert_eq!(it.len(), count - 1);
+        }
     }
 }

@@ -25,19 +25,13 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use crate::{certify, check_certificate, ClassifierMode, Outcome};
-use fadr_core::{
-    EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang, MeshFullyAdaptive, MeshStaticHang,
-    MeshXY, ShuffleExchangeRouting, TorusTwoPhase,
-};
+use fadr_core::scheme::{with_scheme, SchemeArgs, SchemeSpec, SchemeVisitor};
 use fadr_lint::{lint_scheme, LintConfig};
 use fadr_qdg::sym::Symmetry;
+use fadr_qdg::SnapshotMsg;
 
 struct Opts {
-    family: String,
-    algo: String,
-    n: usize,
-    width: usize,
-    height: usize,
+    scheme: SchemeSpec,
     out: Option<PathBuf>,
     out_dir: Option<PathBuf>,
     dot: Option<PathBuf>,
@@ -46,68 +40,53 @@ struct Opts {
     lint: bool,
 }
 
-fn usage() -> &'static str {
-    "usage: certify --family <hypercube|mesh|torus|se> [options]\n\
-     \n\
-     --family hypercube  --n DIMS   --algo fully-adaptive|static-hang|ecube-sbp\n\
-     --family mesh       --width W --height H (or --n for square)\n\
-     \x20                           --algo fully-adaptive|static-hang|xy\n\
-     --family torus      --width W --height H (or --n for square)\n\
-     --family se         --n DIMS   --algo adaptive|static|paper-literal\n\
-     \n\
-     --out FILE        write the certificate JSON to FILE\n\
-     --out-dir DIR     write the certificate JSON to DIR/<scheme>.json\n\
-     --dot FILE        write the counterexample cycle as Graphviz on rejection\n\
-     --faults FILE     certify the degraded QDG after FILE's fadr-faults/1 plan\n\
-     --lint            run the fadr-lint battery first; skip certification on lint errors\n\
-     --expect-reject   exit 0 iff the scheme is rejected"
+fn usage() -> String {
+    format!(
+        "usage: certify --family F [options]\n\
+         \n\
+         {}\n\
+         \n\
+         --out FILE        write the certificate JSON to FILE\n\
+         --out-dir DIR     write the certificate JSON to DIR/<scheme>.json\n\
+         --dot FILE        write the counterexample cycle as Graphviz on rejection\n\
+         --faults FILE     certify the degraded QDG after FILE's fadr-faults/1 plan\n\
+         --lint            run the fadr-lint battery first; skip certification on lint errors\n\
+         --expect-reject   exit 0 iff the scheme is rejected",
+        SchemeArgs::help()
+    )
 }
 
 fn parse(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
-    let mut o = Opts {
-        family: String::new(),
-        algo: "fully-adaptive".into(),
-        n: 0,
-        width: 0,
-        height: 0,
-        out: None,
-        out_dir: None,
-        dot: None,
-        faults: None,
-        expect_reject: false,
-        lint: false,
-    };
+    let mut scheme = SchemeArgs::default();
+    let (mut out, mut out_dir, mut dot, mut faults) = (None, None, None, None);
+    let (mut expect_reject, mut lint) = (false, false);
     let want = |args: &mut dyn Iterator<Item = String>, flag: &str| {
         args.next().ok_or(format!("{flag} needs a value"))
     };
     while let Some(a) = args.next() {
+        if scheme.take(&a, || want(&mut args, &a))? {
+            continue;
+        }
         match a.as_str() {
-            "--family" => o.family = want(&mut args, "--family")?,
-            "--algo" => o.algo = want(&mut args, "--algo")?,
-            "--n" => o.n = parse_num(&want(&mut args, "--n")?)?,
-            "--width" => o.width = parse_num(&want(&mut args, "--width")?)?,
-            "--height" => o.height = parse_num(&want(&mut args, "--height")?)?,
-            "--out" => o.out = Some(PathBuf::from(want(&mut args, "--out")?)),
-            "--out-dir" => o.out_dir = Some(PathBuf::from(want(&mut args, "--out-dir")?)),
-            "--dot" => o.dot = Some(PathBuf::from(want(&mut args, "--dot")?)),
-            "--faults" => o.faults = Some(PathBuf::from(want(&mut args, "--faults")?)),
-            "--expect-reject" => o.expect_reject = true,
-            "--lint" => o.lint = true,
-            "--help" | "-h" => return Err(usage().into()),
+            "--out" => out = Some(PathBuf::from(want(&mut args, "--out")?)),
+            "--out-dir" => out_dir = Some(PathBuf::from(want(&mut args, "--out-dir")?)),
+            "--dot" => dot = Some(PathBuf::from(want(&mut args, "--dot")?)),
+            "--faults" => faults = Some(PathBuf::from(want(&mut args, "--faults")?)),
+            "--expect-reject" => expect_reject = true,
+            "--lint" => lint = true,
+            "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag {other}\n{}", usage())),
         }
     }
-    if o.width == 0 {
-        o.width = o.n;
-    }
-    if o.height == 0 {
-        o.height = o.width;
-    }
-    Ok(o)
-}
-
-fn parse_num(s: &str) -> Result<usize, String> {
-    s.parse().map_err(|_| format!("not a number: {s}"))
+    Ok(Opts {
+        scheme: scheme.spec().map_err(|e| format!("{e}\n{}", usage()))?,
+        out,
+        out_dir,
+        dot,
+        faults,
+        expect_reject,
+        lint,
+    })
 }
 
 /// Parse `std::env::args`, certify the requested instance, and return
@@ -126,54 +105,47 @@ pub fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let code = match (opts.family.as_str(), opts.algo.as_str()) {
-        ("hypercube", "fully-adaptive") => run(&HypercubeFullyAdaptive::new(opts.n), &opts),
-        ("hypercube", "static-hang") => run(&HypercubeStaticHang::new(opts.n), &opts),
-        ("hypercube", "ecube-sbp") => run(&EcubeSbp::new(opts.n), &opts),
-        ("mesh", "fully-adaptive") => run(&MeshFullyAdaptive::new(opts.width, opts.height), &opts),
-        ("mesh", "static-hang") => run(&MeshStaticHang::new(opts.width, opts.height), &opts),
-        ("mesh", "xy") => run(&MeshXY::new(opts.width, opts.height), &opts),
-        ("torus", "fully-adaptive") => run(&TorusTwoPhase::new(opts.width, opts.height), &opts),
-        ("se", "adaptive" | "fully-adaptive") => run(&ShuffleExchangeRouting::new(opts.n), &opts),
-        ("se", "static") => run(
-            &ShuffleExchangeRouting::without_dynamic_links(opts.n),
-            &opts,
-        ),
-        ("se", "paper-literal") => run(&ShuffleExchangeRouting::paper_literal(opts.n), &opts),
-        (fam, algo) => {
-            eprintln!("unsupported family/algo: {fam}/{algo}\n{}", usage());
-            return ExitCode::from(2);
-        }
-    };
-    ExitCode::from(code)
+    ExitCode::from(with_scheme(&opts.scheme, Run(&opts)))
 }
 
-/// Dispatch: with `--faults`, certify the degraded scheme after the
-/// plan's permanent faults; otherwise certify the scheme as-is.
-fn run<R: Symmetry>(rf: &R, opts: &Opts) -> u8 {
-    let Some(path) = &opts.faults else {
-        return run_scheme(rf, opts);
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let plan = match fadr_sim::FaultPlan::parse(&text) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("bad fault plan {}: {e}", path.display());
-            return 2;
-        }
-    };
-    let n = fadr_qdg::RoutingFunction::topology(rf).num_nodes();
-    match crate::Faulted::new(rf, &plan.final_dead_nodes(n), &plan.final_dead_links()) {
-        Ok(f) => run_scheme(&f, opts),
-        Err(e) => {
-            eprintln!("fault plan does not fit {}: {e}", rf.name());
-            2
+/// Certifies the scheme the registry builds: with `--faults`, the
+/// degraded scheme after the plan's permanent faults; otherwise the
+/// scheme as-is.
+struct Run<'a>(&'a Opts);
+
+impl SchemeVisitor for Run<'_> {
+    type Out = u8;
+
+    fn visit<R>(self, rf: R) -> u8
+    where
+        R: Symmetry + Clone + Send + 'static,
+        R::Msg: Send + SnapshotMsg,
+    {
+        let (rf, opts) = (&rf, self.0);
+        let Some(path) = &opts.faults else {
+            return run_scheme(rf, opts);
+        };
+        let text = match std::fs::read_to_string(path) {
+            Ok(t) => t,
+            Err(e) => {
+                eprintln!("cannot read {}: {e}", path.display());
+                return 2;
+            }
+        };
+        let plan = match fadr_sim::FaultPlan::parse(&text) {
+            Ok(p) => p,
+            Err(e) => {
+                eprintln!("bad fault plan {}: {e}", path.display());
+                return 2;
+            }
+        };
+        let n = fadr_qdg::RoutingFunction::topology(rf).num_nodes();
+        match crate::Faulted::new(rf, &plan.final_dead_nodes(n), &plan.final_dead_links()) {
+            Ok(f) => run_scheme(&f, opts),
+            Err(e) => {
+                eprintln!("fault plan does not fit {}: {e}", rf.name());
+                2
+            }
         }
     }
 }

@@ -74,6 +74,13 @@ fn usage_errors_exit_two() {
         &["--family", "klein-bottle", "--n", "4"],
         &["--family", "hypercube", "--n", "notanumber"],
         &["--n"],
+        // Sizes outside the scheme registry's bounds: a usage error that
+        // names the bound, never a topology assertion.
+        &["--family", "hypercube", "--n", "0"],
+        &["--family", "hypercube"],
+        &["--family", "torus", "--n", "2"],
+        &["--family", "mesh", "--n", "1"],
+        &["--family", "se", "--n", "1"],
     ] {
         let (code, _, stderr) = certify(args);
         assert_eq!(code, Some(2), "args {args:?}: {stderr}");
