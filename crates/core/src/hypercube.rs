@@ -165,11 +165,11 @@ impl RoutingFunction for HypercubeFullyAdaptive {
                     f(internal(QueueId::deliver(u), *msg));
                     return;
                 }
-                let (zeros, ones) = hung_corrections(u, dst, self.root);
                 debug_assert!(
-                    (class == CLASS_A) == (zeros != 0),
+                    self.can_hold(u, class, msg),
                     "phase invariant: q_A iff a downward correction remains"
                 );
+                let (zeros, ones) = hung_corrections(u, dst, self.root);
                 for dim in 0..self.cube.dims() {
                     let bit = 1usize << dim;
                     if class == CLASS_A && zeros & bit != 0 {
@@ -237,6 +237,11 @@ impl RoutingFunction for HypercubeFullyAdaptive {
     fn state_key(&self, node: NodeId, class: u8, msg: &CubeMsg) -> Option<u64> {
         let (zeros, ones) = hung_corrections(node, msg.dst, self.root);
         cube_key(self.cube.dims(), class, zeros, ones)
+    }
+
+    /// The phase invariant: q_A iff a downward correction remains.
+    fn can_hold(&self, node: NodeId, class: u8, msg: &CubeMsg) -> bool {
+        class == self.entry(node, msg.dst)
     }
 
     fn name(&self) -> String {
@@ -384,6 +389,11 @@ impl RoutingFunction for HypercubeStaticHang {
         self.cube.dims()
     }
 
+    /// The phase invariant: q_A iff a downward correction remains.
+    fn can_hold(&self, node: NodeId, class: u8, msg: &CubeMsg) -> bool {
+        class == entry_class(&self.cube, node, msg.dst)
+    }
+
     fn name(&self) -> String {
         format!("hypercube-static-hang(n={})", self.cube.dims())
     }
@@ -506,6 +516,12 @@ impl RoutingFunction for EcubeSbp {
 
     fn max_hops(&self) -> usize {
         self.cube.dims()
+    }
+
+    /// The buffer-pool invariant: class `hops`, and e-cube order has
+    /// corrected only dimensions below the lowest one left.
+    fn can_hold(&self, node: NodeId, class: u8, msg: &EcubeMsg) -> bool {
+        class == msg.hops && u32::from(msg.hops) <= (node ^ msg.dst).trailing_zeros()
     }
 
     /// (hops, node ^ dst): every channel declares the same n classes,

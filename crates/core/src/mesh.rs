@@ -152,9 +152,9 @@ impl RoutingFunction for MeshFullyAdaptive {
                     f(internal(QueueId::deliver(u), *msg));
                     return;
                 }
+                debug_assert!(self.can_hold(u, class, msg), "phase invariant");
                 let (x, y) = m.coords(u);
                 let (z, w) = m.coords(dst);
-                debug_assert_eq!(class == CLASS_A, z > x || w > y, "phase invariant");
                 if class == CLASS_A {
                     // Static + moves, then dynamic minimal - moves; port
                     // order +x, -x, +y, -y matches the topology numbering.
@@ -199,6 +199,11 @@ impl RoutingFunction for MeshFullyAdaptive {
 
     fn max_hops(&self) -> usize {
         self.mesh.width() + self.mesh.height() - 2
+    }
+
+    /// The phase invariant: q_A iff a `+` move remains.
+    fn can_hold(&self, node: NodeId, class: u8, msg: &MeshMsg) -> bool {
+        class == entry_class(&self.mesh, node, msg.dst)
     }
 
     fn name(&self) -> String {
@@ -485,6 +490,11 @@ impl RoutingFunction for MeshXY {
 
     fn max_hops(&self) -> usize {
         self.mesh.width() + self.mesh.height() - 2
+    }
+
+    /// The direction invariant: the class names the next correction.
+    fn can_hold(&self, node: NodeId, class: u8, msg: &MeshMsg) -> bool {
+        class == self.entry_class(node, msg.dst)
     }
 
     fn name(&self) -> String {

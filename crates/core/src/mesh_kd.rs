@@ -102,8 +102,7 @@ impl RoutingFunction for MeshKDFullyAdaptive {
                     });
                     return;
                 }
-                let plus_work = self.has_plus_work(u, dst);
-                debug_assert_eq!(class == CLASS_A, plus_work, "phase invariant");
+                debug_assert!(self.can_hold(u, class, msg), "phase invariant");
                 for d in 0..self.mesh.dims() {
                     let (cu, cd) = (self.mesh.coord(u, d), self.mesh.coord(dst, d));
                     if cd > cu {
@@ -158,6 +157,11 @@ impl RoutingFunction for MeshKDFullyAdaptive {
 
     fn max_hops(&self) -> usize {
         self.mesh.extents().iter().map(|e| e - 1).sum()
+    }
+
+    /// The phase invariant: q_A iff a `+` move remains.
+    fn can_hold(&self, node: NodeId, class: u8, msg: &MeshKDMsg) -> bool {
+        class == self.entry_class(node, msg.dst)
     }
 
     fn name(&self) -> String {

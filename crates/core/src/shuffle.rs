@@ -196,7 +196,7 @@ impl RoutingFunction for ShuffleExchangeRouting {
                 to: QueueId::central(u, self.class_of(u, msg)),
                 msg: *msg,
             }),
-            QueueKind::Central(_) => {
+            QueueKind::Central(class) => {
                 if u == msg.dst {
                     f(Transition {
                         kind: LinkKind::Static,
@@ -206,6 +206,7 @@ impl RoutingFunction for ShuffleExchangeRouting {
                     });
                     return;
                 }
+                debug_assert!(self.can_hold(u, class, msg), "shuffle budget exceeded");
                 self.central_transitions(u, msg, f);
             }
             QueueKind::Deliver => {}
@@ -244,6 +245,14 @@ impl RoutingFunction for ShuffleExchangeRouting {
         3 * self.se.dims()
     }
 
+    /// The counter invariant: at most `2n` shuffles (Theorem 3), a cycle
+    /// class below `classes_per_phase`, and the class its phase names.
+    fn can_hold(&self, node: NodeId, class: u8, msg: &SeMsg) -> bool {
+        usize::from(msg.count) <= 2 * self.se.dims()
+            && msg.cls < self.classes_per_phase
+            && class == self.class_of(node, msg)
+    }
+
     fn name(&self) -> String {
         format!(
             "shuffle-exchange-{}(n={})",
@@ -260,8 +269,6 @@ impl RoutingFunction for ShuffleExchangeRouting {
 impl ShuffleExchangeRouting {
     fn central_transitions(&self, u: NodeId, msg: &SeMsg, f: &mut dyn FnMut(Transition<SeMsg>)) {
         let se = &self.se;
-        let n = se.dims();
-        debug_assert!(usize::from(msg.count) <= 2 * n, "shuffle budget exceeded");
 
         // Examine the position settled by the last shuffle (none at count 0).
         let mut must_exchange_up = false; // 0→1, mandatory in phase 1

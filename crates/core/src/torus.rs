@@ -143,7 +143,7 @@ impl RoutingFunction for TorusTwoPhase {
                 to: QueueId::central(u, msg.class()),
                 msg: *msg,
             }),
-            QueueKind::Central(_) => {
+            QueueKind::Central(class) => {
                 if u == msg.dst {
                     debug_assert_eq!((msg.rx, msg.ry), (0, 0));
                     f(Transition {
@@ -154,6 +154,10 @@ impl RoutingFunction for TorusTwoPhase {
                     });
                     return;
                 }
+                debug_assert!(
+                    self.can_hold(u, class, msg),
+                    "each dimension wraps at most once"
+                );
                 let (x, y) = t.coords(u);
                 let phase_a = msg.in_phase_a();
                 // Ports in ascending order: +x, -x, +y, -y.
@@ -231,6 +235,26 @@ impl RoutingFunction for TorusTwoPhase {
         self.torus.width() / 2 + self.torus.height() / 2
     }
 
+    /// The wrap invariant: counting the wraps its remaining moves cross,
+    /// the message wraps at most twice per direction sign, and it sits
+    /// in its own class ([`TorusMsg::class`]).
+    fn can_hold(&self, node: NodeId, class: u8, msg: &TorusMsg) -> bool {
+        let t = &self.torus;
+        let (x, y) = t.coords(node);
+        // The (`+`, `-`) wraps crossed by `r` moves in direction `dir`
+        // from `at` on a ring of `side` nodes.
+        let wraps = |dir: i8, at: usize, r: u8, side: usize| match dir {
+            1.. => ((at + usize::from(r)) / side, 0),
+            ..=-1 => (0, (side - 1 - at + usize::from(r)) / side),
+            0 => (0, 0),
+        };
+        let (px, mx) = wraps(msg.dirx, x, msg.rx, t.width());
+        let (py, my) = wraps(msg.diry, y, msg.ry, t.height());
+        usize::from(msg.wplus) + px + py <= 2
+            && usize::from(msg.wminus) + mx + my <= 2
+            && class == msg.class()
+    }
+
     fn name(&self) -> String {
         format!(
             "torus-two-phase({}x{})",
@@ -249,10 +273,6 @@ impl TorusTwoPhase {
         port: Port,
         next: TorusMsg,
     ) {
-        debug_assert!(
-            next.wplus <= 2 && next.wminus <= 2,
-            "each dimension wraps at most once"
-        );
         let v = self
             .torus
             .neighbor(u, port)

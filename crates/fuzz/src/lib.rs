@@ -13,7 +13,7 @@
 //! 2. [`props`] checks each case against four property families
 //!    (engine differential, oracle parity, certificate round-trip,
 //!    verdict ground truth);
-//! 3. [`shrink`] reduces any failure to a minimal spec that still
+//! 3. [`mod@shrink`] reduces any failure to a minimal spec that still
 //!    fails the same property;
 //! 4. [`runner`] persists the shrunk witness as a `fadr-fuzz/1` JSON
 //!    case file, which `tests/replay_corpus.rs` replays forever after —

@@ -355,6 +355,10 @@ impl<R: RoutingFunction> RoutingFunction for Mutated<R> {
         self.inner.deliverable(node, msg)
     }
 
+    fn can_hold(&self, node: NodeId, class: u8, msg: &Self::Msg) -> bool {
+        self.inner.can_hold(node, class, msg)
+    }
+
     fn for_each_transition(
         &self,
         at: QueueId,

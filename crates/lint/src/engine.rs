@@ -1,33 +1,25 @@
-//! The scheme-lint engine: one exact BFS per destination over the
-//! concrete instance (identity classifier, all destinations — lints
-//! never trust a scheme's symmetry declaration), accumulating per-state
-//! findings and the concrete static QDG for the order lints.
-//!
-//! The exploration mirrors the certifier's source-eliminated form: a
-//! route's transitions depend only on the `(queue, message)` state, so
-//! one BFS per destination seeded with *every* source's injection state
-//! visits exactly the union of the per-pair state graphs in O(N)
-//! explorations instead of O(N²).
+//! The scheme-lint engine: a visitor of the one per-destination state
+//! walk (`fadr_qdg::walk`) over the concrete instance, with the
+//! identity classifier and every destination (lints never trust a
+//! scheme's symmetry declaration). It accumulates per-state findings
+//! and the concrete static QDG for the order lints; the walk itself
+//! seeds, interns, counts and finds stutter cycles for it.
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::convert::Infallible;
 use std::fmt::Debug;
 use std::hash::Hash;
 
 use fadr_qdg::graph::Digraph;
 use fadr_qdg::sym::Symmetry;
+use fadr_qdg::walk::{Step, Walk};
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, Transition};
 use fadr_sim::Layout;
 use fadr_topology::graph::{Csr, DistanceRows};
 use fadr_topology::NodeId;
 
 use crate::{Collector, Finding, LintId};
-
-/// Exploration statistics surfaced in the [`crate::Report`].
-pub(crate) struct Stats {
-    pub states_explored: usize,
-    pub queues_seen: usize,
-}
 
 /// A concrete witness for a static QDG edge: some route to `dst` in
 /// message state `msg` takes the hop (the edge's endpoints are already
@@ -56,7 +48,9 @@ impl Interner {
     }
 }
 
-pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stats {
+/// Run the scheme lints; returns the walk's `(states_explored,
+/// queues_seen)` for the [`crate::Report`].
+pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> (usize, usize) {
     let topo = rf.topology();
     let n = topo.num_nodes();
     // Distance-to-dst rows from the bit-parallel reverse BFS, one
@@ -71,93 +65,56 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
     let mut intern = Interner::default();
     let mut static_g = Digraph::default();
     let mut witnesses: HashMap<(usize, usize), EdgeWitness> = HashMap::new();
-    let mut stats = Stats {
-        states_explored: 0,
-        queues_seen: 0,
-    };
     // Dedup sets so a violation reported once per queue (or queue pair)
     // does not recur for every destination exhibiting it.
-    let mut dead_end_seen: HashSet<QueueId> = HashSet::new();
-    let mut wrong_delivery_seen: HashSet<QueueId> = HashSet::new();
-    let mut no_escape_seen: HashSet<QueueId> = HashSet::new();
-    let mut stutter_seen: HashSet<QueueId> = HashSet::new();
+    let mut reported: HashSet<(LintId, QueueId)> = HashSet::new();
     let mut nonminimal_seen: HashSet<(QueueId, QueueId)> = HashSet::new();
-    let mut queues_seen: HashSet<QueueId> = HashSet::new();
     // (node, port) → buffer classes actually exercised by some route.
     let mut used_buffers: HashMap<(NodeId, usize), BTreeSet<BufferClass>> = HashMap::new();
     let mut used_central_classes: BTreeSet<u8> = BTreeSet::new();
     let mut key_check = col.enabled(LintId::StateKey).then(KeyCheck::new);
 
-    let mut buf: Vec<Transition<R::Msg>> = Vec::new();
+    let mut walk = Walk::default();
     for dst in 0..n {
         let dist_to_dst = dist.as_mut().map(|d| d.row(dst));
-        // BFS seeded with every source's injection state.
-        let mut index: HashMap<(QueueId, R::Msg), u32> = HashMap::new();
-        let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
-        for src in 0..n {
-            if src == dst {
-                continue;
-            }
-            let key = (QueueId::inject(src), rf.initial_msg(src, dst));
-            if !index.contains_key(&key) {
-                index.insert(key.clone(), as_u32(states.len()));
-                states.push(key);
-            }
-        }
-        let mut stutter: Vec<(u32, u32)> = Vec::new();
-        let mut i = 0usize;
-        while i < states.len() {
-            let (q, msg) = states[i].clone();
-            let cur = as_u32(i);
-            i += 1;
-            if q.kind == QueueKind::Deliver {
-                if q.node != dst && wrong_delivery_seen.insert(q) {
-                    col.emit(Finding {
-                        lint: LintId::WrongDelivery,
-                        message: format!("delivered at node {} instead of {dst}", q.node),
-                        queues: vec![q],
-                        nodes: vec![q.node],
-                        dst: Some(dst),
-                        state: Some(format!("{msg:?}")),
-                    });
+        let Ok(stutter) = walk.run(rf, dst, |q, msg, step| -> Result<(), Infallible> {
+            let (ts, has_static) = match step {
+                Step::Delivered => {
+                    if q.node != dst && reported.insert((LintId::WrongDelivery, q)) {
+                        col.emit(Finding {
+                            lint: LintId::WrongDelivery,
+                            message: format!("delivered at node {} instead of {dst}", q.node),
+                            queues: vec![q],
+                            nodes: vec![q.node],
+                            dst: Some(dst),
+                            state: Some(format!("{msg:?}")),
+                        });
+                    }
+                    return Ok(());
                 }
-                continue;
-            }
-            buf.clear();
-            rf.for_each_transition(q, &msg, &mut |t| buf.push(t));
-            if buf.is_empty() {
-                if dead_end_seen.insert(q) {
-                    col.emit(Finding {
-                        lint: LintId::DeadEnd,
-                        message: format!("no transition at {q}: the message is stuck"),
-                        queues: vec![q],
-                        nodes: vec![q.node],
-                        dst: Some(dst),
-                        state: Some(format!("{msg:?}")),
-                    });
+                Step::DeadEnd => {
+                    if reported.insert((LintId::DeadEnd, q)) {
+                        col.emit(Finding {
+                            lint: LintId::DeadEnd,
+                            message: format!("no transition at {q}: the message is stuck"),
+                            queues: vec![q],
+                            nodes: vec![q.node],
+                            dst: Some(dst),
+                            state: Some(format!("{msg:?}")),
+                        });
+                    }
+                    return Ok(());
                 }
-                continue;
-            }
-            queues_seen.insert(q);
+                Step::Moves { ts, has_static } => (ts, has_static),
+            };
             if let QueueKind::Central(c) = q.kind {
                 used_central_classes.insert(c);
                 if let Some(kc) = &mut key_check {
-                    kc.check(rf, col, (q, c, &msg), &buf, dst);
+                    kc.check(rf, col, (q, c, msg), ts, dst);
                 }
             }
             let a = intern.intern(q);
-            let mut has_static = false;
-            for t in &buf {
-                let key = (t.to, t.msg.clone());
-                let j = match index.get(&key) {
-                    Some(&j) => j,
-                    None => {
-                        let j = as_u32(states.len());
-                        index.insert(key.clone(), j);
-                        states.push(key);
-                        j
-                    }
-                };
+            for t in ts {
                 if let HopKind::Link(port) = t.hop {
                     if let Some(used) = buffer_class_of(t) {
                         used_buffers.entry((q.node, port)).or_default().insert(used);
@@ -183,17 +140,9 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
                         }
                     }
                 }
-                if t.to == q {
-                    // A stutter holds its queue slot: no QDG edge, but a
-                    // possible state-level cycle the rank argument misses.
-                    if t.kind == LinkKind::Static {
-                        has_static = true;
-                        stutter.push((cur, j));
-                    }
-                    continue;
-                }
-                if t.kind == LinkKind::Static {
-                    has_static = true;
+                // A stutter holds its queue slot: no QDG edge (the walk
+                // checks the state-level cycles the rank argument misses).
+                if t.kind == LinkKind::Static && t.to != q {
                     let b = intern.intern(t.to);
                     if !static_g.has_edge(a, b) {
                         static_g.add_edge(a, b);
@@ -207,7 +156,7 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
                     }
                 }
             }
-            if !has_static && no_escape_seen.insert(q) {
+            if !has_static && reported.insert((LintId::NoStaticEscape, q)) {
                 col.emit(Finding {
                     lint: LintId::NoStaticEscape,
                     message: format!(
@@ -220,11 +169,10 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
                     state: Some(format!("{msg:?}")),
                 });
             }
-        }
-        stats.states_explored += states.len();
-        if let Some(s) = stutter_cycle(&stutter) {
-            let (q, msg) = &states[s as usize];
-            if stutter_seen.insert(*q) {
+            Ok(())
+        });
+        if let Some((q, msg)) = stutter {
+            if reported.insert((LintId::StutterCycle, *q)) {
                 col.emit(Finding {
                     lint: LintId::StutterCycle,
                     message: format!(
@@ -239,18 +187,13 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> Stat
             }
         }
     }
-    stats.queues_seen = queues_seen.len();
+    let stats = (walk.states_explored(), walk.queues_seen());
+    // The order lints need none of the walk's buffers.
+    drop(walk);
 
     order_lints(col, &intern, &static_g, &witnesses, rf);
     provisioning_lints(rf, col, &used_buffers, &used_central_classes);
     stats
-}
-
-// Cast audit: state indices are dense positions in the per-destination
-// exploration, which is itself bounded far below `u32::MAX` states by
-// memory long before this cast could fail.
-fn as_u32(n: usize) -> u32 {
-    u32::try_from(n).expect("state count fits u32")
 }
 
 fn fmt_dist(d: u32) -> String {
@@ -703,45 +646,6 @@ fn provisioning_lints<R: Symmetry + ?Sized>(
     }
 }
 
-/// Cycle detection over one destination's static stutter transitions
-/// (iterative three-color DFS; returns a state index on some cycle).
-fn stutter_cycle(edges: &[(u32, u32)]) -> Option<u32> {
-    let mut adj: HashMap<u32, Vec<u32>> = HashMap::new();
-    for &(a, b) in edges {
-        adj.entry(a).or_default().push(b);
-    }
-    let mut roots: Vec<u32> = adj.keys().copied().collect();
-    roots.sort_unstable();
-    let mut color: HashMap<u32, u8> = HashMap::new(); // 1 = gray, 2 = black
-    for &start in &roots {
-        if color.contains_key(&start) {
-            continue;
-        }
-        color.insert(start, 1);
-        let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
-        while let Some(frame) = stack.last_mut() {
-            let v = frame.0;
-            let next = adj.get(&v).and_then(|s| s.get(frame.1).copied());
-            frame.1 += 1;
-            match next {
-                Some(w) => match color.get(&w).copied() {
-                    Some(1) => return Some(w),
-                    Some(_) => {}
-                    None => {
-                        color.insert(w, 1);
-                        stack.push((w, 0));
-                    }
-                },
-                None => {
-                    color.insert(v, 2);
-                    stack.pop();
-                }
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -761,6 +665,7 @@ mod tests {
 
     #[test]
     fn stutter_cycle_detects_self_loop_and_two_cycle() {
+        use fadr_qdg::walk::stutter_cycle;
         assert!(stutter_cycle(&[(3, 3)]).is_some());
         assert!(stutter_cycle(&[(0, 1), (1, 0)]).is_some());
         assert_eq!(stutter_cycle(&[(0, 1), (1, 2)]), None);

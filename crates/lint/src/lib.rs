@@ -35,10 +35,10 @@
 //!   `fadr-faults/1` plan: destinations with no surviving minimal path,
 //!   plus well-formedness of the plan against the instance.
 //!
-//! The analysis is exact: one BFS per destination seeded with every
-//! source's injection state (the same source-elimination the certifier
-//! uses), always over *all* destinations with the identity classifier —
-//! lints never trust a scheme's symmetry declaration.
+//! The analysis is exact: the lints visit the one per-destination state
+//! walk (`fadr_qdg::walk`, which the certifier's class-graph builder
+//! visits too), always over *all* destinations with the identity
+//! classifier — lints never trust a scheme's symmetry declaration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -543,17 +543,7 @@ impl Report {
 
 /// Run the scheme lints over every destination of the concrete instance.
 pub fn lint_scheme<R: Symmetry + ?Sized>(rf: &R, cfg: &LintConfig) -> Report {
-    let mut col = Collector::new(cfg);
-    let stats = engine::run(rf, &mut col);
-    Report::from_collector(
-        rf.name(),
-        rf.topology().name(),
-        rf.topology().num_nodes(),
-        stats.states_explored,
-        stats.queues_seen,
-        None,
-        col,
-    )
+    lint_all(rf, None, cfg)
 }
 
 /// Run only the fault-plan lints of `plan` against the scheme's instance
@@ -584,14 +574,14 @@ pub fn lint_all<R: Symmetry + ?Sized>(
     cfg: &LintConfig,
 ) -> Report {
     let mut col = Collector::new(cfg);
-    let stats = engine::run(rf, &mut col);
+    let (states_explored, queues_seen) = engine::run(rf, &mut col);
     let summary = plan.map(|p| faultpass::run(rf, p, &mut col));
     Report::from_collector(
         rf.name(),
         rf.topology().name(),
         rf.topology().num_nodes(),
-        stats.states_explored,
-        stats.queues_seen,
+        states_explored,
+        queues_seen,
         summary,
         col,
     )

@@ -1434,7 +1434,7 @@ impl Recorder for JournalSink {
 // LatencySink
 // ---------------------------------------------------------------------
 
-/// Per-class delivery-latency distributions: one [`LogHistogram`] per
+/// Per-class delivery-latency distributions: one [`crate::LogHistogram`] per
 /// central-queue class, keyed by the class the packet last resided in,
 /// exporting p50/p95/p99/max per class. Motivated by Faber's
 /// absolute-delivery-bound schemes (PAPERS.md): a bound violation shows

@@ -28,8 +28,10 @@
 pub mod dot;
 pub mod explore;
 pub mod graph;
+pub mod hasher;
 pub mod sym;
 pub mod verify;
+pub mod walk;
 
 use std::fmt;
 use std::hash::Hash;
@@ -248,6 +250,16 @@ pub trait RoutingFunction {
     /// cross-validation suite checks [`sym::Symmetry`].
     fn state_key(&self, _node: NodeId, _class: u8, _msg: &Self::Msg) -> Option<u64> {
         None
+    }
+
+    /// Whether central queue `class` at `node`, short of the message's
+    /// destination, can hold a message in state `msg`: the invariant the
+    /// scheme's transitions assume, such as its phase or a bounded
+    /// counter (`true` by default). Debug builds assert it there, and
+    /// the simulator's snapshot restore rejects a queued packet that
+    /// breaks it.
+    fn can_hold(&self, _node: NodeId, _class: u8, _msg: &Self::Msg) -> bool {
+        true
     }
 
     /// Collect all transitions into a vector (convenience; the simulator

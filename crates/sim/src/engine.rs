@@ -2261,7 +2261,15 @@ where
                 Loc::Queue(v) if v == r.dst => {
                     return Err(format!("packet {} is queued at its destination", r.uid));
                 }
-                Loc::Queue(v) if (v as usize) < n => continue,
+                Loc::Queue(v) if (v as usize) < n => {
+                    if !self.rf.can_hold(v as usize, r.class, &r.msg) {
+                        return Err(format!(
+                            "packet {} cannot wait in queue class {} at node {v}",
+                            r.uid, r.class
+                        ));
+                    }
+                    continue;
+                }
                 Loc::Queue(_) => {
                     return Err(format!("packet {} queued at an unknown node", r.uid));
                 }

@@ -47,13 +47,13 @@
 //! `checkpoint` and `restore` exist only on the computed source.
 
 use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{BuildHasher, Hash, Hasher};
+use std::hash::Hash;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
 use fadr_metrics::{NoRecorder, Recorder};
+use fadr_qdg::hasher::FxHashMap;
 use fadr_qdg::RoutingFunction;
 use fadr_topology::NodeId;
 
@@ -85,80 +85,6 @@ pub fn lane_seed(master: u64, lane: usize) -> u64 {
 /// k)` for `k` in `0..lanes`.
 pub fn lane_seeds(master: u64, lanes: usize) -> Vec<u64> {
     (0..lanes).map(|k| lane_seed(master, k)).collect()
-}
-
-/// FxHash-style multiply-rotate hasher for the construction-time state
-/// interner. The keys are tiny (state keys or `(node, class, msg)`
-/// tuples of integers), so the default SipHash would dominate the
-/// build; this is the classic compiler-style replacement — not
-/// DoS-resistant, which is fine for keys the simulator itself
-/// generates.
-#[derive(Clone, Copy, Default)]
-struct FxBuild;
-
-impl BuildHasher for FxBuild {
-    type Hasher = FxHasher;
-
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher { hash: 0 }
-    }
-}
-
-struct FxHasher {
-    hash: u64,
-}
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add(u64::from(i));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
 }
 
 /// One move option of a row: the fill position it stages onto at the
@@ -227,8 +153,8 @@ pub struct StateTable {
 /// doubles as the BFS work queue (rows are expanded in id order, and
 /// ids are only ever appended).
 struct Interner<M> {
-    keyed: HashMap<u64, u32, FxBuild>,
-    absolute: HashMap<(u32, u8, M), u32, FxBuild>,
+    keyed: FxHashMap<u64, u32>,
+    absolute: FxHashMap<(u32, u8, M), u32>,
     states: Vec<(u32, u8, M)>,
 }
 
@@ -267,8 +193,8 @@ impl StateTable {
         let layout = Arc::new(Layout::new(rf));
         let n = layout.num_nodes;
         let mut rows_of = Interner {
-            keyed: HashMap::with_hasher(FxBuild),
-            absolute: HashMap::with_hasher(FxBuild),
+            keyed: FxHashMap::default(),
+            absolute: FxHashMap::default(),
             states: Vec::new(),
         };
         let mut inj = vec![TERMINAL; n * n];

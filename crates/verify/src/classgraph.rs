@@ -1,11 +1,10 @@
 //! Symmetry-reduced construction of the static class-dependency graph.
 //!
 //! The exhaustive checker in `fadr_qdg::verify` explores every
-//! `(src, dst)` pair — O(N²) explorations. Transitions, however, depend
-//! only on the current `(queue, message)` state, never on the source, so
-//! one exploration per **destination**, seeded with the injection states
-//! of *all* sources at once, visits exactly the union of the per-pair
-//! state graphs. That alone is an exact O(N)-exploration construction.
+//! `(src, dst)` pair — O(N²) explorations. The builder is instead a
+//! visitor of the one per-destination state walk ([`fadr_qdg::walk`]),
+//! which seeds every source's injection state at once and so visits
+//! exactly the union of the per-pair state graphs in O(N) walks.
 //!
 //! On top of it, the scheme's [`Symmetry`] declaration quotients queues
 //! into [`QueueClass`]es and may nominate representative destinations.
@@ -16,22 +15,22 @@
 //! the classifier). Scheme-declared trust enters only when the
 //! representative set is a proper subset of the destinations.
 //!
-//! Alongside the graph the builder performs, per destination, the exact
-//! per-state checks of the paper's § 2: no dead ends, every non-delivered
-//! state keeps a static continuation (condition 3), delivery happens at
-//! the destination only — and, because same-queue "stutter" transitions
-//! are invisible at the QDG level (matching `build_qdg`), a separate
-//! cycle check over the static stutter transitions.
+//! Alongside the graph the builder turns the walk's per-state facts into
+//! the paper's § 2 checks, returning the first violation: no dead ends,
+//! every non-delivered state keeps a static continuation (condition 3),
+//! delivery happens at the destination only — and, because same-queue
+//! "stutter" transitions are invisible at the QDG level (matching
+//! `build_qdg`), no cycle among the static stutters the walk reports.
 
 use std::collections::HashMap;
 
 use fadr_qdg::graph::Digraph;
+use fadr_qdg::hasher::{FxHashMap, FxHashSet};
 use fadr_qdg::sym::{QueueClass, Symmetry};
 use fadr_qdg::verify::Violation;
-use fadr_qdg::{LinkKind, QueueId, QueueKind, Transition};
+use fadr_qdg::walk::{Step, Walk};
+use fadr_qdg::{LinkKind, QueueId};
 use fadr_topology::NodeId;
-
-use crate::hasher::{FxHashMap, FxHashSet};
 
 /// A concrete static transition witnessing a class edge: the route to
 /// `dst` in message state `msg` hops `from → to`.
@@ -133,185 +132,91 @@ pub fn build<R: Symmetry + ?Sized>(rf: &R, force_all_dsts: bool) -> Result<Class
         states_explored: 0,
     };
     let mut dynamic: FxHashSet<(usize, usize)> = FxHashSet::default();
-    let mut seen: FxHashSet<QueueId> = FxHashSet::default();
     let mut escapes: HashMap<usize, EscapeWitness> = HashMap::new();
+    let mut walk = Walk::default();
     for &dst in &dsts {
-        explore_dst(rf, dst, &mut cg, &mut dynamic, &mut seen, &mut escapes)?;
+        let stutter = walk.run(rf, dst, |q, msg, step| {
+            let ts = match step {
+                Step::Delivered if q.node != dst => {
+                    return Err(violation(
+                        format!(
+                            "delivered at wrong node: {} instead of {dst} ({msg:?})",
+                            q.node
+                        ),
+                        vec![q],
+                    ));
+                }
+                Step::Delivered => return Ok(()),
+                Step::DeadEnd => {
+                    return Err(violation(
+                        format!("dead end: no transitions at {q} for {msg:?} (dst={dst})"),
+                        vec![q],
+                    ));
+                }
+                Step::Moves {
+                    has_static: false, ..
+                } => {
+                    return Err(violation(
+                        format!(
+                            "condition 3 violated: no static continuation at {q} for {msg:?} (dst={dst})"
+                        ),
+                        vec![q],
+                    ));
+                }
+                Step::Moves { ts, .. } => ts,
+            };
+            let a = cg.intern(rf.queue_class(q));
+            // A stutter holds its queue slot: no class edge (matching
+            // `build_qdg`); the walk checks its state-level cycles.
+            for t in ts.iter().filter(|t| t.to != q) {
+                let b = cg.intern(rf.queue_class(t.to));
+                match t.kind {
+                    LinkKind::Static => {
+                        if !cg.static_graph.has_edge(a, b) {
+                            cg.static_graph.add_edge(a, b);
+                            cg.witnesses.insert(
+                                (a, b),
+                                EdgeWitness {
+                                    from: q,
+                                    to: t.to,
+                                    dst,
+                                    msg: format!("{msg:?}"),
+                                },
+                            );
+                        }
+                        escapes.entry(a).or_insert_with(|| EscapeWitness {
+                            class: cg.classes[a],
+                            from: q,
+                            to: t.to,
+                            dst,
+                        });
+                    }
+                    LinkKind::Dynamic => {
+                        dynamic.insert((a, b));
+                    }
+                }
+            }
+            Ok(())
+        })?;
+        if let Some(&(q, _)) = stutter {
+            return Err(violation(
+                format!("static stutter cycle at {q} (dst={dst})"),
+                vec![q],
+            ));
+        }
     }
     cg.dynamic_class_edges = dynamic.len();
-    cg.queues_seen = seen.len();
+    cg.states_explored = walk.states_explored();
+    cg.queues_seen = walk.queues_seen();
     let mut esc: Vec<EscapeWitness> = escapes.into_values().collect();
     esc.sort_by_key(|e| e.class);
     cg.escapes = esc;
     Ok(cg)
 }
 
-/// One BFS per destination, seeded with every source's injection state.
-fn explore_dst<R: Symmetry + ?Sized>(
-    rf: &R,
-    dst: NodeId,
-    cg: &mut ClassGraph,
-    dynamic: &mut FxHashSet<(usize, usize)>,
-    seen: &mut FxHashSet<QueueId>,
-    escapes: &mut HashMap<usize, EscapeWitness>,
-) -> Result<(), Violation> {
-    let n = rf.topology().num_nodes();
-    let mut index: FxHashMap<(QueueId, R::Msg), u32> = FxHashMap::default();
-    let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
-    for src in 0..n {
-        if src == dst {
-            continue;
-        }
-        let key = (QueueId::inject(src), rf.initial_msg(src, dst));
-        if !index.contains_key(&key) {
-            index.insert(
-                key.clone(),
-                u32::try_from(states.len()).expect("state count fits u32"),
-            );
-            states.push(key);
-        }
-    }
-    let mut stutter: Vec<(u32, u32)> = Vec::new();
-    let mut buf: Vec<Transition<R::Msg>> = Vec::new();
-    let mut i = 0usize;
-    while i < states.len() {
-        let (q, msg) = states[i].clone();
-        let cur = u32::try_from(i).expect("state count fits u32");
-        i += 1;
-        if q.kind == QueueKind::Deliver {
-            if q.node != dst {
-                return Err(violation(
-                    format!(
-                        "delivered at wrong node: {} instead of {dst} ({msg:?})",
-                        q.node
-                    ),
-                    vec![q],
-                ));
-            }
-            continue;
-        }
-        buf.clear();
-        rf.for_each_transition(q, &msg, &mut |t| buf.push(t));
-        if buf.is_empty() {
-            return Err(violation(
-                format!("dead end: no transitions at {q} for {msg:?} (dst={dst})"),
-                vec![q],
-            ));
-        }
-        seen.insert(q);
-        let a = cg.intern(rf.queue_class(q));
-        let mut has_static = false;
-        for t in &buf {
-            let key = (t.to, t.msg.clone());
-            let j = match index.get(&key) {
-                Some(&j) => j,
-                None => {
-                    let j = u32::try_from(states.len()).expect("state count fits u32");
-                    index.insert(key.clone(), j);
-                    states.push(key);
-                    j
-                }
-            };
-            if t.to == q {
-                // A stutter holds its queue slot: no class edge (matching
-                // `build_qdg`), but a possible state-level cycle.
-                if t.kind == LinkKind::Static {
-                    has_static = true;
-                    stutter.push((cur, j));
-                }
-                continue;
-            }
-            let b = cg.intern(rf.queue_class(t.to));
-            match t.kind {
-                LinkKind::Static => {
-                    has_static = true;
-                    if !cg.static_graph.has_edge(a, b) {
-                        cg.static_graph.add_edge(a, b);
-                        cg.witnesses.insert(
-                            (a, b),
-                            EdgeWitness {
-                                from: q,
-                                to: t.to,
-                                dst,
-                                msg: format!("{msg:?}"),
-                            },
-                        );
-                    }
-                    escapes.entry(a).or_insert_with(|| EscapeWitness {
-                        class: cg.classes[a],
-                        from: q,
-                        to: t.to,
-                        dst,
-                    });
-                }
-                LinkKind::Dynamic => {
-                    dynamic.insert((a, b));
-                }
-            }
-        }
-        if !has_static {
-            return Err(violation(
-                format!(
-                    "condition 3 violated: no static continuation at {q} for {msg:?} (dst={dst})"
-                ),
-                vec![q],
-            ));
-        }
-    }
-    cg.states_explored += states.len();
-    if let Some(s) = stutter_cycle(&stutter) {
-        let q = states[s as usize].0;
-        return Err(violation(
-            format!("static stutter cycle at {q} (dst={dst})"),
-            vec![q],
-        ));
-    }
-    Ok(())
-}
-
-/// Cycle detection over the static stutter transitions of one
-/// destination's state graph (iterative three-color DFS over the sparse
-/// adjacency; returns a state index on some cycle).
-fn stutter_cycle(edges: &[(u32, u32)]) -> Option<u32> {
-    let mut adj: FxHashMap<u32, Vec<u32>> = FxHashMap::default();
-    for &(a, b) in edges {
-        adj.entry(a).or_default().push(b);
-    }
-    let mut roots: Vec<u32> = adj.keys().copied().collect();
-    roots.sort_unstable();
-    let mut color: FxHashMap<u32, u8> = FxHashMap::default(); // 1 = gray, 2 = black
-    for &start in &roots {
-        if color.contains_key(&start) {
-            continue;
-        }
-        color.insert(start, 1);
-        let mut stack: Vec<(u32, usize)> = vec![(start, 0)];
-        while let Some(frame) = stack.last_mut() {
-            let v = frame.0;
-            let next = adj.get(&v).and_then(|s| s.get(frame.1).copied());
-            frame.1 += 1;
-            match next {
-                Some(w) => match color.get(&w).copied() {
-                    Some(1) => return Some(w),
-                    Some(_) => {}
-                    None => {
-                        color.insert(w, 1);
-                        stack.push((w, 0));
-                    }
-                },
-                None => {
-                    color.insert(v, 2);
-                    stack.pop();
-                }
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use fadr_qdg::walk::stutter_cycle;
 
     #[test]
     fn stutter_cycle_finds_self_loop() {

@@ -37,12 +37,11 @@
 //!   the class-graph builder reports as a dead end: the concrete
 //!   counterexample for a partitioning plan.
 
+use fadr_qdg::hasher::FxHashSet;
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, RoutingFunction, Transition};
 use fadr_topology::graph::{Csr, DistanceRows};
 use fadr_topology::{NodeId, Port, Topology};
-
-use crate::hasher::FxHashSet;
 
 /// The surviving network: live nodes renumbered densely, with dead
 /// channels removed. Built by [`Faulted::new`].

@@ -6,10 +6,11 @@
 //! `(src, dst)` pair — exact but quadratic, topping out around the
 //! 5-cube. This crate certifies far larger instances in three layers:
 //!
-//! 1. **Symmetry-reduced construction** ([`classgraph`]): one BFS per
-//!    destination (sources are folded into the seed set — transitions
-//!    depend only on the `(queue, message)` state), with queues
-//!    quotiented through the scheme's [`Symmetry`] declaration.
+//! 1. **Symmetry-reduced construction** ([`classgraph`]): a visitor of
+//!    the one per-destination state walk ([`fadr_qdg::walk`]; sources
+//!    are folded into the seed set — transitions depend only on the
+//!    `(queue, message)` state), with queues quotiented through the
+//!    scheme's [`Symmetry`] declaration.
 //! 2. **Certificates** ([`certificate`]): an accepted scheme yields a
 //!    `fadr-verify/1` document with an explicit rank function witnessing
 //!    static-DAG acyclicity plus per-class escape witnesses, re-validated
@@ -34,7 +35,6 @@ pub mod classgraph;
 pub mod cli;
 pub mod concrete;
 pub mod faulted;
-pub mod hasher;
 
 use std::collections::HashMap;
 
@@ -109,29 +109,31 @@ impl Outcome {
 /// representative-destination promise holds (trivially, whenever it
 /// nominates all destinations).
 pub fn certify<R: Symmetry + ?Sized>(rf: &R) -> Outcome {
-    match classgraph::build(rf, false) {
+    let built = match classgraph::build(rf, false) {
+        // A quotient cycle need not lift to concrete queues: rebuild
+        // exactly (identity classifier, all destinations) before
+        // rejecting.
+        Ok(cg) if rf.is_reduced() && !cg.static_graph.is_acyclic() => {
+            classgraph::build(&Concrete(rf), true).map(|cg| (cg, false))
+        }
+        built => built.map(|cg| (cg, rf.is_reduced())),
+    };
+    match built {
         Err(violation) => Outcome::Rejected(Box::new(Rejection {
             violation,
             counterexample: None,
         })),
-        Ok(cg) => {
-            if cg.static_graph.is_acyclic() {
-                let mode = if rf.is_reduced() {
-                    ClassifierMode::Scheme {
-                        description: rf.symmetry(),
-                    }
-                } else {
-                    ClassifierMode::Concrete
-                };
-                Outcome::Certified(certificate(rf, mode, &cg))
-            } else if rf.is_reduced() {
-                // A quotient cycle need not lift to concrete queues:
-                // rebuild exactly before rejecting.
-                certify_concrete(rf)
+        Ok((cg, reduced)) if cg.static_graph.is_acyclic() => {
+            let mode = if reduced {
+                ClassifierMode::Scheme {
+                    description: rf.symmetry(),
+                }
             } else {
-                Outcome::Rejected(Box::new(extract(rf.name(), &cg)))
-            }
+                ClassifierMode::Concrete
+            };
+            Outcome::Certified(certificate(rf, mode, &cg))
         }
+        Ok((cg, _)) => Outcome::Rejected(Box::new(extract(rf.name(), &cg))),
     }
 }
 
@@ -154,24 +156,6 @@ pub fn certify_plan<'a, R: fadr_qdg::RoutingFunction + ?Sized>(
     let f = faulted::Faulted::new(rf, &plan.final_dead_nodes(n), &plan.final_dead_links())?;
     let outcome = certify(&f);
     Ok((f, outcome))
-}
-
-/// The exact fallback pass: identity classifier, all destinations.
-fn certify_concrete<R: Symmetry + ?Sized>(rf: &R) -> Outcome {
-    let wrapped = Concrete(rf);
-    match classgraph::build(&wrapped, true) {
-        Err(violation) => Outcome::Rejected(Box::new(Rejection {
-            violation,
-            counterexample: None,
-        })),
-        Ok(cg) => {
-            if cg.static_graph.is_acyclic() {
-                Outcome::Certified(certificate(rf, ClassifierMode::Concrete, &cg))
-            } else {
-                Outcome::Rejected(Box::new(extract(rf.name(), &cg)))
-            }
-        }
-    }
 }
 
 fn certificate<R: Symmetry + ?Sized>(rf: &R, mode: ClassifierMode, cg: &ClassGraph) -> Certificate {
@@ -247,4 +231,34 @@ fn render_cycle(name: &str, cycle: &[QueueId]) -> String {
             show_deliver: true,
         },
     )
+}
+
+#[cfg(test)]
+mod hasher {
+    //! The shared hasher (`fadr_qdg::hasher`) that the class graph and
+    //! [`Faulted`](crate::Faulted) key their maps with.
+
+    mod tests {
+        use std::hash::Hasher;
+
+        use fadr_qdg::hasher::{FxHashSet, FxHasher};
+
+        #[test]
+        fn distinct_keys_hash_distinctly() {
+            let mut set = FxHashSet::default();
+            for i in 0..1000u64 {
+                set.insert((i, i.wrapping_mul(3)));
+            }
+            assert_eq!(set.len(), 1000);
+        }
+
+        #[test]
+        fn write_matches_word_path_for_aligned_input() {
+            let mut a = FxHasher::default();
+            a.write_u64(0xdead_beef);
+            let mut b = FxHasher::default();
+            b.write(&0xdead_beef_u64.to_le_bytes());
+            assert_eq!(a.finish(), b.finish());
+        }
+    }
 }

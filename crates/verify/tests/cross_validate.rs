@@ -1,21 +1,34 @@
 //! Cross-validation of the certifier against the exhaustive checker:
 //! on every small instance the two must agree on accept/reject, and
-//! every emitted certificate must survive the independent checker.
+//! every emitted certificate must survive the independent checker. The
+//! one per-destination state walk that the certifier and the linter
+//! share is pinned to the per-pair reference (`explore_pair`) on the
+//! same instances.
+
+use std::collections::HashSet;
+use std::convert::Infallible;
 
 use fadr_core::{
     AdaptiveSbp, EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang, MeshFullyAdaptive,
     MeshKDFullyAdaptive, MeshStaticHang, MeshXY, ShuffleExchangeRouting, TorusTwoPhase,
 };
+use fadr_lint::{lint_scheme, LintConfig};
+use fadr_qdg::explore::explore_pair;
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::verify::verify_deadlock_free;
+use fadr_qdg::walk::Walk;
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, RoutingFunction, Transition};
 use fadr_topology::{Hypercube, Mesh2D, NodeId, Port, Topology};
 use fadr_verify::{certify, check_certificate, ClassifierMode, Outcome};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// Certifier and exhaustive checker must agree; certificates must check.
+/// Certifier and exhaustive checker must agree; certificates must
+/// check; the walk must visit exactly the pairs' states; and a
+/// certificate over every destination must count the states and queues
+/// that lint counts.
 fn assert_parity<R: Symmetry + ?Sized>(rf: &R) {
+    assert_walk_is_union_of_pairs(rf);
     let exhaustive = verify_deadlock_free(rf);
     let outcome = certify(rf);
     match (&exhaustive, &outcome) {
@@ -26,6 +39,18 @@ fn assert_parity<R: Symmetry + ?Sized>(rf: &R) {
                     rf.name()
                 )
             });
+            // Representative destinations (the hypercube schemes) explore
+            // fewer states by design; over every destination, lint and
+            // certify walk the same states.
+            if cert.all_dsts {
+                let report = lint_scheme(rf, &LintConfig::default());
+                assert_eq!(
+                    (report.states_explored, report.queues_seen),
+                    (cert.states_explored, cert.queues_seen),
+                    "{}: lint's (states, queues) differ from the certificate's",
+                    rf.name()
+                );
+            }
         }
         (Err(_), Outcome::Rejected(_)) => {}
         (Ok(()), Outcome::Rejected(r)) => {
@@ -41,6 +66,29 @@ fn assert_parity<R: Symmetry + ?Sized>(rf: &R) {
                 rf.name()
             )
         }
+    }
+}
+
+/// For every destination, the walk's state set is the union over
+/// sources of `explore_pair(src, dst).states`: source elimination
+/// neither loses nor invents a state.
+fn assert_walk_is_union_of_pairs<R: RoutingFunction + ?Sized>(rf: &R) {
+    let n = rf.topology().num_nodes();
+    let mut walk = Walk::default();
+    for dst in 0..n {
+        let Ok(_) = walk.run(rf, dst, |_, _, _| Ok::<(), Infallible>(()));
+        let walked: HashSet<_> = walk.states().iter().cloned().collect();
+        let pairs: HashSet<_> = (0..n)
+            .filter(|&src| src != dst)
+            .flat_map(|src| explore_pair(rf, src, dst).states)
+            .collect();
+        assert!(
+            walked == pairs,
+            "{}: the walk toward {dst} visits {} states, the pairs' union {}",
+            rf.name(),
+            walked.len(),
+            pairs.len()
+        );
     }
 }
 
