@@ -76,7 +76,9 @@ fn journal_is_bit_identical_across_jobs_shards_and_partitions() {
 /// sequential engine, on sharded engines under different partition
 /// strategies, and across engines: snapshots are engine-agnostic, so a
 /// checkpoint written at one shard count resumes at another. Exercised
-/// through the same [`RunOptions`] path the binaries use.
+/// through the same [`RunOptions`] path the binaries use. Table 11
+/// (Transpose at λ = 1) pauses with node 0's self-addressed packet in
+/// its injection slot, which a restore must accept.
 #[test]
 fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
     for (tag, shards, resume_shards, partition) in [
@@ -86,7 +88,7 @@ fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
         ("sh2_to_seq", 2, 1, PartitionStrategy::HammingPrefix),
         ("seq_to_sh2", 1, 2, PartitionStrategy::Auto),
     ] {
-        for table in [6usize, 9] {
+        for table in [6usize, 9, 11] {
             let base = RunOptions {
                 dynamic_cycles: 60,
                 shards,
@@ -108,6 +110,15 @@ fn checkpoint_resume_split_is_bit_identical_to_straight_run() {
                 "{} must exist after the checkpoint leg",
                 snap_path.display()
             );
+            if table == 11 {
+                // Packet record: location code 1 (injection slot) at
+                // node 0, source 0, destination 0.
+                let text = std::fs::read_to_string(&snap_path).unwrap();
+                assert!(
+                    text.contains("[1, 0, 0, 0, "),
+                    "table 11 {tag}: no self-addressed packet in node 0's injection slot"
+                );
+            }
 
             let resume = RunOptions {
                 snapshot: Some(temp_policy(&dir_tag, None, true)),

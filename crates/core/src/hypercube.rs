@@ -170,38 +170,36 @@ impl RoutingFunction for HypercubeFullyAdaptive {
                     "phase invariant: q_A iff a downward correction remains"
                 );
                 let (zeros, ones) = hung_corrections(u, dst, self.root);
-                for dim in 0..self.cube.dims() {
+                // Phase A corrects both kinds of bit, phase B the ones;
+                // set bits ascending are the dimensions in port order.
+                let mut work = match class {
+                    CLASS_A => zeros | ones,
+                    CLASS_B => ones,
+                    _ => 0,
+                };
+                while work != 0 {
+                    let dim = work.trailing_zeros() as usize;
                     let bit = 1usize << dim;
-                    if class == CLASS_A && zeros & bit != 0 {
+                    work &= work - 1;
+                    let v = u ^ bit;
+                    let (kind, to) = if zeros & bit != 0 {
                         // Mandatory phase-A correction (static, downwards).
-                        let v = u ^ bit;
-                        f(Transition {
-                            kind: LinkKind::Static,
-                            hop: HopKind::Link(dim),
-                            to: QueueId::central(v, self.entry(v, dst)),
-                            msg: *msg,
-                        });
-                    } else if class == CLASS_A && ones & bit != 0 {
+                        (LinkKind::Static, self.entry(v, dst))
+                    } else if class == CLASS_A {
                         // Opportunistic upward correction (dynamic); the
                         // message keeps its pending downward work, so a
                         // static continuation always remains (condition 3).
-                        let v = u ^ bit;
-                        f(Transition {
-                            kind: LinkKind::Dynamic,
-                            hop: HopKind::Link(dim),
-                            to: QueueId::central(v, CLASS_A),
-                            msg: *msg,
-                        });
-                    } else if class == CLASS_B && ones & bit != 0 {
+                        (LinkKind::Dynamic, CLASS_A)
+                    } else {
                         // Phase-B correction (static, upwards).
-                        let v = u ^ bit;
-                        f(Transition {
-                            kind: LinkKind::Static,
-                            hop: HopKind::Link(dim),
-                            to: QueueId::central(v, CLASS_B),
-                            msg: *msg,
-                        });
-                    }
+                        (LinkKind::Static, CLASS_B)
+                    };
+                    f(Transition {
+                        kind,
+                        hop: HopKind::Link(dim),
+                        to: QueueId::central(v, to),
+                        msg: *msg,
+                    });
                 }
             }
             QueueKind::Deliver => {}
@@ -350,23 +348,22 @@ impl RoutingFunction for HypercubeStaticHang {
                     f(internal(QueueId::deliver(u), *msg));
                     return;
                 }
-                let zeros = self.cube.zero_corrections(u, dst);
-                let work = if class == CLASS_A {
-                    zeros
+                // Set bits ascending are the dimensions in port order.
+                let mut work = if class == CLASS_A {
+                    self.cube.zero_corrections(u, dst)
                 } else {
                     self.cube.one_corrections(u, dst)
                 };
-                for dim in 0..self.cube.dims() {
-                    let bit = 1usize << dim;
-                    if work & bit != 0 {
-                        let v = u ^ bit;
-                        f(Transition {
-                            kind: LinkKind::Static,
-                            hop: HopKind::Link(dim),
-                            to: QueueId::central(v, entry_class(&self.cube, v, dst)),
-                            msg: *msg,
-                        });
-                    }
+                while work != 0 {
+                    let dim = work.trailing_zeros() as usize;
+                    work &= work - 1;
+                    let v = u ^ (1usize << dim);
+                    f(Transition {
+                        kind: LinkKind::Static,
+                        hop: HopKind::Link(dim),
+                        to: QueueId::central(v, entry_class(&self.cube, v, dst)),
+                        msg: *msg,
+                    });
                 }
             }
             QueueKind::Deliver => {}

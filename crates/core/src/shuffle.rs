@@ -245,10 +245,25 @@ impl RoutingFunction for ShuffleExchangeRouting {
         3 * self.se.dims()
     }
 
-    /// The counter invariant: at most `2n` shuffles (Theorem 3), a cycle
+    /// The counter invariant: Theorem 3's budget of `2n` shuffles, in a
+    /// form each transition keeps. Phase 1 ends by the `n`-th shuffle and
+    /// phase 2 by the `2n`-th, and a shuffle examines one position, so
+    /// every correction the logical word still needs must lie at a
+    /// position a remaining shuffle of its phase examines. Also a cycle
     /// class below `classes_per_phase`, and the class its phase names.
     fn can_hold(&self, node: NodeId, class: u8, msg: &SeMsg) -> bool {
-        usize::from(msg.count) <= 2 * self.se.dims()
+        let n = self.se.dims();
+        let w = self.logical_word(node, msg.count);
+        let zeros = (w ^ msg.dst) & msg.dst;
+        let (work, last) = if zeros != 0 {
+            (zeros, n)
+        } else {
+            (w ^ msg.dst, 2 * n)
+        };
+        // Shuffles `count..=last` examine positions `0..=last - count`.
+        let k = usize::from(msg.count);
+        k <= last
+            && work >> (last - k + 1).min(n) == 0
             && msg.cls < self.classes_per_phase
             && class == self.class_of(node, msg)
     }

@@ -3,8 +3,8 @@
 //! the test tries a deletion and a replacement by each of `, : " } ] 0 x`.
 //! Parsing must never panic, anything accepted must render back to the
 //! same value, and deleting a `,` or `:` outside a string must be an
-//! error. Checkpoints of faulted runs are mutated too, and restoring a
-//! mutant into a fresh engine must never panic.
+//! error. Checkpoints of faulted runs are mutated too: restoring a
+//! mutant, and resuming a restored one, must never panic.
 
 use std::fmt::Debug;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -106,19 +106,70 @@ fn mutated_corpus_cases_never_panic_and_round_trip() {
 /// number well-formed but change it, a sign, a letter and a space.
 const SNAPSHOT_REPLACEMENTS: &[u8] = b"0159+x ";
 
+/// Which bytes of a checkpoint [`mutate_checkpoint`] changes, and what
+/// it runs on a mutant.
+#[derive(Clone, Copy, PartialEq)]
+enum Probe {
+    /// Delete each byte or replace it by each of
+    /// [`SNAPSHOT_REPLACEMENTS`]; restore.
+    Whole,
+    /// Replace each of the [`sampled_edges`] of the packet records by
+    /// each digit, which changes routing states and keeps the document
+    /// well-formed; restore, and resume an accepted mutant to the run's
+    /// end (cycle 60).
+    Resume,
+}
+
+/// Packet records per kind of location that [`sampled_edges`] takes.
+const RECORDS_PER_KIND: usize = 3;
+
+/// The bytes of the `packets` records of checkpoint `text` that
+/// [`Probe::Resume`] replaces: in the first [`RECORDS_PER_KIND`] records
+/// at each kind of location (central queue, injection slot, output
+/// buffer, input buffer), the first and last digit of each number and
+/// the space before it (a digit there prefixes the number). Skipped are
+/// the commas and brackets (a digit there breaks the document, as
+/// [`Probe::Whole`] covers), the interior digits of long numbers (uids,
+/// timestamps, a never-moved packet's `u64::MAX`), which route nothing
+/// differently, and the later records, whose fields take the same kinds
+/// of values.
+fn sampled_edges(text: &str) -> Vec<usize> {
+    let bytes = text.as_bytes();
+    let digit = |j: usize| bytes[j].is_ascii_digit();
+    let packets = text.find("\"packets\"").expect("a packets key")
+        ..text.find("\"chan_rr\"").expect("a chan_rr key");
+    let mut taken = [0; 4];
+    let mut edges = Vec::new();
+    // A record opens with `[` and its one-digit location code.
+    for start in packets.filter(|&j| bytes[j] == b'[' && digit(j + 1)) {
+        let kind = &mut taken[usize::from(bytes[start + 1] - b'0')];
+        if *kind == RECORDS_PER_KIND {
+            continue;
+        }
+        *kind += 1;
+        let end = start + text[start..].find(']').expect("a closed record");
+        edges.extend((start + 1..end).filter(|&i| {
+            if digit(i) {
+                !digit(i - 1) || !digit(i + 1)
+            } else {
+                bytes[i] == b' ' && digit(i + 1)
+            }
+        }));
+    }
+    edges
+}
+
 /// Pause `rf` at cycle 20 of a dynamic run under a plan with one
 /// `link_down` and one `flaky_link`, and restore mutants of its
-/// checkpoint into fresh engines with the same plan. With `whole`, each
-/// byte is deleted or replaced by each of [`SNAPSHOT_REPLACEMENTS`];
-/// otherwise only the bytes of the packet records are replaced, by `1`
-/// and by `9`, which changes routing states and keeps the document
-/// well-formed. Returns the number of mutants and the ones whose
-/// restore panicked.
+/// checkpoint into an engine with the same plan, as `probe` says. The
+/// engine is reused, since a restore replaces all of its state, and
+/// rebuilt only after a panic. Returns the number of mutants and the
+/// ones that panicked.
 fn mutate_checkpoint<R>(
     rf: R,
     dead: (u32, u32),
     flaky: (u32, u32),
-    whole: bool,
+    probe: Probe,
 ) -> (usize, Vec<String>)
 where
     R: RoutingFunction + Clone,
@@ -158,19 +209,14 @@ where
         "the checkpoint must restore"
     );
     let bytes = text.as_bytes();
-    let (span, replacements) = if whole {
-        (0..bytes.len(), SNAPSHOT_REPLACEMENTS)
-    } else {
-        let packets = text.find("\"packets\"").expect("a packets key");
-        (
-            packets..text.find("\"chan_rr\"").expect("a chan_rr key"),
-            &b"19"[..],
-        )
+    let (at, replacements) = match probe {
+        Probe::Whole => ((0..bytes.len()).collect(), SNAPSHOT_REPLACEMENTS),
+        Probe::Resume => (sampled_edges(&text), &b"0123456789"[..]),
     };
     let mut tried = 0;
     let mut panicked = Vec::new();
-    for i in span {
-        let deleted = whole.then(|| [&bytes[..i], &bytes[i + 1..]].concat());
+    for i in at {
+        let deleted = (probe == Probe::Whole).then(|| [&bytes[..i], &bytes[i + 1..]].concat());
         let replaced = replacements.iter().filter(|&&r| r != bytes[i]).map(|&r| {
             let mut v = bytes.to_vec();
             v[i] = r;
@@ -178,8 +224,14 @@ where
         });
         for (k, input) in deleted.into_iter().chain(replaced).enumerate() {
             let input = String::from_utf8(input).expect("checkpoints are ASCII");
-            if catch_unwind(AssertUnwindSafe(|| engine().restore(&input))).is_err() {
+            let run = || {
+                if let (Ok((_, progress)), Probe::Resume) = (sim.restore(&input), probe) {
+                    sim.resume_dynamic(1.0, dest, 60, progress, None);
+                }
+            };
+            if catch_unwind(AssertUnwindSafe(run)).is_err() {
                 panicked.push(format!("byte {i}, mutation {k}"));
+                sim = engine();
             }
             tried += 1;
         }
@@ -205,28 +257,43 @@ fn mutated_faulted_checkpoints_never_panic_on_restore() {
     let cube = HypercubeFullyAdaptive::new(3);
     assert_no_panic(
         "hypercube(3)",
-        mutate_checkpoint(cube, (0, 1), (2, 3), true),
+        mutate_checkpoint(cube, (0, 1), (2, 3), Probe::Whole),
     );
     let mesh = MeshFullyAdaptive::new(3, 3);
-    assert_no_panic("mesh 3x3", mutate_checkpoint(mesh, (4, 5), (0, 1), true));
+    assert_no_panic(
+        "mesh 3x3",
+        mutate_checkpoint(mesh, (4, 5), (0, 1), Probe::Whole),
+    );
 }
 
-/// The other families whose routing states a checkpoint can corrupt
-/// into a panic: a class its channel declares no buffer for, a wrap or
-/// shuffle count past its bound.
+/// Routing states corrupted in every family: a class its channel
+/// declares no buffer for, a wrap or shuffle count past its bound. A
+/// restore that accepts one must leave a run that resumes without a
+/// panic, so the packets outside the central queues are checked too — a
+/// buffered packet against its buffer's class, the node staging it and
+/// the queue it arrives in, an injection-slot packet against the message
+/// it starts with.
 #[test]
-fn mutated_routing_states_of_other_families_never_panic_on_restore() {
+fn mutated_packet_records_restore_and_resume_without_panic() {
+    let probe = Probe::Resume;
+    let cube = HypercubeFullyAdaptive::new(3);
+    assert_no_panic(
+        "hypercube(3)",
+        mutate_checkpoint(cube, (0, 1), (2, 3), probe),
+    );
+    let mesh = MeshFullyAdaptive::new(3, 3);
+    assert_no_panic("mesh 3x3", mutate_checkpoint(mesh, (4, 5), (0, 1), probe));
     let hang = HypercubeStaticHang::new(3);
     assert_no_panic(
         "static-hang",
-        mutate_checkpoint(hang, (0, 1), (2, 3), false),
+        mutate_checkpoint(hang, (0, 1), (2, 3), probe),
     );
     let sbp = EcubeSbp::new(3);
-    assert_no_panic("ecube-sbp", mutate_checkpoint(sbp, (0, 1), (2, 3), false));
+    assert_no_panic("ecube-sbp", mutate_checkpoint(sbp, (0, 1), (2, 3), probe));
     let xy = MeshXY::new(3, 3);
-    assert_no_panic("xy", mutate_checkpoint(xy, (4, 5), (0, 1), false));
+    assert_no_panic("xy", mutate_checkpoint(xy, (4, 5), (0, 1), probe));
     let torus = TorusTwoPhase::new(3, 3);
-    assert_no_panic("torus 3x3", mutate_checkpoint(torus, (0, 1), (4, 5), false));
+    assert_no_panic("torus 3x3", mutate_checkpoint(torus, (0, 1), (4, 5), probe));
     let se = ShuffleExchangeRouting::new(3);
-    assert_no_panic("se(3)", mutate_checkpoint(se, (2, 3), (4, 5), false));
+    assert_no_panic("se(3)", mutate_checkpoint(se, (2, 3), (4, 5), probe));
 }

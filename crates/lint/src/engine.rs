@@ -6,12 +6,13 @@
 //! seeds, interns, counts and finds stutter cycles for it.
 
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 use std::convert::Infallible;
 use std::fmt::Debug;
 use std::hash::Hash;
 
-use fadr_qdg::graph::Digraph;
+use fadr_qdg::graph::{Digraph, QueueMemo};
+use fadr_qdg::hasher::{FxHashMap, FxHashSet};
 use fadr_qdg::sym::Symmetry;
 use fadr_qdg::walk::{Step, Walk};
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, Transition};
@@ -30,21 +31,19 @@ struct EdgeWitness {
 }
 
 /// Queue interner: dense vertex indices for the static [`Digraph`].
-#[derive(Default)]
 struct Interner {
     queues: Vec<QueueId>,
-    index: HashMap<QueueId, usize>,
+    index: QueueMemo,
 }
 
 impl Interner {
     fn intern(&mut self, q: QueueId) -> usize {
-        if let Some(&i) = self.index.get(&q) {
-            return i;
-        }
-        let i = self.queues.len();
-        self.queues.push(q);
-        self.index.insert(q, i);
-        i
+        let queues = &mut self.queues;
+        let i = self.index.get_or_insert_with(q, || {
+            queues.push(q);
+            u32::try_from(queues.len() - 1).expect("queue count fits u32")
+        });
+        i as usize
     }
 }
 
@@ -62,15 +61,18 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> (usi
     let mut dist =
         check_minimal.then(|| DistanceRows::in_order(Csr::from_topology(topo, |_, _| true)));
 
-    let mut intern = Interner::default();
+    let mut intern = Interner {
+        queues: Vec::new(),
+        index: QueueMemo::new(n, rf.num_classes()),
+    };
     let mut static_g = Digraph::default();
-    let mut witnesses: HashMap<(usize, usize), EdgeWitness> = HashMap::new();
+    let mut witnesses: FxHashMap<(usize, usize), EdgeWitness> = FxHashMap::default();
     // Dedup sets so a violation reported once per queue (or queue pair)
     // does not recur for every destination exhibiting it.
-    let mut reported: HashSet<(LintId, QueueId)> = HashSet::new();
-    let mut nonminimal_seen: HashSet<(QueueId, QueueId)> = HashSet::new();
+    let mut reported: FxHashSet<(LintId, QueueId)> = FxHashSet::default();
+    let mut nonminimal_seen: FxHashSet<(QueueId, QueueId)> = FxHashSet::default();
     // (node, port) → buffer classes actually exercised by some route.
-    let mut used_buffers: HashMap<(NodeId, usize), BTreeSet<BufferClass>> = HashMap::new();
+    let mut used_buffers: FxHashMap<(NodeId, usize), BTreeSet<BufferClass>> = FxHashMap::default();
     let mut used_central_classes: BTreeSet<u8> = BTreeSet::new();
     let mut key_check = col.enabled(LintId::StateKey).then(KeyCheck::new);
 
@@ -144,8 +146,7 @@ pub(crate) fn run<R: Symmetry + ?Sized>(rf: &R, col: &mut Collector<'_>) -> (usi
                 // checks the state-level cycles the rank argument misses).
                 if t.kind == LinkKind::Static && t.to != q {
                     let b = intern.intern(t.to);
-                    if !static_g.has_edge(a, b) {
-                        static_g.add_edge(a, b);
+                    if static_g.add_edge(a, b) {
                         witnesses.insert(
                             (a, b),
                             EdgeWitness {
@@ -276,7 +277,7 @@ struct Move {
 /// so the comparisons mostly stay in cache.
 struct KeyCheck<M> {
     layout: Option<Layout>,
-    index: HashMap<u64, u32>,
+    index: FxHashMap<u64, u32>,
     /// Per key: its class and its moves' range in `moves`.
     records: Vec<(u32, u16, u8)>,
     moves: Vec<Move>,
@@ -284,8 +285,8 @@ struct KeyCheck<M> {
     firsts: Vec<(QueueId, M)>,
     /// Unkeyed successor states, by index.
     unkeyed: Vec<(QueueId, M)>,
-    unkeyed_index: HashMap<(QueueId, M), u64>,
-    reported: HashSet<u64>,
+    unkeyed_index: FxHashMap<(QueueId, M), u64>,
+    reported: FxHashSet<u64>,
     scratch: Vec<Move>,
 }
 
@@ -293,13 +294,13 @@ impl<M: Clone + Eq + Hash + Debug> KeyCheck<M> {
     fn new() -> Self {
         Self {
             layout: None,
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             records: Vec::new(),
             moves: Vec::new(),
             firsts: Vec::new(),
             unkeyed: Vec::new(),
-            unkeyed_index: HashMap::new(),
-            reported: HashSet::new(),
+            unkeyed_index: FxHashMap::default(),
+            reported: FxHashSet::default(),
             scratch: Vec::new(),
         }
     }
@@ -455,7 +456,7 @@ fn order_lints<R: Symmetry + ?Sized>(
     col: &mut Collector<'_>,
     intern: &Interner,
     static_g: &Digraph,
-    witnesses: &HashMap<(usize, usize), EdgeWitness>,
+    witnesses: &FxHashMap<(usize, usize), EdgeWitness>,
     rf: &R,
 ) {
     if static_g.is_acyclic() {
@@ -535,7 +536,7 @@ fn quotient_lint<R: Symmetry + ?Sized>(
         class_of.push(*class_index.entry(c).or_insert(next));
     }
     let mut quotient = Digraph::new(class_index.len());
-    let mut sample: HashMap<(usize, usize), (QueueId, QueueId)> = HashMap::new();
+    let mut sample: FxHashMap<(usize, usize), (QueueId, QueueId)> = FxHashMap::default();
     for (v, q) in intern.queues.iter().enumerate() {
         for &u in static_g.successors(v) {
             let (a, b) = (class_of[v], class_of[u]);
@@ -575,7 +576,7 @@ fn quotient_lint<R: Symmetry + ?Sized>(
 fn provisioning_lints<R: Symmetry + ?Sized>(
     rf: &R,
     col: &mut Collector<'_>,
-    used_buffers: &HashMap<(NodeId, usize), BTreeSet<BufferClass>>,
+    used_buffers: &FxHashMap<(NodeId, usize), BTreeSet<BufferClass>>,
     used_central_classes: &BTreeSet<u8>,
 ) {
     let topo = rf.topology();

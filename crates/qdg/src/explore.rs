@@ -92,7 +92,9 @@ pub fn build_qdg<R: RoutingFunction + ?Sized>(rf: &R) -> Qdg {
                     let b = qdg.intern(t.to);
                     qdg.full_graph.add_edge(a, b);
                     match t.kind {
-                        LinkKind::Static => qdg.static_graph.add_edge(a, b),
+                        LinkKind::Static => {
+                            qdg.static_graph.add_edge(a, b);
+                        }
                         LinkKind::Dynamic => {
                             if !qdg.dynamic_edges.contains(&(a, b)) {
                                 qdg.dynamic_edges.push((a, b));

@@ -1,15 +1,17 @@
 //! A small dense digraph with cycle detection and longest-path levels.
 //!
 //! Vertices are dense indices assigned by the caller (the QDG explorer maps
-//! [`QueueId`](crate::QueueId)s to indices). Edges are deduplicated.
+//! [`QueueId`]s to indices; [`QueueMemo`] keeps such a map without
+//! hashing). Edges are deduplicated.
 
-use std::collections::HashSet;
+use crate::hasher::{FxHashMap, FxHashSet};
+use crate::{QueueId, QueueKind};
 
 /// Directed graph over vertices `0..n` with deduplicated edges.
 #[derive(Debug, Clone, Default)]
 pub struct Digraph {
     adj: Vec<Vec<usize>>,
-    edge_set: HashSet<(usize, usize)>,
+    edge_set: FxHashSet<(usize, usize)>,
 }
 
 impl Digraph {
@@ -17,7 +19,7 @@ impl Digraph {
     pub fn new(n: usize) -> Self {
         Self {
             adj: vec![Vec::new(); n],
-            edge_set: HashSet::new(),
+            edge_set: FxHashSet::default(),
         }
     }
 
@@ -38,12 +40,14 @@ impl Digraph {
         }
     }
 
-    /// Add edge `a -> b` (idempotent).
-    pub fn add_edge(&mut self, a: usize, b: usize) {
+    /// Add edge `a -> b` (idempotent); true if the edge is new.
+    pub fn add_edge(&mut self, a: usize, b: usize) -> bool {
         self.ensure_vertex(a.max(b));
-        if self.edge_set.insert((a, b)) {
+        let fresh = self.edge_set.insert((a, b));
+        if fresh {
             self.adj[a].push(b);
         }
+        fresh
     }
 
     /// Whether edge `a -> b` is present.
@@ -305,6 +309,55 @@ impl Digraph {
     }
 }
 
+/// A memo from queues to `u32` values, such as a vertex or class index:
+/// one dense slot per queue at `node · (num_classes + 2) + kind`
+/// (injection 0, central class `c` at `1 + c`, delivery last), and a
+/// map for the queues no slot covers (a central class at or above
+/// `num_classes`, or a node past `num_nodes`). A slot holds its value
+/// plus one, so the slots start zeroed and the pages of a large
+/// instance's memo are only committed where queues are seen.
+pub struct QueueMemo {
+    stride: usize,
+    slots: Vec<u32>,
+    rest: FxHashMap<QueueId, u32>,
+}
+
+impl QueueMemo {
+    /// An empty memo sized for `num_nodes` nodes of `num_classes`
+    /// central queues each (class ids are 8-bit, so at most 256).
+    pub fn new(num_nodes: usize, num_classes: usize) -> Self {
+        let stride = num_classes.min(256) + 2;
+        Self {
+            stride,
+            slots: vec![0; num_nodes * stride],
+            rest: FxHashMap::default(),
+        }
+    }
+
+    /// The value memoized for `q`, computed by `f` on first sight. `f`
+    /// must return less than `u32::MAX`.
+    #[inline]
+    pub fn get_or_insert_with(&mut self, q: QueueId, f: impl FnOnce() -> u32) -> u32 {
+        let kind = match q.kind {
+            QueueKind::Inject => Some(0),
+            QueueKind::Central(c) => Some(1 + usize::from(c)).filter(|&k| k < self.stride - 1),
+            QueueKind::Deliver => Some(self.stride - 1),
+        };
+        let slot = kind
+            .and_then(|k| q.node.checked_mul(self.stride)?.checked_add(k))
+            .and_then(|i| self.slots.get_mut(i));
+        match slot {
+            Some(&mut v) if v != 0 => v - 1,
+            Some(v) => {
+                let x = f();
+                *v = x + 1;
+                x
+            }
+            None => *self.rest.entry(q).or_insert_with(f),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,6 +504,27 @@ mod tests {
         assert!(sub.is_acyclic());
         // Keeping everything reproduces the cycle.
         assert!(!g.restricted(&|_| true).is_acyclic());
+    }
+
+    #[test]
+    fn queue_memo_computes_each_value_once() {
+        // Slots for node 1's queues; the map for an undeclared class and
+        // for a node past the memo's size.
+        let queues = [
+            QueueId::inject(1),
+            QueueId::central(1, 0),
+            QueueId::central(1, 1),
+            QueueId::deliver(1),
+            QueueId::central(0, 7),
+            QueueId::central(5, 0),
+        ];
+        let mut memo = QueueMemo::new(2, 2);
+        for (i, &q) in (0u32..).zip(&queues) {
+            assert_eq!(memo.get_or_insert_with(q, || i), i);
+        }
+        for (i, &q) in (0u32..).zip(&queues) {
+            assert_eq!(memo.get_or_insert_with(q, || unreachable!("{q} seen")), i);
+        }
     }
 
     #[test]

@@ -1,12 +1,22 @@
-//! The workspace's one Fx-style hasher, for the hot interning maps: the
-//! state walk's index ([`crate::walk`]), `fadr_sim::StateTable::build`'s
-//! interner and `fadr-verify`'s class graph and fault wrapper.
+//! The workspace's one Fx-style hasher, for every map on the
+//! verification and table-build paths: the state walk's index
+//! ([`crate::walk`]), [`crate::graph::Digraph`]'s edge set,
+//! `fadr_sim::StateTable::build`'s interner, `fadr-verify`'s class
+//! graph, certificate checker and fault wrapper, and `fadr-lint`'s
+//! engine.
 //!
 //! The walk interns hundreds of millions of `(QueueId, Msg)` states on
 //! large instances, and SipHash would dominate that profile. The keys
 //! are short runs of machine words the program generates itself, so
 //! they need no DoS resistance: a multiply-xor mix in the style of
 //! rustc's `FxHasher` is the right trade.
+//!
+//! [`FxHasher::finish`] rotates the product. A product `word · K` has
+//! low bits that depend only on the key's low bits, and hashbrown takes
+//! its bucket index from the low bits, so keys that differ only in their
+//! high bits (a state key `class << 56 | zeros << 28 | ones`, a pair
+//! packed into one word) would pile into a few buckets. The rotation
+//! brings the well-mixed high bits down, as rustc-hash 2's `finish` does.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -30,7 +40,9 @@ impl FxHasher {
 impl Hasher for FxHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        // The high bits of the product carry the mix; move them to the
+        // low bits, where hashbrown picks the bucket (module docs).
+        self.hash.rotate_left(26)
     }
 
     #[inline]

@@ -136,3 +136,23 @@ fn idempotent_edges() {
         assert_eq!(g1.is_acyclic(), g2.is_acyclic());
     }
 }
+
+/// `add_edge` reports an edge as new exactly once: the first time it is
+/// added, and never again.
+#[test]
+fn add_edge_reports_each_distinct_edge_once() {
+    let mut rng = StdRng::seed_from_u64(0xd170);
+    for _ in 0..CASES {
+        let edges = random_edges(&mut rng, 8, 48);
+        let mut g = Digraph::new(8);
+        let mut seen = std::collections::BTreeSet::new();
+        for &(a, b) in edges.iter().chain(&edges) {
+            assert_eq!(
+                g.add_edge(a, b),
+                seen.insert((a, b)),
+                "{a}->{b} in {edges:?}"
+            );
+        }
+        assert_eq!(g.num_edges(), seen.len());
+    }
+}

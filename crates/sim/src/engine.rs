@@ -2281,6 +2281,55 @@ where
                 Some(taken) if !*taken => *taken = true,
                 _ => return Err(format!("packet {} in a bad {what}", r.uid)),
             }
+            match *loc {
+                Loc::Inj(v) => {
+                    let (v, dst) = (v as usize, r.dst as usize);
+                    if r.msg != self.rf.initial_msg(v, dst) {
+                        return Err(format!(
+                            "packet {} in the injection slot of node {v} does not start there",
+                            r.uid
+                        ));
+                    }
+                }
+                Loc::Out(b) => self.validate_buffered(r, b as usize, true)?,
+                Loc::In(b) => self.validate_buffered(r, b as usize, false)?,
+                Loc::Queue(_) => {}
+            }
+        }
+        Ok(())
+    }
+
+    /// Check a packet in output (`staged`) or input buffer `b` against
+    /// the buffer's channel `u → w`: a static buffer fixes the class the
+    /// packet arrives in, a staged packet is not addressed to `u` (a
+    /// dead link hands it back to `u`'s queues), and a non-escape packet
+    /// is either delivered at `w` or fits the queue it enters there.
+    fn validate_buffered(
+        &self,
+        r: &PacketInit<R::Msg>,
+        b: usize,
+        staged: bool,
+    ) -> Result<(), String> {
+        let layout = &self.core.layout;
+        let chan = layout.buf_chan[b] as usize;
+        let (u, w) = (layout.chan_from[chan], layout.chan_to[chan] as usize);
+        if matches!(layout.buf_class[b], BufferClass::Static(c) if c != r.next_class) {
+            return Err(format!(
+                "packet {} arrives in queue class {} through buffer {b} of another class",
+                r.uid, r.next_class
+            ));
+        }
+        if staged && r.dst == u {
+            return Err(format!("packet {} is staged at its destination {u}", r.uid));
+        }
+        if !r.escape
+            && !self.rf.deliverable(w, &r.msg)
+            && !self.rf.can_hold(w, r.next_class, &r.msg)
+        {
+            return Err(format!(
+                "packet {} cannot arrive in queue class {} at node {w}",
+                r.uid, r.next_class
+            ));
         }
         Ok(())
     }

@@ -10,11 +10,14 @@
 //! delivery must happen at the destination. Checking a rank function is
 //! far simpler than computing one, which is what keeps this component
 //! small enough to audit (the § 2 argument then rests on it alone).
+//!
+//! The one thing it shares with the constructor is the hasher type of
+//! its maps (`fadr_qdg::hasher`). The maps and the transition buffer
+//! are cleared, not rebuilt, between destinations.
 
-use std::collections::HashMap;
-
+use fadr_qdg::hasher::FxHashMap;
 use fadr_qdg::sym::{QueueClass, Symmetry};
-use fadr_qdg::{HopKind, LinkKind, QueueId, QueueKind};
+use fadr_qdg::{HopKind, LinkKind, QueueId, QueueKind, Transition};
 
 use crate::certificate::{Certificate, ClassifierMode};
 
@@ -36,7 +39,7 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
             rf.name()
         ));
     }
-    let mut rank: HashMap<QueueClass, u64> = HashMap::new();
+    let mut rank: FxHashMap<QueueClass, u64> = FxHashMap::default();
     for &(c, r) in &cert.ranks {
         if rank.insert(c, r).is_some() {
             return Err(format!("duplicate rank entry for class {c}"));
@@ -61,20 +64,25 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
         }
         reps
     };
+    let mut index: FxHashMap<(QueueId, R::Msg), usize> = FxHashMap::default();
+    let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
+    let mut stutter: FxHashMap<usize, Vec<usize>> = FxHashMap::default();
+    let mut color: FxHashMap<usize, u8> = FxHashMap::default();
+    let mut ts: Vec<Transition<R::Msg>> = Vec::new();
     for &dst in &dsts {
-        let mut index: HashMap<(QueueId, R::Msg), usize> = HashMap::new();
-        let mut states: Vec<(QueueId, R::Msg)> = Vec::new();
+        index.clear();
+        states.clear();
+        stutter.clear();
         for src in 0..n {
             if src == dst {
                 continue;
             }
             let key = (QueueId::inject(src), rf.initial_msg(src, dst));
-            index.entry(key.clone()).or_insert_with(|| {
+            index.entry(key).or_insert_with_key(|key| {
                 states.push(key.clone());
                 states.len() - 1
             });
         }
-        let mut stutter: HashMap<usize, Vec<usize>> = HashMap::new();
         let mut i = 0usize;
         while i < states.len() {
             let (q, msg) = states[i].clone();
@@ -89,10 +97,13 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
                 }
                 continue;
             }
-            let ts = rf.transitions(q, &msg);
+            ts.clear();
+            rf.for_each_transition(q, &msg, &mut |t| ts.push(t));
             if ts.is_empty() {
                 return Err(format!("dead end at {q} for {msg:?} (dst={dst})"));
             }
+            let a = class_of(q);
+            let ra = rank.get(&a).copied();
             let mut has_static = false;
             for t in &ts {
                 let hop_ok = match t.hop {
@@ -102,11 +113,12 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
                 if !hop_ok {
                     return Err(format!("hop does not follow the topology: {q} -> {}", t.to));
                 }
-                let key = (t.to, t.msg.clone());
-                let j = *index.entry(key.clone()).or_insert_with(|| {
-                    states.push(key.clone());
-                    states.len() - 1
-                });
+                let j = *index
+                    .entry((t.to, t.msg.clone()))
+                    .or_insert_with_key(|key| {
+                        states.push(key.clone());
+                        states.len() - 1
+                    });
                 if t.kind != LinkKind::Static {
                     continue;
                 }
@@ -115,8 +127,8 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
                     stutter.entry(cur).or_default().push(j);
                     continue;
                 }
-                let (a, b) = (class_of(q), class_of(t.to));
-                let (Some(&ra), Some(&rb)) = (rank.get(&a), rank.get(&b)) else {
+                let b = class_of(t.to);
+                let (Some(ra), Some(&rb)) = (ra, rank.get(&b)) else {
                     return Err(format!(
                         "transition {q} -> {} touches an unranked class",
                         t.to
@@ -137,7 +149,7 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
         }
         // Stutter transitions are rank-neutral by construction; a cycle
         // among them is a real § 2 violation the ranks cannot see.
-        if let Some(s) = stutter_cycle(&stutter) {
+        if let Some(s) = stutter_cycle(&stutter, &mut color) {
             return Err(format!(
                 "static stutter cycle at {} (dst={dst})",
                 states[s].0
@@ -147,11 +159,15 @@ pub fn check_certificate<R: Symmetry + ?Sized>(rf: &R, cert: &Certificate) -> Re
     Ok(())
 }
 
-/// Three-color DFS over the sparse stutter adjacency of one destination.
-fn stutter_cycle(adj: &HashMap<usize, Vec<usize>>) -> Option<usize> {
+/// Three-color DFS over the sparse stutter adjacency of one destination
+/// (`color` is scratch, cleared here).
+fn stutter_cycle(
+    adj: &FxHashMap<usize, Vec<usize>>,
+    color: &mut FxHashMap<usize, u8>,
+) -> Option<usize> {
     let mut roots: Vec<usize> = adj.keys().copied().collect();
     roots.sort_unstable();
-    let mut color: HashMap<usize, u8> = HashMap::new();
+    color.clear();
     for &start in &roots {
         if color.contains_key(&start) {
             continue;

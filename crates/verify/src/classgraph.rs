@@ -22,9 +22,7 @@
 //! "stutter" transitions are invisible at the QDG level (matching
 //! `build_qdg`), no cycle among the static stutters the walk reports.
 
-use std::collections::HashMap;
-
-use fadr_qdg::graph::Digraph;
+use fadr_qdg::graph::{Digraph, QueueMemo};
 use fadr_qdg::hasher::{FxHashMap, FxHashSet};
 use fadr_qdg::sym::{QueueClass, Symmetry};
 use fadr_qdg::verify::Violation;
@@ -71,7 +69,7 @@ pub struct ClassGraph {
     /// Number of distinct dynamic class edges observed.
     pub dynamic_class_edges: usize,
     /// One concrete witness per distinct static class edge.
-    pub witnesses: HashMap<(usize, usize), EdgeWitness>,
+    pub witnesses: FxHashMap<(usize, usize), EdgeWitness>,
     /// One static-continuation witness per class, sorted by class.
     pub escapes: Vec<EscapeWitness>,
     /// The destinations explored.
@@ -85,15 +83,27 @@ pub struct ClassGraph {
 }
 
 impl ClassGraph {
-    fn intern(&mut self, c: QueueClass) -> usize {
-        if let Some(&i) = self.index.get(&c) {
-            return i;
-        }
-        let i = self.classes.len();
-        self.classes.push(c);
-        self.index.insert(c, i);
-        self.static_graph.ensure_vertex(i);
-        i
+    /// The dense index of `q`'s class, interning the class on first
+    /// sight. `memo` remembers each queue's index, so a transition costs
+    /// a `queue_class` call and a map probe only the first time its
+    /// queue is seen.
+    fn class_index<R: Symmetry + ?Sized>(
+        &mut self,
+        memo: &mut QueueMemo,
+        rf: &R,
+        q: QueueId,
+    ) -> usize {
+        let i = memo.get_or_insert_with(q, || {
+            let c = rf.queue_class(q);
+            let fresh = self.classes.len();
+            let i = *self.index.entry(c).or_insert(fresh);
+            if i == fresh {
+                self.classes.push(c);
+                self.static_graph.ensure_vertex(i);
+            }
+            u32::try_from(i).expect("class count fits u32")
+        });
+        i as usize
     }
 }
 
@@ -124,7 +134,7 @@ pub fn build<R: Symmetry + ?Sized>(rf: &R, force_all_dsts: bool) -> Result<Class
         index: FxHashMap::default(),
         static_graph: Digraph::default(),
         dynamic_class_edges: 0,
-        witnesses: HashMap::new(),
+        witnesses: FxHashMap::default(),
         escapes: Vec::new(),
         dsts: dsts.clone(),
         all_dsts,
@@ -132,7 +142,8 @@ pub fn build<R: Symmetry + ?Sized>(rf: &R, force_all_dsts: bool) -> Result<Class
         states_explored: 0,
     };
     let mut dynamic: FxHashSet<(usize, usize)> = FxHashSet::default();
-    let mut escapes: HashMap<usize, EscapeWitness> = HashMap::new();
+    let mut escapes: FxHashMap<usize, EscapeWitness> = FxHashMap::default();
+    let mut memo = QueueMemo::new(n, rf.num_classes());
     let mut walk = Walk::default();
     for &dst in &dsts {
         let stutter = walk.run(rf, dst, |q, msg, step| {
@@ -165,15 +176,14 @@ pub fn build<R: Symmetry + ?Sized>(rf: &R, force_all_dsts: bool) -> Result<Class
                 }
                 Step::Moves { ts, .. } => ts,
             };
-            let a = cg.intern(rf.queue_class(q));
+            let a = cg.class_index(&mut memo, rf, q);
             // A stutter holds its queue slot: no class edge (matching
             // `build_qdg`); the walk checks its state-level cycles.
             for t in ts.iter().filter(|t| t.to != q) {
-                let b = cg.intern(rf.queue_class(t.to));
+                let b = cg.class_index(&mut memo, rf, t.to);
                 match t.kind {
                     LinkKind::Static => {
-                        if !cg.static_graph.has_edge(a, b) {
-                            cg.static_graph.add_edge(a, b);
+                        if cg.static_graph.add_edge(a, b) {
                             cg.witnesses.insert(
                                 (a, b),
                                 EdgeWitness {

@@ -235,8 +235,9 @@ fn render_cycle(name: &str, cycle: &[QueueId]) -> String {
 
 #[cfg(test)]
 mod hasher {
-    //! The shared hasher (`fadr_qdg::hasher`) that the class graph and
-    //! [`Faulted`](crate::Faulted) key their maps with.
+    //! The shared hasher (`fadr_qdg::hasher`) that the class graph, the
+    //! certificate checker and [`Faulted`](crate::Faulted) key their
+    //! maps with.
 
     mod tests {
         use std::hash::Hasher;
@@ -250,6 +251,20 @@ mod hasher {
                 set.insert((i, i.wrapping_mul(3)));
             }
             assert_eq!(set.len(), 1000);
+        }
+
+        /// Keys that differ only above bit 28 must still spread over
+        /// the low bits a hash table picks its bucket from.
+        #[test]
+        fn high_bit_keys_spread_over_the_low_bits() {
+            let low: FxHashSet<u64> = (0..4096u64)
+                .map(|k| {
+                    let mut h = FxHasher::default();
+                    h.write_u64(k << 28);
+                    h.finish() & 0xfff
+                })
+                .collect();
+            assert!(low.len() >= 2048, "{} distinct low-bit values", low.len());
         }
 
         #[test]
