@@ -187,7 +187,7 @@ pub struct ObsArgs {
     /// candidates + longest blocked-chain depth in `--metrics-out`).
     pub waitgraph: bool,
     /// `--checkpoint-at CYCLE`: pause every run at this cycle, write a
-    /// `fadr-snapshot/2` file into `--checkpoint-dir`, then continue.
+    /// `fadr-snapshot/3` file into `--checkpoint-dir`, then continue.
     pub checkpoint_at: Option<u64>,
     /// `--checkpoint-dir DIR`: where `--checkpoint-at` snapshots go.
     pub checkpoint_dir: Option<PathBuf>,

@@ -1,4 +1,4 @@
-//! Snapshot replay: restore a `fadr-snapshot/2` checkpoint, rebuild the
+//! Snapshot replay: restore a `fadr-snapshot/3` checkpoint, rebuild the
 //! workload it was running from its metadata line, and re-execute —
 //! with a journal attached — to a target cycle or to completion. The
 //! journal of the replayed segment can then be diffed against a
@@ -416,7 +416,7 @@ mod tests {
         let text = sim.checkpoint("x algo=ecube-sbp n=3", &progress);
         assert_eq!(peek_meta(&text).unwrap().algo.name, "ecube-sbp");
         assert!(peek_meta("not a snapshot").is_err());
-        let old = text.replacen("fadr-snapshot/2", "fadr-snapshot/1", 1);
+        let old = text.replacen("fadr-snapshot/3", "fadr-snapshot/1", 1);
         assert!(peek_meta(&old).unwrap_err().contains("unsupported schema"));
         let cut = &text[..text.len() / 2];
         assert!(peek_meta(cut).unwrap_err().contains("at byte"));

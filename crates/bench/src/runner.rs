@@ -169,7 +169,7 @@ pub fn hypercube_scheme(algo: &str) -> Result<&'static Scheme, String> {
 }
 
 /// Flight-recorder checkpoint/resume policy (`--checkpoint-at` /
-/// `--resume-from`): every work unit either writes a `fadr-snapshot/2`
+/// `--resume-from`): every work unit either writes a `fadr-snapshot/3`
 /// file when it reaches a cycle (then continues in-process, so measured
 /// rows are unchanged), or restores its snapshot and resumes instead of
 /// running from cycle 0. Snapshot files are named `<label>.snap` where

@@ -1,6 +1,6 @@
 //! [`SnapshotMsg`] encodings for every routing-state type in this crate.
 //!
-//! The simulator's `fadr-snapshot/2` checkpoint format stores each
+//! The simulator's `fadr-snapshot/3` checkpoint format stores each
 //! in-flight packet's routing state as a short run of `u64` words; these
 //! impls define that encoding for the paper's algorithms and baselines.
 //! All encodings are exact round trips — `decode(encode(m)) == Some(m)` —

@@ -20,7 +20,6 @@ pub mod partition;
 pub mod record;
 pub mod stats;
 pub mod table;
-pub mod timeseries;
 
 pub use ci::{t_quantile_975, MeanCi, RunningStats, Verdict};
 pub use partition::PartitionStats;
@@ -30,4 +29,3 @@ pub use record::{
 };
 pub use stats::{Histogram, LatencyStats, LogHistogram};
 pub use table::Table;
-pub use timeseries::TimeSeries;

@@ -143,9 +143,8 @@ impl LatencyStats {
 /// single huge value — e.g. a corrupted timestamp difference — demand a
 /// multi-gigabyte allocation (or, on 32-bit targets, panic converting
 /// the value to an index). Values at or above [`Histogram::OVERFLOW_CAP`]
-/// therefore **saturate** into a single terminal overflow bucket
-/// (mirroring [`crate::TimeSeries::record`]'s window cap), and the
-/// histogram remembers it via [`Histogram::saturated`]. The overflow
+/// therefore **saturate** into a single terminal overflow bucket, and
+/// the histogram remembers it via [`Histogram::saturated`]. The overflow
 /// bucket mixes distinct values, so percentiles that land in it are
 /// lower bounds; check the flag before trusting the tail.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]

@@ -1,15 +1,14 @@
 //! Merge-algebra property tests for the per-lane sinks.
 //!
-//! The batched lane engine merges per-lane [`Histogram`]s,
-//! [`LatencyStats`], and [`TimeSeries`] into aggregate views; for those
-//! aggregates to be trustworthy the merge must be a commutative,
-//! associative monoid action that exactly equals accumulating the
-//! concatenated sample stream — including when values saturate into the
-//! terminal overflow bucket. These properties were verified by
-//! inspection (all-integer histogram state; time-series sums are exact
-//! f64 integer counts below 2⁵³); the tests here are regression guards.
+//! The batched lane engine merges per-lane [`Histogram`]s and
+//! [`LatencyStats`] into aggregate views; for those aggregates to be
+//! trustworthy the merge must be a commutative, associative monoid
+//! action that exactly equals accumulating the concatenated sample
+//! stream — including when values saturate into the terminal overflow
+//! bucket. These properties were verified by inspection (all-integer
+//! histogram state); the tests here are regression guards.
 
-use fadr_metrics::{Histogram, LatencyStats, TimeSeries};
+use fadr_metrics::{Histogram, LatencyStats};
 
 /// Deterministic LCG so the property inputs need no RNG dependency.
 struct Lcg(u64);
@@ -165,70 +164,4 @@ fn latency_stats_merge_with_empty_lanes() {
     assert_eq!(left, loaded);
     assert_eq!(right, loaded);
     assert_eq!(left.min(), 2);
-}
-
-#[test]
-fn timeseries_merge_equals_concatenated_events() {
-    // Integer event counts (the engine records 1.0 per delivery) merge
-    // exactly regardless of how deliveries are split across lanes.
-    let mut rng = Lcg(0x7157);
-    for lanes in [2usize, 7, 32] {
-        let mut seq = TimeSeries::new(8);
-        let mut per_lane: Vec<TimeSeries> = (0..lanes).map(|_| TimeSeries::new(8)).collect();
-        for _ in 0..2000 {
-            let t = rng.next() % 10_000;
-            let lane = (rng.next() as usize) % lanes;
-            seq.record(t, 1.0);
-            per_lane[lane].record(t, 1.0);
-        }
-        let mut merged = TimeSeries::new(8);
-        for ts in &per_lane {
-            merged.merge(ts);
-        }
-        assert_eq!(merged, seq, "R={lanes}: series merge ≠ concatenation");
-    }
-}
-
-#[test]
-fn timeseries_merge_commutative_and_associative_under_saturation() {
-    let mk = |times: &[u64]| {
-        let mut ts = TimeSeries::new(4);
-        for &t in times {
-            ts.record(t, 1.0);
-        }
-        ts
-    };
-    // b saturates (time far beyond MAX_WINDOWS · window).
-    let a = mk(&[0, 5, 9]);
-    let b = mk(&[2, u64::MAX]);
-    let c = mk(&[7, u64::MAX - 3]);
-
-    let mut ab = a.clone();
-    ab.merge(&b);
-    let mut ba = b.clone();
-    ba.merge(&a);
-    assert_eq!(ab, ba, "series merge not commutative");
-    assert!(ab.saturated());
-
-    let mut left = ab;
-    left.merge(&c);
-    let mut bc = b.clone();
-    bc.merge(&c);
-    let mut right = a.clone();
-    right.merge(&bc);
-    assert_eq!(left, right, "series merge not associative");
-    // Both saturating events landed in the terminal window.
-    assert_eq!(left.windows()[TimeSeries::MAX_WINDOWS - 1], 2.0);
-}
-
-#[test]
-fn timeseries_empty_is_merge_identity() {
-    let mut ts = TimeSeries::new(4);
-    ts.record(11, 1.0);
-    let mut left = TimeSeries::new(4);
-    left.merge(&ts);
-    let mut right = ts.clone();
-    right.merge(&TimeSeries::new(4));
-    assert_eq!(left, ts);
-    assert_eq!(right, ts);
 }

@@ -143,7 +143,7 @@ pub enum BufferClass {
 
 /// Fixed-width encoding of a message's routing state for engine snapshots.
 ///
-/// The simulator's checkpoint format (`fadr-snapshot/2`) serializes each
+/// The simulator's checkpoint format (`fadr-snapshot/3`) serializes each
 /// in-flight packet's [`RoutingFunction::Msg`] as a short sequence of `u64`
 /// words. Implementations must round-trip exactly: `decode(encode(m)) ==
 /// Some(m)`, and `decode` must reject word slices of the wrong length so a

@@ -147,7 +147,7 @@ impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Port<R, Rec, S> for 
     }
 
     fn link(&mut self, sim: &mut Simulator<R, Rec, S>) -> u64 {
-        sim.core.link_phase(&sim.rf, &mut sim.rec)
+        sim.core.link_phase(&mut sim.rec)
     }
 
     fn read(&mut self, sim: &mut Simulator<R, Rec, S>) {
@@ -390,7 +390,7 @@ where
         x.exchange(CycleSummary::default(), &pending);
         x.rank(&pending, 0, &mut uids)
     };
-    let (max_cycles, track) = (sim.core.cfg.max_cycles, sim.core.cfg.track_occupancy);
+    let max_cycles = sim.core.cfg.max_cycles;
     let mut last_delivery = sim.core.cycle;
     let mut links_since_delivery = 0u64;
     let (mut attempts, mut injected) = (0u64, 0u64);
@@ -449,9 +449,6 @@ where
         // --- Phase 2: link, read, publish -----------------------------
         let links = x.link(sim);
         x.read(sim);
-        if track {
-            sim.core.sample_occupancy(x.owned());
-        }
         if Rec::ENABLED && cfg.waitgraph {
             // Live wait-for-graph probe: collected only when a sink asks
             // for it.

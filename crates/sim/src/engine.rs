@@ -16,9 +16,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
-use fadr_metrics::{
-    LatencyStats, NoRecorder, Recorder, ShardRecorder, StallReport, TimeSeries, TraceState,
-};
+use fadr_metrics::{LatencyStats, NoRecorder, Recorder, ShardRecorder, StallReport, TraceState};
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, RoutingFunction, SnapshotMsg};
 use fadr_topology::NodeId;
 
@@ -107,92 +105,6 @@ pub struct DynamicResult {
     pub stop: StopReason,
 }
 
-/// Per-central-queue occupancy statistics, sampled once per routing
-/// cycle when [`crate::SimConfig::track_occupancy`] is set. Queues are
-/// indexed `node * num_classes + class`.
-///
-/// All state is integer, so [`OccupancyProbe::merge_shard`] is exact and
-/// `PartialEq` can assert bit-identity between a sequential probe and a
-/// merged sharded one.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct OccupancyProbe {
-    /// Peak occupancy per queue.
-    pub max: Vec<u16>,
-    /// Sum of sampled occupancies per queue (mean = sum / samples).
-    pub sum: Vec<u64>,
-    /// Number of samples taken.
-    pub samples: u64,
-}
-
-impl OccupancyProbe {
-    /// Mean occupancy of queue `(node, class)` over the run.
-    ///
-    /// Total: returns 0.0 when occupancy was never tracked (or the queue
-    /// index is out of range) instead of panicking.
-    pub fn mean(&self, node: usize, num_classes: usize, class: usize) -> f64 {
-        if self.samples == 0 {
-            return 0.0;
-        }
-        self.sum
-            .get(node * num_classes + class)
-            .map_or(0.0, |&s| s as f64 / self.samples as f64)
-    }
-
-    /// Peak occupancy of queue `(node, class)`.
-    ///
-    /// Total: returns 0 when occupancy was never tracked (or the queue
-    /// index is out of range) instead of panicking.
-    pub fn peak(&self, node: usize, num_classes: usize, class: usize) -> u16 {
-        self.max
-            .get(node * num_classes + class)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Number of queues tracked (`num_nodes * num_classes`; 0 when
-    /// occupancy was never tracked).
-    pub fn num_queues(&self) -> usize {
-        self.max.len()
-    }
-
-    /// Network-total mean occupancy per cycle: the sum of every queue's
-    /// mean, i.e. the average number of packets resident in central
-    /// queues across the run. Equals the sum of [`OccupancyProbe::mean`]
-    /// over all queues by construction.
-    pub fn total_mean(&self) -> f64 {
-        if self.samples == 0 {
-            return 0.0;
-        }
-        self.sum.iter().sum::<u64>() as f64 / self.samples as f64
-    }
-
-    /// Largest per-queue peak across the network. Note this is the max
-    /// of *per-queue* peaks (each possibly attained at a different
-    /// cycle), not the peak simultaneous network population.
-    pub fn total_peak(&self) -> u16 {
-        self.max.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Merge a sibling shard's probe from the same run. Each queue is
-    /// sampled by exactly one shard (the other shards leave it at zero),
-    /// so peaks combine by elementwise max and sums by elementwise add;
-    /// the sample count — one per cycle on every shard — takes the max
-    /// rather than the sum.
-    pub fn merge_shard(&mut self, other: &OccupancyProbe) {
-        if other.max.len() > self.max.len() {
-            self.max.resize(other.max.len(), 0);
-            self.sum.resize(other.sum.len(), 0);
-        }
-        for (a, &b) in self.max.iter_mut().zip(&other.max) {
-            *a = (*a).max(b);
-        }
-        for (a, &b) in self.sum.iter_mut().zip(&other.sum) {
-            *a += b;
-        }
-        self.samples = self.samples.max(other.samples);
-    }
-}
-
 impl DynamicResult {
     /// The paper's effective injection rate `I_r` (successes / attempts).
     pub fn injection_rate(&self) -> f64 {
@@ -275,8 +187,8 @@ pub enum Arrival {
 /// A source owns the option records a packet's hot row points into
 /// (`opt_start..opt_start + opt_len`) and decides how a packet's routing
 /// state starts, advances and arrives. Everything else — fill, link,
-/// read, enqueue, delivery, occupancy sampling, wait edges and fault
-/// surgery — is [`Core`]'s, written once.
+/// read, enqueue, delivery, wait edges and fault surgery — is
+/// [`Core`]'s, written once.
 ///
 /// The trait is public only so it can bound [`Simulator`]'s parameter:
 /// it lives in a private module, so no other crate can name or
@@ -372,7 +284,7 @@ pub struct Core<R: RoutingFunction, S: OptionSource<R>> {
     pub(crate) src: S,
     /// Central-queue occupancy, indexed `node * num_classes + class`.
     /// Queue *membership* lives in `node_fifo`; only the per-class counts
-    /// are needed for capacity checks and the occupancy probe.
+    /// are needed for capacity checks.
     pub(crate) queue_len: Vec<u32>,
     /// Per-node queued packets in FIFO-across-queues order, maintained
     /// incrementally: arrivals append at the back, stutters re-enqueue
@@ -410,9 +322,6 @@ pub struct Core<R: RoutingFunction, S: OptionSource<R>> {
     pub(crate) next_uid: u64,
     pub(crate) stats: LatencyStats,
     pub(crate) delivered: u64,
-    pub(crate) occupancy: OccupancyProbe,
-    pub(crate) minimality_violations: u64,
-    pub(crate) throughput: Option<TimeSeries>,
     /// The attached fault schedule, if any (survives resets; the per-run
     /// state in `faults` is rebuilt from it).
     pub(crate) fault_plan: Option<Arc<FaultPlan>>,
@@ -462,9 +371,6 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
             next_uid: 0,
             stats: LatencyStats::new(),
             delivered: 0,
-            occupancy: OccupancyProbe::default(),
-            minimality_violations: 0,
-            throughput: (cfg.throughput_window > 0).then(|| TimeSeries::new(cfg.throughput_window)),
             fault_plan: None,
             faults: None,
             partitioned: Vec::new(),
@@ -499,20 +405,12 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
         self.cycle = 0;
         self.stats = LatencyStats::new();
         self.delivered = 0;
-        self.occupancy = OccupancyProbe::default();
-        self.minimality_violations = 0;
         self.dropped = 0;
         self.partitioned.clear();
         self.faults = self
             .fault_plan
             .as_ref()
             .map(|p| FaultState::new(Arc::clone(p), &self.layout, self.num_classes));
-        self.throughput =
-            (self.cfg.throughput_window > 0).then(|| TimeSeries::new(self.cfg.throughput_window));
-        if self.cfg.track_occupancy {
-            self.occupancy.max = vec![0; self.queue_len.len()];
-            self.occupancy.sum = vec![0; self.queue_len.len()];
-        }
     }
 
     /// Whether node `v`'s injection buffer is free.
@@ -597,19 +495,6 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
             self.queue_len[w as usize * self.num_classes + usize::from(c)] as usize >= cap
         };
         self.wait_edges(&OwnedNodes::all(self.layout.num_nodes), &full)
-    }
-
-    /// Record one occupancy sample over the queues of `nodes` (a shard
-    /// samples only the node set it owns).
-    pub(crate) fn sample_occupancy(&mut self, nodes: &OwnedNodes) {
-        for v in nodes.iter() {
-            for q in v * self.num_classes..(v + 1) * self.num_classes {
-                let len = self.queue_len[q] as u16;
-                self.occupancy.max[q] = self.occupancy.max[q].max(len);
-                self.occupancy.sum[q] += u64::from(len);
-            }
-        }
-        self.occupancy.samples += 1;
     }
 
     /// Node cycle, part 1 (§ 7.1): "each node fills its output buffers
@@ -890,14 +775,14 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
     /// `chan_live` bitset word by word; the word snapshot is safe because
     /// [`Core::link_chan`] only ever *clears* live bits. Returns the
     /// number of packets that crossed.
-    pub(crate) fn link_phase<Rec: Recorder>(&mut self, rf: &R, rec: &mut Rec) -> u64 {
+    pub(crate) fn link_phase<Rec: Recorder>(&mut self, rec: &mut Rec) -> u64 {
         let mut links = 0;
         for w in 0..self.chan_live.num_words() {
             let mut bits = self.chan_live.word(w);
             while bits != 0 {
                 let chan = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                links += u64::from(self.link_chan(rf, chan, rec));
+                links += u64::from(self.link_chan(chan, rec));
             }
         }
         links
@@ -912,7 +797,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
     /// candidate at or after the round-robin pointer (wrapping below it),
     /// found with two trailing-zeros counts — exactly the buffer the
     /// rotating scan picks.
-    pub(crate) fn link_chan<Rec: Recorder>(&mut self, rf: &R, chan: usize, rec: &mut Rec) -> bool {
+    pub(crate) fn link_chan<Rec: Recorder>(&mut self, chan: usize, rec: &mut Rec) -> bool {
         if self.chan_pending[chan] == 0 {
             return false;
         }
@@ -976,7 +861,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
             // invariant, so an unrecorded run can deliver here and spare
             // the read pass the input-buffer round trip. Recorded runs
             // take the buffer path so the journal keeps its order.
-            self.deliver(rf, p, rec);
+            self.deliver(p, rec);
             return true;
         }
         self.fill_inbuf(b, p);
@@ -1089,7 +974,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
     ) -> bool {
         match S::arrival(self, rf, node, p, rec) {
             Arrival::Deliver => {
-                self.deliver(rf, p, rec);
+                self.deliver(p, rec);
                 true
             }
             Arrival::Enqueue(class) => self.enqueue_central(rf, node, p, class, true, rec),
@@ -1107,7 +992,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
         rec: &mut Rec,
     ) -> bool {
         if self.store.dst[p as usize] as usize == node {
-            self.deliver(rf, p, rec);
+            self.deliver(p, rec);
             return true;
         }
         let class = S::entry(self, rf, node, p);
@@ -1189,7 +1074,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
         !self.faults.as_ref().is_some_and(|f| f.is_node_dead(v))
     }
 
-    fn deliver<Rec: Recorder>(&mut self, rf: &R, p: u32, rec: &mut Rec) {
+    fn deliver<Rec: Recorder>(&mut self, p: u32, rec: &mut Rec) {
         let pi = p as usize;
         let h = self.store.hot[pi];
         let latency = 2 * (self.cycle - self.store.inject_cycle[pi]) + 1;
@@ -1202,18 +1087,7 @@ impl<R: RoutingFunction, S: OptionSource<R>> Core<R, S> {
                 h.class,
             );
         }
-        if self.cfg.check_minimality {
-            let d = rf
-                .topology()
-                .distance(self.store.src[pi] as usize, self.store.dst[pi] as usize);
-            if usize::from(h.hops) != d {
-                self.minimality_violations += 1;
-            }
-        }
         self.stats.record(latency);
-        if let Some(ts) = &mut self.throughput {
-            ts.record(self.cycle, 1.0);
-        }
         self.delivered += 1;
         self.free_packet(p);
     }
@@ -1937,12 +1811,6 @@ impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Simulator<R, Rec, S>
         driver::partitioned(std::slice::from_ref(self))
     }
 
-    /// Occupancy statistics of the last run (empty unless
-    /// [`crate::SimConfig::track_occupancy`] was set).
-    pub fn occupancy(&self) -> &OccupancyProbe {
-        &self.core.occupancy
-    }
-
     /// The attached event recorder.
     pub fn recorder(&self) -> &Rec {
         &self.rec
@@ -1957,19 +1825,6 @@ impl<R: RoutingFunction, Rec: Recorder, S: OptionSource<R>> Simulator<R, Rec, S>
     /// sink after a run).
     pub fn into_recorder(self) -> Rec {
         self.rec
-    }
-
-    /// Packets delivered with a hop count different from the topology
-    /// distance (0 for a correct minimal algorithm; only counted when
-    /// [`crate::SimConfig::check_minimality`] is set).
-    pub fn minimality_violations(&self) -> u64 {
-        self.core.minimality_violations
-    }
-
-    /// Delivered-packets time series of the last run, if
-    /// [`crate::SimConfig::throughput_window`] was non-zero.
-    pub fn throughput(&self) -> Option<&TimeSeries> {
-        self.core.throughput.as_ref()
     }
 
     /// The routing function under simulation.
@@ -2102,7 +1957,7 @@ impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec>
 where
     R::Msg: SnapshotMsg,
 {
-    /// Serialize the complete engine state as a `fadr-snapshot/2`
+    /// Serialize the complete engine state as a `fadr-snapshot/3`
     /// document. Only valid at the pause point a `*_until` run method
     /// stops at (cycle `P`, post-injection, pre-fault-application):
     /// there no packet is staged mid-move, so the placement alone
@@ -2128,19 +1983,16 @@ where
             next_uid: core.next_uid,
             delivered: core.delivered,
             dropped: core.dropped,
-            minviol: core.minimality_violations,
             chan_rr: core.chan_rr.clone(),
             fail: core.flaky_fail_counts(),
             stats: &core.stats,
-            occupancy: core.cfg.track_occupancy.then_some(&core.occupancy),
-            throughput: core.throughput.as_ref(),
         };
         let (n, _, nb, _) = g.dims;
         let packets = Loc::all(n, nb).flat_map(|loc| self.packets_at(loc));
         snapshot::assemble(meta, &g, packets, progress)
     }
 
-    /// Load a `fadr-snapshot/2` document, replacing the engine state
+    /// Load a `fadr-snapshot/3` document, replacing the engine state
     /// with the snapshot's. Returns the snapshot's meta label and the
     /// loop progress to feed into the matching `resume_*` run method.
     ///
@@ -2200,16 +2052,6 @@ where
         }
         if snap.cfg != core.cfg {
             return Err("snapshot configuration does not match the engine's".into());
-        }
-        if let Some(occ) = &snap.occupancy {
-            if occ.max.len() != n * nc || occ.sum.len() != n * nc {
-                return Err("snapshot occupancy table has the wrong shape".into());
-            }
-        }
-        if let Some(ts) = &snap.throughput {
-            if ts.window() != core.cfg.throughput_window {
-                return Err("snapshot throughput window differs from the configuration".into());
-            }
         }
         if snap.chan_rr.len() != nch {
             return Err("snapshot chan_rr table has the wrong length".into());
@@ -2337,12 +2179,11 @@ where
     /// Load a validated snapshot: reset, restore the global counters,
     /// replay the fault schedule up to the snapshot cycle, prime the
     /// recorder and place the packets whose location `owns` accepts.
-    /// Without `totals` the delivered, dropped and minimality counters
-    /// and the latency, occupancy and throughput accumulators stay
-    /// empty: a sharded driver loads them into one shard only. This and
-    /// [`Simulator::resettle_queued`], which must follow it, are the only
-    /// steps of a restore that mutate the engine or fire recorder hooks,
-    /// and neither can fail.
+    /// Without `totals` the delivered and dropped counters and the
+    /// latency statistics stay empty: a sharded driver loads them into
+    /// one shard only. This and [`Simulator::resettle_queued`], which
+    /// must follow it, are the only steps of a restore that mutate the
+    /// engine or fire recorder hooks, and neither can fail.
     pub(crate) fn commit_snapshot(
         &mut self,
         snap: &ParsedSnapshot<R::Msg>,
@@ -2356,14 +2197,7 @@ where
         if totals {
             core.delivered = snap.delivered;
             core.dropped = snap.dropped;
-            core.minimality_violations = snap.minviol;
             core.stats = snap.stats.clone();
-            if let Some(occ) = &snap.occupancy {
-                core.occupancy = occ.clone();
-            }
-            if let Some(ts) = &snap.throughput {
-                core.throughput = Some(ts.clone());
-            }
         }
         core.chan_rr.copy_from_slice(&snap.chan_rr);
         core.replay_faults(snap.cycle, &snap.fail);
@@ -2686,7 +2520,6 @@ mod tests {
             layout.fast_read = fast;
             let cfg = SimConfig {
                 fill_order,
-                track_occupancy: true,
                 ..SimConfig::default()
             };
             let journal = JournalSink::new(1 << 16);

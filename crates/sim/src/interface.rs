@@ -94,11 +94,11 @@ pub trait Engine {
 /// [`Simulator`] and the [`ShardedSimulator`]. A table-sourced simulator
 /// has no snapshot form, so asking it for one fails to compile.
 pub trait Snapshots: Engine {
-    /// Serialize the paused engine as a `fadr-snapshot/2` document
+    /// Serialize the paused engine as a `fadr-snapshot/3` document
     /// (byte-identical across engines; see [`Simulator::checkpoint`]).
     fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String;
 
-    /// Load a `fadr-snapshot/2` document written by either engine (see
+    /// Load a `fadr-snapshot/3` document written by either engine (see
     /// [`Simulator::restore`]).
     fn restore(&mut self, text: &str) -> Result<(String, RunProgress), String>;
 }

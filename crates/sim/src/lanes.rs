@@ -37,7 +37,7 @@
 //! the fill, link and read phases, enqueue, delivery and the recorder
 //! hooks are the same code every [`Simulator`] runs, so a table-sourced
 //! run is **bit-identical** to a computed run with the same seed — same
-//! delivered-packet journal, same histograms, same occupancy probe
+//! delivered-packet journal, same histograms
 //! (`tests/lane_equivalence.rs` and the fuzzer's table leg check it
 //! event for event).
 //!

@@ -45,7 +45,10 @@
 //! default [`NoRecorder`] is a zero-sized no-op whose empty inline hooks
 //! compile away entirely, so an uninstrumented `Simulator::new(..)` pays
 //! nothing. Attach sinks with [`Simulator::with_recorder`] — see
-//! [`SinkSet`] for the stock counter/trace/watchdog sinks.
+//! [`SinkSet`] for the stock counter/trace/watchdog sinks. Every
+//! measurement beyond a run's result is a sink: [`CounterSink`] keeps
+//! per-queue peak and mean occupancy, and `on_deliver` reports each
+//! packet's hop count.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -63,8 +66,7 @@ pub mod snapshot;
 mod store;
 
 pub use engine::{
-    DynamicOutcome, DynamicResult, OccupancyProbe, RunProgress, Simulator, StaticOutcome,
-    StaticResult, StopReason,
+    DynamicOutcome, DynamicResult, RunProgress, Simulator, StaticOutcome, StaticResult, StopReason,
 };
 pub use fadr_metrics::{
     json, Control, CounterSink, NoRecorder, PartitionStats, Recorder, ShardRecorder, SinkSet,
@@ -96,16 +98,6 @@ pub struct SimConfig {
     /// Order in which a node's output buffers are filled (ablation knob;
     /// the paper specifies low-to-high dimensions).
     pub fill_order: FillOrder,
-    /// Sample per-queue occupancy each cycle (small overhead; powers the
-    /// congestion-profile experiments).
-    pub track_occupancy: bool,
-    /// Count each packet's link hops and compare with the topology
-    /// distance at delivery, exposing `minimality_violations()` — an
-    /// at-scale check of the algorithms' minimality claims.
-    pub check_minimality: bool,
-    /// Record a delivered-packets time series with this window length
-    /// (in routing cycles); 0 disables it.
-    pub throughput_window: u64,
 }
 
 impl Default for SimConfig {
@@ -115,9 +107,6 @@ impl Default for SimConfig {
             seed: 0x5EED,
             max_cycles: 10_000_000,
             fill_order: FillOrder::LowToHigh,
-            track_occupancy: false,
-            check_minimality: false,
-            throughput_window: 0,
         }
     }
 }

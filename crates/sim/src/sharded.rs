@@ -66,7 +66,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 
-use fadr_metrics::{NoRecorder, PartitionStats, ShardRecorder, StallReport, TimeSeries};
+use fadr_metrics::{NoRecorder, PartitionStats, ShardRecorder, StallReport};
 use fadr_qdg::{RoutingFunction, SnapshotMsg};
 use fadr_topology::NodeId;
 
@@ -76,10 +76,7 @@ use crate::fault::FaultPlan;
 use crate::layout::Layout;
 use crate::partition::{OwnedNodes, Partition, PartitionStrategy};
 use crate::snapshot::{self, Loc, ParsedSnapshot};
-use crate::{
-    DynamicOutcome, DynamicResult, OccupancyProbe, RunProgress, SimConfig, StaticOutcome,
-    StaticResult,
-};
+use crate::{DynamicOutcome, DynamicResult, RunProgress, SimConfig, StaticOutcome, StaticResult};
 
 /// Locks a mutex, ignoring poisoning: mailbox state is phase-owned (a
 /// panicking sibling is surfaced through the barrier instead).
@@ -381,7 +378,7 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Port<R, Rec, Computed<R>> for Threa
         let mut cursor = vec![0usize; inboxes.len()];
         for &(chan, sf) in &self.plan.exec[sid] {
             if sf as usize == sid {
-                links += u64::from(sim.core.link_chan(&sim.rf, chan as usize, &mut sim.rec));
+                links += u64::from(sim.core.link_chan(chan as usize, &mut sim.rec));
                 continue;
             }
             let f = sf as usize;
@@ -472,8 +469,8 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Port<R, Rec, Computed<R>> for Threa
 /// A sharded drop-in for [`Simulator`]: same experiments, same results,
 /// one thread per shard. See the module docs for the equivalence
 /// argument; the shard-equivalence test suite asserts bit-identity of
-/// statistics, traces, occupancy, and throughput against the sequential
-/// engine for every routing family in the table set.
+/// results and recorded sinks (counters, occupancy, journals) against
+/// the sequential engine for every routing family in the table set.
 ///
 /// ```
 /// use fadr_core::HypercubeFullyAdaptive;
@@ -636,42 +633,6 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
     /// aborted it.
     pub fn stall_report(&self) -> Option<&StallReport> {
         self.shards[0].stall_report()
-    }
-
-    /// Merged occupancy statistics of the last run (empty unless
-    /// [`crate::SimConfig::track_occupancy`] was set). Each queue is
-    /// sampled by exactly one shard, so the merge is exact.
-    pub fn occupancy(&self) -> OccupancyProbe {
-        let mut probe = self.shards[0].occupancy().clone();
-        for sim in &self.shards[1..] {
-            probe.merge_shard(sim.occupancy());
-        }
-        probe
-    }
-
-    /// Total minimality violations across shards (only counted when
-    /// [`crate::SimConfig::check_minimality`] is set).
-    pub fn minimality_violations(&self) -> u64 {
-        self.shards
-            .iter()
-            .map(Simulator::minimality_violations)
-            .sum()
-    }
-
-    /// Merged delivered-packets time series of the last run, if
-    /// [`crate::SimConfig::throughput_window`] was non-zero. Per-shard
-    /// windows hold integer delivery counts, so the merge is exact.
-    pub fn throughput(&self) -> Option<TimeSeries> {
-        let mut merged: Option<TimeSeries> = None;
-        for sim in &self.shards {
-            if let Some(ts) = sim.throughput() {
-                match &mut merged {
-                    Some(m) => m.merge(ts),
-                    None => merged = Some(ts.clone()),
-                }
-            }
-        }
-        merged
     }
 
     /// Consume the simulator and merge the per-shard recorders in fixed
@@ -904,7 +865,7 @@ where
     }
 
     /// Sharded equivalent of [`Simulator::checkpoint`]: serialize the
-    /// merged engine state as a `fadr-snapshot/2` document, byte-for-byte
+    /// merged engine state as a `fadr-snapshot/3` document, byte-for-byte
     /// equal to what a sequential engine paused at the same cycle writes.
     #[must_use]
     pub fn checkpoint(&self, meta: &str, progress: &RunProgress) -> String {
@@ -925,8 +886,6 @@ where
         }
         fail.sort_unstable();
         let stats = driver::merged_stats(&self.shards);
-        let occupancy = self.cfg.track_occupancy.then(|| self.occupancy());
-        let throughput = self.throughput();
         let g = snapshot::Globals {
             cfg: &self.cfg,
             dims: (n, self.shards[0].core.num_classes, nb, nch),
@@ -934,12 +893,9 @@ where
             next_uid: self.shards[0].core.next_uid,
             delivered: driver::delivered(&self.shards),
             dropped: driver::dropped(&self.shards),
-            minviol: self.minimality_violations(),
             chan_rr,
             fail,
             stats: &stats,
-            occupancy: occupancy.as_ref(),
-            throughput: throughput.as_ref(),
         };
         let packets = Loc::all(n, nb).flat_map(|loc| {
             self.shards[Self::loc_shard(&self.plan, &self.layout, loc)].packets_at(loc)
@@ -948,13 +904,13 @@ where
     }
 
     /// Sharded equivalent of [`Simulator::restore`]: load a
-    /// `fadr-snapshot/2` document (from either engine), placing each
+    /// `fadr-snapshot/3` document (from either engine), placing each
     /// packet in the shard that holds its location. Merged global state
-    /// (latency statistics, occupancy, throughput, delivered/dropped
-    /// totals) is carried by shard 0 — the merge accessors and the
-    /// resumed workers' replicated counters reassemble the totals. The
-    /// whole document is validated before any shard changes, so on error
-    /// every shard and recorder is left untouched.
+    /// (latency statistics, delivered/dropped totals) is carried by
+    /// shard 0 — the merge accessors and the resumed workers' replicated
+    /// counters reassemble the totals. The whole document is validated
+    /// before any shard changes, so on error every shard and recorder is
+    /// left untouched.
     ///
     /// The shards recompute their queued packets' routing options on one
     /// thread each, as a run does. Under a fault plan this recompute

@@ -1,4 +1,4 @@
-//! The `fadr-snapshot/2` checkpoint format: the complete engine state at
+//! The `fadr-snapshot/3` checkpoint format: the complete engine state at
 //! a pause point as one JSON document on one line, written with the
 //! writer pieces of `fadr_metrics::json` and read by its strict
 //! [`Reader`] (DESIGN.md §§ 13 and 18).
@@ -15,18 +15,15 @@
 //! so none of it is stored; restore recomputes it.
 //!
 //! ```text
-//! {"schema": "fadr-snapshot/2", "meta": "<label>",
-//!  "cfg": {"queue_capacity": C, "seed": S, "max_cycles": M, "fill_order": F,
-//!          "track_occupancy": 0|1, "check_minimality": 0|1, "throughput_window": W},
+//! {"schema": "fadr-snapshot/3", "meta": "<label>",
+//!  "cfg": {"queue_capacity": C, "seed": S, "max_cycles": M, "fill_order": F},
 //!  "layout": {"nodes": N, "classes": K, "buffers": B, "channels": H},
-//!  "state": {"cycle": P, "next_uid": U, "delivered": D, "dropped": X, "minviol": V},
+//!  "state": {"cycle": P, "next_uid": U, "delivered": D, "dropped": X},
 //!  "packets": [[loc, at, src, dst, uid, hops, inject, enqueued, moved,
 //!               class, next_class, escape, msg words…], …],
 //!  "chan_rr": [r, …], "fail": [[chan, count], …],
 //!  "stats": {"count": n, "sum": [high, low], "min": a, "max": b,
 //!            "saturated": 0|1, "hist": [[latency, count], …]},
-//!  "occupancy": {"samples": s, "max": […], "sum": […]},          (when tracked)
-//!  "throughput": {"window": W, "saturated": 0|1, "sums": [f64 bits, …]},  (when kept)
 //!  "progress": {"kind": "static", "lost": L, "next_idx": […]}
 //!            | {"kind": "dynamic", "attempts": A, "injected": I}}
 //! ```
@@ -38,9 +35,8 @@
 //! canonical order (`Loc::all`), so a sharded checkpoint (assembled
 //! from the owning shards) is **byte-identical** to the sequential
 //! engine's at the same cycle. The `u128` latency sum is two `u64`
-//! words, an absent `min`, `max`, `occupancy` or `throughput` is an
-//! absent key, throughput sums are `f64` bit patterns, and flags are 0
-//! or 1.
+//! words, an absent `min` or `max` is an absent key, and flags are 0 or
+//! 1. Every top-level key is required.
 //!
 //! Every number goes through [`Reader::u64`], so every syntax error ends
 //! in `at byte N`; a value that does not fit its field is an error
@@ -50,15 +46,15 @@
 use std::fmt::{self, Write as _};
 
 use fadr_metrics::json::{self, Quoted, Reader, Seen};
-use fadr_metrics::{Histogram, LatencyStats, TimeSeries};
+use fadr_metrics::{Histogram, LatencyStats};
 use fadr_qdg::SnapshotMsg;
 
-use crate::engine::{OccupancyProbe, RunProgress};
+use crate::engine::RunProgress;
 use crate::store::PacketInit;
 use crate::{FillOrder, SimConfig};
 
 /// Schema tag of the only supported version.
-const SCHEMA: &str = "fadr-snapshot/2";
+const SCHEMA: &str = "fadr-snapshot/3";
 
 /// Where a serialized packet sits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -100,14 +96,11 @@ pub(crate) struct ParsedSnapshot<M> {
     pub(crate) next_uid: u64,
     pub(crate) delivered: u64,
     pub(crate) dropped: u64,
-    pub(crate) minviol: u64,
     pub(crate) packets: Vec<(Loc, PacketInit<M>)>,
     pub(crate) chan_rr: Vec<u16>,
     /// Sparse flaky-link consecutive-down counters.
     pub(crate) fail: Vec<(u32, u32)>,
     pub(crate) stats: LatencyStats,
-    pub(crate) occupancy: Option<OccupancyProbe>,
-    pub(crate) throughput: Option<TimeSeries>,
     pub(crate) progress: RunProgress,
 }
 
@@ -122,12 +115,9 @@ pub(crate) struct Globals<'a> {
     pub(crate) next_uid: u64,
     pub(crate) delivered: u64,
     pub(crate) dropped: u64,
-    pub(crate) minviol: u64,
     pub(crate) chan_rr: Vec<u16>,
     pub(crate) fail: Vec<(u32, u32)>,
     pub(crate) stats: &'a LatencyStats,
-    pub(crate) occupancy: Option<&'a OccupancyProbe>,
-    pub(crate) throughput: Option<&'a TimeSeries>,
 }
 
 fn fill_order_code(f: FillOrder) -> u8 {
@@ -176,24 +166,19 @@ pub(crate) fn assemble<M: SnapshotMsg>(
     let _ = write!(
         out,
         "{{\"schema\": {}, \"meta\": {}, \"cfg\": {{\"queue_capacity\": {}, \"seed\": {}, \
-         \"max_cycles\": {}, \"fill_order\": {}, \"track_occupancy\": {}, \
-         \"check_minimality\": {}, \"throughput_window\": {}}}, \"layout\": {{\"nodes\": {n}, \
+         \"max_cycles\": {}, \"fill_order\": {}}}, \"layout\": {{\"nodes\": {n}, \
          \"classes\": {nc}, \"buffers\": {nb}, \"channels\": {nch}}}, \"state\": {{\"cycle\": {}, \
-         \"next_uid\": {}, \"delivered\": {}, \"dropped\": {}, \"minviol\": {}}}, \"packets\": ",
+         \"next_uid\": {}, \"delivered\": {}, \"dropped\": {}}}, \"packets\": ",
         Quoted(SCHEMA),
         Quoted(meta),
         c.queue_capacity,
         c.seed,
         c.max_cycles,
         fill_order_code(c.fill_order),
-        u8::from(c.track_occupancy),
-        u8::from(c.check_minimality),
-        c.throughput_window,
         g.cycle,
         g.next_uid,
         g.delivered,
         g.dropped,
-        g.minviol,
     );
     let mut words = Vec::new();
     json::list(&mut out, packets, |out, (loc, p)| {
@@ -244,27 +229,6 @@ pub(crate) fn assemble<M: SnapshotMsg>(
         nums(out, [v, count])
     });
     out.push('}');
-    if let Some(occ) = g.occupancy {
-        let _ = write!(
-            out,
-            ", \"occupancy\": {{\"samples\": {}, \"max\": ",
-            occ.samples
-        );
-        let _ = nums(&mut out, &occ.max);
-        out.push_str(", \"sum\": ");
-        let _ = nums(&mut out, &occ.sum);
-        out.push('}');
-    }
-    if let Some(ts) = g.throughput {
-        let _ = write!(
-            out,
-            ", \"throughput\": {{\"window\": {}, \"saturated\": {}, \"sums\": ",
-            ts.window(),
-            u8::from(ts.saturated())
-        );
-        let _ = nums(&mut out, ts.windows().iter().map(|w| w.to_bits()));
-        out.push('}');
-    }
     match progress {
         RunProgress::Static { next_idx, lost } => {
             let _ = write!(
@@ -287,21 +251,9 @@ pub(crate) fn assemble<M: SnapshotMsg>(
 
 // --- Parsing ----------------------------------------------------------
 
-/// The top-level keys, required unless optional (`occupancy`,
-/// `throughput`).
-const KEYS: [&str; 12] = [
-    "schema",
-    "meta",
-    "cfg",
-    "layout",
-    "state",
-    "packets",
-    "chan_rr",
-    "fail",
-    "stats",
-    "occupancy",
-    "throughput",
-    "progress",
+/// The top-level keys, all required.
+const KEYS: [&str; 10] = [
+    "schema", "meta", "cfg", "layout", "state", "packets", "chan_rr", "fail", "stats", "progress",
 ];
 
 /// `v` as a `T`; `what` names the field in a range error.
@@ -374,7 +326,7 @@ fn record<const N: usize>(
     Ok(vals)
 }
 
-/// Parse a full `fadr-snapshot/2` document.
+/// Parse a full `fadr-snapshot/3` document.
 pub(crate) fn parse<M: SnapshotMsg>(text: &str) -> Result<ParsedSnapshot<M>, String> {
     let mut snap = ParsedSnapshot {
         meta: String::new(),
@@ -384,13 +336,10 @@ pub(crate) fn parse<M: SnapshotMsg>(text: &str) -> Result<ParsedSnapshot<M>, Str
         next_uid: 0,
         delivered: 0,
         dropped: 0,
-        minviol: 0,
         packets: Vec::new(),
         chan_rr: Vec::new(),
         fail: Vec::new(),
         stats: LatencyStats::new(),
-        occupancy: None,
-        throughput: None,
         progress: RunProgress::Dynamic {
             attempts: 0,
             injected: 0,
@@ -419,14 +368,9 @@ pub(crate) fn parse<M: SnapshotMsg>(text: &str) -> Result<ParsedSnapshot<M>, Str
                 );
             }
             4 => {
-                let keys = ["cycle", "next_uid", "delivered", "dropped", "minviol"];
-                [
-                    snap.cycle,
-                    snap.next_uid,
-                    snap.delivered,
-                    snap.dropped,
-                    snap.minviol,
-                ] = record(r, &keys, "state")?;
+                let keys = ["cycle", "next_uid", "delivered", "dropped"];
+                [snap.cycle, snap.next_uid, snap.delivered, snap.dropped] =
+                    record(r, &keys, "state")?;
             }
             5 => r.array(|r| {
                 words(r, &mut scratch)?;
@@ -441,23 +385,16 @@ pub(crate) fn parse<M: SnapshotMsg>(text: &str) -> Result<ParsedSnapshot<M>, Str
                 }
             }
             8 => snap.stats = read_stats(r)?,
-            9 => snap.occupancy = Some(read_occupancy(r)?),
-            10 => snap.throughput = Some(read_throughput(r)?),
             _ => snap.progress = read_progress(r)?,
         }
         Ok(())
     })?;
     r.end()?;
-    match KEYS
-        .iter()
-        .find(|&&k| !seen.has(k) && k != "occupancy" && k != "throughput")
-    {
-        Some(k) => Err(format!("snapshot missing {k:?}")),
-        None => Ok(snap),
-    }
+    require(&seen, &KEYS, "snapshot")?;
+    Ok(snap)
 }
 
-/// The `meta` label of a `fadr-snapshot/2` document, read without an
+/// The `meta` label of a `fadr-snapshot/3` document, read without an
 /// engine: the whole document is parsed, message words undecoded.
 pub fn meta(text: &str) -> Result<String, String> {
     parse::<Undecoded>(text).map(|s| s.meta)
@@ -475,25 +412,14 @@ impl SnapshotMsg for Undecoded {
 }
 
 fn read_cfg(r: &mut Reader<'_>) -> Result<SimConfig, String> {
-    let keys = [
-        "queue_capacity",
-        "seed",
-        "max_cycles",
-        "fill_order",
-        "track_occupancy",
-        "check_minimality",
-        "throughput_window",
-    ];
-    let [cap, seed, max_cycles, fill, occ, minim, throughput_window] = record(r, &keys, "cfg")?;
+    let keys = ["queue_capacity", "seed", "max_cycles", "fill_order"];
+    let [cap, seed, max_cycles, fill] = record(r, &keys, "cfg")?;
     Ok(SimConfig {
         queue_capacity: narrow(cap, "queue_capacity")?,
         seed,
         max_cycles,
         fill_order: fill_order_from(fill)
             .ok_or_else(|| format!("fill_order {fill} out of range"))?,
-        track_occupancy: flag(occ, "track_occupancy")?,
-        check_minimality: flag(minim, "check_minimality")?,
-        throughput_window,
     })
 }
 
@@ -557,44 +483,6 @@ fn read_stats(r: &mut Reader<'_>) -> Result<LatencyStats, String> {
     ))
 }
 
-fn read_occupancy(r: &mut Reader<'_>) -> Result<OccupancyProbe, String> {
-    let keys = ["samples", "max", "sum"];
-    let mut occ = OccupancyProbe::default();
-    let seen = r.object(&keys, |slot, r| {
-        match slot {
-            0 => occ.samples = r.u64()?,
-            1 => occ.max = nums_of(r, "occupancy max")?,
-            _ => words(r, &mut occ.sum)?,
-        }
-        Ok(())
-    })?;
-    require(&seen, &keys, "occupancy")?;
-    Ok(occ)
-}
-
-fn read_throughput(r: &mut Reader<'_>) -> Result<TimeSeries, String> {
-    let keys = ["window", "saturated", "sums"];
-    let (mut window, mut saturated, mut sums) = (0, 0, Vec::new());
-    let seen = r.object(&keys, |slot, r| {
-        match slot {
-            0 => window = r.u64()?,
-            1 => saturated = r.u64()?,
-            _ => words(r, &mut sums)?,
-        }
-        Ok(())
-    })?;
-    require(&seen, &keys, "throughput")?;
-    if window == 0 {
-        return Err("zero throughput window".into());
-    }
-    if sums.len() > TimeSeries::MAX_WINDOWS {
-        return Err("too many throughput windows".into());
-    }
-    let saturated = flag(saturated, "throughput saturated")?;
-    let sums = sums.into_iter().map(f64::from_bits).collect();
-    Ok(TimeSeries::from_raw(window, sums, saturated))
-}
-
 fn read_progress(r: &mut Reader<'_>) -> Result<RunProgress, String> {
     let keys = ["kind", "lost", "next_idx", "attempts", "injected"];
     let (mut kind, mut vals, mut next_idx) = ("", [0; 5], Vec::new());
@@ -643,14 +531,6 @@ mod tests {
         }
     }
 
-    /// Two windows, the first summing to 1.0 (bits 4607182418800017408).
-    fn sample_series() -> TimeSeries {
-        let mut ts = TimeSeries::new(10);
-        ts.record(3, 1.0);
-        ts.record(17, 0.1 + 0.2); // not exactly representable — bit fidelity matters
-        ts
-    }
-
     /// Write `snap` back out (what `checkpoint` writes for its state).
     fn assemble_parsed<M: SnapshotMsg + Clone>(snap: &ParsedSnapshot<M>) -> String {
         let g = Globals {
@@ -660,18 +540,15 @@ mod tests {
             next_uid: snap.next_uid,
             delivered: snap.delivered,
             dropped: snap.dropped,
-            minviol: snap.minviol,
             chan_rr: snap.chan_rr.clone(),
             fail: snap.fail.clone(),
             stats: &snap.stats,
-            occupancy: snap.occupancy.as_ref(),
-            throughput: snap.throughput.as_ref(),
         };
         assemble(&snap.meta, &g, snap.packets.iter().cloned(), &snap.progress)
     }
 
     /// A snapshot carrying every record kind: one queued packet, a fail
-    /// counter, latency stats, occupancy and a throughput series.
+    /// counter and latency stats.
     fn sample_text() -> String {
         let mut stats = LatencyStats::new();
         stats.record(7);
@@ -689,17 +566,7 @@ mod tests {
             escape: false,
             msg: TestMsg(9),
         };
-        let cfg = SimConfig {
-            track_occupancy: true,
-            throughput_window: 10,
-            ..SimConfig::default()
-        };
-        let occupancy = OccupancyProbe {
-            max: vec![0, 2],
-            sum: vec![0, 5],
-            samples: 13,
-        };
-        let ts = sample_series();
+        let cfg = SimConfig::default();
         let g = Globals {
             cfg: &cfg,
             dims: (8, 2, 64, 24),
@@ -707,12 +574,9 @@ mod tests {
             next_uid: 43,
             delivered: 40,
             dropped: 1,
-            minviol: 0,
             chan_rr: vec![0, 3, 1],
             fail: vec![(2, 1)],
             stats: &stats,
-            occupancy: Some(&occupancy),
-            throughput: Some(&ts),
         };
         let progress = RunProgress::Static {
             next_idx: vec![5, 5, 6],
@@ -746,7 +610,6 @@ mod tests {
         assert_eq!(snap.fail, vec![(2, 1)]);
         assert_eq!(snap.stats.count(), 2);
         assert_eq!(snap.stats.min_opt(), Some(7));
-        assert_eq!(snap.occupancy.as_ref().map(|o| o.samples), Some(13));
         assert_eq!(
             snap.progress,
             RunProgress::Static {
@@ -776,7 +639,6 @@ mod tests {
     #[test]
     fn non_canonical_numbers_rejected() {
         let text = sample_text();
-        let one = f64::to_bits(1.0).to_string();
         // (text before the number, the number, its replacement)
         for (before, from, to) in [
             ("\"cycle\": ", "13", "+13"),
@@ -785,7 +647,6 @@ mod tests {
             (", 0, 0, ", "9]]", "09]]"),
             ("\"sum\": [", "0", "+0"),
             ("\"min\": ", "7", "+7"),
-            ("\"sums\": [", &one, &format!("+{one}")),
         ] {
             let key = format!("{before}{from}");
             let at = text
@@ -801,9 +662,14 @@ mod tests {
     #[test]
     fn wrong_magic_rejected() {
         assert!(parse::<TestMsg>("fadr-snapshot/9\n").is_err());
-        let text = sample_text().replacen("fadr-snapshot/2", "fadr-snapshot/1", 1);
-        let err = parse::<TestMsg>(&text).unwrap_err();
-        assert!(err.contains("unsupported schema"), "{err}");
+        for old in ["fadr-snapshot/1", "fadr-snapshot/2"] {
+            let text = sample_text().replacen(SCHEMA, old, 1);
+            let err = parse::<TestMsg>(&text).unwrap_err();
+            assert!(
+                err.starts_with(&format!("unsupported schema \"{old}\"")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -816,25 +682,14 @@ mod tests {
                 "packet hops",
             ),
             ("\"chan_rr\": [0,", "\"chan_rr\": [65536,", "chan_rr value"),
-            ("\"max\": [0,", "\"max\": [65536,", "occupancy max"),
             ("\"fail\": [[2,", "\"fail\": [[4294967296,", "fail channel"),
-            (
-                "\"track_occupancy\": 1",
-                "\"track_occupancy\": 2",
-                "track_occupancy",
-            ),
+            ("\"fill_order\": 0", "\"fill_order\": 3", "fill_order"),
+            ("\"saturated\": 0", "\"saturated\": 2", "stats saturated"),
         ] {
             assert!(text.contains(from), "sample has no {from:?}");
             let err = parse::<TestMsg>(&text.replacen(from, to, 1)).unwrap_err();
             assert!(err.starts_with(field), "{to:?}: {err}");
         }
-    }
-
-    #[test]
-    fn throughput_sums_round_trip_bitwise() {
-        let text = sample_text();
-        let snap: ParsedSnapshot<TestMsg> = parse(&text).expect("parses");
-        assert_eq!(snap.throughput.as_ref(), Some(&sample_series()));
     }
 
     /// The byte-mutation recipe of `crates/fuzz/tests/inputs.rs` on a

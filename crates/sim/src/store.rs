@@ -58,7 +58,7 @@ pub struct Hot {
     /// The packet's current hop is a degraded-mode escape move (see
     /// [`crate::fault`]).
     pub(crate) escape: bool,
-    /// Link hops taken so far (for the minimality check).
+    /// Link hops taken so far (reported with the delivery event).
     pub(crate) hops: u16,
 }
 

@@ -1,11 +1,14 @@
 //! Calibration and behavioural tests of the simulator against the paper's
 //! § 7 methodology and the closed-form cases its tables imply.
 
+use std::collections::HashMap;
+
 use fadr_core::{
     EcubeSbp, HypercubeFullyAdaptive, HypercubeStaticHang, MeshFullyAdaptive, MeshXY,
     ShuffleExchangeRouting, TorusTwoPhase,
 };
-use fadr_sim::{SimConfig, Simulator};
+use fadr_qdg::RoutingFunction;
+use fadr_sim::{Recorder, SimConfig, Simulator};
 use fadr_topology::{hamming_distance, Topology};
 use fadr_workloads::{static_backlog, Pattern};
 use rand::rngs::StdRng;
@@ -364,38 +367,69 @@ fn low_lambda_dynamic_is_nearly_uncongested() {
     assert!(res.injection_rate() > 0.99);
 }
 
+/// Counts delivered packets whose hop count differs from the topology
+/// distance between their endpoints, from the event stream alone.
+struct HopCheck<'t> {
+    topo: &'t dyn Topology,
+    /// `(src, dst)` of every packet in flight, by packet id.
+    endpoints: HashMap<u64, (u32, u32)>,
+    violations: u64,
+}
+
+impl<'t> HopCheck<'t> {
+    fn new(topo: &'t dyn Topology) -> Self {
+        Self {
+            topo,
+            endpoints: HashMap::new(),
+            violations: 0,
+        }
+    }
+}
+
+impl Recorder for HopCheck<'_> {
+    fn on_inject(&mut self, _cycle: u64, pkt: u64, src: u32, dst: u32) {
+        self.endpoints.insert(pkt, (src, dst));
+    }
+
+    fn on_deliver(&mut self, _cycle: u64, pkt: u64, _latency: u64, hops: u32, _class: u8) {
+        let (src, dst) = self
+            .endpoints
+            .remove(&pkt)
+            .expect("delivered packet was injected");
+        if hops as usize != self.topo.distance(src as usize, dst as usize) {
+            self.violations += 1;
+        }
+    }
+}
+
 /// At-scale minimality: on a 1024-node cube under loaded random traffic,
 /// every delivered packet took exactly Hamming-distance hops.
 #[test]
 fn minimality_holds_at_scale() {
     let n = 10;
     let size = 1usize << n;
-    let config = SimConfig {
-        check_minimality: true,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(HypercubeFullyAdaptive::new(n), config);
+    let rf = HypercubeFullyAdaptive::new(n);
+    let check = HopCheck::new(rf.topology());
+    let mut sim = Simulator::with_recorder(rf, SimConfig::default(), check);
     let mut rng = StdRng::seed_from_u64(41);
     let backlog = static_backlog(&Pattern::Random, size, 3, &mut rng);
     let res = sim.run_static(&backlog);
     assert!(res.drained);
-    assert_eq!(sim.minimality_violations(), 0);
+    assert_eq!(sim.recorder().violations, 0);
 }
 
 /// The shuffle-exchange is *not* minimal: its hop counts legitimately
-/// exceed the BFS distance, and the counter reports that.
+/// exceed the BFS distance, and the event stream shows that.
 #[test]
 fn shuffle_exchange_is_detectably_non_minimal() {
     let n = 4;
     let size = 1usize << n;
-    let config = SimConfig {
-        check_minimality: true,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(ShuffleExchangeRouting::new(n), config);
+    let rf = ShuffleExchangeRouting::new(n);
+    let check = HopCheck::new(rf.topology());
+    let mut sim = Simulator::with_recorder(rf, SimConfig::default(), check);
     let mut rng = StdRng::seed_from_u64(43);
     let backlog = static_backlog(&Pattern::Random, size, 2, &mut rng);
     let res = sim.run_static(&backlog);
     assert!(res.drained);
-    assert!(sim.minimality_violations() > 0);
+    assert!(sim.recorder().violations > 0);
 }

@@ -4,7 +4,7 @@
 
 use fadr_core::{HypercubeFullyAdaptive, MeshFullyAdaptive, ShuffleExchangeRouting};
 use fadr_qdg::RoutingFunction;
-use fadr_sim::{FillOrder, SimConfig, Simulator};
+use fadr_sim::{CounterSink, FillOrder, SimConfig, Simulator};
 use fadr_topology::{hamming_distance, Topology};
 use fadr_workloads::{static_backlog, Pattern};
 use rand::rngs::StdRng;
@@ -27,7 +27,7 @@ fn latency_lower_bound_holds_under_load() {
 }
 
 /// Central queues never exceed their configured capacity (checked via
-/// the occupancy probe's peak).
+/// a `CounterSink`'s per-queue peak).
 #[test]
 fn queue_capacity_is_enforced() {
     for cap in [1usize, 2, 5] {
@@ -35,20 +35,20 @@ fn queue_capacity_is_enforced() {
         let size = 1usize << n;
         let cfg = SimConfig {
             queue_capacity: cap,
-            track_occupancy: true,
             ..SimConfig::default()
         };
-        let mut sim = Simulator::new(HypercubeFullyAdaptive::new(n), cfg);
+        let counters = CounterSink::new(size, 2);
+        let mut sim = Simulator::with_recorder(HypercubeFullyAdaptive::new(n), cfg, counters);
         let mut rng = StdRng::seed_from_u64(5);
         let backlog = static_backlog(&Pattern::complement(n), size, n, &mut rng);
         assert!(sim.run_static(&backlog).drained);
-        let probe = sim.occupancy();
+        let probe = sim.recorder();
         for v in 0..size {
             for c in 0..2 {
                 assert!(
-                    usize::from(probe.peak(v, 2, c)) <= cap,
+                    probe.queue_peak(v, c) as usize <= cap,
                     "cap {cap} exceeded at node {v} class {c}: {}",
-                    probe.peak(v, 2, c)
+                    probe.queue_peak(v, c)
                 );
             }
         }
@@ -176,26 +176,25 @@ fn se_stutter_migrates_between_class_queues() {
     for cap in [1usize, 2, 5] {
         let cfg = SimConfig {
             queue_capacity: cap,
-            track_occupancy: true,
             seed: 0x5e5e,
             ..SimConfig::default()
         };
         let rf = ShuffleExchangeRouting::new(n);
         let nc = rf.num_classes();
-        let mut sim = Simulator::new(rf, cfg);
+        let mut sim = Simulator::with_recorder(rf, cfg, CounterSink::new(size, nc));
         let mut rng = StdRng::seed_from_u64(41);
         let backlog = static_backlog(&Pattern::Random, size, 2 * n, &mut rng);
         let total: u64 = backlog.iter().map(|b| b.len() as u64).sum();
         let res = sim.run_static(&backlog);
         assert!(res.drained, "cap {cap} stalled");
         assert_eq!(res.delivered, total);
-        let probe = sim.occupancy();
-        let mut phase2_peak = 0u16;
+        let probe = sim.recorder();
+        let mut phase2_peak = 0;
         for v in 0..size {
             for c in 0..nc {
-                let peak = probe.peak(v, nc, c);
+                let peak = probe.queue_peak(v, c);
                 assert!(
-                    usize::from(peak) <= cap,
+                    peak as usize <= cap,
                     "cap {cap} exceeded at node {v} class {c}: {peak}"
                 );
                 if c >= nc / 2 {
@@ -208,49 +207,4 @@ fn se_stutter_migrates_between_class_queues() {
             "no packet was ever counted in a phase-2 class"
         );
     }
-}
-
-/// Regression: the occupancy probe accessors are total — when occupancy
-/// was never tracked (or the index is out of range) they report zero
-/// instead of panicking on the empty sample vectors.
-#[test]
-fn occupancy_probe_is_total_when_untracked() {
-    let n = 5;
-    let size = 1usize << n;
-    // track_occupancy defaults to false.
-    let mut sim = Simulator::new(HypercubeFullyAdaptive::new(n), SimConfig::default());
-    let mut rng = StdRng::seed_from_u64(43);
-    let backlog = static_backlog(&Pattern::Random, size, 2, &mut rng);
-    assert!(sim.run_static(&backlog).drained);
-    let probe = sim.occupancy();
-    for v in 0..size {
-        for c in 0..2 {
-            assert_eq!(probe.peak(v, 2, c), 0);
-            assert_eq!(probe.mean(v, 2, c), 0.0);
-        }
-    }
-    // Out-of-range queries are zero too, tracked or not.
-    assert_eq!(probe.peak(size + 7, 2, 1), 0);
-    assert_eq!(probe.mean(size + 7, 2, 1), 0.0);
-}
-
-/// The throughput time series accounts for every delivered packet and
-/// shows a ramp-up then drain shape on a static run.
-#[test]
-fn throughput_series_accounts_for_all_deliveries() {
-    let n = 6;
-    let size = 1usize << n;
-    let cfg = SimConfig {
-        throughput_window: 4,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(HypercubeFullyAdaptive::new(n), cfg);
-    let mut rng = StdRng::seed_from_u64(23);
-    let backlog = static_backlog(&Pattern::Random, size, 4, &mut rng);
-    let res = sim.run_static(&backlog);
-    assert!(res.drained);
-    let ts = sim.throughput().expect("series enabled");
-    let total: f64 = ts.windows().iter().sum();
-    assert_eq!(total as u64, res.delivered);
-    assert!(ts.steady_state_rate(2) >= 0.0);
 }

@@ -2,8 +2,7 @@
 //! [`Simulator::with_table`] must be **bit-identical** to a computed
 //! [`Simulator::with_recorder`] run with the same seed — same result
 //! struct (statistics and histograms included via `PartialEq`), same
-//! delivered-packet journal event for event, same occupancy probe,
-//! same throughput series, same minimality count.
+//! delivered-packet journal event for event.
 //!
 //! The matrix covers scheme × topology × workload (dynamic Bernoulli
 //! injection at two rates and a hotspot pattern; static random
@@ -37,15 +36,6 @@ const LANE_COUNTS: [usize; 4] = [1, 2, 7, 32];
 /// Journals big enough that no event is ever dropped from the ring.
 const JOURNAL_CAP: usize = 1 << 16;
 
-fn instrumented_cfg() -> SimConfig {
-    SimConfig {
-        track_occupancy: true,
-        check_minimality: true,
-        throughput_window: 8,
-        ..SimConfig::default()
-    }
-}
-
 /// A simulator on the shared `table`, seeded `seed`.
 fn on_table<R: RoutingFunction + Clone, Rec: Recorder>(
     rf: &R,
@@ -70,11 +60,7 @@ fn sequential_dynamic<R: RoutingFunction + Clone>(
     pattern: &Pattern,
     lambda: f64,
     cycles: u64,
-) -> (
-    fadr_sim::DynamicResult,
-    JournalSink,
-    Simulator<R, JournalSink>,
-) {
+) -> (fadr_sim::DynamicResult, JournalSink) {
     let size = rf.topology().num_nodes();
     let mut sim = Simulator::with_recorder(
         rf.clone(),
@@ -82,8 +68,7 @@ fn sequential_dynamic<R: RoutingFunction + Clone>(
         JournalSink::new(JOURNAL_CAP),
     );
     let res = sim.run_dynamic(lambda, |s, rng| pattern.draw(s, size, rng), cycles);
-    let journal = sim.recorder().clone();
-    (res, journal, sim)
+    (res, sim.into_recorder())
 }
 
 fn assert_journals_match(name: &str, lane: usize, lanes: usize, a: &JournalSink, b: &JournalSink) {
@@ -110,7 +95,7 @@ fn assert_dynamic_lane_identity<R>(name: &str, rf: R, pattern: &Pattern, lambda:
 where
     R: RoutingFunction + Clone,
 {
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let size = rf.topology().num_nodes();
     for lanes in LANE_COUNTS {
         let table = StateTable::build(&rf);
@@ -127,25 +112,10 @@ where
         for (k, (res, tab)) in runs.iter().enumerate() {
             let seed = lane_seed(cfg.seed, k);
             assert_eq!(seeds[k], seed, "{name}: seed schedule diverged");
-            let (seq_res, seq_journal, seq) =
+            let (seq_res, seq_journal) =
                 sequential_dynamic(&rf, cfg, seed, pattern, lambda, cycles);
             assert_eq!(*res, seq_res, "{name} R={lanes} lane={k}: result diverged");
             assert_journals_match(name, k, lanes, tab.recorder(), &seq_journal);
-            assert_eq!(
-                tab.occupancy(),
-                seq.occupancy(),
-                "{name} R={lanes} lane={k}: occupancy diverged"
-            );
-            assert_eq!(
-                tab.throughput(),
-                seq.throughput(),
-                "{name} R={lanes} lane={k}: throughput diverged"
-            );
-            assert_eq!(
-                tab.minimality_violations(),
-                seq.minimality_violations(),
-                "{name} R={lanes} lane={k}: minimality count diverged"
-            );
         }
     }
 }
@@ -157,7 +127,7 @@ fn assert_static_lane_identity<R>(name: &str, rf: R)
 where
     R: RoutingFunction + Clone,
 {
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let size = rf.topology().num_nodes();
     for lanes in LANE_COUNTS {
         let backlogs: Vec<Vec<Vec<usize>>> = (0..lanes)
@@ -192,11 +162,6 @@ where
                 "{name} R={lanes} lane={k}: static result diverged"
             );
             assert_journals_match(name, k, lanes, tab.recorder(), seq.recorder());
-            assert_eq!(
-                tab.occupancy(),
-                seq.occupancy(),
-                "{name} R={lanes} lane={k}: occupancy diverged"
-            );
         }
     }
 }
@@ -327,7 +292,7 @@ fn fill_orders_lane_identity() {
     ] {
         let cfg = SimConfig {
             fill_order: order,
-            ..instrumented_cfg()
+            ..SimConfig::default()
         };
         let rf = HypercubeFullyAdaptive::new(4);
         let table = StateTable::build(&rf);
@@ -349,7 +314,7 @@ fn memo_table_reuse_across_runs_is_exact() {
     // shared table; results must not change, and the table, fixed at
     // construction, must not grow.
     let rf = TorusTwoPhase::new(4, 4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let mut batch = LaneSim::with_lane_seeds(rf, cfg, lane_seeds(cfg.seed, 4));
     let first = batch.run_dynamic(0.6, |s, rng| Pattern::Random.draw(s, 16, rng), 150);
     let entries = batch.memo_entries();
@@ -376,7 +341,7 @@ fn explicit_lane_seeds_map_to_sequential_runs() {
     // shape) must behave exactly like sequential runs with those seeds,
     // through the `LaneSim` wrapper the benchmark package drives.
     let rf = MeshFullyAdaptive::new(4, 4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let seeds = vec![0xFAD2, 0xFAD2 ^ (3 << 16), 0xDEAD_BEEF, 1];
     let mut batch = LaneSim::with_lane_seeds(rf, cfg, seeds.clone());
     let results = batch.run_dynamic(0.7, |s, rng| Pattern::Random.draw(s, 16, rng), 120);
@@ -521,7 +486,7 @@ fn a_key_that_drops_ones_misroutes_on_the_table() {
     let rf = DropOnes(HypercubeFullyAdaptive::new(4));
     let cfg = SimConfig {
         max_cycles: 200,
-        ..instrumented_cfg()
+        ..SimConfig::default()
     };
     let mut backlog: Vec<Vec<usize>> = vec![Vec::new(); 16];
     backlog[1].push(6);
@@ -550,7 +515,7 @@ fn wide_nodes_take_the_fallback_scans() {
     // core's plain fill and read scans run on both sources here.
     let rf = EcubeSbp::new(9);
     let size = rf.topology().num_nodes();
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let lanes = 2;
     let table = StateTable::build(&rf);
     let mut tabs: Vec<_> = lane_seeds(cfg.seed, lanes)
@@ -570,7 +535,6 @@ fn wide_nodes_take_the_fallback_scans() {
         );
         assert!(res.delivered > 0, "lane={k}: nothing delivered");
         assert_journals_match("ecube9-dyn", k, lanes, tab.recorder(), seq.recorder());
-        assert_eq!(tab.occupancy(), seq.occupancy(), "lane={k}");
     }
 
     let backlogs: Vec<Vec<Vec<usize>>> = (0..lanes)
@@ -590,6 +554,5 @@ fn wide_nodes_take_the_fallback_scans() {
         assert_eq!(seq_res.stop, StopReason::Drained, "lane={k}: run broken");
         assert_eq!(res, seq_res, "lane={k}: static result diverged");
         assert_journals_match("ecube9-static", k, lanes, tab.recorder(), seq.recorder());
-        assert_eq!(tab.occupancy(), seq.occupancy(), "lane={k}");
     }
 }

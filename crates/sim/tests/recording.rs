@@ -1,6 +1,6 @@
 //! Tests of the observability layer against known routing facts: link
 //! counters on analytically predictable workloads, watchdog detection of
-//! a deliberately wedged network, trace lifecycles, and occupancy-probe
+//! a deliberately wedged network, trace lifecycles, and occupancy
 //! total consistency.
 
 use fadr_core::{HypercubeFullyAdaptive, HypercubeStaticHang};
@@ -160,8 +160,8 @@ fn trace_records_full_lifecycle() {
     assert_eq!(hops - stutters, hamming_distance(src, dst), "{line}");
 }
 
-/// Per-queue occupancy-probe values stay consistent with the new total
-/// accessors: totals are the sum (means) and max (peaks) of the
+/// Per-queue `CounterSink` occupancy values stay consistent with its
+/// total accessors: totals are the sum (means) and max (peaks) of the
 /// per-queue values.
 #[test]
 fn occupancy_probe_totals_match_per_queue_values() {
@@ -169,40 +169,26 @@ fn occupancy_probe_totals_match_per_queue_values() {
     let size = 1usize << n;
     let rf = HypercubeFullyAdaptive::new(n);
     let classes = rf.num_classes();
-    let cfg = SimConfig {
-        track_occupancy: true,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(HypercubeFullyAdaptive::new(n), cfg);
+    let counters = CounterSink::new(size, classes);
+    let mut sim = Simulator::with_recorder(rf, SimConfig::default(), counters);
     let mut rng = StdRng::seed_from_u64(11);
     let backlog = static_backlog(&Pattern::complement(n), size, n, &mut rng);
     assert!(sim.run_static(&backlog).drained);
-    let probe = sim.occupancy();
+    let probe = sim.recorder();
     assert_eq!(probe.num_queues(), size * classes);
     let mut mean_sum = 0.0;
-    let mut peak_max = 0u16;
+    let mut peak_max = 0;
     for v in 0..size {
         for c in 0..classes {
-            mean_sum += probe.mean(v, classes, c);
-            peak_max = peak_max.max(probe.peak(v, classes, c));
+            mean_sum += probe.queue_mean(v, c);
+            peak_max = peak_max.max(probe.queue_peak(v, c));
         }
     }
     assert!(
-        (probe.total_mean() - mean_sum).abs() < 1e-9,
-        "total_mean {} vs per-queue sum {mean_sum}",
-        probe.total_mean()
+        (probe.mean_total() - mean_sum).abs() < 1e-9,
+        "mean_total {} vs per-queue sum {mean_sum}",
+        probe.mean_total()
     );
-    assert_eq!(probe.total_peak(), peak_max);
-    assert!(probe.total_mean() > 0.0, "complement load occupies queues");
-}
-
-/// An untracked probe reports zero totals instead of panicking.
-#[test]
-fn occupancy_probe_totals_without_tracking_are_zero() {
-    let mut sim = Simulator::new(HypercubeFullyAdaptive::new(3), SimConfig::default());
-    assert!(sim.run_static(&lone_backlog(8, 0, 7)).drained);
-    let probe = sim.occupancy();
-    assert_eq!(probe.num_queues(), 0);
-    assert_eq!(probe.total_mean(), 0.0);
-    assert_eq!(probe.total_peak(), 0);
+    assert_eq!(probe.peak_max(), peak_max);
+    assert!(probe.mean_total() > 0.0, "complement load occupies queues");
 }

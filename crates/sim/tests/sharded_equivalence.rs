@@ -1,6 +1,6 @@
 //! Shard-equivalence suite: [`ShardedSimulator`] must be **bit-identical**
 //! to the sequential [`Simulator`] — same statistics, same traces, same
-//! occupancy, same throughput series — for every routing family in the
+//! counters and per-queue occupancy — for every routing family in the
 //! table set, at every shard count, on both static and dynamic workloads.
 //!
 //! Shard counts 2 / 3 / 7 deliberately include values that don't divide
@@ -20,82 +20,66 @@ use rand::SeedableRng;
 
 const SHARD_COUNTS: [usize; 3] = [2, 3, 7];
 
-fn instrumented_cfg() -> SimConfig {
-    SimConfig {
-        track_occupancy: true,
-        check_minimality: true,
-        throughput_window: 8,
-        ..SimConfig::default()
-    }
+/// A sink set holding a `CounterSink` (routing counters and per-queue
+/// occupancy) for `rf`'s network.
+fn counters<R: RoutingFunction>(rf: &R) -> SinkSet {
+    SinkSet::new().with_counters(rf.topology().num_nodes(), rf.num_classes())
 }
 
-/// Static run on both engines with every observable turned on; assert
-/// every output matches bit for bit.
+/// Static run on both engines with a `CounterSink` attached; assert the
+/// result and the merged counters match bit for bit.
 fn assert_static_equiv<R>(name: &str, rf: R)
 where
     R: RoutingFunction + Clone + Send,
     R::Msg: Send,
 {
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let size = rf.topology().num_nodes();
     let mut rng = StdRng::seed_from_u64(0xE0);
     let backlog = static_backlog(&Pattern::Random, size, 2, &mut rng);
 
-    let mut seq = Simulator::new(rf.clone(), cfg);
+    let mut seq = Simulator::with_recorder(rf.clone(), cfg, counters(&rf));
     let seq_res = seq.run_static(&backlog);
     assert_eq!(seq_res.stop, StopReason::Drained, "{name}: seed run broken");
+    let seq_counters = seq.into_recorder().counters;
 
     for shards in SHARD_COUNTS {
-        let mut shr = ShardedSimulator::new(rf.clone(), cfg, shards);
+        let mut shr = ShardedSimulator::with_recorders(rf.clone(), cfg, shards, |_| counters(&rf));
         let shr_res = shr.run_static(&backlog);
         assert_eq!(seq_res, shr_res, "{name} shards={shards}: result diverged");
         assert_eq!(
-            *seq.occupancy(),
-            shr.occupancy(),
-            "{name} shards={shards}: occupancy diverged"
-        );
-        assert_eq!(
-            seq.throughput(),
-            shr.throughput().as_ref(),
-            "{name} shards={shards}: throughput diverged"
-        );
-        assert_eq!(
-            seq.minimality_violations(),
-            shr.minimality_violations(),
-            "{name} shards={shards}: minimality count diverged"
+            seq_counters,
+            shr.into_recorder().counters,
+            "{name} shards={shards}: counters diverged"
         );
     }
 }
 
 /// Dynamic run (Bernoulli injection, random destinations) on both
-/// engines; assert results match bit for bit.
+/// engines; assert results and merged counters match bit for bit.
 fn assert_dynamic_equiv<R>(name: &str, rf: R)
 where
     R: RoutingFunction + Clone + Send,
     R::Msg: Send,
 {
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let size = rf.topology().num_nodes();
     let lambda = 0.7;
     let cycles = 120;
 
-    let mut seq = Simulator::new(rf.clone(), cfg);
+    let mut seq = Simulator::with_recorder(rf.clone(), cfg, counters(&rf));
     let seq_res = seq.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, size, rng), cycles);
     assert!(seq_res.delivered > 0, "{name}: seed run delivered nothing");
+    let seq_counters = seq.into_recorder().counters;
 
     for shards in SHARD_COUNTS {
-        let mut shr = ShardedSimulator::new(rf.clone(), cfg, shards);
+        let mut shr = ShardedSimulator::with_recorders(rf.clone(), cfg, shards, |_| counters(&rf));
         let shr_res = shr.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, size, rng), cycles);
         assert_eq!(seq_res, shr_res, "{name} shards={shards}: result diverged");
         assert_eq!(
-            *seq.occupancy(),
-            shr.occupancy(),
-            "{name} shards={shards}: occupancy diverged"
-        );
-        assert_eq!(
-            seq.throughput(),
-            shr.throughput().as_ref(),
-            "{name} shards={shards}: throughput diverged"
+            seq_counters,
+            shr.into_recorder().counters,
+            "{name} shards={shards}: counters diverged"
         );
     }
 }
@@ -299,19 +283,23 @@ fn degenerate_shard_counts_work() {
 }
 
 /// Repeated runs on the same `ShardedSimulator` instance are
-/// independent: `reset` clears all shard state.
+/// independent: `reset` clears all shard state. Recorders are not reset
+/// between runs, so two identical runs count everything twice.
 #[test]
 fn sharded_runs_are_repeatable() {
     let rf = TorusTwoPhase::new(4, 4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let mut rng = StdRng::seed_from_u64(0xE7);
     let backlog = static_backlog(&Pattern::Random, 16, 2, &mut rng);
-    let mut sim = ShardedSimulator::new(rf, cfg, 3);
-    let first = sim.run_static(&backlog);
-    let first_occ = sim.occupancy();
-    let second = sim.run_static(&backlog);
-    assert_eq!(first, second);
-    assert_eq!(first_occ, sim.occupancy());
+    let mut once = ShardedSimulator::with_recorders(rf, cfg, 3, |_| counters(&rf));
+    let first = once.run_static(&backlog);
+    let mut twice = once.into_recorder().counters.expect("counters attached");
+    twice.merge(&twice.clone());
+
+    let mut sim = ShardedSimulator::with_recorders(rf, cfg, 3, |_| counters(&rf));
+    assert_eq!(first, sim.run_static(&backlog));
+    assert_eq!(first, sim.run_static(&backlog));
+    assert_eq!(sim.into_recorder().counters, Some(twice));
 }
 
 // --- fallback scans -------------------------------------------------------
@@ -324,10 +312,11 @@ fn sharded_runs_are_repeatable() {
 fn wide_nodes_take_the_fallback_scans() {
     let rf = EcubeSbp::new(9);
     let size = rf.topology().num_nodes();
-    let cfg = instrumented_cfg();
-    let mk = || SinkSet::new().with_journal(1 << 18);
-    let journal = |s: SinkSet| s.journal.expect("journal attached");
-    let assert_same = |what: &str, a: &fadr_metrics::JournalSink, b: &fadr_metrics::JournalSink| {
+    let cfg = SimConfig::default();
+    let mk = || counters(&rf).with_journal(1 << 18);
+    let assert_same = |what: &str, a: SinkSet, b: SinkSet| {
+        assert_eq!(a.counters, b.counters, "{what}: counters diverged");
+        let (a, b) = (a.journal.expect("journal"), b.journal.expect("journal"));
         assert_eq!(
             (a.count(), a.hash()),
             (b.count(), b.hash()),
@@ -340,19 +329,13 @@ fn wide_nodes_take_the_fallback_scans() {
     let mut seq = Simulator::with_recorder(rf, cfg, mk());
     let seq_res = seq.run_dynamic(0.5, dest, 24);
     assert!(seq_res.delivered > 0, "seed run delivered nothing");
-    let seq_occ = seq.occupancy().clone();
     let mut shr = ShardedSimulator::with_recorders(rf, cfg, 2, |_| mk());
     assert_eq!(
         seq_res,
         shr.run_dynamic(0.5, dest, 24),
         "dynamic result diverged"
     );
-    assert_eq!(seq_occ, shr.occupancy(), "dynamic occupancy diverged");
-    assert_same(
-        "dynamic",
-        &journal(seq.into_recorder()),
-        &journal(shr.into_recorder()),
-    );
+    assert_same("dynamic", seq.into_recorder(), shr.into_recorder());
 
     let mut rng = StdRng::seed_from_u64(0xE9);
     let backlog = static_backlog(&Pattern::Random, size, 1, &mut rng);
@@ -361,9 +344,5 @@ fn wide_nodes_take_the_fallback_scans() {
     assert_eq!(seq_res.stop, StopReason::Drained, "seed run broken");
     let mut shr = ShardedSimulator::with_recorders(rf, cfg, 2, |_| mk());
     assert_eq!(seq_res, shr.run_static(&backlog), "static result diverged");
-    assert_same(
-        "static",
-        &journal(seq.into_recorder()),
-        &journal(shr.into_recorder()),
-    );
+    assert_same("static", seq.into_recorder(), shr.into_recorder());
 }

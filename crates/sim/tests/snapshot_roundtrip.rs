@@ -1,7 +1,7 @@
 //! Checkpoint/restore round-trip suite: a run paused at cycle `P`,
 //! serialized, restored into a fresh engine, and resumed must be
 //! **bit-identical** to the same run executed uninterrupted — same
-//! result struct, same occupancy, same throughput series. This must
+//! result struct. This must
 //! hold for the sequential and the sharded engine, across partition
 //! strategies, across the engine boundary in both directions (either
 //! engine restores the other's snapshot), and under an active fault
@@ -24,15 +24,6 @@ const STRATEGIES: [PartitionStrategy; 5] = [
     PartitionStrategy::Bisection,
     PartitionStrategy::BfsGrowth,
 ];
-
-fn instrumented_cfg() -> SimConfig {
-    SimConfig {
-        track_occupancy: true,
-        check_minimality: true,
-        throughput_window: 8,
-        ..SimConfig::default()
-    }
-}
 
 fn backlog_for(size: usize) -> Vec<Vec<usize>> {
     let mut rng = StdRng::seed_from_u64(0xC4E);
@@ -60,11 +51,10 @@ fn expect_paused_dyn(outcome: DynamicOutcome, what: &str) -> RunProgress {
 #[test]
 fn sequential_static_roundtrip() {
     let rf = HypercubeFullyAdaptive::new(4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let backlog = backlog_for(16);
 
-    let mut base = Simulator::new(rf, cfg);
-    let base_res = base.run_static(&backlog);
+    let base_res = Simulator::new(rf, cfg).run_static(&backlog);
     assert_eq!(base_res.stop, StopReason::Drained, "seed run broken");
 
     let mut paused = Simulator::new(rf, cfg);
@@ -84,12 +74,6 @@ fn sequential_static_roundtrip() {
         panic!("resume hit an unexpected pause");
     };
     assert_eq!(res, base_res, "resumed run diverged");
-    assert_eq!(resumed.occupancy(), base.occupancy(), "occupancy diverged");
-    assert_eq!(
-        resumed.throughput(),
-        base.throughput(),
-        "throughput diverged"
-    );
 }
 
 /// Chained pauses: pause at 4, resume to a second pause at 11, resume
@@ -97,11 +81,10 @@ fn sequential_static_roundtrip() {
 #[test]
 fn sequential_static_double_pause() {
     let rf = MeshFullyAdaptive::new(4, 4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let backlog = backlog_for(16);
 
-    let mut base = Simulator::new(rf, cfg);
-    let base_res = base.run_static(&backlog);
+    let base_res = Simulator::new(rf, cfg).run_static(&backlog);
 
     let mut sim = Simulator::new(rf, cfg);
     let p1 = expect_paused(sim.run_static_until(&backlog, Some(4)), "static@4");
@@ -118,7 +101,6 @@ fn sequential_static_double_pause() {
         panic!("final leg paused");
     };
     assert_eq!(res, base_res, "double-pause run diverged");
-    assert_eq!(sim.occupancy(), base.occupancy());
 }
 
 /// Sequential dynamic run: the RNG streams are fast-forwarded on
@@ -127,12 +109,11 @@ fn sequential_static_double_pause() {
 #[test]
 fn sequential_dynamic_roundtrip() {
     let rf = HypercubeFullyAdaptive::new(4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let (lambda, cycles) = (0.7, 120);
     let dest = |s: usize, rng: &mut StdRng| Pattern::Random.draw(s, 16, rng);
 
-    let mut base = Simulator::new(rf, cfg);
-    let base_res = base.run_dynamic(lambda, dest, cycles);
+    let base_res = Simulator::new(rf, cfg).run_dynamic(lambda, dest, cycles);
     assert!(base_res.delivered > 0, "seed run delivered nothing");
 
     let mut paused = Simulator::new(rf, cfg);
@@ -150,12 +131,6 @@ fn sequential_dynamic_roundtrip() {
         panic!("resume hit an unexpected pause");
     };
     assert_eq!(res, base_res, "resumed dynamic run diverged");
-    assert_eq!(resumed.occupancy(), base.occupancy(), "occupancy diverged");
-    assert_eq!(
-        resumed.throughput(),
-        base.throughput(),
-        "throughput diverged"
-    );
 }
 
 /// The sharded engine's checkpoint must be byte-identical to the
@@ -165,11 +140,10 @@ fn sequential_dynamic_roundtrip() {
 #[test]
 fn sharded_static_checkpoint_identity_and_cross_restore() {
     let rf = HypercubeFullyAdaptive::new(4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let backlog = backlog_for(16);
 
-    let mut base = Simulator::new(rf, cfg);
-    let base_res = base.run_static(&backlog);
+    let base_res = Simulator::new(rf, cfg).run_static(&backlog);
 
     let mut seq = Simulator::new(rf, cfg);
     let progress = expect_paused(seq.run_static_until(&backlog, Some(4)), "seq static@4");
@@ -196,12 +170,6 @@ fn sharded_static_checkpoint_identity_and_cross_restore() {
                 panic!("{label}: sharded resume paused");
             };
             assert_eq!(res, base_res, "{label}: sharded resumed run diverged");
-            assert_eq!(shr.occupancy(), *base.occupancy(), "{label}: occupancy");
-            assert_eq!(
-                shr.throughput().as_ref(),
-                base.throughput(),
-                "{label}: throughput"
-            );
 
             // Sharded snapshot → sequential resume.
             let mut shr = ShardedSimulator::with_strategy(rf, cfg, shards, strategy);
@@ -222,12 +190,11 @@ fn sharded_static_checkpoint_identity_and_cross_restore() {
 #[test]
 fn sharded_dynamic_roundtrip() {
     let rf = HypercubeFullyAdaptive::new(4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let (lambda, cycles) = (0.7, 120);
     let dest = |s: usize, rng: &mut StdRng| Pattern::Random.draw(s, 16, rng);
 
-    let mut base = Simulator::new(rf, cfg);
-    let base_res = base.run_dynamic(lambda, dest, cycles);
+    let base_res = Simulator::new(rf, cfg).run_dynamic(lambda, dest, cycles);
 
     let mut shr = ShardedSimulator::new(rf, cfg, 3);
     let progress = expect_paused_dyn(
@@ -245,12 +212,6 @@ fn sharded_dynamic_roundtrip() {
         panic!("resume hit an unexpected pause");
     };
     assert_eq!(res, base_res, "sharded dynamic resumed run diverged");
-    assert_eq!(shr2.occupancy(), *base.occupancy(), "occupancy diverged");
-    assert_eq!(
-        shr2.throughput(),
-        base.throughput().cloned(),
-        "throughput diverged"
-    );
 }
 
 /// Round-trip under a fault plan whose events straddle the pause: a
@@ -263,7 +224,7 @@ fn sharded_dynamic_roundtrip() {
 #[test]
 fn faulted_static_roundtrip() {
     let rf = HypercubeFullyAdaptive::new(4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let backlog = backlog_for(16);
     let mut plan = FaultPlan::new(7, 2);
     plan.push(2, FaultKind::LinkDown { from: 1, to: 0 });
@@ -290,8 +251,9 @@ fn faulted_static_roundtrip() {
     two_links.normalize();
 
     for (k, plan) in [plan, two_links].into_iter().enumerate() {
-        let mut base = Simulator::new(rf, cfg).with_faults(plan.clone());
-        let base_res = base.run_static(&backlog);
+        let base_res = Simulator::new(rf, cfg)
+            .with_faults(plan.clone())
+            .run_static(&backlog);
 
         let mut paused = Simulator::new(rf, cfg).with_faults(plan.clone());
         let progress = expect_paused(paused.run_static_until(&backlog, Some(8)), "faulted@8");
@@ -304,11 +266,6 @@ fn faulted_static_roundtrip() {
             panic!("resume paused");
         };
         assert_eq!(res, base_res, "plan {k}: faulted resumed run diverged");
-        assert_eq!(
-            resumed.occupancy(),
-            base.occupancy(),
-            "plan {k}: occupancy diverged"
-        );
 
         // Sharded restore + resume of the same snapshot.
         for shards in [1, 2, 3] {
@@ -321,11 +278,6 @@ fn faulted_static_roundtrip() {
                 res, base_res,
                 "plan {k}, shards={shards}: faulted resumed run diverged"
             );
-            assert_eq!(
-                shr.occupancy(),
-                *base.occupancy(),
-                "plan {k}, shards={shards}"
-            );
         }
     }
 }
@@ -335,7 +287,7 @@ fn faulted_static_roundtrip() {
 #[test]
 fn bad_snapshots_rejected() {
     let rf = HypercubeFullyAdaptive::new(4);
-    let cfg = instrumented_cfg();
+    let cfg = SimConfig::default();
     let backlog = backlog_for(16);
 
     let mut sim = Simulator::new(rf, cfg);
@@ -348,13 +300,13 @@ fn bad_snapshots_rejected() {
 
     // Wrong magic.
     assert!(Simulator::new(rf, cfg)
-        .restore(&text.replacen("fadr-snapshot/2", "fadr-snapshot/9", 1))
+        .restore(&text.replacen("fadr-snapshot/3", "fadr-snapshot/9", 1))
         .is_err());
 
     // Config mismatch (different seed).
     let other = SimConfig {
         seed: 999,
-        ..instrumented_cfg()
+        ..SimConfig::default()
     };
     assert!(Simulator::new(rf, other).restore(&text).is_err());
 
@@ -386,6 +338,10 @@ fn bad_snapshots_rejected() {
     // The journal's debug rendering covers its whole state: retained
     // and staged events, hash, count and resume floor.
     let before = format!("{:?}", seq.recorder());
+    // The predecessor format is refused by name.
+    let old = text.replacen("fadr-snapshot/3", "fadr-snapshot/2", 1);
+    let err = seq.restore(&old).expect_err("a fadr-snapshot/2 document");
+    assert!(err.contains("\"fadr-snapshot/2\""), "{err}");
     for (what, bad) in corruptions(&text) {
         assert!(
             seq.restore(&bad).is_err(),
@@ -434,13 +390,13 @@ fn bad_snapshots_rejected() {
     );
 }
 
-/// Corruptions of a valid checkpoint that restore must reject: a queue
-/// class out of range, two packets in one output buffer, a fail counter
-/// for an unknown channel, an occupancy table of the wrong length, a
-/// move stamped at the snapshot cycle, a message routed to a node other
-/// than the packet's destination, a queued packet at its destination,
-/// static progress whose cursor vector does not cover the network, and
-/// two numbers the JSON reader's rule rejects though they parse to the
+/// Corruptions of a valid checkpoint that restore must reject: a
+/// `fadr-snapshot/2` schema tag, a queue class out of range, two packets
+/// in one output buffer, a fail counter for an unknown channel, a move
+/// stamped at the snapshot cycle, a message routed to a node other than
+/// the packet's destination, a queued packet at its destination, static
+/// progress whose cursor vector does not cover the network, and two
+/// numbers the JSON reader's rule rejects though they parse to the
 /// values they replace.
 fn corruptions(text: &str) -> Vec<(&'static str, String)> {
     // A packet is [loc, at, src, dst, uid, hops, inject, enqueued, moved,
@@ -511,26 +467,13 @@ fn corruptions(text: &str) -> Vec<(&'static str, String)> {
         "{before}\"progress\": {{\"kind\": \"static\", \"lost\": 0, \"next_idx\": [0]{after}"
     );
 
-    // Drop the last entry of the occupancy table's `max` and `sum`.
-    let mut occupancy = text.to_string();
-    let occ = occupancy
-        .find("\"occupancy\": ")
-        .expect("checkpoint tracks occupancy");
-    for key in ["\"max\": [", "\"sum\": ["] {
-        let start = occ + occupancy[occ..].find(key).expect(key) + key.len();
-        let end = start + occupancy[start..].find(']').expect("array end");
-        let cut = start
-            + occupancy[start..end]
-                .rfind(", ")
-                .expect("two or more queues");
-        occupancy.replace_range(cut..end, "");
-    }
+    let old_schema = text.replacen("fadr-snapshot/3", "fadr-snapshot/2", 1);
 
     vec![
+        ("a fadr-snapshot/2 schema tag", old_schema),
         ("a class out of range", class),
         ("two packets in one output buffer", shared_buffer),
         ("a fail counter for an unknown channel", fail),
-        ("a wrong occupancy length", occupancy),
         ("a move at the snapshot cycle", future),
         ("a message routed to another node", misrouted),
         ("a queued packet at its destination", arrived),

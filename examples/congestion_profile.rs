@@ -4,13 +4,15 @@
 //! any 1→0 correction, so "congestion around node 1…1 is likely to take
 //! place". This experiment measures mean central-queue occupancy per
 //! Hamming level (distance from the hang node) under complement traffic,
-//! for the static hang vs the fully-adaptive algorithm.
+//! for the static hang vs the fully-adaptive algorithm, read from a
+//! `CounterSink` that samples every central queue at each cycle's end.
 //!
 //! ```text
 //! cargo run --release --example congestion_profile
 //! ```
 
 use fadroute::prelude::*;
+use fadroute::sim::CounterSink;
 use fadroute::topology::hamming_weight;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -18,22 +20,19 @@ use rand::SeedableRng;
 fn profile<RF: RoutingFunction>(rf: RF, n: usize) -> (String, Vec<f64>) {
     let name = rf.name();
     let size = 1usize << n;
-    let cfg = SimConfig {
-        track_occupancy: true,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(rf, cfg);
+    let counters = CounterSink::new(size, rf.num_classes());
+    let mut sim = Simulator::with_recorder(rf, SimConfig::default(), counters);
     let mut rng = StdRng::seed_from_u64(7);
     let backlog = static_backlog(&Pattern::complement(n), size, n, &mut rng);
     let res = sim.run_static(&backlog);
     assert!(res.drained);
     // Aggregate mean occupancy (q_A + q_B) by Hamming level.
-    let probe = sim.occupancy();
+    let counters = sim.into_recorder();
     let mut by_level = vec![0.0f64; n + 1];
     let mut counts = vec![0usize; n + 1];
     for v in 0..size {
         let lvl = hamming_weight(v);
-        by_level[lvl] += probe.mean(v, 2, 0) + probe.mean(v, 2, 1);
+        by_level[lvl] += counters.queue_mean(v, 0) + counters.queue_mean(v, 1);
         counts[lvl] += 1;
     }
     for (s, c) in by_level.iter_mut().zip(&counts) {

@@ -3,6 +3,7 @@
 //! occupancy instrumentation.
 
 use fadroute::prelude::*;
+use fadroute::sim::CounterSink;
 use fadroute::topology::hamming_weight;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -110,34 +111,32 @@ fn adaptive_sbp_parity_with_two_queue_scheme() {
     );
 }
 
-/// The occupancy probe reproduces § 3's congestion claim: under
-/// complement traffic the static hang's high Hamming levels are much more
-/// occupied than the fully-adaptive algorithm's.
+/// Per-queue occupancy (a `CounterSink`) reproduces § 3's congestion
+/// claim: under complement traffic the static hang's high Hamming levels
+/// are much more occupied than the fully-adaptive algorithm's.
 #[test]
 fn occupancy_probe_shows_hotspot_relief() {
     let n = 7;
     let size = 1usize << n;
     let profile = |adaptive: bool| -> Vec<f64> {
-        let cfg = SimConfig {
-            track_occupancy: true,
-            ..SimConfig::default()
-        };
+        let cfg = SimConfig::default();
         let mut rng = StdRng::seed_from_u64(7);
         let backlog = static_backlog(&Pattern::complement(n), size, n, &mut rng);
         let mut by_level = vec![0.0f64; n + 1];
         let mut counts = vec![0usize; n + 1];
+        let counters = CounterSink::new(size, 2);
         let probe = if adaptive {
-            let mut sim = Simulator::new(HypercubeFullyAdaptive::new(n), cfg);
+            let mut sim = Simulator::with_recorder(HypercubeFullyAdaptive::new(n), cfg, counters);
             assert!(sim.run_static(&backlog).drained);
-            sim.occupancy().clone()
+            sim.into_recorder()
         } else {
-            let mut sim = Simulator::new(HypercubeStaticHang::new(n), cfg);
+            let mut sim = Simulator::with_recorder(HypercubeStaticHang::new(n), cfg, counters);
             assert!(sim.run_static(&backlog).drained);
-            sim.occupancy().clone()
+            sim.into_recorder()
         };
         for v in 0..size {
             let lvl = hamming_weight(v);
-            by_level[lvl] += probe.mean(v, 2, 0) + probe.mean(v, 2, 1);
+            by_level[lvl] += probe.queue_mean(v, 0) + probe.queue_mean(v, 1);
             counts[lvl] += 1;
         }
         for (s, c) in by_level.iter_mut().zip(&counts) {
@@ -161,30 +160,31 @@ fn occupancy_probe_shows_hotspot_relief() {
     );
 }
 
-/// Probe accounting is exact on a hand-checkable run.
+/// Occupancy accounting is exact on a hand-checkable run.
 #[test]
 fn occupancy_probe_counts_are_consistent() {
     let n = 4;
-    let cfg = SimConfig {
-        track_occupancy: true,
-        ..SimConfig::default()
-    };
-    let mut sim = Simulator::new(HypercubeFullyAdaptive::new(n), cfg);
+    let counters = CounterSink::new(16, 2);
+    let mut sim = Simulator::with_recorder(
+        HypercubeFullyAdaptive::new(n),
+        SimConfig::default(),
+        counters,
+    );
     let mut backlog = vec![Vec::new(); 16];
     backlog[0] = vec![15];
     let res = sim.run_static(&backlog);
     assert!(res.drained);
-    let probe = sim.occupancy();
-    assert_eq!(probe.samples, res.cycles);
+    let probe = sim.into_recorder();
+    assert_eq!(probe.cycles, res.cycles);
     // One packet: every queue's peak occupancy is at most 1.
     for v in 0..16 {
         for c in 0..2 {
-            assert!(probe.peak(v, 2, c) <= 1);
+            assert!(probe.queue_peak(v, c) <= 1);
         }
     }
     // And the packet spent exactly (hops) queue residencies of 1 cycle
     // each: total occupancy-cycles across all queues = number of fill
     // cycles it waited = hops (uncontended: 1 cycle per queue).
-    let total: u64 = probe.sum.iter().sum();
-    assert_eq!(total, 4, "one packet, 4 hops, 1 cycle per residence");
+    let total = probe.mean_total() * probe.cycles as f64;
+    assert_eq!(total, 4.0, "one packet, 4 hops, 1 cycle per residence");
 }
