@@ -48,7 +48,7 @@
 use std::process::ExitCode;
 
 use fadr_bench::exec;
-use fadr_bench::obs::{self, parse_run_flag, parse_table, MetricsRow, ObsArgs};
+use fadr_bench::obs::{self, parse_positive, parse_run_flag, parse_table, MetricsRow, ObsArgs};
 use fadr_bench::runner::{
     dims_for, hypercube_scheme, run_table_dims, run_table_dims_recorded, spec, RunOptions,
 };
@@ -84,9 +84,7 @@ fn parse_args() -> Result<Args, String> {
                     next("--cap")?.parse().map_err(|e| format!("--cap: {e}"))?;
             }
             "--cycles" => {
-                args.opts.dynamic_cycles = next("--cycles")?
-                    .parse()
-                    .map_err(|e| format!("--cycles: {e}"))?;
+                args.opts.dynamic_cycles = parse_positive("--cycles", &next("--cycles")?)? as u64;
             }
             "--seed" => {
                 args.opts.seed = next("--seed")?
@@ -94,9 +92,8 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--seed: {e}"))?;
             }
             "--reps" => {
-                args.opts.reps = next("--reps")?
-                    .parse()
-                    .map_err(|e| format!("--reps: {e}"))?;
+                args.opts.reps = u32::try_from(parse_positive("--reps", &next("--reps")?)?)
+                    .map_err(|_| "--reps is too large")?;
                 reps_given = true;
             }
             "--algo" => {

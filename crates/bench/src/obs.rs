@@ -91,7 +91,7 @@ pub trait RunRecorder: ShardRecorder + Clone + Send {
     /// Merge a later replication's recorder (fixed replication order).
     fn merge(&mut self, other: &Self);
 
-    /// Finish one replication (render still-in-flight traces).
+    /// Finish one replication (render its traced lifecycles).
     fn flush(&mut self);
 }
 

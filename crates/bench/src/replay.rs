@@ -69,53 +69,59 @@ pub struct SnapshotMeta {
 }
 
 impl SnapshotMeta {
-    /// Parse a metadata line (label first, then `key=value` pairs).
+    /// Parse a metadata line: the label, then each of `algo`, `table`,
+    /// `n`, `cap`, `cycles` and `seed` exactly once as `key=value`, plus
+    /// `lambda` exactly when `table=0`. An unknown, repeated or missing
+    /// key is an error naming it, so a mistyped meta cannot replay
+    /// another workload.
     pub fn parse(line: &str) -> Result<Self, String> {
+        const KEYS: [&str; 7] = ["algo", "table", "n", "cap", "cycles", "seed", "lambda"];
         let mut words = line.split_whitespace();
         let label = words.next().ok_or("empty snapshot meta line")?.to_string();
-        let mut meta = SnapshotMeta {
-            label,
-            algo: hypercube_scheme("fully-adaptive")?,
-            table: 0,
-            n: 0,
-            cap: 0,
-            cycles: 0,
-            seed: 0,
-            lambda: None,
-        };
-        let mut seen_algo = false;
-        let mut seen_n = false;
+        let mut fields: Vec<(&str, &str)> = Vec::new();
         for w in words {
             let (key, val) = w
                 .split_once('=')
                 .ok_or_else(|| format!("bad meta field `{w}` (expected key=value)"))?;
-            match key {
-                "algo" => {
-                    meta.algo =
-                        hypercube_scheme(val).map_err(|_| format!("unknown algo `{val}`"))?;
-                    seen_algo = true;
-                }
-                "table" => meta.table = val.parse().map_err(|e| format!("table: {e}"))?,
-                "n" => {
-                    meta.n = val.parse().map_err(|e| format!("n: {e}"))?;
-                    seen_n = true;
-                }
-                "cap" => meta.cap = val.parse().map_err(|e| format!("cap: {e}"))?,
-                "cycles" => meta.cycles = val.parse().map_err(|e| format!("cycles: {e}"))?,
-                "seed" => meta.seed = val.parse().map_err(|e| format!("seed: {e}"))?,
-                "lambda" => {
-                    meta.lambda = Some(val.parse().map_err(|e| format!("lambda: {e}"))?);
-                }
-                // Unknown keys are ignored so older binaries can read
-                // snapshots from newer ones.
-                _ => {}
+            if !KEYS.contains(&key) {
+                return Err(format!("unknown snapshot meta key `{key}`"));
             }
+            if fields.iter().any(|&(k, _)| k == key) {
+                return Err(format!("snapshot meta repeats `{key}=`"));
+            }
+            fields.push((key, val));
         }
-        if !seen_algo || !seen_n {
-            return Err("snapshot meta is missing algo= or n= (not a runner snapshot?)".into());
-        }
-        Ok(meta)
+        let table = field(&fields, "table")?;
+        let has_lambda = fields.iter().any(|&(k, _)| k == "lambda");
+        let lambda = match (table, has_lambda) {
+            (0, _) => Some(field(&fields, "lambda")?),
+            (_, false) => None,
+            (_, true) => return Err(format!("snapshot meta has `lambda=` with table={table}")),
+        };
+        let algo: String = field(&fields, "algo")?;
+        Ok(SnapshotMeta {
+            label,
+            algo: hypercube_scheme(&algo).map_err(|_| format!("unknown algo `{algo}`"))?,
+            table,
+            n: field(&fields, "n")?,
+            cap: field(&fields, "cap")?,
+            cycles: field(&fields, "cycles")?,
+            seed: field(&fields, "seed")?,
+            lambda,
+        })
     }
+}
+
+/// The value of meta field `key`, parsed.
+fn field<T: std::str::FromStr>(fields: &[(&str, &str)], key: &str) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    let (_, val) = fields
+        .iter()
+        .find(|&&(k, _)| k == key)
+        .ok_or_else(|| format!("snapshot meta is missing `{key}=`"))?;
+    val.parse().map_err(|e| format!("{key}: {e}"))
 }
 
 /// Read the `meta` label of a snapshot without restoring it.
@@ -213,12 +219,10 @@ impl SchemeVisitor for Replay<'_> {
         if let Some(k) = ro.watchdog {
             sim = sim.with_watchdog(k);
         }
-        let source = if meta.table >= 1 {
-            Source::Table(spec(meta.table))
-        } else {
-            Source::Random {
-                lambda: meta.lambda.unwrap_or(1.0),
-            }
+        // `SnapshotMeta::parse` requires `lambda` exactly when `table=0`.
+        let source = match meta.lambda {
+            Some(lambda) => Source::Random { lambda },
+            None => Source::Table(spec(meta.table)),
         };
         let workload = Workload::new(source, meta.n, meta.seed, meta.cycles);
         let (_, progress) = sim.restore(text)?;
@@ -397,13 +401,46 @@ mod tests {
     fn meta_rejects_garbage() {
         assert!(SnapshotMeta::parse("").is_err());
         assert!(SnapshotMeta::parse("label onlylabel").is_err());
-        assert!(SnapshotMeta::parse("label algo=warp n=4").is_err());
-        assert!(
-            SnapshotMeta::parse("label algo=fully-adaptive").is_err(),
-            "missing n"
+        // The checkpoint schema is versioned: an unknown key is an error,
+        // as are a repeated and a missing one, each naming its key.
+        let good = "t10_n10_q5_r0 algo=fully-adaptive table=10 n=10 cap=5 cycles=500 seed=7";
+        assert!(SnapshotMeta::parse(good).is_ok());
+        let err = |line: String| SnapshotMeta::parse(&line).unwrap_err();
+        let unknown = "unknown snapshot meta key";
+        assert_eq!(
+            err(format!("{good} future=1")),
+            format!("{unknown} `future`")
         );
-        // Unknown keys are forward-compatible noise, not errors.
-        assert!(SnapshotMeta::parse("label algo=fully-adaptive n=4 future=1").is_ok());
+        assert_eq!(
+            err(good.replace("table=", "tabel=")),
+            format!("{unknown} `tabel`")
+        );
+        assert_eq!(
+            err(format!("{good} table=11")),
+            "snapshot meta repeats `table=`"
+        );
+        let missing = "snapshot meta is missing";
+        assert_eq!(
+            err(good.replace(" cycles=500", "")),
+            format!("{missing} `cycles=`")
+        );
+        assert_eq!(
+            err(good.replace(" table=10", "")),
+            format!("{missing} `table=`")
+        );
+        assert_eq!(err(good.replace(" n=10", "")), format!("{missing} `n=`"));
+        assert_eq!(
+            err(good.replace("=10 n", "=0 n")),
+            format!("{missing} `lambda=`")
+        );
+        assert_eq!(
+            err(format!("{good} lambda=0.5")),
+            "snapshot meta has `lambda=` with table=10"
+        );
+        assert_eq!(
+            err(good.replace("fully-adaptive", "warp")),
+            "unknown algo `warp`"
+        );
     }
 
     #[test]
@@ -413,7 +450,10 @@ mod tests {
         let fadr_sim::DynamicOutcome::Paused(progress) = paused else {
             panic!("run did not pause");
         };
-        let text = sim.checkpoint("x algo=ecube-sbp n=3", &progress);
+        let text = sim.checkpoint(
+            "x algo=ecube-sbp table=0 n=3 cap=5 cycles=10 seed=0 lambda=1",
+            &progress,
+        );
         assert_eq!(peek_meta(&text).unwrap().algo.name, "ecube-sbp");
         assert!(peek_meta("not a snapshot").is_err());
         let old = text.replacen("fadr-snapshot/3", "fadr-snapshot/1", 1);
@@ -457,13 +497,13 @@ mod tests {
         .iter()
         .map(ToString::to_string)
         .collect();
-        let t9 = SnapshotMeta::parse("t9_n10_q5_r0 algo=fully-adaptive table=9 n=10").unwrap();
+        let tail = "cap=5 cycles=500 seed=0";
+        let meta = |head: &str| SnapshotMeta::parse(&format!("{head} {tail}")).unwrap();
+        let t9 = meta("t9_n10_q5_r0 algo=fully-adaptive table=9 n=10");
         assert_eq!(select_section(&lines, &t9).unwrap(), vec!["1 a", "2 b"]);
-        let sweep =
-            SnapshotMeta::parse("lambda0.4_ecube-sbp algo=ecube-sbp table=0 n=10 lambda=0.4")
-                .unwrap();
+        let sweep = meta("lambda0.4_ecube-sbp algo=ecube-sbp table=0 n=10 lambda=0.4");
         assert_eq!(select_section(&lines, &sweep).unwrap(), vec!["4 d"]);
-        let miss = SnapshotMeta::parse("t1_n4_q5_r0 algo=fully-adaptive table=1 n=4").unwrap();
+        let miss = meta("t1_n4_q5_r0 algo=fully-adaptive table=1 n=4");
         assert!(select_section(&lines, &miss).is_err());
         // Headerless journals are taken whole.
         let bare: Vec<String> = vec!["1 a".into(), "2 b".into()];

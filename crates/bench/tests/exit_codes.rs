@@ -4,6 +4,10 @@
 
 use std::process::Command;
 
+use fadr_bench::replay::meta_line;
+use fadr_bench::runner::hypercube_scheme;
+use fadr_sim::{DynamicOutcome, SimConfig, Simulator};
+
 fn replay(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_replay"))
         .args(args)
@@ -47,6 +51,43 @@ fn malformed_snapshot_exits_two() {
     let (code, _, stderr) = replay(&["--snapshot", path.to_str().expect("utf-8 path")]);
     assert_eq!(code, Some(2), "{stderr}");
     std::fs::remove_file(&path).ok();
+}
+
+/// A checkpoint whose meta line is mistyped must not replay another
+/// workload: an unknown, a repeated or a missing key exits 2 naming it.
+#[test]
+fn mistyped_meta_exits_two_naming_the_key() {
+    let algo = hypercube_scheme("ecube-sbp").expect("registry row");
+    let meta = meta_line("t10_n3_q5_r0", algo, 10, 3, 5, 500, 0, None);
+    let mut sim = Simulator::new(fadr_core::EcubeSbp::new(3), SimConfig::default());
+    let DynamicOutcome::Paused(progress) = sim.run_dynamic_until(1.0, |s, _| s ^ 7, 10, Some(2))
+    else {
+        panic!("run did not pause");
+    };
+    let text = sim.checkpoint(&meta, &progress);
+    let dir = std::env::temp_dir().join(format!("fadr-replay-meta-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    for (bad, needle) in [
+        (
+            meta.replace("table=", "tabel="),
+            "unknown snapshot meta key `tabel`",
+        ),
+        (format!("{meta} table=11"), "snapshot meta repeats `table=`"),
+        (
+            meta.replace(" cycles=500", ""),
+            "snapshot meta is missing `cycles=`",
+        ),
+    ] {
+        let path = dir.join("bad.snap");
+        std::fs::write(&path, text.replacen(&meta, &bad, 1)).expect("write");
+        let (code, _, stderr) = replay(&["--snapshot", path.to_str().expect("utf-8 path")]);
+        assert_eq!(code, Some(2), "{bad}: {stderr}");
+        assert!(
+            stderr.contains(needle),
+            "{bad}: {stderr:?} lacks {needle:?}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

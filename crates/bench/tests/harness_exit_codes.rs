@@ -74,6 +74,8 @@ fn tables_rejects_bad_values_and_conflicts() {
             (&["--watchdog", "0"], "--watchdog window"),
             (&["--cap", "0"], "requires --watchdog"),
             (&["--shards", "0"], "--shards must be a positive integer"),
+            (&["--reps", "0"], "--reps must be a positive integer"),
+            (&["--cycles", "0"], "--cycles must be a positive integer"),
             (
                 &[
                     "--checkpoint-at",

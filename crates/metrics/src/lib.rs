@@ -25,7 +25,7 @@ pub use ci::{t_quantile_975, MeanCi, RunningStats, Verdict};
 pub use partition::PartitionStats;
 pub use record::{
     Control, CounterSink, JournalEvent, JournalSink, LatencySink, NoRecorder, Recorder,
-    ShardRecorder, SinkSet, StallReport, TraceSink, TraceState, WaitGraphSink, WatchdogSink,
+    ShardRecorder, SinkSet, StallReport, TraceSink, WaitGraphSink, WatchdogSink,
 };
 pub use stats::{Histogram, LatencyStats, LogHistogram};
 pub use table::Table;

@@ -38,7 +38,7 @@
 //! [`SinkSet`] composes any subset and merges deterministically across
 //! parallel workers.
 
-use std::fmt::{self, Write as _};
+use std::fmt::Write as _;
 
 use crate::json::{self, Quoted};
 
@@ -192,17 +192,12 @@ impl Recorder for NoRecorder {
 }
 
 /// Extension of [`Recorder`] for shard-parallel simulation: one recorder
-/// instance runs per shard, observing only that shard's events, and the
-/// engine (a) moves a traced packet's in-flight state *with* the packet
-/// when it crosses a shard boundary and (b) merges the per-shard
-/// recorders in fixed shard order after the run. Implemented correctly,
-/// the merged recorder is bit-identical to the one a sequential run
-/// would have produced.
-///
-/// The trace-state hooks default to no-ops (only trace-collecting
-/// recorders carry per-packet state); `merge_shard` has no sensible
-/// default and must be provided.
-#[allow(unused_variables)]
+/// instance runs per shard and observes only the events on that shard's
+/// nodes (an injection on the source's shard, a link traversal on the
+/// receiving node's shard). Nothing passes between the instances during
+/// the run; the engine merges them once, in fixed shard order, after it.
+/// Implemented correctly, the merged recorder is bit-identical to the
+/// one a sequential run would have produced.
 pub trait ShardRecorder: Recorder {
     /// Whether this recorder may run one-instance-per-shard. Recorders
     /// whose semantics are global — the [`WatchdogSink`], which would
@@ -212,27 +207,10 @@ pub trait ShardRecorder: Recorder {
         true
     }
 
-    /// Clone the in-flight trace state of `pkt`, if any (called on the
-    /// sending shard when it *offers* a packet across a boundary; the
-    /// packet may not move, so local state is kept until
-    /// [`ShardRecorder::discard_trace`]).
-    fn snapshot_trace(&self, pkt: u64) -> Option<TraceState> {
-        None
-    }
-
-    /// Install trace state transferred from the sending shard (called on
-    /// the receiving shard when it takes an offered packet, *before* the
-    /// link-traversal event is recorded).
-    fn adopt_trace(&mut self, pkt: u64, state: TraceState) {}
-
-    /// Drop local trace state for `pkt` (called on the sending shard
-    /// when the receiver's acknowledgement confirms the packet left).
-    fn discard_trace(&mut self, pkt: u64) {}
-
     /// Merge a sibling shard's recorder from the same run. Called in
     /// fixed shard order; counters add, per-run totals (cycle counts)
-    /// take the max, trace lifecycles union (slots are disjoint across
-    /// shards).
+    /// take the max, and a packet's trace fragments join into one
+    /// lifecycle ([`TraceSink::merge_shard`]).
     fn merge_shard(&mut self, other: &Self);
 }
 
@@ -567,21 +545,6 @@ impl Recorder for CounterSink {
 // TraceSink
 // ---------------------------------------------------------------------
 
-/// One in-flight packet lifecycle being assembled by [`TraceSink`].
-///
-/// Opaque outside this module; it exists publicly so a shard-parallel
-/// simulator can move a traced packet's partial lifecycle *with* the
-/// packet when it crosses a shard boundary
-/// ([`TraceSink::snapshot_state`] / [`TraceSink::adopt_state`]), keeping
-/// the rendered trace byte-identical to a sequential run's.
-#[derive(Debug, Clone)]
-pub struct TraceState {
-    src: u32,
-    dst: u32,
-    inject_cycle: u64,
-    hops: Vec<Hop>,
-}
-
 /// One recorded move of a traced packet.
 #[derive(Debug, Clone, Copy)]
 struct Hop {
@@ -594,30 +557,75 @@ struct Hop {
     q: [u8; 2],
 }
 
-/// Render one lifecycle as its JSON line; `end` holds the fields
-/// between `inject` and `hops`.
-fn render(pkt: u64, t: &TraceState, end: fmt::Arguments<'_>) -> String {
-    let mut line = format!(
-        "{{\"pkt\": {pkt}, \"src\": {}, \"dst\": {}, \"inject\": {}, {end}, \"hops\": ",
-        t.src, t.dst, t.inject_cycle
-    );
-    json::list(&mut line, &t.hops, |out, h| {
-        write!(
-            out,
-            "{{\"c\": {}, \"from\": {}, \"to\": {}, \"kind\": \"{}\", \"q\": ",
-            h.cycle, h.from, h.to, h.kind
-        )?;
-        json::list(out, h.q, |out, class| write!(out, "{class}"));
-        out.push('}');
-        Ok(())
-    });
-    line.push('}');
-    line
+/// How a traced packet's lifecycle ended.
+#[derive(Debug, Clone, Copy)]
+enum End {
+    Delivered { cycle: u64, latency: u64 },
+    Dropped { cycle: u64 },
+}
+
+/// The part of one packet's lifecycle a [`TraceSink`] saw: its
+/// injection header (`src`, `dst`, injection cycle), its hops, and its
+/// end. A sequential run's sink sees all of it; a shard's sink sees the
+/// events on the shard's nodes, and [`TraceSink::merge_shard`] joins the
+/// shards' fragments.
+#[derive(Debug, Clone, Default)]
+struct Fragment {
+    head: Option<(u32, u32, u64)>,
+    hops: Vec<Hop>,
+    end: Option<End>,
+}
+
+impl Fragment {
+    /// Render the lifecycle of `pkt` as its JSON line, or `None` if this
+    /// fragment holds no injection header (no merged sink saw the
+    /// packet's injection).
+    ///
+    /// Hops sort by cycle, a reroute before any other hop of its cycle.
+    /// That is the order a sequential run records: a reroute fires in
+    /// the fault pass, before the fill pass, and a packet makes at most
+    /// one stutter or link per cycle. So the order comes back whichever
+    /// shard recorded each hop.
+    fn render(mut self, pkt: u64) -> Option<String> {
+        let (src, dst, inject) = self.head?;
+        self.hops.sort_by_key(|h| (h.cycle, h.kind != "reroute"));
+        let mut line =
+            format!("{{\"pkt\": {pkt}, \"src\": {src}, \"dst\": {dst}, \"inject\": {inject}, ");
+        let _ = match self.end {
+            Some(End::Delivered { cycle, latency }) => write!(
+                line,
+                "\"deliver\": {cycle}, \"latency\": {latency}, \"delivered\": true"
+            ),
+            Some(End::Dropped { cycle }) => {
+                write!(line, "\"dropped\": {cycle}, \"delivered\": false")
+            }
+            None => write!(line, "\"delivered\": false"),
+        };
+        line.push_str(", \"hops\": ");
+        json::list(&mut line, &self.hops, |out, h| {
+            write!(
+                out,
+                "{{\"c\": {}, \"from\": {}, \"to\": {}, \"kind\": \"{}\", \"q\": ",
+                h.cycle, h.from, h.to, h.kind
+            )?;
+            json::list(out, h.q, |out, class| write!(out, "{class}"));
+            out.push('}');
+            Ok(())
+        });
+        line.push('}');
+        Some(line)
+    }
 }
 
 /// Bounded JSONL packet-lifecycle traces: one JSON line per packet,
 /// `inject → hops (static/dynamic, class transitions) → deliver`,
 /// enabling post-hoc path reconstruction.
+///
+/// The sink keeps each traced packet's events until [`TraceSink::flush`]
+/// renders the lifecycles, so the lines exist only after a flush. A
+/// sharded engine runs one sink per shard; each keeps what its shard
+/// saw, and [`TraceSink::merge_shard`] joins them by packet id before
+/// the flush.
 ///
 /// Memory is bounded by tracing only the first `limit` packets injected
 /// (ids are assigned in injection order); later packets are counted in
@@ -625,9 +633,10 @@ fn render(pkt: u64, t: &TraceState, end: fmt::Arguments<'_>) -> String {
 #[derive(Debug, Clone)]
 pub struct TraceSink {
     limit: u64,
-    active: Vec<Option<TraceState>>,
-    /// Completed (or flushed) lifecycles: packet id and JSON line.
-    done: Vec<(u64, String)>,
+    /// Per traced packet id, the part of its lifecycle seen so far.
+    frags: Vec<Fragment>,
+    /// Rendered lifecycles, one JSON line each.
+    done: Vec<String>,
     /// Packets beyond the trace bound (not traced).
     pub skipped: u64,
 }
@@ -637,94 +646,66 @@ impl TraceSink {
     pub fn new(limit: usize) -> Self {
         Self {
             limit: limit as u64,
-            active: Vec::new(),
+            frags: Vec::new(),
             done: Vec::new(),
             skipped: 0,
         }
     }
 
-    /// Completed lifecycle lines (call [`TraceSink::flush`] first to
-    /// include packets still in flight).
+    /// The rendered lifecycle lines. Call [`TraceSink::flush`] first:
+    /// before it, a run's lifecycles are still fragments.
     pub fn lines(&self) -> Vec<&str> {
-        self.done.iter().map(|(_, line)| line.as_str()).collect()
+        self.done.iter().map(String::as_str).collect()
     }
 
-    /// Render still-in-flight packets as undelivered lifecycles, then
-    /// sort all lifecycles into canonical packet-id order. Call once
-    /// after the run.
-    ///
-    /// The sort makes the rendered output independent of *delivery*
-    /// order, which is what lets a shard-merged sink reproduce the
-    /// sequential sink byte-for-byte (shards complete deliveries in
-    /// shard-local order).
+    /// Render every traced lifecycle in packet-id order, a packet still
+    /// in flight as undelivered. Call once after the run (after
+    /// [`TraceSink::merge_shard`] for a sharded one).
     pub fn flush(&mut self) {
-        for pkt in 0..self.active.len() as u64 {
-            self.finish(pkt, format_args!("\"delivered\": false"));
+        for (pkt, frag) in std::mem::take(&mut self.frags).into_iter().enumerate() {
+            self.done.extend(frag.render(pkt as u64));
         }
-        self.done.sort_by_key(|&(pkt, _)| pkt);
     }
 
-    /// Append another sink's lifecycles (parallel-merge path); `skipped`
-    /// counts add. In-flight lifecycles transfer too (first writer wins
-    /// on a slot collision), so merging *unflushed* per-shard sinks of
-    /// one run — where each packet is in flight at exactly one shard —
-    /// loses nothing; the post-run [`TraceSink::flush`] then renders
-    /// them as usual.
+    /// Append another run's rendered lifecycles (the replication merge;
+    /// both sinks flushed); `skipped` counts add.
     pub fn merge(&mut self, other: &TraceSink) {
         self.done.extend(other.done.iter().cloned());
         self.skipped += other.skipped;
-        for (slot, st) in other.active.iter().enumerate() {
-            let Some(st) = st else { continue };
-            if slot >= self.active.len() {
-                self.active.resize(slot + 1, None);
-            }
-            if self.active[slot].is_none() {
-                self.active[slot] = Some(st.clone());
-            }
-        }
     }
 
-    /// Clone the in-flight lifecycle of `pkt`, if traced — the shard
-    /// handoff's "offer" side (the packet may not move this cycle, so
-    /// the local state stays put until [`TraceSink::discard_state`]).
-    pub fn snapshot_state(&self, pkt: u64) -> Option<TraceState> {
+    /// Join a sibling shard's sink from the same run, before the flush:
+    /// each packet's fragments unite (a header and an end come from the
+    /// one shard that saw them, hops from every shard), and `skipped`
+    /// counts add.
+    pub fn merge_shard(&mut self, other: &TraceSink) {
+        if self.frags.len() < other.frags.len() {
+            self.frags.resize_with(other.frags.len(), Fragment::default);
+        }
+        for (mine, theirs) in self.frags.iter_mut().zip(&other.frags) {
+            mine.head = mine.head.or(theirs.head);
+            mine.hops.extend_from_slice(&theirs.hops);
+            mine.end = mine.end.or(theirs.end);
+        }
+        self.skipped += other.skipped;
+    }
+
+    /// The fragment of `pkt`, if traced.
+    fn frag(&mut self, pkt: u64) -> Option<&mut Fragment> {
         if pkt >= self.limit {
             return None;
-        }
-        self.active.get(pkt as usize)?.clone()
-    }
-
-    /// Install a lifecycle transferred from another shard's sink.
-    pub fn adopt_state(&mut self, pkt: u64, state: TraceState) {
-        if pkt >= self.limit {
-            return;
         }
         let slot = pkt as usize;
-        if slot >= self.active.len() {
-            self.active.resize(slot + 1, None);
+        if slot >= self.frags.len() {
+            self.frags.resize_with(slot + 1, Fragment::default);
         }
-        self.active[slot] = Some(state);
+        Some(&mut self.frags[slot])
     }
 
-    /// Drop the local lifecycle of `pkt` (it moved to another shard).
-    pub fn discard_state(&mut self, pkt: u64) {
-        if let Some(s) = self.slot(pkt) {
-            *s = None;
-        }
-    }
-
-    /// The lifecycle slot of `pkt`, if traced.
-    fn slot(&mut self, pkt: u64) -> Option<&mut Option<TraceState>> {
-        if pkt >= self.limit {
-            return None;
-        }
-        self.active.get_mut(pkt as usize)
-    }
-
-    /// Record a move of `pkt`, if in flight.
+    /// Record a move of `pkt`, if traced.
     fn hop(&mut self, pkt: u64, cycle: u64, from: u32, to: u32, kind: &'static str, q: [u8; 2]) {
-        if let Some(Some(t)) = self.slot(pkt) {
-            t.hops.push(Hop {
+        if let Some(f) = self.frag(pkt) {
+            f.hops.push(Hop {
                 cycle,
                 from,
                 to,
@@ -733,32 +714,21 @@ impl TraceSink {
             });
         }
     }
-
-    /// End the lifecycle of `pkt`, if in flight, and render it (see
-    /// [`render`]).
-    fn finish(&mut self, pkt: u64, end: fmt::Arguments<'_>) {
-        if let Some(t) = self.slot(pkt).and_then(Option::take) {
-            self.done.push((pkt, render(pkt, &t, end)));
-        }
-    }
 }
 
 impl Recorder for TraceSink {
     fn on_inject(&mut self, cycle: u64, pkt: u64, src: u32, dst: u32) {
-        if pkt >= self.limit {
-            self.skipped += 1;
-            return;
+        match self.frag(pkt) {
+            // A restore re-fires `on_inject` for every live packet: its
+            // lifecycle starts again here.
+            Some(f) => {
+                *f = Fragment {
+                    head: Some((src, dst, cycle)),
+                    ..Fragment::default()
+                };
+            }
+            None => self.skipped += 1,
         }
-        let slot = pkt as usize;
-        if slot >= self.active.len() {
-            self.active.resize(slot + 1, None);
-        }
-        self.active[slot] = Some(TraceState {
-            src,
-            dst,
-            inject_cycle: cycle,
-            hops: Vec::new(),
-        });
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -781,15 +751,15 @@ impl Recorder for TraceSink {
     }
 
     fn on_deliver(&mut self, cycle: u64, pkt: u64, latency: u64, _hops: u32, _class: u8) {
-        let end = format_args!("\"deliver\": {cycle}, \"latency\": {latency}, \"delivered\": true");
-        self.finish(pkt, end);
+        if let Some(f) = self.frag(pkt) {
+            f.end = Some(End::Delivered { cycle, latency });
+        }
     }
 
     fn on_drop(&mut self, cycle: u64, pkt: u64) {
-        self.finish(
-            pkt,
-            format_args!("\"dropped\": {cycle}, \"delivered\": false"),
-        );
+        if let Some(f) = self.frag(pkt) {
+            f.end = Some(End::Dropped { cycle });
+        }
     }
 
     fn on_reroute(&mut self, cycle: u64, pkt: u64, node: u32, class: u8) {
@@ -1743,10 +1713,10 @@ impl SinkSet {
 
     /// Merge a sibling shard's set from the *same* run (fixed shard
     /// order): counters via [`CounterSink::merge_shard`] (cycle counts
-    /// take the max), traces via [`TraceSink::merge`] (in-flight
-    /// lifecycles transfer; slots are disjoint across shards), watchdogs
-    /// via [`WatchdogSink::merge`] (earliest report wins — present only
-    /// when a harness installed an engine's report).
+    /// take the max), traces via [`TraceSink::merge_shard`] (each
+    /// packet's fragments join), watchdogs via [`WatchdogSink::merge`]
+    /// (earliest report wins — present only when a harness installed an
+    /// engine's report).
     pub fn merge_shard(&mut self, other: &SinkSet) {
         match (&mut self.counters, &other.counters) {
             (Some(a), Some(b)) => a.merge_shard(b),
@@ -1754,7 +1724,7 @@ impl SinkSet {
             _ => {}
         }
         match (&mut self.trace, &other.trace) {
-            (Some(a), Some(b)) => a.merge(b),
+            (Some(a), Some(b)) => a.merge_shard(b),
             (slot @ None, Some(b)) => *slot = Some(b.clone()),
             _ => {}
         }
@@ -1778,7 +1748,8 @@ impl SinkSet {
         // run's.
     }
 
-    /// Flush the trace sink (renders still-in-flight packets).
+    /// Flush the trace sink (renders its lifecycles, see
+    /// [`TraceSink::flush`]).
     pub fn flush(&mut self) {
         if let Some(t) = &mut self.trace {
             t.flush();
@@ -1797,22 +1768,6 @@ impl ShardRecorder for SinkSet {
         // stall-report a healthy network; engines run the watchdog in
         // their run loop on global progress instead.
         self.watchdog.is_none()
-    }
-
-    fn snapshot_trace(&self, pkt: u64) -> Option<TraceState> {
-        self.trace.as_ref().and_then(|t| t.snapshot_state(pkt))
-    }
-
-    fn adopt_trace(&mut self, pkt: u64, state: TraceState) {
-        if let Some(t) = &mut self.trace {
-            t.adopt_state(pkt, state);
-        }
-    }
-
-    fn discard_trace(&mut self, pkt: u64) {
-        if let Some(t) = &mut self.trace {
-            t.discard_state(pkt);
-        }
     }
 
     fn merge_shard(&mut self, other: &Self) {
@@ -2177,32 +2132,48 @@ mod tests {
         assert_eq!(a.delivered, 2);
     }
 
+    /// A recorder event and the shard whose sink observes it.
+    type Event = (usize, fn(&mut TraceSink));
+
+    /// Feed each event to one sink that sees every event and to its
+    /// shard's sink; the two shard sinks, merged in either order, must
+    /// render the same lines.
+    fn assert_stitches(events: &[Event]) {
+        let mut whole = TraceSink::new(4);
+        let mut shards = [TraceSink::new(4), TraceSink::new(4)];
+        for (shard, event) in events {
+            event(&mut whole);
+            event(&mut shards[*shard]);
+        }
+        whole.flush();
+        for (a, b) in [(0, 1), (1, 0)] {
+            let mut merged = shards[a].clone();
+            merged.merge_shard(&shards[b]);
+            merged.flush();
+            assert_eq!(merged.lines(), whole.lines());
+        }
+    }
+
     #[test]
     fn trace_state_transfers_between_sinks() {
-        // Shard 0 traces the first hop, hands the packet to shard 1,
-        // which records the rest; the merged output must equal a single
-        // sink that saw every event.
-        let mut whole = TraceSink::new(4);
-        whole.on_inject(0, 0, 1, 2);
-        whole.on_link(1, 0, 1, 2, false, 0, 0);
-        whole.on_link(2, 0, 2, 3, true, 0, 1);
-        whole.on_deliver(3, 0, 7, 2, 1);
-        whole.flush();
-
-        let mut s0 = TraceSink::new(4);
-        let mut s1 = TraceSink::new(4);
-        s0.on_inject(0, 0, 1, 2);
-        s0.on_link(1, 0, 1, 2, false, 0, 0);
-        // The packet crosses the shard boundary: snapshot on offer,
-        // adopt at the receiver, discard at the sender on ack.
-        let st = s0.snapshot_state(0).expect("traced");
-        s1.adopt_state(0, st);
-        s1.on_link(2, 0, 2, 3, true, 0, 1);
-        s0.discard_state(0);
-        s1.on_deliver(3, 0, 7, 2, 1);
-        s0.merge(&s1);
-        s0.flush();
-        assert_eq!(s0.lines(), whole.lines());
+        // Injected on shard 0, the packet crosses to shard 1 and back:
+        // each link is recorded by the receiving node's shard.
+        assert_stitches(&[
+            (0, |t| t.on_inject(0, 0, 1, 2)),
+            (1, |t| t.on_link(1, 0, 1, 2, false, 0, 0)),
+            (0, |t| t.on_link(2, 0, 2, 3, true, 0, 1)),
+            (0, |t| t.on_deliver(3, 0, 7, 2, 1)),
+        ]);
+        // A reroute fires on the sender's shard before the fill pass,
+        // the same cycle's link on the receiver's: the merged hops put
+        // the reroute first whichever shard merges first.
+        assert_stitches(&[
+            (0, |t| t.on_inject(0, 0, 1, 3)),
+            (0, |t| t.on_reroute(3, 0, 1, 0)),
+            (1, |t| t.on_link(3, 0, 1, 2, false, 0, 0)),
+            (0, |t| t.on_link(4, 0, 2, 3, false, 0, 1)),
+            (0, |t| t.on_deliver(5, 0, 6, 2, 1)),
+        ]);
     }
 
     #[test]
@@ -2223,7 +2194,7 @@ mod tests {
         let mut a = TraceSink::new(4);
         let mut b = TraceSink::new(4);
         b.on_inject(0, 2, 5, 6);
-        a.merge(&b);
+        a.merge_shard(&b);
         a.flush();
         assert_eq!(a.lines().len(), 1);
         assert!(a.lines()[0].contains("\"delivered\": false"));

@@ -16,7 +16,7 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 
-use fadr_metrics::{LatencyStats, NoRecorder, Recorder, ShardRecorder, StallReport, TraceState};
+use fadr_metrics::{LatencyStats, NoRecorder, Recorder, StallReport};
 use fadr_qdg::{BufferClass, HopKind, LinkKind, QueueId, QueueKind, RoutingFunction, SnapshotMsg};
 use fadr_topology::NodeId;
 
@@ -2252,27 +2252,19 @@ where
     }
 }
 
-/// A packet in flight across a shard boundary: everything the receiving
-/// shard needs to reconstruct the sender's packet, including the
-/// in-flight trace state when a [`TraceSink`](fadr_metrics::TraceSink)
-/// is attached (the receiver adopts it so the packet's event history
-/// stays contiguous in one sink).
-pub(crate) struct Transfer<M> {
-    pkt: PacketInit<M>,
-    trace: Option<TraceState>,
-}
-
-/// One cross-shard offer: the packet staged in output buffer `buf` of
-/// channel `chan`. Offers in a mailbox are flat (no per-channel nesting)
-/// and ascending by `(chan, buf)` — senders emit channels in ascending
-/// id order, so receivers can consume with a single cursor per sender.
+/// One cross-shard offer: the record of the packet staged in output
+/// buffer `buf` of channel `chan`, all the receiving shard needs to
+/// rebuild it (`None` once taken). Offers in a mailbox are flat (no
+/// per-channel nesting) and ascending by `(chan, buf)` — senders emit
+/// channels in ascending id order, so receivers can consume with a
+/// single cursor per sender.
 pub(crate) struct OfferItem<M> {
     pub(crate) chan: u32,
     buf: u32,
-    payload: Option<Transfer<M>>,
+    pkt: Option<PacketInit<M>>,
 }
 
-impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
+impl<R: RoutingFunction, Rec: Recorder> Simulator<R, Rec> {
     /// Snapshot the packets staged on cross-shard channel `chan` as
     /// transfer offers, in ascending buffer order. Offers are re-issued
     /// every cycle until the receiver takes them (mirroring how the
@@ -2297,16 +2289,10 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
             if p == NONE {
                 continue;
             }
-            let pkt = core.store.record(p);
-            let trace = if Rec::ENABLED {
-                self.rec.snapshot_trace(pkt.uid)
-            } else {
-                None
-            };
             out.push(OfferItem {
                 chan: chan as u32,
                 buf: b as u32,
-                payload: Some(Transfer { pkt, trace }),
+                pkt: Some(core.store.record(p)),
             });
         }
     }
@@ -2339,14 +2325,14 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
             if self.core.inbuf[b] != NONE {
                 continue;
             }
-            let Some(entry) = offered
+            let Some(pkt) = offered
                 .iter_mut()
-                .find(|o| o.buf as usize == b && o.payload.is_some())
+                .find(|o| o.buf as usize == b)
+                .and_then(|o| o.pkt.take())
             else {
                 continue;
             };
-            let t = entry.payload.take().expect("offer present");
-            self.accept_transfer(chan, b, t);
+            self.accept_transfer(chan, b, pkt);
             self.core.chan_rr[chan] = ((rr + i + 1) % len) as u16;
             return Some(b as u32);
         }
@@ -2355,14 +2341,10 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
 
     /// Materialize a transferred packet in this shard's slab and input
     /// buffer, firing the same link event the sequential engine would.
-    fn accept_transfer(&mut self, chan: usize, buf: usize, t: Transfer<R::Msg>) {
-        let Transfer { mut pkt, trace } = t;
+    fn accept_transfer(&mut self, chan: usize, buf: usize, mut pkt: PacketInit<R::Msg>) {
         pkt.hops += 1;
         let core = &mut self.core;
         if Rec::ENABLED {
-            if let Some(state) = trace {
-                self.rec.adopt_trace(pkt.uid, state);
-            }
             self.rec.on_link(
                 core.cycle,
                 pkt.uid,
@@ -2379,14 +2361,10 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Simulator<R, Rec> {
 
     /// Drain a batch of cross-shard acknowledgements (one mailbox lock's
     /// worth) in order: the receiver took the packet staged in each
-    /// output buffer, so free the sender-side copy (and its trace state,
-    /// which the receiver adopted).
+    /// output buffer, so free the sender-side copy.
     pub(crate) fn apply_acks(&mut self, bufs: &[u32]) {
         for &b in bufs {
             let slot = self.core.take_outbuf(b as usize);
-            if Rec::ENABLED {
-                self.rec.discard_trace(self.core.store.uid[slot as usize]);
-            }
             self.core.free_packet(slot);
         }
     }

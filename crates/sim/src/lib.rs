@@ -70,7 +70,7 @@ pub use engine::{
 };
 pub use fadr_metrics::{
     json, Control, CounterSink, NoRecorder, PartitionStats, Recorder, ShardRecorder, SinkSet,
-    StallReport, TraceSink, TraceState, WatchdogSink,
+    StallReport, TraceSink, WatchdogSink,
 };
 pub use fadr_qdg::SnapshotMsg;
 pub use fault::{FaultEvent, FaultKind, FaultPlan};

@@ -66,7 +66,7 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use rand::rngs::StdRng;
 
-use fadr_metrics::{NoRecorder, PartitionStats, ShardRecorder, StallReport};
+use fadr_metrics::{NoRecorder, PartitionStats, Recorder, ShardRecorder, StallReport};
 use fadr_qdg::{RoutingFunction, SnapshotMsg};
 use fadr_topology::NodeId;
 
@@ -324,7 +324,7 @@ struct Threaded<'a, M> {
     cursors: Vec<usize>,
 }
 
-impl<R: RoutingFunction, Rec: ShardRecorder> Port<R, Rec, Computed<R>> for Threaded<'_, R::Msg> {
+impl<R: RoutingFunction, Rec: Recorder> Port<R, Rec, Computed<R>> for Threaded<'_, R::Msg> {
     fn owned(&self) -> &OwnedNodes {
         &self.plan.owned[self.sid]
     }
@@ -469,8 +469,9 @@ impl<R: RoutingFunction, Rec: ShardRecorder> Port<R, Rec, Computed<R>> for Threa
 /// A sharded drop-in for [`Simulator`]: same experiments, same results,
 /// one thread per shard. See the module docs for the equivalence
 /// argument; the shard-equivalence test suite asserts bit-identity of
-/// results and recorded sinks (counters, occupancy, journals) against
-/// the sequential engine for every routing family in the table set.
+/// results and recorded sinks (counters, occupancy, journals, traces)
+/// against the sequential engine for every routing family in the table
+/// set.
 ///
 /// ```
 /// use fadr_core::HypercubeFullyAdaptive;
@@ -636,10 +637,10 @@ impl<R: RoutingFunction + Clone, Rec: ShardRecorder> ShardedSimulator<R, Rec> {
     }
 
     /// Consume the simulator and merge the per-shard recorders in fixed
-    /// shard order, yielding deterministic
-    /// merged sinks — equal to the sequential engine's single recorder
-    /// for order-insensitive sinks (counters) and for sorted trace
-    /// output.
+    /// shard order ([`ShardRecorder::merge_shard`]), yielding the
+    /// sequential engine's single recorder: counters add, and a trace
+    /// sink joins each packet's fragments, to be rendered by its
+    /// `flush`.
     pub fn into_recorder(self) -> Rec {
         let mut sims = self.shards.into_iter();
         let mut rec = sims.next().expect("at least one shard").into_recorder();

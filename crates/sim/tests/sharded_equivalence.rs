@@ -13,7 +13,7 @@ use fadr_core::{
     ShuffleExchangeRouting, TorusTwoPhase,
 };
 use fadr_qdg::RoutingFunction;
-use fadr_sim::{ShardedSimulator, SimConfig, Simulator, SinkSet, StopReason};
+use fadr_sim::{FaultKind, FaultPlan, ShardedSimulator, SimConfig, Simulator, SinkSet, StopReason};
 use fadr_workloads::{static_backlog, Pattern};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -137,29 +137,103 @@ fn shuffle_exchange_static_and_dynamic() {
 /// match too.
 #[test]
 fn sinks_match_sequential_bit_for_bit() {
-    let rf = HypercubeFullyAdaptive::new(4);
-    let cfg = SimConfig::default();
-    let size = 16;
-    let mk = || {
-        SinkSet::new()
-            .with_counters(size, 2)
-            .with_trace(48)
-            .with_waitgraph()
-    };
-
-    let mut seq = Simulator::with_recorder(rf, cfg, mk());
-    let seq_res = seq.run_dynamic(0.8, |s, rng| Pattern::Random.draw(s, size, rng), 80);
-    let mut seq_sinks = seq.into_recorder();
-    seq_sinks.flush();
+    let seq_sinks = assert_sinks_match(None, 0.8, 80, 48);
     let seq_graph = seq_sinks.waitgraph.as_ref().unwrap();
     assert!(
         seq_graph.max_chain_depth >= 2,
         "the run must block some chain: {seq_graph:?}"
     );
 
+    // Faults are the only way one packet records two hops of one cycle
+    // on two shards: a reroute on the sender's shard, then a link on the
+    // receiver's. Flaky links with a retry limit of 1 reroute, a dead
+    // link forces degraded routing, and a dead node drops packets (and
+    // partitions the run). Every packet is traced. The flaky links leave
+    // high-numbered nodes, so some rerouted packets cross the same cycle
+    // into a lower-numbered shard, whose sink merges first: hops kept in
+    // merge order would put that link before the reroute.
+    let mut plan = FaultPlan::new(0x7ACE, 1);
+    for (from, to) in [(15, 14), (11, 3)] {
+        plan.push(
+            0,
+            FaultKind::FlakyLink {
+                from,
+                to,
+                until: 120,
+                threshold: 60,
+            },
+        );
+    }
+    plan.push(10, FaultKind::LinkDown { from: 3, to: 7 });
+    plan.push(30, FaultKind::NodeDown { node: 9 });
+    let seq_sinks = assert_sinks_match(Some(&plan), 0.9, 120, 1 << 16);
+    let trace = seq_sinks.trace.as_ref().unwrap();
+    assert_eq!(trace.skipped, 0, "the trace must cover every packet");
+    let lines = trace.lines();
+    assert!(
+        lines.iter().any(|l| l.contains("\"dropped\": ")),
+        "the plan must drop a traced packet"
+    );
+    let (reroutes, paired) = reroutes(&lines);
+    assert!(reroutes >= 1, "the plan must reroute a traced packet");
+    assert!(
+        paired >= 1,
+        "some reroute must share its cycle with the next hop ({reroutes} reroutes)"
+    );
+}
+
+/// Count the trace's reroute hops, and those followed by another hop of
+/// the same cycle.
+fn reroutes(lines: &[&str]) -> (usize, usize) {
+    let (mut all, mut paired) = (0, 0);
+    for line in lines {
+        let hops: Vec<(&str, &str)> = line
+            .split("{\"c\": ")
+            .skip(1)
+            .map(|h| {
+                let cycle = h.split(',').next().unwrap();
+                let kind = h.split("\"kind\": \"").nth(1).unwrap();
+                (cycle, kind.split('"').next().unwrap())
+            })
+            .collect();
+        all += hops.iter().filter(|h| h.1 == "reroute").count();
+        paired += hops
+            .windows(2)
+            .filter(|w| w[0].1 == "reroute" && w[0].0 == w[1].0)
+            .count();
+    }
+    (all, paired)
+}
+
+/// Run hypercube(4) at rate `lambda` for `cycles` cycles under `plan` on
+/// both engines, with counter, trace (`trace` packets) and wait-for-graph
+/// sinks; assert that the result and the flushed sinks merged from every
+/// shard count equal the sequential ones, and return those.
+fn assert_sinks_match(plan: Option<&FaultPlan>, lambda: f64, cycles: u64, trace: usize) -> SinkSet {
+    let rf = HypercubeFullyAdaptive::new(4);
+    let cfg = SimConfig::default();
+    let size = 16;
+    let mk = || {
+        SinkSet::new()
+            .with_counters(size, 2)
+            .with_trace(trace)
+            .with_waitgraph()
+    };
+
+    let mut seq = Simulator::with_recorder(rf, cfg, mk());
+    if let Some(plan) = plan {
+        seq = seq.with_faults(plan.clone());
+    }
+    let seq_res = seq.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, size, rng), cycles);
+    let mut seq_sinks = seq.into_recorder();
+    seq_sinks.flush();
+
     for shards in SHARD_COUNTS {
         let mut shr = ShardedSimulator::with_recorders(rf, cfg, shards, |_| mk());
-        let shr_res = shr.run_dynamic(0.8, |s, rng| Pattern::Random.draw(s, size, rng), 80);
+        if let Some(plan) = plan {
+            shr = shr.with_faults(plan.clone());
+        }
+        let shr_res = shr.run_dynamic(lambda, |s, rng| Pattern::Random.draw(s, size, rng), cycles);
         assert_eq!(seq_res, shr_res, "shards={shards}");
         let mut shr_sinks = shr.into_recorder();
         shr_sinks.flush();
@@ -180,6 +254,7 @@ fn sinks_match_sequential_bit_for_bit() {
             "shards={shards}: wait-for graph diverged"
         );
     }
+    seq_sinks
 }
 
 /// Same check on a static workload, where traces include queue events

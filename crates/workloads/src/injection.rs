@@ -1,27 +1,12 @@
-//! Injection models (§ 7): static backlogs and dynamic Bernoulli-λ.
+//! The static injection model (§ 7): per-node destination backlogs.
+//! The dynamic Bernoulli-λ model is the simulator's `run_dynamic`, and
+//! the harness's `runner::Workload` picks one of the two per paper table.
 
 use rand::Rng;
 
 use fadr_topology::NodeId;
 
 use crate::pattern::Pattern;
-
-/// How packets enter the network (§ 7, "Injection Model").
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum InjectionModel {
-    /// Every node holds a fixed number of packets at time 0 (the paper
-    /// runs 1 and `log N` packets per node).
-    Static {
-        /// Packets initially backlogged at each node.
-        packets_per_node: usize,
-    },
-    /// Every node attempts an injection each cycle with probability λ
-    /// (the paper runs λ = 1).
-    Dynamic {
-        /// Per-cycle injection probability.
-        lambda: f64,
-    },
-}
 
 /// Build the per-node destination backlog for a static run: node `v`
 /// gets `packets_per_node` packets with destinations drawn from

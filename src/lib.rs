@@ -17,7 +17,7 @@
 //!   battery with `fadr-lint/1` diagnostics, run before certification;
 //! * [`routing`] — the paper's algorithms (§§ 3–5) and baselines;
 //! * [`sim`] — the § 6/§ 7.1 node model and simulator;
-//! * [`workloads`] — § 7 traffic patterns and injection models;
+//! * [`workloads`] — § 7 traffic patterns and static backlogs;
 //! * [`metrics`] — latency statistics and paper-style tables;
 //! * [`wormhole`] — the flit-level wormhole generalization (\[GPS91\]).
 //!
@@ -73,6 +73,6 @@ pub mod prelude {
         Hypercube, Mesh2D, MeshKD, NodeId, Port, ShuffleExchange, Topology, Torus2D,
     };
     pub use fadr_verify::{certify, check_certificate, Certificate, Outcome};
-    pub use fadr_workloads::{static_backlog, InjectionModel, Pattern};
+    pub use fadr_workloads::{static_backlog, Pattern};
     pub use fadr_wormhole::{WormConfig, WormholeResult, WormholeSim};
 }
